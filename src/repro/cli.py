@@ -768,9 +768,10 @@ def main(argv=None) -> int:
     p_serve.add_argument("--tiles", type=int, default=16, help="tiles per IPU")
     p_serve.add_argument("--seed", type=int, default=0,
                          help="seeds the right-hand sides and per-job retry schedules")
-    p_serve.add_argument("--backend", choices=["sim", "fast", "fused"], default="fast",
+    p_serve.add_argument("--backend", choices=["sim", "fast", "fused"], default="fused",
                          help="backend for regular tenants (fault tenant always "
-                              "uses sim); default fast")
+                              "uses sim); default fused, the fastest on the host "
+                              "and bit-identical to the other two")
     p_serve.add_argument("--workers", type=int, default=2,
                          help="worker threads executing solves")
     p_serve.add_argument("--queue-depth", type=int, default=8,

@@ -13,7 +13,8 @@
   (bodies compiled once, trivial loops simplified),
 - :mod:`repro.graph.passes.plans` — every leaf step of the optimized
   schedule is frozen into an execution plan (precomputed worker packing,
-  vectorized exchange index arrays) that the runtime backends replay,
+  vectorized exchange index arrays per shard pair and per whole-device
+  buffer pair) that the runtime backends replay,
 - :mod:`repro.graph.passes.kernels` — the last lowering stage: runs of
   adjacent compute/exchange steps between control-flow boundaries fuse
   into whole-device :class:`FusedKernel` nodes the ``fused`` backend
@@ -35,7 +36,7 @@ from repro.graph.passes.base import (
 from repro.graph.passes.coalesce import CoalesceExchanges
 from repro.graph.passes.flatten import FlattenSequences
 from repro.graph.passes.fuse import FuseComputeSets
-from repro.graph.passes.kernels import FusedKernel, KernelSchedule, build_kernels
+from repro.graph.passes.kernels import ExchangeOp, FusedKernel, KernelSchedule, build_kernels
 from repro.graph.passes.loops import HoistLoopInvariants
 from repro.graph.passes.plans import (
     ComputePlan,
@@ -71,6 +72,7 @@ __all__ = [
     "build_plans",
     "compute_set_category",
     "lpt_makespan",
+    "ExchangeOp",
     "FusedKernel",
     "KernelSchedule",
     "build_kernels",

@@ -21,9 +21,13 @@ the kernel, so fusion never changes what runs, only how it is dispatched.
 
 Every vectorized path reuses the exact numpy/Joldes op sequence of the
 per-tile path (``eval_expr`` with a flat leaf resolver, the same pairwise
-summation shapes, the same ``np.add.reduceat`` segment boundaries), which
-is why ``fused`` results are bit-identical to ``sim`` — enforced by the
-property tests in ``tests/graph/test_kernels.py``.
+summation shapes) or reproduces its rounding order term by term (the
+slot-major SpMV of :class:`repro.sparse.sell.SlotMajorRows` against the
+per-tile ``np.add.reduceat``), which is why ``fused`` results are
+bit-identical to ``sim`` — enforced by the property tests in
+``tests/graph/test_kernels.py`` and ``tests/sparse/test_sell.py``.
+Exchanges replay the plan's flat copy ops: one gather/scatter per
+whole-device buffer pair (:mod:`repro.graph.passes.plans`).
 
 The schedule is stored on the :class:`CompiledProgram` alongside the
 per-step plans; ``sim`` and ``fast`` never look at it.
@@ -45,7 +49,7 @@ from repro.graph.program import (
     Step,
 )
 
-__all__ = ["FusedKernel", "KernelSchedule", "build_kernels"]
+__all__ = ["ExchangeOp", "FusedKernel", "KernelSchedule", "build_kernels"]
 
 
 class _Unvectorizable(Exception):
@@ -57,8 +61,8 @@ class FusedKernel:
     """One whole-device kernel: a fused run of compute/exchange steps.
 
     ``ops`` is the ordered tuple of zero-argument callables (vectorized
-    group evaluators, exchange-plan replays, batched fallbacks) that one
-    dispatch executes.  ``n_compute`` / ``n_exchange`` count the absorbed
+    group evaluators, :class:`ExchangeOp` replays, batched fallbacks) that
+    one dispatch executes.  ``n_compute`` / ``n_exchange`` count the absorbed
     steps (the engine keeps its superstep statistics in parity with the
     interpreted backends), ``n_dispatch`` the per-step dispatch calls the
     kernel replaces, and ``n_fallback`` the per-vertex runs that could not
@@ -94,6 +98,24 @@ class FusedKernel:
         )
 
 
+class ExchangeOp:
+    """Kernel op replaying one absorbed exchange from its plan's flat copies.
+
+    ``n_assign`` is the static number of numpy array assignments one call
+    performs (a double-word copy moves its hi and lo halves separately).
+    """
+
+    __slots__ = ("copies", "n_assign")
+
+    def __init__(self, copies: tuple):
+        self.copies = copies
+        self.n_assign = sum(1 if c.dst_lo is None else 2 for c in copies)
+
+    def __call__(self) -> None:
+        for copy in self.copies:
+            copy.apply()
+
+
 class KernelSchedule:
     """Per-block kernel item lists of one compiled program.
 
@@ -118,34 +140,35 @@ class KernelSchedule:
         """The lowered items of one block, or ``None`` if unknown."""
         return self._items.get(id(step))
 
-    def kernel_count(self, step: Step, recursive: bool = True) -> int:
-        """Kernels launched by one pass through ``step``'s block (counting
+    def kernels_in(self, step: Step) -> list:
+        """Kernels launched by one pass through ``step``'s block (visiting
         each nested block once, regardless of loop trip counts)."""
-        items = self._items.get(id(step))
-        if items is None:
-            return 0
-        count = 0
-        for item in items:
+        found: list = []
+        for item in self._items.get(id(step)) or ():
             if isinstance(item, FusedKernel):
-                count += 1
-            elif recursive:
-                if isinstance(item, Sequence):
-                    count += self.kernel_count(item)
-                elif isinstance(item, (Repeat, RepeatWhile)):
-                    count += self.kernel_count(item.body)
-                elif isinstance(item, If):
-                    count += self.kernel_count(item.then_body)
-                    if item.else_body is not None:
-                        count += self.kernel_count(item.else_body)
-        return count
+                found.append(item)
+            elif isinstance(item, Sequence):
+                found += self.kernels_in(item)
+            elif isinstance(item, (Repeat, RepeatWhile)):
+                found += self.kernels_in(item.body)
+            elif isinstance(item, If):
+                found += self.kernels_in(item.then_body)
+                if item.else_body is not None:
+                    found += self.kernels_in(item.else_body)
+        return found
+
+    def loop_kernels(self, root: Step, label: str) -> list:
+        """Kernels of one iteration of the loop labeled ``label`` under
+        ``root``."""
+        loop = _find_loop(root, label)
+        if loop is None:
+            raise KeyError(f"no loop labeled {label!r} in schedule")
+        return self.kernels_in(loop.body)
 
     def loop_kernel_count(self, root: Step, label: str) -> int:
         """Kernels per iteration of the loop labeled ``label`` under ``root``
         (the fig5 acceptance metric: kernels per CG inner-loop iteration)."""
-        loop = _find_loop(root, label)
-        if loop is None:
-            raise KeyError(f"no loop labeled {label!r} in schedule")
-        return self.kernel_count(loop.body)
+        return len(self.loop_kernels(root, label))
 
     def stats(self) -> dict:
         """Aggregate lowering statistics (surfaced through telemetry)."""
@@ -263,7 +286,7 @@ def _make_resolver(fetchers: dict):
             cache[key] = value
         return value
 
-    return resolve, cache
+    return resolve
 
 
 def _contiguous_order(var, tiles) -> tuple:
@@ -337,7 +360,7 @@ def _lower_elementwise_group(spec: ElementwiseSpec, vertices):
     out_lo = out.flat_lo[lo:hi] if out.paired else None
 
     def op():
-        resolve, _ = _make_resolver(fetchers)
+        resolve = _make_resolver(fetchers)
         value = convert_value(eval_expr(expr, resolve), expr_dt, out_dt)
         if expand:
             value = _expand_batch(value, out_dt)
@@ -371,7 +394,6 @@ def _dw_tree_sum_rows(hi2d, lo2d):
 
 def _reduce_segments(value, dt: str, op: str, seg, offsets):
     """Per-segment reduction matching materialize._reduce_value per segment."""
-    from repro.dw import joldes  # noqa: F401  (imported for parity with docs)
     from repro.tensordsl.materialize import _dw_tree_sum, _reduce_value
     from repro.tensordsl.types import Type
 
@@ -477,7 +499,7 @@ def _lower_reduce_group(spec: ReduceSpec, vertices):
     out_hi, out_lo = out.flat_data, out.flat_lo
 
     def op():
-        resolve, _ = _make_resolver(fetchers)
+        resolve = _make_resolver(fetchers)
         value = eval_expr(expr, resolve)
         if paired:
             vh = np.broadcast_to(np.asarray(value[0]), (total,))
@@ -496,8 +518,6 @@ def _lower_reduce_group(spec: ReduceSpec, vertices):
 
 
 def _lower_spmv_group(spec: SpmvSpec, vertices):
-    from repro.sparse.distribute import segment_sums
-
     m, x, y = spec.matrix, spec.x, spec.y
     tiles = {v.tile_id for v in vertices}
     if tiles != set(m.tiles):
@@ -512,72 +532,41 @@ def _lower_spmv_group(spec: SpmvSpec, vertices):
     n = m.n
     if xvar.size != n or yvar.size != n:
         raise _Unvectorizable
-    order = list(m.tiles)
-    pos = 0
-    for t in order:
-        ivx, ivy = xvar.shards[t].interval, yvar.shards[t].interval
-        if ivx.start != pos or ivy.start != pos or ivx.stop != ivy.stop:
-            raise _Unvectorizable
-        pos = ivx.stop
-    if pos != n:
-        raise _Unvectorizable
-    use_halo = (
-        not hvar.replicated
-        and hvar.flat_data is not None
-        and hvar.flat_data.ndim == _flat_ndim(hvar)
-        and hvar.batch == batch
-        and hvar.size > 0
-    )
-
-    # Lift every tile's local column space into the global index space of
-    # ``[owned | halo]`` — the gather that _spmv_tile performs per call via
-    # np.concatenate is precomputed here, once, at compile time.
-    cols, vals, diags, ptr_parts = [], [], [], [np.zeros(1, dtype=np.int64)]
-    nnz_off = 0
-    for t in order:
-        local = m.local[t]
-        n_loc = local["n"]
-        start = xvar.shards[t].interval.start
-        col = local["col_idx"].astype(np.int64)
-        halo_mask = col >= n_loc
-        gcol = col + start
-        if halo_mask.any():
-            if not use_halo or m.plan.halo_count(t) == 0:
+    # The matrix's whole-device layout (DistributedMatrix.device_rows) holds
+    # for vectors in the mappings the matrix itself allocates.
+    for iv in m.owned_mapping():
+        for var in (xvar, yvar):
+            if iv.tile_id not in var.shards or var.shards[iv.tile_id].interval != iv:
                 raise _Unvectorizable
-            hstart = hvar.shards[t].interval.start
-            gcol = np.where(halo_mask, n + hstart + (col - n_loc), gcol)
-        cols.append(gcol)
-        vals.append(local["values"])
-        diags.append(local["diag"])
-        rp = local["row_ptr"].astype(np.int64)
-        ptr_parts.append(rp[1:] + nnz_off)
-        nnz_off += int(rp[-1])
-    colmap = np.concatenate(cols) if cols else np.zeros(0, np.int64)
-    values_g = np.concatenate(vals) if vals else np.zeros(0, np.float32)
-    diag_g = np.concatenate(diags) if diags else np.zeros(0, np.float32)
-    row_ptr_g = np.concatenate(ptr_parts)
+    halo_map, halo_total = m.halo_mapping()
+    if halo_total and (
+        hvar.replicated
+        or hvar.flat_data is None
+        or hvar.flat_data.ndim != _flat_ndim(hvar)
+        or hvar.batch != batch
+        or hvar.size != halo_total
+        or any(
+            iv.tile_id not in hvar.shards or hvar.shards[iv.tile_id].interval != iv
+            for iv in halo_map
+        )
+    ):
+        raise _Unvectorizable
     xflat, yflat = xvar.flat_data, yvar.flat_data
-    hflat = hvar.flat_data if use_halo else None
-
+    hflat = hvar.flat_data if halo_total else None
+    rows = m.device_rows(batch)
+    diag = np.concatenate([m.local[t]["diag"] for t in m.tiles])
     if batch > 1:
-        # SpMM: the same precomputed global colmap gathers (nnz, batch)
-        # rows; one segmented sum over axis 0 reduces all RHS at once.
-        values_b = values_g[:, None]
-        diag_b = diag_g[:, None]
-
-        def op():
-            xfull = np.concatenate([xflat, hflat]) if hflat is not None else xflat
-            contrib = values_b * xfull[colmap]
-            sums = segment_sums(contrib, row_ptr_g, n)
-            yflat[...] = diag_b * xflat + sums
-
-        return op
+        diag = diag[:, None]
+    # ``[owned | halo]``: the gather _spmv_tile performs per tile and call.
+    xfull = np.empty((n + halo_total,) + xflat.shape[1:], np.float32) if halo_total else xflat
 
     def op():
-        xfull = np.concatenate([xflat, hflat]) if hflat is not None else xflat
-        contrib = values_g * xfull[colmap]
-        sums = segment_sums(contrib, row_ptr_g, n)
-        yflat[...] = diag_g * xflat + sums
+        if hflat is not None:
+            xfull[:n] = xflat
+            xfull[n:] = hflat
+        sums = rows.sums(xfull)
+        np.multiply(diag, xflat, out=yflat)
+        np.add(yflat, sums, out=yflat)
 
     return op
 
@@ -714,15 +703,9 @@ def build_kernels(root: Step, plans) -> KernelSchedule:
                 counts[3] += est_f
             elif isinstance(s, Exchange):
                 plan = plans.plan_for(s)
-                plan_ops = plan.ops
-
-                def exchange_op(plan_ops=plan_ops):
-                    for copy in plan_ops:
-                        copy.apply()
-
-                ops.append(exchange_op)
+                ops.append(ExchangeOp(plan.flat))
                 absorbed.append(s)
-                counts[0] += len(plan_ops)
+                counts[0] += len(plan.ops)
                 counts[2] += estimate_exchange(plan)
             else:
                 flush()

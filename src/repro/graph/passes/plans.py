@@ -16,7 +16,10 @@ re-deriving structure on the hot path.
   :class:`~repro.machine.fabric.Transfer` list and on-tile memcpy cost.
   When region copies within one exchange overlap (a later copy reads or
   rewrites what an earlier one wrote), the plan falls back to strictly
-  ordered per-copy execution so results stay bit-identical.
+  ordered per-copy execution so results stay bit-identical.  A hazard-free
+  plan also carries the exchange in *flat* form — one gather/scatter per
+  (source buffer, destination buffer) pair over the variables' whole-device
+  ``flat_data`` buffers — which is what the untimed backends replay.
 
 Plans hold direct references to shard arrays; the graph allocates shard
 storage exactly once, so the references stay valid across host reads and
@@ -139,10 +142,18 @@ class ExchangePlan:
     """Frozen execution plan of one ``Exchange`` step."""
 
     name: str
-    ops: tuple  # of CopyOp
+    ops: tuple  # of CopyOp, one per shard pair (sim, fault injector)
     transfers: tuple  # of Transfer, for the fabric cost model
     local_cycles: int  # max over tiles of summed on-tile memcpy cost
     vectorized: bool  # False -> hazard detected, ops follow copy order
+    #: The same copies as CopyOps over ``Variable.flat_data`` / ``flat_lo``,
+    #: one per (src buffer, dst buffer) pair — what the untimed backends and
+    #: fused kernels replay.  A hazard plan has no flat form: ``flat is ops``.
+    flat: tuple | None = None
+
+    def __post_init__(self):
+        if self.flat is None:
+            object.__setattr__(self, "flat", self.ops)
 
 
 class ExecutionPlans:
@@ -214,8 +225,8 @@ def _any_write_overlap(reads: dict, writes: dict) -> bool:
 
 
 def _plan_exchange(step: Exchange) -> ExchangePlan:
-    # Elementary copies: one (src shard, dst shard, ranges) tuple per
-    # destination of each RegionCopy, in program order.
+    # Elementary copies: one (src var, src tile, dst var, dst tile, ranges)
+    # tuple per destination of each RegionCopy, in program order.
     elementary = []
     reads: dict = defaultdict(list)
     writes: dict = defaultdict(list)
@@ -230,7 +241,7 @@ def _plan_exchange(step: Exchange) -> ExchangePlan:
             dst_sh = dst_var.shard(dst_tile)
             d0, d1 = dst_offset, dst_offset + rc.size
             writes[id(dst_sh.data)].append((d0, d1))
-            elementary.append((src_sh, dst_sh, s0, s1, d0, d1))
+            elementary.append((rc.src_var, rc.src_tile, dst_var, dst_tile, s0, s1, d0, d1))
             if dst_tile != rc.src_tile:
                 remote_dests.append(dst_tile)
             else:
@@ -244,49 +255,94 @@ def _plan_exchange(step: Exchange) -> ExchangePlan:
             nbytes = rc.size * rc.src_var.unit_bytes()
             transfers.append(Transfer(rc.src_tile, tuple(remote_dests), nbytes))
 
+    def shard_copies():
+        for src_var, src_tile, dst_var, dst_tile, s0, s1, d0, d1 in elementary:
+            src_sh, dst_sh = src_var.shard(src_tile), dst_var.shard(dst_tile)
+            yield (src_sh.data, src_sh.lo), (dst_sh.data, dst_sh.lo), (s0, s1, d0, d1)
+
     vectorized = not _any_write_overlap(reads, writes)
-    ops = []
     if not vectorized:
         # Overlapping regions: keep strict program order, one op per copy.
-        for src_sh, dst_sh, s0, s1, d0, d1 in elementary:
-            ops.append(_copy_op(src_sh, dst_sh, [(s0, s1, d0, d1)]))
+        ops = tuple(_copy_op(src, dst, [seg]) for src, dst, seg in shard_copies())
+        flat = ops
     else:
-        # Fuse all copies between each (src shard, dst shard) pair into one
-        # numpy op; with no overlaps the op order cannot be observed.
-        groups: dict = {}
-        for src_sh, dst_sh, s0, s1, d0, d1 in elementary:
-            key = (id(src_sh.data), id(dst_sh.data))
-            if key not in groups:
-                groups[key] = (src_sh, dst_sh, [])
-            groups[key][2].append((s0, s1, d0, d1))
-        for src_sh, dst_sh, segments in groups.values():
-            ops.append(_copy_op(src_sh, dst_sh, segments))
+        # Fuse all copies between each (src array, dst array) pair into one
+        # numpy op; with no overlaps the op order cannot be observed.  Per
+        # shard pair for the timed backend, per whole-device buffer pair
+        # (global row = shard base + offset) for the untimed ones.
+        buffers: dict = {}
+
+        def flat_copies():
+            for src_var, src_tile, dst_var, dst_tile, s0, s1, d0, d1 in elementary:
+                src, sb = _flat_rows(src_var, src_tile, buffers)
+                dst, db = _flat_rows(dst_var, dst_tile, buffers)
+                yield src, dst, (sb + s0, sb + s1, db + d0, db + d1)
+
+        ops = _fuse_copies(shard_copies())
+        flat = _fuse_copies(flat_copies())
 
     return ExchangePlan(
         name=step.name,
-        ops=tuple(ops),
+        ops=ops,
         transfers=tuple(transfers),
         local_cycles=max(local_per_tile.values(), default=0),
         vectorized=vectorized,
+        flat=flat,
     )
 
 
-def _copy_op(src_sh, dst_sh, segments) -> CopyOp:
-    paired = src_sh.lo is not None and dst_sh.lo is not None
-    if len(segments) == 1:
-        s0, s1, d0, d1 = segments[0]
-        src_index, dst_index = slice(s0, s1), slice(d0, d1)
-    else:
-        src_index = np.concatenate([np.arange(s0, s1) for s0, s1, _, _ in segments])
-        dst_index = np.concatenate([np.arange(d0, d1) for _, _, d0, d1 in segments])
+def _flat_rows(var, tile_id: int, buffers: dict) -> tuple:
+    """``((hi, lo), base)``: the whole-device buffers of ``var`` indexed by
+    global row on axis 0, and the row at which ``tile_id``'s shard starts.
+
+    A distributed variable's ``flat_data`` already is that buffer; a
+    replicated one stores a row per replica, so its buffer is the
+    ``reshape(-1[, batch])`` view and replica ``r`` starts at ``r * size``.
+    ``buffers`` keeps one view per variable so copies group by identity.
+    """
+    if not var.replicated:
+        return (var.flat_data, var.flat_lo), var.shards[tile_id].interval.start
+    pair = buffers.get(id(var))
+    if pair is None:
+        shape = (-1,) if var.batch == 1 else (-1, var.batch)
+        lo = var.flat_lo.reshape(shape) if var.paired else None
+        pair = buffers[id(var)] = (var.flat_data.reshape(shape), lo)
+    return pair, var.replica_rows[tile_id] * var.size
+
+
+def _fuse_copies(copies) -> tuple:
+    """One CopyOp per (src array, dst array) pair of hazard-free copies."""
+    groups: dict = {}
+    for src, dst, segment in copies:
+        key = (id(src[0]), id(dst[0]))
+        if key not in groups:
+            groups[key] = (src, dst, [])
+        groups[key][2].append(segment)
+    return tuple(_copy_op(*group) for group in groups.values())
+
+
+def _copy_op(src, dst, segments) -> CopyOp:
+    """``src`` / ``dst`` are ``(hi, lo)`` array pairs; the lo halves move
+    when both endpoints are double-word.  Segments of one op are
+    hazard-free, so they are laid out in destination order: an exchange
+    that fills a whole buffer range then scatters through a plain slice."""
+    paired = src[1] is not None and dst[1] is not None
+    segments = sorted(segments, key=lambda seg: seg[2])
     return CopyOp(
-        src=src_sh.data,
-        dst=dst_sh.data,
-        src_index=src_index,
-        dst_index=dst_index,
-        src_lo=src_sh.lo if paired else None,
-        dst_lo=dst_sh.lo if paired else None,
+        src=src[0],
+        dst=dst[0],
+        src_index=_row_index([(s0, s1) for s0, s1, _, _ in segments]),
+        dst_index=_row_index([(d0, d1) for _, _, d0, d1 in segments]),
+        src_lo=src[1] if paired else None,
+        dst_lo=dst[1] if paired else None,
     )
+
+
+def _row_index(ranges):
+    """A slice when the ranges abut into one run, else a fancy index."""
+    if all(a[1] == b[0] for a, b in zip(ranges, ranges[1:])):
+        return slice(ranges[0][0], ranges[-1][1])
+    return np.concatenate([np.arange(r0, r1) for r0, r1 in ranges])
 
 
 def build_plans(root: Step, device) -> ExecutionPlans:

@@ -5,8 +5,8 @@ order as :class:`~repro.graph.runtime.sim.SimBackend` — results are
 bit-identical — but skips everything that only exists to produce cycle
 counts: no profiler records, no worker packing, no fabric or sync model,
 no control-overhead accounting.  Compute phases replay the plan's cached
-dispatch list; exchange phases are the plan's vectorized numpy copy ops
-and nothing else.
+dispatch list; exchange phases are the plan's flat copy ops — one numpy
+gather/scatter per whole-device buffer pair — and nothing else.
 
 Use it for large-matrix runs where only the solution matters (convergence
 studies, correctness sweeps); cycle counts and modeled seconds read as
@@ -83,7 +83,7 @@ class FastBackend(Backend):
     def run_exchange(self, step) -> None:
         ops = self._exchange.get(id(step))
         if ops is None:
-            ops = self._exchange.setdefault(id(step), self.plan_for(step).ops)
+            ops = self._exchange.setdefault(id(step), self.plan_for(step).flat)
         wt = self.wall_tracer
         if wt is None:
             for op in ops:

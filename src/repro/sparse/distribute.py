@@ -29,28 +29,48 @@ from repro.graph.program import Execute as ExecuteStep
 from repro.sparse.crs import ModifiedCRS
 from repro.sparse.halo import HaloPlan, build_halo_plan, build_naive_plan
 from repro.sparse.partition import Partition, partition_rows
+from repro.sparse.sell import SlotMajorRows
 from repro.tensordsl import Tensor, Type
 
-__all__ = ["DistVector", "DistributedMatrix", "segment_sums"]
+__all__ = ["DistVector", "DistributedMatrix", "RowSegments"]
 
 
-def segment_sums(contrib: np.ndarray, row_ptr: np.ndarray, n: int) -> np.ndarray:
-    """Per-row sums of CRS-ordered contributions (empty rows -> 0).
+class RowSegments:
+    """The per-row ``np.add.reduceat`` plan of one CRS ``row_ptr``.
 
-    ``contrib`` may carry a trailing batch axis ``(nnz, B)`` (the SpMM path);
-    segments then reduce along axis 0 — ``np.add.reduceat`` over rows is
-    bit-identical per column to the 1-D per-column reduction, so batched
-    SpMV results match single-RHS SpMVs exactly.
+    Built once per tile at distribute time, so a launch only reduces: the
+    segment starts, the empty-row mask (``None`` when no row is empty) and
+    whether a trailing row is empty — the one case in which ``reduceat``
+    needs a pad element to index.
     """
-    if contrib.size == 0:
-        return np.zeros((n,) + contrib.shape[1:], dtype=contrib.dtype)
-    starts = row_ptr[:-1]
-    pad = np.zeros((1,) + contrib.shape[1:], dtype=contrib.dtype)
-    padded = np.concatenate([contrib, pad])
-    sums = np.add.reduceat(padded, np.minimum(starts, contrib.shape[0]), axis=0)
-    empty = row_ptr[1:] == starts
-    sums[empty] = 0
-    return sums
+
+    __slots__ = ("n", "starts", "empty", "pad")
+
+    def __init__(self, row_ptr: np.ndarray):
+        row_ptr = np.asarray(row_ptr, dtype=np.intp)
+        self.n = row_ptr.size - 1
+        self.starts = row_ptr[:-1]
+        empty = row_ptr[1:] == self.starts
+        self.empty = empty if empty.any() else None
+        self.pad = bool(self.n and empty[-1])
+
+    def sums(self, contrib: np.ndarray) -> np.ndarray:
+        """Per-row sums of CRS-ordered contributions (empty rows -> 0).
+
+        ``contrib`` may carry a trailing batch axis ``(nnz, B)`` (the SpMM
+        path); segments then reduce along axis 0 — ``np.add.reduceat`` over
+        rows is bit-identical per column to the 1-D per-column reduction, so
+        batched SpMV results match single-RHS SpMVs exactly.
+        """
+        if contrib.shape[0] == 0:
+            return np.zeros((self.n,) + contrib.shape[1:], dtype=contrib.dtype)
+        if self.pad:
+            pad = np.zeros((1,) + contrib.shape[1:], dtype=contrib.dtype)
+            contrib = np.concatenate([contrib, pad])
+        sums = np.add.reduceat(contrib, self.starts, axis=0)
+        if self.empty is not None:
+            sums[self.empty] = 0
+        return sums
 
 
 class DistVector:
@@ -128,6 +148,7 @@ class DistributedMatrix:
         #: perm[new_index] = old_index (the Sec. IV reordering).
         self.perm = plan.global_permutation()
         self._build_local_blocks()
+        self._device_rows: dict[int, SlotMajorRows] = {}
 
     # -- construction -----------------------------------------------------------------
 
@@ -172,6 +193,7 @@ class DistributedMatrix:
             tile = device.tile(t)
             for key in ("diag", "values", "col_idx", "row_ptr", "values_lo", "diag_lo"):
                 tile.alloc(f"{self.name}.{key}@{t}", local[key])
+            local["segments"] = RowSegments(local["row_ptr"])
             local["row_of_entry"] = np.repeat(
                 np.arange(n_loc, dtype=np.int32), np.diff(local["row_ptr"])
             )
@@ -179,7 +201,8 @@ class DistributedMatrix:
 
     # -- vectors -------------------------------------------------------------------------
 
-    def _owned_mapping(self):
+    def owned_mapping(self) -> list:
+        """The tile intervals of every owned tensor :meth:`vector` allocates."""
         offset = 0
         mapping = []
         for t in self.tiles:
@@ -188,7 +211,9 @@ class DistributedMatrix:
             offset += c
         return mapping
 
-    def _halo_mapping(self):
+    def halo_mapping(self) -> tuple:
+        """``(intervals, total)`` of every halo tensor :meth:`vector`
+        allocates (tiles without a halo hold no interval)."""
         offset = 0
         mapping = []
         for t in self.tiles:
@@ -197,6 +222,35 @@ class DistributedMatrix:
                 mapping.append(Interval(t, offset, offset + c))
                 offset += c
         return mapping, offset
+
+    def device_rows(self, batch: int = 1) -> SlotMajorRows:
+        """The off-diagonal part of the whole matrix as one slot-major
+        layout over the whole-device index space of its vectors: column
+        ``c < n`` is row ``c`` of an owned buffer, column ``n + h`` is row
+        ``h`` of the matching halo buffer (the mappings :meth:`vector`
+        allocates).  Every working-precision SpMV of this matrix with
+        ``batch`` RHS columns shares the one instance — layout and scratch
+        — which the fused kernels call in program order.
+        """
+        rows = self._device_rows.get(batch)
+        if rows is None:
+            halo_start = {iv.tile_id: iv.start for iv in self.halo_mapping()[0]}
+            cols, vals, row_len = [], [], []
+            for iv in self.owned_mapping():
+                local = self.local[iv.tile_id]
+                col = local["col_idx"].astype(np.intp)
+                in_halo = col >= local["n"]
+                col[~in_halo] += iv.start
+                if in_halo.any():
+                    col[in_halo] += self.n + halo_start[iv.tile_id] - local["n"]
+                cols.append(col)
+                vals.append(local["values"])
+                row_len.append(np.diff(local["row_ptr"]))
+            rows = self._device_rows[batch] = SlotMajorRows(
+                np.concatenate(row_len), np.concatenate(cols), np.concatenate(vals),
+                () if batch == 1 else (batch,),
+            )
+        return rows
 
     def vector(self, name: str | None = None, dtype: str = Type.FLOAT32, data=None,
                batch: int = 1) -> DistVector:
@@ -207,8 +261,8 @@ class DistributedMatrix:
         all RHS columns at once.
         """
         name = name or self.ctx.graph.unique_name("v")
-        owned = self.ctx.from_mapping(name, (self.n,), dtype, self._owned_mapping(), batch=batch)
-        halo_map, halo_total = self._halo_mapping()
+        owned = self.ctx.from_mapping(name, (self.n,), dtype, self.owned_mapping(), batch=batch)
+        halo_map, halo_total = self.halo_mapping()
         if halo_total:
             halo = self.ctx.from_mapping(name + ".halo", (halo_total,), dtype, halo_map, batch=batch)
         else:
@@ -327,11 +381,11 @@ class DistributedMatrix:
             if x.owned.var.batch > 1:
                 # SpMM: (nnz, B) contributions, one segmented sum over rows.
                 contrib = local["values"][:, None] * xfull[local["col_idx"]]
-                sums = segment_sums(contrib, local["row_ptr"], n_loc)
+                sums = local["segments"].sums(contrib)
                 yo_sh.data[...] = local["diag"][:, None] * xo_sh.data + sums
                 return
             contrib = local["values"] * xfull[local["col_idx"]]
-            sums = segment_sums(contrib, local["row_ptr"], n_loc)
+            sums = local["segments"].sums(contrib)
             yo_sh.data[...] = local["diag"] * xo_sh.data + sums
             return
 

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from repro.graph import Exchange, RegionCopy
 from repro.graph.codelet import Codelet, ComputeSet
 from repro.graph.program import Execute as ExecuteStep
-from repro.sparse.distribute import DistVector, segment_sums
+from repro.sparse.distribute import DistVector, RowSegments
 
 __all__ = ["DistributedRectOp"]
 
@@ -83,7 +83,7 @@ class DistributedRectOp:
             cols_local = np.array([col_to_local(int(c)) for c in sub.indices], dtype=np.int32)
             self.local[t] = {
                 "n_rows": rows_global.size,
-                "row_ptr": sub.indptr.astype(np.int32),
+                "segments": RowSegments(sub.indptr),
                 "cols": cols_local,
                 "vals": sub.data.astype(np.float32),
                 "stage_size": offset,
@@ -163,9 +163,7 @@ class DistributedRectOp:
                 if loc["stage_size"]:
                     xin = np.concatenate([xin, self._recv[t].shard(t).data])
                 contrib = loc["vals"] * xin[loc["cols"]]
-                y.owned.var.shard(t).data[...] = segment_sums(
-                    contrib, loc["row_ptr"], loc["n_rows"]
-                )
+                y.owned.var.shard(t).data[...] = loc["segments"].sums(contrib)
 
             def cycles(ctx, loc=loc):
                 nnz = loc["vals"].size

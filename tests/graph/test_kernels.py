@@ -9,14 +9,31 @@ replays fused hits bit-identically, and both untimed backends reject the
 observability hooks with the same typed error.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BackendCapabilityError
-from repro.graph import Engine, FastBackend, FusedBackend, GlobalCounters
-from repro.graph.passes import FusedKernel
+from repro.graph import (
+    Engine,
+    Exchange,
+    Execute,
+    FastBackend,
+    FusedBackend,
+    GlobalCounters,
+    Graph,
+    If,
+    RegionCopy,
+    Repeat,
+    RepeatWhile,
+    Sequence,
+    compile_program,
+)
+from repro.graph.passes import ExchangeOp, FusedKernel
+from repro.graph.passes.costs import estimate_exchange
 from repro.machine import IPUDevice
 from repro.solvers import SolverSession, compile_solve, solve
 from repro.solvers.session import fingerprint_solve
@@ -308,3 +325,159 @@ def test_compiled_program_carries_kernel_schedule():
     assert engine._kernel_schedule is compiled.kernels
     device_bound = Engine(compiled, backend="fast")
     assert device_bound._kernel_schedule is None
+
+
+# -- exchange lowering: one gather/scatter per buffer pair -----------------------------
+
+def _walk_steps(step):
+    """Every step of a schedule, each shared subtree once."""
+    seen, stack = set(), [step]
+    while stack:
+        s = stack.pop()
+        if id(s) in seen:
+            continue
+        seen.add(id(s))
+        yield s
+        if isinstance(s, Sequence):
+            stack.extend(s.steps)
+        elif isinstance(s, (Repeat, RepeatWhile)):
+            stack.append(s.body)
+        elif isinstance(s, If):
+            stack.extend(b for b in (s.then_body, s.else_body) if b is not None)
+
+
+def test_cg_iteration_issues_a_handful_of_exchange_assignments():
+    """The fig5-shaped CG loop (3-D stencil, several IPUs): every absorbed
+    exchange is at most two array assignments — the blockwise halo update
+    one gather/scatter, each all-reduce leg one — however many shard pairs
+    it spans.  Counted statically from the lowered ops, no wall clock."""
+    crs, dims = poisson3d(12)
+    compiled = compile_solve(crs, np.ones(crs.n), CG, grid_dims=dims,
+                             num_ipus=4, tiles_per_ipu=16)
+    kernels = compiled.kernels.loop_kernels(compiled.root, "cg.iterate")
+    assert kernels
+    per_iteration = per_pair = exchanges = 0
+    for kernel in kernels:
+        ops = [op for op in kernel.ops if isinstance(op, ExchangeOp)]
+        assert len(ops) == kernel.n_exchange
+        assert all(1 <= op.n_assign <= 2 for op in ops)
+        per_iteration += sum(op.n_assign for op in ops)
+        exchanges += len(ops)
+    for step in _walk_steps(compiled.root):
+        if isinstance(step, Exchange):
+            per_pair = max(per_pair, len(compiled.plan_for(step).ops))
+    assert exchanges == 7 and per_iteration <= 20
+    # ... where the per-shard-pair form sim replays runs to hundreds of ops.
+    assert per_pair > 100
+
+
+def test_flat_exchange_accounts_the_same_bytes_and_dispatches():
+    """The flat form moves exactly the bytes of the per-pair form, and the
+    dispatch statistics keep counting what the kernels replace: vertices
+    plus per-shard-pair copy ops."""
+    crs, dims = poisson3d(8)
+    compiled = compile_solve(crs, np.ones(crs.n), CG, grid_dims=dims,
+                             num_ipus=2, tiles_per_ipu=4)
+    exchanges = [s for s in _walk_steps(compiled.root) if isinstance(s, Exchange)]
+    assert exchanges
+    for step in exchanges:
+        plan = compiled.plan_for(step)
+        assert plan.vectorized and len(plan.flat) <= len(plan.ops)
+        flat_only = dataclasses.replace(plan, ops=plan.flat)
+        assert estimate_exchange(flat_only) == estimate_exchange(plan) > 0
+    # Every leaf step is absorbed by exactly one kernel of this program.
+    assert compiled.kernels.stats()["dispatches_replaced"] == sum(
+        len(s.compute_set.vertices) if isinstance(s, Execute)
+        else len(compiled.plan_for(s).ops)
+        for s in _walk_steps(compiled.root)
+        if isinstance(s, (Execute, Exchange))
+    )
+
+
+def _run_exchange(backend, build):
+    """Run one Exchange program built by ``build(graph)`` on ``backend``;
+    returns the plan and every variable's (hi, lo) contents."""
+    g = Graph(IPUDevice(tiles_per_ipu=4))
+    step = build(g)
+    compiled = compile_program(g, step, optimize=False)
+    Engine(compiled, backend=backend).run()
+    state = {
+        name: (var.flat_data.copy(),
+               None if var.flat_lo is None else var.flat_lo.copy())
+        for name, var in g.variables.items()
+    }
+    return compiled.plan_for(step), state
+
+
+def _assert_same_state(got, want):
+    for name, (hi, lo) in want.items():
+        np.testing.assert_array_equal(got[name][0], hi)
+        if lo is not None:
+            np.testing.assert_array_equal(got[name][1], lo)
+
+
+@pytest.mark.parametrize("backend", ["fast", "fused"])
+def test_hazard_exchange_replays_in_order_and_matches_sim(backend):
+    """A later copy reads what an earlier one wrote: no flat form, strict
+    per-copy order on every backend."""
+    def build(g):
+        a, b, c = (g.add_variable(n, (8,)) for n in "abc")
+        a.scatter(np.arange(8))
+        return Exchange([
+            RegionCopy(a, 0, 0, ((b, 1, 0),), 2),
+            RegionCopy(b, 1, 0, ((c, 2, 0),), 2),
+        ])
+
+    plan, want = _run_exchange("sim", build)
+    assert not plan.vectorized and plan.flat is plan.ops
+    _, got = _run_exchange(backend, build)
+    _assert_same_state(got, want)
+    np.testing.assert_array_equal(got["c"][0][4:6], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("backend", ["fast", "fused"])
+def test_flat_exchange_moves_double_word_lo_halves(backend):
+    """dw -> dw copies (distributed and replicated endpoints) move hi and
+    lo through one flat op per buffer pair; a dw -> f32 copy moves hi only."""
+    def build(g):
+        src = g.add_variable("src", (8,), dtype="dw")
+        dst = g.add_variable("dst", (8,), dtype="dw")
+        rep = g.add_replicated("rep", (2,), dtype="dw")
+        f32 = g.add_variable("f32", (8,))
+        src.scatter(np.arange(8) + 2.0 ** -30 * np.arange(1, 9))
+        return Exchange([
+            RegionCopy(src, 0, 0, ((dst, 3, 1),), 1),
+            RegionCopy(src, 1, 0, ((dst, 2, 0),), 2),
+            RegionCopy(src, 2, 0, tuple((rep, t, 0) for t in range(4)), 2),
+            RegionCopy(src, 3, 1, ((f32, 0, 0),), 1),
+        ])
+
+    plan, want = _run_exchange("sim", build)
+    assert plan.vectorized
+    assert len(plan.ops) == 7 and len(plan.flat) == 3
+    assert sum(op.dst_lo is not None for op in plan.flat) == 2
+    assert want["dst"][1].any() and want["rep"][1].all()
+    _, got = _run_exchange(backend, build)
+    _assert_same_state(got, want)
+
+
+@pytest.mark.parametrize("backend", ["fast", "fused"])
+def test_flat_exchange_moves_batched_rows(backend):
+    """Batched (n, B) buffers index axis 0 only: all B columns of a row
+    ride along, on distributed and replicated endpoints alike."""
+    def build(g):
+        src = g.add_variable("src", (8,), batch=3)
+        dst = g.add_variable("dst", (8,), batch=3)
+        rep = g.add_replicated("rep", (2,), batch=3)
+        src.scatter(np.arange(24, dtype=np.float32).reshape(3, 8) + 1)
+        return Exchange([
+            RegionCopy(src, 0, 0, ((dst, 2, 0),), 2),
+            RegionCopy(src, 1, 1, ((dst, 3, 1),), 1),
+            RegionCopy(src, 3, 0, tuple((rep, t, 0) for t in range(4)), 2),
+        ])
+
+    plan, want = _run_exchange("sim", build)
+    assert plan.vectorized and len(plan.flat) == 2
+    assert want["dst"][0].any() and want["rep"][0].all()
+    _, got = _run_exchange(backend, build)
+    _assert_same_state(got, want)

@@ -110,13 +110,31 @@ class TestDeadlinesInBatches:
     def test_one_column_times_out_the_rest_converge_bit_identically(self):
         """The earliest deadline bounds the whole dispatch, but only the
         expired job times out — collateral columns go back to the queue
-        (no retry attempt consumed) and finish exactly."""
+        (no retry attempt consumed) and finish exactly.
+
+        No wall clock decides the outcome: the service reads a clock the
+        test owns, and the dispatch that carries the doomed column is gated
+        so its budget is spent when the solve starts — the cooperative
+        deadline fires on the first iteration however fast the host is.
+        """
         bs = _bs(3, seed=5)
         refs = [solve(CRS, b, CONFIG, **KW) for b in bs[1:]]
 
         async def go():
             async with SolverService(policy=_policy(max_wait_ms=5.0),
                                      workers=1) as svc:
+                clock = [0.0]
+                svc._now = lambda: clock[0]
+                attempt = svc._solve_batch_attempt
+
+                def gated(jobs, lead, config, fingerprint, remaining, bucket):
+                    if remaining is not None:
+                        clock[0] += remaining
+                        remaining = 1e-9
+                    return attempt(jobs, lead, config, fingerprint,
+                                   remaining, bucket)
+
+                svc._solve_batch_attempt = gated
                 doomed = svc.submit(CRS, bs[0], CONFIG, tenant="t",
                                     deadline=0.15, **KW)
                 rest = [svc.submit(CRS, b, CONFIG, tenant="t", **KW)

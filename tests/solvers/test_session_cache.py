@@ -144,6 +144,31 @@ class TestCacheHits:
         assert hit.stats.residuals == cold.stats.residuals
         assert hit.relative_residual == cold.relative_residual
 
+    def test_fused_hits_keep_every_buffer_the_kernels_captured(self):
+        """Fused kernels capture flat buffers and scratch at compile time, so
+        ``prepare()`` must restore *into* them: every variable keeps its
+        ``flat_data`` / ``flat_lo`` objects, and two consecutive hits with
+        the same inputs replay bit-identically (no scratch state leaks from
+        one run into the next)."""
+        crs, dims, b = _system()
+        cache = ProgramCache()
+        kw = dict(grid_dims=dims, tiles_per_ipu=4, backend="fused", cache=cache)
+        cold = solve(crs, b, CG, **kw)
+        variables = cold.compiled.graph.variables
+        buffers = {name: (var.flat_data, var.flat_lo)
+                   for name, var in variables.items()}
+        other = solve(crs, np.random.default_rng(4).standard_normal(crs.n), CG, **kw)
+        hits = [solve(crs, b, CG, **kw) for _ in range(2)]
+        assert cache.stats() == {**cache.stats(), "hits": 3, "misses": 1}
+        assert all(hit.compiled is cold.compiled for hit in hits)
+        for name, var in variables.items():
+            assert var.flat_data is buffers[name][0], name
+            assert var.flat_lo is buffers[name][1], name
+        assert not np.array_equal(other.x, cold.x)
+        for hit in hits:
+            np.testing.assert_array_equal(hit.x, cold.x)
+            assert hit.stats.residuals == cold.stats.residuals
+
     def test_hit_with_new_rhs_matches_uncached_solve(self):
         crs, dims, b = _system()
         cache = ProgramCache()

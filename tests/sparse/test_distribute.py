@@ -5,7 +5,7 @@ import pytest
 
 from repro.machine import IPUDevice
 from repro.sparse import poisson2d, poisson3d
-from repro.sparse.distribute import DistributedMatrix, segment_sums
+from repro.sparse.distribute import DistributedMatrix, RowSegments
 from repro.sparse.suitesparse import g3_circuit_like
 from repro.tensordsl import TensorContext, Type
 
@@ -20,17 +20,38 @@ class TestSegmentSums:
     def test_basic(self):
         contrib = np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32)
         row_ptr = np.array([0, 2, 2, 4])
-        out = segment_sums(contrib, row_ptr, 3)
+        out = RowSegments(row_ptr).sums(contrib)
         np.testing.assert_array_equal(out, [3.0, 0.0, 7.0])
 
     def test_empty_matrix(self):
-        out = segment_sums(np.array([], dtype=np.float32), np.array([0, 0, 0]), 2)
+        out = RowSegments(np.array([0, 0, 0])).sums(np.array([], dtype=np.float32))
         np.testing.assert_array_equal(out, [0.0, 0.0])
 
     def test_trailing_empty_rows(self):
         contrib = np.array([5.0], dtype=np.float32)
-        out = segment_sums(contrib, np.array([0, 1, 1, 1]), 3)
+        out = RowSegments(np.array([0, 1, 1, 1])).sums(contrib)
         np.testing.assert_array_equal(out, [5.0, 0.0, 0.0])
+
+
+    @pytest.mark.parametrize("row_len", [[2, 0, 3], [1, 2, 0, 0], [0, 0], [4]])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_precomputed_plan_equals_per_call_recomputation(self, row_len, batch):
+        """RowSegments hoists the starts / empty mask / pad decision out of
+        the call; the sums are those of the padded per-call formula."""
+        row_ptr = np.concatenate([[0], np.cumsum(row_len)])
+        nnz, n = int(row_ptr[-1]), len(row_len)
+        shape = (nnz,) if batch == 1 else (nnz, batch)
+        contrib = np.random.default_rng(1).standard_normal(shape).astype(np.float32)
+        plan = RowSegments(row_ptr)
+        assert plan.pad == (row_len[-1] == 0)
+        got = plan.sums(contrib)
+        if nnz:
+            padded = np.concatenate([contrib, np.zeros((1,) + shape[1:], np.float32)])
+            want = np.add.reduceat(padded, row_ptr[:-1], axis=0)
+            want[np.diff(row_ptr) == 0] = 0
+        else:
+            want = np.zeros((n,) + shape[1:], np.float32)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestDistVector:
