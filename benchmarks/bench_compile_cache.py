@@ -12,19 +12,23 @@ This bench is the cache's acceptance gate:
 
 - cache hits must reuse the lowered artifact without re-running a single
   compiler pass (asserted via the process-wide pass-invocation counters),
+- the matrix's bytes are hashed once for the whole run, not once per step
+  (asserted via ``matrix_hash_invocations`` — a count, not a stopwatch),
 - hit solutions and modeled cycle counts must be bit-identical to cold
   compiles of the same step,
 - the amortized host wall-clock over 10 solves must beat the
   rebuild-every-step path by at least 1.5x.
 """
 
+import statistics
 import time
 
 import numpy as np
 
 from repro.bench import cached_solve_wallclock, print_table, save_result
+from repro.graph import Engine
 from repro.graph.passes import compile_invocations, pass_invocations
-from repro.solvers import SolverSession, solve
+from repro.solvers import SolverSession, fingerprint_solve, matrix_hash_invocations, solve
 from repro.sparse import poisson3d
 
 GRID = 16  # 4,096 rows — the Fig. 5 matrix family at laptop scale
@@ -43,6 +47,32 @@ def _rhs_stream(n: int, steps: int = STEPS, seed: int = 0) -> list:
     return bs
 
 
+HIT_STAGES = ("fingerprint", "prepare", "run", "readback", "residual")
+
+
+def _staged_hit_ms(crs, dims, cache, b, x0, repeats: int = 7) -> dict:
+    """Where a cache hit spends its time: the calls ``solve()`` makes on a
+    hit, timed one by one (median of ``repeats``, milliseconds)."""
+    b64 = np.asarray(b, dtype=np.float64)
+    samples = {stage: [] for stage in HIT_STAGES}
+    for _ in range(repeats):
+        marks = [time.perf_counter()]
+        key = fingerprint_solve(crs, CONFIG, grid_dims=dims, tiles_per_ipu=TILES_PER_IPU)
+        entry = cache.get(key)
+        marks.append(time.perf_counter())
+        entry.prepare(b64, x0=x0)
+        marks.append(time.perf_counter())
+        Engine(entry.compiled).run()
+        marks.append(time.perf_counter())
+        x = entry.xvec.read_global()
+        marks.append(time.perf_counter())
+        np.linalg.norm(crs.spmv(x) - b64) / np.linalg.norm(b64)
+        marks.append(time.perf_counter())
+        for stage, t0, t1 in zip(HIT_STAGES, marks, marks[1:]):
+            samples[stage].append((t1 - t0) * 1e3)
+    return {stage: statistics.median(ms) for stage, ms in samples.items()}
+
+
 def test_compile_cache_amortizes_time_stepping():
     """10 warm-started solves through one session vs. 10 cold compiles."""
     crs, dims = poisson3d(GRID)
@@ -51,6 +81,7 @@ def test_compile_cache_amortizes_time_stepping():
     session = SolverSession(crs, CONFIG, grid_dims=dims, tiles_per_ipu=TILES_PER_IPU)
     cached_results, cached_times = [], []
     passes_at_hit_start = compiles_at_hit_start = None
+    hashes_at_start = matrix_hash_invocations()
     x_prev = None
     for i, b in enumerate(bs):
         if i == 1:  # everything after step 0 must be served from the cache
@@ -63,6 +94,8 @@ def test_compile_cache_amortizes_time_stepping():
         x_prev = result.x
     assert pass_invocations() == passes_at_hit_start
     assert compile_invocations() == compiles_at_hit_start
+    # One content hash for ten steps: the nine hits key on the memo.
+    assert matrix_hash_invocations() == hashes_at_start + 1
 
     cold_results, cold_times = [], []
     x_prev = None
@@ -86,6 +119,9 @@ def test_compile_cache_amortizes_time_stepping():
     assert stats["hits"] == STEPS - 1
     assert stats["evictions"] == 0
 
+    stages = _staged_hit_ms(crs, dims, session.cache, bs[-1], cached_results[-2].x)
+    assert matrix_hash_invocations() == hashes_at_start + 1
+
     speedup = sum(cold_times) / sum(cached_times)
     hit_mean = sum(cached_times[1:]) / (STEPS - 1)
     cold_mean = sum(cold_times) / STEPS
@@ -103,6 +139,9 @@ def test_compile_cache_amortizes_time_stepping():
         f"\n\n  amortized speedup: {speedup:.2f}x over {STEPS} solves"
         f"\n  hit mean:          {hit_mean * 1e3:.1f} ms"
         f" (cold mean {cold_mean * 1e3:.1f} ms)"
+        f"\n  hit stages (ms):   "
+        + "  ".join(f"{stage} {stages[stage]:.2f}" for stage in HIT_STAGES)
+        + f"\n  matrix hashes:     1 over {STEPS} steps"
         f"\n  cache:             {stats}"
     )
     # Wall-clock is a host measurement and varies run to run; the JSON twin
@@ -120,6 +159,8 @@ def test_compile_cache_amortizes_time_stepping():
             "cache": stats,
             "bit_identical_to_cold": True,
             "passes_rerun_on_hit": 0,
+            "matrix_hashes": 1,
+            "hit_stages": list(HIT_STAGES),
         },
     )
 
@@ -137,6 +178,7 @@ def test_compile_cache_batch_bit_identity():
                                  tiles_per_ipu=TILES_PER_IPU)
     assert out["bit_identical_solutions"]
     assert out["identical_cycles"]
+    assert out["cache"].pop("bytes") > 0
     assert out["cache"] == {"hits": 3, "misses": 1, "evictions": 0,
                             "size": 1, "capacity": 8}
     # The hit path skips graph build + pass pipeline + plan lowering; its

@@ -45,7 +45,7 @@ Examples::
 Framework errors map to distinct exit codes (see ``repro.errors``):
 10 generic, 11 SRAM overflow, 12 solver breakdown, 13 divergence,
 14 bad fault spec, 15 backend capability, 16 service overloaded,
-17 job deadline exceeded, 18 tenant quota exceeded.
+17 job deadline exceeded, 18 tenant quota exceeded, 19 malformed matrix.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def _cmd_solve(args) -> int:
         print(f"repeat:            {repeat} solves; first (compile) "
               f"{times[0] * 1e3:.1f} ms, cached mean {sum(rest) / len(rest) * 1e3:.1f} ms")
         print(f"compile cache:     hits={stats['hits']} misses={stats['misses']} "
-              f"evictions={stats['evictions']}; bit-identical runs: "
+              f"evictions={stats['evictions']} bytes={stats['bytes']}; bit-identical runs: "
               f"{'yes' if identical else 'NO'}")
         if not identical:
             raise SystemExit("cache hit produced a different solution or cycle count")

@@ -20,6 +20,7 @@ __all__ = [
     "ServiceOverloadError",
     "JobTimeoutError",
     "QuotaExceededError",
+    "MatrixFormatError",
 ]
 
 
@@ -209,3 +210,16 @@ class QuotaExceededError(ReproError):
         if retry_after is not None:
             detail.append(f"retry after {retry_after:.3f}s")
         super().__init__(f"{message} ({', '.join(detail)})" if detail else message)
+
+
+class MatrixFormatError(ReproError, ValueError):
+    """A sparse matrix is malformed where it is constructed
+    (:class:`~repro.sparse.crs.ModifiedCRS`): inconsistent CRS arrays,
+    column indices out of range, a zero diagonal, or a NaN/Inf entry.
+
+    Matrices are immutable once built, so this is the only place a bad
+    entry can be refused — ``solve()``, the CLI and ``submit()`` never see
+    one.
+    """
+
+    exit_code = 19

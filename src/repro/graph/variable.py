@@ -139,29 +139,40 @@ class Variable:
         return self.element_bytes() * self.batch
 
     # -- host-side whole-tensor access ---------------------------------------------
+    #
+    # All of it goes through the flat buffers, never shard by shard: every
+    # shard is a view into them (``Graph._alloc_shard``), so one array
+    # assignment per variable reads or writes the whole device.
+
+    def snapshot(self) -> tuple:
+        """A copy of the variable's whole storage: ``(flat_data, flat_lo)``
+        (``flat_lo`` is ``None`` unless the dtype is paired)."""
+        return self.flat_data.copy(), None if self.flat_lo is None else self.flat_lo.copy()
+
+    def restore(self, snap) -> None:
+        """Write a :meth:`snapshot` (or arrays broadcastable to the storage
+        layout) back into the storage, in place."""
+        data, lo = snap
+        self.flat_data[...] = data
+        if lo is not None:
+            self.flat_lo[...] = lo
 
     def gather(self) -> np.ndarray:
         """Assemble the full tensor on the host (float64 view for dw).
 
         Batched variables return batch-leading ``(batch,) + shape``.
         """
-        if self.replicated:
-            first = self.shards[self.tile_ids[0]]
-            joined = self._join(first)
-            if self.batched:
-                return joined.T.reshape((self.batch,) + self.shape)
-            return joined.reshape(self.shape)
-        out_dtype = np.float64 if self.paired else NUMPY_DTYPES[self.dtype]
-        storage = (self.size, self.batch) if self.batched else (self.size,)
-        flat = np.empty(storage, dtype=out_dtype)
-        for sh in self.shards.values():
-            flat[sh.interval.start : sh.interval.stop] = self._join(sh)
-        if self.batched:
-            return np.ascontiguousarray(flat.T).reshape((self.batch,) + self.shape)
-        return flat.reshape(self.shape)
+        data, lo = self.flat_data, self.flat_lo
+        if self.replicated:  # every replica holds the same values; read the first
+            row = self.replica_rows[self.tile_ids[0]]
+            data, lo = data[row], None if lo is None else lo[row]
+        joined = data.astype(np.float64) + lo.astype(np.float64) if self.paired else data
+        if self.batched:  # storage is element-major (n, batch)
+            return np.array(joined.T, order="C").reshape((self.batch,) + self.shape)
+        return np.array(joined).reshape(self.shape)  # a copy, never the storage
 
     def scatter(self, values) -> None:
-        """Write a full host tensor into the shards.
+        """Write a full host tensor into the storage.
 
         Batched variables take batch-leading ``(batch,) + shape`` (or plain
         ``shape``, broadcast to every batch column).
@@ -169,9 +180,9 @@ class Variable:
         arr = np.asarray(values)
         if self.batched:
             if arr.size == self.size:  # one tensor broadcast across the batch
-                flat = np.broadcast_to(arr.reshape(self.size, 1), (self.size, self.batch))
+                flat = arr.reshape(self.size, 1)
             elif arr.size == self.size * self.batch:
-                flat = np.ascontiguousarray(arr.reshape(self.batch, self.size).T)
+                flat = arr.reshape(self.batch, self.size).T
             else:
                 raise ValueError(
                     f"size mismatch: {arr.size} != {self.batch}x{self.size}"
@@ -180,23 +191,14 @@ class Variable:
             flat = arr.reshape(-1)
             if flat.size != self.size:
                 raise ValueError(f"size mismatch: {flat.size} != {self.size}")
-        for sh in self.shards.values():
-            chunk = flat if self.replicated else flat[sh.interval.start : sh.interval.stop]
-            self._write(sh, chunk)
-
-    def _join(self, sh: Shard) -> np.ndarray:
+        # ``flat`` is one replica's (or the whole distributed) layout; restore
+        # broadcasts it over the batch columns and over the replica rows.
         if self.paired:
-            return sh.data.astype(np.float64) + sh.lo.astype(np.float64)
-        return sh.data.copy()
-
-    def _write(self, sh: Shard, values) -> None:
-        if self.paired:
-            v = np.asarray(values, dtype=np.float64)
+            v = np.asarray(flat, dtype=np.float64)
             hi = v.astype(np.float32)
-            sh.data[...] = hi
-            sh.lo[...] = (v - hi.astype(np.float64)).astype(np.float32)
+            self.restore((hi, (v - hi.astype(np.float64)).astype(np.float32)))
         else:
-            sh.data[...] = np.asarray(values, dtype=sh.data.dtype)
+            self.restore((flat, None))
 
     def __repr__(self):
         kind = "replicated" if self.replicated else f"{len(self.shards)} shards"

@@ -360,6 +360,9 @@ class SolverService:
         self.metrics.gauge(
             "repro_serve_in_flight", "jobs dispatched to the worker pool"
         ).set(in_flight)
+        self.metrics.gauge(
+            "repro_cache_bytes", "bytes the compile cache pins (storage + snapshots)"
+        ).set(self.cache.stats()["bytes"])
 
     def _observe_batch(self, width: int) -> None:
         if self.metrics is not None:

@@ -28,6 +28,7 @@ from repro.solvers.session import (
     default_cache,
     fingerprint_matrix,
     fingerprint_solve,
+    matrix_hash_invocations,
     solve_many,
 )
 
@@ -58,6 +59,7 @@ __all__ = [
     "default_cache",
     "fingerprint_matrix",
     "fingerprint_solve",
+    "matrix_hash_invocations",
     "solve_many",
     "SOLVERS",
     "build_solver",

@@ -208,15 +208,8 @@ class ResilienceMonitor:
         return int(self.config.stagnation_window
                    * (self.config.backoff ** len(self.rollbacks)))
 
-    @staticmethod
-    def _snapshot_var(var) -> dict:
-        return {
-            t: (sh.data.copy(), None if sh.lo is None else sh.lo.copy())
-            for t, sh in var.shards.items()
-        }
-
     def take_checkpoint(self, iteration: int) -> None:
-        self._checkpoint = {n: self._snapshot_var(v) for n, v in self.vars.items()}
+        self._checkpoint = {n: v.snapshot() for n, v in self.vars.items()}
         self.checkpoint_iteration = iteration
         self.checkpoints += 1
 
@@ -225,18 +218,11 @@ class ResilienceMonitor:
         self.take_checkpoint(0)
 
     def restore_state(self) -> None:
-        """Write the checkpointed shard arrays back (no bookkeeping)."""
+        """Write the checkpointed storage back (no bookkeeping)."""
         if self._checkpoint is None:
             return
-        for name, var in self.vars.items():
-            snap = self._checkpoint.get(name)
-            if snap is None:
-                continue
-            for tile_id, (data, lo) in snap.items():
-                sh = var.shards[tile_id]
-                sh.data[...] = data
-                if lo is not None:
-                    sh.lo[...] = lo
+        for name, snap in self._checkpoint.items():
+            self.vars[name].restore(snap)
         if self.solver is not None:
             self.solver.post_restore()
 
@@ -254,16 +240,12 @@ class ResilienceMonitor:
         if name is None or self._checkpoint is None:
             return None, 0
         snap = self._checkpoint.get(name)
-        var = self.vars[name]
         if snap is None or self.solver is None:
             return None, 0
-        flat = np.zeros(var.size, dtype=np.float64)
-        for tile_id, (data, lo) in snap.items():
-            iv = var.shards[tile_id].interval
-            chunk = data.astype(np.float64)
-            if lo is not None:
-                chunk = chunk + lo.astype(np.float64)
-            flat[iv.start : iv.stop] = chunk
+        data, lo = snap  # the solution vector's flat storage, halo-reordered
+        flat = data.astype(np.float64)
+        if lo is not None:
+            flat = flat + lo.astype(np.float64)
         # Undo the Sec. IV halo reordering back to the original row order.
         perm = self.solver.A.perm
         out = np.empty_like(flat)

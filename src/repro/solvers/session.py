@@ -15,11 +15,12 @@ the analogue for the simulated pipeline:
   :class:`CompiledSolve`, with hit/miss/eviction counters that surface in
   telemetry and the CLI,
 - :class:`CompiledSolve` — one built-and-lowered solver program plus a
-  snapshot of every graph variable's initial shard contents; ``prepare``
-  restores that snapshot and rebinds a new ``b`` / ``x0``, so a cache hit
-  re-executes the identical :class:`~repro.graph.CompiledProgram` without
-  re-running a single compiler pass — bit-identical in tensors *and* in
-  modeled cycles to a cold compile,
+  snapshot of every graph variable's initial storage; ``prepare``
+  restores that snapshot (one array assignment per variable) and rebinds a
+  new ``b`` / ``x0``, so a cache hit re-executes the identical
+  :class:`~repro.graph.CompiledProgram` without re-running a single
+  compiler pass — bit-identical in tensors *and* in modeled cycles to a
+  cold compile,
 - :class:`SolverSession` / :func:`solve_many` — the user-facing wrappers:
   a session pins (matrix, config, device shape) and exposes ``solve(b)``;
   ``solve_many`` batches a list of right-hand sides through one session.
@@ -39,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -56,6 +56,7 @@ __all__ = [
     "default_cache",
     "fingerprint_matrix",
     "fingerprint_solve",
+    "matrix_hash_invocations",
     "resolve_cache",
     "solve_many",
 ]
@@ -84,6 +85,19 @@ def batch_bucket(batch: int, max_batch: int) -> int:
     return min(bucket, max_batch)
 
 
+_HASHED_ARRAYS = ("row_ptr", "col_idx", "diag", "values")
+
+#: Process-wide counter: how many times a matrix's bytes were actually
+#: hashed.  A time-stepping session must move it once, not once per step
+#: (``benchmarks/bench_compile_cache.py`` asserts that).
+_MATRIX_HASH_INVOCATIONS = 0
+
+
+def matrix_hash_invocations() -> int:
+    """Total full content hashes of a matrix in this process."""
+    return _MATRIX_HASH_INVOCATIONS
+
+
 def fingerprint_matrix(matrix) -> str:
     """Content hash of a :class:`~repro.sparse.crs.ModifiedCRS` matrix.
 
@@ -92,15 +106,36 @@ def fingerprint_matrix(matrix) -> str:
     off-diagonals are baked into each tile's local block at
     :class:`~repro.sparse.distribute.DistributedMatrix` build time, so a
     value change must miss the cache even when the pattern is unchanged).
+
+    The digest is memoised on the matrix beside the arrays it was computed
+    from, and honoured only while the matrix still holds those same array
+    objects and each is a read-only view onto a ``bytes`` object — what a
+    ``ModifiedCRS`` holds, and what numpy never lets become writeable.  So
+    a stale key is impossible, not unlikely: a rebound attribute is another
+    object, and a ``deepcopy`` (whose arrays own their data and *are*
+    writeable) re-hashes on every call, frozen again or not.  Two threads
+    racing the first hash both compute the same digest; neither waits.
     """
+    global _MATRIX_HASH_INVOCATIONS
+    arrays = tuple(getattr(matrix, name) for name in _HASHED_ARRAYS)
+    immutable = all(
+        isinstance(arr.base, bytes) and not arr.flags.writeable for arr in arrays
+    )
+    memo = matrix.__dict__.get("_fingerprint")
+    if memo is not None and immutable and all(a is b for a, b in zip(memo[1], arrays)):
+        return memo[0]
+    _MATRIX_HASH_INVOCATIONS += 1
     h = hashlib.sha256()
     h.update(f"n={matrix.n}".encode())
-    for name in ("row_ptr", "col_idx", "diag", "values"):
-        arr = np.ascontiguousarray(getattr(matrix, name))
+    for name, arr in zip(_HASHED_ARRAYS, arrays):
+        arr = np.ascontiguousarray(arr)
         h.update(name.encode())
         h.update(arr.dtype.str.encode())
         h.update(arr.tobytes())
-    return h.hexdigest()
+    digest = h.hexdigest()
+    if immutable:
+        matrix._fingerprint = (digest, arrays)
+    return digest
 
 
 def fingerprint_solve(
@@ -149,11 +184,12 @@ class CompiledSolve:
 
     Holds the live object graph of a single ``_build_program`` +
     ``ctx.compile`` invocation — context, solver tree, bound x/b vectors,
-    device, monitor — plus ``initial_state``: a deep copy of every graph
-    variable's shard arrays taken *before* the first execution.
+    device, monitor — plus ``initial_state``: a
+    :meth:`~repro.graph.variable.Variable.snapshot` of every graph
+    variable's flat storage taken *before* the first execution.
     :meth:`prepare` rolls the device back to that image, which is what
     makes a re-run bit-identical to the first run (the program itself is
-    never mutated by execution; only the shard arrays are).
+    never mutated by execution; only the storage is).
     """
 
     key: str
@@ -167,6 +203,8 @@ class CompiledSolve:
     build_seconds: float = 0.0  # host wall-clock of build + lowering
     runs: int = 0  # executions served from this entry
     initial_state: dict = field(default_factory=dict, repr=False)
+    #: Bytes this entry pins: every variable's flat storage plus its snapshot.
+    nbytes: int = 0
     #: Execution lock: an entry is *stateful* (``prepare`` + the run mutate
     #: its shard arrays in place), so concurrent executors sharing one
     #: cache must hold this around prepare-and-run.  The serving runtime
@@ -179,23 +217,29 @@ class CompiledSolve:
     def capture(cls, key, ctx, solver, xvec, bvec, device, compiled,
                 monitor=None, build_seconds: float = 0.0) -> "CompiledSolve":
         """Snapshot the post-build, pre-run state of every graph variable."""
-        initial = {
-            name: {
-                t: (sh.data.copy(), None if sh.lo is None else sh.lo.copy())
-                for t, sh in var.shards.items()
-            }
-            for name, var in ctx.graph.variables.items()
-        }
+        initial = {}
+        for name, var in ctx.graph.variables.items():
+            # The whole-buffer snapshot/restore is only the shards' state
+            # if every shard is a view into the flat storage.
+            assert all(
+                np.shares_memory(sh.data, var.flat_data)
+                and (sh.lo is None or np.shares_memory(sh.lo, var.flat_lo))
+                for sh in var.shards.values()
+            ), f"variable {name!r}: a shard is not a view of the flat storage"
+            initial[name] = var.snapshot()
+        nbytes = 2 * sum(
+            a.nbytes for snap in initial.values() for a in snap if a is not None
+        )
         return cls(
             key=key, ctx=ctx, solver=solver, xvec=xvec, bvec=bvec,
             device=device, compiled=compiled, monitor=monitor,
-            build_seconds=build_seconds, initial_state=initial,
+            build_seconds=build_seconds, initial_state=initial, nbytes=nbytes,
         )
 
     def prepare(self, b, x0=None, rconfig=None) -> None:
         """Reset for a fresh run: restore the initial image, rebind hosts.
 
-        Restores every variable's shard arrays, clears the solver tree's
+        Restores every variable's storage, clears the solver tree's
         :class:`~repro.solvers.base.SolveStats` *in place* (runtime
         callbacks close over them), resets the monitor and the device
         profiler clock, then writes the new ``b`` (and ``x0``, default
@@ -205,14 +249,12 @@ class CompiledSolve:
         for name, var in self.ctx.graph.variables.items():
             snap = self.initial_state.get(name)
             if snap is None:
-                continue
-            for tile_id, (data, lo) in snap.items():
-                sh = var.shards.get(tile_id)
-                if sh is None:
-                    continue
-                sh.data[...] = data
-                if lo is not None and sh.lo is not None:
-                    sh.lo[...] = lo
+                # It would carry the previous solve's state into this one.
+                raise ReproError(
+                    f"graph variable {name!r} was created after the program "
+                    "was captured; it has no initial image to restore"
+                )
+            var.restore(snap)
         for s in self.solver.iter_tree():
             s.stats.reset()
             # Batched programs also carry one SolveStats per RHS column;
@@ -278,6 +320,7 @@ class ProgramCache:
                 "evictions": self.evictions,
                 "size": len(self._entries),
                 "capacity": self.capacity,
+                "bytes": sum(entry.nbytes for entry in self._entries.values()),
             }
 
     def clear(self) -> None:
@@ -295,7 +338,7 @@ class ProgramCache:
     def __repr__(self):
         s = self.stats()
         return (
-            f"ProgramCache(size={s['size']}/{s['capacity']}, "
+            f"ProgramCache(size={s['size']}/{s['capacity']}, bytes={s['bytes']}, "
             f"hits={s['hits']}, misses={s['misses']}, evictions={s['evictions']})"
         )
 

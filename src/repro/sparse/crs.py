@@ -10,12 +10,27 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
+
+from repro.errors import MatrixFormatError
 
 __all__ = ["ModifiedCRS"]
 
 
+def _frozen(array, dtype) -> np.ndarray:
+    """An immutable copy of ``array``: a view onto a ``bytes`` object, which
+    numpy refuses to make writeable again (``setflags(write=True)`` raises)."""
+    array = np.ascontiguousarray(array, dtype=dtype)
+    return np.frombuffer(array.tobytes(), dtype=array.dtype)
+
+
 class ModifiedCRS:
-    """A square sparse matrix in modified CRS format.
+    """A square sparse matrix in modified CRS format — an immutable value.
+
+    The constructor copies and validates its four arrays; nothing can
+    change them afterwards (the caller's are left alone).  The compile cache
+    relies on that to hash a matrix object once, :meth:`spmv` to hand the
+    arrays to compiled code unchecked.
 
     Attributes
     ----------
@@ -28,20 +43,26 @@ class ModifiedCRS:
     """
 
     def __init__(self, diag, values, col_idx, row_ptr, dtype=np.float64):
-        self.diag = np.asarray(diag, dtype=dtype)
-        self.values = np.asarray(values, dtype=dtype)
-        self.col_idx = np.asarray(col_idx, dtype=np.int64)
-        self.row_ptr = np.asarray(row_ptr, dtype=np.int64)
+        self.diag = _frozen(diag, dtype)
+        self.values = _frozen(values, dtype)
+        self.col_idx = _frozen(col_idx, np.int64)
+        self.row_ptr = _frozen(row_ptr, np.int64)
         n = self.diag.size
         if self.row_ptr.size != n + 1:
-            raise ValueError("row_ptr must have n+1 entries")
+            raise MatrixFormatError("row_ptr must have n+1 entries")
         if self.row_ptr[-1] != self.values.size or self.values.size != self.col_idx.size:
-            raise ValueError("inconsistent CRS arrays")
+            raise MatrixFormatError("inconsistent CRS arrays")
+        if self.row_ptr[0] != 0 or np.any(np.diff(self.row_ptr) < 0):
+            raise MatrixFormatError("row_ptr must start at 0 and never decrease")
+        if self.col_idx.size and not 0 <= self.col_idx.min() <= self.col_idx.max() < n:
+            raise MatrixFormatError(f"col_idx entries must lie in [0, {n})")
         if np.any(self.diag == 0):
-            raise ValueError(
+            raise MatrixFormatError(
                 "modified CRS requires nonzero diagonal entries "
                 "(apply a row permutation first)"
             )
+        if not (np.isfinite(self.diag).all() and np.isfinite(self.values).all()):
+            raise MatrixFormatError("matrix entries must be finite (found NaN or Inf)")
 
     # -- properties ------------------------------------------------------------------
 
@@ -93,11 +114,25 @@ class ModifiedCRS:
     # -- operations --------------------------------------------------------------------------
 
     def spmv(self, x) -> np.ndarray:
-        """Reference (host-side) SpMV: ``y = A x``.  Used by tests/baselines."""
-        x = np.asarray(x)
+        """Host-side f64 SpMV ``y = A x`` for ``x`` of shape ``(n,)`` or
+        batch-leading ``(batch, n)``; the true-residual check of ``solve()``.
+
+        SciPy's compiled CSR row loop, started from ``y = diag·x``: every
+        row adds ``diag·x`` first, then its off-diagonals in storage order.
+        That is bit-equal to the multiply-then-``np.add.at`` form it replaced
+        unless a SciPy build contracts ``sum += a*x`` to an FMA (x86-64 wheels
+        do not; the property test in ``tests/sparse`` holds the line).  A
+        batch is the same call per row of ``x``.
+        """
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.n:
+            raise ValueError(f"x must have shape ({self.n},) or (batch, {self.n}), got {x.shape}")
+        values = np.asarray(self.values, dtype=np.float64)
         y = self.diag * x
-        contrib = self.values * x[self.col_idx]
-        np.add.at(y, np.repeat(np.arange(self.n), np.diff(self.row_ptr)), contrib)
+        for xj, yj in zip(np.atleast_2d(x), np.atleast_2d(y)):
+            # Checks no lengths itself: row_ptr/col_idx were validated at
+            # construction, x just above.
+            _sparsetools.csr_matvec(self.n, self.n, self.row_ptr, self.col_idx, values, xj, yj)
         return y
 
     def permute(self, perm) -> "ModifiedCRS":

@@ -316,3 +316,4 @@ class TestObservability:
         assert "repro_serve_rejections_total" in snap
         assert "repro_serve_queue_depth" in snap
         assert "repro_serve_job_seconds" in snap
+        assert "repro_cache_bytes" in snap

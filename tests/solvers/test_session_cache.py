@@ -1,9 +1,12 @@
 """The structure-keyed compile cache and reusable solve sessions."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.errors import ReproError
+from repro.graph import Graph
 from repro.graph.passes import compile_invocations, pass_invocations
 from repro.machine import IPUDevice
 from repro.solvers import (
@@ -25,6 +28,18 @@ def _system(n=6):
     crs, dims = poisson2d(n)
     b = np.random.default_rng(0).standard_normal(crs.n)
     return crs, dims, b
+
+
+def _entry(nbytes=0):
+    """A cache entry as far as the LRU map cares: something with a size."""
+    return SimpleNamespace(nbytes=nbytes)
+
+
+def _counts(cache_or_session) -> dict:
+    """``stats()`` without the byte count (which depends on the program)."""
+    stats = cache_or_session.stats()
+    assert stats.pop("bytes") > 0
+    return stats
 
 
 def _scaled(crs, factor):
@@ -90,28 +105,28 @@ class TestProgramCache:
     def test_lru_eviction_counts_and_drops_oldest(self):
         cache = ProgramCache(capacity=2)
         for key in ("a", "b", "c"):
-            cache.put(key, object())
+            cache.put(key, _entry(nbytes=3))
         assert cache.stats() == {"hits": 0, "misses": 0, "evictions": 1,
-                                 "size": 2, "capacity": 2}
+                                 "size": 2, "capacity": 2, "bytes": 6}
         assert "a" not in cache and "b" in cache and "c" in cache
 
     def test_get_refreshes_lru_order(self):
         cache = ProgramCache(capacity=2)
-        cache.put("a", object())
-        cache.put("b", object())
+        cache.put("a", _entry())
+        cache.put("b", _entry())
         assert cache.get("a") is not None  # refresh: "b" is now oldest
-        cache.put("c", object())
+        cache.put("c", _entry())
         assert "a" in cache and "b" not in cache
 
     def test_contains_has_no_counter_side_effects(self):
         cache = ProgramCache()
-        cache.put("a", object())
+        cache.put("a", _entry())
         assert "a" in cache and "zzz" not in cache
         assert cache.stats()["hits"] == 0 and cache.stats()["misses"] == 0
 
     def test_clear_and_repr(self):
         cache = ProgramCache(capacity=3)
-        cache.put("a", object())
+        cache.put("a", _entry())
         cache.get("missing")
         assert "hits=0" in repr(cache) and "misses=1" in repr(cache)
         cache.clear()
@@ -197,8 +212,22 @@ class TestCacheHits:
         solve(crs, b, CG, grid_dims=dims, tiles_per_ipu=4, cache=cache)
         solve(_scaled(crs, 2.0), b, CG, grid_dims=dims, tiles_per_ipu=4,
               cache=cache)
-        assert cache.stats() == {"hits": 0, "misses": 2, "evictions": 0,
-                                 "size": 2, "capacity": 8}
+        assert _counts(cache) == {"hits": 0, "misses": 2, "evictions": 0,
+                                  "size": 2, "capacity": 8}
+
+    def test_equal_content_built_separately_hits(self):
+        # The key is the content, not the object: a second matrix built from
+        # its own copies of the same numbers shares the first one's program.
+        crs, dims, b = _system()
+        twin = ModifiedCRS(np.array(crs.diag), np.array(crs.values),
+                           np.array(crs.col_idx), np.array(crs.row_ptr))
+        cache = ProgramCache()
+        cold = solve(crs, b, CG, grid_dims=dims, tiles_per_ipu=4, cache=cache)
+        hit = solve(twin, b, CG, grid_dims=dims, tiles_per_ipu=4, cache=cache)
+        assert _counts(cache) == {"hits": 1, "misses": 1, "evictions": 0,
+                                  "size": 1, "capacity": 8}
+        assert hit.compiled is cold.compiled
+        np.testing.assert_array_equal(hit.x, cold.x)
 
     def test_shape_and_config_changes_miss(self):
         crs, dims, b = _system()
@@ -247,8 +276,8 @@ class TestSolverSession:
         r2 = session.solve(b)
         np.testing.assert_array_equal(r1.x, r2.x)
         assert r1.cycles == r2.cycles
-        assert session.stats() == {"hits": 1, "misses": 1, "evictions": 0,
-                                   "size": 1, "capacity": 8}
+        assert _counts(session) == {"hits": 1, "misses": 1, "evictions": 0,
+                                    "size": 1, "capacity": 8}
 
     def test_session_rejects_device(self):
         crs, dims, b = _system()
@@ -273,8 +302,8 @@ class TestSolverSession:
         s2 = SolverSession(crs, CG, cache=cache, grid_dims=dims, tiles_per_ipu=4)
         s1.solve(b)
         s2.solve(b)  # second session hits the first one's entry
-        assert cache.stats() == {"hits": 1, "misses": 1, "evictions": 0,
-                                 "size": 1, "capacity": 8}
+        assert _counts(cache) == {"hits": 1, "misses": 1, "evictions": 0,
+                                  "size": 1, "capacity": 8}
 
     def test_solve_many_returns_one_result_per_rhs(self):
         crs, dims, _ = _system()
@@ -294,6 +323,114 @@ class TestSolverSession:
         with pytest.raises(ReproError, match="initial guesses"):
             solve_many(crs, [b, b], CG, x0s=[b], grid_dims=dims,
                        tiles_per_ipu=4)
+
+
+def _views_of_flat_storage(var) -> bool:
+    return all(
+        np.shares_memory(sh.data, var.flat_data)
+        and (sh.lo is None or np.shares_memory(sh.lo, var.flat_lo))
+        for sh in var.shards.values()
+    )
+
+
+class TestWholeBufferRestore:
+    """``prepare()`` restores one array per variable, which is the state of
+    every shard only because every shard is a view into that array."""
+
+    def _captured(self, **kw):
+        crs, dims, b = _system()
+        cache = ProgramCache()
+        kw = dict(grid_dims=dims, tiles_per_ipu=4, **kw)
+        solve(crs, b, CG, cache=cache, **kw)
+        batch = b.shape[0] if b.ndim == 2 else 1
+        return cache, cache.get(fingerprint_solve(crs, CG, batch=batch, **kw)), b
+
+    @pytest.mark.parametrize("backend", ["sim", "fused"])
+    def test_shards_stay_views_through_capture_run_and_prepare(self, backend):
+        _, entry, b = self._captured(backend=backend)
+        variables = entry.ctx.graph.variables
+        assert variables and all(map(_views_of_flat_storage, variables.values()))
+        entry.prepare(b)
+        assert all(map(_views_of_flat_storage, variables.values()))
+
+    def test_prepare_restores_every_variable_to_its_captured_image(self):
+        _, entry, b = self._captured()
+        variables = entry.ctx.graph.variables
+        for var in variables.values():  # as a solve leaves it: anything at all
+            var.flat_data[...] = 3
+            if var.flat_lo is not None:
+                var.flat_lo[...] = 5
+        entry.prepare(b)
+        bound = {entry.bvec.owned.var.name}
+        for name, var in variables.items():
+            data, lo = entry.initial_state[name]
+            if name not in bound:  # b is rebound after the restore
+                assert var.flat_data.tobytes() == data.tobytes(), name
+            assert lo is None or var.flat_lo.tobytes() == lo.tobytes(), name
+
+    def test_prepare_refuses_a_variable_without_an_image(self):
+        _, entry, b = self._captured()
+        entry.ctx.graph.add_variable("late", (4,))
+        with pytest.raises(ReproError, match="late"):
+            entry.prepare(b)
+
+    def test_the_cache_reports_what_it_pins(self):
+        cache, entry, _ = self._captured()
+        storage = sum(
+            var.flat_data.nbytes + (0 if var.flat_lo is None else var.flat_lo.nbytes)
+            for var in entry.ctx.graph.variables.values()
+        )
+        assert entry.nbytes == 2 * storage > 0  # the buffers and their snapshot
+        assert cache.stats()["bytes"] == entry.nbytes
+        assert f"bytes={entry.nbytes}" in repr(cache)
+        crs, dims, b = _system()
+        observed = solve(crs, b, CG, grid_dims=dims, tiles_per_ipu=4, cache=cache,
+                         metrics=True)
+        assert observed.metrics.gauge("repro_cache_bytes").value() == entry.nbytes
+
+    @pytest.mark.parametrize("make", [
+        lambda g: g.add_variable("v", (11,), dtype="dw"),
+        lambda g: g.add_variable("v", (11,), batch=3),
+        lambda g: g.add_variable("v", (11,), dtype="dw", batch=2),
+        lambda g: g.add_replicated("v", (2,), dtype="dw"),
+        lambda g: g.add_replicated("v", (1,), batch=3),
+    ], ids=["dw", "batched", "dw-batched", "replicated-dw", "replicated-batched"])
+    def test_snapshot_mutate_restore_round_trip_is_exact(self, make):
+        var = make(Graph(IPUDevice(num_ipus=1, tiles_per_ipu=4)))
+        rng = np.random.default_rng(8)
+        host = rng.standard_normal(((var.batch,) if var.batched else ()) + var.shape)
+        var.scatter(host)
+        # The host write reached every shard, in the layout the codelets read.
+        per_element = host.reshape(var.batch, -1).T if var.batched else host.reshape(-1)
+        for sh in var.shards.values():
+            iv = sh.interval
+            want = per_element[iv.start:iv.stop]
+            hi = want.astype(np.float32)
+            np.testing.assert_array_equal(sh.data, hi)
+            if var.paired:
+                np.testing.assert_array_equal(
+                    sh.lo, (want - hi.astype(np.float64)).astype(np.float32))
+        before = var.gather()
+        assert before.shape == host.shape
+        hi = host.astype(np.float32)
+        np.testing.assert_array_equal(  # a dw pair reads back as hi + lo in f64
+            before,
+            hi + (host - hi).astype(np.float32).astype(np.float64) if var.paired else hi)
+        snap = var.snapshot()
+        shards = [(sh.data.copy(), None if sh.lo is None else sh.lo.copy())
+                  for sh in var.shards.values()]
+        for sh in var.shards.values():  # what a run does: writes through the views
+            sh.data[...] = -1.0
+            if sh.lo is not None:
+                sh.lo[...] = 0.5
+        assert not np.array_equal(var.gather(), before)
+        var.restore(snap)
+        for sh, (data, lo) in zip(var.shards.values(), shards):
+            assert sh.data.tobytes() == data.tobytes()
+            assert lo is None or sh.lo.tobytes() == lo.tobytes()
+        np.testing.assert_array_equal(var.gather(), before)
+        assert _views_of_flat_storage(var)
+        assert not np.shares_memory(before, var.flat_data)  # gather copies
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

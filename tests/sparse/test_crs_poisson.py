@@ -1,11 +1,17 @@
 """Tests for the modified CRS format and workload generators."""
 
+import copy
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import MatrixFormatError, ReproError
+from repro.solvers.session import fingerprint_matrix, matrix_hash_invocations
 from repro.sparse import ModifiedCRS, poisson2d, poisson3d
 from repro.sparse.suitesparse import (
     MATRICES,
@@ -87,6 +93,182 @@ class TestModifiedCRS:
         cols, vals = m.row(1)
         np.testing.assert_array_equal(cols, [2])
         np.testing.assert_array_equal(vals, [7.0])
+
+
+def spmv_oracle(m: ModifiedCRS, x) -> np.ndarray:
+    """The ``np.add.at`` form ``ModifiedCRS.spmv`` had before it became one
+    compiled pass: ``diag·x``, then the off-diagonals in storage order."""
+    x = np.asarray(x)
+    y = m.diag * x
+    contrib = m.values * x[m.col_idx]
+    np.add.at(y, np.repeat(np.arange(m.n), np.diff(m.row_ptr)), contrib)
+    return y
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def wide_range(rng, shape) -> np.ndarray:
+    """Finite values across sixteen decades, so that the order of the
+    additions shows in the last bits."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+
+
+class TestSpmvIsOrderExact:
+    @given(
+        row_len=st.lists(st.integers(0, 7), min_size=1, max_size=24),
+        seed=st.integers(0, 10**6),
+        x_dtype=st.sampled_from([np.float32, np.float64]),
+        batch=st.sampled_from([None, 1, 3]),
+        stride=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_equal_to_the_add_at_form(self, row_len, seed, x_dtype, batch, stride):
+        """Empty rows, ``n = 1``, f32 and f64 ``x``, non-contiguous ``x``,
+        ``(batch, n)``: every result has the oracle's bits, and every batch
+        row the bits of its own 1-D call."""
+        rng = np.random.default_rng(seed)
+        n = len(row_len)
+        row_ptr = np.concatenate([[0], np.cumsum(row_len)])
+        m = ModifiedCRS(
+            wide_range(rng, n) + 1e-300,  # never exactly zero
+            wide_range(rng, row_ptr[-1]),
+            rng.integers(0, n, row_ptr[-1]),
+            row_ptr,
+        )
+        shape = (n,) if batch is None else (batch, n)
+        wide = wide_range(rng, shape[:-1] + (n * stride,)).astype(x_dtype)
+        x = wide[..., ::stride]
+        assert stride == 1 or n == 1 or not x.flags.c_contiguous
+        y = m.spmv(x)
+        assert y.dtype == np.float64 and y.flags.c_contiguous
+        if batch is None:
+            assert same_bits(y, spmv_oracle(m, x))
+        else:
+            for yj, xj in zip(y, x):
+                assert same_bits(yj, spmv_oracle(m, xj))
+                assert same_bits(yj, m.spmv(xj))
+
+    def test_rejects_a_wrong_length_before_compiled_code_sees_it(self):
+        m, _ = poisson2d(4)
+        for bad in (np.ones(m.n - 1), np.ones((2, m.n + 1)), np.ones((1, 2, m.n))):
+            with pytest.raises(ValueError, match="shape"):
+                m.spmv(bad)
+
+
+class TestImmutableValue:
+    def test_arrays_cannot_be_written_or_made_writeable(self):
+        m, _ = poisson2d(4)
+        for name in ("diag", "values", "col_idx", "row_ptr"):
+            arr = getattr(m, name)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
+
+    def test_callers_arrays_stay_theirs(self):
+        src, _ = poisson2d(4)
+        diag, values = np.array(src.diag), np.array(src.values)
+        cols, ptr = np.array(src.col_idx), np.array(src.row_ptr)
+        m = ModifiedCRS(diag, values, cols, ptr)
+        key = fingerprint_matrix(m)
+        for arr in (diag, values, cols, ptr):
+            assert arr.flags.writeable
+        diag *= 2.0
+        values[:] = 7.0
+        cols[:] = 0
+        np.testing.assert_array_equal(m.diag, src.diag)
+        np.testing.assert_array_equal(m.values, src.values)
+        np.testing.assert_array_equal(m.col_idx, src.col_idx)
+        assert fingerprint_matrix(m) == key == fingerprint_matrix(src)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_are_refused_at_construction(self, bad):
+        src, _ = poisson2d(3)
+        for name in ("diag", "values"):
+            arrays = {k: np.array(getattr(src, k))
+                      for k in ("diag", "values", "col_idx", "row_ptr")}
+            arrays[name][1] = bad
+            with pytest.raises(MatrixFormatError, match="finite") as exc:
+                ModifiedCRS(**arrays)
+            assert isinstance(exc.value, ReproError)
+            assert isinstance(exc.value, ValueError)
+            assert exc.value.exit_code == 19
+
+    def test_indices_compiled_code_would_trust_are_checked(self):
+        with pytest.raises(MatrixFormatError, match="col_idx"):
+            ModifiedCRS([1.0, 1.0], [1.0], [2], [0, 1, 1])
+        with pytest.raises(MatrixFormatError, match="col_idx"):
+            ModifiedCRS([1.0, 1.0], [1.0], [-1], [0, 1, 1])
+        with pytest.raises(MatrixFormatError, match="row_ptr"):
+            ModifiedCRS([1.0, 1.0], [1.0], [0], [0, 2, 1])
+        with pytest.raises(MatrixFormatError, match="row_ptr"):
+            ModifiedCRS([1.0, 1.0], [1.0, 1.0], [0, 0], [1, 1, 2])
+
+
+class TestFingerprintMemo:
+    def test_one_hash_per_matrix_object(self):
+        m, _ = poisson2d(5)
+        before = matrix_hash_invocations()
+        keys = {fingerprint_matrix(m) for _ in range(5)}
+        assert len(keys) == 1
+        assert matrix_hash_invocations() == before + 1
+
+    def test_deepcopy_rehashes_and_never_trusts_the_inherited_memo(self):
+        m, _ = poisson2d(5)
+        key = fingerprint_matrix(m)
+        clone = copy.deepcopy(m)
+        assert clone.values.flags.writeable  # numpy's deepcopy owns its data
+        before = matrix_hash_invocations()
+        assert fingerprint_matrix(clone) == key
+        clone.values[0] *= 2.0
+        changed = fingerprint_matrix(clone)
+        assert changed != key
+        # Frozen again, it could be thawed again: still hashed on every call.
+        clone.values.setflags(write=False)
+        assert fingerprint_matrix(clone) == changed
+        assert matrix_hash_invocations() == before + 3
+        assert fingerprint_matrix(m) == key  # the original is untouched
+
+    def test_a_rebound_array_rehashes(self):
+        m, _ = poisson2d(5)
+        key = fingerprint_matrix(m)
+        m.values = ModifiedCRS(m.diag, m.values * 2.0, m.col_idx, m.row_ptr).values
+        before = matrix_hash_invocations()
+        assert fingerprint_matrix(m) != key
+        assert matrix_hash_invocations() == before + 1
+
+    def test_threads_racing_the_first_hash_agree_and_do_not_block(self):
+        """Event-loop admission and a worker may both be first: no lock, so
+        both hash, both get the same digest, and the memo ends up set."""
+        m, _ = poisson3d(12)
+        expected = fingerprint_matrix(ModifiedCRS(m.diag, m.values, m.col_idx, m.row_ptr))
+        workers = 8
+        start = threading.Barrier(workers)
+        digests = []
+
+        def first_hash():
+            start.wait(timeout=10)
+            digests.append(fingerprint_matrix(m))
+
+        before = matrix_hash_invocations()
+        threads = [threading.Thread(target=first_hash) for _ in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert digests == [expected] * workers
+        assert 1 <= matrix_hash_invocations() - before <= workers
+        settled = matrix_hash_invocations()
+        assert fingerprint_matrix(m) == expected
+        assert matrix_hash_invocations() == settled
 
 
 class TestPoisson:

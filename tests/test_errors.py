@@ -9,6 +9,7 @@ from repro.errors import (
     DivergenceError,
     FaultSpecError,
     JobTimeoutError,
+    MatrixFormatError,
     QuotaExceededError,
     ReproError,
     ServiceOverloadError,
@@ -21,7 +22,7 @@ class TestHierarchy:
     def test_all_derive_from_repro_error(self):
         for exc in (SRAMOverflowError, SolverBreakdownError, DivergenceError,
                     FaultSpecError, ServiceOverloadError, JobTimeoutError,
-                    QuotaExceededError):
+                    QuotaExceededError, MatrixFormatError):
             assert issubclass(exc, ReproError)
 
     def test_dual_inheritance_keeps_old_except_clauses_working(self):
@@ -32,6 +33,7 @@ class TestHierarchy:
         assert issubclass(SolverBreakdownError, ArithmeticError)
         assert issubclass(DivergenceError, ArithmeticError)
         assert issubclass(FaultSpecError, ValueError)
+        assert issubclass(MatrixFormatError, ValueError)
         assert issubclass(JobTimeoutError, TimeoutError)
 
     def test_exit_codes_distinct_and_nonzero(self):
@@ -39,6 +41,7 @@ class TestHierarchy:
             ReproError, SRAMOverflowError, SolverBreakdownError,
             DivergenceError, FaultSpecError, BackendCapabilityError,
             ServiceOverloadError, JobTimeoutError, QuotaExceededError,
+            MatrixFormatError,
         )]
         assert len(set(codes)) == len(codes)
         assert all(c not in (0, 1, 2) for c in codes)
@@ -102,3 +105,13 @@ class TestCliExitCodes:
         ])
         assert rc == SRAMOverflowError.exit_code
         assert "tile 0" in capsys.readouterr().err
+
+    def test_non_finite_matrix_file_maps_to_matrix_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "nan.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 2 3\n1 1 2.0\n1 2 nan\n2 2 3.0\n"
+        )
+        rc = main(["solve", "--matrix", str(path), "--config", "cg", "--tiles", "2"])
+        assert rc == MatrixFormatError.exit_code == 19
+        assert "finite" in capsys.readouterr().err
