@@ -449,6 +449,16 @@ def _cmd_compile_report(args) -> int:
           f"{opt.exchanges} exchanges, {opt.region_copies} copies")
     print(f"compile proxy:        {src.compile_proxy} -> {opt.compile_proxy}")
     print(compiled.report.render())
+    kernels = compiled.kernels.stats()
+    print(f"fused kernels:        {kernels['kernels']} kernels over "
+          f"{kernels['steps_fused']} steps, {kernels['fallback_vertices']} "
+          f"fallback vertices")
+    # One row per kernel that still dispatches vertices one by one; a row
+    # naming an ``*.iterate`` loop is a per-vertex call in a solver's inner
+    # loop (the bench-smoke CI step greps for it).
+    for name, loop, counts in compiled.kernels.fallback_rows(compiled.root):
+        codelets = ", ".join(f"{c}@… ×{n}" for c, n in counts.items())
+        print(f"  {name:<6} {loop or '-':<20} {codelets}")
     if args.tree:
         print("\noptimized program:")
         print(compiled.describe(max_depth=args.depth))

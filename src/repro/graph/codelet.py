@@ -24,6 +24,7 @@ __all__ = [
     "ReduceSpec",
     "BatchReduceSpec",
     "SpmvSpec",
+    "SweepSpec",
 ]
 
 
@@ -64,18 +65,43 @@ class SpmvSpec:
     y: object  # DistributedVector
 
 
+@dataclass(frozen=True)
+class SweepSpec:
+    """``x[tile] = sweep(b[tile])`` — one tile of a level-scheduled sweep
+    (ILU/DILU substitution, Gauss-Seidel); the vertices of one compute set
+    share the spec object.
+
+    ``body(state, rhs, out, halo)`` is the solver's substitution over
+    whatever index space ``state`` (plans, diagonal, scratch) was built
+    for: the vertex calls it with its tile's state and shard views, the
+    kernel op with ``device_state()`` — the same state merged over the flat
+    device index space, built once per solver — and the flat buffers.
+    ``halo`` says whether the sweep reads ``x``'s halo buffer."""
+
+    matrix: object  # repro.sparse DistributedMatrix
+    x: object  # DistributedVector, swept in place / written
+    b: object  # DistributedVector, the right-hand side
+    body: object
+    device_state: object
+    halo: bool = False
+
+
 class Codelet:
     """A named tile-local computation with a cycle cost model.
 
     ``spec`` optionally carries declarative metadata (Elementwise/Reduce/
-    SpmvSpec) describing *what* the codelet computes; the kernel-lowering
-    pass (:mod:`repro.graph.passes.kernels`) pattern-matches on it to build
-    whole-device vectorized kernels.  Codelets without a spec still run
-    everywhere — lowering falls back to batched per-vertex dispatch."""
+    Spmv/SweepSpec) describing *what* the codelet computes; the
+    kernel-lowering pass (:mod:`repro.graph.passes.kernels`) pattern-matches
+    on it to build whole-device vectorized kernels.  Codelets without a spec
+    still run everywhere — lowering falls back to batched per-vertex
+    dispatch.  ``run=None`` declares a *cost-only* codelet: its work
+    happened at symbolic time and the vertex exists to charge cycles, so
+    ``sim`` prices it and no backend calls it."""
 
     def __init__(self, name: str, run, cycles, category: str = "elementwise", spec=None):
         self.name = name
-        self._run = run
+        self.cost_only = run is None
+        self._run = run if run is not None else (lambda ctx: None)
         self._cycles = cycles
         #: Profiler bucket (Table IV buckets: spmv / ilu_solve / reduce /
         #: elementwise / extended_precision / ...).

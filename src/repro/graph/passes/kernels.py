@@ -9,15 +9,18 @@ executes the whole run as vectorized numpy over *flat per-device arrays*
 (the ``Variable.flat_data`` buffers the shard views alias).
 
 The lowering is spec-driven: codelets carry declarative
-``Elementwise/Reduce/SpmvSpec`` metadata (:mod:`repro.graph.codelet`), and
-each spec group in a compute set becomes a single whole-device numpy
+``Elementwise/Reduce/Spmv/SweepSpec`` metadata (:mod:`repro.graph.codelet`),
+and each spec group in a compute set becomes a single whole-device numpy
 expression — per-tile gather/scatter disappears because the shard views
 already alias one flat buffer, so the "gather" is the identity and only
 genuinely scalar operands are expanded (``np.repeat`` over the segment
-sizes, reproducing per-tile broadcast exactly).  Codelets without a spec —
-Gauss-Seidel sweeps, ILU triangular solves, CodeDSL vertices,
-extended-precision SpMV — fall back to batched per-vertex dispatch *inside*
-the kernel, so fusion never changes what runs, only how it is dispatched.
+sizes, reproducing per-tile broadcast exactly).  A level-scheduled sweep
+(ILU/DILU substitution, Gauss-Seidel) runs the solver's own substitution
+over the tiles' plans merged level by level
+(:meth:`repro.solvers.sweeps.SweepPlan.merged`).  Codelets without a spec —
+CodeDSL vertices, extended-precision SpMV — fall back to batched per-vertex
+dispatch *inside* the kernel, so fusion never changes what runs, only how
+it is dispatched; cost-only codelets emit nothing.
 
 Every vectorized path reuses the exact numpy/Joldes op sequence of the
 per-tile path (``eval_expr`` with a flat leaf resolver, the same pairwise
@@ -25,7 +28,8 @@ summation shapes) or reproduces its rounding order term by term (the
 slot-major SpMV of :class:`repro.sparse.sell.SlotMajorRows` against the
 per-tile ``np.add.reduceat``), which is why ``fused`` results are
 bit-identical to ``sim`` — enforced by the property tests in
-``tests/graph/test_kernels.py`` and ``tests/sparse/test_sell.py``.
+``tests/graph/test_kernels.py``, ``tests/sparse/test_sell.py`` and
+``tests/solvers/test_sweeps.py``.
 Exchanges replay the plan's flat copy ops: one gather/scatter per
 whole-device buffer pair (:mod:`repro.graph.passes.plans`).
 
@@ -35,9 +39,17 @@ per-step plans; ``sim`` and ``fast`` never look at it.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
-from repro.graph.codelet import BatchReduceSpec, ElementwiseSpec, ReduceSpec, SpmvSpec
+from repro.graph.codelet import (
+    BatchReduceSpec,
+    ElementwiseSpec,
+    ReduceSpec,
+    SpmvSpec,
+    SweepSpec,
+)
 from repro.graph.program import (
     Execute,
     Exchange,
@@ -65,25 +77,27 @@ class FusedKernel:
     one dispatch executes.  ``n_compute`` / ``n_exchange`` count the absorbed
     steps (the engine keeps its superstep statistics in parity with the
     interpreted backends), ``n_dispatch`` the per-step dispatch calls the
-    kernel replaces, and ``n_fallback`` the per-vertex runs that could not
-    be vectorized.  ``est_bytes`` / ``est_flops`` carry the static traffic
-    and arithmetic estimate (:mod:`repro.graph.passes.costs`) one launch
-    represents — the wall-clock profiler divides measured time by these to
-    report per-kernel GB/s and GFLOP/s.
+    kernel replaces, and ``fallbacks`` names the codelet of every per-vertex
+    run that could not be vectorized (``n_fallback`` of them).  ``est_bytes``
+    / ``est_flops`` carry the static traffic and arithmetic estimate
+    (:mod:`repro.graph.passes.costs`) one launch represents — the wall-clock
+    profiler divides measured time by these to report per-kernel GB/s and
+    GFLOP/s.
     """
 
-    __slots__ = ("name", "ops", "n_compute", "n_exchange", "n_dispatch", "n_fallback",
-                 "est_bytes", "est_flops")
+    __slots__ = ("name", "ops", "n_compute", "n_exchange", "n_dispatch", "fallbacks",
+                 "n_fallback", "est_bytes", "est_flops")
 
     def __init__(self, name: str, ops: tuple, n_compute: int, n_exchange: int,
-                 n_dispatch: int, n_fallback: int, est_bytes: int = 0,
+                 n_dispatch: int, fallbacks: tuple, est_bytes: int = 0,
                  est_flops: int = 0):
         self.name = name
         self.ops = ops
         self.n_compute = n_compute
         self.n_exchange = n_exchange
         self.n_dispatch = n_dispatch
-        self.n_fallback = n_fallback
+        self.fallbacks = fallbacks
+        self.n_fallback = len(fallbacks)
         self.est_bytes = est_bytes
         self.est_flops = est_flops
 
@@ -140,22 +154,39 @@ class KernelSchedule:
         """The lowered items of one block, or ``None`` if unknown."""
         return self._items.get(id(step))
 
-    def kernels_in(self, step: Step) -> list:
-        """Kernels launched by one pass through ``step``'s block (visiting
-        each nested block once, regardless of loop trip counts)."""
-        found: list = []
+    def _walk(self, step: Step, label: str = ""):
+        """``(kernel, innermost enclosing loop label)`` for every kernel
+        launched by one pass through ``step``'s block (visiting each nested
+        block once, regardless of loop trip counts)."""
         for item in self._items.get(id(step)) or ():
             if isinstance(item, FusedKernel):
-                found.append(item)
+                yield item, label
             elif isinstance(item, Sequence):
-                found += self.kernels_in(item)
+                yield from self._walk(item, label)
             elif isinstance(item, (Repeat, RepeatWhile)):
-                found += self.kernels_in(item.body)
+                yield from self._walk(item.body, item.label or label)
             elif isinstance(item, If):
-                found += self.kernels_in(item.then_body)
+                yield from self._walk(item.then_body, label)
                 if item.else_body is not None:
-                    found += self.kernels_in(item.else_body)
-        return found
+                    yield from self._walk(item.else_body, label)
+
+    def kernels_in(self, step: Step) -> list:
+        """Kernels launched by one pass through ``step``'s block."""
+        return [kernel for kernel, _ in self._walk(step)]
+
+    def fallback_rows(self, root: Step) -> list:
+        """What is still dispatched vertex by vertex: one ``(kernel name,
+        loop label, {codelet: vertices})`` row per kernel with fallbacks, in
+        schedule order.  ``loop label`` is the innermost labeled loop
+        around the kernel (``""`` outside any); codelet names drop their
+        ``@tile`` suffix."""
+        rows, seen = [], set()
+        for kernel, label in self._walk(root):
+            if kernel.fallbacks and id(kernel) not in seen:
+                seen.add(id(kernel))
+                counts = Counter(name.split("@")[0] for name in kernel.fallbacks)
+                rows.append((kernel.name, label, dict(counts)))
+        return rows
 
     def loop_kernels(self, root: Step, label: str) -> list:
         """Kernels of one iteration of the loop labeled ``label`` under
@@ -392,14 +423,18 @@ def _dw_tree_sum_rows(hi2d, lo2d):
     return H[:, 0], L[:, 0]
 
 
-def _reduce_segments(value, dt: str, op: str, seg, offsets):
-    """Per-segment reduction matching materialize._reduce_value per segment."""
-    from repro.tensordsl.materialize import _dw_tree_sum, _reduce_value
-    from repro.tensordsl.types import Type
+def _equal_segments(seg) -> bool:
+    """All segments share one non-zero length (they reduce as one matrix)."""
+    return len(seg) > 0 and seg[0] > 0 and bool((seg == seg[0]).all())
 
+
+def _reduce_segments(value, dt: str, op: str, seg, offsets, equal: bool):
+    """Per-segment reduction matching materialize._reduce_value per segment;
+    ``equal`` is the static :func:`_equal_segments` of ``seg``."""
     T = len(seg)
-    equal = T > 0 and seg[0] > 0 and bool((seg == seg[0]).all())
-    if dt == Type.DOUBLEWORD:
+    if dt == "dw":
+        from repro.tensordsl.materialize import _dw_tree_sum, _reduce_value
+
         hi = np.asarray(value[0], np.float32).ravel()
         lo = np.asarray(value[1], np.float32).ravel()
         if equal:
@@ -462,7 +497,9 @@ def _lower_reduce_group(spec: ReduceSpec, vertices):
     tiles = [v.tile_id for v in vertices]
     if len(set(tiles)) != len(tiles):
         raise _Unvectorizable
-    if out.replicated or out.flat_data is None or out.flat_data.ndim != _flat_ndim(out):
+    # A replicated scalar ``out`` (the combine of a global reduction) keeps
+    # one row per replica: ``(replicas, 1[, batch])``.
+    if out.flat_data is None or out.flat_data.ndim != _flat_ndim(out) + out.replicated:
         raise _Unvectorizable
     if out.dtype != expr.dtype or out.batch != batch:
         raise _Unvectorizable
@@ -493,66 +530,84 @@ def _lower_reduce_group(spec: ReduceSpec, vertices):
     offsets = np.concatenate([[0], np.cumsum(seg)])
     total = int(offsets[-1])
     fetchers = _build_1d_fetchers(leaf_vars, order, ref, lo, hi, seg)
-    out_idx = np.array([out.shards[t].interval.start for t in order], dtype=np.intp)
+    out_hi, out_lo = out.flat_data, out.flat_lo
+    if out.replicated:
+        out_idx = np.array([out.replica_rows[t] for t in order], dtype=np.intp)
+        out_hi = out_hi[:, 0]
+        out_lo = out_lo[:, 0] if out_lo is not None else None
+    else:
+        out_idx = np.array([out.shards[t].interval.start for t in order], dtype=np.intp)
     expr_dt = expr.dtype
     paired = expr_dt == Type.DOUBLEWORD
-    out_hi, out_lo = out.flat_data, out.flat_lo
+    equal = _equal_segments(seg)
+    shape = (total,) if batch == 1 else (total, batch)
+
+    def whole(part):
+        """A scalar-valued expression, broadcast over the segment layout."""
+        part = np.asarray(part)
+        return part if part.shape == shape else np.broadcast_to(part, shape)
 
     def op():
         resolve = _make_resolver(fetchers)
         value = eval_expr(expr, resolve)
         if paired:
-            vh = np.broadcast_to(np.asarray(value[0]), (total,))
-            vl = np.broadcast_to(np.asarray(value[1]), (total,))
-            res_h, res_l = _reduce_segments((vh, vl), expr_dt, rop, seg, offsets)
+            res_h, res_l = _reduce_segments(
+                (whole(value[0]), whole(value[1])), expr_dt, rop, seg, offsets, equal
+            )
             out_hi[out_idx] = res_h
             out_lo[out_idx] = res_l
         elif batch > 1:
-            v = np.broadcast_to(np.asarray(value), (total, batch))
-            out_hi[out_idx] = _reduce_segments_batched(v, expr_dt, rop, seg, offsets, batch)
+            out_hi[out_idx] = _reduce_segments_batched(
+                whole(value), expr_dt, rop, seg, offsets, batch
+            )
         else:
-            v = np.broadcast_to(np.asarray(value), (total,))
-            out_hi[out_idx] = _reduce_segments(v, expr_dt, rop, seg, offsets)
+            out_hi[out_idx] = _reduce_segments(whole(value), expr_dt, rop, seg, offsets, equal)
 
     return op
 
 
+def _device_layout(m, vertices, owned_vars, hvar, batch: int):
+    """Check that a group covers exactly ``m``'s tiles and that its vectors
+    sit in the whole-device layout ``m`` itself allocates (the index space
+    of ``DistributedMatrix.device_rows`` and of the merged sweep plans):
+    ``owned_vars`` in the owned mapping, ``hvar`` (unless ``None``) in the
+    halo mapping, all with ``batch`` RHS columns.  Returns the flat halo
+    buffer, ``None`` when there is no halo to read."""
+    if {v.tile_id for v in vertices} != set(m.tiles):
+        raise _Unvectorizable
+
+    def mapped(var, size, intervals):
+        return (
+            not var.replicated
+            and var.flat_data is not None
+            and var.flat_data.ndim == _flat_ndim(var)
+            and var.batch == batch
+            and var.size == size
+            and all(
+                iv.tile_id in var.shards and var.shards[iv.tile_id].interval == iv
+                for iv in intervals
+            )
+        )
+
+    owned = m.owned_mapping()
+    if not all(mapped(var, m.n, owned) for var in owned_vars):
+        raise _Unvectorizable
+    halo_map, halo_total = m.halo_mapping()
+    if hvar is None or not halo_total:
+        return None
+    if not mapped(hvar, halo_total, halo_map):
+        raise _Unvectorizable
+    return hvar.flat_data
+
+
 def _lower_spmv_group(spec: SpmvSpec, vertices):
     m, x, y = spec.matrix, spec.x, spec.y
-    tiles = {v.tile_id for v in vertices}
-    if tiles != set(m.tiles):
-        raise _Unvectorizable
-    xvar, yvar, hvar = x.owned.var, y.owned.var, x.halo.var
+    xvar, yvar = x.owned.var, y.owned.var
     batch = xvar.batch
-    if yvar.batch != batch:
-        raise _Unvectorizable
-    for var in (xvar, yvar):
-        if var.replicated or var.flat_data is None or var.flat_data.ndim != _flat_ndim(var):
-            raise _Unvectorizable
+    hflat = _device_layout(m, vertices, (xvar, yvar), x.halo.var, batch)
     n = m.n
-    if xvar.size != n or yvar.size != n:
-        raise _Unvectorizable
-    # The matrix's whole-device layout (DistributedMatrix.device_rows) holds
-    # for vectors in the mappings the matrix itself allocates.
-    for iv in m.owned_mapping():
-        for var in (xvar, yvar):
-            if iv.tile_id not in var.shards or var.shards[iv.tile_id].interval != iv:
-                raise _Unvectorizable
-    halo_map, halo_total = m.halo_mapping()
-    if halo_total and (
-        hvar.replicated
-        or hvar.flat_data is None
-        or hvar.flat_data.ndim != _flat_ndim(hvar)
-        or hvar.batch != batch
-        or hvar.size != halo_total
-        or any(
-            iv.tile_id not in hvar.shards or hvar.shards[iv.tile_id].interval != iv
-            for iv in halo_map
-        )
-    ):
-        raise _Unvectorizable
+    halo_total = 0 if hflat is None else hflat.shape[0]
     xflat, yflat = xvar.flat_data, yvar.flat_data
-    hflat = hvar.flat_data if halo_total else None
     rows = m.device_rows(batch)
     diag = np.concatenate([m.local[t]["diag"] for t in m.tiles])
     if batch > 1:
@@ -567,6 +622,24 @@ def _lower_spmv_group(spec: SpmvSpec, vertices):
         sums = rows.sums(xfull)
         np.multiply(diag, xflat, out=yflat)
         np.add(yflat, sums, out=yflat)
+
+    return op
+
+
+def _lower_sweep_group(spec: SweepSpec, vertices):
+    """One op per sweep: the solver's substitution over its tiles' plans
+    merged level by level, on the flat buffers.  A sweep row reads its own
+    tile's rows and halo cells only, and sums exactly its own entries
+    (``RowSegments``), so the whole-device run equals the per-tile runs bit
+    for bit."""
+    xvar, bvar = spec.x.owned.var, spec.b.owned.var
+    hvar = spec.x.halo.var if spec.halo else None
+    hflat = _device_layout(spec.matrix, vertices, (xvar, bvar), hvar, batch=1)
+    body, state = spec.body, spec.device_state()
+    xflat, bflat = xvar.flat_data, bvar.flat_data
+
+    def op():
+        body(state, bflat, xflat, hflat)
 
     return op
 
@@ -602,14 +675,17 @@ def _lower_batch_reduce_group(spec: BatchReduceSpec, vertices):
 def _lower_compute_set(cs) -> tuple:
     """Lower one compute set into kernel ops.
 
-    Returns ``(ops, n_dispatch, n_fallback, est_bytes, est_flops)``.
-    Vertices within a compute set are element-disjoint (tile-local access +
-    the FuseComputeSets disjointness invariant), so group order cannot be
+    Returns ``(ops, n_dispatch, fallbacks, est_bytes, est_flops)`` —
+    ``fallbacks`` the codelet names of the per-vertex runs left.  Vertices
+    within a compute set are element-disjoint (tile-local access + the
+    FuseComputeSets disjointness invariant), so group order cannot be
     observed.
     """
     groups: dict = {}
     fallback: list = []
     for v in cs.vertices:
+        if v.codelet.cost_only:
+            continue
         spec = v.codelet.spec
         if isinstance(spec, ElementwiseSpec):
             key = ("ew", id(spec.expr), id(spec.out_var))
@@ -619,6 +695,8 @@ def _lower_compute_set(cs) -> tuple:
             key = ("spmv", id(spec.matrix), id(spec.x), id(spec.y))
         elif isinstance(spec, BatchReduceSpec):
             key = ("bred", id(spec.in_var), id(spec.out_var), spec.op)
+        elif isinstance(spec, SweepSpec):
+            key = ("sweep", id(spec))
         else:
             fallback.append(v)
             continue
@@ -633,12 +711,13 @@ def _lower_compute_set(cs) -> tuple:
                 ops.append(_lower_reduce_group(spec, vs))
             elif key[0] == "bred":
                 ops.append(_lower_batch_reduce_group(spec, vs))
+            elif key[0] == "sweep":
+                ops.append(_lower_sweep_group(spec, vs))
             else:
                 ops.append(_lower_spmv_group(spec, vs))
         except _Unvectorizable:
             fallback.extend(vs)
 
-    n_fallback = len(fallback)
     if fallback:
         runs = tuple(v.run for v in fallback)
 
@@ -650,7 +729,8 @@ def _lower_compute_set(cs) -> tuple:
     from repro.graph.passes.costs import estimate_compute_set
 
     est_bytes, est_flops = estimate_compute_set(cs)
-    return ops, len(cs.vertices), n_fallback, est_bytes, est_flops
+    fallbacks = tuple(v.codelet.name for v in fallback)
+    return ops, len(cs.vertices), fallbacks, est_bytes, est_flops
 
 
 def build_kernels(root: Step, plans) -> KernelSchedule:
@@ -671,7 +751,8 @@ def build_kernels(root: Step, plans) -> KernelSchedule:
         items: list = []
         ops: list = []
         absorbed: list = []
-        counts = [0, 0, 0, 0]  # dispatches replaced, fallbacks, est bytes, est flops
+        fallbacks: list = []
+        counts = [0, 0, 0]  # dispatches replaced, est bytes, est flops
 
         def flush():
             if absorbed:
@@ -682,31 +763,32 @@ def build_kernels(root: Step, plans) -> KernelSchedule:
                     n_compute,
                     len(absorbed) - n_compute,
                     counts[0],
-                    counts[1],
-                    est_bytes=counts[2],
-                    est_flops=counts[3],
+                    tuple(fallbacks),
+                    est_bytes=counts[1],
+                    est_flops=counts[2],
                 )
                 all_kernels.append(kernel)
                 items.append(kernel)
             ops.clear()
             absorbed.clear()
-            counts[0] = counts[1] = counts[2] = counts[3] = 0
+            fallbacks.clear()
+            counts[0] = counts[1] = counts[2] = 0
 
         for s in children:
             if isinstance(s, Execute):
-                cs_ops, n_dispatch, n_fallback, est_b, est_f = lower_execute(s)
+                cs_ops, n_dispatch, cs_fallbacks, est_b, est_f = lower_execute(s)
                 ops.extend(cs_ops)
                 absorbed.append(s)
+                fallbacks.extend(cs_fallbacks)
                 counts[0] += n_dispatch
-                counts[1] += n_fallback
-                counts[2] += est_b
-                counts[3] += est_f
+                counts[1] += est_b
+                counts[2] += est_f
             elif isinstance(s, Exchange):
                 plan = plans.plan_for(s)
                 ops.append(ExchangeOp(plan.flat))
                 absorbed.append(s)
                 counts[0] += len(plan.ops)
-                counts[2] += estimate_exchange(plan)
+                counts[1] += estimate_exchange(plan)
             else:
                 flush()
                 if isinstance(s, Sequence):

@@ -190,7 +190,8 @@ def _plan_compute_set(cs: ComputeSet, workers: int) -> ComputePlan:
         runs = []
         tasks: list = []
         for v in vertices:
-            runs.append(v.run)
+            if not v.codelet.cost_only:
+                runs.append(v.run)
             tasks.extend(v.worker_cycles())
         makespan = lpt_makespan(tasks, workers)
         worst = max(worst, makespan)

@@ -14,12 +14,14 @@ preconditioner).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from repro.graph.codelet import Codelet, ComputeSet
+from repro.graph.codelet import Codelet, ComputeSet, SweepSpec
 from repro.graph.program import Execute as ExecuteStep
 from repro.solvers.base import Solver
-from repro.solvers.sweeps import build_sweep
+from repro.solvers.sweeps import SweepPlan, build_sweep
 
 __all__ = ["GaussSeidel"]
 
@@ -35,49 +37,77 @@ class GaussSeidel(Solver):
             raise ValueError(f"unknown sweep direction {direction!r} ({_DIRECTIONS})")
         self.sweeps = sweeps
         self.direction = direction
-        self._plans = None
 
     def _setup(self) -> None:
-        # Sweep plans per tile over ALL off-diagonal entries; dependencies
-        # are the directional local-triangular ones (Sec. V-A).
-        self._plans = {"forward": {}, "backward": {}}
+        # Sweep states per tile over ALL off-diagonal entries; dependencies
+        # are the directional local-triangular ones (Sec. V-A).  A state is
+        # the plan, the diagonal and the ``[x | halo]`` working vector.
+        directions = [d for d in ("forward", "backward")
+                      if self.direction in (d, "symmetric")]
+        self._states = {d: {} for d in directions}
+        self._merged = {}
+        everything = lambda rows, cols: np.ones(rows.size, dtype=bool)
         for t in self.A.tiles:
             loc = self.A.local[t]
-            everything = lambda rows, cols: np.ones(rows.size, dtype=bool)
-            self._plans["forward"][t] = build_sweep(
-                loc["n"], loc["row_ptr"], loc["col_idx"], loc["values"],
-                include=everything,
-            )
-            if self.direction in ("backward", "symmetric"):
-                self._plans["backward"][t] = build_sweep(
+            xfull = np.empty(loc["n"] + self.A.plan.halo_count(t), dtype=np.float32)
+            for d in directions:
+                plan = build_sweep(
                     loc["n"], loc["row_ptr"], loc["col_idx"], loc["values"],
-                    include=everything, backward=True,
+                    include=everything, backward=d == "backward",
                 )
+                self._states[d][t] = {"plan": plan, "diag": loc["diag"], "xfull": xfull}
+
+    def _device_state(self, direction: str) -> dict:
+        """The tiles' states of one direction merged over the flat
+        ``[owned | halo]`` index space of the matrix's vectors: built once,
+        shared by the kernel op of every sweep in that direction."""
+        if direction not in self._merged:
+            A = self.A
+            states = [self._states[direction][t] for t in A.tiles]
+            columns = A.device_columns()
+            self._merged[direction] = {
+                "plan": SweepPlan.merged(
+                    [s["plan"] for s in states],
+                    [iv.start for iv in A.owned_mapping()],
+                    [columns[t] for t in A.tiles],
+                ),
+                "diag": np.concatenate([s["diag"] for s in states]),
+                "xfull": np.empty(A.n + A.halo_mapping()[1], dtype=np.float32),
+            }
+        return self._merged[direction]
+
+    @staticmethod
+    def _sweep(state, rhs, out, halo=None):
+        """One in-place sweep of ``out`` against ``rhs``; ``halo`` holds the
+        neighbor values, constants within the sweep."""
+        xfull, n = state["xfull"], out.shape[0]
+        xfull[:n] = out
+        if halo is not None:
+            xfull[n:] = halo
+        state["plan"].run(xfull, rhs, diag=state["diag"])
+        out[...] = xfull[:n]
 
     def _emit_sweep(self, x, b, direction: str) -> None:
         self.A.exchange(x)
         cs = ComputeSet(self.ctx.graph.unique_name("cs_gs"), category="gs_sweep")
         model = self.ctx.device.model
         spec = self.ctx.device.spec
+        sweep = SweepSpec(
+            self.A, x, b, self._sweep, partial(self._device_state, direction), halo=True
+        )
         for t in self.A.tiles:
-            plan = self._plans[direction][t]
-            loc = self.A.local[t]
+            state = self._states[direction][t]
 
-            def run(ctx, t=t, plan=plan, loc=loc):
-                xo = x.owned.var.shard(t).data
-                halo = (
-                    x.halo.var.shard(t).data
-                    if self.A.plan.halo_count(t)
-                    else np.empty(0, dtype=np.float32)
-                )
-                xfull = np.concatenate([xo, halo])
-                plan.run(xfull, b.owned.var.shard(t).data, diag=loc["diag"])
-                xo[...] = xfull[: loc["n"]]
+            def run(ctx, t=t, state=state):
+                halo = x.halo.var.shard(t).data if self.A.plan.halo_count(t) else None
+                self._sweep(state, b.owned.var.shard(t).data, x.owned.var.shard(t).data, halo)
 
-            def cycles(ctx, plan=plan):
+            def cycles(ctx, plan=state["plan"]):
                 return plan.cycles(model, spec)
 
-            cs.add_vertex(Codelet(f"gs@{t}", run, cycles, category="gs_sweep"), t, {})
+            cs.add_vertex(
+                Codelet(f"gs@{t}", run, cycles, category="gs_sweep", spec=sweep), t, {}
+            )
         self.ctx.append(ExecuteStep(cs))
 
     def solve_into(self, x, b) -> None:

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.codelet import Codelet, ComputeSet
+from repro.graph.codelet import Codelet, ComputeSet, SweepSpec
 from repro.graph.program import Execute as ExecuteStep
 from repro.machine.cycles import OP_CYCLES
 from repro.solvers.base import Solver
-from repro.solvers.sweeps import build_sweep
+from repro.solvers.sweeps import SweepPlan, build_sweep
 
 __all__ = ["ILU0", "DILU"]
 
@@ -83,27 +83,37 @@ def _factor_dilu(n, row_ptr, col_idx, values, diag):
 
 
 class _ILUBase(Solver):
-    """Shared machinery: factor at setup, substitution sweeps per solve."""
+    """Shared machinery: factor at setup, substitution sweeps per solve.
+
+    A *state* is what one substitution needs — ``fwd`` / ``bwd`` sweep
+    plans, the factored ``diag`` and a ``work`` vector — over one index
+    space: ``_tile_data[t]`` over tile ``t``'s rows, :meth:`_device_state`
+    over the flat device buffers.  :meth:`_substitute` is the one body both
+    run.
+    """
 
     def _setup(self) -> None:
         self._tile_data = {}
+        self._merged = None
         factor_cycle_costs = {}
         for t in self.A.tiles:
             loc = self.A.local[t]
             data = self._factor_tile(loc)
+            data["work"] = np.empty(loc["n"], dtype=np.float32)
             self._tile_data[t] = data
             factor_cycle_costs[t] = data["factor_flops"] * (
                 OP_CYCLES["float32"]["mul"] + OP_CYCLES["float32"]["add"]
             ) // 2 + self.ctx.device.model.vertex_overhead
         # The factorization executes once on-device: numerics were computed
         # during symbolic execution (they depend only on the static matrix),
-        # the compute set charges the level-scheduled cost.
+        # so the compute set is cost-only — it charges the level-scheduled
+        # cost and runs nothing.
         cs = ComputeSet(self.ctx.graph.unique_name("cs_ilu_factor"), category="ilu_factor")
         for t in self.A.tiles:
             cs.add_vertex(
                 Codelet(
                     f"{self.name}_factor@{t}",
-                    run=lambda ctx: None,
+                    run=None,
                     cycles=lambda ctx, c=factor_cycle_costs[t]: c,
                     category="ilu_factor",
                 ),
@@ -115,90 +125,96 @@ class _ILUBase(Solver):
     def _factor_tile(self, loc) -> dict:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def _device_state(self) -> dict:
+        """The tiles' states merged over the flat device index space (the
+        matrix's owned mapping): built once, shared — plans and scratch —
+        by the kernel op of every :meth:`solve_into` call site."""
+        if self._merged is None:
+            states = [self._tile_data[t] for t in self.A.tiles]
+            starts = [iv.start for iv in self.A.owned_mapping()]
+            self._merged = {
+                "fwd": SweepPlan.merged([s["fwd"] for s in states], starts),
+                "bwd": SweepPlan.merged([s["bwd"] for s in states], starts),
+                "diag": np.concatenate([s["diag"] for s in states]),
+                "work": np.empty(self.A.n, dtype=np.float32),
+            }
+        return self._merged
+
     def solve_into(self, x, b) -> None:
         self.setup()
         cs = ComputeSet(self.ctx.graph.unique_name(f"cs_{self.name}_solve"), category="ilu_solve")
         model = self.ctx.device.model
         spec = self.ctx.device.spec
+        sweep = SweepSpec(self.A, x, b, self._substitute, self._device_state)
         for t in self.A.tiles:
             data = self._tile_data[t]
-            loc = self.A.local[t]
 
-            def run(ctx, t=t, data=data, loc=loc):
-                rhs = b.owned.var.shard(t).data
-                out = x.owned.var.shard(t).data
-                self._substitute(data, loc, rhs, out)
+            def run(ctx, t=t, data=data):
+                self._substitute(data, b.owned.var.shard(t).data, x.owned.var.shard(t).data)
 
             def cycles(ctx, data=data):
                 return data["fwd"].cycles(model, spec) + data["bwd"].cycles(model, spec)
 
-            cs.add_vertex(Codelet(f"{self.name}@{t}", run, cycles, category="ilu_solve"), t, {})
+            cs.add_vertex(
+                Codelet(f"{self.name}@{t}", run, cycles, category="ilu_solve", spec=sweep), t, {}
+            )
         self.ctx.append(ExecuteStep(cs))
 
-    def _substitute(self, data, loc, rhs, out):  # pragma: no cover - abstract
+    @staticmethod
+    def _substitute(state, rhs, out, halo=None):  # pragma: no cover - abstract
+        """``out = M⁻¹ rhs`` over ``state``'s index space.  Both sweeps write
+        every row before any row reads it (their entries are exactly their
+        dependencies), so ``work`` needs no reset and ``out`` may alias
+        ``rhs``."""
         raise NotImplementedError
+
+
+def _triangular_plans(loc, values) -> tuple:
+    """Forward (strictly lower) and backward (strictly upper) sweep plans
+    over one tile's block-local entries."""
+    n = loc["n"]
+    fwd = build_sweep(
+        n, loc["row_ptr"], loc["col_idx"], values,
+        include=lambda rows, cols: (cols < rows) & (cols < n),
+    )
+    bwd = build_sweep(
+        n, loc["row_ptr"], loc["col_idx"], values,
+        include=lambda rows, cols: (cols > rows) & (cols < n),
+        backward=True,
+    )
+    return fwd, bwd
 
 
 class ILU0(_ILUBase):
     name = "ilu0"
 
     def _factor_tile(self, loc) -> dict:
-        n = loc["n"]
         vals, diag_u, flops = _factor_ilu0(
-            n, loc["row_ptr"], loc["col_idx"], loc["values"], loc["diag"]
+            loc["n"], loc["row_ptr"], loc["col_idx"], loc["values"], loc["diag"]
         )
-        local_only = lambda rows, cols: cols < n
-        fwd = build_sweep(
-            n, loc["row_ptr"], loc["col_idx"], vals,
-            include=lambda rows, cols: (cols < rows) & local_only(rows, cols),
-        )
-        bwd = build_sweep(
-            n, loc["row_ptr"], loc["col_idx"], vals,
-            include=lambda rows, cols: (cols > rows) & local_only(rows, cols),
-            backward=True,
-        )
-        return {"fwd": fwd, "bwd": bwd, "diag_u": diag_u, "factor_flops": flops}
+        fwd, bwd = _triangular_plans(loc, vals)
+        return {"fwd": fwd, "bwd": bwd, "diag": diag_u, "factor_flops": flops}
 
-    def _substitute(self, data, loc, rhs, out):
-        n = loc["n"]
-        work = np.zeros(n, dtype=np.float32)
-        # Forward: L y = rhs (unit diagonal).
-        work[...] = 0.0
-        data["fwd"].run(work, rhs, diag=None)
-        # Backward: U x = y.
-        y = work.copy()
-        data["bwd"].run(work, y, diag=data["diag_u"])
-        out[...] = work
+    @staticmethod
+    def _substitute(state, rhs, out, halo=None):
+        work = state["work"]
+        state["fwd"].run(work, rhs)  # L y = rhs (unit diagonal)
+        state["bwd"].run(out, work, diag=state["diag"])  # U x = y
 
 
 class DILU(_ILUBase):
     name = "dilu"
 
     def _factor_tile(self, loc) -> dict:
-        n = loc["n"]
         d, flops = _factor_dilu(
-            n, loc["row_ptr"], loc["col_idx"], loc["values"], loc["diag"]
+            loc["n"], loc["row_ptr"], loc["col_idx"], loc["values"], loc["diag"]
         )
-        local_only = lambda rows, cols: cols < n
-        fwd = build_sweep(
-            n, loc["row_ptr"], loc["col_idx"], loc["values"],
-            include=lambda rows, cols: (cols < rows) & local_only(rows, cols),
-        )
-        bwd = build_sweep(
-            n, loc["row_ptr"], loc["col_idx"], loc["values"],
-            include=lambda rows, cols: (cols > rows) & local_only(rows, cols),
-            backward=True,
-        )
-        return {"fwd": fwd, "bwd": bwd, "d": d, "factor_flops": flops}
+        fwd, bwd = _triangular_plans(loc, loc["values"])
+        return {"fwd": fwd, "bwd": bwd, "diag": d, "factor_flops": flops}
 
-    def _substitute(self, data, loc, rhs, out):
-        n = loc["n"]
-        d = data["d"]
-        # (D+L) w = rhs.
-        w = np.zeros(n, dtype=np.float32)
-        data["fwd"].run(w, rhs, diag=d)
-        # (D+U) x = D w.
-        z = (d * w).astype(np.float32)
-        x = np.zeros(n, dtype=np.float32)
-        data["bwd"].run(x, z, diag=d)
-        out[...] = x
+    @staticmethod
+    def _substitute(state, rhs, out, halo=None):
+        d, work = state["diag"], state["work"]
+        state["fwd"].run(work, rhs, diag=d)  # (D+L) w = rhs
+        np.multiply(d, work, out=work)  # z = D w
+        state["bwd"].run(out, work, diag=d)  # (D+U) x = z

@@ -6,6 +6,9 @@ dependency order, updating ``x[row]`` from a subset of the row's entries.
 ``SweepPlan`` precomputes the level structure once (Sec. V-A) and executes
 each level vectorized; the cycle cost model uses the IPUTHREADING
 single-compute-set strategy (Sec. V-A / the IPUTHREADING library).
+``SweepPlan.merged`` concatenates the tiles' plans level by level into one
+plan over the flat device index space — what the fused kernels run, with
+the same ``run`` and bit-identical results (``docs/runtime.md``).
 
 Dependencies are the entries whose column is itself updated by the sweep;
 for structurally symmetric matrices the level order reproduces the
@@ -20,48 +23,112 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.machine import threading as thr
+from repro.sparse.distribute import RowSegments
 from repro.sparse.levelset import LevelSchedule
 
-__all__ = ["SweepPlan", "build_sweep"]
+__all__ = ["SweepPlan", "build_sweep", "merged_invocations"]
+
+
+#: Process-wide count of :meth:`SweepPlan.merged` calls (the cache tests
+#: assert a compiled program merges its plans once, not once per hit).
+_MERGED_INVOCATIONS = 0
+
+
+def merged_invocations() -> int:
+    """Total :meth:`SweepPlan.merged` calls in this process."""
+    return _MERGED_INVOCATIONS
 
 
 @dataclass
 class SweepPlan:
-    """Precomputed level-ordered entry layout for one tile's sweep."""
+    """Precomputed level-ordered entry layout of a sweep: one tile's, or —
+    :meth:`merged` — every tile's over the flat device index space."""
 
     n: int
-    schedule: LevelSchedule
     #: Per level: rows processed (ascending), their entries (cols, vals)
     #: grouped by row, and the per-row segment pointer into them.
     level_rows: list
     level_cols: list
     level_vals: list
     level_ptr: list
+    #: The tile's level schedule (cost model); a merged plan is for
+    #: execution only and carries none.
+    schedule: LevelSchedule | None = None
+
+    def __post_init__(self):
+        # Everything a level step needs, allocated once: index arrays, the
+        # RowSegments reduce plan, the product buffer — ``padded`` keeps
+        # RowSegments' pad slot (zero, never written) behind the products
+        # when a trailing row is empty — and two row-sized scratch vectors.
+        self._steps = []
+        for rows, cols, vals, ptr in zip(
+            self.level_rows, self.level_cols, self.level_vals, self.level_ptr
+        ):
+            if rows.size == 0:
+                continue
+            segments = RowSegments(ptr)
+            padded = np.zeros(cols.size + segments.pad, dtype=vals.dtype)
+            self._steps.append((
+                np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp), vals,
+                segments, padded[: cols.size], padded,
+                np.empty(rows.size, dtype=vals.dtype), np.empty(rows.size, dtype=vals.dtype),
+            ))
+
+    @classmethod
+    def merged(cls, plans, row_offsets, col_maps=None) -> "SweepPlan":
+        """One plan running every tile's sweep at once: level *k* is level
+        *k* of each plan, concatenated in plan order (a plan with fewer
+        levels contributes nothing to the later ones).
+
+        Plan ``i``'s rows move by ``row_offsets[i]``; its columns go through
+        the index array ``col_maps[i]`` (local column -> device column), or
+        move by the row offset when ``col_maps`` is ``None`` (block-local
+        entries).  Tiles never read each other's rows within a sweep, and a
+        row's sum is ``reduceat`` over exactly its own entries wherever they
+        sit (:class:`RowSegments`), so :meth:`run` over the concatenated
+        vectors equals the per-plan runs bit for bit.
+        """
+        global _MERGED_INVOCATIONS
+        _MERGED_INVOCATIONS += 1
+        level_rows, level_cols, level_vals, level_ptr = [], [], [], []
+        for k in range(max((len(p.level_rows) for p in plans), default=0)):
+            rows, cols, vals, ptr, base = [], [], [], [], 0
+            for i, p in enumerate(plans):
+                if k >= len(p.level_rows):
+                    continue
+                rows.append(p.level_rows[k] + row_offsets[i])
+                local = p.level_cols[k]
+                cols.append(local + row_offsets[i] if col_maps is None else col_maps[i][local])
+                vals.append(p.level_vals[k])
+                ptr.append(p.level_ptr[k][:-1] + base)
+                base += local.size
+            ptr.append([base])
+            level_rows.append(np.concatenate(rows))
+            level_cols.append(np.concatenate(cols))
+            level_vals.append(np.concatenate(vals))
+            level_ptr.append(np.concatenate(ptr))
+        return cls(sum(p.n for p in plans), level_rows, level_cols, level_vals, level_ptr)
 
     # -- execution ----------------------------------------------------------------
 
     def run(self, x_full: np.ndarray, rhs: np.ndarray, diag=None) -> None:
         """Sweep in place: ``x[row] = (rhs[row] - Σ vals·x_full[cols]) / diag[row]``.
 
-        ``x_full`` is the tile's working vector (owned prefix + halo suffix);
-        only owned rows are written.  ``diag=None`` means unit diagonal.
+        ``x_full`` is the working vector (owned prefix + halo suffix); only
+        owned rows are written.  ``diag=None`` means unit diagonal.  All
+        three arrays share ``vals``' dtype.  Every backend runs this one
+        body, allocation-free except for ``reduceat``'s result.
         """
-        for rows, cols, vals, ptr in zip(
-            self.level_rows, self.level_cols, self.level_vals, self.level_ptr
-        ):
-            if rows.size == 0:
-                continue
-            if cols.size:
-                contrib = vals * x_full[cols]
-                padded = np.concatenate([contrib, np.zeros(1, dtype=contrib.dtype)])
-                sums = np.add.reduceat(padded, np.minimum(ptr[:-1], contrib.size))
-                sums[ptr[1:] == ptr[:-1]] = 0
-            else:
-                sums = np.zeros(rows.size, dtype=x_full.dtype)
-            out = rhs[rows] - sums
+        for rows, cols, vals, segments, prod, padded, acc, div in self._steps:
+            rhs.take(rows, out=acc, mode="clip")
+            if cols.size:  # else every sum is +0.0, and rhs - 0.0 is rhs
+                x_full.take(cols, out=prod, mode="clip")
+                np.multiply(vals, prod, out=prod)
+                np.subtract(acc, segments.reduce(padded), out=acc)
             if diag is not None:
-                out = out / diag[rows]
-            x_full[rows] = out
+                diag.take(rows, out=div, mode="clip")
+                np.divide(acc, div, out=acc)
+            x_full[rows] = acc
 
     # -- cost ------------------------------------------------------------------------
 
@@ -152,12 +219,7 @@ def build_sweep(
         level_vals.append(lv)
         level_ptr.append(ptr)
 
-    sched = LevelSchedule(levels=level_rows, n=n)
     return SweepPlan(
-        n=n,
-        schedule=sched,
-        level_rows=level_rows,
-        level_cols=level_cols,
-        level_vals=level_vals,
-        level_ptr=level_ptr,
+        n, level_rows, level_cols, level_vals, level_ptr,
+        schedule=LevelSchedule(levels=level_rows, n=n),
     )

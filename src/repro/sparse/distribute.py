@@ -67,7 +67,13 @@ class RowSegments:
         if self.pad:
             pad = np.zeros((1,) + contrib.shape[1:], dtype=contrib.dtype)
             contrib = np.concatenate([contrib, pad])
-        sums = np.add.reduceat(contrib, self.starts, axis=0)
+        return self.reduce(contrib)
+
+    def reduce(self, padded: np.ndarray) -> np.ndarray:
+        """:meth:`sums` of a non-empty contribution buffer that already
+        carries the pad slot when :attr:`pad` is set (the sweep plans keep
+        such a buffer per level, so a launch concatenates nothing)."""
+        sums = np.add.reduceat(padded, self.starts, axis=0)
         if self.empty is not None:
             sums[self.empty] = 0
         return sums
@@ -223,31 +229,37 @@ class DistributedMatrix:
                 offset += c
         return mapping, offset
 
+    def device_columns(self) -> dict:
+        """Per tile, the index array taking a local column (owned prefix,
+        halo suffix) into the whole-device ``[owned | halo]`` index space
+        of this matrix's vectors: column ``c < n`` is row ``c`` of an owned
+        buffer, column ``n + h`` is row ``h`` of the matching halo buffer
+        (the mappings :meth:`vector` allocates)."""
+        halo = {iv.tile_id: iv for iv in self.halo_mapping()[0]}
+        columns = {}
+        for iv in self.owned_mapping():
+            parts = [np.arange(iv.start, iv.stop, dtype=np.intp)]
+            if iv.tile_id in halo:
+                h = halo[iv.tile_id]
+                parts.append(np.arange(self.n + h.start, self.n + h.stop, dtype=np.intp))
+            columns[iv.tile_id] = np.concatenate(parts)
+        return columns
+
     def device_rows(self, batch: int = 1) -> SlotMajorRows:
         """The off-diagonal part of the whole matrix as one slot-major
-        layout over the whole-device index space of its vectors: column
-        ``c < n`` is row ``c`` of an owned buffer, column ``n + h`` is row
-        ``h`` of the matching halo buffer (the mappings :meth:`vector`
-        allocates).  Every working-precision SpMV of this matrix with
-        ``batch`` RHS columns shares the one instance — layout and scratch
-        — which the fused kernels call in program order.
+        layout over the :meth:`device_columns` index space.  Every
+        working-precision SpMV of this matrix with ``batch`` RHS columns
+        shares the one instance — layout and scratch — which the fused
+        kernels call in program order.
         """
         rows = self._device_rows.get(batch)
         if rows is None:
-            halo_start = {iv.tile_id: iv.start for iv in self.halo_mapping()[0]}
-            cols, vals, row_len = [], [], []
-            for iv in self.owned_mapping():
-                local = self.local[iv.tile_id]
-                col = local["col_idx"].astype(np.intp)
-                in_halo = col >= local["n"]
-                col[~in_halo] += iv.start
-                if in_halo.any():
-                    col[in_halo] += self.n + halo_start[iv.tile_id] - local["n"]
-                cols.append(col)
-                vals.append(local["values"])
-                row_len.append(np.diff(local["row_ptr"]))
+            columns = self.device_columns()
+            locals_ = [self.local[t] for t in self.tiles]
             rows = self._device_rows[batch] = SlotMajorRows(
-                np.concatenate(row_len), np.concatenate(cols), np.concatenate(vals),
+                np.concatenate([np.diff(loc["row_ptr"]) for loc in locals_]),
+                np.concatenate([columns[t][self.local[t]["col_idx"]] for t in self.tiles]),
+                np.concatenate([loc["values"] for loc in locals_]),
                 () if batch == 1 else (batch,),
             )
         return rows

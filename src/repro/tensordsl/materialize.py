@@ -359,7 +359,13 @@ def combine_codelet(model, gathered_var, out_var, tile_id: int, op: str = "sum")
     def cycles(ctx):
         return model.reduce(dt, gathered_var.size * gathered_var.batch)
 
-    return Codelet(f"combine@{tile_id}", run, cycles, category="reduce")
+    return Codelet(
+        f"combine@{tile_id}",
+        run,
+        cycles,
+        category="reduce",
+        spec=ReduceSpec(Leaf(gathered_var), out_var, op),
+    )
 
 
 def batch_reduce_codelet(model, in_var, out_var, tile_id: int, op: str = "max") -> Codelet:

@@ -10,6 +10,7 @@ observability hooks with the same typed error.
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from repro.solvers import SolverSession, compile_solve, solve
 from repro.solvers.session import fingerprint_solve
 from repro.sparse import poisson2d, poisson3d
 from repro.sparse.distribute import DistributedMatrix
+from repro.sparse.suitesparse import af_shell_like, g3_circuit_like
 from repro.tensordsl import TensorContext, Type
 from repro.tensordsl.tensor import Tensor
 
@@ -196,6 +198,165 @@ def test_uneven_shards_reduce_fused_matches_sim():
         )
     for got, want in zip(results["fused"], results["sim"]):
         np.testing.assert_array_equal(got, want)
+
+
+# -- level-set sweeps: one kernel op per sweep ------------------------------------------
+
+ILU0 = {"solver": "ilu0"}
+GS = {d: {"solver": "gauss_seidel", "direction": d} for d in ("forward", "backward", "symmetric")}
+
+
+def _krylov(solver, preconditioner):
+    return {"solver": solver, "tol": 1e-10, "max_iterations": 8,
+            "preconditioner": preconditioner}
+
+
+#: The Fig. 8 solver (perfbench's ``mpir_ilu_g3`` workload, shorter bursts).
+MPIR_FIG8 = {
+    "solver": "mpir", "precision": "dw", "tol": 1e-9, "max_outer": 3,
+    "inner": {"solver": "bicgstab", "fixed_iterations": 6, "tol": 2e-7,
+              "record_history": False, "preconditioner": ILU0},
+}
+
+SWEEP_CONFIGS = {
+    "bicgstab+ilu0": _krylov("bicgstab", ILU0),
+    "bicgstab+dilu": _krylov("bicgstab", {"solver": "dilu"}),
+    "bicgstab+gs-forward": _krylov("bicgstab", GS["forward"]),
+    "bicgstab+gs-backward": _krylov("bicgstab", GS["backward"]),
+    "bicgstab+gs-symmetric": _krylov("bicgstab", GS["symmetric"]),
+    "cg+ilu0": _krylov("cg", ILU0),
+    "cg+dilu": _krylov("cg", {"solver": "dilu"}),
+    "cg+gs-symmetric": _krylov("cg", GS["symmetric"] | {"sweeps": 2}),
+    "mpir(dw)+bicgstab+ilu0": MPIR_FIG8,
+}
+
+#: ``af_shell_like`` is the >= 8-entries-per-sweep-row case (27-point stencil).
+SWEEP_MATRICES = {
+    "poisson3d": lambda: poisson3d(6),
+    "g3_circuit": lambda: (g3_circuit_like(grid=14), None),
+    "af_shell": lambda: (af_shell_like(nx=7, ny=7, layers=3), None),
+}
+
+
+def _assert_backends_agree(crs, dims, config, tiles=4):
+    b = np.random.default_rng(2).standard_normal(crs.n)
+    runs = {backend: solve(crs, b, config, grid_dims=dims, tiles_per_ipu=tiles,
+                           backend=backend)
+            for backend in ("sim", "fast", "fused")}
+    sim = runs["sim"]
+    for backend in ("fast", "fused"):
+        got = runs[backend]
+        np.testing.assert_array_equal(got.x, sim.x)
+        assert got.stats.residuals == sim.stats.residuals
+        assert got.iterations == sim.iterations
+        assert got.relative_residual == sim.relative_residual
+    return runs["fused"]
+
+
+@pytest.mark.parametrize("matrix", SWEEP_MATRICES)
+@pytest.mark.parametrize("config", SWEEP_CONFIGS)
+def test_sweep_preconditioners_bit_identical_across_backends(matrix, config):
+    """ILU(0), DILU and Gauss-Seidel run as merged whole-device sweeps on
+    ``fused`` and per tile on ``sim``/``fast``: solution, residual history
+    and iteration count must agree bit for bit, and no sweep may be left on
+    the per-vertex hatch."""
+    crs, dims = SWEEP_MATRICES[matrix]()
+    fused = _assert_backends_agree(crs, dims, SWEEP_CONFIGS[config])
+    # At most the extended-precision residual SpMV of MPIR is left.
+    assert set(compiled_fallbacks(fused.compiled)) <= {"spmv"}
+
+
+@pytest.mark.parametrize("direction", list(GS))
+def test_multigrid_smoother_sweeps_bit_identical_across_backends(direction):
+    """Gauss-Seidel as the smoother of every multigrid level: each level's
+    matrix merges its own plans over its own ``[owned | halo]`` space."""
+    crs, dims = poisson2d(12)
+    config = {"solver": "multigrid", "grid_dims": dims, "cycles": 3,
+              "coarsest_size": 16, "smoother": GS[direction]}
+    fused = _assert_backends_agree(crs, dims, config)
+    assert "gs" not in compiled_fallbacks(fused.compiled)
+
+
+def test_headline_inner_loops_have_no_fallback_vertices():
+    """Static: one iteration of the Fig. 8 solver's BiCGStab loop and of the
+    Fig. 5 CG loop launches kernels made of whole-device ops only — no
+    sweep, combine or factor vertex is dispatched per tile."""
+    g3 = g3_circuit_like(grid=14)
+    fig8 = compile_solve(g3, np.ones(g3.n), MPIR_FIG8, tiles_per_ipu=16)
+    crs, dims = poisson3d(8)
+    fig5 = compile_solve(crs, np.ones(crs.n), {"solver": "cg", "tol": 1e-6},
+                         grid_dims=dims, tiles_per_ipu=16)
+    for compiled, label in ((fig8, "bicgstab.iterate"), (fig5, "cg.iterate")):
+        kernels = compiled.kernels.loop_kernels(compiled.root, label)
+        assert kernels
+        assert [k.fallbacks for k in kernels] == [()] * len(kernels)
+    # What is left on the hatch is named: the residual SpMV, once per tile.
+    assert compiled_fallbacks(fig8) == {"spmv": 16}
+    assert compiled_fallbacks(fig5) == {}
+
+
+def compiled_fallbacks(compiled) -> dict:
+    """Codelet -> vertices still dispatched one by one, over all kernels."""
+    total = Counter()
+    for _, _, counts in compiled.kernels.fallback_rows(compiled.root):
+        total.update(counts)
+    return dict(total)
+
+
+def test_sweep_in_a_foreign_mapping_runs_per_vertex_and_matches_sim():
+    """The merged plan indexes the matrix's own vector layout.  A right-hand
+    side mapped differently (same shard sizes, tiles in reverse order) fails
+    the lowerer's layout check, stays on the per-vertex path, and still
+    gives sim's result."""
+    from repro.graph import Interval
+    from repro.solvers.ilu import ILU0 as ILU0Solver
+    from repro.sparse.distribute import DistVector
+
+    crs, dims = poisson2d(10)
+    results, fallbacks = {}, {}
+    for backend in ("sim", "fused"):
+        ctx = TensorContext(IPUDevice(tiles_per_ipu=4))
+        A = DistributedMatrix(ctx, crs, grid_dims=dims)
+        x = A.vector()
+        mapping, offset = [], 0
+        for iv in reversed(A.owned_mapping()):
+            mapping.append(Interval(iv.tile_id, offset, offset + iv.size))
+            offset += iv.size
+        foreign = ctx.from_mapping("b_foreign", (crs.n,), Type.FLOAT32, mapping)
+        rhs = np.random.default_rng(4).standard_normal(crs.n).astype(np.float32)
+        foreign.write(rhs)
+        ILU0Solver(A).solve_into(x, DistVector(A, foreign, x.halo))
+        engine = ctx.run(backend=backend)
+        results[backend] = x.read_global()
+        fallbacks[backend] = compiled_fallbacks(engine.compiled)
+    np.testing.assert_array_equal(results["fused"], results["sim"])
+    assert fallbacks["fused"] == {"ilu0": len(A.tiles)}
+    assert np.abs(results["sim"]).max() > 0
+
+
+def test_cost_only_codelets_are_priced_but_never_dispatched():
+    """``Codelet(run=None)`` charges cycles on ``sim``; no backend calls
+    it, and the kernel lowerer emits no op and counts no fallback (the ILU
+    factor compute set is the shipped case)."""
+    from repro.graph.codelet import Codelet, ComputeSet
+
+    g = Graph(IPUDevice(tiles_per_ipu=4))
+    cs = ComputeSet("cs_factor", category="ilu_factor")
+    for t in range(4):
+        cs.add_vertex(Codelet(f"factor@{t}", None, 100 * (t + 1), category="ilu_factor"), t, {})
+    assert all(v.codelet.cost_only for v in cs.vertices)
+    step = Execute(cs)
+    compiled = compile_program(g, Sequence([step]), optimize=False)
+    plan = compiled.plan_for(step)
+    assert plan.dispatch == () and plan.worst_tile == 400
+    (kernel,) = compiled.kernels.kernels
+    assert kernel.ops == () and kernel.fallbacks == () and kernel.n_compute == 1
+    sim = Engine(compiled, backend="sim")
+    sim.run()
+    assert sim.profiler.total_cycles >= 400
+    with GlobalCounters.track() as delta:
+        Engine(compiled, backend="fused").run()
+    assert delta["fused_compute_sets"] == 1 and delta["fallback_vertices"] == 0
 
 
 # -- kernel counts: static schedule + dynamic counters ---------------------------------

@@ -19,6 +19,7 @@ from repro.solvers import (
     solve_many,
 )
 from repro.solvers.session import resolve_cache
+from repro.solvers.sweeps import merged_invocations
 from repro.sparse import ModifiedCRS, poisson2d, poisson3d
 
 CG = {"solver": "cg", "tol": 1e-6}
@@ -183,6 +184,30 @@ class TestCacheHits:
         for hit in hits:
             np.testing.assert_array_equal(hit.x, cold.x)
             assert hit.stats.residuals == cold.stats.residuals
+
+    def test_fused_ilu_hits_share_one_merged_plan(self):
+        """The merged sweep plans and their scratch belong to the compiled
+        program's solver: the cold solve merges each direction once (both
+        preconditioner call sites of the BiCGStab iteration share them), a
+        hit merges nothing, and two identical hits replay bit-identically —
+        no scratch state leaks from one run into the next."""
+        crs, dims, b = _system(8)
+        config = {"solver": "bicgstab", "tol": 1e-8, "max_iterations": 20,
+                  "preconditioner": {"solver": "ilu0"}}
+        cache = ProgramCache()
+        kw = dict(grid_dims=dims, tiles_per_ipu=4, backend="fused", cache=cache)
+        merges0 = merged_invocations()
+        cold = solve(crs, b, config, **kw)
+        assert merged_invocations() == merges0 + 2  # forward + backward
+        solve(crs, np.random.default_rng(4).standard_normal(crs.n), config, **kw)
+        hits = [solve(crs, b, config, **kw) for _ in range(2)]
+        assert merged_invocations() == merges0 + 2
+        assert cache.stats() == {**cache.stats(), "hits": 3, "misses": 1}
+        for hit in hits:
+            np.testing.assert_array_equal(hit.x, cold.x)
+            assert hit.stats.residuals == cold.stats.residuals
+        sim = solve(crs, b, config, grid_dims=dims, tiles_per_ipu=4)
+        np.testing.assert_array_equal(cold.x, sim.x)
 
     def test_hit_with_new_rhs_matches_uncached_solve(self):
         crs, dims, b = _system()

@@ -2,9 +2,11 @@
 
 import numpy as np
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine import CycleModel, MK2
-from repro.solvers.sweeps import build_sweep
+from repro.solvers.sweeps import SweepPlan, build_sweep
 from repro.sparse import ModifiedCRS, poisson2d
 
 
@@ -112,3 +114,132 @@ class TestSweepCost:
         x = np.zeros(0, dtype=np.float32)
         plan.run(x, np.zeros(0, dtype=np.float32))
         assert plan.schedule.num_levels == 0
+
+
+# -- merged == per-tile, bit for bit ------------------------------------------------------
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf]
+
+
+def _mostly_normal(rng, n, special, share=0.25):
+    """Inexact values (so summation order shows), some of them special."""
+    out = rng.standard_normal(n).astype(np.float32)
+    pick = rng.random(n) < share
+    out[pick] = rng.choice(np.array(special, dtype=np.float32), int(pick.sum()))
+    return out
+
+
+@st.composite
+def tile_block(draw):
+    """One tile's random local block: ``n`` rows of 0-12 entries over its
+    ``[owned | halo]`` columns, as (n, halo, row_ptr, col_idx); the values
+    come from the example's seed."""
+    n = draw(st.integers(1, 7))
+    halo = draw(st.integers(0, 3))
+    # Weighted towards the lengths where reduceat's summation order changes.
+    length = st.one_of(st.integers(0, 12), st.sampled_from([0, 1, 7, 8, 9]))
+    lengths = draw(st.lists(length, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        lengths[-1] = 0  # a trailing empty row: the one case RowSegments pads
+    nnz = sum(lengths)
+    cols = draw(st.lists(st.integers(0, n + halo - 1), min_size=nnz, max_size=nnz))
+    ptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    return n, halo, ptr, np.array(cols, dtype=np.int64)
+
+
+def _same_bits(a, b):
+    """Bitwise equality (signed zeros and infinities included); two NaNs
+    match whatever their payloads."""
+    return bool(((a.view(np.uint32) == b.view(np.uint32)) | (np.isnan(a) & np.isnan(b))).all())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    blocks=st.lists(tile_block(), min_size=1, max_size=6),
+    backward=st.booleans(),
+    with_diag=st.booleans(),
+    local_only=st.booleans(),
+    empty_level=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_merged_plan_equals_per_tile_plans_bitwise(
+    blocks, backward, with_diag, local_only, empty_level, seed
+):
+    """Property: ``SweepPlan.merged`` over the concatenated vectors equals
+    each tile's own ``run`` bit for bit — different level counts per tile,
+    empty levels, empty rows, a trailing empty row, rows of 0-12 entries
+    (both ``reduceat`` regimes), ±0.0 / inf values, halo columns or the
+    block-local default column shift."""
+    rng = np.random.default_rng(seed)
+    total = sum(n for n, *_ in blocks)
+    plans, starts, col_maps, xs, halos, rhss, diags = [], [], [], [], [], [], []
+    row0 = halo0 = 0
+    for n, halo, ptr, cols in blocks:
+        vals = _mostly_normal(rng, cols.size, SPECIAL, share=0.05)
+        if local_only:  # the ILU shape: no halo columns, no col_maps
+            include = lambda r, c, n=n: c < n
+            halo = 0
+        else:
+            include = lambda r, c: np.ones(r.size, dtype=bool)
+        plan = build_sweep(n, ptr, cols, vals, include=include, backward=backward)
+        if empty_level <= len(plan.level_rows):
+            none = np.zeros(0, dtype=np.int64)
+            levels = [plan.level_rows, plan.level_cols, plan.level_vals, plan.level_ptr]
+            for level, empty in zip(levels, (none, none, vals[:0], np.zeros(1, np.int64))):
+                level.insert(empty_level, empty)
+            plan = SweepPlan(n, *levels)
+        plans.append(plan)
+        starts.append(row0)
+        col_maps.append(np.concatenate([
+            np.arange(row0, row0 + n), total + np.arange(halo0, halo0 + halo)]))
+        xs.append(_mostly_normal(rng, n, SPECIAL))
+        halos.append(rng.standard_normal(halo).astype(np.float32))
+        rhss.append(_mostly_normal(rng, n, SPECIAL[:2]))  # ±0.0 - sum shows the sum's sign
+        diags.append(rng.choice(np.array([1.0, -2.0, 0.5, 3.0], np.float32), n))
+        row0 += n
+        halo0 += halo
+
+    merged = SweepPlan.merged(plans, starts, None if local_only else col_maps)
+    assert merged.schedule is None and merged.n == total
+    x_dev = np.concatenate(xs + halos)
+    rhs_dev, diag_dev = np.concatenate(rhss), np.concatenate(diags)
+    with np.errstate(all="ignore"):
+        merged.run(x_dev, rhs_dev, diag=diag_dev if with_diag else None)
+        for i, plan in enumerate(plans):
+            x_tile = np.concatenate([xs[i], halos[i]])
+            plan.run(x_tile, rhss[i], diag=diags[i] if with_diag else None)
+            n = plan.n
+            assert _same_bits(x_dev[starts[i] : starts[i] + n], x_tile[:n])
+            np.testing.assert_array_equal(x_tile[n:], halos[i])  # halo untouched
+    assert _same_bits(x_dev[total:], np.concatenate(halos))
+
+
+def test_a_tile_last_row_sums_exactly_its_own_entries():
+    """The RowSegments order argument, on the two rows where a per-level
+    pad would show: a (tile, level)-last row of 8 inexact entries (a ninth
+    addend moves ``reduceat`` into its unrolled regime) and one whose sum is
+    ``-0.0`` (``-0.0 - (-0.0)`` is ``+0.0``, ``-0.0 - (+0.0)`` is not).  The
+    per-tile run, the merged run and ``reduceat`` over the row alone agree
+    bit for bit."""
+    rng = np.random.default_rng(5)
+    n, halo = 2, 8
+    ptr = np.array([0, 1, 9])
+    cols = np.concatenate([[2], np.arange(2, 10)])
+    everything = lambda r, c: np.ones(r.size, dtype=bool)
+    vals = [rng.standard_normal(9).astype(np.float32),
+            np.concatenate([[1.0], np.full(8, -0.0)]).astype(np.float32)]
+    x_halo = [rng.standard_normal(halo).astype(np.float32), np.ones(halo, np.float32)]
+    rhs = [rng.standard_normal(n).astype(np.float32), np.array([1.0, -0.0], np.float32)]
+    plans = [build_sweep(n, ptr, cols, v, include=everything) for v in vals]
+    maps = [np.concatenate([np.arange(i * n, (i + 1) * n),
+                            2 * n + np.arange(i * halo, (i + 1) * halo)])
+            for i in range(2)]
+    x_dev = np.concatenate([np.zeros(2 * n, np.float32)] + x_halo)
+    SweepPlan.merged(plans, [0, n], maps).run(x_dev, np.concatenate(rhs))
+    for i in range(2):
+        x_tile = np.concatenate([np.zeros(n, np.float32), x_halo[i]])
+        plans[i].run(x_tile, rhs[i])
+        alone = rhs[i][1] - np.add.reduceat(vals[i][1:] * x_halo[i], [0])[0]
+        assert _same_bits(x_tile[:n], x_dev[i * n : (i + 1) * n])
+        assert _same_bits(x_tile[1:2], np.array([alone], np.float32))
+    assert np.signbit(x_dev[3]) == np.signbit(np.float32(-0.0) - np.float32(-0.0))

@@ -251,6 +251,26 @@ class TestCompileReportCommand:
         assert "coalesce-exchanges" in out
         assert "optimized program:" in out
 
+    def test_compile_report_names_what_is_still_on_the_hatch(self, capsys):
+        """The fused-kernel section lists every kernel with per-vertex
+        fallbacks (codelet x count, under its loop): for the Fig. 8 solver
+        that is MPIR's extended-precision residual SpMV and nothing in the
+        BiCGStab inner loop; a plain CG program lists nothing."""
+        fig8 = ('{"solver": "mpir", "precision": "dw", "tol": 1e-9, "max_outer": 4, '
+                '"inner": {"solver": "bicgstab", "fixed_iterations": 5, "tol": 2e-7, '
+                '"record_history": false, "preconditioner": {"solver": "ilu0"}}}')
+        assert main(["compile-report", "--matrix", "g3:12", "--config", fig8,
+                     "--tiles", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "4 fallback vertices" in out
+        rows = [line.split() for line in out.splitlines() if "×" in line]
+        assert [r[1:] for r in rows] == [["mpir.refine", "spmv@…", "×4"]]
+        assert ".iterate" not in out
+        assert main(["compile-report", "--matrix", "poisson2d:8", "--config",
+                     '{"solver": "cg", "tol": 1e-6}', "--tiles", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "0 fallback vertices" in out and "×" not in out
+
     def test_compile_report_no_opt(self, capsys):
         rc = main([
             "compile-report", "--matrix", "poisson2d:8",
