@@ -13,7 +13,7 @@ bandwidths plus launch overheads).
 """
 
 from repro.baselines import H100_SXM, IPU_M2000, XEON_8470Q, energy_j, spmv_time
-from repro.bench import backend_wallclock, ipu_spmv_run, print_table, save_result
+from repro.bench import ipu_spmv_run, print_table, save_result
 from repro.sparse.suitesparse import (
     PAPER_STATS,
     af_shell_like,
@@ -82,38 +82,6 @@ def test_fig7_spmv_platforms(benchmark):
         # Factors in (a generous envelope of) the paper's 13-19x / 55-150x.
         assert 3 < d["gpu_s"] / d["ipu_s"] < 60, name
         assert 15 < d["cpu_s"] / d["ipu_s"] < 400, name
-
-
-def test_fig7_backend_wallclock(bench_backends):
-    """Per-backend host wall-clock of the Fig. 7 SpMV programs.
-
-    Every backend must reproduce the sim result bit for bit on all four
-    sized matrices; the recorded per-backend seconds track how much host
-    time the fast/fused runtimes save on the unstructured workloads
-    (``--backend`` narrows the sweep — see ``conftest.py``).
-    """
-    data = {}
-    for name, gen in SIZED.items():
-        cmp = backend_wallclock(gen(), num_ipus=4, tiles_per_ipu=16,
-                                repeats=4, backends=bench_backends)
-        assert cmp["bit_identical"], name
-        data[name] = {f"{b}_seconds": cmp[f"{b}_seconds"] for b in bench_backends}
-        if "fused" in bench_backends:
-            data[name]["fused_counters"] = cmp["fused_counters"]
-    rows = [
-        [name, *(f"{d[f'{b}_seconds'] * 1e3:.1f}" for b in bench_backends)]
-        for name, d in data.items()
-    ]
-    text = print_table(
-        "Figure 7 matrices: SpMV x4 host wall-clock by runtime backend (ms)",
-        ["Matrix", *bench_backends],
-        rows,
-    )
-    save_result(
-        "fig7_backend_wallclock",
-        text,
-        data={"backends": list(bench_backends), "matrices": data},
-    )
 
 
 def test_fig7_energy_comparable(benchmark):

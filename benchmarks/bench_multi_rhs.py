@@ -5,9 +5,9 @@ The batched Krylov path (docs/solvers.md, "Batched Krylov solves") solves
 This bench sweeps B over the Fig. 5 Poisson family and reports the two
 quantities the batch axis is for:
 
-- **RHS-solves/sec** under the fast and fused runtime backends — one
-  program amortizes per-iteration dispatch over all columns, so
-  throughput grows nearly linearly with B;
+- **RHS-solves/sec** under the fused runtime backend — one program
+  amortizes per-iteration dispatch over all columns, so throughput grows
+  with B;
 - **exchange phases per RHS** — the exchange *count* is independent of B
   (asserted below at a pinned iteration count), so phases/RHS fall as
   1/B while the *payload bytes per RHS* stay flat: batching amortizes
@@ -35,7 +35,7 @@ def _rhs(n, batch):
     return np.random.default_rng(0).standard_normal((batch, n))
 
 
-def _solve_batch(crs, dims, batch, config=CFG, backend="fast"):
+def _solve_batch(crs, dims, batch, config=CFG, backend="fused"):
     bs = _rhs(crs.n, batch)
     b = bs if batch > 1 else bs[0]
     t0 = time.perf_counter()
@@ -46,56 +46,51 @@ def _solve_batch(crs, dims, batch, config=CFG, backend="fast"):
 def test_multi_rhs_throughput():
     crs, dims = poisson3d(GRID)
     rows = []
-    data = {}
-    for backend in ("fast", "fused"):
-        per_backend = []
-        for batch in BATCHES:
-            r, seconds = _solve_batch(crs, dims, batch, backend=backend)
-            plan = r.solver.A.plan
-            iters = r.stats.total_iterations
-            exchanges = r.engine.exchanges
-            # Every exchange phase carries the whole batch; the per-RHS
-            # payload is therefore flat while phases/RHS fall as 1/B.
-            bytes_per_rhs = exchanges * plan.exchanged_bytes(element_bytes=4)
-            point = {
-                "batch": batch,
-                "iterations": iters,
-                "exchanges": exchanges,
-                "exchange_phases_per_rhs": exchanges / batch,
-                "bytes_per_rhs": bytes_per_rhs,
-                "seconds": seconds,
-                "rhs_solves_per_sec": batch / max(seconds, 1e-12),
-                "max_relative_residual": r.relative_residual,
-            }
-            per_backend.append(point)
-            rows.append([
-                backend, batch, iters, exchanges,
-                f"{exchanges / batch:.1f}",
-                bytes_per_rhs,
-                f"{batch / max(seconds, 1e-12):.1f}",
-            ])
-        data[backend] = per_backend
+    points = []
+    for batch in BATCHES:
+        r, seconds = _solve_batch(crs, dims, batch)
+        plan = r.solver.A.plan
+        iters = r.stats.total_iterations
+        exchanges = r.engine.exchanges
+        # Every exchange phase carries the whole batch; the per-RHS
+        # payload is therefore flat while phases/RHS fall as 1/B.
+        bytes_per_rhs = exchanges * plan.exchanged_bytes(element_bytes=4)
+        points.append({
+            "batch": batch,
+            "iterations": iters,
+            "exchanges": exchanges,
+            "exchange_phases_per_rhs": exchanges / batch,
+            "bytes_per_rhs": bytes_per_rhs,
+            "seconds": seconds,
+            "rhs_solves_per_sec": batch / max(seconds, 1e-12),
+            "max_relative_residual": r.relative_residual,
+        })
+        rows.append([
+            batch, iters, exchanges,
+            f"{exchanges / batch:.1f}",
+            bytes_per_rhs,
+            f"{batch / max(seconds, 1e-12):.1f}",
+        ])
 
-        # The whole point of the batch axis: exchange phases per RHS drop
-        # by ~B (count is B-independent), and one batched program turns
-        # more RHS/sec than the single-RHS program.  The throughput bar is
-        # deliberately loose — per-column numpy work still scales with B,
-        # so only the per-iteration dispatch and exchange overhead
-        # amortizes on the host.
-        base = per_backend[0]
-        for point in per_backend[1:]:
-            assert point["exchanges"] <= base["exchanges"] * 2, (
-                "batched exchange count must not scale with B", point)
-            assert point["exchange_phases_per_rhs"] < base["exchanges"] / 2
-            assert point["max_relative_residual"] < CFG["tol"] * 10
-        assert (per_backend[-1]["rhs_solves_per_sec"]
-                > 2 * base["rhs_solves_per_sec"]), per_backend
+    # The whole point of the batch axis: exchange phases per RHS drop
+    # by ~B (count is B-independent), and one batched program turns
+    # more RHS/sec than the single-RHS program.  The throughput bar is
+    # deliberately loose — per-column numpy work still scales with B,
+    # so only the per-iteration dispatch and exchange overhead
+    # amortizes on the host.
+    base = points[0]
+    for point in points[1:]:
+        assert point["exchanges"] <= base["exchanges"] * 2, (
+            "batched exchange count must not scale with B", point)
+        assert point["exchange_phases_per_rhs"] < base["exchanges"] / 2
+        assert point["max_relative_residual"] < CFG["tol"] * 10
+    assert points[-1]["rhs_solves_per_sec"] > 2 * base["rhs_solves_per_sec"], points
 
     text = print_series(
         f"Multi-RHS batched CG throughput (poisson3d:{GRID}, {NUM_IPUS} IPUs, "
-        f"{TILES_PER_IPU} tiles/IPU)",
-        "backend",
-        ["B", "iterations", "exchanges", "exch/RHS", "bytes/RHS", "RHS-solves/s"],
+        f"{TILES_PER_IPU} tiles/IPU, fused backend)",
+        "B",
+        ["iterations", "exchanges", "exch/RHS", "bytes/RHS", "RHS-solves/s"],
         rows,
     )
     # Wall-clock columns are host measurements and churn run to run; the
@@ -103,7 +98,7 @@ def test_multi_rhs_throughput():
     save_result(
         "multi_rhs_throughput",
         text,
-        data={"grid": GRID, **KW, "batches": BATCHES, "backends": data},
+        data={"grid": GRID, **KW, "batches": BATCHES, "backends": {"fused": points}},
     )
 
 
@@ -111,11 +106,11 @@ def test_exchange_count_independent_of_batch():
     """The tentpole acceptance bar, measured rather than assumed: at a
     pinned iteration count (unreachable tol + iteration cap) the batched
     program executes *exactly* the same number of exchange phases as the
-    single-RHS program, for every batch size and under both the step
-    interpreter and the fused kernel backend."""
+    single-RHS program, for every batch size and under both the stepping
+    ``sim`` backend and the fused kernel backend."""
     crs, dims = poisson3d(GRID)
     pinned = {"solver": "cg", "tol": 1e-30, "max_iterations": 12}
-    for backend in ("fast", "fused"):
+    for backend in ("sim", "fused"):
         counts = {}
         for batch in BATCHES:
             r, _ = _solve_batch(crs, dims, batch, config=pinned, backend=backend)
@@ -129,9 +124,9 @@ def test_batched_columns_bit_identical_to_singles():
     B=4 batched solve is bit-for-bit the single-RHS solve of that column."""
     crs, dims = poisson3d(GRID)
     bs = _rhs(crs.n, 4)
-    batched = solve(crs, bs, CFG, grid_dims=dims, backend="fast", **KW)
+    batched = solve(crs, bs, CFG, grid_dims=dims, backend="fused", **KW)
     for j, b in enumerate(bs):
-        single = solve(crs, b, CFG, grid_dims=dims, backend="fast", **KW)
+        single = solve(crs, b, CFG, grid_dims=dims, backend="fused", **KW)
         assert np.array_equal(batched.x[j], single.x)
         assert (batched.batch_stats[j].total_iterations
                 == single.stats.total_iterations)

@@ -49,11 +49,11 @@ def _unloaded_p50(crs, dims, b, runs=5) -> float:
     """Median direct-solve wall time through a warm compile cache — the
     latency an unloaded tenant would see."""
     cache = ProgramCache()
-    solve(crs, b, CONFIG, grid_dims=dims, backend="fast", cache=cache)  # warm
+    solve(crs, b, CONFIG, grid_dims=dims, backend="fused", cache=cache)  # warm
     times = []
     for _ in range(runs):
         t0 = time.perf_counter()
-        solve(crs, b, CONFIG, grid_dims=dims, backend="fast", cache=cache)
+        solve(crs, b, CONFIG, grid_dims=dims, backend="fused", cache=cache)
         times.append(time.perf_counter() - t0)
     return float(np.median(times))
 
@@ -74,10 +74,10 @@ def test_overload_sheds_gracefully_with_bounded_served_latency():
         async with service:
             # Warm the service's cache so the burst measures serving, not
             # the one-time compile (same warm-start as the baseline).
-            await service.solve(crs, b, CONFIG, grid_dims=dims, backend="fast")
+            await service.solve(crs, b, CONFIG, grid_dims=dims, backend="fused")
             specs = [
                 {"matrix": crs, "b": b, "config": CONFIG, "grid_dims": dims,
-                 "backend": "fast", "tenant": f"tenant-{i % 3}"}
+                 "backend": "fused", "tenant": f"tenant-{i % 3}"}
                 for i in range(burst)
             ]
             report = await gen.run(specs)
@@ -144,10 +144,10 @@ def test_served_results_are_bit_identical_including_retry_and_rollback():
     specs = []
     for i in range(4):
         specs.append({"matrix": crs, "b": b, "config": CONFIG,
-                      "grid_dims": dims, "backend": "fast", "tenant": "clean"})
+                      "grid_dims": dims, "backend": "fused", "tenant": "clean"})
     for i in range(3):
         specs.append({"matrix": crs, "b": b, "config": WEAK, "seed": 100 + i,
-                      "grid_dims": dims, "backend": "fast", "tenant": "flaky"})
+                      "grid_dims": dims, "backend": "fused", "tenant": "flaky"})
     for i in range(2):
         specs.append({"matrix": f_crs, "b": f_b, "config": fault_config,
                       "tenant": "faulty", **fault_kw})

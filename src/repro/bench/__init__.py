@@ -1,9 +1,7 @@
 """Benchmark harness utilities shared by the ``benchmarks/`` targets."""
 
 from repro.bench.harness import (
-    backend_wallclock,
     cached_solve_wallclock,
-    solver_backend_wallclock,
     ipu_spmv_run,
     print_series,
     print_table,
@@ -19,7 +17,5 @@ __all__ = [
     "save_trace",
     "ipu_spmv_run",
     "SpMVRun",
-    "backend_wallclock",
-    "solver_backend_wallclock",
     "cached_solve_wallclock",
 ]

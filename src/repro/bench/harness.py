@@ -29,8 +29,6 @@ __all__ = [
     "save_trace",
     "ipu_spmv_run",
     "SpMVRun",
-    "backend_wallclock",
-    "solver_backend_wallclock",
     "cached_solve_wallclock",
 ]
 
@@ -122,13 +120,11 @@ class SpMVRun:
 
 def ipu_spmv_run(crs, grid_dims=None, num_ipus: int = 1, tiles_per_ipu: int = 16,
                  repeats: int = 1, optimize: bool = True,
-                 backend: str = "sim", tracer=None, injector=None) -> SpMVRun:
+                 tracer=None, injector=None) -> SpMVRun:
     """Simulate ``repeats`` SpMVs and return the per-SpMV cycle breakdown.
 
     ``optimize=False`` executes the raw schedule without the graph
     compiler's passes — the no-pass baseline of the compile ablations.
-    ``backend`` selects the runtime backend (``"fast"`` reports zero
-    cycles — use it only when the numerics are the measurement).
     ``tracer`` attaches a :class:`~repro.telemetry.Tracer`; pair with
     :func:`save_trace` to persist the timeline as a bench artifact.
     ``injector`` attaches a :class:`~repro.faults.FaultInjector` (the
@@ -144,7 +140,7 @@ def ipu_spmv_run(crs, grid_dims=None, num_ipus: int = 1, tiles_per_ipu: int = 16
         A.spmv(x, y)
     else:
         ctx.Repeat(repeats, lambda: A.spmv(x, y))
-    engine = ctx.run(optimize=optimize, backend=backend, tracer=tracer, injector=injector)
+    engine = ctx.run(optimize=optimize, tracer=tracer, injector=injector)
     compiled = engine.compiled
     prof = device.profiler
     total = prof.total_cycles // repeats
@@ -162,154 +158,8 @@ def ipu_spmv_run(crs, grid_dims=None, num_ipus: int = 1, tiles_per_ipu: int = 16
     )
 
 
-def backend_wallclock(crs, grid_dims=None, num_ipus: int = 1,
-                      tiles_per_ipu: int = 16, repeats: int = 1,
-                      backends=("sim", "fast", "fused")) -> dict:
-    """Host wall-clock of the same SpMV program under each runtime backend.
-
-    Builds and compiles an identical schedule once per backend (fresh
-    device each time), executes it, and returns the wall-clock seconds of
-    each ``Engine.run()`` as ``<backend>_seconds`` keys, together with
-    speedups over the first backend (``speedup`` = first/"fast",
-    ``speedup_<b>`` = first/b for the rest), a bit-identity check of every
-    result against the first backend's, and — for kernel-dispatch
-    backends — the :class:`~repro.graph.GlobalCounters` delta under
-    ``<backend>_counters``.  Wall-clock numbers are host measurements and
-    therefore *not* deterministic — benches that record them should keep
-    them out of the cycle-count artifacts.
-    """
-    from repro.graph import Engine, GlobalCounters
-
-    seconds: dict = {}
-    outputs: dict = {}
-    counters: dict = {}
-    sim_cycles = 0
-    for backend in backends:
-        device = IPUDevice(num_ipus=num_ipus, tiles_per_ipu=tiles_per_ipu)
-        ctx = TensorContext(device)
-        A = DistributedMatrix(ctx, crs, grid_dims=grid_dims)
-        rng = np.random.default_rng(0)
-        x = A.vector(data=rng.standard_normal(crs.n))
-        y = A.vector()
-        if repeats == 1:
-            A.spmv(x, y)
-        else:
-            ctx.Repeat(repeats, lambda: A.spmv(x, y))
-        engine = Engine(ctx.compile(), backend=backend)
-        with GlobalCounters.track() as delta:
-            t0 = time.perf_counter()
-            engine.run()
-            seconds[backend] = time.perf_counter() - t0
-        outputs[backend] = y.read_global()
-        if getattr(engine.backend, "uses_kernels", False):
-            counters[backend] = delta
-        if backend == "sim":
-            sim_cycles = device.profiler.total_cycles
-    ref = backends[0]
-    result = {
-        "num_ipus": num_ipus,
-        "tiles_per_ipu": tiles_per_ipu,
-        "repeats": repeats,
-        "backends": list(backends),
-        "bit_identical": bool(all(
-            np.array_equal(outputs[ref], outputs[b]) for b in backends
-        )),
-        "sim_cycles": sim_cycles,
-    }
-    for b in backends:
-        result[f"{b}_seconds"] = seconds[b]
-        if b != ref:
-            result[f"speedup_{b}"] = seconds[ref] / max(seconds[b], 1e-12)
-    if "fast" in seconds and ref != "fast":
-        result["speedup"] = seconds[ref] / max(seconds["fast"], 1e-12)
-    for b, kc in counters.items():
-        result[f"{b}_counters"] = kc
-    return result
-
-
-def solver_backend_wallclock(crs, config, b, grid_dims=None, num_ipus: int = 1,
-                             tiles_per_ipu: int = 16,
-                             backends=("sim", "fast", "fused"),
-                             wall_profiles: bool = False,
-                             profile_top: int = 8) -> dict:
-    """Engine-run host wall-clock of one full solve under each backend.
-
-    Unlike :func:`backend_wallclock` (a single SpMV program, numpy-bound
-    under every backend) this times a complete solver — where the per-tile
-    dispatch overhead of the step interpreters dominates and the fused
-    backend's whole-device kernels pay off.  Each backend gets a fresh
-    build and compile; only ``Engine.run()`` is timed.  Returns
-    ``<backend>_seconds``, ``speedup_<b>`` over the first backend,
-    ``fused_over_fast`` when both are present, a bit-identity check of the
-    solutions against the first backend's, iteration counts, and the
-    :class:`~repro.graph.GlobalCounters` delta for kernel-dispatch
-    backends.
-
-    ``wall_profiles=True`` additionally attaches a
-    :class:`~repro.telemetry.WallTracer` to every backend run and records
-    its hottest-``profile_top`` per-kernel wall profile under
-    ``<backend>_wall_profile`` (measured host ns, GB/s, GFLOP/s) — the
-    per-kernel breakdown behind the aggregate ``<backend>_seconds``.  Wall
-    tracing is observational, so the bit-identity check still holds.
-    """
-    from repro.graph import Engine, GlobalCounters
-    from repro.solvers.api import _build_program
-    from repro.telemetry import WallTracer
-
-    seconds: dict = {}
-    outputs: dict = {}
-    counters: dict = {}
-    profiles: dict = {}
-    iters: dict = {}
-    sim_cycles = 0
-    for backend in backends:
-        ctx, solver, xvec, _, device = _build_program(
-            crs, b, config, num_ipus=num_ipus, tiles_per_ipu=tiles_per_ipu,
-            grid_dims=grid_dims)
-        wtracer = WallTracer() if wall_profiles else None
-        engine = Engine(ctx.compile(), backend=backend, wall_tracer=wtracer)
-        with GlobalCounters.track() as delta:
-            t0 = time.perf_counter()
-            engine.run()
-            seconds[backend] = time.perf_counter() - t0
-        if getattr(solver, "x_ext", None) is not None:
-            outputs[backend] = solver.x_ext.read_global()
-        else:
-            outputs[backend] = xvec.read_global()
-        iters[backend] = solver.stats.total_iterations
-        if getattr(engine.backend, "uses_kernels", False):
-            counters[backend] = delta
-        if wtracer is not None:
-            profiles[backend] = wtracer.profile(top=profile_top)
-        if backend == "sim":
-            sim_cycles = device.profiler.total_cycles
-    ref = backends[0]
-    result = {
-        "num_ipus": num_ipus,
-        "tiles_per_ipu": tiles_per_ipu,
-        "backends": list(backends),
-        "iterations": iters,
-        "bit_identical": bool(all(
-            np.array_equal(outputs[ref], outputs[b]) for b in backends
-        )),
-        "sim_cycles": sim_cycles,
-    }
-    for b in backends:
-        result[f"{b}_seconds"] = seconds[b]
-        if b != ref:
-            result[f"speedup_{b}"] = seconds[ref] / max(seconds[b], 1e-12)
-    if "fast" in seconds and "fused" in seconds:
-        result["fused_over_fast"] = seconds["fast"] / max(seconds["fused"], 1e-12)
-    for b, kc in counters.items():
-        result[f"{b}_counters"] = kc
-    for b, prof in profiles.items():
-        result[f"{b}_wall_profile"] = prof
-    return result
-
-
 def cached_solve_wallclock(crs, config, bs, grid_dims=None, num_ipus: int = 1,
-                           tiles_per_ipu: int = 16, backend: str = "sim",
-                           **solve_kwargs) -> dict:
+                           tiles_per_ipu: int = 16, **solve_kwargs) -> dict:
     """Host wall-clock of one solve per rhs in ``bs``, cached vs. uncached.
 
     Runs the whole batch twice: once through a shared
@@ -325,7 +175,7 @@ def cached_solve_wallclock(crs, config, bs, grid_dims=None, num_ipus: int = 1,
 
     session = SolverSession(crs, config, num_ipus=num_ipus,
                             tiles_per_ipu=tiles_per_ipu, grid_dims=grid_dims,
-                            backend=backend, **solve_kwargs)
+                            **solve_kwargs)
     cached_times, cached_results = [], []
     for b in bs:
         t0 = time.perf_counter()
@@ -337,7 +187,7 @@ def cached_solve_wallclock(crs, config, bs, grid_dims=None, num_ipus: int = 1,
         t0 = time.perf_counter()
         cold_results.append(
             solve(crs, b, config, num_ipus=num_ipus, tiles_per_ipu=tiles_per_ipu,
-                  grid_dims=grid_dims, backend=backend, **solve_kwargs)
+                  grid_dims=grid_dims, **solve_kwargs)
         )
         cold_times.append(time.perf_counter() - t0)
 

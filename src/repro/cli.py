@@ -45,7 +45,8 @@ Examples::
 Framework errors map to distinct exit codes (see ``repro.errors``):
 10 generic, 11 SRAM overflow, 12 solver breakdown, 13 divergence,
 14 bad fault spec, 15 backend capability, 16 service overloaded,
-17 job deadline exceeded, 18 tenant quota exceeded, 19 malformed matrix.
+17 job deadline exceeded, 18 tenant quota exceeded, 19 malformed matrix,
+20 malformed solver config.
 """
 
 from __future__ import annotations
@@ -104,13 +105,6 @@ def _cmd_solve(args) -> int:
         b = np.load(args.rhs)
     else:
         b = np.random.default_rng(args.seed).standard_normal(matrix.n)
-
-    if args.trace and args.backend != "sim":
-        raise SystemExit("--trace records the modeled cycle timeline and "
-                         "requires the cycle-accurate sim backend; use "
-                         "--wall-trace for measured host timing on any backend")
-    if args.inject_faults and args.backend != "sim":
-        raise SystemExit("--inject-faults requires the cycle-accurate sim backend")
 
     on_progress = None
     if args.progress is not None:
@@ -655,10 +649,9 @@ def main(argv=None) -> int:
     p_solve.add_argument("--ipus", type=int, default=1)
     p_solve.add_argument("--tiles", type=int, default=16, help="tiles per IPU")
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--backend", choices=["sim", "fast", "fused"], default="sim",
-                         help="runtime backend: cycle-accurate sim (default), "
-                              "numerics-only fast, or kernel-dispatch fused "
-                              "(docs/runtime.md)")
+    p_solve.add_argument("--backend", choices=["sim", "fused"], default="sim",
+                         help="runtime backend: cycle-accurate sim (default) or "
+                              "numerics-only kernel-dispatch fused (docs/runtime.md)")
     p_solve.add_argument("--profile", action="store_true", help="print the cycle breakdown")
     p_solve.add_argument("--trace",
                          help="write a Chrome trace_event JSON (Perfetto-loadable) of "
@@ -712,7 +705,7 @@ def main(argv=None) -> int:
     p_batch.add_argument("--ipus", type=int, default=1)
     p_batch.add_argument("--tiles", type=int, default=16, help="tiles per IPU")
     p_batch.add_argument("--seed", type=int, default=0)
-    p_batch.add_argument("--backend", choices=["sim", "fast", "fused"], default="sim")
+    p_batch.add_argument("--backend", choices=["sim", "fused"], default="sim")
     p_batch.add_argument("--no-batch-axis", action="store_true",
                          help="solve the right-hand sides one at a time through "
                               "the compile-cache session instead of one batched "
@@ -778,10 +771,10 @@ def main(argv=None) -> int:
     p_serve.add_argument("--tiles", type=int, default=16, help="tiles per IPU")
     p_serve.add_argument("--seed", type=int, default=0,
                          help="seeds the right-hand sides and per-job retry schedules")
-    p_serve.add_argument("--backend", choices=["sim", "fast", "fused"], default="fused",
+    p_serve.add_argument("--backend", choices=["sim", "fused"], default="fused",
                          help="backend for regular tenants (fault tenant always "
                               "uses sim); default fused, the fastest on the host "
-                              "and bit-identical to the other two")
+                              "and bit-identical to sim")
     p_serve.add_argument("--workers", type=int, default=2,
                          help="worker threads executing solves")
     p_serve.add_argument("--queue-depth", type=int, default=8,

@@ -21,6 +21,7 @@ __all__ = [
     "JobTimeoutError",
     "QuotaExceededError",
     "MatrixFormatError",
+    "SolverConfigError",
 ]
 
 
@@ -117,10 +118,10 @@ class FaultSpecError(ReproError, ValueError):
 class BackendCapabilityError(ReproError, ValueError):
     """A runtime backend was asked for a capability it cannot provide.
 
-    The untimed backends (``fast``, ``fused``) have no cycle clock, so
-    attaching a tracer or a fault injector — both defined on the simulated
-    superstep timeline — is a caller error, reported uniformly through this
-    class (``docs/runtime.md``).
+    The untimed ``fused`` backend has no cycle clock, so attaching a tracer
+    or a fault injector — both defined on the simulated superstep timeline —
+    is a caller error; so is naming a backend that does not exist.  Both are
+    raised before anything is built (``docs/runtime.md``).
     """
 
     exit_code = 15
@@ -223,3 +224,11 @@ class MatrixFormatError(ReproError, ValueError):
     """
 
     exit_code = 19
+
+
+class SolverConfigError(ReproError, ValueError):
+    """A solver config (:mod:`repro.solvers.config`) cannot be read: JSON
+    that does not parse, a tree node without a ``solver`` key, or a solver
+    name that is not registered."""
+
+    exit_code = 20

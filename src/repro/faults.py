@@ -6,7 +6,7 @@ memory exhaustion.  This module models those failure classes against the
 simulated IPU *deterministically*: a :class:`FaultPlan` couples a seed with
 a declarative list of fault clauses, and a :class:`FaultInjector` replays
 the plan at the superstep boundaries of the frozen execution plans —
-the same hook seam the telemetry tracer uses (``Backend.set_fault_injector``).
+the same hook seam the telemetry tracer uses (``Backend.attach``).
 
 Determinism guarantees (``docs/resilience.md``):
 
@@ -318,7 +318,7 @@ class InjectionRecord:
 class FaultInjector:
     """Replays a :class:`FaultPlan` against a running backend.
 
-    Attached via ``Backend.set_fault_injector`` (sim backend only);
+    Attached via ``Backend.attach`` (sim backend only);
     :meth:`compute_superstep` / :meth:`exchange_superstep` are called once
     per BSP phase with that phase's frozen plan.  ``disabled`` names fault
     kinds to skip — the resilience layer disables ``tile_oom`` after a

@@ -12,7 +12,7 @@ package provides those artifacts; the DSLs of :mod:`repro.codedsl` and
 - :mod:`repro.graph.engine` — control-flow interpreter over a compiled
   program, delegating compute/exchange to a runtime backend,
 - :mod:`repro.graph.runtime` — pluggable backends: cycle-accurate ``sim``
-  and numerics-only ``fast`` (docs/runtime.md),
+  and kernel-dispatch ``fused`` (docs/runtime.md),
 - :mod:`repro.graph.compiler` — graph statistics (the compile-time proxy
   used by the ablation benches),
 - :mod:`repro.graph.passes` — the pass-based graph compiler: optimization
@@ -46,7 +46,6 @@ from repro.graph.passes import (
 )
 from repro.graph.runtime import (
     Backend,
-    FastBackend,
     FusedBackend,
     GlobalCounters,
     SimBackend,
@@ -83,7 +82,6 @@ __all__ = [
     "default_passes",
     "Backend",
     "SimBackend",
-    "FastBackend",
     "FusedBackend",
     "GlobalCounters",
     "register_backend",

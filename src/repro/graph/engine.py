@@ -7,8 +7,8 @@ compute and exchange phases are delegated to a pluggable runtime backend
 (:mod:`repro.graph.runtime`).  With the default ``backend="sim"`` execution
 is deterministic: the same program on the same inputs always produces the
 same results *and the same cycle counts*, mirroring the measurement
-methodology of Sec. VI-A.  ``backend="fast"`` produces bit-identical
-results without any cycle accounting.
+methodology of Sec. VI-A.  ``backend="fused"`` produces bit-identical
+results from whole-device kernels, without any cycle accounting.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ class Engine:
     by ``engine.run()`` — the engine only ever sees schedules the pass
     pipeline has lowered into plans, like ``poplar::Engine`` only ever loads
     compiled executables.  ``backend`` selects the runtime: ``"sim"``
-    (cycle-accurate, the default), ``"fast"`` (numerics only), or any
-    :class:`~repro.graph.runtime.Backend` instance/class.
+    (cycle-accurate, the default), ``"fused"`` (whole-device kernels,
+    numerics only), or any :class:`~repro.graph.runtime.Backend`
+    instance/class.
     """
 
     def __init__(self, program: CompiledProgram, backend="sim", tracer=None,
@@ -58,20 +59,12 @@ class Engine:
         self.profiler = self.device.profiler
         self.backend = resolve_backend(backend)
         self.backend.bind(program, self.device)
+        self.backend.attach(tracer=tracer, injector=injector, wall_tracer=wall_tracer)
         self.tracer = tracer
-        if tracer is not None:
-            self.backend.set_tracer(tracer)
-        self.injector = injector
-        if injector is not None:
-            self.backend.set_fault_injector(injector)
         self.wall_tracer = wall_tracer
-        if wall_tracer is not None:
-            self.backend.set_wall_tracer(wall_tracer)
         # Kernel-dispatch backends route whole blocks through the compiled
         # kernel schedule instead of stepping compute sets one at a time.
-        self._kernel_schedule = (
-            program.kernels if getattr(self.backend, "uses_kernels", False) else None
-        )
+        self._kernel_schedule = program.kernels if self.backend.uses_kernels else None
         # Execution statistics (compile-proxy counters live in compiler.py).
         self.supersteps = 0
         self.exchanges = 0
@@ -113,12 +106,17 @@ class Engine:
 
     def run(self) -> None:
         """Execute the compiled program's root step."""
-        self._run_step(self.compiled.root)
+        root = self.compiled.root
+        if self._kernel_schedule is not None and isinstance(root, (Execute, Exchange)):
+            # A bare-step root has no enclosing block; under a kernel
+            # backend it runs as the one-kernel item list lowered for it.
+            self._run_block(root)
+        else:
+            self._run_step(root)
         if self.tracer is not None:
             self.tracer.finalize()
-        wt = getattr(self.backend, "wall_tracer", None)
-        if wt is not None:
-            wt.finalize()
+        if self.wall_tracer is not None:
+            self.wall_tracer.finalize()
 
     def _run_kernel_items(self, step: Step) -> bool:
         """Replay a block's fused-kernel item list, if one applies.

@@ -34,7 +34,7 @@ Exchanges replay the plan's flat copy ops: one gather/scatter per
 whole-device buffer pair (:mod:`repro.graph.passes.plans`).
 
 The schedule is stored on the :class:`CompiledProgram` alongside the
-per-step plans; ``sim`` and ``fast`` never look at it.
+per-step plans; ``sim`` never looks at it.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ re-deriving structure on the hot path.
   ordered per-copy execution so results stay bit-identical.  A hazard-free
   plan also carries the exchange in *flat* form — one gather/scatter per
   (source buffer, destination buffer) pair over the variables' whole-device
-  ``flat_data`` buffers — which is what the untimed backends replay.
+  ``flat_data`` buffers — which is what the fused kernels replay.
 
 Plans hold direct references to shard arrays; the graph allocates shard
 storage exactly once, so the references stay valid across host reads and
@@ -147,8 +147,8 @@ class ExchangePlan:
     local_cycles: int  # max over tiles of summed on-tile memcpy cost
     vectorized: bool  # False -> hazard detected, ops follow copy order
     #: The same copies as CopyOps over ``Variable.flat_data`` / ``flat_lo``,
-    #: one per (src buffer, dst buffer) pair — what the untimed backends and
-    #: fused kernels replay.  A hazard plan has no flat form: ``flat is ops``.
+    #: one per (src buffer, dst buffer) pair — what the fused kernels
+    #: replay.  A hazard plan has no flat form: ``flat is ops``.
     flat: tuple | None = None
 
     def __post_init__(self):

@@ -4,8 +4,6 @@
   backend registry, and :func:`resolve_backend`,
 - :mod:`repro.graph.runtime.sim` — cycle-accurate, bit-identical
   simulation (the default),
-- :mod:`repro.graph.runtime.fast` — numerics-only execution for
-  large-matrix runs where cycle counts are not needed,
 - :mod:`repro.graph.runtime.fused` — numerics-only execution through
   fused whole-device kernels (the fastest host path),
 - :mod:`repro.graph.runtime.counters` — tinygrad-style global
@@ -19,11 +17,11 @@ from repro.graph.runtime.base import (
     BACKENDS,
     Backend,
     CONTROL_CYCLES,
+    check_observers,
     register_backend,
     resolve_backend,
 )
 from repro.graph.runtime.counters import GlobalCounters
-from repro.graph.runtime.fast import FastBackend
 from repro.graph.runtime.fused import FusedBackend
 from repro.graph.runtime.sim import SimBackend
 
@@ -32,9 +30,9 @@ __all__ = [
     "BACKENDS",
     "register_backend",
     "resolve_backend",
+    "check_observers",
     "CONTROL_CYCLES",
     "SimBackend",
-    "FastBackend",
     "FusedBackend",
     "GlobalCounters",
 ]

@@ -4,7 +4,7 @@ The engine (:mod:`repro.graph.engine`) is a thin control-flow interpreter;
 everything that actually *runs* — compute phases, exchange phases, control
 overhead accounting, profiler scopes — is delegated to a backend bound to
 the compiled program.  Two implementations ship with the framework
-(:mod:`repro.graph.runtime.sim`, :mod:`repro.graph.runtime.fast`); see
+(:mod:`repro.graph.runtime.sim`, :mod:`repro.graph.runtime.fused`); see
 ``docs/runtime.md`` for when to use which and what each guarantees.
 """
 
@@ -13,7 +13,16 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from contextlib import nullcontext
 
-__all__ = ["Backend", "BACKENDS", "register_backend", "resolve_backend", "CONTROL_CYCLES"]
+from repro.errors import BackendCapabilityError
+
+__all__ = [
+    "Backend",
+    "BACKENDS",
+    "register_backend",
+    "resolve_backend",
+    "check_observers",
+    "CONTROL_CYCLES",
+]
 
 #: Control-flow overhead charged per loop-iteration / branch decision
 #: (the IPU evaluates branch predicates with single-cycle latency, but the
@@ -40,10 +49,39 @@ def resolve_backend(spec) -> "Backend":
         try:
             return BACKENDS[spec]()
         except KeyError:
-            raise ValueError(
-                f"unknown backend {spec!r} (available: {sorted(BACKENDS)})"
+            raise BackendCapabilityError(
+                f"unknown backend {spec!r} (available: {sorted(BACKENDS)})",
+                backend=spec,
             ) from None
     raise TypeError(f"backend must be a name, Backend class, or instance, not {spec!r}")
+
+
+def check_observers(spec, tracer=None, injector=None) -> None:
+    """Reject an unknown backend, or cycle-domain observers on one without
+    a cycle clock: the trace would be a flat line of zero timestamps, the
+    fault plan would replay at the wrong times.  :meth:`Backend.attach`
+    calls this; ``solve()`` / ``submit()`` call it before anything is built.
+    """
+    backend = resolve_backend(spec)
+    if backend.has_cycle_clock:
+        return
+    if tracer is not None:
+        raise BackendCapabilityError(
+            f"the {backend.name!r} backend has no cycle clock, so it cannot "
+            "record a cycle-domain trace; use --backend sim for cycle "
+            "traces, or --wall-trace for measured host timing on this "
+            "backend (docs/observability.md)",
+            backend=backend.name,
+            capability="tracer",
+        )
+    if injector is not None:
+        raise BackendCapabilityError(
+            f"the {backend.name!r} backend has no superstep cost model, so "
+            "fault timing would be meaningless; use --backend sim for "
+            "fault injection (docs/resilience.md)",
+            backend=backend.name,
+            capability="fault_injector",
+        )
 
 
 class Backend(ABC):
@@ -63,80 +101,40 @@ class Backend(ABC):
     #: :meth:`run_kernel` instead of stepping compute sets one by one.
     uses_kernels = False
 
-    #: Telemetry hook (:mod:`repro.telemetry`).  ``None`` means disabled —
-    #: backends guard every emission behind one ``is None`` check, so a run
-    #: without a tracer executes exactly the pre-telemetry code path.
+    #: True for backends that price supersteps in modeled IPU cycles — the
+    #: clock a tracer and a fault injector need (:func:`check_observers`).
+    has_cycle_clock = False
+
+    #: Observers, set together by :meth:`attach`.  ``None`` means disabled:
+    #: every emission sits behind one ``is None`` check, so an unobserved
+    #: run executes exactly the observer-free code path.  Tracer and
+    #: injector live on the cycle clock; the wall tracer measures the host
+    #: clock, which every backend has.
     tracer = None
-
-    #: Fault-injection hook (:mod:`repro.faults`), same seam and same
-    #: zero-overhead-off contract as the tracer: ``None`` means the backend
-    #: executes the exact fault-free code path.
     injector = None
-
-    #: Wall-clock profiling hook (:class:`~repro.telemetry.WallTracer`).
-    #: Unlike the cycle-domain tracer, *every* backend accepts one — the
-    #: host clock exists everywhere — and the same ``is None`` contract
-    #: keeps an unprofiled run on the exact pre-telemetry code path.
     wall_tracer = None
 
     def bind(self, compiled, device) -> None:
-        self.compiled = compiled
         self.plans = compiled.plans
         self.device = device
-        # Per-step (name, est_bytes, est_flops) cache for wall-span tagging.
-        self._wall_costs: dict = {}
 
-    def set_tracer(self, tracer) -> None:
-        """Attach a :class:`~repro.telemetry.Tracer` (after :meth:`bind`).
-
-        Backends that cannot produce a meaningful timeline override this to
-        reject the tracer instead of recording an empty trace.
-        """
+    def attach(self, tracer=None, injector=None, wall_tracer=None) -> None:
+        """Attach this run's observers (after :meth:`bind`) — the one
+        observer seam.  The engine calls it once with everything the run is
+        observed by, so the injector is pointed at the tracer right here."""
+        check_observers(self, tracer=tracer, injector=injector)
         self.tracer = tracer
+        self.injector = injector
+        self.wall_tracer = wall_tracer
         if tracer is not None:
             tracer.bind(self.device)
-        if self.injector is not None:
-            self.injector.tracer = tracer
-
-    def set_fault_injector(self, injector) -> None:
-        """Attach a :class:`~repro.faults.FaultInjector` (after :meth:`bind`).
-
-        Backends without a superstep cost model override this to reject the
-        injector (fault timing would be meaningless without cycles).
-        """
-        self.injector = injector
         if injector is not None:
-            injector.bind(self.device, tracer=self.tracer)
-
-    def set_wall_tracer(self, wall_tracer) -> None:
-        """Attach a :class:`~repro.telemetry.WallTracer` (after :meth:`bind`).
-
-        Never rejected: wall time is measured on the host clock, which every
-        backend has — contrast :meth:`set_tracer`, which untimed backends
-        refuse because it needs the modeled cycle clock.
-        """
-        self.wall_tracer = wall_tracer
+            injector.bind(self.device, tracer=tracer)
         if wall_tracer is not None:
             wall_tracer.bind(self.device)
 
     def plan_for(self, step):
         return self.plans.plan_for(step)
-
-    def _wall_cost(self, step, kind: str) -> tuple:
-        """``(name, est_bytes, est_flops)`` of one step, cached by identity."""
-        cached = self._wall_costs.get(id(step))
-        if cached is None:
-            from repro.graph.passes.costs import estimate_compute_set, estimate_exchange
-
-            if kind == "compute":
-                cs = step.compute_set
-                est_bytes, est_flops = estimate_compute_set(cs)
-                cached = (cs.name, est_bytes, est_flops)
-            else:
-                plan = self.plan_for(step)
-                cached = (plan.name, estimate_exchange(plan), 0)
-            self._wall_costs[id(step)] = cached
-        return cached
 
     @abstractmethod
     def run_compute_set(self, step) -> None:
@@ -150,8 +148,11 @@ class Backend(ABC):
         """Account one loop-iteration / branch decision (no-op by default)."""
 
     def scope(self, label: str):
-        """Context manager for a labeled program scope (no-op by default)."""
-        return nullcontext()
+        """Context manager for a labeled program scope: a wall span when a
+        wall tracer is attached, else a no-op."""
+        if self.wall_tracer is None:
+            return nullcontext()
+        return self.wall_tracer.scope(label)
 
     def __repr__(self):
         return f"{type(self).__name__}()"

@@ -1,17 +1,17 @@
-"""Process-wide kernel/dispatch counters for the untimed runtime backends.
+"""Process-wide kernel/dispatch counters for the kernel-dispatch backend.
 
 Modeled on tinygrad's ``GlobalCounters``: a handful of class-level integers
 that hot paths bump with plain attribute adds — no locks, no objects, zero
 overhead when nobody reads them.  The counters let telemetry (and tests)
-*prove* that kernel lowering happened: a CG iteration that interprets ~20
-steps under ``fast`` shows up as a single fused-kernel launch under
-``fused``.
+*prove* that kernel lowering happened: a CG iteration that ``sim`` prices
+as ~20 steps shows up as a single fused-kernel launch under ``fused``.
 
 Semantics:
 
 - ``kernels`` — fused-kernel launches (one per :class:`FusedKernel` run),
-- ``dispatches`` — host-side dispatch calls actually made: one per kernel
-  launch plus one per step executed outside a kernel,
+- ``dispatches`` — host-side dispatch calls actually made.  No step runs
+  outside a kernel any more, so this equals ``kernels`` by construction;
+  the key stays because ``perfbench`` reads it (``passes.dispatches``),
 - ``fused_compute_sets`` / ``fused_exchanges`` — Execute / Exchange steps
   whose work ran *inside* a kernel (what the launches replaced),
 - ``fallback_vertices`` — per-vertex ``run()`` calls inside kernels for
@@ -46,11 +46,6 @@ class GlobalCounters:
         "fused_exchanges",
         "fallback_vertices",
     )
-
-    @classmethod
-    def reset(cls) -> None:
-        for f in cls._FIELDS:
-            setattr(cls, f, 0)
 
     @classmethod
     def snapshot(cls) -> dict:

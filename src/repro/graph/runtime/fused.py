@@ -3,19 +3,16 @@
 Executes the :class:`~repro.graph.passes.kernels.KernelSchedule` built at
 compile time: each :class:`~repro.graph.passes.kernels.FusedKernel` is one
 host-side dispatch that runs a whole run of compute/exchange steps as
-vectorized numpy over the flat per-device buffers — the dozens of per-step
-dispatches the ``fast`` backend makes per solver iteration collapse into a
-handful of kernel launches, which is where the host wall-clock goes.
+vectorized numpy over the flat per-device buffers.
 
-Results are bit-identical to ``sim`` and ``fast``: the vectorized paths
-replay the exact same floating-point operations (see
-:mod:`repro.graph.passes.kernels`), and any codelet the lowerer could not
-vectorize runs unchanged inside the kernel.  Steps outside any kernel
-(uncovered blocks) fall back to the inherited ``fast`` per-step dispatch.
+Results are bit-identical to ``sim``: the vectorized paths replay the exact
+same floating-point operations (see :mod:`repro.graph.passes.kernels`), and
+any codelet the lowerer could not vectorize runs unchanged inside the
+kernel.  There is no interpreter underneath — the engine enters every
+block, a bare-step root included, through the schedule's lowered items.
 
-Like ``fast``, the backend is untimed: cycle tracers and fault injectors
-are rejected with :class:`~repro.errors.BackendCapabilityError` (the guard
-is inherited from :class:`~repro.graph.runtime.fast.FastBackend`), but a
+The backend is untimed: cycle tracers and fault injectors are rejected
+(:func:`~repro.graph.runtime.base.check_observers`), but a
 :class:`~repro.telemetry.WallTracer` is accepted — each launch then gets a
 measured ``perf_counter_ns`` span tagged with the kernel's fused step
 counts and byte/FLOP estimates.  Every launch is also tallied in
@@ -25,15 +22,14 @@ tests can prove fusion happened.
 
 from __future__ import annotations
 
-from repro.graph.runtime.base import register_backend
+from repro.graph.runtime.base import Backend, register_backend
 from repro.graph.runtime.counters import GlobalCounters
-from repro.graph.runtime.fast import FastBackend
 
 __all__ = ["FusedBackend"]
 
 
 @register_backend
-class FusedBackend(FastBackend):
+class FusedBackend(Backend):
     """Kernel-dispatch backend: bit-identical results, fused execution."""
 
     name = "fused"
@@ -57,9 +53,9 @@ class FusedBackend(FastBackend):
         wt.kernel(kernel, start)
 
     def run_compute_set(self, step) -> None:
-        GlobalCounters.dispatches += 1
-        super().run_compute_set(step)
+        raise RuntimeError(
+            f"lowering bug: the {self.name!r} backend was handed the bare step "
+            f"{step!r}; every Execute/Exchange must reach it inside a FusedKernel"
+        )
 
-    def run_exchange(self, step) -> None:
-        GlobalCounters.dispatches += 1
-        super().run_exchange(step)
+    run_exchange = run_compute_set

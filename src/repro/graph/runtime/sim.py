@@ -10,7 +10,7 @@ vectorized copy ops — comes precomputed from the execution plans, so the
 hot path does no per-step re-derivation.
 
 This is also the backend that feeds the telemetry layer: with a tracer
-attached (:meth:`Backend.set_tracer`) every superstep emits a structured
+attached (:meth:`Backend.attach`) every superstep emits a structured
 event *after* its cycles are recorded, so tracing observes the run without
 perturbing it — traced and untraced executions are bit-identical in both
 tensors and cycle counts (``docs/observability.md``).
@@ -31,11 +31,29 @@ class SimBackend(Backend):
 
     name = "sim"
 
+    has_cycle_clock = True
+
     def bind(self, compiled, device) -> None:
         super().bind(compiled, device)
         self.profiler = device.profiler
         self.model = device.model
         self.fabric = device.fabric
+        # Per-step (name, est_bytes, est_flops) cache for wall-span tagging.
+        self._wall_costs: dict = {}
+
+    def _wall_cost(self, step, kind: str) -> tuple:
+        """``(name, est_bytes, est_flops)`` of one step, cached by identity."""
+        cached = self._wall_costs.get(id(step))
+        if cached is None:
+            from repro.graph.passes.costs import estimate_compute_set, estimate_exchange
+
+            plan = self.plan_for(step)  # a compute plan carries its set's name
+            if kind == "compute":
+                cached = (plan.name, *estimate_compute_set(step.compute_set))
+            else:
+                cached = (plan.name, estimate_exchange(plan), 0)
+            self._wall_costs[id(step)] = cached
+        return cached
 
     def run_compute_set(self, step) -> None:
         wt = self.wall_tracer

@@ -71,6 +71,7 @@ from repro.errors import (
     ServiceOverloadError,
     SolverBreakdownError,
 )
+from repro.graph.runtime import check_observers
 from repro.serve.batching import (
     BatchAssembler,
     batchable_solve_kwargs,
@@ -78,6 +79,7 @@ from repro.serve.batching import (
 )
 from repro.serve.policy import CircuitBreaker, ServicePolicy, TokenBucket
 from repro.serve.queue import FairQueue, Job, JobResult
+from repro.solvers.config import load_config
 from repro.solvers.session import ProgramCache, batch_bucket, fingerprint_solve
 
 __all__ = ["SolverService"]
@@ -215,7 +217,9 @@ class SolverService:
 
         Raises the typed admission errors **synchronously**:
         :class:`~repro.errors.ReproError` (malformed ``b``/``x0``/
-        ``deadline`` — caught here instead of deep in a worker),
+        ``deadline``/``config``, an unknown ``backend`` or one that cannot
+        host ``trace``/``inject_faults`` — caught here instead of deep in a
+        worker),
         :class:`~repro.errors.ServiceOverloadError` (queue full, draining,
         or circuit open) and :class:`~repro.errors.QuotaExceededError`
         (tenant out of tokens).  ``deadline`` is wall-clock seconds from
@@ -232,6 +236,10 @@ class SolverService:
                                        reason="shutting_down")
         try:
             self._validate_arrays(matrix, b, x0)
+            load_config(config)
+            check_observers(solve_kwargs.get("backend", "sim"),
+                            tracer=solve_kwargs.get("trace") or None,
+                            injector=inject_faults)
             if deadline is None:
                 deadline = self.policy.default_deadline
             if deadline is not None and deadline <= 0:

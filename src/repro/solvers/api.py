@@ -26,6 +26,7 @@ from repro.errors import (
     SRAMOverflowError,
 )
 from repro.graph import CompiledProgram, Engine, GlobalCounters
+from repro.graph.runtime import check_observers
 from repro.machine import IPUDevice
 from repro.solvers.base import SolveProgress, SolveStats
 from repro.solvers.config import build_solver
@@ -235,10 +236,11 @@ def solve(
     :mod:`repro.solvers.config`).  ``grid_dims`` enables the structured
     partitioner for stencil matrices.  ``optimize=False`` skips the graph
     compiler's optimization passes (the no-pass ablation baseline).
-    ``backend="fast"`` executes numerics only (bit-identical solution,
-    zero reported cycles); ``backend="fused"`` additionally dispatches the
-    compiled program's fused whole-device kernels and populates
-    ``SolveResult.kernel_counters`` — see ``docs/runtime.md``.
+    ``backend="fused"`` executes numerics only (bit-identical solution,
+    zero reported cycles) by dispatching the compiled program's fused
+    whole-device kernels, and populates ``SolveResult.kernel_counters`` —
+    see ``docs/runtime.md``.  An unknown backend, or ``trace`` /
+    ``inject_faults`` on ``fused``, raises before anything is built.
 
     ``trace`` enables telemetry (``docs/observability.md``; requires the
     sim backend): ``True`` collects events into ``SolveResult.telemetry``,
@@ -379,6 +381,7 @@ def solve(
             )
 
     plan = FaultPlan.parse(inject_faults) if inject_faults is not None else None
+    check_observers(backend, tracer=tracer, injector=plan)
     rconfig = ResilienceConfig.parse(resilience)
     b64 = np.asarray(b, dtype=np.float64)
     if b64.ndim not in (1, 2):
@@ -735,7 +738,7 @@ def solve(
         telemetry=tracer,
         resilience=report,
         kernel_counters=(
-            kernel_track if getattr(engine.backend, "uses_kernels", False) else None
+            kernel_track if engine.backend.uses_kernels else None
         ),
         wall_seconds=wall_seconds,
         wall_profile=wtracer.profile() if wtracer is not None else None,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.errors import SolverConfigError
 from repro.solvers.base import Solver
 from repro.solvers.bicgstab import PBiCGStab
 from repro.solvers.cg import ConjugateGradient
@@ -61,9 +62,17 @@ def load_config(source) -> dict:
         return {"solver": source}
     if isinstance(source, (str, Path)):
         p = Path(source)
-        if p.suffix == ".json" and p.exists():
-            return json.loads(p.read_text())
-        return json.loads(str(source))
+        text = p.read_text() if p.suffix == ".json" and p.exists() else str(source)
+        try:
+            cfg = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SolverConfigError(
+                f"solver config is neither a solver name ({sorted(SOLVERS)}), "
+                f"a .json file, nor valid JSON: {exc}"
+            ) from None
+        if not isinstance(cfg, dict):
+            raise SolverConfigError(f"solver config must be a JSON object, got {cfg!r}")
+        return cfg
     raise TypeError(f"cannot interpret solver config {source!r}")
 
 
@@ -73,9 +82,9 @@ def build_solver(A, config) -> Solver:
     try:
         kind = cfg.pop("solver")
     except KeyError:
-        raise ValueError("solver config needs a 'solver' key") from None
+        raise SolverConfigError("solver config needs a 'solver' key") from None
     if kind not in SOLVERS:
-        raise ValueError(f"unknown solver {kind!r}; available: {sorted(SOLVERS)}")
+        raise SolverConfigError(f"unknown solver {kind!r}; available: {sorted(SOLVERS)}")
     cls = SOLVERS[kind]
     kwargs = {}
     for key, val in cfg.items():
@@ -86,5 +95,5 @@ def build_solver(A, config) -> Solver:
         else:
             kwargs[key] = val
     if kind in ("mpir", "schur") and "inner" not in kwargs:
-        raise ValueError(f"{kind} config needs an 'inner' solver")
+        raise SolverConfigError(f"{kind} config needs an 'inner' solver")
     return cls(A, **kwargs)

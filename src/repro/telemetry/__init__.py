@@ -3,7 +3,7 @@
 The paper's measurement story leans on Poplar's profiling tools (PopVision
 Graph Analyser) for cycle breakdowns and tile load-balance diagnosis; this
 package is the reproduction's equivalent.  A :class:`Tracer` attaches to a
-runtime backend (``Backend.set_tracer``) and records the BSP timeline as
+runtime backend (``Backend.attach``) and records the BSP timeline as
 structured events — compute supersteps with per-tile makespans and load
 imbalance, exchange phases with transfer volume and fabric congestion,
 labeled program scopes, solver convergence — which export to Chrome

@@ -1,6 +1,6 @@
 """The ``Tracer``: structured event collection for the runtime backends.
 
-A tracer is handed to a backend via ``Backend.set_tracer`` (see
+A tracer is handed to a backend via ``Backend.attach`` (see
 :mod:`repro.graph.runtime.base`); the cycle-accurate sim backend then emits
 one :class:`~repro.telemetry.events.SpanEvent` per BSP superstep — compute
 phases with per-tile worker makespans and the load-imbalance ratio,

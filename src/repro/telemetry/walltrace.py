@@ -1,15 +1,15 @@
-"""``WallTracer``: measured host wall-clock profiling for the fast backends.
+"""``WallTracer``: measured host wall-clock profiling on every backend.
 
 The cycle-domain :class:`~repro.telemetry.tracer.Tracer` only works on the
-sim backend — the ``fast``/``fused`` backends have no cycle clock, which
-left them observably blind beyond the five :class:`GlobalCounters`
-integers.  The ``WallTracer`` closes that gap: attached through
-``Backend.set_wall_tracer`` (every backend accepts it), it records one
-``perf_counter_ns`` span per fused-kernel launch and per non-kernel
-dispatch, tagged with the kernel id, step kind, fused step counts, and the
-static byte/FLOP estimate from :mod:`repro.graph.passes.costs` — so
-measured wall time reads directly as per-kernel GB/s and GFLOP/s
-(roofline-style, after the Citadel IPU microbenchmarking methodology).
+sim backend — the ``fused`` backend has no cycle clock, which left it
+observably blind beyond the five :class:`GlobalCounters` integers.  The
+``WallTracer`` closes that gap: attached through ``Backend.attach`` (every
+backend accepts it), it records one ``perf_counter_ns`` span per
+fused-kernel launch (``fused``) or per priced step (``sim``), tagged with
+the kernel id, step kind, fused step counts, and the static byte/FLOP
+estimate from :mod:`repro.graph.passes.costs` — so measured wall time
+reads directly as per-kernel GB/s and GFLOP/s (roofline-style, after the
+Citadel IPU microbenchmarking methodology).
 
 Events reuse the frozen telemetry event classes and the existing Chrome /
 NDJSON exporters, but in a distinct clock domain: ``metadata.clock`` is
@@ -58,7 +58,7 @@ class WallTracer:
     def bind(self, device) -> None:
         """Attach the executing device (records its shape in the metadata).
 
-        Called by ``Backend.set_wall_tracer``; rebinding on a program
+        Called by ``Backend.attach``; rebinding on a program
         rebuild keeps the original time origin, so one tracer's timeline
         stays monotone across graceful-degradation restarts.
         """
@@ -135,7 +135,8 @@ class WallTracer:
 
     def dispatch(self, name: str, kind: str, start: int, est_bytes: int = 0,
                  est_flops: int = 0) -> None:
-        """Record one non-kernel step dispatch (``kind`` = compute/exchange)."""
+        """Record one per-step dispatch of the ``sim`` backend (``kind`` =
+        compute/exchange) — the only backend that still steps."""
         dur = self.now() - start
         self.events.append(
             SpanEvent(

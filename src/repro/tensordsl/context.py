@@ -400,8 +400,8 @@ class TensorContext:
         """Compile the generated schedule and execute it on the machine model.
 
         ``backend`` selects the runtime: ``"sim"`` (cycle-accurate, the
-        default) or ``"fast"`` (bit-identical numerics, no cycle
-        accounting) — see ``docs/runtime.md``.  ``tracer`` attaches a
+        default) or ``"fused"`` (bit-identical numerics from whole-device
+        kernels, no cycle accounting) — see ``docs/runtime.md``.  ``tracer`` attaches a
         :class:`~repro.telemetry.Tracer` to the backend
         (``docs/observability.md``); ``injector`` attaches a
         :class:`~repro.faults.FaultInjector` (``docs/resilience.md``);

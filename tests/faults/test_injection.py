@@ -122,7 +122,7 @@ class TestBenchHarness:
 
 
 class TestGatingAndTelemetry:
-    def test_fast_backend_rejects_injector(self):
+    def test_fused_backend_rejects_injector(self):
         crs, dims = poisson3d(8)
         device = IPUDevice(num_ipus=1, tiles_per_ipu=8)
         ctx = TensorContext(device)
@@ -132,7 +132,7 @@ class TestGatingAndTelemetry:
         A.spmv(x, y)
         inj = FaultInjector(FaultPlan.parse("bitflip:p=0.1"))
         with pytest.raises(ValueError, match="backend sim"):
-            ctx.run(backend="fast", injector=inj)
+            ctx.run(backend="fused", injector=inj)
 
     def test_faults_emit_tracer_instants(self):
         from repro.telemetry import Tracer

@@ -270,7 +270,7 @@ class TestDeterminism:
         assert c1 == c2
         np.testing.assert_array_equal(v1, v2)
 
-    def test_fast_backend_matches_sim_numerics(self):
+    def test_fused_backend_matches_sim_numerics(self):
         def run_once(backend):
             g = Graph(IPUDevice(tiles_per_ipu=4))
             v = g.add_variable("x", (16,))
@@ -279,10 +279,10 @@ class TestDeterminism:
             return g.device.profiler.total_cycles, eng.read(v)
 
         sim_cycles, sim_v = run_once("sim")
-        fast_cycles, fast_v = run_once("fast")
-        np.testing.assert_array_equal(sim_v, fast_v)
+        fused_cycles, fused_v = run_once("fused")
+        np.testing.assert_array_equal(sim_v, fused_v)
         assert sim_cycles > 0
-        assert fast_cycles == 0  # the fast backend never touches the profiler
+        assert fused_cycles == 0  # the fused backend never touches the profiler
 
 
 class TestCompilerStats:

@@ -1,9 +1,10 @@
 """Tests for the pluggable runtime: backend registry, plan lowering, and
-the sim/fast backend pair.
+the sim/fused backend pair.
 
 The contract under test is the one ``docs/runtime.md`` documents: both
-backends execute the same frozen plans, ``sim`` adds the cycle model, and
-``fast`` is bit-identical on numerics while leaving the profiler untouched.
+backends execute the same compiled program, ``sim`` adds the cycle model,
+and ``fused`` is bit-identical on numerics while leaving the profiler
+untouched.
 """
 
 import numpy as np
@@ -21,12 +22,14 @@ from repro.graph import (
     Sequence,
     compile_program,
 )
+from repro.errors import BackendCapabilityError
 from repro.graph.engine import CONTROL_CYCLES as ENGINE_CONTROL_CYCLES
 from repro.graph.runtime import (
     BACKENDS,
     Backend,
     CONTROL_CYCLES,
-    FastBackend,
+    FusedBackend,
+    GlobalCounters,
     SimBackend,
     register_backend,
     resolve_backend,
@@ -53,20 +56,24 @@ def inc_cs(var, amount=1.0):
 class TestBackendRegistry:
     def test_builtin_backends_registered(self):
         assert BACKENDS["sim"] is SimBackend
-        assert BACKENDS["fast"] is FastBackend
+        assert BACKENDS["fused"] is FusedBackend
+        # Two backends, not three: one timed reference, one kernel path.
+        assert sorted(BACKENDS) == ["fused", "sim"]
 
     def test_resolve_by_name(self):
         assert isinstance(resolve_backend("sim"), SimBackend)
-        assert isinstance(resolve_backend("fast"), FastBackend)
+        assert isinstance(resolve_backend("fused"), FusedBackend)
 
     def test_resolve_class_and_instance(self):
         assert isinstance(resolve_backend(SimBackend), SimBackend)
-        inst = FastBackend()
+        inst = FusedBackend()
         assert resolve_backend(inst) is inst
 
     def test_unknown_name_lists_available(self):
-        with pytest.raises(ValueError, match="fast.*sim|sim.*fast"):
+        with pytest.raises(ValueError, match="fused.*sim") as err:
             resolve_backend("turbo")
+        assert isinstance(err.value, BackendCapabilityError)
+        assert err.value.exit_code == 15 and err.value.backend == "turbo"
 
     def test_bad_spec_type(self):
         with pytest.raises(TypeError):
@@ -90,6 +97,28 @@ class TestBackendRegistry:
 
     def test_control_cycles_reexported(self):
         assert ENGINE_CONTROL_CYCLES == CONTROL_CYCLES
+
+
+class TestAttach:
+    def test_one_call_binds_every_observer_and_points_the_injector_at_the_tracer(self):
+        from repro.faults import FaultInjector, FaultPlan
+        from repro.telemetry import Tracer, WallTracer
+
+        g = make_graph()
+        v = g.add_variable("x", (8,))
+        compiled = compile_program(g, Execute(inc_cs(v)), optimize=False)
+        tracer, wall = Tracer(), WallTracer()
+        injector = FaultInjector(FaultPlan.parse("bitflip:p=0.1"))
+        assert SimBackend.has_cycle_clock
+        engine = Engine(compiled, tracer=tracer, injector=injector, wall_tracer=wall)
+        backend = engine.backend
+        assert (backend.tracer, backend.injector, backend.wall_tracer) == (
+            tracer, injector, wall)
+        assert injector.tracer is tracer
+        assert tracer.device is injector.device is wall.device is g.device
+        # The same instance starts its next run unobserved.
+        backend.attach()
+        assert backend.tracer is backend.injector is backend.wall_tracer is None
 
 
 class TestPlanLowering:
@@ -200,7 +229,7 @@ class TestPlanLowering:
         assert plan.local_cycles == 1  # ceil(8 B / 8 B-per-cycle)
 
 
-class TestFastBackend:
+class TestFusedBackend:
     def _program(self, backend):
         g = make_graph()
         v = g.add_variable("x", (8,))
@@ -216,22 +245,55 @@ class TestFastBackend:
 
     def test_numerics_bit_identical_to_sim(self):
         g_sim, eng_sim = self._program("sim")
-        g_fast, eng_fast = self._program("fast")
+        g_fused, eng_fused = self._program("fused")
         np.testing.assert_array_equal(
-            eng_sim.read(g_sim.variables["x"]), eng_fast.read(g_fast.variables["x"])
+            eng_sim.read(g_sim.variables["x"]), eng_fused.read(g_fused.variables["x"])
         )
         np.testing.assert_array_equal(
-            eng_sim.read(g_sim.variables["a"]), eng_fast.read(g_fast.variables["a"])
+            eng_sim.read(g_sim.variables["a"]), eng_fused.read(g_fused.variables["a"])
         )
 
     def test_no_cycle_accounting(self):
-        g, eng = self._program("fast")
+        g, eng = self._program("fused")
         assert g.device.profiler.total_cycles == 0
-        assert eng.backend.name == "fast"
+        assert eng.backend.name == "fused"
         # Engine-level counters still track control flow.
         assert eng.supersteps == 3
         assert eng.exchanges == 1
         assert eng.loop_iterations == 3
+
+    @pytest.mark.parametrize("kind", ["execute", "exchange"])
+    def test_bare_step_root_is_one_kernel_launch(self, kind):
+        """No interpreter under the kernels: a program whose root is a bare
+        ``Execute`` / ``Exchange`` (no enclosing block) still reaches the
+        fused backend as the one kernel lowered for it."""
+        state = {}
+        for backend in ("sim", "fused"):
+            g = make_graph()
+            v = g.add_variable("x", (8,))
+            a = g.add_variable("a", (8,))
+            v.scatter(np.arange(8))
+            root = (Execute(inc_cs(v, 0.5)) if kind == "execute"
+                    else Exchange([RegionCopy(v, 0, 0, ((a, 3, 0),), 2)]))
+            eng = Engine(compile_program(g, root, optimize=False), backend=backend)
+            with GlobalCounters.track() as kc:
+                eng.run()
+            launches = 1 if backend == "fused" else 0
+            assert kc["kernels"] == kc["dispatches"] == launches
+            assert (eng.supersteps, eng.exchanges) == (
+                (1, 0) if kind == "execute" else (0, 1))
+            state[backend] = np.concatenate([eng.read(v), eng.read(a)])
+        np.testing.assert_array_equal(state["fused"], state["sim"])
+        assert state["sim"].any()
+
+    def test_fused_refuses_to_interpret_a_bare_step(self):
+        """Per-step numerics live on ``sim`` only: a step handed to the
+        kernel backend directly is reported as a lowering bug."""
+        v = make_graph().add_variable("x", (8,))
+        backend = FusedBackend()
+        for run in (backend.run_compute_set, backend.run_exchange):
+            with pytest.raises(RuntimeError, match="lowering bug"):
+                run(Execute(inc_cs(v)))
 
     def test_sim_accounts_cycles(self):
         g, eng = self._program("sim")
@@ -241,7 +303,7 @@ class TestFastBackend:
         assert prof.category("elementwise") == 3 * (sync + 12)
         assert prof.category("exchange") > 0
 
-    def test_solve_fast_matches_sim_bit_for_bit(self):
+    def test_solve_fused_matches_sim_bit_for_bit(self):
         from repro.solvers import solve
         from repro.sparse import poisson2d
 
@@ -249,9 +311,9 @@ class TestFastBackend:
         b = np.ones(64)
         cfg = '{"solver": "cg", "tol": 1e-8, "max_iterations": 40}'
         sim = solve(crs, b, cfg, tiles_per_ipu=4, grid_dims=dims, backend="sim")
-        fast = solve(crs, b, cfg, tiles_per_ipu=4, grid_dims=dims, backend="fast")
-        np.testing.assert_array_equal(sim.x, fast.x)
-        assert sim.stats.total_iterations == fast.stats.total_iterations
-        assert sim.backend == "sim" and fast.backend == "fast"
+        fused = solve(crs, b, cfg, tiles_per_ipu=4, grid_dims=dims, backend="fused")
+        np.testing.assert_array_equal(sim.x, fused.x)
+        assert sim.stats.total_iterations == fused.stats.total_iterations
+        assert sim.backend == "sim" and fused.backend == "fused"
         assert sim.cycles > 0
-        assert fast.cycles == 0
+        assert fused.cycles == 0

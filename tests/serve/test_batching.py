@@ -11,7 +11,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.errors import JobTimeoutError, ReproError
+from repro.errors import BackendCapabilityError, JobTimeoutError, ReproError
 from repro.serve import (BatchPolicy, RetryPolicy, ServicePolicy,
                          SolverService, config_supports_batch)
 from repro.solvers import solve
@@ -22,7 +22,7 @@ RNG = np.random.default_rng(17)
 CONFIG = {"solver": "cg", "tol": 1e-8, "max_iterations": 400}
 #: Starved budget: fails with "max_iterations", engaging the retry ladder.
 WEAK = {"solver": "cg", "tol": 1e-8, "max_iterations": 3}
-KW = dict(grid_dims=DIMS, backend="fast")
+KW = dict(grid_dims=DIMS, backend="fused")
 
 
 def run(coro):
@@ -219,8 +219,8 @@ class TestAdmissionValidation:
     error and an ``invalid_argument`` ledger entry — they never reach a
     worker (or burn a quota token)."""
 
-    def _submit(self, svc, b, **kw):
-        return svc.submit(CRS, b, CONFIG, grid_dims=DIMS, backend="fast",
+    def _submit(self, svc, b, config=CONFIG, **kw):
+        return svc.submit(CRS, b, config, grid_dims=DIMS, backend="fused",
                           **kw)
 
     def test_malformed_inputs_are_typed_rejections(self):
@@ -237,6 +237,7 @@ class TestAdmissionValidation:
                     (dict(b=np.full(CRS.n, np.nan)), "non-finite"),
                     (dict(b=good, x0=good[:-1]), "x0 shape"),
                     (dict(b=good, deadline=-1.0), "deadline"),
+                    (dict(b=good, config="{bad json"), "valid JSON"),
                 ]
                 for kw, needle in cases:
                     with pytest.raises(ReproError, match=needle):
@@ -249,6 +250,39 @@ class TestAdmissionValidation:
         assert acc["balanced"], acc
         assert acc["rejected"] == n
         assert acc["rejections"].get("invalid_argument") == n
+
+    def test_wrong_backend_is_rejected_at_the_door(self):
+        """An unknown backend name, or a cycle-domain observer on the
+        untimed backend, is a caller error: rejected at ``submit`` before
+        anything is compiled, not admitted and booked as a worker fault."""
+        from repro.graph.passes import pass_invocations
+
+        good = _bs(1)[0]
+        cases = [
+            dict(backend="nope"),
+            dict(backend="fused", trace=True),
+            dict(backend="fused", inject_faults="seed=1;bitflip:p=0.5"),
+        ]
+
+        async def go():
+            # One quota token, never refilled: a rejection that spent it
+            # would turn the good job below into a QuotaExceededError.
+            policy = ServicePolicy(quota_rate=0.0, quota_burst=1.0)
+            async with SolverService(workers=1, policy=policy) as svc:
+                before = pass_invocations()
+                for kw in cases:
+                    with pytest.raises(BackendCapabilityError):
+                        svc.submit(CRS, good, CONFIG, grid_dims=DIMS, **kw)
+                assert pass_invocations() == before
+                ok = await self._submit(svc, good).future
+                return ok, svc.accounting()
+
+        ok, acc = run(go())
+        assert ok.result.failure is None
+        assert acc["balanced"], acc
+        assert acc["worker_faults"] == 0
+        assert acc["rejected"] == len(cases)
+        assert acc["rejections"] == {"invalid_argument": len(cases)}
 
     def test_integer_rhs_is_admitted(self):
         """Integer b is valid (solve() widens it) — validation rejects

@@ -79,7 +79,7 @@ def test_no_job_is_lost_or_duplicated_and_served_means_bit_identical(
         {
             "matrix": CRS, "b": B, "config": WEAK if s["weak"] else GOOD,
             "tenant": s["tenant"], "seed": s["seed"],
-            "deadline": s["deadline"], "grid_dims": DIMS, "backend": "fast",
+            "deadline": s["deadline"], "grid_dims": DIMS, "backend": "fused",
         }
         for s in specs
     ]

@@ -31,12 +31,12 @@ def run(coro):
 
 class TestServedBitIdentity:
     def test_roundtrip_matches_direct_solve(self):
-        ref = solve(CRS, B, "cg", grid_dims=DIMS, backend="fast")
+        ref = solve(CRS, B, "cg", grid_dims=DIMS, backend="fused")
 
         async def go():
             async with SolverService(workers=2) as svc:
                 return await svc.solve(CRS, B, "cg", grid_dims=DIMS,
-                                       backend="fast", tenant="t")
+                                       backend="fused", tenant="t")
 
         res = run(go())
         np.testing.assert_array_equal(res.result.x, ref.x)
@@ -85,7 +85,7 @@ class TestRetries:
             pol = ServicePolicy(retry=retry)
             async with SolverService(policy=pol, workers=1) as svc:
                 res = await svc.solve(CRS, B, WEAK, grid_dims=DIMS,
-                                      backend="fast", seed=7)
+                                      backend="fused", seed=7)
                 return res, dict(svc.counts)
 
         res, counts = run(go())
@@ -94,7 +94,7 @@ class TestRetries:
         assert counts["retries"] == 2 and counts["ok"] == 1
         # The bit-identity contract: one direct call with the recorded
         # effective config reproduces the served result exactly.
-        ref = solve(CRS, B, res.effective_config, grid_dims=DIMS, backend="fast")
+        ref = solve(CRS, B, res.effective_config, grid_dims=DIMS, backend="fused")
         np.testing.assert_array_equal(res.result.x, ref.x)
         assert res.result.stats.residuals == ref.stats.residuals
 
@@ -106,7 +106,7 @@ class TestRetries:
             pol = ServicePolicy(retry=retry)
             async with SolverService(policy=pol, workers=1) as svc:
                 return await svc.solve(CRS, B, WEAK, grid_dims=DIMS,
-                                       backend="fast")
+                                       backend="fused")
 
         res = run(go())
         assert res.attempts == 2
@@ -121,7 +121,7 @@ class TestRetries:
             pol = ServicePolicy(retry=retry)
             async with SolverService(policy=pol, workers=1) as svc:
                 with pytest.raises(DivergenceError) as exc_info:
-                    await svc.solve(CRS, B, WEAK, grid_dims=DIMS, backend="fast")
+                    await svc.solve(CRS, B, WEAK, grid_dims=DIMS, backend="fused")
                 return exc_info.value, dict(svc.counts)
 
         exc, counts = run(go())
@@ -137,7 +137,7 @@ class TestDeadlines:
             async with SolverService(workers=1) as svc:
                 with pytest.raises(JobTimeoutError) as exc_info:
                     await svc.solve(CRS, B, "cg", grid_dims=DIMS,
-                                    backend="fast", deadline=1e-9)
+                                    backend="fused", deadline=1e-9)
                 return exc_info.value, dict(svc.counts)
 
         exc, counts = run(go())
@@ -154,7 +154,7 @@ class TestDeadlines:
             async with SolverService(policy=pol, workers=1) as svc:
                 with pytest.raises(JobTimeoutError) as exc_info:
                     await svc.solve(CRS, B, WEAK, grid_dims=DIMS,
-                                    backend="fast", deadline=30.0)
+                                    backend="fused", deadline=30.0)
                 return exc_info.value
 
         exc = run(go())
@@ -181,7 +181,7 @@ class TestAdmissionControl:
                 for _ in range(8):
                     try:
                         jobs.append(svc.submit(CRS, B, "cg", grid_dims=DIMS,
-                                               backend="fast"))
+                                               backend="fused"))
                     except ServiceOverloadError as exc:
                         assert exc.reason == "queue_full"
                         assert exc.capacity == 2
@@ -199,13 +199,13 @@ class TestAdmissionControl:
         async def go():
             pol = ServicePolicy(quota_rate=0.0, quota_burst=1.0)
             async with SolverService(policy=pol, workers=1) as svc:
-                job = svc.submit(CRS, B, "cg", grid_dims=DIMS, backend="fast",
+                job = svc.submit(CRS, B, "cg", grid_dims=DIMS, backend="fused",
                                  tenant="a")
                 with pytest.raises(QuotaExceededError) as exc_info:
-                    svc.submit(CRS, B, "cg", grid_dims=DIMS, backend="fast",
+                    svc.submit(CRS, B, "cg", grid_dims=DIMS, backend="fused",
                                tenant="a")
                 # Quotas are per tenant: another tenant still gets in.
-                other = svc.submit(CRS, B, "cg", grid_dims=DIMS, backend="fast",
+                other = svc.submit(CRS, B, "cg", grid_dims=DIMS, backend="fused",
                                    tenant="b")
                 await asyncio.gather(job.future, other.future)
                 return exc_info.value
@@ -225,12 +225,12 @@ class TestAdmissionControl:
                 for _ in range(2):
                     with pytest.raises(DivergenceError):
                         await svc.solve(CRS, B, WEAK, grid_dims=DIMS,
-                                        backend="fast")
+                                        backend="fused")
                 with pytest.raises(ServiceOverloadError) as exc_info:
-                    svc.submit(CRS, B, WEAK, grid_dims=DIMS, backend="fast")
+                    svc.submit(CRS, B, WEAK, grid_dims=DIMS, backend="fused")
                 # Other structures are unaffected by the quarantine.
                 healthy = await svc.solve(CRS, B, "cg", grid_dims=DIMS,
-                                          backend="fast")
+                                          backend="fused")
                 return exc_info.value, healthy, svc.breaker.quarantined()
 
         exc, healthy, quarantined = run(go())
@@ -245,7 +245,7 @@ class TestLifecycle:
             pol = ServicePolicy(max_queue_depth=8)
             svc = SolverService(policy=pol, workers=2)
             await svc.start()
-            jobs = [svc.submit(CRS, B, "cg", grid_dims=DIMS, backend="fast")
+            jobs = [svc.submit(CRS, B, "cg", grid_dims=DIMS, backend="fused")
                     for _ in range(5)]
             await svc.stop(drain=True)
             return jobs, svc.accounting()
@@ -260,7 +260,7 @@ class TestLifecycle:
             pol = ServicePolicy(max_queue_depth=8)
             svc = SolverService(policy=pol, workers=1)
             await svc.start()
-            jobs = [svc.submit(CRS, B, "cg", grid_dims=DIMS, backend="fast")
+            jobs = [svc.submit(CRS, B, "cg", grid_dims=DIMS, backend="fused")
                     for _ in range(4)]
             await svc.stop(drain=False)
             return jobs, svc.accounting()
@@ -279,7 +279,7 @@ class TestLifecycle:
             await svc.start()
             await svc.stop()
             with pytest.raises(ServiceOverloadError) as exc_info:
-                svc.submit(CRS, B, "cg", grid_dims=DIMS, backend="fast")
+                svc.submit(CRS, B, "cg", grid_dims=DIMS, backend="fused")
             return exc_info.value
 
         assert run(go()).reason == "shutting_down"
@@ -303,10 +303,10 @@ class TestObservability:
             mreg = MetricsRegistry()
             pol = ServicePolicy(max_queue_depth=4, quota_rate=0.0, quota_burst=2.0)
             async with SolverService(policy=pol, workers=1, metrics=mreg) as svc:
-                jobs = [svc.submit(CRS, B, "cg", grid_dims=DIMS, backend="fast",
+                jobs = [svc.submit(CRS, B, "cg", grid_dims=DIMS, backend="fused",
                                    tenant="a") for _ in range(2)]
                 with pytest.raises(QuotaExceededError):
-                    svc.submit(CRS, B, "cg", grid_dims=DIMS, backend="fast",
+                    svc.submit(CRS, B, "cg", grid_dims=DIMS, backend="fused",
                                tenant="a")
                 await asyncio.gather(*(j.future for j in jobs))
             return mreg.to_json()

@@ -66,19 +66,17 @@ class TestBitIdentity:
         crs, dims, bs = _system()
         _assert_columns_match_singles(crs, dims, bs, config)
 
-    @pytest.mark.parametrize("backend", ["fast", "fused"])
-    def test_untimed_backends_match_too(self, backend):
+    def test_untimed_backend_matches_too(self):
         crs, dims, bs = _system(batch=3)
-        _assert_columns_match_singles(crs, dims, bs, CG, backend=backend)
+        _assert_columns_match_singles(crs, dims, bs, CG, backend="fused")
 
     def test_batched_result_matches_sim_across_backends(self):
         crs, dims, bs = _system(batch=3)
         sim = solve(crs, bs, CG, grid_dims=dims, **KW)
-        for backend in ("fast", "fused"):
-            other = solve(crs, bs, CG, grid_dims=dims, backend=backend, **KW)
-            assert np.array_equal(sim.x, other.x)
-        kc = solve(crs, bs, CG, grid_dims=dims, backend="fused", **KW).kernel_counters
-        assert kc is not None and kc["kernels"] > 0
+        fused = solve(crs, bs, CG, grid_dims=dims, backend="fused", **KW)
+        assert np.array_equal(sim.x, fused.x)
+        kc = fused.kernel_counters
+        assert kc is not None and kc["dispatches"] == kc["kernels"] > 0
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000),

@@ -46,11 +46,10 @@ class TestDeadline:
         assert plain.stats.residuals == timed.stats.residuals
         assert plain.cycles == timed.cycles
 
-    @pytest.mark.parametrize("backend", ["fast", "fused"])
-    def test_deadline_fires_on_untimed_backends(self, backend):
+    def test_deadline_fires_on_the_untimed_backend(self):
         crs, dims, b = _system()
         with pytest.raises(JobTimeoutError):
-            solve(crs, b, CONFIG, grid_dims=dims, backend=backend,
+            solve(crs, b, CONFIG, grid_dims=dims, backend="fused",
                   max_wall_seconds=1e-9)
 
     def test_invalid_budget_rejected(self):

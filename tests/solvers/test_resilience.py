@@ -38,7 +38,7 @@ class TestFailureField:
         assert "failure='max_iterations'" in repr(r)
         assert "failure='max_iterations'" in repr(r.stats)
 
-    @pytest.mark.parametrize("backend", ["sim", "fast"])
+    @pytest.mark.parametrize("backend", ["sim", "fused"])
     @pytest.mark.parametrize("solver", ["bicgstab", "cg"])
     def test_krylov_breakdown_exits_cleanly(self, backend, solver):
         # A right-hand side at the bottom of the f32 range collapses rho to

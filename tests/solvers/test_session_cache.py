@@ -73,7 +73,7 @@ class TestFingerprint:
         {"grid_dims": None},
         {"blockwise_halo": False},
         {"optimize": False},
-        {"backend": "fast"},
+        {"backend": "fused"},
         {"resilient": True},
     ])
     def test_every_structural_knob_changes_the_key(self, change):

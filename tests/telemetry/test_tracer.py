@@ -190,14 +190,14 @@ class TestTracingIsObservational:
         assert all(a < b for a, b in zip(cycles, cycles[1:]))
         assert cycles[-1] <= result.cycles
 
-    def test_fast_backend_rejects_tracer(self):
+    def test_fused_backend_rejects_tracer(self):
         from repro.solvers import solve
         from repro.sparse import poisson2d
 
         crs, dims = poisson2d(8)
         with pytest.raises(ValueError, match="sim"):
             solve(crs, np.ones(64), "cg", tiles_per_ipu=4, grid_dims=dims,
-                  backend="fast", trace=True)
+                  backend="fused", trace=True)
 
     def test_trace_path_writes_chrome_file(self, tmp_path):
         import json

@@ -174,13 +174,17 @@ class TestTraceCommands:
         with pytest.raises(SystemExit, match="no such trace file"):
             main(["trace-report", str(tmp_path / "missing.json")])
 
-    def test_trace_requires_sim_backend(self, tmp_path):
-        with pytest.raises(SystemExit, match="sim"):
-            main([
-                "solve", "--matrix", "poisson:8", "--config", "cg",
-                "--tiles", "4", "--backend", "fast",
-                "--trace", str(tmp_path / "t.json"),
-            ])
+    def test_trace_requires_sim_backend(self, tmp_path, capsys):
+        trace = tmp_path / "t.json"
+        rc = main([
+            "solve", "--matrix", "poisson:8", "--config", "cg",
+            "--tiles", "4", "--backend", "fused", "--trace", str(trace),
+        ])
+        # The backend, not a CLI pre-check, decides: typed error, exit 15.
+        assert rc == 15
+        err = capsys.readouterr().err
+        assert "error:" in err and "--backend sim" in err and "--wall-trace" in err
+        assert not trace.exists()
 
 
 class TestFaultCommands:
@@ -227,13 +231,14 @@ class TestFaultCommands:
         assert rc == 0
         assert "outcome=clean" in capsys.readouterr().out
 
-    def test_inject_faults_requires_sim_backend(self):
-        with pytest.raises(SystemExit, match="sim"):
-            main([
-                "solve", "--matrix", "poisson2d:8", "--config", "cg",
-                "--tiles", "4", "--backend", "fast",
-                "--inject-faults", "bitflip:p=0.1",
-            ])
+    def test_inject_faults_requires_sim_backend(self, capsys):
+        rc = main([
+            "solve", "--matrix", "poisson2d:8", "--config", "cg",
+            "--tiles", "4", "--backend", "fused",
+            "--inject-faults", "bitflip:p=0.1",
+        ])
+        assert rc == 15
+        assert "--backend sim" in capsys.readouterr().err
 
 
 class TestCompileReportCommand:
@@ -343,7 +348,7 @@ class TestObservabilityCommands:
             main(["metrics-report", str(tmp_path / "missing.prom")])
 
     def test_wall_trace_works_on_every_backend(self, tmp_path, capsys):
-        for backend in ("sim", "fast"):
+        for backend in ("sim", "fused"):
             wall = tmp_path / f"wall-{backend}.json"
             rc = main([
                 "solve", "--matrix", "poisson2d:8", "--config", self.CG,

@@ -14,6 +14,7 @@ from repro.errors import (
     ReproError,
     ServiceOverloadError,
     SolverBreakdownError,
+    SolverConfigError,
     SRAMOverflowError,
 )
 
@@ -22,7 +23,7 @@ class TestHierarchy:
     def test_all_derive_from_repro_error(self):
         for exc in (SRAMOverflowError, SolverBreakdownError, DivergenceError,
                     FaultSpecError, ServiceOverloadError, JobTimeoutError,
-                    QuotaExceededError, MatrixFormatError):
+                    QuotaExceededError, MatrixFormatError, SolverConfigError):
             assert issubclass(exc, ReproError)
 
     def test_dual_inheritance_keeps_old_except_clauses_working(self):
@@ -34,6 +35,8 @@ class TestHierarchy:
         assert issubclass(DivergenceError, ArithmeticError)
         assert issubclass(FaultSpecError, ValueError)
         assert issubclass(MatrixFormatError, ValueError)
+        assert issubclass(SolverConfigError, ValueError)
+        assert issubclass(BackendCapabilityError, ValueError)
         assert issubclass(JobTimeoutError, TimeoutError)
 
     def test_exit_codes_distinct_and_nonzero(self):
@@ -41,7 +44,7 @@ class TestHierarchy:
             ReproError, SRAMOverflowError, SolverBreakdownError,
             DivergenceError, FaultSpecError, BackendCapabilityError,
             ServiceOverloadError, JobTimeoutError, QuotaExceededError,
-            MatrixFormatError,
+            MatrixFormatError, SolverConfigError,
         )]
         assert len(set(codes)) == len(codes)
         assert all(c not in (0, 1, 2) for c in codes)
@@ -115,3 +118,16 @@ class TestCliExitCodes:
         rc = main(["solve", "--matrix", str(path), "--config", "cg", "--tiles", "2"])
         assert rc == MatrixFormatError.exit_code == 19
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, needle", [
+        ("{bad json", "valid JSON"),
+        ('{"tol": 1e-6}', "'solver' key"),
+        ('{"solver": "gmres"}', "unknown solver 'gmres'"),
+    ], ids=["malformed-json", "no-solver-key", "unknown-solver"])
+    def test_bad_config_maps_to_config_exit_code(self, config, needle, capsys):
+        rc = main(["solve", "--matrix", "poisson2d:6", "--config", config,
+                   "--tiles", "4"])
+        assert rc == SolverConfigError.exit_code == 20
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err
+        assert "Traceback" not in err
