@@ -119,7 +119,9 @@ def spmv_time(arch: ArchSpec, n: int, nnz: int, value_bytes: int = 8) -> float:
     return spmv_bytes(n, nnz, value_bytes) / arch.effective_bandwidth() + arch.op_overhead_s
 
 
-def ilu_solve_time(arch: ArchSpec, n: int, nnz: int, num_levels: int, value_bytes: int = 8) -> float:
+def ilu_solve_time(
+    arch: ArchSpec, n: int, nnz: int, num_levels: int, value_bytes: int = 8
+) -> float:
     """Seconds for one ILU(0) substitution (forward + backward sweep).
 
     Each sweep touches L/U values+indices and the solution vector; on GPUs

@@ -32,7 +32,7 @@ def global_ilu0(matrix: ModifiedCRS):
     indptr, indices, data = csr.indptr, csr.indices, csr.data.copy()
     # Row lookup maps for pattern-restricted updates.
     row_pos = [
-        {int(c): int(p) for p, c in zip(range(indptr[i], indptr[i + 1]), indices[indptr[i] : indptr[i + 1]])}
+        {int(c): p for p, c in enumerate(indices[indptr[i] : indptr[i + 1]], int(indptr[i]))}
         for i in range(n)
     ]
     diag_pos = np.array([row_pos[i][i] for i in range(n)])

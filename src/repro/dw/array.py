@@ -172,7 +172,8 @@ class DWArray:
         while hi.size > 1:
             n = hi.size
             half = n // 2
-            h2, l2 = self.arith.add_dw_dw(hi[:half], lo[:half], hi[half : 2 * half], lo[half : 2 * half])
+            upper = slice(half, 2 * half)
+            h2, l2 = self.arith.add_dw_dw(hi[:half], lo[:half], hi[upper], lo[upper])
             if n % 2:
                 h2 = np.concatenate([h2, hi[-1:]])
                 l2 = np.concatenate([l2, lo[-1:]])

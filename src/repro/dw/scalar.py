@@ -78,7 +78,8 @@ class DWScalar:
 
     def __sub__(self, other):
         if self._is_plain(other):
-            return self._wrap(self.arith.add_dw_fp(self.hi, self.lo, np.float32(-np.float32(other))))
+            negated = np.float32(-np.float32(other))
+            return self._wrap(self.arith.add_dw_fp(self.hi, self.lo, negated))
         o = self._coerce(other)
         return self._wrap(self.arith.sub_dw_dw(self.hi, self.lo, o.hi, o.lo))
 

@@ -22,7 +22,7 @@ Determinism guarantees (``docs/resilience.md``):
 
 Spec grammar (compact form; JSON works too — see :meth:`FaultPlan.parse`)::
 
-    seed=42;bitflip:p=0.01,where=exchange;link_stall:ipus=0-1,cycles=500,p=0.1;tile_oom:tile=3,at=120
+    seed=42;bitflip:p=0.01,where=exchange;link_stall:ipus=0-1,cycles=500,p=0.1;tile_oom:tile=3,at=12
 
 Every injection is recorded as an :class:`InjectionRecord` and, when a
 tracer is attached, emitted as a telemetry ``Instant`` event

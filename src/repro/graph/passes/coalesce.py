@@ -29,15 +29,13 @@ def _regions_overlap(a_start: int, a_size: int, b_start: int, b_size: int) -> bo
     return a_start < b_start + b_size and b_start < a_start + a_size
 
 
-def _reads_written(copy: RegionCopy, written: list) -> bool:
+def _reads_written(copy: RegionCopy, written: dict) -> bool:
     """True if ``copy``'s source region overlaps a destination already
-    written in the current merge group."""
-    for var, tile, offset, size in written:
-        if (
-            var is copy.src_var
-            and tile == copy.src_tile
-            and _regions_overlap(offset, size, copy.src_offset, copy.size)
-        ):
+    written in the current merge group.  ``written`` maps ``(id(variable),
+    tile)`` to the ``(offset, size)`` regions the group wrote on that shard,
+    so a copy is checked against its own source shard only."""
+    for offset, size in written.get((id(copy.src_var), copy.src_tile), ()):
+        if _regions_overlap(offset, size, copy.src_offset, copy.size):
             return True
     return False
 
@@ -55,7 +53,7 @@ class CoalesceExchanges(Pass):
             return step
         out: list = []
         group: list = []  # Exchange steps accumulated for the current phase
-        written: list = []  # (var, tile, offset, size) regions the group wrote
+        written: dict = {}  # (id(var), tile) -> [(offset, size)] the group wrote
         changed = False
 
         def flush():
@@ -81,7 +79,9 @@ class CoalesceExchanges(Pass):
                 group.append(s)
                 for rc in s.copies:
                     for dst_var, dst_tile, dst_offset in rc.dests:
-                        written.append((dst_var, dst_tile, dst_offset, rc.size))
+                        written.setdefault((id(dst_var), dst_tile), []).append(
+                            (dst_offset, rc.size)
+                        )
             else:
                 flush()
                 out.append(s)

@@ -29,9 +29,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.codelet import BatchReduceSpec, ElementwiseSpec, ReduceSpec, SpmvSpec
+from repro.graph.codelet import (
+    BatchReduceSpec,
+    ElementwiseSpec,
+    ReduceSpec,
+    SpmvSpec,
+    SweepSpec,
+)
 
-__all__ = ["estimate_spec", "estimate_compute_set", "estimate_exchange"]
+__all__ = ["spec_groups", "estimate_groups", "estimate_compute_set", "estimate_exchange"]
 
 
 def _elements(var, tiles) -> int:
@@ -66,8 +72,11 @@ def _elementwise_costs(spec: ElementwiseSpec, tiles) -> tuple:
 def _reduce_costs(spec: ReduceSpec, tiles) -> tuple:
     out = spec.out_var
     batch = max(spec.expr.batch, 1)
-    # The reduced value has the footprint of the largest leaf on each tile.
-    n = max((_elements(v.var, tiles) for v in spec.expr.leaves()), default=0)
+    # The reduced value has the footprint of the largest leaf shard *on each
+    # tile* — summed over the group's tiles, not the largest leaf total (a
+    # scalar leaf outweighs an absent vector leaf on its own tile only).
+    shards = [getattr(leaf.var, "shards", None) or {} for leaf in spec.expr.leaves()]
+    n = sum(max((s[t].size for s in shards if t in s), default=0) for t in tiles)
     flops = (_expr_flops(spec.expr) + 1) * n * batch  # eval + one reduce op/elem
     bytes_ = _leaf_read_bytes(spec.expr, tiles) + len(tiles) * out.unit_bytes()
     return bytes_, flops
@@ -101,37 +110,59 @@ def _spmv_costs(spec: SpmvSpec, tiles) -> tuple:
     return bytes_, flops
 
 
-def estimate_spec(spec, vertices) -> tuple:
-    """``(est_bytes, est_flops)`` for one spec group; ``(0, 0)`` on failure."""
-    tiles = [v.tile_id for v in vertices]
-    try:
-        if isinstance(spec, ElementwiseSpec):
-            return _elementwise_costs(spec, tiles)
-        if isinstance(spec, ReduceSpec):
-            return _reduce_costs(spec, tiles)
-        if isinstance(spec, BatchReduceSpec):
-            return _batch_reduce_costs(spec, tiles)
-        if isinstance(spec, SpmvSpec):
-            return _spmv_costs(spec, tiles)
-    except Exception:
-        return 0, 0
-    return 0, 0
+_COSTS = {
+    ElementwiseSpec: _elementwise_costs,
+    ReduceSpec: _reduce_costs,
+    BatchReduceSpec: _batch_reduce_costs,
+    SpmvSpec: _spmv_costs,
+    SweepSpec: lambda spec, tiles: (0, 0),  # no estimate: roofline columns read blank
+}
+
+
+def spec_key(spec):
+    """What a spec'd vertex computes, its tile aside: the spec's type and
+    the identity of what it names.  The vertices of a compute set that
+    share a key are one whole-device group — the unit the kernel lowerer
+    vectorizes and the unit priced here.  Sweep vertices share their spec
+    object; ``None`` for a codelet without a (known) spec."""
+    if type(spec) not in _COSTS:
+        return None
+    if isinstance(spec, SweepSpec):
+        return SweepSpec, id(spec)
+    return (type(spec), *(v if isinstance(v, str) else id(v) for v in vars(spec).values()))
+
+
+def estimate_groups(groups: dict) -> tuple:
+    """``(est_bytes, est_flops)`` summed over ``{spec_key: (spec, vertices)}``
+    — each group priced once over all its tiles; a group that cannot be
+    priced counts ``(0, 0)``."""
+    total_b = total_f = 0
+    for (kind, *_), (spec, vertices) in groups.items():
+        try:
+            b, f = _COSTS[kind](spec, [v.tile_id for v in vertices])
+        except Exception:
+            continue
+        total_b += b
+        total_f += f
+    return total_b, total_f
+
+
+def spec_groups(vertices) -> tuple:
+    """``({spec_key: (spec, vertices)}, [vertices without a known spec])``."""
+    groups: dict = {}
+    rest: list = []
+    for v in vertices:
+        key = spec_key(v.codelet.spec)
+        if key is None:
+            rest.append(v)
+        else:
+            groups.setdefault(key, (v.codelet.spec, []))[1].append(v)
+    return groups, rest
 
 
 def estimate_compute_set(cs) -> tuple:
     """``(est_bytes, est_flops)`` of one compute set (spec'd vertices only)."""
-    groups: dict = {}
-    for v in cs.vertices:
-        spec = v.codelet.spec
-        if spec is None:
-            continue
-        groups.setdefault(id(spec), (spec, []))[1].append(v)
-    total_b = total_f = 0
-    for spec, vs in groups.values():
-        b, f = estimate_spec(spec, vs)
-        total_b += b
-        total_f += f
-    return total_b, total_f
+    return estimate_groups(spec_groups(cs.vertices)[0])
 
 
 def _index_len(index, size: int) -> int:
@@ -141,10 +172,12 @@ def _index_len(index, size: int) -> int:
 
 
 def estimate_exchange(plan) -> int:
-    """Bytes written by one exchange plan's copy ops (local + fabric)."""
+    """Bytes written by one exchange plan's copy ops (local + fabric) —
+    read off the flat form, which moves the same rows as the per-shard
+    ``ops`` without forcing them into existence."""
     total = 0
     try:
-        for op in plan.ops:
+        for op in plan.flat:
             n = _index_len(op.dst_index, op.dst.shape[0])
             row = int(np.prod(op.dst.shape[1:], dtype=np.int64)) * op.dst.dtype.itemsize
             total += n * row * (2 if op.dst_lo is not None else 1)

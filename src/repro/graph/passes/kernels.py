@@ -50,6 +50,7 @@ from repro.graph.codelet import (
     SpmvSpec,
     SweepSpec,
 )
+from repro.graph.passes.costs import estimate_exchange, estimate_groups, spec_groups
 from repro.graph.program import (
     Execute,
     Exchange,
@@ -672,6 +673,15 @@ def _lower_batch_reduce_group(spec: BatchReduceSpec, vertices):
 # -- compute-set and schedule lowering ---------------------------------------------------
 
 
+_LOWERERS = {
+    ElementwiseSpec: _lower_elementwise_group,
+    ReduceSpec: _lower_reduce_group,
+    BatchReduceSpec: _lower_batch_reduce_group,
+    SweepSpec: _lower_sweep_group,
+    SpmvSpec: _lower_spmv_group,
+}
+
+
 def _lower_compute_set(cs) -> tuple:
     """Lower one compute set into kernel ops.
 
@@ -681,40 +691,11 @@ def _lower_compute_set(cs) -> tuple:
     FuseComputeSets disjointness invariant), so group order cannot be
     observed.
     """
-    groups: dict = {}
-    fallback: list = []
-    for v in cs.vertices:
-        if v.codelet.cost_only:
-            continue
-        spec = v.codelet.spec
-        if isinstance(spec, ElementwiseSpec):
-            key = ("ew", id(spec.expr), id(spec.out_var))
-        elif isinstance(spec, ReduceSpec):
-            key = ("red", id(spec.expr), id(spec.out_var), spec.op)
-        elif isinstance(spec, SpmvSpec):
-            key = ("spmv", id(spec.matrix), id(spec.x), id(spec.y))
-        elif isinstance(spec, BatchReduceSpec):
-            key = ("bred", id(spec.in_var), id(spec.out_var), spec.op)
-        elif isinstance(spec, SweepSpec):
-            key = ("sweep", id(spec))
-        else:
-            fallback.append(v)
-            continue
-        groups.setdefault(key, (spec, []))[1].append(v)
-
+    groups, fallback = spec_groups(v for v in cs.vertices if not v.codelet.cost_only)
     ops: list = []
-    for key, (spec, vs) in groups.items():
+    for (kind, *_), (spec, vs) in groups.items():
         try:
-            if key[0] == "ew":
-                ops.append(_lower_elementwise_group(spec, vs))
-            elif key[0] == "red":
-                ops.append(_lower_reduce_group(spec, vs))
-            elif key[0] == "bred":
-                ops.append(_lower_batch_reduce_group(spec, vs))
-            elif key[0] == "sweep":
-                ops.append(_lower_sweep_group(spec, vs))
-            else:
-                ops.append(_lower_spmv_group(spec, vs))
+            ops.append(_LOWERERS[kind](spec, vs))
         except _Unvectorizable:
             fallback.extend(vs)
 
@@ -726,9 +707,7 @@ def _lower_compute_set(cs) -> tuple:
                 r()
 
         ops.append(batched)
-    from repro.graph.passes.costs import estimate_compute_set
-
-    est_bytes, est_flops = estimate_compute_set(cs)
+    est_bytes, est_flops = estimate_groups(groups)
     fallbacks = tuple(v.codelet.name for v in fallback)
     return ops, len(cs.vertices), fallbacks, est_bytes, est_flops
 
@@ -746,8 +725,6 @@ def build_kernels(root: Step, plans) -> KernelSchedule:
         return cs_cache[key]
 
     def lower_children(children) -> list:
-        from repro.graph.passes.costs import estimate_exchange
-
         items: list = []
         ops: list = []
         absorbed: list = []
@@ -787,7 +764,7 @@ def build_kernels(root: Step, plans) -> KernelSchedule:
                 plan = plans.plan_for(s)
                 ops.append(ExchangeOp(plan.flat))
                 absorbed.append(s)
-                counts[0] += len(plan.ops)
+                counts[0] += plan.n_ops
                 counts[1] += estimate_exchange(plan)
             else:
                 flush()

@@ -17,9 +17,11 @@ re-deriving structure on the hot path.
   When region copies within one exchange overlap (a later copy reads or
   rewrites what an earlier one wrote), the plan falls back to strictly
   ordered per-copy execution so results stay bit-identical.  A hazard-free
-  plan also carries the exchange in *flat* form — one gather/scatter per
+  plan carries the exchange in *flat* form — one gather/scatter per
   (source buffer, destination buffer) pair over the variables' whole-device
-  ``flat_data`` buffers — which is what the fused kernels replay.
+  ``flat_data`` buffers — which is what the fused kernels replay; its
+  per-shard-pair ``ops`` (thousands on a many-tile halo exchange) are built
+  from the same elementary copies when ``sim`` or the injector first asks.
 
 Plans hold direct references to shard arrays; the graph allocates shard
 storage exactly once, so the references stay valid across host reads and
@@ -30,7 +32,8 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -142,18 +145,21 @@ class ExchangePlan:
     """Frozen execution plan of one ``Exchange`` step."""
 
     name: str
-    ops: tuple  # of CopyOp, one per shard pair (sim, fault injector)
     transfers: tuple  # of Transfer, for the fabric cost model
     local_cycles: int  # max over tiles of summed on-tile memcpy cost
     vectorized: bool  # False -> hazard detected, ops follow copy order
-    #: The same copies as CopyOps over ``Variable.flat_data`` / ``flat_lo``,
-    #: one per (src buffer, dst buffer) pair — what the fused kernels
-    #: replay.  A hazard plan has no flat form: ``flat is ops``.
-    flat: tuple | None = None
+    #: The copies as CopyOps over ``Variable.flat_data`` / ``flat_lo``, one
+    #: per (src buffer, dst buffer) pair — what the fused kernels replay.  A
+    #: hazard plan has no flat form: ``flat is ops``.
+    flat: tuple
+    n_ops: int  # len(ops), known without building them
+    copies: tuple = field(repr=False, compare=False)  # _copy_ops' (endpoints, table)
 
-    def __post_init__(self):
-        if self.flat is None:
-            object.__setattr__(self, "flat", self.ops)
+    @cached_property
+    def ops(self) -> tuple:
+        """CopyOps over the shard arrays, one per shard pair — what ``sim``
+        replays and the fault injector picks its targets from."""
+        return _copy_ops(*self.copies, flat=False) if self.vectorized else self.flat
 
 
 class ExecutionPlans:
@@ -184,65 +190,56 @@ def _plan_compute_set(cs: ComputeSet, workers: int) -> ComputePlan:
     for v in cs.vertices:
         per_tile.setdefault(v.tile_id, []).append(v)
     tiles = []
-    dispatch: list = []
-    worst = 0
     for tile_id, vertices in per_tile.items():
-        runs = []
-        tasks: list = []
-        for v in vertices:
-            if not v.codelet.cost_only:
-                runs.append(v.run)
-            tasks.extend(v.worker_cycles())
-        makespan = lpt_makespan(tasks, workers)
-        worst = max(worst, makespan)
-        tiles.append(TilePlan(tile_id, tuple(runs), makespan))
-        dispatch.extend(runs)
+        runs = tuple(v.run for v in vertices if not v.codelet.cost_only)
+        tasks = [cycles for v in vertices for cycles in v.worker_cycles()]
+        tiles.append(TilePlan(tile_id, runs, lpt_makespan(tasks, workers)))
     return ComputePlan(
         name=cs.name,
         category=category,
         tiles=tuple(tiles),
-        dispatch=tuple(dispatch),
-        worst_tile=worst,
+        dispatch=tuple(run for tile in tiles for run in tile.runs),
+        worst_tile=max((tile.makespan for tile in tiles), default=0),
     )
 
 
-def _any_write_overlap(reads: dict, writes: dict) -> bool:
-    """True when a written range overlaps any other read or written range.
+def _any_write_overlap(array, start, stop, is_write) -> bool:
+    """True when a written range overlaps any other read or written range
+    of the same array (``array`` holds one integer id per range; ranges of
+    distinct arrays never interact).
 
-    Ranges touching distinct shard arrays never interact.  Per array the
-    copy count is small (one segment per communicating neighbor), so the
-    quadratic check stays cheap — and it runs once, at compile time.
+    One sort instead of all pairs: ranges ordered by (array, start, stop)
+    overlap an earlier range of their array exactly when they start before
+    the furthest stop seen so far — over every earlier range for a write,
+    over the earlier writes for a read.
     """
-    for aid, wivs in writes.items():
-        rivs = reads.get(aid, ())
-        for i, (a0, a1) in enumerate(wivs):
-            for b0, b1 in wivs[i + 1 :]:
-                if a0 < b1 and b0 < a1:
-                    return True
-            for b0, b1 in rivs:
-                if a0 < b1 and b0 < a1:
-                    return True
-    return False
+    if not len(array):
+        return False
+    order = np.lexsort((stop, start, array))
+    start, stop, is_write = start[order], stop[order], is_write[order]
+    # Shift every array's ranges into a band of its own so one running
+    # maximum serves them all: an earlier array's stops stay below the band.
+    band = np.cumsum(np.diff(array[order], prepend=array[order[0]]) != 0) * (stop.max() + 1)
+    reach = np.maximum.accumulate(stop + band)
+    write_reach = np.maximum.accumulate(np.where(is_write, stop + band, -1))
+    before = np.where(is_write[1:], reach[:-1], write_reach[:-1])
+    return bool((start[1:] + band[1:] < before).any())
 
 
 def _plan_exchange(step: Exchange) -> ExchangePlan:
-    # Elementary copies: one (src var, src tile, dst var, dst tile, ranges)
-    # tuple per destination of each RegionCopy, in program order.
-    elementary = []
-    reads: dict = defaultdict(list)
-    writes: dict = defaultdict(list)
+    # Elementary copies: one ``(src, dst, src row, dst row, size)`` table row
+    # per destination of each RegionCopy, in program order; ``src`` / ``dst``
+    # number the distinct ``(variable, tile)`` shards touched.
+    endpoints: dict = {}
+    rows = []
     local_per_tile: dict[int, int] = defaultdict(int)
     transfers = []
     for rc in step.copies:
-        src_sh = rc.src_var.shard(rc.src_tile)
-        s0, s1 = rc.src_offset, rc.src_offset + rc.size
-        reads[id(src_sh.data)].append((s0, s1))
+        src = endpoints.setdefault((rc.src_var, rc.src_tile), len(endpoints))
         remote_dests = []
         for dst_var, dst_tile, dst_offset in rc.dests:
-            dst_sh = dst_var.shard(dst_tile)
-            d0, d1 = dst_offset, dst_offset + rc.size
-            writes[id(dst_sh.data)].append((d0, d1))
-            elementary.append((rc.src_var, rc.src_tile, dst_var, dst_tile, s0, s1, d0, d1))
+            dst = endpoints.setdefault((dst_var, dst_tile), len(endpoints))
+            rows.append((src, dst, rc.src_offset, dst_offset, rc.size))
             if dst_tile != rc.src_tile:
                 remote_dests.append(dst_tile)
             else:
@@ -256,39 +253,28 @@ def _plan_exchange(step: Exchange) -> ExchangePlan:
             nbytes = rc.size * rc.src_var.unit_bytes()
             transfers.append(Transfer(rc.src_tile, tuple(remote_dests), nbytes))
 
-    def shard_copies():
-        for src_var, src_tile, dst_var, dst_tile, s0, s1, d0, d1 in elementary:
-            src_sh, dst_sh = src_var.shard(src_tile), dst_var.shard(dst_tile)
-            yield (src_sh.data, src_sh.lo), (dst_sh.data, dst_sh.lo), (s0, s1, d0, d1)
-
-    vectorized = not _any_write_overlap(reads, writes)
-    if not vectorized:
-        # Overlapping regions: keep strict program order, one op per copy.
-        ops = tuple(_copy_op(src, dst, [seg]) for src, dst, seg in shard_copies())
-        flat = ops
-    else:
-        # Fuse all copies between each (src array, dst array) pair into one
-        # numpy op; with no overlaps the op order cannot be observed.  Per
-        # shard pair for the timed backend, per whole-device buffer pair
-        # (global row = shard base + offset) for the untimed ones.
-        buffers: dict = {}
-
-        def flat_copies():
-            for src_var, src_tile, dst_var, dst_tile, s0, s1, d0, d1 in elementary:
-                src, sb = _flat_rows(src_var, src_tile, buffers)
-                dst, db = _flat_rows(dst_var, dst_tile, buffers)
-                yield src, dst, (sb + s0, sb + s1, db + d0, db + d1)
-
-        ops = _fuse_copies(shard_copies())
-        flat = _fuse_copies(flat_copies())
-
+    table = np.array(rows, dtype=np.int64).reshape(-1, 5)
+    src, dst, src_row, dst_row, size = table.T
+    # (A copy's source is read once however many destinations it has;
+    # counting the read per destination changes no overlap.)
+    start = np.concatenate([src_row, dst_row])
+    vectorized = not _any_write_overlap(
+        np.concatenate([src, dst]), start, start + np.tile(size, 2),
+        np.repeat([False, True], len(rows)),
+    )
+    # Hazard-free: all copies between each pair of buffers fuse into one
+    # numpy op (their order cannot be observed) — per whole-device buffer
+    # pair here, per shard pair in ``ExchangePlan.ops``.  Overlapping
+    # regions keep strict program order, one op per copy.
+    copies = (list(endpoints), table)
     return ExchangePlan(
         name=step.name,
-        ops=ops,
         transfers=tuple(transfers),
         local_cycles=max(local_per_tile.values(), default=0),
         vectorized=vectorized,
-        flat=flat,
+        flat=_copy_ops(*copies, flat=vectorized, fuse=vectorized),
+        n_ops=len(np.unique(src * len(endpoints) + dst)) if vectorized else len(rows),
+        copies=copies,
     )
 
 
@@ -311,39 +297,59 @@ def _flat_rows(var, tile_id: int, buffers: dict) -> tuple:
     return pair, var.replica_rows[tile_id] * var.size
 
 
-def _fuse_copies(copies) -> tuple:
-    """One CopyOp per (src array, dst array) pair of hazard-free copies."""
-    groups: dict = {}
-    for src, dst, segment in copies:
-        key = (id(src[0]), id(dst[0]))
-        if key not in groups:
-            groups[key] = (src, dst, [])
-        groups[key][2].append(segment)
-    return tuple(_copy_op(*group) for group in groups.values())
+def _copy_ops(endpoints, table, flat: bool, fuse: bool = True) -> tuple:
+    """The CopyOps of an exchange's elementary copies.
 
-
-def _copy_op(src, dst, segments) -> CopyOp:
-    """``src`` / ``dst`` are ``(hi, lo)`` array pairs; the lo halves move
-    when both endpoints are double-word.  Segments of one op are
-    hazard-free, so they are laid out in destination order: an exchange
-    that fills a whole buffer range then scatters through a plain slice."""
-    paired = src[1] is not None and dst[1] is not None
-    segments = sorted(segments, key=lambda seg: seg[2])
-    return CopyOp(
-        src=src[0],
-        dst=dst[0],
-        src_index=_row_index([(s0, s1) for s0, s1, _, _ in segments]),
-        dst_index=_row_index([(d0, d1) for _, _, d0, d1 in segments]),
-        src_lo=src[1] if paired else None,
-        dst_lo=dst[1] if paired else None,
-    )
-
-
-def _row_index(ranges):
-    """A slice when the ranges abut into one run, else a fancy index."""
-    if all(a[1] == b[0] for a, b in zip(ranges, ranges[1:])):
-        return slice(ranges[0][0], ranges[-1][1])
-    return np.concatenate([np.arange(r0, r1) for r0, r1 in ranges])
+    ``flat`` addresses the variables' whole-device buffers (global row =
+    shard base + offset), else each endpoint's own shard arrays.  ``fuse``
+    merges all copies between one pair of arrays into one op — ops in order
+    of first appearance, each op's segments laid out in destination order,
+    so an exchange that fills a whole buffer range scatters through a plain
+    slice; without it every copy stays its own op, in program order.
+    """
+    if not len(table):
+        return ()
+    src, dst, src_row, dst_row, size = table.T
+    if flat:
+        buffers: dict = {}
+        located = [_flat_rows(var, tile, buffers) for var, tile in endpoints]
+        arrays = [pair for pair, _ in located]
+        base = np.array([row for _, row in located], dtype=np.int64)
+        src_row, dst_row = src_row + base[src], dst_row + base[dst]
+        ids: dict = {}
+        array_id = np.array([ids.setdefault(id(hi), len(ids)) for hi, _ in arrays])
+    else:
+        arrays = [(var.shards[tile].data, var.shards[tile].lo) for var, tile in endpoints]
+        array_id = np.arange(len(arrays))
+    pair = array_id[src] * len(arrays) + array_id[dst] if fuse else np.arange(len(table))
+    _, first, op_of = np.unique(pair, return_index=True, return_inverse=True)
+    op_of = np.argsort(np.argsort(first))[op_of]  # ops numbered by first appearance
+    order = np.lexsort((dst_row, op_of))  # stable: equal rows keep program order
+    size = size[order]
+    stop = np.cumsum(size)
+    cuts = np.concatenate([[0], np.cumsum(np.bincount(op_of))])  # op -> its copies
+    spans = np.concatenate([[0], stop])[cuts]  # op -> its rows of the index runs
+    sides = []
+    for row in (src_row[order], dst_row[order]):
+        # One index run over the whole exchange, cut per op below; an op whose
+        # segments abut into a single range takes the slice instead.
+        run = np.repeat(row - (stop - size), size) + np.arange(stop[-1])
+        gaps = np.concatenate([[0], np.cumsum(row[1:] != row[:-1] + size[:-1])])
+        sides.append((row, run, gaps[cuts[1:] - 1] == gaps[cuts[:-1]]))
+    ops = []
+    for op, k in enumerate(np.sort(first).tolist()):
+        (hi, lo), (dst_hi, dst_lo) = arrays[src[k]], arrays[dst[k]]
+        a, b = cuts[op], cuts[op + 1] - 1
+        src_index, dst_index = (
+            slice(int(row[a]), int(row[b] + size[b])) if abut[op]
+            else run[spans[op] : spans[op + 1]]
+            for row, run, abut in sides
+        )
+        # The lo halves move when both endpoints are double-word.
+        paired = lo is not None and dst_lo is not None
+        ops.append(CopyOp(hi, dst_hi, src_index, dst_index,
+                          lo if paired else None, dst_lo if paired else None))
+    return tuple(ops)
 
 
 def build_plans(root: Step, device) -> ExecutionPlans:

@@ -311,7 +311,8 @@ class Solver:
 
         def cb(engine):
             r2 = max(engine.read_scalar(rnorm2_tensor.var), 0.0)
-            it = engine.read_scalar(iter_counter.var) if iter_counter is not None else len(stats.residuals)
+            counted = iter_counter is not None
+            it = engine.read_scalar(iter_counter.var) if counted else len(stats.residuals)
             stats.record(int(it), np.sqrt(r2) * scale, cycles=engine.profiler.total_cycles)
 
         return cb

@@ -160,7 +160,8 @@ class Multigrid(Solver):
         for t in coarsest.tiles:
             count = coarsest.plan.owned_count(t)
             gather.append(RegionCopy(b.owned.var, t, 0, ((gvec, self.coarse_tile, offset),), count))
-            scatter.append(RegionCopy(gvec, self.coarse_tile, offset, ((x.owned.var, t, 0),), count))
+            dest = (x.owned.var, t, 0)
+            scatter.append(RegionCopy(gvec, self.coarse_tile, offset, (dest,), count))
             offset += count
         self.ctx.append(Exchange(gather, name="exchange"))
 

@@ -145,7 +145,8 @@ class ModifiedCRS:
         p = sp.csr_matrix(
             (np.ones(self.n), (np.arange(self.n), perm)), shape=self.shape
         )
-        return ModifiedCRS.from_scipy(p @ csr @ p.T, dtype=self.values.dtype if self.values.size else np.float64)
+        dtype = self.values.dtype if self.values.size else np.float64
+        return ModifiedCRS.from_scipy(p @ csr @ p.T, dtype=dtype)
 
     def rows_nnz(self) -> np.ndarray:
         """Off-diagonal entries per row."""

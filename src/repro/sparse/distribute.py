@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dw import DWArray
 from repro.graph import Exchange, Interval
 from repro.graph.codelet import Codelet, ComputeSet, SpmvSpec
 from repro.graph.program import Execute as ExecuteStep
@@ -164,38 +165,39 @@ class DistributedMatrix:
 
     def _build_local_blocks(self) -> None:
         """Extract and allocate each tile's local modified-CRS block."""
-        crs = self.crs
+        crs, plan, device = self.crs, self.plan, self.ctx.device
+        # Every row's entries, rows in layout (``perm``) order: one gather
+        # for the whole matrix, cut per tile at the row-pointer bounds.
+        starts = crs.row_ptr[self.perm].astype(np.int64)
+        lengths = crs.row_ptr[self.perm + 1] - starts
+        ptr = np.concatenate([[0], np.cumsum(lengths)])
+        entries = np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1])
+        cols = crs.col_idx[entries]
+
+        def split(wide):
+            # (f32, lo, f32 + lo): a double-word copy of the coefficients for
+            # the extended-precision residual SpMV of MPIR (standard
+            # mixed-precision IR practice: the residual must see A beyond
+            # working precision, else the f32 rounding of A bounds accuracy).
+            dw = DWArray.from_float64(wide)
+            return dw.hi, dw.lo, dw.to_float64()
+
+        values, diag = split(crs.values[entries]), split(crs.diag[self.perm])
         self.local: dict[int, dict] = {}
-        device = self.ctx.device
+        row = 0
         for t in self.tiles:
-            rows = self.plan.owned_order[t]
-            lmap = self.plan.local_index_map(t)
-            n_loc = rows.size
-            ptr = [0]
-            cols_loc, vals = [], []
-            for g in rows:
-                cg, vg = crs.row(int(g))
-                cols_loc.extend(lmap[int(c)] for c in cg)
-                vals.extend(vg)
-                ptr.append(len(cols_loc))
-            vals64 = np.asarray(vals, dtype=np.float64)
-            diag64 = crs.diag[rows].astype(np.float64)
+            n_loc = plan.owned_count(t)
+            rows = slice(row, row + n_loc)
+            a, b = ptr[row], ptr[row + n_loc]
+            row += n_loc
             local = {
-                "rows_global": rows,
+                "rows_global": plan.owned_order[t],
                 "n": n_loc,
-                "diag": diag64.astype(np.float32),
-                "values": vals64.astype(np.float32),
-                "col_idx": np.asarray(cols_loc, dtype=np.int32),
-                "row_ptr": np.asarray(ptr, dtype=np.int32),
+                "diag": diag[0][rows], "diag_lo": diag[1][rows], "diag_ext": diag[2][rows],
+                "values": values[0][a:b], "values_lo": values[1][a:b], "values_ext": values[2][a:b],
+                "col_idx": plan.local_index(t, cols[a:b]).astype(np.int32),
+                "row_ptr": (ptr[rows.start : rows.stop + 1] - a).astype(np.int32),
             }
-            # Double-word copy of the coefficients for the extended-precision
-            # residual SpMV of MPIR (standard mixed-precision IR practice:
-            # the residual must see A beyond working precision, else the f32
-            # rounding of A bounds the attainable accuracy).
-            local["values_lo"] = (vals64 - local["values"].astype(np.float64)).astype(np.float32)
-            local["diag_lo"] = (diag64 - local["diag"].astype(np.float64)).astype(np.float32)
-            local["values_ext"] = local["values"].astype(np.float64) + local["values_lo"].astype(np.float64)
-            local["diag_ext"] = local["diag"].astype(np.float64) + local["diag_lo"].astype(np.float64)
             tile = device.tile(t)
             for key in ("diag", "values", "col_idx", "row_ptr", "values_lo", "diag_lo"):
                 tile.alloc(f"{self.name}.{key}@{t}", local[key])
@@ -276,9 +278,9 @@ class DistributedMatrix:
         owned = self.ctx.from_mapping(name, (self.n,), dtype, self.owned_mapping(), batch=batch)
         halo_map, halo_total = self.halo_mapping()
         if halo_total:
-            halo = self.ctx.from_mapping(name + ".halo", (halo_total,), dtype, halo_map, batch=batch)
+            halo = self.ctx.from_mapping(f"{name}.halo", (halo_total,), dtype, halo_map, batch)
         else:
-            halo = self.ctx.tensor((), dtype=dtype, name=name + ".halo", tile_ids=self.tiles, batch=batch)
+            halo = self.ctx.tensor((), dtype, f"{name}.halo", tile_ids=self.tiles, batch=batch)
         vec = DistVector(self, owned, halo)
         if data is not None:
             vec.write_global(data)
@@ -313,7 +315,7 @@ class DistributedMatrix:
         for w in range(workers):
             target = (w + 1) * total / workers
             # Smallest end such that work(0..end) >= target.
-            end = int(np.searchsorted(nnz_prefix[1:] + np.arange(1, n + 1), target, side="left")) + 1
+            end = int(np.searchsorted(nnz_prefix[1:] + np.arange(1, n + 1), target)) + 1
             end = min(max(end, start), n)
             if w == workers - 1:
                 end = n

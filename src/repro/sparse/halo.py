@@ -19,7 +19,7 @@ Burchard et al. [12], used by the ablation bench.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class HaloPlan:
     sep_offset: dict  # rid -> offset of the region in the owner's layout
     halo_offset: dict  # (tile, rid) -> offset in the tile's halo buffer
     blockwise: bool = True
-    _local_maps: dict = field(default_factory=dict, repr=False)
 
     # -- sizes ---------------------------------------------------------------------
 
@@ -81,15 +80,12 @@ class HaloPlan:
         permutation to the matrix realizes the reordering strategy."""
         return np.concatenate([self.owned_order[t] for t in self.tiles()])
 
-    def local_index_map(self, tile: int) -> dict:
-        """global id -> local vector index on ``tile`` (owned then halo)."""
-        if tile not in self._local_maps:
-            m = {int(g): i for i, g in enumerate(self.owned_order[tile])}
-            base = self.owned_count(tile)
-            for i, g in enumerate(self.halo_order[tile]):
-                m[int(g)] = base + i
-            self._local_maps[tile] = m
-        return self._local_maps[tile]
+    def local_index(self, tile: int, cells) -> np.ndarray:
+        """Local vector index on ``tile`` (owned prefix, then halo) of each
+        global id in ``cells``, all of which the tile must hold."""
+        ids = np.concatenate([self.owned_order[tile], self.halo_order[tile]])
+        order = np.argsort(ids)
+        return order[np.searchsorted(ids[order], cells)]
 
     # -- exchange -----------------------------------------------------------------------
 
@@ -155,85 +151,71 @@ class HaloPlan:
         return self.total_halo_cells() * element_bytes * batch
 
 
-def _requirements(matrix: ModifiedCRS, partition: Partition):
-    """For each cell, the set of foreign tiles requiring its value."""
-    owner = partition.owner
-    rows = np.repeat(np.arange(matrix.n), matrix.rows_nnz())
-    cols = matrix.col_idx
-    mask = owner[rows] != owner[cols]
-    pairs = np.unique(np.stack([cols[mask], owner[rows][mask]], axis=1), axis=0)
-    req: dict[int, list] = {}
-    for cell, tile in pairs:
-        req.setdefault(int(cell), []).append(int(tile))
-    return req
+def _slices(flat: np.ndarray, counts: np.ndarray) -> dict:
+    """tile -> its run of ``flat``, which holds ``counts[t]`` entries per tile."""
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    return {t: flat[bounds[t] : bounds[t + 1]] for t in range(counts.size)}
 
 
 def _build(matrix: ModifiedCRS, partition: Partition, blockwise: bool) -> HaloPlan:
-    owner = partition.owner
-    req = _requirements(matrix, partition)
+    owner, parts = partition.owner, partition.num_parts
+    # Every cell a foreign tile requires, once per requiring tile: sorted
+    # unique (cell, tile) pairs, held as two arrays.
+    row_owner = np.repeat(owner, matrix.rows_nnz())
+    foreign = row_owner != owner[matrix.col_idx]
+    req_cell, req_tile = np.divmod(
+        np.unique(matrix.col_idx[foreign].astype(np.int64) * parts + row_owner[foreign]), parts
+    )
+    # Separator cells, ascending; cell i's involved tiles are
+    # ``req_tile[first[i] : first[i] + involved[i]]``, ascending.
+    sep, first, involved = np.unique(req_cell, return_index=True, return_counts=True)
 
-    # Steps 1+2: group each tile's separator cells by their involved-tile set.
-    groups: dict[tuple, list] = {}
-    for cell, tiles in req.items():
-        key = (int(owner[cell]), tuple(sorted(tiles)))
-        groups.setdefault(key, []).append(cell)
-
-    regions = []
-    for (own, receivers), cells in sorted(groups.items()):
-        # Step 4: one consistent order (ascending global id) everywhere.
-        regions.append(
-            Region(
-                rid=len(regions),
-                owner=own,
-                receivers=receivers,
-                cells=np.sort(np.asarray(cells, dtype=np.int64)),
-            )
-        )
+    # Steps 1+2: group separator cells by (owner, involved-tile set).  The
+    # region id is the cell's dense rank under that key — refined one
+    # involved tile at a time, an exhausted set ranking before any tile, the
+    # order in which tuples compare.
+    rid = owner[sep]
+    for k in range(int(involved.max(initial=0))):
+        tile_k = np.zeros(sep.size, dtype=np.int64)
+        more = involved > k
+        tile_k[more] = req_tile[first[more] + k] + 1
+        rid = np.unique(rid * (parts + 1) + tile_k, return_inverse=True)[1]
 
     # Per-tile owned layout: interior first, then separator regions.
-    sep_cells: dict[int, list] = {t: [] for t in range(partition.num_parts)}
-    for r in regions:
-        sep_cells[r.owner].append(r)
+    cell_rid = np.full(matrix.n, -1, dtype=np.int64)
+    cell_rid[sep] = rid
+    layout = np.lexsort((cell_rid, owner))  # ties keep ascending global id
+    owned_counts = partition.counts()
+    offset_in_tile = np.empty(matrix.n, dtype=np.int64)
+    offset_in_tile[layout] = np.arange(matrix.n) - np.repeat(
+        np.cumsum(owned_counts) - owned_counts, owned_counts
+    )
 
-    owned_order, sep_offset = {}, {}
-    for t in range(partition.num_parts):
-        owned = partition.rows_of(t)
-        sep_set = (
-            np.concatenate([r.cells for r in sep_cells[t]])
-            if sep_cells[t]
-            else np.empty(0, dtype=np.int64)
-        )
-        interior = np.setdiff1d(owned, sep_set, assume_unique=True)
-        layout = [interior]
-        offset = interior.size
-        for r in sep_cells[t]:
-            sep_offset[r.rid] = offset
-            layout.append(r.cells)
-            offset += r.size
-        owned_order[t] = np.concatenate(layout) if layout else np.empty(0, dtype=np.int64)
+    # Step 3: halo regions on each receiver, in (owner, rid) order — which
+    # is rid order, regions being numbered owner-major.
+    req_rid = np.repeat(rid, involved)
+    halo_cells = req_cell[np.lexsort((req_cell, req_rid, req_tile))]
 
-    # Step 3: halo regions on each receiver, in (owner, rid) order.
-    halo_order, halo_offset = {}, {}
-    recv_regions: dict[int, list] = {t: [] for t in range(partition.num_parts)}
-    for r in regions:
-        for t in r.receivers:
-            recv_regions[t].append(r)
-    for t in range(partition.num_parts):
-        offset = 0
-        chunks = []
-        for r in sorted(recv_regions[t], key=lambda r: (r.owner, r.rid)):
-            halo_offset[(t, r.rid)] = offset
-            chunks.append(r.cells)
-            offset += r.size
-        halo_order[t] = (
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        )
-
+    # Step 4: one consistent order (ascending global id) everywhere.
+    by_region = np.argsort(rid, kind="stable")
+    cells = sep[by_region]
+    regions, sep_offset, halo_offset = [], {}, {}
+    halo_fill = [0] * parts
+    a = 0
+    for r, size in enumerate(np.bincount(rid).tolist()):
+        i = by_region[a]
+        receivers = tuple(req_tile[first[i] : first[i] + involved[i]].tolist())
+        regions.append(Region(r, int(owner[sep[i]]), receivers, cells[a : a + size]))
+        sep_offset[r] = int(offset_in_tile[sep[i]])
+        for t in receivers:
+            halo_offset[(t, r)] = halo_fill[t]
+            halo_fill[t] += size
+        a += size
     return HaloPlan(
-        partition=partition,
-        regions=regions,
-        owned_order=owned_order,
-        halo_order=halo_order,
+        partition,
+        regions,
+        owned_order=_slices(layout, owned_counts),
+        halo_order=_slices(halo_cells, np.bincount(req_tile, minlength=parts)),
         sep_offset=sep_offset,
         halo_offset=halo_offset,
         blockwise=blockwise,

@@ -53,40 +53,30 @@ class DistributedRectOp:
         for t in self.out_matrix.tiles:
             rows_global = out_plan.owned_order[t]  # output layout order
             sub = R[rows_global]  # rows in local output order
-            cols_needed = np.unique(sub.indices)
-            local_in_map = in_plan.local_index_map(t)
             n_owned_in = in_plan.owned_count(t)
+            remote = in_owner[sub.indices] != t
+            cells_needed = np.unique(sub.indices[remote]).astype(np.int64)
 
-            remote = np.array(
-                [c for c in cols_needed if int(in_owner[c]) != t], dtype=np.int64
-            )
-            by_src: dict[int, list] = {}
-            for c in remote:
-                by_src.setdefault(int(in_owner[c]), []).append(int(c))
-
-            # The tile's input view: [its owned input shard | staging halo].
-            stage_index = {}
-            offset = 0
-            for src in sorted(by_src):
-                cells = np.array(sorted(by_src[src]), dtype=np.int64)
+            # The tile's input view: [its owned input shard | staging halo],
+            # the halo staged per source tile in ascending (source, cell) order.
+            by_source = np.argsort(in_owner[cells_needed], kind="stable")
+            staged = cells_needed[by_source]
+            sources, first = np.unique(in_owner[staged], return_index=True)
+            for src, cells in zip(sources.tolist(), np.split(staged, first[1:])):
                 self.pair_cells[(src, t)] = cells
-                for k, c in enumerate(cells):
-                    stage_index[int(c)] = n_owned_in + offset + k
-                offset += cells.size
 
-            def col_to_local(c: int) -> int:
-                if int(in_owner[c]) == t:
-                    # Owned input cell: position within the owned layout.
-                    return local_in_map[int(c)]
-                return stage_index[int(c)]
-
-            cols_local = np.array([col_to_local(int(c)) for c in sub.indices], dtype=np.int32)
+            cols_local = np.empty(sub.indices.size, dtype=np.int32)
+            cols_local[~remote] = in_plan.local_index(t, sub.indices[~remote])
+            slot = np.argsort(by_source)  # cells_needed[j] is staged at slot[j]
+            cols_local[remote] = n_owned_in + slot[
+                np.searchsorted(cells_needed, sub.indices[remote])
+            ]
             self.local[t] = {
                 "n_rows": rows_global.size,
                 "segments": RowSegments(sub.indptr),
                 "cols": cols_local,
                 "vals": sub.data.astype(np.float32),
-                "stage_size": offset,
+                "stage_size": staged.size,
                 "n_owned_in": n_owned_in,
             }
 
@@ -127,8 +117,7 @@ class DistributedRectOp:
         if self.pair_cells:
             cs_pack = ComputeSet(self.ctx.graph.unique_name("cs_pack"), category="transfer")
             for (src, dst), cells in self.pair_cells.items():
-                lmap = in_plan.local_index_map(src)
-                positions = np.array([lmap[int(c)] for c in cells], dtype=np.int64)
+                positions = in_plan.local_index(src, cells)
                 stage = self._stage_send[(src, dst)]
 
                 def run(ctx, src=src, positions=positions, stage=stage):

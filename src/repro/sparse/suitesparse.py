@@ -90,7 +90,8 @@ def _offsets_27():
     return [o for o in offs if o > tuple(-c for c in o)]
 
 
-def g3_circuit_like(grid: int = 110, extra_edge_frac: float = 0.04, seed: int = 0, shift: float = 1e-4):
+def g3_circuit_like(grid: int = 110, extra_edge_frac: float = 0.04,
+                    seed: int = 0, shift: float = 1e-4):
     """Circuit-simulation double of *G3_circuit*.
 
     A 2-D grid Laplacian (≈5 nnz/row like the original's 4.86) with a
@@ -133,7 +134,8 @@ def af_shell_like(nx: int = 56, ny: int = 56, layers: int = 4, seed: int = 1, sh
     )
 
 
-def geo_like(nx: int = 24, ny: int = 24, nz: int = 24, anisotropy: float = 25.0, seed: int = 2, shift: float = 1e-3):
+def geo_like(nx: int = 24, ny: int = 24, nz: int = 24, anisotropy: float = 25.0,
+             seed: int = 2, shift: float = 1e-3):
     """Geomechanics double of *Geo_1438*.
 
     A 3-D 27-point Laplacian (≈44 nnz/row in the original) with anisotropic
@@ -153,7 +155,8 @@ def geo_like(nx: int = 24, ny: int = 24, nz: int = 24, anisotropy: float = 25.0,
     )
 
 
-def hook_like(nx: int = 24, ny: int = 24, nz: int = 24, contrast: float = 1e4, seed: int = 3, shift: float = 1e-1):
+def hook_like(nx: int = 24, ny: int = 24, nz: int = 24, contrast: float = 1e4,
+              seed: int = 3, shift: float = 1e-1):
     """Steel-hook double of *Hook_1498*.
 
     A 3-D 27-point Laplacian whose coefficients jump by ``contrast`` between

@@ -38,8 +38,8 @@ from repro.tensordsl.materialize import (
     batch_reduce_codelet,
     category_for,
     combine_codelet,
-    elementwise_codelet,
-    partial_reduce_codelet,
+    elementwise_codelets,
+    partial_reduce_codelets,
 )
 from repro.tensordsl.tensor import Tensor
 from repro.tensordsl.types import Type
@@ -112,18 +112,13 @@ class TensorContext:
         tiles = None
         for leaf in expr.leaves():
             v = leaf.var
-            tset = set(v.tile_ids)
-            tiles = tset if tiles is None else (tiles & tset)
+            tiles = set(v.shards) if tiles is None else tiles & v.shards.keys()
             if not v.is_scalar and not v.replicated:
                 if dist_var is None:
                     dist_var = v
-                elif [
-                    (iv.tile_id, iv.start, iv.stop)
-                    for iv in sorted((s.interval for s in dist_var.shards.values()), key=lambda i: i.start)
-                ] != [
-                    (iv.tile_id, iv.start, iv.stop)
-                    for iv in sorted((s.interval for s in v.shards.values()), key=lambda i: i.start)
-                ]:
+                elif v.shards.keys() != dist_var.shards.keys() or any(
+                    s.interval != dist_var.shards[t].interval for t, s in v.shards.items()
+                ):
                     raise ValueError(
                         f"operands {dist_var.name!r} and {v.name!r} have different tile mappings"
                     )
@@ -162,9 +157,9 @@ class TensorContext:
         # subset of the device).  Emit only where every leaf has a shard;
         # off-tile replicas go stale, which is fine — scalar reads and all
         # distributed expressions resolve on the participating tiles.
-        common = set(out_var.tile_ids)
+        common = set(out_var.shards)
         for leaf in expr.leaves():
-            common &= set(leaf.var.tile_ids)
+            common &= leaf.var.shards.keys()
         if not common:
             raise ValueError(
                 f"assignment into {out_var.name!r} has no tile holding every operand"
@@ -174,11 +169,9 @@ class TensorContext:
                 f"cannot assign batch-{expr.batch} expression into "
                 f"batch-{out_var.batch} variable {out_var.name!r}"
             )
-        for t in out_var.tile_ids:
-            if t not in common:
-                continue
-            cl = elementwise_codelet(self.device.model, expr, out_var, t, workers)
-            cs.add_vertex(cl, t, {})
+        codelet = elementwise_codelets(self.device.model, expr, out_var, workers)
+        for t in sorted(common):
+            cs.add_vertex(codelet(t), t, {})
         self.append(ExecuteStep(cs))
 
     # -- reductions ------------------------------------------------------------------------------
@@ -205,8 +198,9 @@ class TensorContext:
             batch=batch,
         )
         cs = ComputeSet(self.graph.unique_name("cs_reduce"), category="reduce")
+        codelet = partial_reduce_codelets(self.device.model, expr, partials, workers, op=op)
         for t in tiles:
-            cs.add_vertex(partial_reduce_codelet(self.device.model, expr, partials, t, workers, op=op), t, {})
+            cs.add_vertex(codelet(t), t, {})
         self.append(ExecuteStep(cs))
 
         root = tiles[0]
@@ -327,7 +321,7 @@ class TensorContext:
             self._stack.pop()
         return seq
 
-    # -- CodeDSL bridge ------------------------------------------------------------------------------
+    # -- CodeDSL bridge ---------------------------------------------------------------------------
 
     def Execute(self, tensors, fn) -> None:
         """Run a CodeDSL kernel over the shards of ``tensors`` on each tile.
@@ -358,10 +352,11 @@ class TensorContext:
             def cycles(ctx, _f=flops):
                 return model.vertex_overhead + _f * model.spec.f32_op_cycles
 
-            cs.add_vertex(Codelet(f"codedsl@{tile_id}", run, cycles, category="codedsl"), tile_id, {})
+            codelet = Codelet(f"codedsl@{tile_id}", run, cycles, category="codedsl")
+            cs.add_vertex(codelet, tile_id, {})
         self.append(ExecuteStep(cs))
 
-    # -- host interaction --------------------------------------------------------------------------------
+    # -- host interaction -------------------------------------------------------------------------
 
     def callback(self, fn) -> None:
         """Insert a host callback (progress reporting, host I/O)."""
@@ -382,7 +377,7 @@ class TensorContext:
 
         self.append(HostCallback(fn))
 
-    # -- compilation & execution ----------------------------------------------------------------------------
+    # -- compilation & execution ------------------------------------------------------------------
 
     def compile(self, optimize: bool = True, passes=None) -> CompiledProgram:
         """Lower the constructed schedule through the pass pipeline.

@@ -16,6 +16,8 @@ broadcast inside the codelet, avoiding materializing expanded tensors
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from repro.dw import joldes
@@ -28,8 +30,8 @@ __all__ = [
     "eval_expr",
     "eval_expr_on_tile",
     "convert_value",
-    "elementwise_codelet",
-    "partial_reduce_codelet",
+    "elementwise_codelets",
+    "partial_reduce_codelets",
     "combine_codelet",
     "batch_reduce_codelet",
     "category_for",
@@ -198,7 +200,7 @@ def worker_chunks(n: int, workers: int) -> list:
     if n <= 0:
         return []
     base, extra = divmod(n, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers) if base + (1 if i < extra else 0) > 0]
+    return [base + (i < extra) for i in range(workers) if base + (i < extra) > 0]
 
 
 def _elementwise_worker_cycles(model, dtype, op_counts, n, workers):
@@ -210,33 +212,39 @@ def _elementwise_worker_cycles(model, dtype, op_counts, n, workers):
     ] or [model.vertex_overhead]
 
 
-def elementwise_codelet(model, expr: Expr, out_var, tile_id: int, workers: int) -> Codelet:
-    """Fused elementwise codelet writing ``expr`` into ``out_var``'s shard."""
-    out_dt = out_var.dtype
+def elementwise_codelets(model, expr: Expr, out_var, workers: int):
+    """``codelet(tile_id)``: the fused elementwise codelet writing ``expr``
+    into ``out_var``'s shard on that tile.  What depends on the expression
+    alone — dtype, op mix, the spec, the worker cycles of a shard size — is
+    worked out once for the compute set, not per tile."""
+    out_dt, expr_dt = out_var.dtype, expr.dtype
     op_counts = expr.op_counts()
-
-    def run(ctx):
-        value = convert_value(eval_expr_on_tile(expr, tile_id), expr.dtype, out_dt)
-        if out_var.batch > 1 and expr.batch == 1:
-            value = _expand_batch(value, out_dt)
-        sh = out_var.shard(tile_id)
-        if out_dt == Type.DOUBLEWORD:
-            sh.data[...] = np.broadcast_to(value[0], sh.data.shape)
-            sh.lo[...] = np.broadcast_to(value[1], sh.lo.shape)
-        else:
-            sh.data[...] = np.broadcast_to(value, sh.data.shape)
-
-    def cycles(ctx):
-        n = out_var.shard(tile_id).size * out_var.batch
-        return _elementwise_worker_cycles(model, expr.dtype, op_counts, n, workers)
-
-    return Codelet(
-        f"ew@{tile_id}",
-        run,
-        cycles,
-        category=category_for(expr.dtype),
-        spec=ElementwiseSpec(expr, out_var),
+    expand = out_var.batch > 1 and expr.batch == 1
+    category = category_for(expr_dt)
+    spec = ElementwiseSpec(expr, out_var)
+    # Remembered per shard size: the tiles of a compute set share a handful.
+    worker_cycles = cache(
+        lambda n: tuple(_elementwise_worker_cycles(model, expr_dt, op_counts, n, workers))
     )
+
+    def codelet(tile_id: int) -> Codelet:
+        def run(ctx):
+            value = convert_value(eval_expr_on_tile(expr, tile_id), expr_dt, out_dt)
+            if expand:
+                value = _expand_batch(value, out_dt)
+            sh = out_var.shard(tile_id)
+            if out_dt == Type.DOUBLEWORD:
+                sh.data[...] = np.broadcast_to(value[0], sh.data.shape)
+                sh.lo[...] = np.broadcast_to(value[1], sh.lo.shape)
+            else:
+                sh.data[...] = np.broadcast_to(value, sh.data.shape)
+
+        def cycles(ctx):
+            return worker_cycles(out_var.shard(tile_id).size * out_var.batch)
+
+        return Codelet(f"ew@{tile_id}", run, cycles, category=category, spec=spec)
+
+    return codelet
 
 
 REDUCE_OPS = ("sum", "max", "min")
@@ -297,28 +305,22 @@ def _reduce_value_batched(value, dt: str, op: str, n: int, batch: int):
     return out
 
 
-def partial_reduce_codelet(model, expr: Expr, out_var, tile_id: int, workers: int,
-                           op: str = "sum") -> Codelet:
-    """Per-tile partial reduction of ``expr`` into ``out_var``'s one-element shard."""
+def partial_reduce_codelets(model, expr: Expr, out_var, workers: int, op: str = "sum"):
+    """``codelet(tile_id)``: the per-tile partial reduction of ``expr`` into
+    ``out_var``'s one-element shard (shared per compute set like
+    :func:`elementwise_codelets`)."""
     dt = expr.dtype
     op_counts = expr.op_counts()
+    spec = ReduceSpec(expr, out_var, op)
+    vectors = [leaf.var for leaf in expr.leaves() if not leaf.var.is_scalar]
 
-    def run(ctx):
-        value = eval_expr_on_tile(expr, tile_id)
-        sh = out_var.shard(tile_id)
-        if out_var.batch > 1:
-            n = _expr_tile_size(expr, tile_id)
-            result = _reduce_value_batched(value, dt, op, n, out_var.batch)
-        else:
-            result = _reduce_value(value, dt, op)
-        if dt == Type.DOUBLEWORD:
-            sh.data[0], sh.lo[0] = result
-        else:
-            sh.data[0] = result
+    def tile_size(tile_id: int) -> int:
+        """Number of elements the expression produces on this tile."""
+        return max([1] + [v.shard(tile_id).size for v in vectors])
 
-    def cycles(ctx):
+    @cache
+    def worker_cycles(n: int) -> tuple:
         # Elementwise evaluation fused with the local reduction tree.
-        n = _expr_tile_size(expr, tile_id) * out_var.batch
         per_worker = worker_chunks(n, workers)
         costs = [
             model.elementwise_mixed(dt, op_counts, c) + model.reduce(dt, c) - model.vertex_overhead
@@ -326,15 +328,27 @@ def partial_reduce_codelet(model, expr: Expr, out_var, tile_id: int, workers: in
         ] or [model.vertex_overhead]
         # Worker 0 combines the per-worker partials.
         costs[0] += model.reduce(dt, len(per_worker)) - model.vertex_overhead
-        return costs
+        return tuple(costs)
 
-    return Codelet(
-        f"reduce@{tile_id}",
-        run,
-        cycles,
-        category="reduce",
-        spec=ReduceSpec(expr, out_var, op),
-    )
+    def codelet(tile_id: int) -> Codelet:
+        def run(ctx):
+            value = eval_expr_on_tile(expr, tile_id)
+            sh = out_var.shard(tile_id)
+            if out_var.batch > 1:
+                result = _reduce_value_batched(value, dt, op, tile_size(tile_id), out_var.batch)
+            else:
+                result = _reduce_value(value, dt, op)
+            if dt == Type.DOUBLEWORD:
+                sh.data[0], sh.lo[0] = result
+            else:
+                sh.data[0] = result
+
+        def cycles(ctx):
+            return worker_cycles(tile_size(tile_id) * out_var.batch)
+
+        return Codelet(f"reduce@{tile_id}", run, cycles, category="reduce", spec=spec)
+
+    return codelet
 
 
 def combine_codelet(model, gathered_var, out_var, tile_id: int, op: str = "sum") -> Codelet:
@@ -394,12 +408,3 @@ def batch_reduce_codelet(model, in_var, out_var, tile_id: int, op: str = "max") 
         category="reduce",
         spec=BatchReduceSpec(in_var, out_var, op),
     )
-
-
-def _expr_tile_size(expr: Expr, tile_id: int) -> int:
-    """Number of elements the expression produces on this tile."""
-    n = 1
-    for leaf in expr.leaves():
-        if not leaf.var.is_scalar:
-            n = max(n, leaf.var.shard(tile_id).size)
-    return n

@@ -152,7 +152,7 @@ class Tensor:
         self.ctx.assign(self.var, self._coerce(value))
         return self
 
-    # -- reductions ---------------------------------------------------------------------------------
+    # -- reductions -------------------------------------------------------------------------------
 
     def reduce(self, op: str = "sum") -> "Tensor":
         """Global reduction (sum/max/min) over all elements → replicated
@@ -176,7 +176,7 @@ class Tensor:
         """Euclidean norm as a (materialized) scalar tensor."""
         return (self * self).reduce().sqrt().materialize()
 
-    # -- host access -----------------------------------------------------------------------------------
+    # -- host access ------------------------------------------------------------------------------
 
     def value(self) -> np.ndarray:
         """Host-side read of the materialized tensor's current contents."""

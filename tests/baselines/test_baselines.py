@@ -15,7 +15,7 @@ from repro.baselines import (
     solver_iteration_time,
     spmv_time,
 )
-from repro.sparse import ModifiedCRS, poisson2d, poisson3d
+from repro.sparse import ModifiedCRS, poisson2d
 
 
 class TestGlobalILU0:

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from repro.dw.eft import fast_two_sum, fma, split, two_prod, two_sum
 
 finite_f32 = st.floats(
-    min_value=-2.0**100, max_value=2.0**100, allow_nan=False, allow_infinity=False, allow_subnormal=False, width=32
+    min_value=-2.0**100, max_value=2.0**100, allow_nan=False, allow_infinity=False,
+    allow_subnormal=False, width=32,
 )
 
 # EFT exactness theorems assume the exact result neither under- nor overflows;
@@ -117,7 +118,8 @@ class TestTwoProd:
 
 
 class TestSplit:
-    @given(st.floats(min_value=-2.0**49, max_value=2.0**49, allow_nan=False, allow_subnormal=False, width=32))
+    @given(st.floats(min_value=-2.0**49, max_value=2.0**49, allow_nan=False,
+                     allow_subnormal=False, width=32))
     @settings(max_examples=200)
     def test_split_reconstructs(self, a):
         a = as_f32(a)

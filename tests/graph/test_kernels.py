@@ -9,7 +9,6 @@ replays fused hits bit-identically, and the untimed backend rejects the
 cycle-domain observers with a typed error before anything is built.
 """
 
-import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -549,6 +548,15 @@ def test_cg_iteration_issues_a_handful_of_exchange_assignments():
     assert per_pair > 100
 
 
+def _copy_bytes(ops) -> int:
+    """Bytes written by a tuple of CopyOps, counted row by row."""
+    total = 0
+    for op in ops:
+        rows = np.arange(op.dst.shape[0])[op.dst_index].size
+        total += rows * op.dst[:1].nbytes * (2 if op.dst_lo is not None else 1)
+    return total
+
+
 def test_flat_exchange_accounts_the_same_bytes_and_dispatches():
     """The flat form moves exactly the bytes of the per-pair form, and the
     dispatch statistics keep counting what the kernels replace: vertices
@@ -560,9 +568,8 @@ def test_flat_exchange_accounts_the_same_bytes_and_dispatches():
     assert exchanges
     for step in exchanges:
         plan = compiled.plan_for(step)
-        assert plan.vectorized and len(plan.flat) <= len(plan.ops)
-        flat_only = dataclasses.replace(plan, ops=plan.flat)
-        assert estimate_exchange(flat_only) == estimate_exchange(plan) > 0
+        assert plan.vectorized and len(plan.flat) <= len(plan.ops) == plan.n_ops
+        assert estimate_exchange(plan) == _copy_bytes(plan.flat) == _copy_bytes(plan.ops) > 0
     # Every leaf step is absorbed by exactly one kernel of this program.
     assert compiled.kernels.stats()["dispatches_replaced"] == sum(
         len(s.compute_set.vertices) if isinstance(s, Execute)
@@ -570,6 +577,75 @@ def test_flat_exchange_accounts_the_same_bytes_and_dispatches():
         for s in _walk_steps(compiled.root)
         if isinstance(s, (Execute, Exchange))
     )
+
+
+def _reference_copy_ops(step, flat):
+    """The list-built exchange lowering the array-built one replaced, kept
+    as its oracle: one ``(src, dst, src_index, dst_index, src_lo, dst_lo)``
+    per array pair in order of first appearance, segments in destination
+    order, a slice where they abut."""
+    from repro.graph.passes.plans import _flat_rows
+
+    def row_index(ranges):
+        if all(a[1] == b[0] for a, b in zip(ranges, ranges[1:])):
+            return slice(ranges[0][0], ranges[-1][1])
+        return np.concatenate([np.arange(r0, r1) for r0, r1 in ranges])
+
+    groups, buffers = {}, {}
+    for rc in step.copies:
+        for dst_var, dst_tile, dst_offset in rc.dests:
+            if flat:
+                src, sb = _flat_rows(rc.src_var, rc.src_tile, buffers)
+                dst, db = _flat_rows(dst_var, dst_tile, buffers)
+            else:
+                s_sh, d_sh = rc.src_var.shard(rc.src_tile), dst_var.shard(dst_tile)
+                src, sb, dst, db = (s_sh.data, s_sh.lo), 0, (d_sh.data, d_sh.lo), 0
+            seg = (sb + rc.src_offset, sb + rc.src_offset + rc.size,
+                   db + dst_offset, db + dst_offset + rc.size)
+            groups.setdefault((id(src[0]), id(dst[0])), (src, dst, []))[2].append(seg)
+    out = []
+    for src, dst, segments in groups.values():
+        segments = sorted(segments, key=lambda seg: seg[2])
+        paired = src[1] is not None and dst[1] is not None
+        out.append((src[0], dst[0],
+                    row_index([(s0, s1) for s0, s1, _, _ in segments]),
+                    row_index([(d0, d1) for _, _, d0, d1 in segments]),
+                    src[1] if paired else None, dst[1] if paired else None))
+    return out
+
+
+def _assert_same_ops(got, want):
+    assert len(got) == len(want)
+    for op, (src, dst, src_index, dst_index, src_lo, dst_lo) in zip(got, want):
+        for mine, ref in ((op.src, src), (op.dst, dst), (op.src_lo, src_lo), (op.dst_lo, dst_lo)):
+            # The same memory seen the same way (a replicated variable's
+            # flat buffer is a fresh reshape view per lowering).
+            assert mine is ref or mine.__array_interface__ == ref.__array_interface__
+        for mine, ref in ((op.src_index, src_index), (op.dst_index, dst_index)):
+            assert type(mine) is type(ref)
+            if isinstance(ref, slice):
+                assert mine == ref
+            else:
+                assert mine.dtype == ref.dtype
+                np.testing.assert_array_equal(mine, ref)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_exchange_ops_stay_unbuilt_on_fused_and_match_the_list_built_form(batch):
+    """A ``fused`` solve replays ``flat`` and never materialises the
+    per-shard ``ops``; built late — after the run — they are the tuple the
+    list-based lowering built eagerly: same arrays, indices, order."""
+    crs, dims = poisson3d(8)
+    b = np.ones((batch, crs.n) if batch > 1 else crs.n)
+    res = solve(crs, b, CG, grid_dims=dims, num_ipus=2, tiles_per_ipu=8, backend="fused")
+    compiled = res.compiled
+    exchanges = [s for s in _walk_steps(compiled.root) if isinstance(s, Exchange)]
+    plans = [compiled.plan_for(s) for s in exchanges]
+    assert plans and not any("ops" in vars(plan) for plan in plans)
+    for step, plan in zip(exchanges, plans):
+        _assert_same_ops(plan.flat, _reference_copy_ops(step, flat=True))
+        _assert_same_ops(plan.ops, _reference_copy_ops(step, flat=False))
+        assert plan.ops is plan.ops and plan.n_ops == len(plan.ops)
 
 
 def _run_exchange(backend, build):

@@ -427,6 +427,150 @@ class TestPassProperties:
         assert g2.device.profiler.total_cycles <= base_cycles
 
 
+# -- the indexed hazard checks against their quadratic oracles -------------------------
+
+
+def _quadratic_coalesce(steps):
+    """The all-pairs form of ``CoalesceExchanges`` the indexed one replaced,
+    kept as its oracle: every incoming copy is checked against every region
+    the group has written.  Returns the groups as lists of exchanges."""
+    groups, group, written = [], [], []
+    for s in steps:
+        if group and (
+            s.name != group[0].name
+            or any(
+                var is rc.src_var and tile == rc.src_tile
+                and offset < rc.src_offset + rc.size and rc.src_offset < offset + size
+                for rc in s.copies
+                for var, tile, offset, size in written
+            )
+        ):
+            groups.append(group)
+            group, written = [], []
+        group.append(s)
+        written += [(var, tile, offset, rc.size)
+                    for rc in s.copies for var, tile, offset in rc.dests]
+    return groups + [group] if group else groups
+
+
+def _all_pairs_write_overlap(array, start, stop, is_write):
+    """Oracle of ``plans._any_write_overlap``: every pair of ranges on one
+    array, at least one of them written."""
+    n = len(array)
+    return any(
+        array[i] == array[j] and (is_write[i] or is_write[j])
+        and start[i] < stop[j] and start[j] < stop[i]
+        for i in range(n) for j in range(i + 1, n)
+    )
+
+
+# Three variables of 4 tiles x 4 elements: small enough that random regions
+# overlap, abut and nest all the time.
+_region = st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 3), st.integers(1, 4))
+_copy = st.tuples(_region, st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3),
+                                              st.integers(0, 3)), min_size=1, max_size=2))
+_exchanges = st.lists(
+    st.tuples(st.sampled_from(["exchange", "exchange", "halo"]),
+              st.lists(_copy, min_size=1, max_size=3)),
+    min_size=1, max_size=8,
+)
+
+
+def _build_exchanges(recipe):
+    g = make_graph()
+    variables = [g.add_variable(name, (16,)) for name in "abc"]
+    steps = []
+    for name, copies in recipe:
+        steps.append(Exchange([
+            RegionCopy(
+                variables[v], tile, offset,
+                tuple((variables[dv], dt, min(do, 4 - min(size, 4 - offset)))
+                      for dv, dt, do in dests),
+                min(size, 4 - offset),
+            )
+            for (v, tile, offset, size), dests in copies
+        ], name=name))
+    return g, steps
+
+
+class TestIndexedHazardChecks:
+    @given(_exchanges)
+    @settings(max_examples=200, deadline=None)
+    def test_coalesce_groups_and_copy_order_match_the_quadratic_oracle(self, recipe):
+        _, steps = _build_exchanges(recipe)
+        out = CoalesceExchanges().run(Sequence(list(steps))).steps
+        want = _quadratic_coalesce(steps)
+        assert len(out) == len(want)
+        for merged, group in zip(out, want):
+            assert merged.name == group[0].name
+            copies = [rc for s in group for rc in s.copies]
+            assert len(merged.copies) == len(copies)
+            assert all(a is b for a, b in zip(merged.copies, copies))
+
+    @given(_exchanges)
+    @settings(max_examples=200, deadline=None)
+    def test_exchange_plans_detect_exactly_the_all_pairs_hazards(self, recipe):
+        """``vectorized`` as the list-built planner decided it: one read per
+        region copy, one write per destination, all pairs per shard."""
+        g, steps = _build_exchanges(recipe)
+        compiled = compile_program(g, Sequence(list(steps)), optimize=False)
+        for step in steps:
+            ranges = []
+            for rc in step.copies:
+                ranges.append((id(rc.src_var.shard(rc.src_tile).data), rc.src_offset,
+                               rc.src_offset + rc.size, False))
+                ranges += [(id(var.shard(tile).data), offset, offset + rc.size, True)
+                           for var, tile, offset in rc.dests]
+            hazard = _all_pairs_write_overlap(*zip(*ranges))
+            assert compiled.plan_for(step).vectorized == (not hazard)
+
+    @given(st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 6), st.integers(0, 3), st.booleans()),
+        max_size=12,
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_sorted_write_overlap_agrees_with_all_pairs(self, ranges):
+        """Empty, nested, abutting and duplicated ranges included."""
+        from repro.graph.passes.plans import _any_write_overlap
+
+        array, start, size, is_write = (np.array(c) for c in zip(*ranges)) if ranges else (
+            np.zeros(0, dtype=np.int64),) * 4
+        got = _any_write_overlap(array, start, start + size, is_write.astype(bool))
+        assert got == _all_pairs_write_overlap(array, start, start + size, is_write)
+
+    def test_hazard_probes_grow_linearly_with_the_halo(self, monkeypatch):
+        """An in-place ring halo: tile ``t`` sends its ``R`` owned regions into
+        the halo slots of tile ``t + 1`` of the *same* variable, one exchange
+        per sending tile (as the sparse layer emits them).  Every region the
+        indexed check examines is one ``_regions_overlap`` call, and a copy
+        examines only what was written on its own source shard — ``R``
+        regions — so probes per copy stay put while the halo grows 4x."""
+        from repro.graph.passes import coalesce
+
+        probes = []
+        real = coalesce._regions_overlap
+        monkeypatch.setattr(coalesce, "_regions_overlap",
+                            lambda *a: probes.append(a) or real(*a))
+        R = 3
+
+        def ring(tiles):
+            g = make_graph(tiles)
+            v = g.add_variable("v", (tiles * 2 * R,))
+            steps = [
+                Exchange([RegionCopy(v, t, k, ((v, (t + 1) % tiles, R + k),), 1)
+                          for k in range(R)])
+                for t in range(tiles)
+            ]
+            probes.clear()
+            out = CoalesceExchanges().run(Sequence(steps))
+            assert len(out.steps) == 1  # owned and halo slots never overlap
+            return len(probes), tiles * R
+
+        small, large = ring(4), ring(16)
+        assert small == ((4 - 1) * R * R, 4 * R)
+        assert large == ((16 - 1) * R * R, 16 * R)  # all pairs would be ~16x, not ~4x
+
+
 # -- regression: coalescing on a communication-heavy program ---------------------------
 
 

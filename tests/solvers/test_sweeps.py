@@ -11,7 +11,8 @@ from repro.sparse import ModifiedCRS, poisson2d
 
 
 def local_block(crs):
-    return crs.n, crs.row_ptr, crs.col_idx, crs.values.astype(np.float32), crs.diag.astype(np.float32)
+    values, diag = crs.values.astype(np.float32), crs.diag.astype(np.float32)
+    return crs.n, crs.row_ptr, crs.col_idx, values, diag
 
 
 class TestForwardSweep:

@@ -133,12 +133,14 @@ class TestHaloPlanPoisson8x8x4:
         perm = plan.global_permutation()
         assert np.sort(perm).tolist() == list(range(m.n))
 
-    def test_local_index_map(self, setting):
+    def test_local_index(self, setting):
         m, part, plan = setting
-        lm = plan.local_index_map(0)
-        assert len(lm) == plan.owned_count(0) + plan.halo_count(0)
-        assert lm[int(plan.owned_order[0][0])] == 0
-        assert lm[int(plan.halo_order[0][0])] == 16
+        for t in range(4):
+            held = np.concatenate([plan.owned_order[t], plan.halo_order[t]])
+            # Owned prefix then halo, whatever order the ids are asked in.
+            shuffled = np.random.default_rng(t).permutation(held.size)
+            assert plan.local_index(t, held[shuffled]).tolist() == shuffled.tolist()
+        assert plan.local_index(0, plan.halo_order[0][:1]).tolist() == [16]
 
 
 class TestBlockwiseVsNaive:

@@ -23,8 +23,8 @@ def compute_plan(makespans, name="cs_test", category="spmv"):
 
 
 def exchange_plan(transfers=(), name="exchange", local=0):
-    return ExchangePlan(name=name, ops=(), transfers=tuple(transfers),
-                        local_cycles=local, vectorized=True)
+    return ExchangePlan(name=name, transfers=tuple(transfers), local_cycles=local,
+                        vectorized=True, flat=(), n_ops=0, copies=((), ()))
 
 
 class TestTracerPrimitives:

@@ -256,9 +256,8 @@ class TestPaperFig1:
         # Fill it with the Leibniz sequence using CodeDSL (tile-centric; each
         # tile fills its own shard — offsets shift the series per tile, so we
         # pass a per-tile offset via a second tensor).
-        offsets = ctx.tensor((4,), data=np.array([s.interval.start for s in
-                                                  sorted(x.var.shards.values(), key=lambda s: s.interval.start)],
-                                                 dtype=np.float32), tile_ids=[0, 1, 2, 3])
+        starts = sorted(s.interval.start for s in x.var.shards.values())
+        offsets = ctx.tensor((4,), data=np.array(starts, dtype=np.float32), tile_ids=[0, 1, 2, 3])
         from repro.codedsl import For, Select
 
         ctx.Execute([x, offsets], lambda xs, off: For(
