@@ -101,15 +101,14 @@ class Codelet:
     def __init__(self, name: str, run, cycles, category: str = "elementwise", spec=None):
         self.name = name
         self.cost_only = run is None
-        self._run = run if run is not None else (lambda ctx: None)
+        #: ``run(ctx)`` itself, not a method wrapping it: running a vertex
+        #: is one call, ``vertex.codelet.run(vertex.ctx)``.
+        self.run = run if run is not None else (lambda ctx: None)
         self._cycles = cycles
         #: Profiler bucket (Table IV buckets: spmv / ilu_solve / reduce /
         #: elementwise / extended_precision / ...).
         self.category = category
         self.spec = spec
-
-    def run(self, ctx: dict) -> None:
-        self._run(ctx)
 
     def cycles(self, ctx: dict):
         c = self._cycles(ctx) if callable(self._cycles) else self._cycles

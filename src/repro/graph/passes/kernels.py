@@ -23,10 +23,11 @@ dispatch *inside* the kernel, so fusion never changes what runs, only how
 it is dispatched; cost-only codelets emit nothing.
 
 Every vectorized path reuses the exact numpy/Joldes op sequence of the
-per-tile path (``eval_expr`` with a flat leaf resolver, the same pairwise
-summation shapes) or reproduces its rounding order term by term (the
-slot-major SpMV of :class:`repro.sparse.sell.SlotMajorRows` against the
-per-tile ``np.add.reduceat``), which is why ``fused`` results are
+per-tile path (the same ``compile_expr`` evaluator with a flat leaf
+resolver, the same pairwise summation shapes) or reproduces its rounding
+order term by term (the slot-major SpMV of
+:class:`repro.sparse.sell.SlotMajorRows` against the per-tile
+``np.add.reduceat``), which is why ``fused`` results are
 bit-identical to ``sim`` — enforced by the property tests in
 ``tests/graph/test_kernels.py``, ``tests/sparse/test_sell.py`` and
 ``tests/solvers/test_sweeps.py``.
@@ -307,6 +308,12 @@ def _build_1d_fetchers(leaf_vars, tiles, ref_intervals, lo, hi, seg_sizes) -> di
     return fetchers
 
 
+def _whole_buffer(var):
+    """Fetcher of a variable's whole flat storage (a ``(hi, lo)`` pair for dw)."""
+    flat = (var.flat_data, var.flat_lo) if var.paired else var.flat_data
+    return lambda: flat
+
+
 def _make_resolver(fetchers: dict):
     cache: dict = {}
 
@@ -342,15 +349,13 @@ def _contiguous_order(var, tiles) -> tuple:
 
 
 def _lower_elementwise_group(spec: ElementwiseSpec, vertices):
-    from repro.tensordsl.materialize import _expand_batch, convert_value, eval_expr
+    from repro.tensordsl.materialize import assignment_evaluator
 
     expr, out = spec.expr, spec.out_var
     tiles = [v.tile_id for v in vertices]
     if len(set(tiles)) != len(tiles):
         raise _Unvectorizable
     leaf_vars = _leaf_vars(expr)
-    expr_dt, out_dt = expr.dtype, out.dtype
-    expand = out.batch > 1 and expr.batch == 1
 
     if out.replicated:
         # Whole-replica-matrix evaluation: every leaf must be replicated on
@@ -365,42 +370,24 @@ def _lower_elementwise_group(spec: ElementwiseSpec, vertices):
                 and var.replica_rows == out.replica_rows
             ):
                 raise _Unvectorizable
-
-        def resolve(leaf):
-            v = leaf.var
-            return (v.flat_data, v.flat_lo) if v.paired else v.flat_data
-
+        fetchers = {id(var): _whole_buffer(var) for var in leaf_vars}
         out_hi, out_lo = out.flat_data, out.flat_lo
+    else:
+        if out.flat_data is None or out.flat_data.ndim != _flat_ndim(out):
+            raise _Unvectorizable
+        order, ref, lo, hi, seg = _contiguous_order(out, tiles)
+        fetchers = _build_1d_fetchers(leaf_vars, order, ref, lo, hi, seg)
+        out_hi = out.flat_data[lo:hi]
+        out_lo = out.flat_lo[lo:hi] if out.paired else None
 
-        def op():
-            value = convert_value(eval_expr(expr, resolve), expr_dt, out_dt)
-            if expand:
-                value = _expand_batch(value, out_dt)
-            if out_lo is not None:
-                out_hi[...] = np.broadcast_to(value[0], out_hi.shape)
-                out_lo[...] = np.broadcast_to(value[1], out_lo.shape)
-            else:
-                out_hi[...] = np.broadcast_to(value, out_hi.shape)
-
-        return op
-
-    if out.flat_data is None or out.flat_data.ndim != _flat_ndim(out):
-        raise _Unvectorizable
-    order, ref, lo, hi, seg = _contiguous_order(out, tiles)
-    fetchers = _build_1d_fetchers(leaf_vars, order, ref, lo, hi, seg)
-    out_hi = out.flat_data[lo:hi]
-    out_lo = out.flat_lo[lo:hi] if out.paired else None
+    evaluate = assignment_evaluator(expr, out)
 
     def op():
-        resolve = _make_resolver(fetchers)
-        value = convert_value(eval_expr(expr, resolve), expr_dt, out_dt)
-        if expand:
-            value = _expand_batch(value, out_dt)
-        if out_lo is not None:
-            out_hi[...] = np.broadcast_to(value[0], out_hi.shape)
-            out_lo[...] = np.broadcast_to(value[1], out_lo.shape)
+        value = evaluate(_make_resolver(fetchers))
+        if out_lo is None:
+            out_hi[...] = value
         else:
-            out_hi[...] = np.broadcast_to(value, out_hi.shape)
+            out_hi[...], out_lo[...] = value
 
     return op
 
@@ -490,7 +477,7 @@ def _reduce_segments_batched(value, dt: str, op: str, seg, offsets, batch: int):
 
 
 def _lower_reduce_group(spec: ReduceSpec, vertices):
-    from repro.tensordsl.materialize import eval_expr
+    from repro.tensordsl.materialize import compile_expr
     from repro.tensordsl.types import Type
 
     expr, out, rop = spec.expr, spec.out_var, spec.op
@@ -542,6 +529,7 @@ def _lower_reduce_group(spec: ReduceSpec, vertices):
     paired = expr_dt == Type.DOUBLEWORD
     equal = _equal_segments(seg)
     shape = (total,) if batch == 1 else (total, batch)
+    evaluate = compile_expr(expr)
 
     def whole(part):
         """A scalar-valued expression, broadcast over the segment layout."""
@@ -549,8 +537,7 @@ def _lower_reduce_group(spec: ReduceSpec, vertices):
         return part if part.shape == shape else np.broadcast_to(part, shape)
 
     def op():
-        resolve = _make_resolver(fetchers)
-        value = eval_expr(expr, resolve)
+        value = evaluate(_make_resolver(fetchers))
         if paired:
             res_h, res_l = _reduce_segments(
                 (whole(value[0]), whole(value[1])), expr_dt, rop, seg, offsets, equal

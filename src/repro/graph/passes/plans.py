@@ -13,7 +13,8 @@ re-deriving structure on the hot path.
 - :class:`ExchangePlan` — the per-copy Python loop of the old engine
   replaced by vectorized numpy gather/scatter ops (fancy-index arrays, or
   plain slices for single contiguous regions), plus the precomputed
-  :class:`~repro.machine.fabric.Transfer` list and on-tile memcpy cost.
+  :class:`~repro.machine.fabric.Transfer` list and on-tile memcpy cost,
+  priced by the device fabric once, on first use (``ExchangePlan.phase``).
   When region copies within one exchange overlap (a later copy reads or
   rewrites what an earlier one wrote), the plan falls back to strictly
   ordered per-copy execution so results stay bit-identical.  A hazard-free
@@ -48,7 +49,7 @@ from repro.graph.program import (
     Sequence,
     Step,
 )
-from repro.machine.fabric import Transfer
+from repro.machine.fabric import ExchangePhase, Transfer
 
 __all__ = [
     "TilePlan",
@@ -99,10 +100,9 @@ def lpt_makespan(tasks, workers: int) -> int:
 
 @dataclass(frozen=True)
 class TilePlan:
-    """One tile's share of a compute phase: its vertices and makespan."""
+    """One tile's share of a compute phase: its makespan."""
 
     tile_id: int
-    runs: tuple  # bound Vertex.run callables, in execution order
     makespan: int  # LPT packing of this tile's worker tasks
 
 
@@ -113,8 +113,10 @@ class ComputePlan:
     name: str  # compute-set name (telemetry groups hot sets by this)
     category: str
     tiles: tuple  # of TilePlan, in first-seen tile order
-    dispatch: tuple  # flat run callables across tiles, in execution order
     worst_tile: int  # max makespan over tiles (the BSP phase cost)
+    #: The vertices to run, grouped by tile in ``tiles`` order (cost-only
+    #: vertices left out): ``sim`` calls ``v.codelet.run(v.ctx)`` for each.
+    vertices: tuple = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -154,12 +156,22 @@ class ExchangePlan:
     flat: tuple
     n_ops: int  # len(ops), known without building them
     copies: tuple = field(repr=False, compare=False)  # _copy_ops' (endpoints, table)
+    fabric: object = field(default=None, repr=False, compare=False)  # prices ``phase``
 
     @cached_property
     def ops(self) -> tuple:
         """CopyOps over the shard arrays, one per shard pair — what ``sim``
         replays and the fault injector picks its targets from."""
         return _copy_ops(*self.copies, flat=False) if self.vectorized else self.flat
+
+    @cached_property
+    def phase(self) -> ExchangePhase:
+        """The device fabric's cost breakdown of this exchange, priced on
+        first use: the fabric is stateless and a plan's transfers are fixed,
+        so every superstep replaying the plan costs exactly this (plus
+        ``local_cycles``).  ``sim`` and the tracer read it; ``fused`` never
+        prices."""
+        return self.fabric.run(self.transfers)
 
 
 class ExecutionPlans:
@@ -191,15 +203,16 @@ def _plan_compute_set(cs: ComputeSet, workers: int) -> ComputePlan:
         per_tile.setdefault(v.tile_id, []).append(v)
     tiles = []
     for tile_id, vertices in per_tile.items():
-        runs = tuple(v.run for v in vertices if not v.codelet.cost_only)
         tasks = [cycles for v in vertices for cycles in v.worker_cycles()]
-        tiles.append(TilePlan(tile_id, runs, lpt_makespan(tasks, workers)))
+        tiles.append(TilePlan(tile_id, lpt_makespan(tasks, workers)))
     return ComputePlan(
         name=cs.name,
         category=category,
         tiles=tuple(tiles),
-        dispatch=tuple(run for tile in tiles for run in tile.runs),
         worst_tile=max((tile.makespan for tile in tiles), default=0),
+        vertices=tuple(
+            v for vertices in per_tile.values() for v in vertices if not v.codelet.cost_only
+        ),
     )
 
 
@@ -226,7 +239,7 @@ def _any_write_overlap(array, start, stop, is_write) -> bool:
     return bool((start[1:] + band[1:] < before).any())
 
 
-def _plan_exchange(step: Exchange) -> ExchangePlan:
+def _plan_exchange(step: Exchange, fabric) -> ExchangePlan:
     # Elementary copies: one ``(src, dst, src row, dst row, size)`` table row
     # per destination of each RegionCopy, in program order; ``src`` / ``dst``
     # number the distinct ``(variable, tile)`` shards touched.
@@ -275,6 +288,7 @@ def _plan_exchange(step: Exchange) -> ExchangePlan:
         flat=_copy_ops(*copies, flat=vectorized, fuse=vectorized),
         n_ops=len(np.unique(src * len(endpoints) + dst)) if vectorized else len(rows),
         copies=copies,
+        fabric=fabric,
     )
 
 
@@ -377,7 +391,7 @@ def build_plans(root: Step, device) -> ExecutionPlans:
                 cs_cache[key] = _plan_compute_set(step.compute_set, workers)
             plans[id(step)] = cs_cache[key]
         elif isinstance(step, Exchange):
-            plans[id(step)] = _plan_exchange(step)
+            plans[id(step)] = _plan_exchange(step, device.fabric)
         elif isinstance(step, (Repeat, RepeatWhile)):
             walk(step.body)
         elif isinstance(step, If):

@@ -2,12 +2,14 @@
 
 Reproduces exactly what the monolithic engine did before the runtime split:
 every compute phase is priced as a BSP sync plus the slowest tile's worker
-makespan, every exchange phase goes through the fabric cost model, control
-decisions charge :data:`~repro.graph.runtime.base.CONTROL_CYCLES`, and
-labeled steps open hierarchical profiler scopes.  The only difference is
-that the structure — vertex groupings, LPT packing, transfer lists,
-vectorized copy ops — comes precomputed from the execution plans, so the
-hot path does no per-step re-derivation.
+makespan, every exchange phase as its fabric cost plus on-tile copies,
+control decisions charge :data:`~repro.graph.runtime.base.CONTROL_CYCLES`,
+and labeled steps open hierarchical profiler scopes.  The only difference
+is that the structure — vertex groupings, LPT packing, transfer lists,
+vectorized copy ops, compiled expression evaluators — comes precomputed
+from the execution plans, and each exchange plan is priced by the fabric
+once (``ExchangePlan.phase``; the fabric is stateless, so every replay of a
+plan costs the same), so the hot path does no per-step re-derivation.
 
 This is also the backend that feeds the telemetry layer: with a tracer
 attached (:meth:`Backend.attach`) every superstep emits a structured
@@ -37,7 +39,6 @@ class SimBackend(Backend):
         super().bind(compiled, device)
         self.profiler = device.profiler
         self.model = device.model
-        self.fabric = device.fabric
         # Per-step (name, est_bytes, est_flops) cache for wall-span tagging.
         self._wall_costs: dict = {}
 
@@ -59,8 +60,8 @@ class SimBackend(Backend):
         wt = self.wall_tracer
         wall_start = wt.now() if wt is not None else 0
         plan = self.plan_for(step)
-        for run in plan.dispatch:
-            run()
+        for v in plan.vertices:
+            v.codelet.run(v.ctx)
         sync = self.model.sync()
         cost = sync + plan.worst_tile
         self.profiler.record(plan.category, cost)
@@ -80,7 +81,7 @@ class SimBackend(Backend):
         plan = self.plan_for(step)
         for op in plan.ops:
             op.apply()
-        phase = self.fabric.run(plan.transfers)
+        phase = plan.phase
         cost = phase.cycles + plan.local_cycles
         if self.injector is not None:
             # Injection happens after the copies land (corrupting *received*

@@ -42,9 +42,13 @@ class Transfer:
             raise ValueError("transfer with no destination tiles")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExchangePhase:
-    """Cost breakdown of one exchange superstep."""
+    """Cost breakdown of one exchange superstep.
+
+    Frozen: an exchange plan is priced once (``ExchangePlan.phase``) and
+    every superstep that replays it — and the tracer and fault injector
+    observing those supersteps — reads the same phase."""
 
     cycles: int = 0
     sync_cycles: int = 0
@@ -66,9 +70,8 @@ class ExchangeFabric:
     def run(self, transfers) -> ExchangePhase:
         """Price one exchange phase consisting of ``transfers``."""
         transfers = list(transfers)
-        phase = ExchangePhase()
         if not transfers:
-            return phase
+            return ExchangePhase()
 
         send_bytes = defaultdict(int)
         recv_bytes = defaultdict(int)
@@ -76,6 +79,7 @@ class ExchangeFabric:
         link_out = defaultdict(int)  # per-chip bytes leaving over IPU-Links
         link_in = defaultdict(int)  # per-chip bytes arriving over IPU-Links
         any_inter = False
+        total_bytes = num_instructions = 0
 
         for t in transfers:
             src_ipu = self.ipu_of(t.src_tile)
@@ -94,8 +98,8 @@ class ExchangeFabric:
                 link_out[src_ipu] += t.nbytes * len(dst_ipus)
                 for ipu in dst_ipus:
                     link_in[ipu] += t.nbytes
-            phase.total_bytes += t.nbytes * len(t.dst_tiles)
-            phase.num_instructions += 1 + len(t.dst_tiles)
+            total_bytes += t.nbytes * len(t.dst_tiles)
+            num_instructions += 1 + len(t.dst_tiles)
 
         stream = 0
         for tile in set(send_bytes) | set(recv_bytes):
@@ -115,9 +119,13 @@ class ExchangeFabric:
             default=0,
         )
 
-        phase.inter_ipu = any_inter
-        phase.sync_cycles = self.model.sync(inter_ipu=any_inter)
-        phase.stream_cycles = stream
-        phase.instr_cycles = instr
-        phase.cycles = phase.sync_cycles + phase.stream_cycles + phase.instr_cycles
-        return phase
+        sync = self.model.sync(inter_ipu=any_inter)
+        return ExchangePhase(
+            cycles=sync + stream + instr,
+            sync_cycles=sync,
+            stream_cycles=stream,
+            instr_cycles=instr,
+            total_bytes=total_bytes,
+            num_instructions=num_instructions,
+            inter_ipu=any_inter,
+        )

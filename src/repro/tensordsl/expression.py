@@ -9,6 +9,7 @@ per tile (see :mod:`repro.tensordsl.materialize`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.tensordsl.types import Type, promote
 
@@ -34,7 +35,12 @@ OP_KINDS = {
 
 @dataclass(frozen=True)
 class Expr:
-    """Base expression node; concrete nodes define dtype and shape."""
+    """Base expression node; concrete nodes define dtype and shape.
+
+    Interior nodes derive ``dtype`` / ``shape`` / ``batch`` from their
+    children once (``cached_property`` — a frozen node's children never
+    change), so asking every node of a tree costs linear, not quadratic,
+    time in its depth."""
 
     @property
     def dtype(self) -> str:  # pragma: no cover - overridden
@@ -132,17 +138,17 @@ class BinExpr(Expr):
     left: Expr
     right: Expr
 
-    @property
+    @cached_property
     def dtype(self):
         if self.op in ("<", "<=", ">", ">=", "==", "!="):
             return Type.FLOAT32  # predicates are working-precision flags
         return promote(self.left.dtype, self.right.dtype)
 
-    @property
+    @cached_property
     def shape(self):
         return _broadcast_shape(self.left.shape, self.right.shape)
 
-    @property
+    @cached_property
     def batch(self):
         lb, rb = self.left.batch, self.right.batch
         if lb != rb and 1 not in (lb, rb):
@@ -164,15 +170,15 @@ class UnExpr(Expr):
     op: str  # neg, abs, sqrt
     operand: Expr
 
-    @property
+    @cached_property
     def dtype(self):
         return self.operand.dtype
 
-    @property
+    @cached_property
     def shape(self):
         return self.operand.shape
 
-    @property
+    @cached_property
     def batch(self):
         return self.operand.batch
 
@@ -190,15 +196,15 @@ class ConvertExpr(Expr):
     operand: Expr
     target: str
 
-    @property
+    @cached_property
     def dtype(self):
         return self.target
 
-    @property
+    @cached_property
     def shape(self):
         return self.operand.shape
 
-    @property
+    @cached_property
     def batch(self):
         return self.operand.batch
 

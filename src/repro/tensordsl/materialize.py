@@ -16,6 +16,7 @@ broadcast inside the codelet, avoiding materializing expanded tensors
 
 from __future__ import annotations
 
+import operator
 from functools import cache
 
 import numpy as np
@@ -27,9 +28,9 @@ from repro.tensordsl.expression import BinExpr, ConstExpr, ConvertExpr, Expr, Le
 from repro.tensordsl.types import Type, promote
 
 __all__ = [
-    "eval_expr",
-    "eval_expr_on_tile",
-    "convert_value",
+    "compile_expr",
+    "assignment_evaluator",
+    "expr_compilations",
     "elementwise_codelets",
     "partial_reduce_codelets",
     "combine_codelet",
@@ -44,25 +45,35 @@ __all__ = [
 # (hi, lo) tuples of float32 arrays.
 
 
-def convert_value(value, src: str, dst: str):
+def _dw_view64(value):
+    return np.asarray(value[0], np.float64) + np.asarray(value[1], np.float64)
+
+
+def _to_dw(value):
+    wide = np.asarray(value, dtype=np.float64)
+    hi = wide.astype(np.float32)
+    return hi, (wide - hi.astype(np.float64)).astype(np.float32)
+
+
+def _converter(src: str, dst: str):
+    """The ``src -> dst`` precision conversion as a one-argument function
+    (``None`` when the representations already agree)."""
     if src == dst:
-        return value
+        return None
     if src == Type.DOUBLEWORD:
-        wide = np.asarray(value[0], np.float64) + np.asarray(value[1], np.float64)
-        return wide.astype(np.float32) if dst == Type.FLOAT32 else wide
+        if dst == Type.FLOAT32:
+            return lambda value: _dw_view64(value).astype(np.float32)
+        return _dw_view64
     if dst == Type.DOUBLEWORD:
-        wide = np.asarray(value, dtype=np.float64)
-        hi = wide.astype(np.float32)
-        lo = (wide - hi.astype(np.float64)).astype(np.float32)
-        return hi, lo
+        return _to_dw
     target = np.float32 if dst == Type.FLOAT32 else np.float64
-    return np.asarray(value, dtype=target)
+    return lambda value: np.asarray(value, dtype=target)
 
 
-def _dw_sqrt(hi, lo):
+def _dw_sqrt(value):
     """Vectorized double-word square root (one Newton refinement)."""
-    hi = np.asarray(hi, np.float32)
-    lo = np.asarray(lo, np.float32)
+    hi = np.asarray(value[0], np.float32)
+    lo = np.asarray(value[1], np.float32)
     with np.errstate(divide="ignore", invalid="ignore"):
         s0 = np.sqrt(hi)
         ph, pl = two_prod(s0, s0)
@@ -75,9 +86,30 @@ def _dw_sqrt(hi, lo):
     return oh, ol
 
 
-def _dw_view64(value):
-    return np.asarray(value[0], np.float64) + np.asarray(value[1], np.float64)
+def _dw_abs(value):
+    hi, lo = value
+    neg = hi < 0
+    return np.where(neg, -hi, hi), np.where(neg, -lo, lo)
 
+
+#: (operand is dw, op) -> the unary op on one value.
+_UNARY = {
+    (False, "neg"): operator.neg,
+    (False, "abs"): np.abs,
+    (False, "sqrt"): np.sqrt,
+    (True, "neg"): lambda value: (-value[0], -value[1]),
+    (True, "abs"): _dw_abs,
+    (True, "sqrt"): _dw_sqrt,
+}
+
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+
+_DW_BINARY = {
+    "+": joldes.add_dw_dw,
+    "-": joldes.sub_dw_dw,
+    "*": joldes.mul_dw_dw,
+    "/": joldes.div_dw_dw,
+}
 
 _CMP = {
     "<": np.less,
@@ -86,13 +118,6 @@ _CMP = {
     ">=": np.greater_equal,
     "==": np.equal,
     "!=": np.not_equal,
-}
-
-_DW_BIN = {
-    "+": joldes.add_dw_dw,
-    "-": joldes.sub_dw_dw,
-    "*": joldes.mul_dw_dw,
-    "/": joldes.div_dw_dw,
 }
 
 
@@ -105,86 +130,125 @@ def _expand_batch(value, dt: str):
     return np.asarray(value)[..., None]
 
 
-def _align_batch(value, operand: Expr, batch: int, dt: str):
-    if batch > 1 and operand.batch == 1:
-        return _expand_batch(value, dt)
+# -- the expression compiler ------------------------------------------------------------
+
+#: Process-wide count of expression trees :func:`compile_expr` has compiled
+#: (the tests assert a build compiles each tree once and a cache hit none).
+_COMPILATIONS = 0
+
+
+def expr_compilations() -> int:
+    """Total expression trees compiled by :func:`compile_expr` in this process."""
+    return _COMPILATIONS
+
+
+def compile_expr(expr: Expr):
+    """Compile ``expr`` into ``evaluate(resolve)``: the tree's value in
+    ``expr.dtype`` representation, with leaves supplied by ``resolve(leaf)``
+    in their variable's representation (an array, or a (hi, lo) pair for dw).
+
+    This is the single source of truth for op semantics: the per-tile path
+    resolves leaves to shard views, the fused whole-device path to flat
+    per-device arrays — both run the exact same numpy/Joldes code, which is
+    why the two backends are bit-identical.  Everything the tree fixes —
+    dtypes, promotions, conversions, batch alignment, constant values — is
+    decided here, once; the evaluator is a straight-line tree of closures.
+    A tree compiles once: the evaluator is remembered on its (frozen) root,
+    beside the node's cached ``dtype`` / ``batch``.
+    """
+    evaluate = vars(expr).get("_evaluate")
+    if evaluate is None:
+        global _COMPILATIONS
+        _COMPILATIONS += 1
+        evaluate = vars(expr)["_evaluate"] = _compile(expr)
+    return evaluate
+
+
+def _then(evaluate, fn):
+    return lambda resolve: fn(evaluate(resolve))
+
+
+def _coerced(evaluate, src: str, dst: str, expand: bool):
+    """``evaluate`` with its ``src`` value converted to ``dst`` and, when
+    ``expand``, given a trailing batch axis to broadcast against a batched
+    value."""
+    convert = _converter(src, dst)
+    if convert is not None:
+        evaluate = _then(evaluate, convert)
+    if expand:
+        evaluate = _then(evaluate, lambda value: _expand_batch(value, dst))
+    return evaluate
+
+
+def _operand(expr: Expr, dst: str, expand: bool):
+    return _coerced(_compile(expr), expr.dtype, dst, expand)
+
+
+def _frozen(value):
+    """A constant shared by every evaluation: its arrays become read-only."""
+    for part in value if isinstance(value, tuple) else (value,):
+        if isinstance(part, np.ndarray):
+            part.setflags(write=False)
     return value
 
 
-def eval_expr(expr: Expr, resolve):
-    """Evaluate ``expr`` with leaves supplied by ``resolve(leaf)``.
-
-    ``resolve`` returns the leaf's value in its variable's dtype
-    representation (a numpy array, or a (hi, lo) pair for dw).  This is the
-    single source of truth for op semantics: the per-tile path resolves
-    leaves to shard views, the fused whole-device path resolves them to flat
-    per-device arrays — both run the exact same numpy/Joldes code, which is
-    why the two backends are bit-identical.
-    """
+def _compile(expr: Expr):
     if isinstance(expr, Leaf):
-        return resolve(expr)
+        return lambda resolve: resolve(expr)
     if isinstance(expr, ConstExpr):
-        return convert_value(np.float64(expr.value), Type.FLOAT64, expr.dtype)
+        value = np.float64(expr.value)
+        convert = _converter(Type.FLOAT64, expr.dtype)
+        value = _frozen(value if convert is None else convert(value))
+        return lambda resolve: value
     if isinstance(expr, ConvertExpr):
-        inner = eval_expr(expr.operand, resolve)
-        return convert_value(inner, expr.operand.dtype, expr.target)
+        return _operand(expr.operand, expr.target, expand=False)
     if isinstance(expr, UnExpr):
-        v = eval_expr(expr.operand, resolve)
-        dt = expr.operand.dtype
-        if dt == Type.DOUBLEWORD:
-            hi, lo = v
-            if expr.op == "neg":
-                return -hi, -lo
-            if expr.op == "abs":
-                neg = hi < 0
-                return np.where(neg, -hi, hi), np.where(neg, -lo, lo)
-            if expr.op == "sqrt":
-                return _dw_sqrt(hi, lo)
-        else:
-            if expr.op == "neg":
-                return -v
-            if expr.op == "abs":
-                return np.abs(v)
-            if expr.op == "sqrt":
-                return np.sqrt(v)
-        raise ValueError(f"unknown unary op {expr.op!r}")
+        key = (expr.operand.dtype == Type.DOUBLEWORD, expr.op)
+        if key not in _UNARY:
+            raise ValueError(f"unknown unary op {expr.op!r}")
+        return _then(_compile(expr.operand), _UNARY[key])
     if isinstance(expr, BinExpr):
-        batch = expr.batch
-        if expr.op in _CMP:
-            cmp_dt = promote(expr.left.dtype, expr.right.dtype)
-            lv = convert_value(eval_expr(expr.left, resolve), expr.left.dtype, cmp_dt)
-            rv = convert_value(eval_expr(expr.right, resolve), expr.right.dtype, cmp_dt)
-            lv = _align_batch(lv, expr.left, batch, cmp_dt)
-            rv = _align_batch(rv, expr.right, batch, cmp_dt)
-            if cmp_dt == Type.DOUBLEWORD:
-                lv, rv = _dw_view64(lv), _dw_view64(rv)
-            return _CMP[expr.op](lv, rv).astype(np.float32)
-        dt = expr.dtype
-        lv = convert_value(eval_expr(expr.left, resolve), expr.left.dtype, dt)
-        rv = convert_value(eval_expr(expr.right, resolve), expr.right.dtype, dt)
-        lv = _align_batch(lv, expr.left, batch, dt)
-        rv = _align_batch(rv, expr.right, batch, dt)
+        compare = expr.op in _CMP
+        dt = promote(expr.left.dtype, expr.right.dtype) if compare else expr.dtype
+        wide = expr.batch > 1
+        left = _operand(expr.left, dt, wide and expr.left.batch == 1)
+        right = _operand(expr.right, dt, wide and expr.right.batch == 1)
+        if compare:
+            cmp = _CMP[expr.op]
+            if dt == Type.DOUBLEWORD:
+                left, right = _then(left, _dw_view64), _then(right, _dw_view64)
+            return lambda resolve: cmp(left(resolve), right(resolve)).astype(np.float32)
         if dt == Type.DOUBLEWORD:
-            return _DW_BIN[expr.op](lv[0], lv[1], rv[0], rv[1])
-        op = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}[expr.op]
-        return op(lv, rv)
+            fn = _DW_BINARY[expr.op]
+
+            def dw(resolve):
+                (lh, ll), (rh, rl) = left(resolve), right(resolve)
+                return fn(lh, ll, rh, rl)
+
+            return dw
+        fn = _BINARY[expr.op]
+        return lambda resolve: fn(left(resolve), right(resolve))
     raise TypeError(f"unknown expression {expr!r}")
 
 
+def assignment_evaluator(expr: Expr, out_var):
+    """``compile_expr(expr)`` with its value in ``out_var``'s representation
+    (converted, and batch-expanded when an unbatched ``expr`` fills a
+    batched variable) — what assigning ``expr`` into ``out_var`` writes."""
+    expand = out_var.batch > 1 and expr.batch == 1
+    return _coerced(compile_expr(expr), expr.dtype, out_var.dtype, expand)
+
+
+@cache
 def _tile_resolver(tile_id: int):
+    """Leaf values of ``tile_id``'s shards (one resolver per tile, shared by
+    every codelet on it)."""
+
     def resolve(leaf: Leaf):
-        sh = leaf.var.shard(tile_id)
-        if leaf.var.dtype == Type.DOUBLEWORD:
-            return sh.data, sh.lo
-        return sh.data
+        sh = leaf.var.shards[tile_id]
+        return sh.data if sh.lo is None else (sh.data, sh.lo)
 
     return resolve
-
-
-def eval_expr_on_tile(expr: Expr, tile_id: int):
-    """Evaluate ``expr`` over the shards of ``tile_id``; returns the value in
-    ``expr.dtype`` representation."""
-    return eval_expr(expr, _tile_resolver(tile_id))
 
 
 # -- codelet factories -------------------------------------------------------------------
@@ -217,27 +281,26 @@ def elementwise_codelets(model, expr: Expr, out_var, workers: int):
     into ``out_var``'s shard on that tile.  What depends on the expression
     alone — dtype, op mix, the spec, the worker cycles of a shard size — is
     worked out once for the compute set, not per tile."""
-    out_dt, expr_dt = out_var.dtype, expr.dtype
+    expr_dt = expr.dtype
     op_counts = expr.op_counts()
-    expand = out_var.batch > 1 and expr.batch == 1
     category = category_for(expr_dt)
     spec = ElementwiseSpec(expr, out_var)
+    evaluate = assignment_evaluator(expr, out_var)
     # Remembered per shard size: the tiles of a compute set share a handful.
     worker_cycles = cache(
         lambda n: tuple(_elementwise_worker_cycles(model, expr_dt, op_counts, n, workers))
     )
 
     def codelet(tile_id: int) -> Codelet:
+        resolve = _tile_resolver(tile_id)
+
         def run(ctx):
-            value = convert_value(eval_expr_on_tile(expr, tile_id), expr_dt, out_dt)
-            if expand:
-                value = _expand_batch(value, out_dt)
-            sh = out_var.shard(tile_id)
-            if out_dt == Type.DOUBLEWORD:
-                sh.data[...] = np.broadcast_to(value[0], sh.data.shape)
-                sh.lo[...] = np.broadcast_to(value[1], sh.lo.shape)
+            value = evaluate(resolve)
+            sh = out_var.shards[tile_id]
+            if sh.lo is None:
+                sh.data[...] = value
             else:
-                sh.data[...] = np.broadcast_to(value, sh.data.shape)
+                sh.data[...], sh.lo[...] = value
 
         def cycles(ctx):
             return worker_cycles(out_var.shard(tile_id).size * out_var.batch)
@@ -312,6 +375,7 @@ def partial_reduce_codelets(model, expr: Expr, out_var, workers: int, op: str = 
     dt = expr.dtype
     op_counts = expr.op_counts()
     spec = ReduceSpec(expr, out_var, op)
+    evaluate = compile_expr(expr)
     vectors = [leaf.var for leaf in expr.leaves() if not leaf.var.is_scalar]
 
     def tile_size(tile_id: int) -> int:
@@ -331,9 +395,11 @@ def partial_reduce_codelets(model, expr: Expr, out_var, workers: int, op: str = 
         return tuple(costs)
 
     def codelet(tile_id: int) -> Codelet:
+        resolve = _tile_resolver(tile_id)
+
         def run(ctx):
-            value = eval_expr_on_tile(expr, tile_id)
-            sh = out_var.shard(tile_id)
+            value = evaluate(resolve)
+            sh = out_var.shards[tile_id]
             if out_var.batch > 1:
                 result = _reduce_value_batched(value, dt, op, tile_size(tile_id), out_var.batch)
             else:

@@ -360,7 +360,7 @@ def test_cost_only_codelets_are_priced_but_never_dispatched():
     step = Execute(cs)
     compiled = compile_program(g, Sequence([step]), optimize=False)
     plan = compiled.plan_for(step)
-    assert plan.dispatch == () and plan.worst_tile == 400
+    assert plan.vertices == () and plan.worst_tile == 400
     (kernel,) = compiled.kernels.kernels
     assert kernel.ops == () and kernel.fallbacks == () and kernel.n_compute == 1
     sim = Engine(compiled, backend="sim")

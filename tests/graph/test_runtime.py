@@ -130,7 +130,7 @@ class TestPlanLowering:
         assert ex in compiled.plans
         plan = compiled.plan_for(ex)
         assert plan.worst_tile == 12  # 2 elements/tile * 6 cycles
-        assert len(plan.dispatch) == 4
+        assert len(plan.vertices) == 4
 
     def test_shared_compute_set_planned_once(self):
         g = make_graph()

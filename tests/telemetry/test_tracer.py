@@ -17,9 +17,9 @@ from repro.telemetry.tracer import TILE_DETAIL_LIMIT
 
 
 def compute_plan(makespans, name="cs_test", category="spmv"):
-    tiles = tuple(TilePlan(t, (), m) for t, m in enumerate(makespans))
+    tiles = tuple(TilePlan(t, m) for t, m in enumerate(makespans))
     return ComputePlan(name=name, category=category, tiles=tiles,
-                       dispatch=(), worst_tile=max(makespans, default=0))
+                       worst_tile=max(makespans, default=0))
 
 
 def exchange_plan(transfers=(), name="exchange", local=0):
