@@ -169,7 +169,7 @@ def test_compile_cache_amortizes_time_stepping():
 
 
 def test_compile_cache_batch_bit_identity():
-    """``solve_many``-style batch through the harness helper: cached and
+    """A session loop over several RHS through the harness helper: cached and
     cold paths must agree bit for bit in solutions *and* modeled cycles."""
     crs, dims = poisson3d(12)
     rng = np.random.default_rng(7)

@@ -213,10 +213,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    """Solve many right-hand sides: one batched program (default), or the
-    compile-cache session loop with ``--no-batch-axis``."""
+    """Solve many right-hand sides: one batched program when the config can
+    use the batch axis, else one solve per rhs through a compile-cache
+    session."""
     import time
 
+    from repro.serve.batching import config_supports_batch
     from repro.solvers import SolverSession, solve
 
     matrix, dims = _load_matrix(args.matrix)
@@ -234,7 +236,7 @@ def _cmd_batch(args) -> int:
 
     print(f"matrix:  n={matrix.n} nnz={matrix.nnz}; {len(bs)} right-hand sides")
 
-    if not args.no_batch_axis and len(bs) > 1:
+    if len(bs) > 1 and config_supports_batch(args.config):
         # Batched path: every RHS column rides the same program, so each
         # iteration runs ONE halo exchange for all of them (docs/solvers.md).
         t0 = time.perf_counter()
@@ -690,8 +692,8 @@ def main(argv=None) -> int:
     p_batch = sub.add_parser(
         "batch",
         help="solve many right-hand sides at once: one batched multi-RHS "
-             "program by default (docs/solvers.md), or one solve per rhs "
-             "through a compile-cache session with --no-batch-axis")
+             "program when the config can use the batch axis (docs/solvers.md), "
+             "else one solve per rhs through a compile-cache session")
     p_batch.add_argument("--matrix", required=True,
                          help="poisson[2d|3d]:N | g3|afshell|geo|hook[:size] | file.mtx")
     p_batch.add_argument("--config", required=True,
@@ -706,10 +708,6 @@ def main(argv=None) -> int:
     p_batch.add_argument("--tiles", type=int, default=16, help="tiles per IPU")
     p_batch.add_argument("--seed", type=int, default=0)
     p_batch.add_argument("--backend", choices=["sim", "fused"], default="sim")
-    p_batch.add_argument("--no-batch-axis", action="store_true",
-                         help="solve the right-hand sides one at a time through "
-                              "the compile-cache session instead of one batched "
-                              "program (the pre-batching behavior)")
     p_batch.add_argument("--output",
                          help="write the stacked solutions to a .npy file, one row per rhs")
     p_batch.set_defaults(fn=_cmd_batch)

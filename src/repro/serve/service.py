@@ -57,6 +57,7 @@ under deliberate overload.  See ``docs/serving.md``.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -73,16 +74,22 @@ from repro.errors import (
 )
 from repro.graph.runtime import check_observers
 from repro.serve.batching import (
+    STRUCTURAL_SOLVE_KWARGS,
     BatchAssembler,
     batchable_solve_kwargs,
     config_supports_batch,
 )
 from repro.serve.policy import CircuitBreaker, ServicePolicy, TokenBucket
 from repro.serve.queue import FairQueue, Job, JobResult
+from repro.solvers.api import failure_error, solve, validate_arrays
 from repro.solvers.config import load_config
 from repro.solvers.session import ProgramCache, batch_bucket, fingerprint_solve
 
 __all__ = ["SolverService"]
+
+
+def _shutting_down() -> ServiceOverloadError:
+    return ServiceOverloadError("service shutting down", reason="shutting_down")
 
 
 class SolverService:
@@ -183,11 +190,10 @@ class SolverService:
                 shed = self._queue.drain()
                 self.counts["cancelled"] += len(shed)
             for job in shed:
-                job.fail(ServiceOverloadError(
-                    "service shutting down", reason="shutting_down"))
+                job.fail(_shutting_down())
                 self._job_done(job, "cancelled")
         self._gauges()
-        if self._pending() == 0:
+        if self.pending() == 0:
             self._idle.set()
         await asyncio.wait_for(self._idle.wait(), timeout)
         for task in self._worker_tasks:
@@ -235,7 +241,7 @@ class SolverService:
             raise ServiceOverloadError("service is not accepting jobs",
                                        reason="shutting_down")
         try:
-            self._validate_arrays(matrix, b, x0)
+            validate_arrays(matrix, b, x0)
             load_config(config)
             check_observers(solve_kwargs.get("backend", "sim"),
                             tracer=solve_kwargs.get("trace") or None,
@@ -290,44 +296,6 @@ class SolverService:
         self._gauges()
         return job
 
-    @staticmethod
-    def _validate_arrays(matrix, b, x0) -> None:
-        """Admission-time validation of the right-hand side(s) and guess.
-
-        A malformed ``b`` used to sail through admission and surface deep
-        in a worker as an untyped shape/dtype error; checking here rejects
-        it synchronously with a typed :class:`~repro.errors.ReproError`
-        (the existing exit-code mapping) before it consumes quota or queue
-        capacity.
-        """
-        b_arr = np.asarray(b)
-        if b_arr.ndim not in (1, 2):
-            raise ReproError(
-                f"b must be 1-D (n,) or batched 2-D (batch, n), "
-                f"got shape {b_arr.shape}")
-        if b_arr.ndim == 2 and b_arr.shape[0] < 1:
-            raise ReproError("batched b needs at least one right-hand side")
-        n = int(matrix.n)
-        if b_arr.shape[-1] != n:
-            raise ReproError(
-                f"b has {b_arr.shape[-1]} entries per right-hand side "
-                f"but the matrix is {n}x{n}")
-        if b_arr.dtype.kind not in "fiu":
-            raise ReproError(
-                f"b must be real-numeric, got dtype {b_arr.dtype}")
-        if b_arr.dtype.kind == "f" and not np.isfinite(b_arr).all():
-            raise ReproError("b contains non-finite values")
-        if x0 is not None:
-            x0_arr = np.asarray(x0)
-            if x0_arr.shape != b_arr.shape:
-                raise ReproError(
-                    f"x0 shape {x0_arr.shape} must match b shape {b_arr.shape}")
-            if x0_arr.dtype.kind not in "fiu":
-                raise ReproError(
-                    f"x0 must be real-numeric, got dtype {x0_arr.dtype}")
-            if x0_arr.dtype.kind == "f" and not np.isfinite(x0_arr).all():
-                raise ReproError("x0 contains non-finite values")
-
     async def solve(self, matrix, b, config, **kwargs) -> JobResult:
         """Submit and await: returns the :class:`~repro.serve.JobResult`
         or raises the job's typed error."""
@@ -345,9 +313,6 @@ class SolverService:
         with self._state_lock:
             return len(self._queue) + self._in_flight
 
-    def _pending(self) -> int:
-        return self.pending()
-
     def _reject(self, reason: str) -> None:
         with self._state_lock:
             self.counts["rejected"] += 1
@@ -362,43 +327,26 @@ class SolverService:
             return
         with self._state_lock:
             depth, in_flight = len(self._queue), self._in_flight
-        self.metrics.gauge(
-            "repro_serve_queue_depth", "jobs waiting in the fair queue"
-        ).set(depth)
-        self.metrics.gauge(
-            "repro_serve_in_flight", "jobs dispatched to the worker pool"
-        ).set(in_flight)
-        self.metrics.gauge(
-            "repro_cache_bytes", "bytes the compile cache pins (storage + snapshots)"
-        ).set(self.cache.stats()["bytes"])
-
-    def _observe_batch(self, width: int) -> None:
-        if self.metrics is not None:
-            self.metrics.histogram(
-                "repro_serve_batch_size", "coalesced jobs per dispatched solve"
-            ).observe(width)
+        for name, help_text, value in (
+            ("repro_serve_queue_depth", "jobs waiting in the fair queue", depth),
+            ("repro_serve_in_flight", "jobs dispatched to the worker pool", in_flight),
+            ("repro_cache_bytes", "bytes the compile cache pins (storage + snapshots)",
+             self.cache.stats()["bytes"]),
+        ):
+            self.metrics.gauge(name, help_text).set(value)
 
     def _fingerprint(self, job: Job, config, batch: int | None = None) -> str:
         """The structure key solve() will use for this job's cache entry —
         also the circuit-breaker key and the execution-serialization key.
         ``batch`` overrides the RHS width (the batched dispatch keys on the
         padded bucket width, not the job's own 1-D shape)."""
-        kw = job.solve_kwargs
         if batch is None:
             b = np.asarray(job.b)
             batch = b.shape[0] if b.ndim == 2 else 1
-        return fingerprint_solve(
-            job.matrix, config,
-            num_ipus=kw.get("num_ipus", 1),
-            tiles_per_ipu=kw.get("tiles_per_ipu", 16),
-            num_tiles=kw.get("num_tiles"),
-            grid_dims=kw.get("grid_dims"),
-            blockwise_halo=kw.get("blockwise_halo", True),
-            optimize=kw.get("optimize", True),
-            backend=kw.get("backend", "sim"),
-            resilient=job.resilience is not None,
-            batch=int(batch),
-        )
+        structure = {k: v for k, v in job.solve_kwargs.items()
+                     if k in STRUCTURAL_SOLVE_KWARGS}
+        return fingerprint_solve(job.matrix, config, **structure,
+                                 resilient=job.resilience is not None, batch=int(batch))
 
     def _batch_eligible(self, job: Job, config) -> bool:
         """Static batch eligibility (the PR 7 multi-RHS gate, decided at
@@ -406,15 +354,11 @@ class SolverService:
         right-hand side, no fault/resilience state, purely structural
         solve kwargs, and a config whose whole tree rides the f32 batch
         axis."""
-        if self._assembler is None or not job.batchable:
-            return False
-        if np.asarray(job.b).ndim != 1:
-            return False
-        if job.inject_faults is not None or job.resilience is not None:
-            return False
-        if not batchable_solve_kwargs(job.solve_kwargs):
-            return False
-        return config_supports_batch(config)
+        return (self._assembler is not None and job.batchable
+                and np.asarray(job.b).ndim == 1
+                and job.inject_faults is None and job.resilience is None
+                and batchable_solve_kwargs(job.solve_kwargs)
+                and config_supports_batch(config))
 
     def _struct_lock(self, fingerprint: str) -> threading.Lock:
         with self._struct_locks_guard:
@@ -432,7 +376,7 @@ class SolverService:
             self.metrics.histogram(
                 "repro_serve_job_seconds", "admission-to-completion latency"
             ).observe(total, tenant=job.tenant)
-        if self._draining and self._pending() == 0:
+        if self._draining and self.pending() == 0:
             self._idle.set()
 
     async def _worker(self, wid: int) -> None:
@@ -450,46 +394,7 @@ class SolverService:
                 # stop), or a batch sweep took the job this permit was
                 # released for.
                 continue
-            jobs = [job]
-            if self._assembler is not None and job.batch_key is not None:
-                taken: list = []
-
-                def _take(limit: int, _key=job.batch_key) -> list:
-                    with self._state_lock:
-                        extra = self._queue.take_batchable(_key, limit)
-                        self._in_flight += len(extra)
-                    taken.extend(extra)
-                    self._gauges()
-                    return extra
-
-                try:
-                    jobs = await self._assembler.assemble(job, _take)
-                except asyncio.CancelledError:
-                    for held in [job, *taken]:
-                        self._finish(held, "cancelled",
-                                     error=ServiceOverloadError(
-                                         "service shutting down",
-                                         reason="shutting_down"))
-                    raise
-            if len(jobs) > 1:
-                # _run_batch is exception-safe: every job it is handed is
-                # resolved or re-queued before it returns (or re-raises
-                # cancellation).
-                await self._run_batch(jobs)
-                continue
-            try:
-                await self._run_job(job)
-            except asyncio.CancelledError:
-                # Shutdown while holding a job: resolve it, then exit.
-                self._finish(job, "cancelled", error=ServiceOverloadError(
-                    "service shutting down", reason="shutting_down"))
-                raise
-            except BaseException as exc:  # the "zero worker crashes" ledger
-                with self._state_lock:
-                    self.counts["worker_faults"] += 1
-                self._finish(job, "failed",
-                             error=exc if isinstance(exc, ReproError)
-                             else ReproError(f"worker fault: {exc!r}"))
+            await self._dispatch(job)
 
     def _finish(self, job: Job, outcome: str, *, result=None,
                 error: BaseException | None = None) -> None:
@@ -506,127 +411,38 @@ class SolverService:
         self._job_done(job, outcome)
         self._gauges()
 
-    async def _run_job(self, job: Job) -> None:
-        """The attempt loop: dispatch, classify, back off, retry."""
-        retry = self.policy.retry
-        job.started_at = self._now()
-        while True:
-            remaining = None
-            if job.deadline is not None:
-                remaining = job.deadline - self._now()
-                if remaining <= 0:
-                    self._finish(job, "timed_out", error=JobTimeoutError(
-                        "deadline expired before dispatch",
-                        iteration=0,
-                        wall_seconds=self._now() - job.submitted_at,
-                        budget_seconds=job.deadline - job.submitted_at,
-                    ))
-                    return
+    # -- dispatch (docs/serving.md, "Architecture") ------------------------------------
 
-            config = retry.effective_config(job.config, job.attempt)
-            fingerprint = (job.fingerprint if job.attempt == 0
-                           else self._fingerprint(job, config))
-            self._observe_batch(1)
-            t0 = time.perf_counter()
-            failure: str | None = None
-            error: ReproError | None = None
-            result = None
-            try:
-                result = await self._loop.run_in_executor(
-                    self._executor, self._solve_attempt,
-                    job, config, fingerprint, remaining)
-                failure = result.stats.failure
-            except JobTimeoutError as exc:
-                job.exec_seconds += time.perf_counter() - t0
-                self._finish(job, "timed_out", error=exc)
-                return
-            except SolverBreakdownError as exc:  # raise_on_failure configs
-                failure, error = "breakdown", exc
-            except DivergenceError as exc:
-                failure, error = (exc.reason or "divergence"), exc
-            job.exec_seconds += time.perf_counter() - t0
+    async def _dispatch(self, lead: Job) -> None:
+        """Serve ``lead`` and the batch-compatible jobs assembled around it
+        — a lone job is a batch of width 1 — exception-safely.
 
-            if failure is None:
-                self.breaker.record_success(job.fingerprint)
-                now = self._now()
-                self._finish(job, "ok", result=JobResult(
-                    job_id=job.id, tenant=job.tenant, result=result,
-                    attempts=job.attempt + 1, effective_config=config,
-                    queue_seconds=job.started_at - job.submitted_at,
-                    exec_seconds=job.exec_seconds,
-                    total_seconds=now - job.submitted_at,
-                ))
-                return
-
-            # The structure produced a failed solve — feed the breaker
-            # whether or not this particular job still has retries left.
-            self.breaker.record_failure(job.fingerprint, self._now())
-            out_of_attempts = job.attempt + 1 >= retry.max_attempts
-            if not retry.is_transient(failure) or out_of_attempts:
-                if error is None:
-                    error = self._failure_error(job, failure, result)
-                self._finish(job, "failed", error=error)
-                return
-
-            delay = (job.retry_delays[job.attempt]
-                     if job.attempt < len(job.retry_delays) else 0.0)
-            if remaining is not None and delay >= remaining:
-                self._finish(job, "timed_out", error=JobTimeoutError(
-                    f"backoff ({delay:.3f}s) would overrun the deadline",
-                    iteration=result.stats.total_iterations if result else None,
-                    wall_seconds=self._now() - job.submitted_at,
-                    budget_seconds=job.deadline - job.submitted_at,
-                    stats=result.stats if result is not None else None,
-                ))
-                return
-            with self._state_lock:
-                self.counts["retries"] += 1
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "repro_serve_retries_total", "retry attempts dispatched"
-                ).inc(1, tenant=job.tenant)
-            job.attempt += 1
-            await asyncio.sleep(delay)
-
-    def _solve_attempt(self, job: Job, config, fingerprint: str,
-                       remaining: float | None):
-        """One attempt, on a worker thread.  Holds the structure lock:
-        cache entries are stateful, so two jobs sharing a fingerprint must
-        not prepare/run the same entry concurrently; distinct structures
-        proceed in parallel."""
-        from repro.solvers.api import solve
-
-        with self._struct_lock(fingerprint):
-            return solve(
-                job.matrix, job.b, config,
-                x0=job.x0,
-                cache=self.cache,
-                max_wall_seconds=remaining,
-                inject_faults=job.inject_faults,
-                resilience=job.resilience,
-                **job.solve_kwargs,
-            )
-
-    # -- batched dispatch (docs/serving.md, "Dynamic batching") -------------------------
-
-    async def _run_batch(self, jobs: list) -> None:
-        """Serve one assembled batch, exception-safely.
-
-        Every job handed in leaves here resolved or back in the queue;
-        the worker loop never touches a batch again.  ``pending`` tracks
-        the jobs this coroutine still owns, so an unexpected error (or
-        cancellation) can retire exactly the unsettled ones.
+        Every job taken leaves here resolved, back in the queue, or
+        waiting out its retry backoff; the worker loop never touches it
+        again.  ``pending`` tracks the jobs this coroutine still owns, so an
+        unexpected error (or cancellation, mid-assembly included) retires
+        exactly the unsettled ones.
         """
-        pending = list(jobs)
+        pending = [lead]
+
+        def _take(limit: int) -> list:
+            with self._state_lock:
+                extra = self._queue.take_batchable(lead.batch_key, limit)
+                self._in_flight += len(extra)
+            pending.extend(extra)
+            self._gauges()
+            return extra
+
         try:
-            await self._dispatch_batch(pending)
+            if self._assembler is not None:
+                await self._assembler.assemble(lead, _take)
+            await self._attempt(pending)
         except asyncio.CancelledError:
             for job in list(pending):
                 pending.remove(job)
-                self._finish(job, "cancelled", error=ServiceOverloadError(
-                    "service shutting down", reason="shutting_down"))
+                self._finish(job, "cancelled", error=_shutting_down())
             raise
-        except BaseException as exc:
+        except BaseException as exc:  # the "zero worker crashes" ledger
             err = (exc if isinstance(exc, ReproError)
                    else ReproError(f"worker fault: {exc!r}"))
             for job in list(pending):
@@ -635,10 +451,10 @@ class SolverService:
                     self.counts["worker_faults"] += 1
                 self._finish(job, "failed", error=err)
 
-    async def _dispatch_batch(self, pending: list) -> None:
-        """One stacked solve for a coalesced batch, then scatter.
+    async def _attempt(self, pending: list) -> None:
+        """One solve for the batch, then settle each job.
 
-        Per-job semantics survive the shared dispatch:
+        Per-job semantics survive a shared dispatch:
 
         - the *earliest* deadline in the batch bounds the solve; when it
           fires, only the columns whose own budget is gone time out —
@@ -650,15 +466,12 @@ class SolverService:
           history, and failure classification — bit-identical to a direct
           single-RHS ``solve()`` of that job (the PR 7 masking guarantee).
         """
-        retry = self.policy.retry
-        pol = self.policy.batch
         now = self._now()
-
         for job in pending:
             if job.started_at is None:
                 job.started_at = now
-        # Shed columns whose budget is already gone — they would only trip
-        # the batch's earliest-deadline bound at iteration 0.
+        # Shed jobs whose budget is already gone — in a batch they would
+        # only trip the earliest-deadline bound at iteration 0.
         for job in list(pending):
             if job.deadline is not None and job.deadline - now <= 0:
                 pending.remove(job)
@@ -669,122 +482,146 @@ class SolverService:
                 ))
         if not pending:
             return
-        if len(pending) == 1:
-            # A batch of one is just a single job: run the classic attempt
-            # ladder (its own program width, its own deadline re-checks).
-            job = pending[0]
-            await self._run_job(job)
-            pending.remove(job)
-            return
 
         live = list(pending)
-        lead = live[0]
-        width = len(live)
-        config = retry.effective_config(lead.config, lead.attempt)
-        bucket = batch_bucket(width, pol.max_batch) if pol.bucket else width
-        fingerprint = self._fingerprint(lead, config, batch=bucket)
+        lead, width = live[0], len(live)
+        config = self.policy.retry.effective_config(lead.config, lead.attempt)
+        pol = self.policy.batch
+        bucket = (batch_bucket(width, pol.max_batch) if width > 1 and pol.bucket
+                  else width)
+        if width == 1:  # a batch of one runs the classic single-RHS program
+            fingerprint = (lead.fingerprint if lead.attempt == 0
+                           else self._fingerprint(lead, config))
+        else:
+            fingerprint = self._fingerprint(lead, config, batch=bucket)
+            with self._state_lock:
+                self.counts["batches"] += 1
+                self.counts["coalesced"] += width - 1
         deadlines = [j.deadline for j in live if j.deadline is not None]
         remaining = (min(deadlines) - now) if deadlines else None
-        with self._state_lock:
-            self.counts["batches"] += 1
-            self.counts["coalesced"] += width - 1
-        self._observe_batch(width)
+        if self.metrics is not None:
+            self.metrics.histogram(
+                "repro_serve_batch_size", "coalesced jobs per dispatched solve"
+            ).observe(width)
 
         t0 = time.perf_counter()
+        result = error = None
         try:
             result = await self._loop.run_in_executor(
-                self._executor, self._solve_batch_attempt,
-                live, lead, config, fingerprint, remaining, bucket)
+                self._executor, self._solve_attempt,
+                live, config, fingerprint, remaining, bucket)
         except JobTimeoutError as exc:
-            dt = time.perf_counter() - t0
-            now = self._now()
-            for job in list(pending):
-                pending.remove(job)
-                job.exec_seconds += dt
-                if job.deadline is not None and job.deadline - now <= 0:
-                    self._finish(job, "timed_out", error=JobTimeoutError(
-                        f"deadline expired in a batched solve (width {width})",
-                        iteration=exc.iteration,
-                        wall_seconds=now - job.submitted_at,
-                        budget_seconds=job.deadline - job.submitted_at,
-                        stats=getattr(exc, "stats", None),
-                    ))
-                else:
-                    with self._state_lock:
-                        self.counts["redispatched"] += 1
-                    job.redispatches += 1
-                    self._requeue(job)
+            self._timed_out(pending, exc, time.perf_counter() - t0, width)
             return
+        # raise_on_failure configs (resilient, so never batched):
+        except SolverBreakdownError as exc:
+            failure, error = "breakdown", exc
+        except DivergenceError as exc:
+            failure, error = (exc.reason or "divergence"), exc
         dt = time.perf_counter() - t0
-
-        if self.metrics is not None and result.batch_stats:
-            # Each column would have run its own exchange phase per
-            # iteration alone; batched, the whole batch shares one per
-            # iteration of the longest column.
-            col_iters = [st.total_iterations
-                         for st in result.batch_stats[:width]]
-            saved = max(0, sum(col_iters) - max(col_iters))
-            if saved:
-                self.metrics.counter(
-                    "repro_serve_exchange_phases_saved_total",
-                    "halo-exchange phases amortized away by batched dispatch",
-                ).inc(saved)
-
+        if width > 1:
+            self._count_phases_saved(result, width)
         for j, job in enumerate(live):
             pending.remove(job)
             job.exec_seconds += dt
-            self._scatter_column(job, result, j, width)
+            col = None
+            if error is None:
+                col = result if width == 1 else self._column_result(result, j)
+                failure = col.stats.failure
+            self._settle(job, col, failure, error, width)
 
-    def _solve_batch_attempt(self, jobs: list, lead: Job, config,
-                             fingerprint: str, remaining: float | None,
-                             bucket: int):
-        """One stacked attempt, on a worker thread.
+    def _count_phases_saved(self, result, width: int) -> None:
+        """Each column would have run its own exchange phase per iteration
+        alone; batched, the whole batch shares one per iteration of the
+        longest column."""
+        if self.metrics is None or not result.batch_stats:
+            return
+        col_iters = [st.total_iterations for st in result.batch_stats[:width]]
+        saved = max(0, sum(col_iters) - max(col_iters))
+        if saved:
+            self.metrics.counter(
+                "repro_serve_exchange_phases_saved_total",
+                "halo-exchange phases amortized away by batched dispatch",
+            ).inc(saved)
 
-        Stacks the coalesced right-hand sides (zero rows pad up to the
-        cache bucket — inert columns with ``||b|| = 0`` that the masked
-        loop retires at iteration 0) and solves once through the shared
-        cache under the batched structure lock.  Jobs without an ``x0``
-        get a zero row, identical to the build-time initial image their
-        single-RHS solve would start from.
+    def _timed_out(self, pending: list, exc: JobTimeoutError, dt: float,
+                   width: int) -> None:
+        """The dispatch's deadline fired: a lone job times out with the
+        solve's own error (and its partial stats); in a batch only the
+        columns whose budget is gone do, and the rest are redispatched."""
+        now = self._now()
+        for job in list(pending):
+            pending.remove(job)
+            job.exec_seconds += dt
+            if width == 1:
+                self._finish(job, "timed_out", error=exc)
+            elif job.deadline is not None and job.deadline - now <= 0:
+                self._finish(job, "timed_out", error=JobTimeoutError(
+                    f"deadline expired in a batched solve (width {width})",
+                    iteration=exc.iteration,
+                    wall_seconds=now - job.submitted_at,
+                    budget_seconds=job.deadline - job.submitted_at,
+                    stats=getattr(exc, "stats", None),
+                ))
+            else:
+                with self._state_lock:
+                    self.counts["redispatched"] += 1
+                job.redispatches += 1
+                self._requeue(job)
+
+    def _solve_attempt(self, jobs: list, config, fingerprint: str,
+                       remaining: float | None, bucket: int):
+        """One attempt, on a worker thread.
+
+        A lone job solves its own ``b``/``x0`` (with its fault and
+        resilience settings).  A batch stacks the coalesced right-hand
+        sides — zero rows pad up to the cache bucket, inert columns with
+        ``||b|| = 0`` that the masked loop retires at iteration 0 — and a
+        job without an ``x0`` gets a zero row, identical to the build-time
+        initial image its single-RHS solve would start from.
+
+        Holds the structure lock: cache entries are stateful, so two
+        dispatches sharing a fingerprint must not prepare/run the same
+        entry concurrently; distinct structures proceed in parallel.
         """
-        from repro.solvers.api import solve
-
-        n = int(lead.matrix.n)
-        bs = np.zeros((bucket, n), dtype=np.float64)
-        for j, job in enumerate(jobs):
-            bs[j] = np.asarray(job.b, dtype=np.float64)
-        x0 = None
-        if any(job.x0 is not None for job in jobs):
-            x0 = np.zeros((bucket, n), dtype=np.float64)
+        lead = jobs[0]
+        b, x0 = lead.b, lead.x0
+        if len(jobs) > 1:
+            shape = (bucket, int(lead.matrix.n))
+            b = np.zeros(shape, dtype=np.float64)
+            x0 = (np.zeros(shape, dtype=np.float64)
+                  if any(job.x0 is not None for job in jobs) else None)
             for j, job in enumerate(jobs):
+                b[j] = np.asarray(job.b, dtype=np.float64)
                 if job.x0 is not None:
                     x0[j] = np.asarray(job.x0, dtype=np.float64)
         with self._struct_lock(fingerprint):
             return solve(
-                lead.matrix, bs, config,
+                lead.matrix, b, config,
                 x0=x0,
                 cache=self.cache,
                 max_wall_seconds=remaining,
+                inject_faults=lead.inject_faults,
+                resilience=lead.resilience,
                 **lead.solve_kwargs,
             )
 
-    def _scatter_column(self, job: Job, result, j: int, width: int) -> None:
-        """Deliver column ``j`` of a batched solve to its job.
+    def _settle(self, job: Job, result, failure: str | None,
+                error: ReproError | None, width: int) -> None:
+        """The outcome ladder for one job of a finished dispatch.
 
-        Success resolves with the column's detached stats; a transient
-        per-column failure re-enters the retry ladder individually
-        (eligible for re-batching at its escalated config); anything else
-        fails with the same typed error the single-job path raises.
+        Success resolves; a terminal failure — or the last attempt — fails
+        with its typed error; a transient one backs off and goes back to
+        the queue for its next attempt at the escalated config, unless the
+        backoff would overrun the job's deadline.
         """
         retry = self.policy.retry
-        col = self._column_result(result, j)
-        failure = col.stats.failure
         config = retry.effective_config(job.config, job.attempt)
         now = self._now()
         if failure is None:
             self.breaker.record_success(job.fingerprint)
             self._finish(job, "ok", result=JobResult(
-                job_id=job.id, tenant=job.tenant, result=col,
+                job_id=job.id, tenant=job.tenant, result=result,
                 attempts=job.attempt + 1, effective_config=config,
                 queue_seconds=job.started_at - job.submitted_at,
                 exec_seconds=job.exec_seconds,
@@ -792,21 +629,28 @@ class SolverService:
                 batch_size=width,
             ))
             return
+        # The structure produced a failed solve — feed the breaker whether
+        # or not this particular job still has retries left.
         self.breaker.record_failure(job.fingerprint, now)
-        out_of_attempts = job.attempt + 1 >= retry.max_attempts
-        if not retry.is_transient(failure) or out_of_attempts:
-            self._finish(job, "failed",
-                         error=self._failure_error(job, failure, col))
+        stats = result.stats if result is not None else None
+        if not retry.is_transient(failure) or job.attempt + 1 >= retry.max_attempts:
+            if error is None:
+                error = failure_error(
+                    failure, f"job {job.id}",
+                    iteration=stats.total_iterations if stats is not None else None,
+                    detail=f" after {job.attempt + 1} attempt(s)")
+                error.last_result = result  # the final attempt's SolveResult
+            self._finish(job, "failed", error=error)
             return
         delay = (job.retry_delays[job.attempt]
                  if job.attempt < len(job.retry_delays) else 0.0)
         if job.deadline is not None and delay >= job.deadline - now:
             self._finish(job, "timed_out", error=JobTimeoutError(
                 f"backoff ({delay:.3f}s) would overrun the deadline",
-                iteration=col.stats.total_iterations,
+                iteration=stats.total_iterations if stats is not None else None,
                 wall_seconds=now - job.submitted_at,
                 budget_seconds=job.deadline - job.submitted_at,
-                stats=col.stats,
+                stats=stats,
             ))
             return
         with self._state_lock:
@@ -821,9 +665,9 @@ class SolverService:
         task.add_done_callback(self._requeue_tasks.discard)
 
     async def _requeue_after(self, job: Job, delay: float) -> None:
-        # The job stays in the in-flight account through its backoff (as a
-        # single-path retry does through its sleep), so a drain waits for
-        # it and the ledger stays balanced.
+        # The job stays in the in-flight account through its backoff, so a
+        # drain waits for it and the ledger stays balanced — but no worker
+        # is held: the backoff is a timer, not a sleeping worker.
         if delay > 0:
             await asyncio.sleep(delay)
         self._requeue(job)
@@ -851,40 +695,10 @@ class SolverService:
         history, and failure classification are bit-identical (PR 7's
         masking guarantee); the device-time fields (cycles / seconds /
         energy / wall) describe the shared batched dispatch."""
-        from repro.solvers.api import SolveResult
-
-        return SolveResult(
-            x=np.ascontiguousarray(res.x[j]),
-            stats=res.batch_stats[j],
-            cycles=res.cycles,
-            seconds=res.seconds,
-            relative_residual=res.relative_residuals[j],
-            batch=1,
-            energy_j=res.energy_j,
-            profile=res.profile,
-            engine=res.engine,
-            solver=res.solver,
-            compiled=res.compiled,
-            backend=res.backend,
-            kernel_counters=res.kernel_counters,
-            wall_seconds=res.wall_seconds,
-        )
-
-    @staticmethod
-    def _failure_error(job: Job, failure: str, result) -> ReproError:
-        """Map a terminal SolveResult.failure to its typed error (same
-        mapping as ``ResilienceConfig.raise_on_failure``)."""
-        iterations = result.stats.total_iterations if result is not None else None
-        if failure == "breakdown":
-            exc: ReproError = SolverBreakdownError(
-                f"job {job.id}: Krylov breakdown after {job.attempt + 1} attempt(s)",
-                iteration=iterations)
-        else:
-            exc = DivergenceError(
-                f"job {job.id}: failed ({failure}) after {job.attempt + 1} attempt(s)",
-                reason=failure)
-        exc.last_result = result  # the final attempt's SolveResult, if any
-        return exc
+        return dataclasses.replace(
+            res, x=np.ascontiguousarray(res.x[j]), stats=res.batch_stats[j],
+            relative_residual=res.relative_residuals[j], batch=1,
+            batch_stats=None, relative_residuals=None)
 
     # -- introspection ------------------------------------------------------------------
 

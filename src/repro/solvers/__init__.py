@@ -29,7 +29,6 @@ from repro.solvers.session import (
     fingerprint_matrix,
     fingerprint_solve,
     matrix_hash_invocations,
-    solve_many,
 )
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "fingerprint_matrix",
     "fingerprint_solve",
     "matrix_hash_invocations",
-    "solve_many",
     "SOLVERS",
     "build_solver",
     "load_config",

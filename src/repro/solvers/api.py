@@ -15,6 +15,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from repro.sparse.crs import ModifiedCRS
 from repro.sparse.distribute import DistributedMatrix
 from repro.tensordsl import TensorContext, Type
 
-__all__ = ["solve", "compile_solve", "SolveResult"]
+__all__ = ["solve", "compile_solve", "SolveResult", "validate_arrays", "failure_error"]
 
 
 @dataclass
@@ -192,10 +193,385 @@ def compile_solve(
     ``compile-report`` view and the ablation benches use this to measure
     compile-time proxies through the real lowering pipeline.
     """
-    b_arr = np.asarray(b)
-    batch = b_arr.shape[0] if b_arr.ndim == 2 else 1
+    batch = validate_arrays(matrix, b)
     ctx, _, _, _, _ = _build_program(matrix, b, config, batch=batch, **kwargs)
     return ctx.compile(optimize=optimize)
+
+
+def validate_arrays(matrix, b, x0=None) -> int:
+    """The one input gate for ``b``/``x0`` (:func:`solve`, ``compile_solve``
+    and ``SolverService.submit``): a typed :class:`~repro.errors.ReproError`,
+    never a NaN result reported as success.  Returns the RHS width."""
+    b_arr = np.asarray(b)
+    if b_arr.ndim not in (1, 2):
+        raise ReproError(
+            f"b must be 1-D (n,) or batched 2-D (batch, n), got shape {b_arr.shape}")
+    if b_arr.ndim == 2 and b_arr.shape[0] < 1:
+        raise ReproError("batched b needs at least one right-hand side")
+    n = int(matrix.n)
+    if b_arr.shape[-1] != n:
+        raise ReproError(
+            f"b has {b_arr.shape[-1]} entries per right-hand side "
+            f"but the matrix has {n} rows")
+    for name, arr in (("b", b_arr), ("x0", None if x0 is None else np.asarray(x0))):
+        if arr is None:
+            continue
+        if arr.shape != b_arr.shape:
+            raise ReproError(f"x0 shape {arr.shape} must match b shape {b_arr.shape}")
+        if arr.dtype.kind not in "fiu":
+            raise ReproError(f"{name} must be real-numeric, got dtype {arr.dtype}")
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            raise ReproError(f"{name} contains non-finite values")
+    return b_arr.shape[0] if b_arr.ndim == 2 else 1
+
+
+def failure_error(failure: str, who: str, *, solver: str | None = None,
+                  iteration: int | None = None, detail: str = "") -> ReproError:
+    """Map a terminal ``SolveResult.failure`` to its typed error:
+    ``breakdown`` -> :class:`~repro.errors.SolverBreakdownError`, anything
+    else -> :class:`~repro.errors.DivergenceError`.  Used by
+    ``resilience="raise_on_failure=1"`` and by the serving retry ladder."""
+    if failure == "breakdown":
+        return SolverBreakdownError(f"{who}: Krylov breakdown{detail}",
+                                    solver=solver, iteration=iteration)
+    return DivergenceError(f"{who}: failed ({failure}){detail}",
+                           solver=solver, reason=failure)
+
+
+def _open(value, cls, **kwargs):
+    """``True | path | instance`` -> ``(instance or None, path or None)``."""
+    if isinstance(value, cls):
+        return value, None
+    if isinstance(value, (str, Path)):
+        return cls(**kwargs), value
+    return (cls(**kwargs) if value else None), None
+
+
+def _open_observers(trace, wall_trace, metrics) -> SimpleNamespace:
+    """Stage 2: the cycle tracer, the metrics registry and the wall tracer."""
+    from repro.telemetry import MetricsRegistry, Tracer, WallTracer
+
+    tracer, trace_path = _open(trace, Tracer)
+    mreg, metrics_path = _open(metrics, MetricsRegistry)
+    wtracer, wall_path = _open(wall_trace, WallTracer, metrics=mreg)
+    if wtracer is None and mreg is not None:
+        # Metrics alone still want the per-kernel wall series; an internal
+        # tracer feeds the registry (and the result's wall_profile).
+        wtracer = WallTracer(metrics=mreg)
+    elif mreg is not None and wtracer.metrics is None:
+        wtracer.metrics = mreg
+    return SimpleNamespace(tracer=tracer, trace_path=trace_path, mreg=mreg,
+                           metrics_path=metrics_path, wtracer=wtracer, wall_path=wall_path)
+
+
+def _set_gauges(mreg, rows) -> None:
+    for name, help_text, value in rows:
+        mreg.gauge(name, help_text).set(value)
+
+
+def _progress_hook(t_wall0: float, stride: int, mreg, on_progress):
+    """The per-record progress sample, or None when nobody listens."""
+    if on_progress is None and mreg is None:
+        return None
+
+    def _progress(iteration: int, relative_residual: float, active: int) -> None:
+        if iteration % stride:
+            return
+        if mreg is not None:
+            _set_gauges(mreg, [
+                ("repro_solve_iteration", "latest recorded iteration", iteration),
+                ("repro_solve_relative_residual", "latest tracked relative residual",
+                 relative_residual),
+                ("repro_solve_active_columns", "RHS columns still iterating", active),
+            ])
+        if on_progress is not None:
+            wall = time.perf_counter() - t_wall0
+            on_progress(SolveProgress(iteration, relative_residual, wall, active))
+
+    return _progress
+
+
+def _deadline_tick(t_wall0: float, deadline: float | None):
+    """The budget check, or None without a deadline.  Fired on *every*
+    iteration of *every* solver in the tree — nested inner solves (an MPIR
+    refinement burst) and ``record_history=False`` loops included — so the
+    overshoot past ``max_wall_seconds`` is bounded by one iteration, not one
+    root record or one whole inner burst.  Cooperative cancellation: raised
+    from a host callback, it unwinds the engine mid-solve on any backend."""
+    if deadline is None:
+        return None
+
+    def tick(iteration: int) -> None:
+        wall = time.perf_counter() - t_wall0
+        if wall > deadline:
+            raise JobTimeoutError(
+                solver=None, iteration=iteration, wall_seconds=wall,
+                budget_seconds=deadline,
+            )
+
+    return tick
+
+
+@dataclass
+class _Restarts:
+    """OOM-degradation bookkeeping: what earlier attempts contributed and
+    the shape (tiles, device, warm start) the next one builds at."""
+
+    num_tiles: int | None
+    device: IPUDevice | None
+    x0: np.ndarray | None
+    monitors: list = field(default_factory=list)
+    records: list = field(default_factory=list)
+    cycles: int = 0
+    count: int = 0
+    carried_iterations: int = 0
+    disabled: set = field(default_factory=set)
+
+    def degrade(self, at, rconfig, matrix, device_tiles: int, tracer) -> bool:
+        """Fold the failed attempt in and halve the tiles; False when the
+        tile count cannot shrink further (the caller re-raises)."""
+        if at.monitor is not None:
+            self.monitors.append(at.monitor)
+            # Warm-start the rebuilt program from the best checkpointed
+            # iterate instead of discarding all converged progress.
+            warm_x, warm_it = at.monitor.best_solution()
+            if warm_x is not None and warm_it > 0:
+                self.x0 = warm_x
+                self.carried_iterations += warm_it
+        if at.injector is not None:
+            self.records.extend(at.injector.records)
+        if at.device is not None:
+            self.cycles += at.device.profiler.total_cycles
+            if tracer is not None:
+                # The rebuilt program runs on a fresh device whose clock
+                # restarts at zero; keep the trace timeline monotone.
+                tracer.shift_clock(at.device.profiler.total_cycles)
+        have = self.num_tiles
+        if have is None:
+            n_dev = self.device.num_tiles if self.device is not None else device_tiles
+            have = min(n_dev, matrix.n)
+        want = max(rconfig.min_tiles, have // 2)
+        if want >= have:
+            return False
+        # Graceful degradation: rebuild on fewer tiles (more rows per tile,
+        # larger per-tile shards is fine — the overflow here is per-shard
+        # count / injected, not aggregate capacity) and don't re-fire
+        # injected OOMs against the degraded build.
+        self.disabled.add("tile_oom")
+        self.count += 1
+        self.num_tiles = want
+        self.device = None  # always rebuild on a fresh device
+        return True
+
+    def report(self, at, failure, rconfig) -> ResilienceReport:
+        records = self.records + (list(at.injector.records) if at.injector is not None else [])
+        rollbacks = [rb for m in self.monitors for rb in m.rollbacks]
+        iters_observed = sum(m.iterations_observed for m in self.monitors)
+        iterations = at.solver.stats.total_iterations
+        return ResilienceReport(
+            enabled=rconfig is not None,
+            outcome=("failed" if failure is not None else "degraded" if self.count
+                     else "recovered" if rollbacks else "clean"),
+            failure=failure,
+            faults_injected=len(records),
+            faults_by_kind=dict(Counter(r.kind for r in records)),
+            checkpoints=sum(m.checkpoints for m in self.monitors),
+            rollbacks=len(rollbacks),
+            rollback_reasons=[rb.reason for rb in rollbacks],
+            restarts=self.count,
+            iterations=iterations,
+            extra_iterations=max(0, iters_observed - iterations) if self.monitors else 0,
+            carried_iterations=self.carried_iterations,
+            final_num_tiles=len(at.solver.A.tiles),
+        )
+
+
+def _acquire(at, matrix, b, b64, config, layout: dict, rs: _Restarts, *,
+             pcache, rconfig, optimize: bool, backend: str, batch: int, tracer):
+    """Stage 3: a cache hit, or build + compile (+ capture into the cache)."""
+    entry = key = None
+    if pcache is not None:
+        key = fingerprint_solve(
+            matrix, config, **layout, num_tiles=rs.num_tiles, optimize=optimize,
+            backend=backend, resilient=rconfig is not None, batch=batch,
+        )
+        entry = pcache.get(key)
+    if entry is None:
+        at.monitor = ResilienceMonitor(rconfig) if rconfig is not None else None
+        t_build = time.perf_counter()
+        ctx, at.solver, at.xvec, bvec, at.device = _build_program(
+            matrix, b, config, **layout, num_tiles=rs.num_tiles,
+            # Under caching x0 is bound via prepare() below, so the
+            # snapshotted initial image stays x0-free (x = 0).
+            x0=None if pcache is not None else rs.x0,
+            device=rs.device, monitor=at.monitor, batch=batch,
+        )
+        at.compiled = ctx.compile(optimize=optimize)
+        if pcache is not None:
+            entry = CompiledSolve.capture(
+                key, ctx, at.solver, at.xvec, bvec, at.device, at.compiled,
+                monitor=at.monitor, build_seconds=time.perf_counter() - t_build,
+            )
+            pcache.put(key, entry)
+    if entry is not None:
+        # A hit (or the entry just captured): rebind host values into the
+        # cached artifact and re-execute — no symbolic execution, no passes.
+        entry.prepare(b64, x0=rs.x0, rconfig=rconfig)
+        at.monitor, at.device, at.compiled = entry.monitor, entry.device, entry.compiled
+        at.solver, at.xvec = entry.solver, entry.xvec
+        if tracer is not None:
+            tracer.instant("compile_cache", "compile", {
+                "event": "hit" if entry.runs > 1 else "miss", **pcache.stats()}, ts=0)
+
+
+def _arm(at, plan, rs: _Restarts, backend: str, obs,
+         progress, tick) -> None:
+    """Stage 4: fault injector, progress and deadline hooks, the engine."""
+    from repro.faults import FaultInjector
+
+    if plan is not None:
+        at.injector = FaultInjector(plan, disabled=frozenset(rs.disabled))
+    if progress is not None:
+        # After prepare()/reset(): a cache hit clears the hook along with
+        # the rest of the stats record.
+        at.solver.stats.progress = progress
+    if tick is not None:
+        for member in at.solver.iter_tree():
+            member.stats.tick = tick
+        # The build itself may have eaten the whole budget; bail before
+        # launching the engine rather than one iteration in.
+        tick(at.solver.stats.total_iterations)
+    at.engine = Engine(at.compiled, backend=backend, tracer=obs.tracer,
+                       injector=at.injector, wall_tracer=obs.wtracer)
+    if at.monitor is not None:
+        at.monitor.baseline()
+
+
+def _solution(solver, xvec) -> np.ndarray:
+    """The extended-precision solution when the solver kept one, else x."""
+    if getattr(solver, "x_ext", None) is not None:
+        return solver.x_ext.read_global()
+    return xvec.read_global()
+
+
+def _silent_corruption(at, matrix, b64) -> RollbackSignal | None:
+    """Injected faults can corrupt a Krylov recurrence without tripping any
+    device-side check — the tracked residual converges while the true
+    residual does not.  Verify on the host and report a miss as one more
+    detection event."""
+    if at.monitor is None or at.injector is None:
+        return None
+    tol = getattr(at.solver, "tol", None)
+    if tol is None:
+        return None
+    bn = np.linalg.norm(b64)
+    resid = matrix.spmv(_solution(at.solver, at.xvec)) - b64
+    rel = float(np.linalg.norm(resid) / bn) if bn > 0 else 0.0
+    if rel <= tol * 10 or at.solver.classify_failure(at.engine) is not None:
+        return None  # good enough — or already failed for a named reason
+    return RollbackSignal("silent_corruption", at.solver.stats.total_iterations)
+
+
+def _run_under_recovery(at, matrix, b64, tracer) -> str | None:
+    """Stage 5: run the engine, rolling back on every detection (a
+    device-side :class:`RollbackSignal`, or a silent corruption caught on
+    the host) until clean.  Returns the abort reason when the rollback
+    budget ran out, else None."""
+    while True:
+        try:
+            at.engine.run()
+            sig, signalled = _silent_corruption(at, matrix, b64), False
+            if sig is None:
+                return None
+        except RollbackSignal as exc:
+            sig, signalled = exc, True
+        cycle = at.device.profiler.total_cycles
+        if not at.monitor.budget_left():
+            if signalled:
+                at.monitor.restore_state()  # leave the best-known iterate in x
+            return sig.reason
+        rec = at.monitor.rollback(sig, cycle)
+        if tracer is not None:
+            tracer.instant("rollback", "fault", {
+                "reason": rec.reason, "iteration": rec.iteration,
+                "restored_iteration": rec.restored_iteration,
+                "attempt": len(at.monitor.rollbacks),
+            }, ts=cycle)
+
+
+def _readback(at, matrix, b64) -> tuple:
+    """Stage 6: the solution in the caller's shape, and the true relative
+    residual of every RHS column."""
+    x = _solution(at.solver, at.xvec)
+    if b64.ndim == 2 and np.asarray(x).ndim == 1:
+        # A (1, n) batch runs the classic single-RHS program, but 2-D in
+        # means 2-D out.
+        x = np.asarray(x).reshape(1, -1)
+    # Both the residual and its normalization in f64: ``np.linalg.norm(b)``
+    # in the caller's dtype (e.g. float32) accumulates in that precision and
+    # skews the reported relative residual near tight tolerances.  One SpMV
+    # call covers every RHS column; the norms stay per column (1-D), which
+    # is what keeps each one bit-equal to a single-RHS solve of that column.
+    relative_residuals = []
+    for resid, bj in zip(np.atleast_2d(matrix.spmv(x) - b64), np.atleast_2d(b64)):
+        bn = np.linalg.norm(bj)
+        rn = np.linalg.norm(resid)
+        relative_residuals.append(float(rn / bn) if bn > 0 else float(rn))
+    return x, relative_residuals
+
+
+def _finalize(at, x, rels: list, batch: int, rs: _Restarts, report,
+              obs, pcache, kernel_track, t_wall0: float) -> SolveResult:
+    """Stage 7: wall trace and metrics out, then the :class:`SolveResult`."""
+    solver, engine, device = at.solver, at.engine, at.device
+    rel = max(rels)
+    total_cycles = rs.cycles + device.profiler.total_cycles
+    batch_stats = getattr(solver, "batch_stats", None)
+    if batch_stats is not None and pcache is not None:
+        batch_stats = [st.copy() for st in batch_stats]
+
+    wtracer, mreg = obs.wtracer, obs.mreg
+    if wtracer is not None and obs.wall_path is not None:
+        wtracer.to_chrome(obs.wall_path)
+    wall_seconds = time.perf_counter() - t_wall0
+    if mreg is not None:
+        mreg.counter("repro_solves_total", "completed solve() calls").inc(
+            1, backend=engine.backend.name
+        )
+        _set_gauges(mreg, [
+            ("repro_solve_wall_seconds", "wall seconds of the last solve call", wall_seconds),
+            ("repro_solve_iterations", "iterations of the last solve",
+             solver.stats.total_iterations),
+            ("repro_solve_final_relative_residual", "true relative residual (f64)", rel),
+        ] + ([("repro_cache_bytes", "bytes the compile cache pins (storage + snapshots)",
+               pcache.stats()["bytes"])] if pcache is not None else []))
+        if obs.metrics_path is not None:
+            mreg.write(obs.metrics_path)
+
+    return SolveResult(
+        x=x,
+        # Detach the stats under caching: the next hit resets them in place.
+        stats=solver.stats.copy() if pcache is not None else solver.stats,
+        batch=batch,
+        batch_stats=batch_stats,
+        relative_residuals=rels if batch > 1 else None,
+        cycles=total_cycles,
+        seconds=device.seconds(total_cycles),
+        energy_j=device.energy_j(total_cycles),
+        relative_residual=rel,
+        profile=device.profiler.fractions(),
+        engine=engine,
+        solver=solver,
+        compiled=at.compiled,
+        backend=engine.backend.name,
+        telemetry=obs.tracer,
+        resilience=report,
+        kernel_counters=kernel_track if engine.backend.uses_kernels else None,
+        wall_seconds=wall_seconds,
+        wall_profile=wtracer.profile() if wtracer is not None else None,
+        wall_telemetry=wtracer,
+        metrics=mreg,
+    )
 
 
 def solve(
@@ -292,103 +668,22 @@ def solve(
     re-run, and solution *and* cycles are bit-identical to a cold
     compile.  An explicit ``device`` disables caching (the cached shards
     live on a cache-owned device).  Repeated-solve callers should prefer
-    :class:`~repro.solvers.session.SolverSession` /
-    :func:`~repro.solvers.session.solve_many`.
+    :class:`~repro.solvers.session.SolverSession`.
+
+    Stages: validate, open observers, acquire (hit, or build + compile +
+    capture), arm, run under recovery, readback, finalize.
     """
-    from repro.faults import FaultInjector, FaultPlan
-    from repro.telemetry import MetricsRegistry, Tracer, WallTracer
+    from repro.faults import FaultPlan
 
     t_wall0 = time.perf_counter()
-
-    tracer = None
-    trace_path = None
-    if isinstance(trace, Tracer):
-        tracer = trace
-    elif isinstance(trace, (str, Path)):
-        tracer, trace_path = Tracer(), trace
-    elif trace:
-        tracer = Tracer()
-
-    mreg = None
-    metrics_path = None
-    if isinstance(metrics, MetricsRegistry):
-        mreg = metrics
-    elif isinstance(metrics, (str, Path)):
-        mreg, metrics_path = MetricsRegistry(), metrics
-    elif metrics:
-        mreg = MetricsRegistry()
-
-    wtracer = None
-    wall_path = None
-    if isinstance(wall_trace, WallTracer):
-        wtracer = wall_trace
-        if mreg is not None and wtracer.metrics is None:
-            wtracer.metrics = mreg
-    elif isinstance(wall_trace, (str, Path)):
-        wtracer, wall_path = WallTracer(metrics=mreg), wall_trace
-    elif wall_trace:
-        wtracer = WallTracer(metrics=mreg)
-    elif mreg is not None:
-        # Metrics alone still want the per-kernel wall series; an internal
-        # tracer feeds the registry (and the result's wall_profile).
-        wtracer = WallTracer(metrics=mreg)
-
-    stride = max(1, int(progress_every))
+    obs = _open_observers(trace, wall_trace, metrics)
     deadline = None if max_wall_seconds is None else float(max_wall_seconds)
     if deadline is not None and deadline <= 0:
         raise ReproError(f"max_wall_seconds must be > 0, got {max_wall_seconds!r}")
-
-    def _progress(iteration: int, relative_residual: float, active: int) -> None:
-        wall = time.perf_counter() - t_wall0
-        if deadline is not None and wall > deadline:
-            # Cooperative cancellation: raised from the per-iteration record
-            # callback, it unwinds the engine mid-solve on any backend.  The
-            # partial SolveStats record is attached by the handler below.
-            raise JobTimeoutError(
-                solver=None, iteration=iteration, wall_seconds=wall,
-                budget_seconds=deadline,
-            )
-        if iteration % stride:
-            return
-        if mreg is not None:
-            mreg.gauge("repro_solve_iteration", "latest recorded iteration").set(iteration)
-            mreg.gauge(
-                "repro_solve_relative_residual", "latest tracked relative residual"
-            ).set(relative_residual)
-            mreg.gauge(
-                "repro_solve_active_columns", "RHS columns still iterating"
-            ).set(active)
-        if on_progress is not None:
-            on_progress(SolveProgress(iteration, relative_residual, wall, active))
-
-    progress_hook = (
-        _progress
-        if (on_progress is not None or mreg is not None or deadline is not None)
-        else None
-    )
-
-    def _deadline_tick(iteration: int) -> None:
-        # The budget check alone, fired on *every* iteration of *every*
-        # solver in the tree — nested inner solves (an MPIR refinement
-        # burst) and ``record_history=False`` loops included — so the
-        # overshoot past ``max_wall_seconds`` is bounded by one iteration,
-        # not one root record or one whole inner burst.
-        wall = time.perf_counter() - t_wall0
-        if wall > deadline:
-            raise JobTimeoutError(
-                solver=None, iteration=iteration, wall_seconds=wall,
-                budget_seconds=deadline,
-            )
-
     plan = FaultPlan.parse(inject_faults) if inject_faults is not None else None
-    check_observers(backend, tracer=tracer, injector=plan)
+    check_observers(backend, tracer=obs.tracer, injector=plan)
     rconfig = ResilienceConfig.parse(resilience)
-    b64 = np.asarray(b, dtype=np.float64)
-    if b64.ndim not in (1, 2):
-        raise ReproError(f"b must be 1-D (n,) or batched 2-D (batch, n), got shape {b64.shape}")
-    if b64.shape[-1] != matrix.n:
-        raise ReproError(f"b has {b64.shape[-1]} rows but the matrix has {matrix.n}")
-    batch = b64.shape[0] if b64.ndim == 2 else 1
+    batch = validate_arrays(matrix, b, x0)
     if batch > 1:
         # The resilience driver's checkpoint/restore and the fault
         # injector's corruption sites are written against single-RHS
@@ -397,351 +692,62 @@ def solve(
             raise ReproError("fault injection does not support batched solves (batch > 1)")
         if rconfig is not None:
             raise ReproError("resilience does not support batched solves (batch > 1)")
-        if x0 is not None and np.asarray(x0).shape != b64.shape:
-            raise ReproError(
-                f"batched x0 must match b's shape {b64.shape}, "
-                f"got {np.asarray(x0).shape}"
-            )
+    b64 = np.asarray(b, dtype=np.float64)
+    progress = _progress_hook(t_wall0, max(1, int(progress_every)), obs.mreg, on_progress)
+    tick = _deadline_tick(t_wall0, deadline)
     pcache = resolve_cache(cache)
     if device is not None:
         # A caller-owned device would end up holding cache-owned shards;
         # every entry builds on a fresh device instead.
         pcache = None
+    layout = dict(num_ipus=num_ipus, tiles_per_ipu=tiles_per_ipu, grid_dims=grid_dims,
+                  blockwise_halo=blockwise_halo)
+    rs = _Restarts(num_tiles=num_tiles, device=device, x0=x0)
 
-    monitors: list[ResilienceMonitor] = []
-    prior_records: list = []
-    prior_cycles = 0
-    restarts = 0
-    carried_iterations = 0
-    disabled: set[str] = set()
-    cur_tiles = num_tiles
-    cur_device = device
-    aborted: str | None = None
     # Delta over the whole solve (restarts included) — the counters are
     # process-global, so concurrent engines would fold into one delta.
     with GlobalCounters.track() as kernel_track:
         while True:
-            monitor = None
-            injector = None
-            built_device = None
-            entry = None
+            # One pass, filled stage by stage — so the OOM handler sees
+            # whatever exists when the build or the run raised.
+            at = SimpleNamespace(monitor=None, injector=None, device=None, solver=None)
             try:
-                if pcache is not None:
-                    key = fingerprint_solve(
-                        matrix,
-                        config,
-                        num_ipus=num_ipus,
-                        tiles_per_ipu=tiles_per_ipu,
-                        num_tiles=cur_tiles,
-                        grid_dims=grid_dims,
-                        blockwise_halo=blockwise_halo,
-                        optimize=optimize,
-                        backend=backend,
-                        resilient=rconfig is not None,
-                        batch=batch,
-                    )
-                    entry = pcache.get(key)
-                if entry is not None:
-                    # Cache hit: rebind host values into the cached artifact and
-                    # re-execute — no symbolic execution, no compiler passes.
-                    entry.prepare(b64, x0=x0, rconfig=rconfig)
-                    ctx, solver, xvec, bvec = entry.ctx, entry.solver, entry.xvec, entry.bvec
-                    built_device, compiled, monitor = entry.device, entry.compiled, entry.monitor
-                else:
-                    monitor = ResilienceMonitor(rconfig) if rconfig is not None else None
-                    t_build = time.perf_counter()
-                    ctx, solver, xvec, bvec, built_device = _build_program(
-                        matrix,
-                        b,
-                        config,
-                        num_ipus=num_ipus,
-                        tiles_per_ipu=tiles_per_ipu,
-                        num_tiles=cur_tiles,
-                        grid_dims=grid_dims,
-                        # Under caching x0 is bound via prepare() below, so the
-                        # snapshotted initial image stays x0-free (x = 0).
-                        x0=None if pcache is not None else x0,
-                        device=cur_device,
-                        blockwise_halo=blockwise_halo,
-                        monitor=monitor,
-                        batch=batch,
-                    )
-                    compiled = ctx.compile(optimize=optimize)
-                    if pcache is not None:
-                        entry = CompiledSolve.capture(
-                            key, ctx, solver, xvec, bvec, built_device, compiled,
-                            monitor=monitor,
-                            build_seconds=time.perf_counter() - t_build,
-                        )
-                        pcache.put(key, entry)
-                        entry.prepare(b64, x0=x0, rconfig=rconfig)
-                if tracer is not None and pcache is not None:
-                    tracer.instant(
-                        "compile_cache",
-                        "compile",
-                        {"event": "hit" if entry.runs > 1 else "miss", **pcache.stats()},
-                        ts=0,
-                    )
-                if plan is not None:
-                    injector = FaultInjector(plan, disabled=frozenset(disabled))
-                if progress_hook is not None:
-                    # After prepare()/reset(): a cache hit clears the hook
-                    # along with the rest of the stats record.
-                    solver.stats.progress = progress_hook
-                if deadline is not None:
-                    for member in solver.iter_tree():
-                        member.stats.tick = _deadline_tick
-                if deadline is not None:
-                    # The build itself may have eaten the whole budget; bail
-                    # before launching the engine rather than one iteration in.
-                    wall = time.perf_counter() - t_wall0
-                    if wall > deadline:
-                        raise JobTimeoutError(
-                            iteration=solver.stats.total_iterations,
-                            wall_seconds=wall, budget_seconds=deadline,
-                        )
-                engine = Engine(compiled, backend=backend, tracer=tracer,
-                                injector=injector, wall_tracer=wtracer)
-                if monitor is not None:
-                    monitor.baseline()
-                aborted = None
-                while True:
-                    try:
-                        engine.run()
-                    except RollbackSignal as sig:
-                        cycle = built_device.profiler.total_cycles
-                        if not monitor.budget_left():
-                            aborted = sig.reason
-                            monitor.restore_state()  # leave the best-known iterate in x
-                            break
-                        rec = monitor.rollback(sig, cycle)
-                        if tracer is not None:
-                            tracer.instant(
-                                "rollback",
-                                "fault",
-                                {
-                                    "reason": rec.reason,
-                                    "iteration": rec.iteration,
-                                    "restored_iteration": rec.restored_iteration,
-                                    "attempt": len(monitor.rollbacks),
-                                },
-                                ts=cycle,
-                            )
-                        continue
-                    if monitor is None or injector is None:
-                        break
-                    # Injected faults can corrupt a Krylov recurrence without
-                    # tripping any device-side check — the tracked residual
-                    # converges while the true residual does not.  Verify on the
-                    # host and treat a miss as one more detection event.
-                    tolv = getattr(solver, "tol", None)
-                    if tolv is None:
-                        break
-                    if getattr(solver, "x_ext", None) is not None:
-                        xv = solver.x_ext.read_global()
-                    else:
-                        xv = xvec.read_global()
-                    bn_ = np.linalg.norm(b64)
-                    rel_ = float(np.linalg.norm(matrix.spmv(xv) - b64) / bn_) if bn_ > 0 else 0.0
-                    if rel_ <= tolv * 10 or solver.classify_failure(engine) is not None:
-                        break  # good enough — or already failed for a named reason
-                    sig = RollbackSignal("silent_corruption", solver.stats.total_iterations)
-                    cycle = built_device.profiler.total_cycles
-                    if not monitor.budget_left():
-                        aborted = "silent_corruption"
-                        break
-                    rec = monitor.rollback(sig, cycle)
-                    if tracer is not None:
-                        tracer.instant(
-                            "rollback",
-                            "fault",
-                            {
-                                "reason": rec.reason,
-                                "iteration": rec.iteration,
-                                "restored_iteration": rec.restored_iteration,
-                                "attempt": len(monitor.rollbacks),
-                            },
-                            ts=cycle,
-                        )
+                _acquire(at, matrix, b, b64, config, layout, rs, pcache=pcache,
+                         rconfig=rconfig, optimize=optimize, backend=backend,
+                         batch=batch, tracer=obs.tracer)
+                _arm(at, plan, rs, backend, obs, progress, tick)
+                aborted = _run_under_recovery(at, matrix, b64, obs.tracer)
             except JobTimeoutError as exc:
                 # Deadline fired from inside the engine (or just before it),
-                # so ``solver`` exists: hand the caller the partial
+                # so the solver exists: hand the caller the partial
                 # convergence record with the typed error.
-                exc.solver = solver.name
-                exc.stats = solver.stats.copy()
+                exc.solver = at.solver.name
+                exc.stats = at.solver.stats.copy()
                 raise
             except SRAMOverflowError:
-                if rconfig is None or not rconfig.degrade_on_oom:
+                if rconfig is None or not rconfig.degrade_on_oom or not rs.degrade(
+                    at, rconfig, matrix, num_ipus * tiles_per_ipu, obs.tracer
+                ):
                     raise
-                if monitor is not None:
-                    monitors.append(monitor)
-                    # Warm-start the rebuilt program from the best checkpointed
-                    # iterate instead of discarding all converged progress.
-                    warm_x, warm_it = monitor.best_solution()
-                    if warm_x is not None and warm_it > 0:
-                        x0 = warm_x
-                        carried_iterations += warm_it
-                if injector is not None:
-                    prior_records.extend(injector.records)
-                if built_device is not None:
-                    prior_cycles += built_device.profiler.total_cycles
-                    if tracer is not None:
-                        # The rebuilt program runs on a fresh device whose clock
-                        # restarts at zero; keep the trace timeline monotone.
-                        tracer.shift_clock(built_device.profiler.total_cycles)
-                have = cur_tiles
-                if have is None:
-                    n_dev = (
-                        cur_device.num_tiles if cur_device is not None else num_ipus * tiles_per_ipu
-                    )
-                    have = min(n_dev, matrix.n)
-                want = max(rconfig.min_tiles, have // 2)
-                if want >= have:
-                    raise  # cannot shrink further — give up
-                # Graceful degradation: rebuild on fewer tiles (more rows per
-                # tile, larger per-tile shards is fine — the overflow here is
-                # per-shard count / injected, not aggregate capacity) and don't
-                # re-fire injected OOMs against the degraded build.
-                disabled.add("tile_oom")
-                restarts += 1
-                cur_tiles = want
-                cur_device = None  # always rebuild on a fresh device
                 continue
-            else:
-                if monitor is not None:
-                    monitors.append(monitor)
-                break
+            if at.monitor is not None:
+                rs.monitors.append(at.monitor)
+            break
 
-    # Prefer the extended-precision solution when the solver kept one.
-    if getattr(solver, "x_ext", None) is not None:
-        x = solver.x_ext.read_global()
-    else:
-        x = xvec.read_global()
-    if b64.ndim == 2 and np.asarray(x).ndim == 1:
-        # A (1, n) batch runs the classic single-RHS program, but 2-D in
-        # means 2-D out.
-        x = np.asarray(x).reshape(1, -1)
+    x, rels = _readback(at, matrix, b64)
+    failure = aborted if aborted is not None else at.solver.classify_failure(at.engine)
+    at.solver.stats.failure = failure
+    report = rs.report(at, failure, rconfig) if rconfig is not None or plan is not None else None
 
-    # Both the residual and its normalization in f64: ``np.linalg.norm(b)``
-    # in the caller's dtype (e.g. float32) accumulates in that precision and
-    # skews the reported relative residual near tight tolerances.  One SpMV
-    # call covers every RHS column; the norms stay per column (1-D), which
-    # is what keeps each one bit-equal to a single-RHS solve of that column.
-    relative_residuals = []
-    for resid, bj in zip(np.atleast_2d(matrix.spmv(x) - b64), np.atleast_2d(b64)):
-        bn = np.linalg.norm(bj)
-        rn = np.linalg.norm(resid)
-        relative_residuals.append(float(rn / bn) if bn > 0 else float(rn))
-    rel = max(relative_residuals)
-    if batch == 1:
-        relative_residuals = None
-
-    failure = aborted if aborted is not None else solver.classify_failure(engine)
-    solver.stats.failure = failure
-
-    report = None
-    if rconfig is not None or plan is not None:
-        records = prior_records + (list(injector.records) if injector is not None else [])
-        rollbacks = [rb for m in monitors for rb in m.rollbacks]
-        iters_observed = sum(m.iterations_observed for m in monitors)
-        if failure is not None:
-            outcome = "failed"
-        elif restarts:
-            outcome = "degraded"
-        elif rollbacks:
-            outcome = "recovered"
-        else:
-            outcome = "clean"
-        report = ResilienceReport(
-            enabled=rconfig is not None,
-            outcome=outcome,
-            failure=failure,
-            faults_injected=len(records),
-            faults_by_kind=dict(Counter(r.kind for r in records)),
-            checkpoints=sum(m.checkpoints for m in monitors),
-            rollbacks=len(rollbacks),
-            rollback_reasons=[rb.reason for rb in rollbacks],
-            restarts=restarts,
-            iterations=solver.stats.total_iterations,
-            extra_iterations=(
-                max(0, iters_observed - solver.stats.total_iterations) if monitors else 0
-            ),
-            carried_iterations=carried_iterations,
-            final_num_tiles=len(solver.A.tiles),
-        )
-
-    if tracer is not None:
-        tracer.convergence(solver.stats)
+    if obs.tracer is not None:
+        obs.tracer.convergence(at.solver.stats)
         if report is not None:
-            tracer.resilience(report)
-        if trace_path is not None:
-            tracer.to_chrome(trace_path)
+            obs.tracer.resilience(report)
+        if obs.trace_path is not None:
+            obs.tracer.to_chrome(obs.trace_path)
 
     if rconfig is not None and rconfig.raise_on_failure and failure is not None:
-        if failure == "breakdown":
-            raise SolverBreakdownError(
-                f"{solver.name}: Krylov breakdown (|rho| ~ 0)",
-                solver=solver.name,
-                iteration=solver.stats.total_iterations,
-            )
-        raise DivergenceError(
-            f"{solver.name}: failed to reach tol={getattr(solver, 'tol', None)}",
-            solver=solver.name,
-            reason=failure,
-        )
-
-    prof = built_device.profiler
-    total_cycles = prior_cycles + prof.total_cycles
-    batch_stats = getattr(solver, "batch_stats", None)
-    if batch_stats is not None and pcache is not None:
-        batch_stats = [st.copy() for st in batch_stats]
-
-    if wtracer is not None and wall_path is not None:
-        wtracer.to_chrome(wall_path)
-    wall_seconds = time.perf_counter() - t_wall0
-    if mreg is not None:
-        mreg.counter("repro_solves_total", "completed solve() calls").inc(
-            1, backend=engine.backend.name
-        )
-        mreg.gauge(
-            "repro_solve_wall_seconds", "wall seconds of the last solve call"
-        ).set(wall_seconds)
-        mreg.gauge(
-            "repro_solve_iterations", "iterations of the last solve"
-        ).set(solver.stats.total_iterations)
-        mreg.gauge(
-            "repro_solve_final_relative_residual", "true relative residual (f64)"
-        ).set(rel)
-        if pcache is not None:
-            mreg.gauge(
-                "repro_cache_bytes", "bytes the compile cache pins (storage + snapshots)"
-            ).set(pcache.stats()["bytes"])
-        if metrics_path is not None:
-            mreg.write(metrics_path)
-
-    return SolveResult(
-        x=x,
-        # Detach the stats under caching: the next hit resets them in place.
-        stats=solver.stats.copy() if pcache is not None else solver.stats,
-        batch=batch,
-        batch_stats=batch_stats,
-        relative_residuals=relative_residuals,
-        cycles=total_cycles,
-        seconds=built_device.seconds(total_cycles),
-        energy_j=built_device.energy_j(total_cycles),
-        relative_residual=rel,
-        profile=prof.fractions(),
-        engine=engine,
-        solver=solver,
-        compiled=compiled,
-        backend=engine.backend.name,
-        telemetry=tracer,
-        resilience=report,
-        kernel_counters=(
-            kernel_track if engine.backend.uses_kernels else None
-        ),
-        wall_seconds=wall_seconds,
-        wall_profile=wtracer.profile() if wtracer is not None else None,
-        wall_telemetry=wtracer,
-        metrics=mreg,
-    )
+        name = at.solver.name
+        raise failure_error(failure, name, solver=name,
+                            iteration=at.solver.stats.total_iterations)
+    return _finalize(at, x, rels, batch, rs, report, obs, pcache, kernel_track, t_wall0)

@@ -21,9 +21,8 @@ the analogue for the simulated pipeline:
   :class:`~repro.graph.CompiledProgram` without re-running a single
   compiler pass — bit-identical in tensors *and* in modeled cycles to a
   cold compile,
-- :class:`SolverSession` / :func:`solve_many` — the user-facing wrappers:
-  a session pins (matrix, config, device shape) and exposes ``solve(b)``;
-  ``solve_many`` batches a list of right-hand sides through one session.
+- :class:`SolverSession` — the user-facing wrapper: a session pins
+  (matrix, config, device shape) and exposes ``solve(b)``.
 
 Rebinding is sound because every solver recomputes its derived state
 in-program from the bound vectors (``r = b − Ax``, ``‖b‖²`` via an
@@ -58,7 +57,6 @@ __all__ = [
     "fingerprint_solve",
     "matrix_hash_invocations",
     "resolve_cache",
-    "solve_many",
 ]
 
 
@@ -407,19 +405,3 @@ class SolverSession:
     def __repr__(self):
         return f"SolverSession(config={self.config!r}, cache={self.cache!r})"
 
-
-def solve_many(matrix, bs, config, x0s=None, cache: ProgramCache | None = None,
-               **solve_kwargs) -> list:
-    """Solve one system per right-hand side in ``bs`` through a shared
-    session — the batch entry point (CLI ``batch`` subcommand).
-
-    ``x0s`` is an optional parallel list of initial guesses.  Returns one
-    :class:`~repro.solvers.api.SolveResult` per rhs, in order.
-    """
-    session = SolverSession(matrix, config, cache=cache, **solve_kwargs)
-    if x0s is not None and len(x0s) != len(bs):
-        raise ReproError(f"solve_many: {len(bs)} rhs but {len(x0s)} initial guesses")
-    return [
-        session.solve(b, x0=None if x0s is None else x0s[i])
-        for i, b in enumerate(bs)
-    ]

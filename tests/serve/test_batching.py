@@ -125,16 +125,16 @@ class TestDeadlinesInBatches:
                                      workers=1) as svc:
                 clock = [0.0]
                 svc._now = lambda: clock[0]
-                attempt = svc._solve_batch_attempt
+                attempt = svc._solve_attempt
 
-                def gated(jobs, lead, config, fingerprint, remaining, bucket):
+                def gated(jobs, config, fingerprint, remaining, bucket):
                     if remaining is not None:
                         clock[0] += remaining
                         remaining = 1e-9
-                    return attempt(jobs, lead, config, fingerprint,
-                                   remaining, bucket)
+                    return attempt(jobs, config, fingerprint, remaining,
+                                   bucket)
 
-                svc._solve_batch_attempt = gated
+                svc._solve_attempt = gated
                 doomed = svc.submit(CRS, bs[0], CONFIG, tenant="t",
                                     deadline=0.15, **KW)
                 rest = [svc.submit(CRS, b, CONFIG, tenant="t", **KW)

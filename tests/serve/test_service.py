@@ -130,6 +130,33 @@ class TestRetries:
         assert exc.last_result.stats.failure == "max_iterations"
         assert counts["failed"] == 1 and counts["retries"] == 1
 
+    def test_backoff_does_not_hold_the_worker(self):
+        """A retry waits out its backoff on a timer, not in a worker: with
+        one worker, a healthy job from another tenant resolves before the
+        failing job's retry is dispatched."""
+        retry = RetryPolicy(max_attempts=2, base_delay=0.2,
+                            escalate_iterations=400.0, fallback_after=5)
+
+        async def go():
+            async with SolverService(policy=ServicePolicy(retry=retry),
+                                     workers=1) as svc:
+                failing = svc.submit(CRS, B, WEAK, tenant="a", grid_dims=DIMS,
+                                     backend="fused")
+                healthy = svc.submit(CRS, B, "cg", tenant="b", grid_dims=DIMS,
+                                     backend="fused")
+                # One worker: if the retry held it, "a" would finish first.
+                done = []
+                for job in (failing, healthy):
+                    job.future.add_done_callback(
+                        lambda _f, t=job.tenant: done.append(t))
+                results = await asyncio.gather(failing.future, healthy.future)
+                return done, results, svc.accounting()
+
+        done, (res_a, res_b), acc = run(go())
+        assert done == ["b", "a"]
+        assert res_a.attempts == 2 and res_b.attempts == 1
+        assert acc["balanced"] and acc["retries"] == 1 and acc["ok"] == 2
+
 
 class TestDeadlines:
     def test_expired_deadline_times_out_before_dispatch(self):

@@ -16,7 +16,6 @@ from repro.solvers import (
     fingerprint_matrix,
     fingerprint_solve,
     solve,
-    solve_many,
 )
 from repro.solvers.session import resolve_cache
 from repro.solvers.sweeps import merged_invocations
@@ -330,24 +329,19 @@ class TestSolverSession:
         assert _counts(cache) == {"hits": 1, "misses": 1, "evictions": 0,
                                   "size": 1, "capacity": 8}
 
-    def test_solve_many_returns_one_result_per_rhs(self):
+    def test_session_loop_returns_one_result_per_rhs(self):
         crs, dims, _ = _system()
         rng = np.random.default_rng(5)
         bs = [rng.standard_normal(crs.n) for _ in range(3)]
         cache = ProgramCache()
-        results = solve_many(crs, bs, CG, cache=cache, grid_dims=dims,
-                             tiles_per_ipu=4)
+        session = SolverSession(crs, CG, cache=cache, grid_dims=dims,
+                                tiles_per_ipu=4)
+        results = [session.solve(b) for b in bs]
         assert len(results) == 3
         for b, r in zip(bs, results):
             ref = solve(crs, b, CG, grid_dims=dims, tiles_per_ipu=4)
             np.testing.assert_array_equal(r.x, ref.x)
         assert cache.stats()["misses"] == 1 and cache.stats()["hits"] == 2
-
-    def test_solve_many_validates_x0s_length(self):
-        crs, dims, b = _system()
-        with pytest.raises(ReproError, match="initial guesses"):
-            solve_many(crs, [b, b], CG, x0s=[b], grid_dims=dims,
-                       tiles_per_ipu=4)
 
 
 def _views_of_flat_storage(var) -> bool:

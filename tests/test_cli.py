@@ -77,31 +77,37 @@ class TestCacheCommands:
         assert "3 RHS in one program" in out
         assert "amortized per RHS" in out
 
-    def test_batch_no_batch_axis_session_loop(self, capsys):
-        # The pre-batching behavior: one solve per rhs through the session.
+    def test_batch_unbatchable_config_runs_session_loop(self, capsys):
+        # MPIR cannot ride the batch axis: batch falls back to one solve
+        # per rhs through the compile-cache session instead of failing.
         rc = main([
             "batch", "--matrix", "poisson2d:8",
-            "--config", '{"solver": "cg", "tol": 1e-6}',
-            "--tiles", "4", "--count", "3", "--no-batch-axis",
+            "--config", '{"solver": "mpir", "tol": 1e-6, '
+                        '"inner": {"solver": "cg", "tol": 1e-4}}',
+            "--tiles", "4", "--count", "3",
         ])
         assert rc == 0
         out = capsys.readouterr().out
         assert "3 right-hand sides" in out
+        assert "rhs   2:" in out
         assert "hits=2 misses=1" in out
-        assert "amortized" in out
+        assert "in one program" not in out
 
     def test_batch_modes_agree_bit_identically(self, tmp_path):
+        from repro.solvers import SolverSession
+        from repro.sparse import poisson2d
+
+        bs = np.random.default_rng(3).standard_normal((3, 64))
         rhs = tmp_path / "bs.npy"
-        np.save(rhs, np.random.default_rng(3).standard_normal((3, 64)))
+        np.save(rhs, bs)
         out_b = tmp_path / "batched.npy"
-        out_l = tmp_path / "looped.npy"
         assert main(["batch", "--matrix", "poisson2d:8", "--config", "cg",
                      "--tiles", "4", "--rhs", str(rhs),
                      "--output", str(out_b)]) == 0
-        assert main(["batch", "--matrix", "poisson2d:8", "--config", "cg",
-                     "--tiles", "4", "--rhs", str(rhs), "--no-batch-axis",
-                     "--output", str(out_l)]) == 0
-        assert np.array_equal(np.load(out_b), np.load(out_l))
+        crs, dims = poisson2d(8)
+        session = SolverSession(crs, "cg", tiles_per_ipu=4, grid_dims=dims)
+        looped = np.stack([session.solve(b).x for b in bs])
+        assert np.array_equal(np.load(out_b), looped)
 
     def test_batch_rhs_file_and_output(self, tmp_path, capsys):
         rhs = tmp_path / "bs.npy"
