@@ -637,6 +637,9 @@ def _cmd_info(args) -> int:
 
 
 def main(argv=None) -> int:
+    from repro.graph.runtime import BACKENDS
+
+    backends = sorted(BACKENDS)
     parser = argparse.ArgumentParser(prog="repro", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -651,7 +654,7 @@ def main(argv=None) -> int:
     p_solve.add_argument("--ipus", type=int, default=1)
     p_solve.add_argument("--tiles", type=int, default=16, help="tiles per IPU")
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--backend", choices=["sim", "fused"], default="sim",
+    p_solve.add_argument("--backend", choices=backends, default="sim",
                          help="runtime backend: cycle-accurate sim (default) or "
                               "numerics-only kernel-dispatch fused (docs/runtime.md)")
     p_solve.add_argument("--profile", action="store_true", help="print the cycle breakdown")
@@ -707,7 +710,7 @@ def main(argv=None) -> int:
     p_batch.add_argument("--ipus", type=int, default=1)
     p_batch.add_argument("--tiles", type=int, default=16, help="tiles per IPU")
     p_batch.add_argument("--seed", type=int, default=0)
-    p_batch.add_argument("--backend", choices=["sim", "fused"], default="sim")
+    p_batch.add_argument("--backend", choices=backends, default="sim")
     p_batch.add_argument("--output",
                          help="write the stacked solutions to a .npy file, one row per rhs")
     p_batch.set_defaults(fn=_cmd_batch)
@@ -769,7 +772,7 @@ def main(argv=None) -> int:
     p_serve.add_argument("--tiles", type=int, default=16, help="tiles per IPU")
     p_serve.add_argument("--seed", type=int, default=0,
                          help="seeds the right-hand sides and per-job retry schedules")
-    p_serve.add_argument("--backend", choices=["sim", "fused"], default="fused",
+    p_serve.add_argument("--backend", choices=backends, default="fused",
                          help="backend for regular tenants (fault tenant always "
                               "uses sim); default fused, the fastest on the host "
                               "and bit-identical to sim")

@@ -228,7 +228,8 @@ class MatrixFormatError(ReproError, ValueError):
 
 class SolverConfigError(ReproError, ValueError):
     """A solver config (:mod:`repro.solvers.config`) cannot be read: JSON
-    that does not parse, a tree node without a ``solver`` key, or a solver
-    name that is not registered."""
+    that does not parse, a tree node without a ``solver`` key, a solver
+    name that is not registered, or a ``tol`` / iteration cap out of
+    bounds (the message names its key path)."""
 
     exit_code = 20

@@ -8,7 +8,11 @@ compute and exchange phases are delegated to a pluggable runtime backend
 is deterministic: the same program on the same inputs always produces the
 same results *and the same cycle counts*, mirroring the measurement
 methodology of Sec. VI-A.  ``backend="fused"`` produces bit-identical
-results from whole-device kernels, without any cycle accounting.
+results from the same whole-device kernels, without any cycle accounting.
+
+Blocks run as the compiled program's fused kernels on every backend unless
+a cycle tracer or a fault injector is attached: those observe each
+superstep, so the engine then steps compute sets and exchanges one by one.
 """
 
 from __future__ import annotations
@@ -62,9 +66,10 @@ class Engine:
         self.backend.attach(tracer=tracer, injector=injector, wall_tracer=wall_tracer)
         self.tracer = tracer
         self.wall_tracer = wall_tracer
-        # Kernel-dispatch backends route whole blocks through the compiled
-        # kernel schedule instead of stepping compute sets one at a time.
-        self._kernel_schedule = program.kernels if self.backend.uses_kernels else None
+        # Whole blocks launch as fused kernels, unless a cycle-domain observer
+        # needs every superstep (``fused`` refuses those observers in attach).
+        stepped = tracer is not None or injector is not None
+        self._kernel_schedule = None if stepped else program.kernels
         # Execution statistics (compile-proxy counters live in compiler.py).
         self.supersteps = 0
         self.exchanges = 0
@@ -108,8 +113,8 @@ class Engine:
         """Execute the compiled program's root step."""
         root = self.compiled.root
         if self._kernel_schedule is not None and isinstance(root, (Execute, Exchange)):
-            # A bare-step root has no enclosing block; under a kernel
-            # backend it runs as the one-kernel item list lowered for it.
+            # A bare-step root has no enclosing block; launched as kernels,
+            # it runs as the one-kernel item list lowered for it.
             self._run_block(root)
         else:
             self._run_step(root)
@@ -121,11 +126,12 @@ class Engine:
     def _run_kernel_items(self, step: Step) -> bool:
         """Replay a block's fused-kernel item list, if one applies.
 
-        Under a kernel-dispatch backend a block (``Sequence``, loop body,
-        branch body) executes as its lowered items — fused kernels launch as
-        single dispatches, with engine superstep/exchange statistics kept in
-        parity via the kernels' absorbed-step counts.  Returns False when
-        the block must be interpreted step by step instead.
+        Unless the run is stepped for a cycle-domain observer, a block
+        (``Sequence``, loop body, branch body) executes as its lowered items
+        — fused kernels launch as single dispatches, with engine
+        superstep/exchange statistics kept in parity via the kernels'
+        absorbed-step counts.  Returns False when the block must be
+        interpreted step by step instead.
         """
         if self._kernel_schedule is None:
             return False

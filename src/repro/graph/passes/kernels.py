@@ -35,7 +35,9 @@ Exchanges replay the plan's flat copy ops: one gather/scatter per
 whole-device buffer pair (:mod:`repro.graph.passes.plans`).
 
 The schedule is stored on the :class:`CompiledProgram` alongside the
-per-step plans; ``sim`` never looks at it.
+per-step plans.  Every run launches it except one a cycle tracer or a fault
+injector observes: those see every superstep, so ``sim`` steps the plans
+vertex by vertex for them.
 """
 
 from __future__ import annotations
@@ -85,14 +87,20 @@ class FusedKernel:
     (:mod:`repro.graph.passes.costs`) one launch represents — the wall-clock
     profiler divides measured time by these to report per-kernel GB/s and
     GFLOP/s.
+
+    ``steps`` are the absorbed ``Execute`` / ``Exchange`` steps in schedule
+    order.  ``cycles`` is their ``((profiler category, cycles), ...)``
+    record — what one launch charges on a cycle clock — filled in by the
+    backend on the first clocked launch from the steps' plans, ``None``
+    until then (a ``fused``-only kernel is never priced).
     """
 
     __slots__ = ("name", "ops", "n_compute", "n_exchange", "n_dispatch", "fallbacks",
-                 "n_fallback", "est_bytes", "est_flops")
+                 "n_fallback", "est_bytes", "est_flops", "steps", "cycles")
 
     def __init__(self, name: str, ops: tuple, n_compute: int, n_exchange: int,
                  n_dispatch: int, fallbacks: tuple, est_bytes: int = 0,
-                 est_flops: int = 0):
+                 est_flops: int = 0, steps: tuple = ()):
         self.name = name
         self.ops = ops
         self.n_compute = n_compute
@@ -102,6 +110,8 @@ class FusedKernel:
         self.n_fallback = len(fallbacks)
         self.est_bytes = est_bytes
         self.est_flops = est_flops
+        self.steps = steps
+        self.cycles = None
 
     def run(self) -> None:
         for op in self.ops:
@@ -730,6 +740,7 @@ def build_kernels(root: Step, plans) -> KernelSchedule:
                     tuple(fallbacks),
                     est_bytes=counts[1],
                     est_flops=counts[2],
+                    steps=tuple(absorbed),
                 )
                 all_kernels.append(kernel)
                 items.append(kernel)

@@ -14,6 +14,7 @@ from abc import ABC, abstractmethod
 from contextlib import nullcontext
 
 from repro.errors import BackendCapabilityError
+from repro.graph.runtime.counters import GlobalCounters
 
 __all__ = [
     "Backend",
@@ -95,14 +96,9 @@ class Backend(ABC):
 
     name = "backend"
 
-    #: True for backends that dispatch fused whole-device kernels; the
-    #: engine then routes blocks through the compiled program's
-    #: :class:`~repro.graph.passes.kernels.KernelSchedule` and calls
-    #: :meth:`run_kernel` instead of stepping compute sets one by one.
-    uses_kernels = False
-
     #: True for backends that price supersteps in modeled IPU cycles — the
     #: clock a tracer and a fault injector need (:func:`check_observers`).
+    #: Such a backend charges every kernel launch its static cost.
     has_cycle_clock = False
 
     #: Observers, set together by :meth:`attach`.  ``None`` means disabled:
@@ -135,6 +131,28 @@ class Backend(ABC):
 
     def plan_for(self, step):
         return self.plans.plan_for(step)
+
+    def run_kernel(self, kernel) -> None:
+        """Launch one fused kernel (one host dispatch); on a cycle clock,
+        charge what its absorbed supersteps cost (:meth:`charge_kernel`)."""
+        GlobalCounters.kernels += 1
+        GlobalCounters.dispatches += 1
+        GlobalCounters.fused_compute_sets += kernel.n_compute
+        GlobalCounters.fused_exchanges += kernel.n_exchange
+        GlobalCounters.fallback_vertices += kernel.n_fallback
+        wt = self.wall_tracer
+        if wt is None:
+            kernel.run()
+        else:
+            start = wt.now()
+            kernel.run()
+            wt.kernel(kernel, start)
+        if self.has_cycle_clock:
+            self.charge_kernel(kernel)
+
+    def charge_kernel(self, kernel) -> None:
+        """Record one launch's cycles (backends with a cycle clock)."""
+        raise NotImplementedError
 
     @abstractmethod
     def run_compute_set(self, step) -> None:

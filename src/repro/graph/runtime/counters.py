@@ -1,10 +1,10 @@
-"""Process-wide kernel/dispatch counters for the kernel-dispatch backend.
+"""Process-wide kernel/dispatch counters, bumped by every kernel launch.
 
 Modeled on tinygrad's ``GlobalCounters``: a handful of class-level integers
 that hot paths bump with plain attribute adds — no locks, no objects, zero
 overhead when nobody reads them.  The counters let telemetry (and tests)
-*prove* that kernel lowering happened: a CG iteration that ``sim`` prices
-as ~20 steps shows up as a single fused-kernel launch under ``fused``.
+*prove* that kernel lowering happened: a CG iteration that a stepped
+``sim`` run prices as ~20 steps shows up as a single fused-kernel launch.
 
 Semantics:
 

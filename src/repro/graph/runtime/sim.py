@@ -1,27 +1,37 @@
 """``SimBackend``: cycle-accurate, bit-identical simulation (the default).
 
-Reproduces exactly what the monolithic engine did before the runtime split:
-every compute phase is priced as a BSP sync plus the slowest tile's worker
+Every compute phase is priced as a BSP sync plus the slowest tile's worker
 makespan, every exchange phase as its fabric cost plus on-tile copies,
 control decisions charge :data:`~repro.graph.runtime.base.CONTROL_CYCLES`,
-and labeled steps open hierarchical profiler scopes.  The only difference
-is that the structure — vertex groupings, LPT packing, transfer lists,
-vectorized copy ops, compiled expression evaluators — comes precomputed
-from the execution plans, and each exchange plan is priced by the fabric
-once (``ExchangePlan.phase``; the fabric is stateless, so every replay of a
-plan costs the same), so the hot path does no per-step re-derivation.
+and labeled steps open hierarchical profiler scopes.  Each of those costs
+is a constant of the compiled plans — vertex groupings and LPT packing,
+transfer lists and on-tile copy cost, the fabric's price of each exchange
+plan (``ExchangePlan.phase``, computed once: the fabric is stateless) — so
+nothing is re-derived while running.
 
-This is also the backend that feeds the telemetry layer: with a tracer
-attached (:meth:`Backend.attach`) every superstep emits a structured
-event *after* its cycles are recorded, so tracing observes the run without
-perturbing it — traced and untraced executions are bit-identical in both
-tensors and cycle counts (``docs/observability.md``).
+That is why ``sim`` has two routes through a program, with the same bits
+and the same cycles:
+
+- **Unobserved** (no cycle tracer, no fault injector — a wall tracer does
+  not count), the engine launches the compiled program's fused kernels, the
+  ones ``fused`` runs, and each launch charges the kernel's static record
+  (:meth:`SimBackend.charge_kernel`): the cost of every superstep it
+  absorbed, summed per profiler category, into the scope that is open.
+  Kernels never cross a ``Sequence`` or a host callback, so scope paths and
+  the cycle count a callback reads are the per-superstep ones.
+- **Observed** by a :class:`~repro.telemetry.Tracer` or a fault injector
+  (:meth:`Backend.attach`), every superstep runs its plan vertex by vertex
+  and emits its event *after* its cycles are recorded, so tracing observes
+  the run without perturbing it (``docs/observability.md``).  This is also
+  the per-vertex reference the kernels are checked against
+  (``tests/test_lattice.py``).
 """
 
 from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager
 
+from repro.graph.program import Execute
 from repro.graph.runtime.base import Backend, CONTROL_CYCLES, register_backend
 
 __all__ = ["SimBackend"]
@@ -55,6 +65,23 @@ class SimBackend(Backend):
                 cached = (plan.name, estimate_exchange(plan), 0)
             self._wall_costs[id(step)] = cached
         return cached
+
+    def charge_kernel(self, kernel) -> None:
+        record = kernel.cycles
+        if record is None:
+            # Priced on the first clocked launch: the superstep costs in
+            # schedule order, summed per category (first-charge order).
+            totals: dict = {}
+            for step in kernel.steps:
+                plan = self.plan_for(step)
+                if isinstance(step, Execute):
+                    key, cost = plan.category, self.model.sync() + plan.worst_tile
+                else:
+                    key, cost = plan.name, plan.phase.cycles + plan.local_cycles
+                totals[key] = totals.get(key, 0) + cost
+            record = kernel.cycles = tuple(totals.items())
+        for category, cycles in record:
+            self.profiler.record(category, cycles)
 
     def run_compute_set(self, step) -> None:
         wt = self.wall_tracer

@@ -30,7 +30,7 @@ from repro.graph import CompiledProgram, Engine, GlobalCounters
 from repro.graph.runtime import check_observers
 from repro.machine import IPUDevice
 from repro.solvers.base import SolveProgress, SolveStats
-from repro.solvers.config import build_solver
+from repro.solvers.config import build_solver, load_config
 from repro.solvers.resilience import (
     ResilienceConfig,
     ResilienceMonitor,
@@ -70,8 +70,8 @@ class SolveResult:
     #: ResilienceReport when faults and/or resilience were active, else None.
     resilience: object = None
     #: :class:`~repro.graph.GlobalCounters` delta for this solve (kernel
-    #: launches, dispatches, fused/fallback breakdown) when the backend
-    #: dispatches fused kernels (``backend="fused"``), else None.
+    #: launches, dispatches, fused/fallback breakdown) on the untimed
+    #: ``backend="fused"``, else None.
     kernel_counters: dict | None = None
     #: Measured host wall-clock seconds for the whole solve call, recorded
     #: on every backend (contrast ``seconds``, which is the sim backend's
@@ -566,7 +566,7 @@ def _finalize(at, x, rels: list, batch: int, rs: _Restarts, report,
         backend=engine.backend.name,
         telemetry=obs.tracer,
         resilience=report,
-        kernel_counters=kernel_track if engine.backend.uses_kernels else None,
+        kernel_counters=None if engine.backend.has_cycle_clock else kernel_track,
         wall_seconds=wall_seconds,
         wall_profile=wtracer.profile() if wtracer is not None else None,
         wall_telemetry=wtracer,
@@ -683,6 +683,7 @@ def solve(
     plan = FaultPlan.parse(inject_faults) if inject_faults is not None else None
     check_observers(backend, tracer=obs.tracer, injector=plan)
     rconfig = ResilienceConfig.parse(resilience)
+    config = load_config(config)
     batch = validate_arrays(matrix, b, x0)
     if batch > 1:
         # The resilience driver's checkpoint/restore and the fault

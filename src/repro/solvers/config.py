@@ -21,6 +21,8 @@ other.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from pathlib import Path
 
 from repro.errors import SolverConfigError
@@ -53,9 +55,43 @@ SOLVERS = {
 }
 
 
+#: Iteration caps: each must be a positive int.
+_ITERATION_CAPS = ("max_iterations", "fixed_iterations", "max_outer")
+#: Keys whose value is a nested solver config.
+_NESTED = ("inner", "preconditioner", "smoother")
+
+
 def load_config(source) -> dict:
     """Accept a dict, a JSON string, a path to a JSON file, or a bare
-    solver name (``"cg"`` is shorthand for ``{"solver": "cg"}``)."""
+    solver name (``"cg"`` is shorthand for ``{"solver": "cg"}``).
+
+    The bounds of a solve are checked here, over the whole tree: a ``tol``
+    must be a finite real >= 0 and every iteration cap a positive int.  A
+    NaN, infinite or negative tolerance or a negative cap would otherwise
+    end the solve after 0 iterations and report success.  A bad value
+    raises :class:`SolverConfigError` naming its key path
+    (``inner.preconditioner.tol``)."""
+    cfg = _parse(source)
+    _check_bounds(cfg, "")
+    return cfg
+
+
+def _check_bounds(cfg: dict, path: str) -> None:
+    for key, value in cfg.items():
+        where = path + key
+        if key == "tol":
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and math.isfinite(value) and value >= 0):
+                raise SolverConfigError(f"{where} must be a finite real >= 0, got {value!r}")
+        elif key in _ITERATION_CAPS:
+            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                    and value > 0):
+                raise SolverConfigError(f"{where} must be a positive int, got {value!r}")
+        elif key in _NESTED and isinstance(value, (dict, str, Path)):
+            _check_bounds(_parse(value), where + ".")
+
+
+def _parse(source) -> dict:
     if isinstance(source, dict):
         return source
     if isinstance(source, str) and source in SOLVERS:

@@ -5,8 +5,9 @@ sim backend — the ``fused`` backend has no cycle clock, which left it
 observably blind beyond the five :class:`GlobalCounters` integers.  The
 ``WallTracer`` closes that gap: attached through ``Backend.attach`` (every
 backend accepts it), it records one ``perf_counter_ns`` span per
-fused-kernel launch (``fused``) or per priced step (``sim``), tagged with
-the kernel id, step kind, fused step counts, and the static byte/FLOP
+fused-kernel launch — or, on a ``sim`` run stepped for a cycle tracer or a
+fault injector, per priced step — tagged with the kernel id, step kind,
+fused step counts, and the static byte/FLOP
 estimate from :mod:`repro.graph.passes.costs` — so measured wall time
 reads directly as per-kernel GB/s and GFLOP/s (roofline-style, after the
 Citadel IPU microbenchmarking methodology).
@@ -135,8 +136,8 @@ class WallTracer:
 
     def dispatch(self, name: str, kind: str, start: int, est_bytes: int = 0,
                  est_flops: int = 0) -> None:
-        """Record one per-step dispatch of the ``sim`` backend (``kind`` =
-        compute/exchange) — the only backend that still steps."""
+        """Record one per-step dispatch of a stepped ``sim`` run (``kind`` =
+        compute/exchange): one a cycle tracer or a fault injector observes."""
         dur = self.now() - start
         self.events.append(
             SpanEvent(

@@ -25,6 +25,7 @@ from repro.graph import (
     compile_program,
 )
 from repro.machine import IPUDevice
+from repro.telemetry import Tracer
 
 
 @pytest.fixture
@@ -32,9 +33,10 @@ def graph():
     return Graph(IPUDevice(tiles_per_ipu=4))
 
 
-def run_program(graph, step, backend="sim"):
+def run_program(graph, step, backend="sim", tracer=None):
     """Freeze a raw step tree and execute it; returns the engine."""
-    eng = Engine(compile_program(graph, step, optimize=False), backend=backend)
+    eng = Engine(compile_program(graph, step, optimize=False), backend=backend,
+                 tracer=tracer)
     eng.run()
     return eng
 
@@ -275,7 +277,9 @@ class TestDeterminism:
             g = Graph(IPUDevice(tiles_per_ipu=4))
             v = g.add_variable("x", (16,))
             v.scatter(np.arange(16))
-            eng = run_program(g, Repeat(10, Execute(make_inc_cs(v))), backend=backend)
+            # ``sim`` steps every vertex under a cycle tracer.
+            eng = run_program(g, Repeat(10, Execute(make_inc_cs(v))), backend=backend,
+                              tracer=Tracer() if backend == "sim" else None)
             return g.device.profiler.total_cycles, eng.read(v)
 
         sim_cycles, sim_v = run_once("sim")

@@ -2,8 +2,10 @@
 
 Covers the lowering contract end to end: random expression graphs are
 bit-identical between sim and fused (hypothesis), every solver family is
-bit-identical, the CG inner loop lowers to a bounded number of kernel
-launches (statically via :class:`KernelSchedule` and dynamically via
+bit-identical — the ``sim`` side always with a cycle tracer attached, so it
+steps every vertex instead of launching the same kernels — the CG inner
+loop lowers to a bounded number of kernel launches (statically via
+:class:`KernelSchedule` and dynamically via
 :class:`GlobalCounters`), the session cache keys sim and fused apart and
 replays fused hits bit-identically, and the untimed backend rejects the
 cycle-domain observers with a typed error before anything is built.
@@ -39,12 +41,21 @@ from repro.solvers.session import fingerprint_solve
 from repro.sparse import poisson2d, poisson3d
 from repro.sparse.distribute import DistributedMatrix
 from repro.sparse.suitesparse import af_shell_like, g3_circuit_like, geo_like, hook_like
+from repro.telemetry import Tracer
 from repro.tensordsl import TensorContext, Type
 from repro.tensordsl.tensor import Tensor
 
 N = 24
 
 CG = {"solver": "cg", "tol": 1e-8, "max_iterations": 60}
+
+
+def stepped(backend: str) -> dict:
+    """``Engine`` / ``ctx.run`` keywords: ``sim`` with a cycle tracer
+    attached, so it steps every vertex (the reference the kernels are
+    checked against), or ``fused`` as is."""
+    return {"backend": backend, "tracer": Tracer() if backend == "sim" else None}
+
 
 # -- hypothesis: random expression graphs ----------------------------------------------
 
@@ -119,7 +130,7 @@ def test_random_expressions_fused_matches_sim(tree, seed):
         out = e.materialize()
         total = out.reduce("sum").materialize()
         hi = out.norm_inf().materialize()
-        ctx.run(backend=backend)
+        ctx.run(**stepped(backend))
         results[backend] = (
             np.asarray(out.value()).copy(),
             np.asarray(total.value()).copy(),
@@ -147,7 +158,7 @@ def test_solver_fused_bit_identical_to_sim(config):
     crs, dims = poisson3d(8)
     b = np.ones(crs.n)
     sim = solve(crs, b, config, grid_dims=dims, num_ipus=2, tiles_per_ipu=4,
-                backend="sim")
+                backend="sim", trace=True)
     fused = solve(crs, b, config, grid_dims=dims, num_ipus=2, tiles_per_ipu=4,
                   backend="fused")
     np.testing.assert_array_equal(sim.x, fused.x)
@@ -184,7 +195,7 @@ def test_spmv_with_halo_fused_matches_sim(matrix):
         x = A.vector(data=rng.standard_normal(crs.n))
         y = A.vector()
         ctx.Repeat(3, lambda: A.spmv(x, y))
-        ctx.run(backend=backend)
+        ctx.run(**stepped(backend))
         results[backend] = y.read_global()
     np.testing.assert_array_equal(results["fused"], results["sim"])
     assert results["sim"].any()
@@ -202,7 +213,7 @@ def test_uneven_shards_reduce_fused_matches_sim():
         s = t.dot(t).materialize()
         m = t.max().materialize()
         lo = t.min().materialize()
-        ctx.run(backend=backend)
+        ctx.run(**stepped(backend))
         results[backend] = (
             np.asarray(s.value()).copy(),
             np.asarray(m.value()).copy(),
@@ -253,7 +264,7 @@ SWEEP_MATRICES = {
 def _assert_backends_agree(crs, dims, config, tiles=4):
     b = np.random.default_rng(2).standard_normal(crs.n)
     sim, fused = (solve(crs, b, config, grid_dims=dims, tiles_per_ipu=tiles,
-                        backend=backend)
+                        backend=backend, trace=backend == "sim")
                   for backend in ("sim", "fused"))
     np.testing.assert_array_equal(fused.x, sim.x)
     assert fused.stats.residuals == sim.stats.residuals
@@ -338,7 +349,7 @@ def test_sweep_in_a_foreign_mapping_runs_per_vertex_and_matches_sim():
         rhs = np.random.default_rng(4).standard_normal(crs.n).astype(np.float32)
         foreign.write(rhs)
         ILU0Solver(A).solve_into(x, DistVector(A, foreign, x.halo))
-        engine = ctx.run(backend=backend)
+        engine = ctx.run(**stepped(backend))
         results[backend] = x.read_global()
         fallbacks[backend] = compiled_fallbacks(engine.compiled)
     np.testing.assert_array_equal(results["fused"], results["sim"])
@@ -410,8 +421,8 @@ def test_engine_statistics_parity_between_sim_and_fused():
     crs, dims = poisson3d(6)
     stats = {}
     for backend in ("sim", "fused"):
-        engines = solve(crs, np.ones(crs.n), CG, grid_dims=dims,
-                        tiles_per_ipu=4, backend=backend).engine
+        engines = solve(crs, np.ones(crs.n), CG, grid_dims=dims, tiles_per_ipu=4,
+                        backend=backend, trace=backend == "sim").engine
         stats[backend] = (engines.supersteps, engines.exchanges,
                          engines.host_callbacks, engines.loop_iterations)
     assert stats["fused"] == stats["sim"]
@@ -484,7 +495,7 @@ def test_fused_session_cache_hit_replays_bit_identically():
     np.testing.assert_array_equal(hit.x, first.x)
     assert hit.kernel_counters == first.kernel_counters
     # The cached fused replay also matches a cold sim solve bit for bit.
-    sim = solve(crs, b, CG, grid_dims=dims, tiles_per_ipu=4, backend="sim")
+    sim = solve(crs, b, CG, grid_dims=dims, tiles_per_ipu=4, backend="sim", trace=True)
     np.testing.assert_array_equal(hit.x, sim.x)
     assert hit.relative_residual == sim.relative_residual
 
@@ -497,10 +508,11 @@ def test_compiled_program_carries_kernel_schedule():
                              tiles_per_ipu=4)
     assert compiled.kernels is not None
     assert compiled.kernels.n_kernels > 0
-    # Only kernel-dispatch backends consume the schedule.
-    engine = Engine(compiled, backend="fused")
-    assert engine._kernel_schedule is compiled.kernels
-    stepping = Engine(compiled, backend="sim")
+    # Every run launches the schedule but one a cycle tracer or a fault
+    # injector observes: that one steps the plans per vertex.
+    for backend in ("sim", "fused"):
+        assert Engine(compiled, backend=backend)._kernel_schedule is compiled.kernels
+    stepping = Engine(compiled, **stepped("sim"))
     assert stepping._kernel_schedule is None
 
 
@@ -633,10 +645,16 @@ def _assert_same_ops(got, want):
 @pytest.mark.parametrize("batch", [1, 3])
 def test_exchange_ops_stay_unbuilt_on_fused_and_match_the_list_built_form(batch):
     """A ``fused`` solve replays ``flat`` and never materialises the
-    per-shard ``ops``; built late — after the run — they are the tuple the
-    list-based lowering built eagerly: same arrays, indices, order."""
+    per-shard ``ops`` — nor does an unobserved ``sim`` solve, which launches
+    the same kernels and only prices the plans; built late — after the run
+    — they are the tuple the list-based lowering built eagerly: same
+    arrays, indices, order."""
     crs, dims = poisson3d(8)
     b = np.ones((batch, crs.n) if batch > 1 else crs.n)
+    sim = solve(crs, b, CG, grid_dims=dims, num_ipus=2, tiles_per_ipu=8)
+    sim_plans = [sim.compiled.plan_for(s) for s in _walk_steps(sim.compiled.root)
+                 if isinstance(s, Exchange)]
+    assert sim_plans and not any("ops" in vars(plan) for plan in sim_plans)
     res = solve(crs, b, CG, grid_dims=dims, num_ipus=2, tiles_per_ipu=8, backend="fused")
     compiled = res.compiled
     exchanges = [s for s in _walk_steps(compiled.root) if isinstance(s, Exchange)]
@@ -654,7 +672,7 @@ def _run_exchange(backend, build):
     g = Graph(IPUDevice(tiles_per_ipu=4))
     step = build(g)
     compiled = compile_program(g, step, optimize=False)
-    Engine(compiled, backend=backend).run()
+    Engine(compiled, **stepped(backend)).run()
     state = {
         name: (var.flat_data.copy(),
                None if var.flat_lo is None else var.flat_lo.copy())

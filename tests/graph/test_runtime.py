@@ -35,6 +35,7 @@ from repro.graph.runtime import (
     resolve_backend,
 )
 from repro.machine import IPUDevice
+from repro.telemetry import Tracer
 
 
 def make_graph(tiles=4):
@@ -102,7 +103,7 @@ class TestBackendRegistry:
 class TestAttach:
     def test_one_call_binds_every_observer_and_points_the_injector_at_the_tracer(self):
         from repro.faults import FaultInjector, FaultPlan
-        from repro.telemetry import Tracer, WallTracer
+        from repro.telemetry import WallTracer
 
         g = make_graph()
         v = g.add_variable("x", (8,))
@@ -230,7 +231,7 @@ class TestPlanLowering:
 
 
 class TestFusedBackend:
-    def _program(self, backend):
+    def _program(self, backend, tracer=None):
         g = make_graph()
         v = g.add_variable("x", (8,))
         a = g.add_variable("a", (8,))
@@ -239,12 +240,13 @@ class TestFusedBackend:
             Repeat(3, Execute(inc_cs(v, 0.5))),
             Exchange([RegionCopy(v, 0, 0, ((a, 3, 0),), 2)]),
         ])
-        eng = Engine(compile_program(g, root, optimize=False), backend=backend)
+        eng = Engine(compile_program(g, root, optimize=False), backend=backend,
+                     tracer=tracer)
         eng.run()
         return g, eng
 
     def test_numerics_bit_identical_to_sim(self):
-        g_sim, eng_sim = self._program("sim")
+        g_sim, eng_sim = self._program("sim", tracer=Tracer())  # stepped per vertex
         g_fused, eng_fused = self._program("fused")
         np.testing.assert_array_equal(
             eng_sim.read(g_sim.variables["x"]), eng_fused.read(g_fused.variables["x"])
@@ -266,25 +268,31 @@ class TestFusedBackend:
     def test_bare_step_root_is_one_kernel_launch(self, kind):
         """No interpreter under the kernels: a program whose root is a bare
         ``Execute`` / ``Exchange`` (no enclosing block) still reaches the
-        fused backend as the one kernel lowered for it."""
-        state = {}
-        for backend in ("sim", "fused"):
+        backend as the one kernel lowered for it — on ``fused`` and on an
+        unobserved ``sim``, which also charges it; a cycle tracer steps it."""
+        state, cycles = {}, {}
+        for path, backend, tracer in (("stepped", "sim", Tracer()),
+                                      ("sim", "sim", None), ("fused", "fused", None)):
             g = make_graph()
             v = g.add_variable("x", (8,))
             a = g.add_variable("a", (8,))
             v.scatter(np.arange(8))
             root = (Execute(inc_cs(v, 0.5)) if kind == "execute"
                     else Exchange([RegionCopy(v, 0, 0, ((a, 3, 0),), 2)]))
-            eng = Engine(compile_program(g, root, optimize=False), backend=backend)
+            eng = Engine(compile_program(g, root, optimize=False), backend=backend,
+                         tracer=tracer)
             with GlobalCounters.track() as kc:
                 eng.run()
-            launches = 1 if backend == "fused" else 0
+            launches = 0 if tracer is not None else 1
             assert kc["kernels"] == kc["dispatches"] == launches
             assert (eng.supersteps, eng.exchanges) == (
                 (1, 0) if kind == "execute" else (0, 1))
-            state[backend] = np.concatenate([eng.read(v), eng.read(a)])
-        np.testing.assert_array_equal(state["fused"], state["sim"])
-        assert state["sim"].any()
+            state[path] = np.concatenate([eng.read(v), eng.read(a)])
+            cycles[path] = g.device.profiler.by_category()
+        np.testing.assert_array_equal(state["fused"], state["stepped"])
+        np.testing.assert_array_equal(state["sim"], state["stepped"])
+        assert state["stepped"].any()
+        assert cycles["sim"] == cycles["stepped"] and cycles["fused"] == {}
 
     def test_fused_refuses_to_interpret_a_bare_step(self):
         """Per-step numerics live on ``sim`` only: a step handed to the
@@ -310,7 +318,8 @@ class TestFusedBackend:
         crs, dims = poisson2d(8)
         b = np.ones(64)
         cfg = '{"solver": "cg", "tol": 1e-8, "max_iterations": 40}'
-        sim = solve(crs, b, cfg, tiles_per_ipu=4, grid_dims=dims, backend="sim")
+        sim = solve(crs, b, cfg, tiles_per_ipu=4, grid_dims=dims, backend="sim",
+                    trace=True)
         fused = solve(crs, b, cfg, tiles_per_ipu=4, grid_dims=dims, backend="fused")
         np.testing.assert_array_equal(sim.x, fused.x)
         assert sim.stats.total_iterations == fused.stats.total_iterations

@@ -66,17 +66,20 @@ def test_fused_kernel_spans_carry_counts_and_estimates():
 
 
 def test_per_step_spans_come_from_sim_and_kernel_spans_from_fused():
-    """``sim`` is the one backend that still steps, so it alone emits
-    per-step ``compute`` / ``exchange`` wall spans; on ``fused`` every
-    step is inside a ``kernel`` span."""
+    """Only ``sim`` under a cycle tracer still steps, so it alone emits
+    per-step ``compute`` / ``exchange`` wall spans; on ``fused``, and on
+    ``sim`` with the wall tracer alone, every step is inside a ``kernel``
+    span."""
     crs, dims, b = small_problem()
     cats = {}
-    for backend in ("sim", "fused"):
+    for path, backend, trace in (("stepped", "sim", True), ("sim", "sim", None),
+                                 ("fused", "fused", None)):
         res = solve(crs, b, CG, grid_dims=dims, tiles_per_ipu=4,
-                    backend=backend, wall_trace=True)
-        cats[backend] = {getattr(e, "cat", None) for e in res.wall_telemetry.events}
-    assert {"compute", "exchange", "scope"} <= cats["sim"]
-    assert "kernel" not in cats["sim"]
+                    backend=backend, trace=trace, wall_trace=True)
+        cats[path] = {getattr(e, "cat", None) for e in res.wall_telemetry.events}
+    assert {"compute", "exchange", "scope"} <= cats["stepped"]
+    assert "kernel" not in cats["stepped"]
+    assert cats["sim"] == cats["fused"]
     assert {"kernel", "scope"} <= cats["fused"]
     assert not cats["fused"] & {"compute", "exchange"}
 

@@ -161,12 +161,12 @@ def test_a_cold_solve_compiles_each_tree_once_and_a_cache_hit_none():
     cache = ProgramCache()
     before = expr_compilations()
     cold = solve(crs, b, {"solver": "cg", "tol": 1e-6}, grid_dims=dims, tiles_per_ipu=4,
-                 backend="sim", cache=cache)
+                 backend="sim", trace=True, cache=cache)
     compiled = expr_compilations() - before
     assert compiled == len(_spec_trees(cold.compiled)) > 0
     before = expr_compilations()
     hit = solve(crs, b, {"solver": "cg", "tol": 1e-6}, grid_dims=dims, tiles_per_ipu=4,
-                backend="sim", cache=cache)
+                backend="sim", trace=True, cache=cache)
     assert cache.stats()["hits"] == 1
     assert expr_compilations() == before
     assert hit.cycles == cold.cycles

@@ -18,11 +18,24 @@ sum, not that a kernel is wrong:
   rest addends, an unrolled tree from eight on (``sparse.sell`` reproduces
   the first regime slot by slot and leaves longer rows to ``reduceat``;
   docs/runtime.md, "Why the summation order is not left to right").
+
+The host-side f64 residual of every solve (``ModifiedCRS.spmv``) rides on
+SciPy's private compiled ``csr_matvec``; its canary names the SciPy version:
+the row loop must stay ``diag*x`` then each off-diagonal product rounded and
+added in storage order — the ``np.add.at`` form it replaced — with no fused
+multiply-add contracting ``sum += a*x``.
 """
 
+from fractions import Fraction
+
 import numpy as np
+import scipy
+from scipy.sparse import _sparsetools
+
+from repro.sparse import ModifiedCRS
 
 VERSION = f"numpy {np.__version__}"
+SCIPY = f"scipy {scipy.__version__}"
 
 
 def _bits(x) -> int:
@@ -103,3 +116,46 @@ def test_reduceat_and_sum_disagree_on_short_columns():
     cols = rng.standard_normal((7, 200)).astype(np.float32).T
     differ = sum(_bits(np.add.reduceat(a, [0])[0]) != _bits(a.sum()) for a in cols)
     assert 40 <= differ <= 160, f"{VERSION}: reduceat and .sum() differ in {differ} of 200"
+
+
+def _add_at_spmv(crs, x):
+    """The multiply-then-``np.add.at`` form ``spmv`` replaced: ``diag*x``,
+    then every off-diagonal product added to its row in storage order."""
+    rows = np.repeat(np.arange(crs.n), np.diff(crs.row_ptr))
+    y = crs.diag * x
+    for xj, yj in zip(np.atleast_2d(x), np.atleast_2d(y)):
+        np.add.at(yj, rows, crs.values * xj[crs.col_idx])
+    return y
+
+
+def _wide(rng, shape):
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+
+
+def test_csr_matvec_is_the_add_at_oracle_bit_for_bit():
+    assert hasattr(_sparsetools, "csr_matvec"), f"{SCIPY}: private csr_matvec is gone"
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 9, 64, 257):
+        # Rows of 0..12 entries: empty rows and rows past eight addends.
+        counts = rng.integers(0, 13, n)
+        row_ptr = np.concatenate([[0], np.cumsum(counts)])
+        crs = ModifiedCRS(_wide(rng, n) + 1e-300, _wide(rng, row_ptr[-1]),
+                          rng.integers(0, n, row_ptr[-1]), row_ptr)
+        for x in (_wide(rng, n), _wide(rng, (3, n))):
+            got, want = crs.spmv(x), _add_at_spmv(crs, x)
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), (
+                f"{SCIPY}: csr_matvec no longer sums a row like np.add.at (n={n})"
+            )
+
+
+def test_csr_matvec_does_not_contract_to_a_fused_multiply_add():
+    """Row 0 is ``c + a*b`` with ``a*b = 1 + 2**-29 + 2**-60`` exactly: the
+    product rounds to ``1 + 2**-29 = -c``, so the rounded sum is 0.0, while
+    a fused multiply-add keeps the ``2**-60``."""
+    a = b = 1.0 + 2.0**-30
+    c = -(1.0 + 2.0**-29)
+    assert Fraction(a) * Fraction(b) + Fraction(c) == Fraction(2) ** -60
+    crs = ModifiedCRS([c, 1.0], [a], [1], [0, 1, 1])
+    x = np.array([1.0, b])
+    assert _add_at_spmv(crs, x)[0] == 0.0
+    assert crs.spmv(x)[0] == 0.0, f"{SCIPY}: csr_matvec contracts sum += a*x to an FMA"
