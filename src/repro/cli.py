@@ -57,9 +57,33 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import MatrixFormatError, ReproError
 
 __all__ = ["main"]
+
+
+def _load_rhs(path: str) -> np.ndarray:
+    """A ``--rhs`` file: a ``.npy`` array, else a typed error."""
+    try:
+        rhs = np.load(path, allow_pickle=False)
+    except FileNotFoundError:
+        raise ReproError(f"--rhs: no such file: {path}") from None
+    except (OSError, ValueError):
+        raise ReproError(f"--rhs: {path} is not a .npy array") from None
+    if not isinstance(rhs, np.ndarray):  # an .npz archive
+        rhs.close()
+        raise ReproError(f"--rhs: {path} is an archive, not a .npy array")
+    return rhs
+
+
+def _parse_json(text: str, path):
+    """A JSON document read by a report command, else a typed error."""
+    import json
+
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ReproError(f"{path}: not valid JSON ({exc})") from None
 
 
 def _load_matrix(spec: str):
@@ -74,25 +98,27 @@ def _load_matrix(spec: str):
         load_matrix_market,
     )
 
-    name, _, arg = spec.partition(":")
-    if name == "poisson3d":
-        m, dims = poisson3d(int(arg or 16))
-        return m, dims
-    if name in ("poisson2d", "poisson"):
-        m, dims = poisson2d(int(arg or 32))
-        return m, dims
     generators = {
-        "g3": lambda s: g3_circuit_like(grid=s or 110),
-        "afshell": lambda s: af_shell_like(nx=s or 56, ny=s or 56),
-        "geo": lambda s: geo_like(nx=s or 24, ny=s or 24, nz=s or 24),
-        "hook": lambda s: hook_like(nx=s or 24, ny=s or 24, nz=s or 24),
+        "poisson3d": lambda s: poisson3d(s or 16),
+        "poisson2d": lambda s: poisson2d(s or 32),
+        "poisson": lambda s: poisson2d(s or 32),
+        "g3": lambda s: (g3_circuit_like(grid=s or 110), None),
+        "afshell": lambda s: (af_shell_like(nx=s or 56, ny=s or 56), None),
+        "geo": lambda s: (geo_like(nx=s or 24, ny=s or 24, nz=s or 24), None),
+        "hook": lambda s: (hook_like(nx=s or 24, ny=s or 24, nz=s or 24), None),
     }
+    name, _, arg = spec.partition(":")
     if name in generators:
-        return generators[name](int(arg) if arg else None), None
+        if arg and not (arg.isdecimal() and int(arg) > 0):
+            raise MatrixFormatError(
+                f"matrix spec {spec!r}: the size must be a positive integer, got {arg!r}")
+        return generators[name](int(arg) if arg else None)
     path = Path(spec)
     if path.exists():
         return load_matrix_market(path), None
-    raise SystemExit(f"unknown matrix spec {spec!r}")
+    raise MatrixFormatError(
+        f"unknown matrix spec {spec!r}: poisson[2d|3d]:N, g3|afshell|geo|hook[:size] "
+        "or an existing Matrix-Market file")
 
 
 def _cmd_solve(args) -> int:
@@ -102,7 +128,7 @@ def _cmd_solve(args) -> int:
 
     matrix, dims = _load_matrix(args.matrix)
     if args.rhs:
-        b = np.load(args.rhs)
+        b = _load_rhs(args.rhs)
     else:
         b = np.random.default_rng(args.seed).standard_normal(matrix.n)
 
@@ -223,7 +249,7 @@ def _cmd_batch(args) -> int:
 
     matrix, dims = _load_matrix(args.matrix)
     if args.rhs:
-        bs = np.load(args.rhs)
+        bs = _load_rhs(args.rhs)
         if bs.ndim == 1:
             bs = bs[None, :]
         if bs.ndim != 2 or bs.shape[1] != matrix.n:
@@ -319,8 +345,6 @@ def _cmd_faults(args) -> int:
 
 def _cmd_trace_report(args) -> int:
     """Aggregate a trace file (Chrome or NDJSON) into a readable report."""
-    import json
-
     from repro.telemetry import TelemetryReport, load_trace, validate_chrome_trace
 
     path = Path(args.trace)
@@ -330,13 +354,16 @@ def _cmd_trace_report(args) -> int:
         text = path.read_text().lstrip()
         if not text.startswith("{"):
             raise SystemExit(f"{path}: --check expects a Chrome trace_event JSON file")
-        errors = validate_chrome_trace(json.loads(text))
+        errors = validate_chrome_trace(_parse_json(text, path))
         if errors:
             for err in errors[:20]:
                 print(f"schema error: {err}", file=sys.stderr)
             raise SystemExit(f"{path}: invalid Chrome trace ({len(errors)} errors)")
         print(f"{path}: valid Chrome trace")
-    events, meta = load_trace(path)
+    try:
+        events, meta = load_trace(path)
+    except ValueError as exc:  # a line or document that does not parse
+        raise ReproError(f"{path}: not a readable trace ({exc})") from None
     report = TelemetryReport.from_events(events, meta=meta, top=args.top)
     print(report.render())
     return 0
@@ -344,7 +371,6 @@ def _cmd_trace_report(args) -> int:
 
 def _cmd_metrics_report(args) -> int:
     """Render a metrics snapshot (Prometheus text or JSON) as kernel tables."""
-    import json
     import re
 
     path = Path(args.path)
@@ -354,7 +380,7 @@ def _cmd_metrics_report(args) -> int:
 
     samples: dict = {}  # metric name -> {sorted label tuple -> value}
     if text.lstrip().startswith("{"):
-        for name, rec in json.loads(text).items():
+        for name, rec in _parse_json(text, path).items():
             if rec.get("kind") == "histogram":
                 continue
             for s in rec.get("series", []):

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "Codelet",
     "Vertex",
+    "VertexGroup",
     "ComputeSet",
     "ElementwiseSpec",
     "ReduceSpec",
@@ -118,6 +121,14 @@ class Codelet:
         return f"Codelet({self.name!r})"
 
 
+def _worker_tasks(cycles) -> tuple:
+    """A codelet's cycle cost as per-worker ints: one entry for a bare
+    ``int``, one per worker for a list."""
+    if isinstance(cycles, (int, float)):
+        return (int(cycles),)
+    return tuple(int(c) for c in cycles)
+
+
 class Vertex:
     """A codelet instance placed on a tile with its shard bindings resolved."""
 
@@ -133,13 +144,50 @@ class Vertex:
 
     def worker_cycles(self) -> list:
         """Cycle cost as a per-worker list."""
-        c = self.codelet.cycles(self.ctx)
-        if isinstance(c, (int, float)):
-            return [int(c)]
-        return [int(x) for x in c]
+        return list(_worker_tasks(self.codelet.cycles(self.ctx)))
 
     def __repr__(self):
         return f"Vertex({self.codelet.name!r}@tile{self.tile_id})"
+
+
+class VertexGroup:
+    """The vertices one codelet factory places in a compute set, as a table.
+
+    ``tiles`` is the tile-id array in placement order and ``cycles(tile)``
+    that tile's per-worker cycle costs (a tuple of ints) — all that planning,
+    pricing and kernel lowering read.  ``spec``, ``category`` and
+    ``cost_only`` are shared by the group's vertices.  ``factory(tile)``
+    builds a tile's :class:`Codelet`, whose cycle cost is ``cycles(tile)``;
+    only the per-vertex path asks for them (:attr:`vertices`).
+    """
+
+    __slots__ = ("tiles", "factory", "cycles", "category", "spec", "cost_only", "ctx",
+                 "_vertices")
+
+    def __init__(self, tiles, factory, cycles, category: str = "elementwise", spec=None,
+                 cost_only: bool = False, ctx: dict | None = None):
+        self.tiles = np.asarray(tiles, dtype=np.int64)
+        self.factory = factory
+        self.cycles = cycles
+        self.category = category
+        self.spec = spec
+        self.cost_only = cost_only
+        self.ctx = ctx  # the bindings every vertex sees (None: a fresh {} each)
+        self._vertices = None
+
+    @property
+    def vertices(self) -> tuple:
+        """The group's vertices, one per tile in ``tiles`` order, built on
+        first use and kept."""
+        if self._vertices is None:
+            self._vertices = tuple(
+                Vertex(self.factory(t), t, {} if self.ctx is None else self.ctx)
+                for t in self.tiles.tolist()
+            )
+        return self._vertices
+
+    def __len__(self):
+        return len(self.tiles)
 
 
 class ComputeSet:
@@ -147,26 +195,45 @@ class ComputeSet:
 
     Poplar inserts a synchronization before every compute set; the engine
     charges that sync and prices the phase as the slowest tile's worker
-    makespan.
+    makespan.  The vertices are held as :class:`VertexGroup` tables: a
+    producer adds one group for all its tiles (:meth:`add_group`), a
+    one-off codelet a one-tile group (:meth:`add_vertex`).
     """
 
     def __init__(self, name: str, category: str | None = None):
         self.name = name
-        self.vertices: list[Vertex] = []
+        self.groups: list[VertexGroup] = []
         self.category = category
 
-    def add(self, vertex: Vertex) -> Vertex:
-        self.vertices.append(vertex)
-        return vertex
+    def add_group(self, group: VertexGroup) -> VertexGroup:
+        self.groups.append(group)
+        return group
 
-    def add_vertex(self, codelet: Codelet, tile_id: int, ctx: dict) -> Vertex:
-        return self.add(Vertex(codelet, tile_id, ctx))
+    def add_vertex(self, codelet: Codelet, tile_id: int, ctx: dict) -> VertexGroup:
+        return self.add_group(VertexGroup(
+            (tile_id,), lambda t: codelet, lambda t: _worker_tasks(codelet.cycles(ctx)),
+            category=codelet.category, spec=codelet.spec, cost_only=codelet.cost_only,
+            ctx=ctx,
+        ))
+
+    @property
+    def vertices(self) -> tuple:
+        """Every group's vertices, in group order (built on first use)."""
+        return tuple(v for g in self.groups for v in g.vertices)
+
+    @property
+    def tile_ids(self) -> np.ndarray:
+        """The groups' tile ids, concatenated (a tile with several vertices
+        repeats)."""
+        if not self.groups:
+            return np.zeros(0, dtype=np.int64)
+        return np.concatenate([g.tiles for g in self.groups])
 
     def tiles(self):
-        return sorted({v.tile_id for v in self.vertices})
+        return np.unique(self.tile_ids).tolist()
 
     def __len__(self):
-        return len(self.vertices)
+        return sum(len(g) for g in self.groups)
 
     def __repr__(self):
-        return f"ComputeSet({self.name!r}, {len(self.vertices)} vertices)"
+        return f"ComputeSet({self.name!r}, {len(self)} vertices)"

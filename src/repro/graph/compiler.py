@@ -11,7 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.graph.program import (
+    COPY,
+    SIZE,
+    SRC_VAR,
     Execute,
     Exchange,
     HostCallback,
@@ -53,46 +58,39 @@ class GraphStats:
             + _W_COPY * self.region_copies
         )
 
-    def __add__(self, other: "GraphStats") -> "GraphStats":
-        return GraphStats(
-            steps=self.steps + other.steps,
-            compute_sets=self.compute_sets + other.compute_sets,
-            vertices=self.vertices + other.vertices,
-            exchanges=self.exchanges + other.exchanges,
-            region_copies=self.region_copies + other.region_copies,
-            host_callbacks=self.host_callbacks + other.host_callbacks,
-        )
 
-
-def collect_stats(step: Step, _seen=None) -> GraphStats:
+def collect_stats(step: Step) -> GraphStats:
     """Walk a schedule and tally the artifacts the graph compiler would see.
 
     Loop bodies are counted once — the compiler compiles each body a single
     time regardless of the trip count.  Compute sets reached through several
-    paths are also counted once.
+    paths are also counted once.  Vertices and copies are counted off the
+    tables: a compute set's group sizes, an exchange's copy ids.
     """
-    seen = _seen if _seen is not None else set()
     stats = GraphStats()
-    stats.steps += 1
-    if isinstance(step, Sequence):
-        for s in step.steps:
-            stats += collect_stats(s, seen)
-    elif isinstance(step, Execute):
-        if id(step.compute_set) not in seen:
-            seen.add(id(step.compute_set))
-            stats.compute_sets += 1
-            stats.vertices += len(step.compute_set)
-    elif isinstance(step, Exchange):
-        stats.exchanges += 1
-        stats.region_copies += len(step.copies)
-    elif isinstance(step, (Repeat, RepeatWhile)):
-        stats += collect_stats(step.body, seen)
-    elif isinstance(step, If):
-        stats += collect_stats(step.then_body, seen)
-        if step.else_body is not None:
-            stats += collect_stats(step.else_body, seen)
-    elif isinstance(step, HostCallback):
-        stats.host_callbacks += 1
+    seen: set = set()
+    todo = [step]
+    while todo:
+        step = todo.pop()
+        stats.steps += 1
+        if isinstance(step, Sequence):
+            todo.extend(reversed(step.steps))
+        elif isinstance(step, Execute):
+            if id(step.compute_set) not in seen:
+                seen.add(id(step.compute_set))
+                stats.compute_sets += 1
+                stats.vertices += len(step.compute_set)
+        elif isinstance(step, Exchange):
+            stats.exchanges += 1
+            stats.region_copies += step.n_copies
+        elif isinstance(step, (Repeat, RepeatWhile)):
+            todo.append(step.body)
+        elif isinstance(step, If):
+            if step.else_body is not None:
+                todo.append(step.else_body)
+            todo.append(step.then_body)
+        elif isinstance(step, HostCallback):
+            stats.host_callbacks += 1
     return stats
 
 
@@ -121,8 +119,12 @@ def describe(step: Step, max_depth: int = 8) -> str:
                 f"{len(cs.tiles())} tiles, category={cs.category or 'auto'})"
             )
         elif isinstance(s, Exchange):
-            nbytes = sum(rc.size * rc.src_var.unit_bytes() for rc in s.copies)
-            lines.append(f"{pad}Exchange({len(s.copies)} region copies, {nbytes} B)")
+            # A copy's bytes once, however many destinations it has.
+            t = s.table
+            first = t[np.flatnonzero(np.diff(t[:, COPY], prepend=-1))]
+            unit = np.array([v.unit_bytes() for v in s.variables], dtype=np.int64)
+            nbytes = int((first[:, SIZE] * unit[first[:, SRC_VAR]]).sum())
+            lines.append(f"{pad}Exchange({s.n_copies} region copies, {nbytes} B)")
         elif isinstance(s, Repeat):
             scope = f" label={s.label!r}" if s.label else ""
             lines.append(f"{pad}Repeat(x{s.count}){scope}")

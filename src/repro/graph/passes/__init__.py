@@ -43,7 +43,6 @@ from repro.graph.passes.plans import (
     CopyOp,
     ExchangePlan,
     ExecutionPlans,
-    TilePlan,
     build_plans,
     compute_set_category,
     lpt_makespan,
@@ -68,7 +67,6 @@ __all__ = [
     "CopyOp",
     "ExchangePlan",
     "ExecutionPlans",
-    "TilePlan",
     "build_plans",
     "compute_set_category",
     "lpt_makespan",

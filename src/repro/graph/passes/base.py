@@ -191,11 +191,12 @@ class PassManager:
     def run(self, root: Step) -> tuple[Step, PassReport]:
         global _PASS_INVOCATIONS
         report = PassReport()
+        stats = collect_stats(root) if self.passes else None
         for p in self.passes:
-            before = collect_stats(root)
             root = p.run(root)
             _PASS_INVOCATIONS += 1
-            report.results.append(PassResult(p.name, before, collect_stats(root)))
+            before, stats = stats, collect_stats(root)
+            report.results.append(PassResult(p.name, before, stats))
         return root, report
 
 
@@ -273,14 +274,16 @@ def compile_program(graph, root: Step, passes=None, optimize: bool = True) -> Co
 
     global _COMPILE_INVOCATIONS
     _COMPILE_INVOCATIONS += 1
-    source_stats = collect_stats(root)
     manager = PassManager([] if not optimize else passes)
     optimized, report = manager.run(root)
+    # The report's first and last tallies are the source and optimized ones.
+    results = report.results
+    source_stats = results[0].before if results else collect_stats(root)
     plans = build_plans(optimized, graph.device)
     return CompiledProgram(
         root=optimized,
         graph=graph,
-        stats=collect_stats(optimized),
+        stats=results[-1].after if results else source_stats,
         source=root,
         source_stats=source_stats,
         report=report,

@@ -9,35 +9,86 @@ adjacent exchanges into a single phase; tiles then stream all their regions
 back-to-back, which also lets per-tile send/receive time overlap across the
 merged copies (max-of-sums <= sum-of-maxes).
 
-Safety: the engine applies region copies in list order, so merging is
+Safety: the engine applies region copies in table order, so merging is
 always bit-identical.  For honest BSP semantics (a phase reads all sources
 before any destination is visible) a copy whose *source* region was written
 by an earlier copy in the same group ends the group — those exchanges stay
 separate phases.  Only exchanges with the same ``name`` merge, keeping the
 profiler's category attribution (e.g. Table IV's exchange bucket) intact.
+The hazard check runs on the copy tables, one sort per check.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.graph.passes.base import Pass, rewrite_bottom_up
-from repro.graph.program import Exchange, RegionCopy, Sequence, Step
+from repro.graph.program import (
+    DST_OFFSET,
+    DST_TILE,
+    DST_VAR,
+    SIZE,
+    SRC_OFFSET,
+    SRC_TILE,
+    SRC_VAR,
+    Exchange,
+    Sequence,
+    Step,
+)
 
 __all__ = ["CoalesceExchanges"]
 
 
-def _regions_overlap(a_start: int, a_size: int, b_start: int, b_size: int) -> bool:
-    return a_start < b_start + b_size and b_start < a_start + a_size
+def _reads_written(reads, writes) -> bool:
+    """True when a read range overlaps a written range of the same shard.
+
+    ``reads`` / ``writes`` are ``(shard, start, stop)`` arrays.  The writes
+    are sorted by (shard, start) under a running maximum of their stops,
+    every shard shifted into a band of its own so one maximum serves them
+    all: a read overlaps exactly when the writes of its shard that start
+    before its stop reach past its start.
+    """
+    (r_shard, r_start, r_stop), (w_shard, w_start, w_stop) = reads, writes
+    if not len(r_shard) or not len(w_shard):
+        return False
+    band = int(max(r_stop.max(), w_stop.max())) + 1
+    order = np.lexsort((w_start, w_shard))
+    reach = np.maximum.accumulate(w_shard[order] * band + w_stop[order])
+    last = np.searchsorted(w_shard[order] * band + w_start[order], r_shard * band + r_stop) - 1
+    hit = last >= 0
+    return bool((reach[last[hit]] > r_shard[hit] * band + r_start[hit]).any())
 
 
-def _reads_written(copy: RegionCopy, written: dict) -> bool:
-    """True if ``copy``'s source region overlaps a destination already
-    written in the current merge group.  ``written`` maps ``(id(variable),
-    tile)`` to the ``(offset, size)`` regions the group wrote on that shard,
-    so a copy is checked against its own source shard only."""
-    for offset, size in written.get((id(copy.src_var), copy.src_tile), ()):
-        if _regions_overlap(offset, size, copy.src_offset, copy.size):
-            return True
-    return False
+def _groups(run: list) -> list:
+    """Split a run of adjacent same-name exchanges into merge groups: an
+    exchange joins the group before it unless it reads what the group
+    wrote.  When no read of the run meets any write of it (a halo update:
+    owned regions in, halo regions out) the run is one group."""
+    if len(run) == 1:
+        return [run]
+    ids: dict = {}
+    var = np.array([ids.setdefault(id(v), len(ids)) for ex in run for v in ex.variables],
+                   dtype=np.int64)
+    rows = np.cumsum([0] + [len(ex.table) for ex in run])
+    t = np.concatenate([ex.table for ex in run])
+    if not len(t):
+        return [run]
+    var_base = np.repeat(np.cumsum([0] + [len(ex.variables) for ex in run[:-1]]), np.diff(rows))
+    tiles = int(t[:, [SRC_TILE, DST_TILE]].max()) + 1
+    reads = (var[var_base + t[:, SRC_VAR]] * tiles + t[:, SRC_TILE],
+             t[:, SRC_OFFSET], t[:, SRC_OFFSET] + t[:, SIZE])
+    writes = (var[var_base + t[:, DST_VAR]] * tiles + t[:, DST_TILE],
+              t[:, DST_OFFSET], t[:, DST_OFFSET] + t[:, SIZE])
+    if not _reads_written(reads, writes):
+        return [run]
+    groups, start = [[run[0]]], 0  # ``start``: the open group's first row
+    for k in range(1, len(run)):
+        a, b = rows[k], rows[k + 1]
+        if _reads_written([r[a:b] for r in reads], [w[start:a] for w in writes]):
+            groups.append([])
+            start = a
+        groups[-1].append(run[k])
+    return groups
 
 
 class CoalesceExchanges(Pass):
@@ -52,36 +103,26 @@ class CoalesceExchanges(Pass):
         if not isinstance(step, Sequence):
             return step
         out: list = []
-        group: list = []  # Exchange steps accumulated for the current phase
-        written: dict = {}  # (id(var), tile) -> [(offset, size)] the group wrote
+        run: list = []  # adjacent Exchange steps of one name
         changed = False
 
         def flush():
             nonlocal changed
-            if not group:
+            if not run:
                 return
-            if len(group) == 1:
-                out.append(group[0])
-            else:
-                copies = [rc for ex in group for rc in ex.copies]
-                out.append(Exchange(copies, name=group[0].name))
-                changed = True
-            group.clear()
-            written.clear()
+            for group in _groups(run):
+                if len(group) == 1:
+                    out.append(group[0])
+                else:
+                    out.append(Exchange.merged(group, name=group[0].name))
+                    changed = True
+            run.clear()
 
         for s in step.steps:
             if isinstance(s, Exchange):
-                if group and (
-                    s.name != group[0].name
-                    or any(_reads_written(rc, written) for rc in s.copies)
-                ):
+                if run and s.name != run[0].name:
                     flush()
-                group.append(s)
-                for rc in s.copies:
-                    for dst_var, dst_tile, dst_offset in rc.dests:
-                        written.setdefault((id(dst_var), dst_tile), []).append(
-                            (dst_offset, rc.size)
-                        )
+                run.append(s)
             else:
                 flush()
                 out.append(s)

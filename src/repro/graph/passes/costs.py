@@ -37,7 +37,7 @@ from repro.graph.codelet import (
     SweepSpec,
 )
 
-__all__ = ["spec_groups", "estimate_groups", "estimate_compute_set", "estimate_exchange"]
+__all__ = ["estimate_groups", "estimate_compute_set", "estimate_exchange"]
 
 
 def _elements(var, tiles) -> int:
@@ -45,6 +45,8 @@ def _elements(var, tiles) -> int:
     shards = getattr(var, "shards", None)
     if not shards:
         return 0
+    if shards.keys() == set(tiles):  # all of it: one replica each, or the whole mapping
+        return var.size * (len(shards) if var.replicated else 1)
     return sum(shards[t].size for t in tiles if t in shards)
 
 
@@ -119,27 +121,17 @@ _COSTS = {
 }
 
 
-def spec_key(spec):
-    """What a spec'd vertex computes, its tile aside: the spec's type and
-    the identity of what it names.  The vertices of a compute set that
-    share a key are one whole-device group — the unit the kernel lowerer
-    vectorizes and the unit priced here.  Sweep vertices share their spec
-    object; ``None`` for a codelet without a (known) spec."""
-    if type(spec) not in _COSTS:
-        return None
-    if isinstance(spec, SweepSpec):
-        return SweepSpec, id(spec)
-    return (type(spec), *(v if isinstance(v, str) else id(v) for v in vars(spec).values()))
-
-
-def estimate_groups(groups: dict) -> tuple:
-    """``(est_bytes, est_flops)`` summed over ``{spec_key: (spec, vertices)}``
-    — each group priced once over all its tiles; a group that cannot be
-    priced counts ``(0, 0)``."""
+def estimate_groups(groups) -> tuple:
+    """``(est_bytes, est_flops)`` summed over vertex groups — each group is
+    one whole-device unit, priced once over all its tiles; a group without a
+    known spec, or one that cannot be priced, counts ``(0, 0)``."""
     total_b = total_f = 0
-    for (kind, *_), (spec, vertices) in groups.items():
+    for g in groups:
+        costs = _COSTS.get(type(g.spec))
+        if costs is None:
+            continue
         try:
-            b, f = _COSTS[kind](spec, [v.tile_id for v in vertices])
+            b, f = costs(g.spec, g.tiles.tolist())
         except Exception:
             continue
         total_b += b
@@ -147,22 +139,9 @@ def estimate_groups(groups: dict) -> tuple:
     return total_b, total_f
 
 
-def spec_groups(vertices) -> tuple:
-    """``({spec_key: (spec, vertices)}, [vertices without a known spec])``."""
-    groups: dict = {}
-    rest: list = []
-    for v in vertices:
-        key = spec_key(v.codelet.spec)
-        if key is None:
-            rest.append(v)
-        else:
-            groups.setdefault(key, (v.codelet.spec, []))[1].append(v)
-    return groups, rest
-
-
 def estimate_compute_set(cs) -> tuple:
-    """``(est_bytes, est_flops)`` of one compute set (spec'd vertices only)."""
-    return estimate_groups(spec_groups(cs.vertices)[0])
+    """``(est_bytes, est_flops)`` of one compute set (spec'd groups only)."""
+    return estimate_groups(cs.groups)
 
 
 def _index_len(index, size: int) -> int:

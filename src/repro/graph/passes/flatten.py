@@ -23,7 +23,7 @@ def _is_empty(step: Step) -> bool:
     if isinstance(step, Sequence):
         return step.label is None and all(_is_empty(s) for s in step.steps)
     if isinstance(step, Exchange):
-        return not step.copies
+        return not len(step.table)
     if isinstance(step, Execute):
         return len(step.compute_set) == 0
     return False

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
+
 from repro.graph.codelet import ComputeSet
 from repro.graph.passes.base import Pass, rewrite_bottom_up
 from repro.graph.program import Execute, Sequence, Step
@@ -28,9 +30,7 @@ __all__ = ["FuseComputeSets"]
 def _effective_category(cs: ComputeSet) -> str | None:
     if cs.category is not None:
         return cs.category
-    for v in cs.vertices:
-        return v.codelet.category
-    return None
+    return cs.groups[0].category if cs.groups else None
 
 
 def _count_execute_refs(root: Step, counts: Counter, seen: set) -> None:
@@ -85,10 +85,10 @@ class FuseComputeSets(Pass):
                 if (
                     cat is not None
                     and cat == _effective_category(cs)
-                    and not set(prev_cs.tiles()) & set(cs.tiles())
+                    and not np.isin(cs.tile_ids, prev_cs.tile_ids).any()
                 ):
                     fused = ComputeSet(f"{prev_cs.name}+{cs.name}", category=cat)
-                    fused.vertices = list(prev_cs.vertices) + list(cs.vertices)
+                    fused.groups = prev_cs.groups + cs.groups
                     out[-1] = Execute(fused)
                     # The fused set is a fresh single-reference object.
                     self._refs[id(fused)] = 1

@@ -53,7 +53,7 @@ from repro.graph.codelet import (
     SpmvSpec,
     SweepSpec,
 )
-from repro.graph.passes.costs import estimate_exchange, estimate_groups, spec_groups
+from repro.graph.passes.costs import estimate_exchange, estimate_groups
 from repro.graph.program import (
     Execute,
     Exchange,
@@ -358,11 +358,10 @@ def _contiguous_order(var, tiles) -> tuple:
 # -- group lowerers ----------------------------------------------------------------------
 
 
-def _lower_elementwise_group(spec: ElementwiseSpec, vertices):
+def _lower_elementwise_group(spec: ElementwiseSpec, tiles):
     from repro.tensordsl.materialize import assignment_evaluator
 
     expr, out = spec.expr, spec.out_var
-    tiles = [v.tile_id for v in vertices]
     if len(set(tiles)) != len(tiles):
         raise _Unvectorizable
     leaf_vars = _leaf_vars(expr)
@@ -486,13 +485,12 @@ def _reduce_segments_batched(value, dt: str, op: str, seg, offsets, batch: int):
     return res
 
 
-def _lower_reduce_group(spec: ReduceSpec, vertices):
+def _lower_reduce_group(spec: ReduceSpec, tiles):
     from repro.tensordsl.materialize import compile_expr
     from repro.tensordsl.types import Type
 
     expr, out, rop = spec.expr, spec.out_var, spec.op
     batch = expr.batch
-    tiles = [v.tile_id for v in vertices]
     if len(set(tiles)) != len(tiles):
         raise _Unvectorizable
     # A replicated scalar ``out`` (the combine of a global reduction) keeps
@@ -564,14 +562,14 @@ def _lower_reduce_group(spec: ReduceSpec, vertices):
     return op
 
 
-def _device_layout(m, vertices, owned_vars, hvar, batch: int):
+def _device_layout(m, tiles, owned_vars, hvar, batch: int):
     """Check that a group covers exactly ``m``'s tiles and that its vectors
     sit in the whole-device layout ``m`` itself allocates (the index space
     of ``DistributedMatrix.device_rows`` and of the merged sweep plans):
     ``owned_vars`` in the owned mapping, ``hvar`` (unless ``None``) in the
     halo mapping, all with ``batch`` RHS columns.  Returns the flat halo
     buffer, ``None`` when there is no halo to read."""
-    if {v.tile_id for v in vertices} != set(m.tiles):
+    if set(tiles) != set(m.tiles):
         raise _Unvectorizable
 
     def mapped(var, size, intervals):
@@ -598,11 +596,11 @@ def _device_layout(m, vertices, owned_vars, hvar, batch: int):
     return hvar.flat_data
 
 
-def _lower_spmv_group(spec: SpmvSpec, vertices):
+def _lower_spmv_group(spec: SpmvSpec, tiles):
     m, x, y = spec.matrix, spec.x, spec.y
     xvar, yvar = x.owned.var, y.owned.var
     batch = xvar.batch
-    hflat = _device_layout(m, vertices, (xvar, yvar), x.halo.var, batch)
+    hflat = _device_layout(m, tiles, (xvar, yvar), x.halo.var, batch)
     n = m.n
     halo_total = 0 if hflat is None else hflat.shape[0]
     xflat, yflat = xvar.flat_data, yvar.flat_data
@@ -624,7 +622,7 @@ def _lower_spmv_group(spec: SpmvSpec, vertices):
     return op
 
 
-def _lower_sweep_group(spec: SweepSpec, vertices):
+def _lower_sweep_group(spec: SweepSpec, tiles):
     """One op per sweep: the solver's substitution over its tiles' plans
     merged level by level, on the flat buffers.  A sweep row reads its own
     tile's rows and halo cells only, and sums exactly its own entries
@@ -632,7 +630,7 @@ def _lower_sweep_group(spec: SweepSpec, vertices):
     for bit."""
     xvar, bvar = spec.x.owned.var, spec.b.owned.var
     hvar = spec.x.halo.var if spec.halo else None
-    hflat = _device_layout(spec.matrix, vertices, (xvar, bvar), hvar, batch=1)
+    hflat = _device_layout(spec.matrix, tiles, (xvar, bvar), hvar, batch=1)
     body, state = spec.body, spec.device_state()
     xflat, bflat = xvar.flat_data, bvar.flat_data
 
@@ -642,12 +640,11 @@ def _lower_sweep_group(spec: SweepSpec, vertices):
     return op
 
 
-def _lower_batch_reduce_group(spec: BatchReduceSpec, vertices):
+def _lower_batch_reduce_group(spec: BatchReduceSpec, tiles):
     """Whole-device batch-axis collapse: ``out[:, 0] = in[:, 0, :].max(axis=1)``
     over the stacked replica buffers.  max/min are order-insensitive, so the
     row-wise numpy reduction is bit-identical to each tile's own ``arr.max()``."""
     src, out, rop = spec.in_var, spec.out_var, spec.op
-    tiles = [v.tile_id for v in vertices]
     if len(set(tiles)) != len(tiles):
         raise _Unvectorizable
     if not (src.replicated and out.replicated):
@@ -680,22 +677,29 @@ _LOWERERS = {
 
 
 def _lower_compute_set(cs) -> tuple:
-    """Lower one compute set into kernel ops.
+    """Lower one compute set into kernel ops, one per vertex group.
 
     Returns ``(ops, n_dispatch, fallbacks, est_bytes, est_flops)`` —
-    ``fallbacks`` the codelet names of the per-vertex runs left.  Vertices
-    within a compute set are element-disjoint (tile-local access + the
+    ``fallbacks`` the codelet names of the per-vertex runs left: the
+    vertices of groups without a spec or that could not vectorize (the only
+    groups whose vertices are ever built here).  Vertices within
+    a compute set are element-disjoint (tile-local access + the
     FuseComputeSets disjointness invariant), so group order cannot be
     observed.
     """
-    groups, fallback = spec_groups(v for v in cs.vertices if not v.codelet.cost_only)
+    groups = [g for g in cs.groups if not g.cost_only]
     ops: list = []
-    for (kind, *_), (spec, vs) in groups.items():
-        try:
-            ops.append(_LOWERERS[kind](spec, vs))
-        except _Unvectorizable:
-            fallback.extend(vs)
-
+    unvectorized: list = []
+    for g in groups:
+        lower = _LOWERERS.get(type(g.spec))
+        if lower is not None:
+            try:
+                ops.append(lower(g.spec, g.tiles.tolist()))
+                continue
+            except _Unvectorizable:
+                pass
+        unvectorized.append(g)
+    fallback = [v for g in unvectorized for v in g.vertices]
     if fallback:
         runs = tuple(v.run for v in fallback)
 
@@ -706,7 +710,7 @@ def _lower_compute_set(cs) -> tuple:
         ops.append(batched)
     est_bytes, est_flops = estimate_groups(groups)
     fallbacks = tuple(v.codelet.name for v in fallback)
-    return ops, len(cs.vertices), fallbacks, est_bytes, est_flops
+    return ops, len(cs), fallbacks, est_bytes, est_flops
 
 
 def build_kernels(root: Step, plans) -> KernelSchedule:
@@ -791,4 +795,5 @@ def build_kernels(root: Step, plans) -> KernelSchedule:
             items_by_block[id(step)] = tuple(lower_children([step]))
 
     lower_block(root)
+    del lower_block, lower_children  # the two closures cycle through each other
     return KernelSchedule(items_by_block, tuple(all_kernels))

@@ -6,15 +6,17 @@ optimized schedule is compiled *once* into an immutable plan that any
 runtime backend (:mod:`repro.graph.runtime`) can execute without
 re-deriving structure on the hot path.
 
-- :class:`ComputePlan` — per-tile vertex groupings with the LPT worker
-  packing evaluated ahead of time.  Codelet cycle models are pure over
-  their bindings (the :mod:`repro.graph.codelet` contract), so the packed
-  makespans are identical to evaluating them during execution.
-- :class:`ExchangePlan` — the per-copy Python loop of the old engine
-  replaced by vectorized numpy gather/scatter ops (fancy-index arrays, or
-  plain slices for single contiguous regions), plus the precomputed
-  :class:`~repro.machine.fabric.Transfer` list and on-tile memcpy cost,
-  priced by the device fabric once, on first use (``ExchangePlan.phase``).
+- :class:`ComputePlan` — per-tile LPT worker packings evaluated ahead of
+  time, as an array of makespans read off the compute set's vertex groups.
+  Codelet cycle models are pure over their bindings (the
+  :mod:`repro.graph.codelet` contract), so the packed makespans are
+  identical to evaluating them during execution.  The vertices themselves
+  exist only once a stepped ``sim`` run asks (``ComputePlan.vertices``).
+- :class:`ExchangePlan` — the exchange's copy table lowered to vectorized
+  numpy gather/scatter ops (fancy-index arrays, or plain slices for single
+  contiguous regions), plus the on-tile memcpy cost; the fabric's
+  :class:`~repro.machine.fabric.Transfer` list and its price are built on
+  first use (``ExchangePlan.transfers`` / ``.phase``).
   When region copies within one exchange overlap (a later copy reads or
   rewrites what an earlier one wrote), the plan falls back to strictly
   ordered per-copy execution so results stay bit-identical.  A hazard-free
@@ -32,7 +34,6 @@ writes (which mutate the arrays in place).
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,6 +41,14 @@ import numpy as np
 
 from repro.graph.codelet import ComputeSet
 from repro.graph.program import (
+    COPY,
+    DST_OFFSET,
+    DST_TILE,
+    DST_VAR,
+    SIZE,
+    SRC_OFFSET,
+    SRC_TILE,
+    SRC_VAR,
     Execute,
     Exchange,
     HostCallback,
@@ -52,7 +61,6 @@ from repro.graph.program import (
 from repro.machine.fabric import ExchangePhase, Transfer
 
 __all__ = [
-    "TilePlan",
     "ComputePlan",
     "CopyOp",
     "ExchangePlan",
@@ -67,22 +75,21 @@ def compute_set_category(cs: ComputeSet) -> str:
     """Profiler category of a compute set.
 
     An explicit ``ComputeSet(category=...)`` wins without scanning any
-    vertex; otherwise the category is taken from the first vertex and the
-    rest are only *checked* — a compute set mixing vertex categories is an
-    error (attribution would silently follow whichever vertex happened to
-    come first), fixed by setting the category on the set explicitly.
+    group; otherwise the category is taken from the first vertex group and
+    the rest are only *checked* — a compute set mixing vertex categories is
+    an error (attribution would silently follow whichever vertex happened
+    to come first), fixed by setting the category on the set explicitly.
     """
     if cs.category is not None:
         return cs.category
     category = None
-    for v in cs.vertices:
-        c = v.codelet.category
+    for g in cs.groups:
         if category is None:
-            category = c
-        elif c != category:
+            category = g.category
+        elif g.category != category:
             raise ValueError(
                 f"compute set {cs.name!r} mixes vertex categories "
-                f"{category!r} and {c!r}; pass ComputeSet(category=...) "
+                f"{category!r} and {g.category!r}; pass ComputeSet(category=...) "
                 "to attribute the phase explicitly"
             )
     return category or "elementwise"
@@ -98,25 +105,27 @@ def lpt_makespan(tasks, workers: int) -> int:
     return max(heap)
 
 
-@dataclass(frozen=True)
-class TilePlan:
-    """One tile's share of a compute phase: its makespan."""
-
-    tile_id: int
-    makespan: int  # LPT packing of this tile's worker tasks
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComputePlan:
     """Frozen execution plan of one ``Execute`` step."""
 
     name: str  # compute-set name (telemetry groups hot sets by this)
     category: str
-    tiles: tuple  # of TilePlan, in first-seen tile order
+    tile_ids: np.ndarray  # the tiles with vertices, in first-seen order
+    makespans: np.ndarray  # per tile: LPT packing of its worker tasks
     worst_tile: int  # max makespan over tiles (the BSP phase cost)
-    #: The vertices to run, grouped by tile in ``tiles`` order (cost-only
-    #: vertices left out): ``sim`` calls ``v.codelet.run(v.ctx)`` for each.
-    vertices: tuple = field(default=(), repr=False, compare=False)
+    compute_set: ComputeSet | None = field(default=None, repr=False)
+
+    @cached_property
+    def vertices(self) -> tuple:
+        """The vertices to run, grouped by tile in ``tile_ids`` order
+        (cost-only vertices left out): a stepped ``sim`` calls
+        ``v.codelet.run(v.ctx)`` for each.  Built on first use."""
+        by_tile: dict = {}
+        for v in self.compute_set.vertices:
+            if not v.codelet.cost_only:
+                by_tile.setdefault(v.tile_id, []).append(v)
+        return tuple(v for t in self.tile_ids.tolist() for v in by_tile.get(t, ()))
 
 
 @dataclass(frozen=True)
@@ -142,12 +151,11 @@ class CopyOp:
             self.dst_lo[self.dst_index] = self.src_lo[self.src_index]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExchangePlan:
     """Frozen execution plan of one ``Exchange`` step."""
 
     name: str
-    transfers: tuple  # of Transfer, for the fabric cost model
     local_cycles: int  # max over tiles of summed on-tile memcpy cost
     vectorized: bool  # False -> hazard detected, ops follow copy order
     #: The copies as CopyOps over ``Variable.flat_data`` / ``flat_lo``, one
@@ -155,14 +163,35 @@ class ExchangePlan:
     #: hazard plan has no flat form: ``flat is ops``.
     flat: tuple
     n_ops: int  # len(ops), known without building them
-    copies: tuple = field(repr=False, compare=False)  # _copy_ops' (endpoints, table)
-    fabric: object = field(default=None, repr=False, compare=False)  # prices ``phase``
+    copies: tuple = field(repr=False)  # _copy_ops' (endpoints, table)
+    fabric: object = field(default=None, repr=False)  # prices ``phase``
+    exchange: object = field(default=None, repr=False)  # the step: its copy table
 
     @cached_property
     def ops(self) -> tuple:
         """CopyOps over the shard arrays, one per shard pair — what ``sim``
         replays and the fault injector picks its targets from."""
         return _copy_ops(*self.copies, flat=False) if self.vectorized else self.flat
+
+    @cached_property
+    def transfers(self) -> tuple:
+        """One fabric :class:`Transfer` per copy with a remote destination,
+        in copy order, to those destinations — what :attr:`phase` prices,
+        built on first use like it."""
+        step = self.exchange
+        rows = step.table[step.table[:, DST_TILE] != step.table[:, SRC_TILE]]
+        if not len(rows):
+            return ()
+        unit = np.array([var.unit_bytes() for var in step.variables], dtype=np.int64)
+        first = np.flatnonzero(np.diff(rows[:, COPY], prepend=-1))
+        bounds = first.tolist() + [len(rows)]
+        dst = rows[:, DST_TILE].tolist()
+        src = rows[first, SRC_TILE].tolist()
+        nbytes = (rows[first, SIZE] * unit[rows[first, SRC_VAR]]).tolist()
+        return tuple(
+            Transfer(src[k], tuple(dst[bounds[k] : bounds[k + 1]]), nbytes[k])
+            for k in range(len(first))
+        )
 
     @cached_property
     def phase(self) -> ExchangePhase:
@@ -196,23 +225,42 @@ class ExecutionPlans:
         return id(step) in self._plans
 
 
+def _distinct(values: np.ndarray) -> int:
+    """How many distinct values ``values`` holds (a sort: cheaper than
+    ``np.unique``'s hashing on these sizes)."""
+    ordered = np.sort(values)
+    return int(np.count_nonzero(ordered[1:] != ordered[:-1])) + bool(len(ordered))
+
+
 def _plan_compute_set(cs: ComputeSet, workers: int) -> ComputePlan:
     category = compute_set_category(cs)
-    per_tile: dict[int, list] = {}
-    for v in cs.vertices:
-        per_tile.setdefault(v.tile_id, []).append(v)
-    tiles = []
-    for tile_id, vertices in per_tile.items():
-        tasks = [cycles for v in vertices for cycles in v.worker_cycles()]
-        tiles.append(TilePlan(tile_id, lpt_makespan(tasks, workers)))
+    tile_ids = cs.tile_ids
+    if _distinct(tile_ids) == len(tile_ids):
+        # One vertex per tile (every producer's group): the tile's makespan
+        # packs its group's worker tasks, which a group repeats per shard size.
+        packed: dict = {}
+        makespans = []
+        for g in cs.groups:
+            for t in g.tiles.tolist():
+                tasks = g.cycles(t)
+                if tasks not in packed:
+                    packed[tasks] = lpt_makespan(tasks, workers)
+                makespans.append(packed[tasks])
+    else:
+        per_tile: dict = {}
+        for g in cs.groups:
+            for t in g.tiles.tolist():
+                per_tile.setdefault(t, []).extend(g.cycles(t))
+        tile_ids = np.fromiter(per_tile, dtype=np.int64, count=len(per_tile))
+        makespans = [lpt_makespan(tasks, workers) for tasks in per_tile.values()]
+    makespans = np.array(makespans, dtype=np.int64)
     return ComputePlan(
         name=cs.name,
         category=category,
-        tiles=tuple(tiles),
-        worst_tile=max((tile.makespan for tile in tiles), default=0),
-        vertices=tuple(
-            v for vertices in per_tile.values() for v in vertices if not v.codelet.cost_only
-        ),
+        tile_ids=tile_ids,
+        makespans=makespans,
+        worst_tile=int(makespans.max(initial=0)),
+        compute_set=cs,
     )
 
 
@@ -240,55 +288,55 @@ def _any_write_overlap(array, start, stop, is_write) -> bool:
 
 
 def _plan_exchange(step: Exchange, fabric) -> ExchangePlan:
-    # Elementary copies: one ``(src, dst, src row, dst row, size)`` table row
-    # per destination of each RegionCopy, in program order; ``src`` / ``dst``
-    # number the distinct ``(variable, tile)`` shards touched.
-    endpoints: dict = {}
-    rows = []
-    local_per_tile: dict[int, int] = defaultdict(int)
-    transfers = []
-    for rc in step.copies:
-        src = endpoints.setdefault((rc.src_var, rc.src_tile), len(endpoints))
-        remote_dests = []
-        for dst_var, dst_tile, dst_offset in rc.dests:
-            dst = endpoints.setdefault((dst_var, dst_tile), len(endpoints))
-            rows.append((src, dst, rc.src_offset, dst_offset, rc.size))
-            if dst_tile != rc.src_tile:
-                remote_dests.append(dst_tile)
-            else:
-                # On-tile memcpy: 8 bytes per cycle through the st64 path;
-                # copies landing on one tile serialize (summed per tile).
-                # unit_bytes folds in the batch axis: a batched element's
-                # RHS columns are contiguous and move together.
-                cost = (rc.size * rc.src_var.unit_bytes() + 7) // 8
-                local_per_tile[dst_tile] += cost
-        if remote_dests:
-            nbytes = rc.size * rc.src_var.unit_bytes()
-            transfers.append(Transfer(rc.src_tile, tuple(remote_dests), nbytes))
+    # Elementary copies: the step's rows as ``(src, dst, src row, dst row,
+    # size)``, where ``src`` / ``dst`` number the distinct ``(variable,
+    # tile)`` shards touched in order of first appearance.
+    t = step.table
+    n = len(t)
+    tiles = int(t[:, [SRC_TILE, DST_TILE]].max()) + 1 if n else 1
+    shard = np.empty(2 * n, dtype=np.int64)  # src, dst of row 0, then of row 1, ...
+    shard[0::2] = t[:, SRC_VAR] * tiles + t[:, SRC_TILE]
+    shard[1::2] = t[:, DST_VAR] * tiles + t[:, DST_TILE]
+    keys, first, inverse = np.unique(shard, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[order] = np.arange(len(keys))
+    endpoint = rank[inverse]
+    src, dst = endpoint[0::2], endpoint[1::2]
+    endpoints = [(step.variables[k // tiles], k % tiles) for k in keys[order].tolist()]
+    table = np.stack([src, dst, t[:, SRC_OFFSET], t[:, DST_OFFSET], t[:, SIZE]], axis=1)
 
-    table = np.array(rows, dtype=np.int64).reshape(-1, 5)
-    src, dst, src_row, dst_row, size = table.T
+    # On-tile memcpy: 8 bytes per cycle through the st64 path; copies
+    # landing on one tile serialize (summed per tile).  unit_bytes folds in
+    # the batch axis: a batched element's RHS columns are contiguous and
+    # move together.
+    unit = np.array([var.unit_bytes() for var in step.variables], dtype=np.int64)
+    local = t[t[:, DST_TILE] == t[:, SRC_TILE]]
+    cost = (local[:, SIZE] * unit[local[:, SRC_VAR]] + 7) // 8
+    local_cycles = int(np.bincount(local[:, DST_TILE], weights=cost).max()) if len(local) else 0
+
+    size = t[:, SIZE]
     # (A copy's source is read once however many destinations it has;
     # counting the read per destination changes no overlap.)
-    start = np.concatenate([src_row, dst_row])
+    start = np.concatenate([t[:, SRC_OFFSET], t[:, DST_OFFSET]])
     vectorized = not _any_write_overlap(
         np.concatenate([src, dst]), start, start + np.tile(size, 2),
-        np.repeat([False, True], len(rows)),
+        np.repeat([False, True], n),
     )
     # Hazard-free: all copies between each pair of buffers fuse into one
     # numpy op (their order cannot be observed) — per whole-device buffer
     # pair here, per shard pair in ``ExchangePlan.ops``.  Overlapping
     # regions keep strict program order, one op per copy.
-    copies = (list(endpoints), table)
+    copies = (endpoints, table)
     return ExchangePlan(
         name=step.name,
-        transfers=tuple(transfers),
-        local_cycles=max(local_per_tile.values(), default=0),
+        local_cycles=local_cycles,
         vectorized=vectorized,
         flat=_copy_ops(*copies, flat=vectorized, fuse=vectorized),
-        n_ops=len(np.unique(src * len(endpoints) + dst)) if vectorized else len(rows),
+        n_ops=_distinct(src * len(endpoints) + dst) if vectorized else n,
         copies=copies,
         fabric=fabric,
+        exchange=step,
     )
 
 
@@ -404,4 +452,5 @@ def build_plans(root: Step, device) -> ExecutionPlans:
             raise TypeError(f"unknown program step: {step!r}")
 
     walk(root)
+    del walk  # a recursive closure cycles through its own cell
     return ExecutionPlans(plans)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.graph.codelet import ComputeSet
 from repro.graph.variable import Variable
 
@@ -71,12 +73,74 @@ class RegionCopy:
     size: int
 
 
-@dataclass
-class Exchange(Step):
-    """A BSP exchange phase: a set of region copies executed simultaneously."""
+#: Columns of an exchange's copy table (one row per destination of a copy):
+#: the copy's id, its source (variable, tile, offset), the destination
+#: (variable, tile, offset) and the region size.  Variables are indices
+#: into ``Exchange.variables``.
+COPY, SRC_VAR, SRC_TILE, SRC_OFFSET, DST_VAR, DST_TILE, DST_OFFSET, SIZE = range(8)
 
-    copies: list
-    name: str = "exchange"
+
+def _copy_table(copies) -> tuple:
+    """``(variables, table)`` of a list of :class:`RegionCopy`."""
+    index: dict = {}
+    variables: list = []
+
+    def var_id(var) -> int:
+        if id(var) not in index:
+            index[id(var)] = len(variables)
+            variables.append(var)
+        return index[id(var)]
+
+    rows = []
+    for rc in copies:
+        src = var_id(rc.src_var)
+        copy = rows[-1][COPY] + 1 if rows else 0
+        rows += [(copy, src, rc.src_tile, rc.src_offset, var_id(var), tile, offset, rc.size)
+                 for var, tile, offset in rc.dests]
+    return variables, np.array(rows, dtype=np.int64).reshape(-1, 8)
+
+
+class Exchange(Step):
+    """A BSP exchange phase: a set of region copies executed simultaneously.
+
+    The copies are one int64 ``table`` (columns :data:`COPY` ...
+    :data:`SIZE`) over ``variables``: a row per destination, the rows of a
+    copy adjacent, copy ids counting up from 0 in row order.  Built from
+    :class:`RegionCopy` objects (``Exchange(copies)``), or from a table
+    directly (``Exchange(variables=..., table=...)``) by producers that
+    have one.
+    """
+
+    def __init__(self, copies=(), name: str = "exchange", *, variables=(), table=None):
+        if table is None:
+            variables, table = _copy_table(copies)
+        self.variables = tuple(variables)
+        self.table = table
+        self.name = name
+
+    @property
+    def n_copies(self) -> int:
+        """Region copies (distinct copy ids) — what ``compile_proxy`` counts."""
+        return int(self.table[-1, COPY]) + 1 if len(self.table) else 0
+
+    @classmethod
+    def merged(cls, exchanges, name: str) -> "Exchange":
+        """One exchange running ``exchanges``' copies in order (ids renumbered,
+        variables unified)."""
+        variables = list({id(v): v for ex in exchanges for v in ex.variables}.values())
+        ids = {id(v): i for i, v in enumerate(variables)}
+        remap = np.array([ids[id(v)] for ex in exchanges for v in ex.variables], dtype=np.int64)
+        part = np.repeat(np.arange(len(exchanges)), [len(ex.table) for ex in exchanges])
+        var_base = np.cumsum([0] + [len(ex.variables) for ex in exchanges])[part]
+        copy_base = np.cumsum([0] + [ex.n_copies for ex in exchanges])[part]
+        table = np.concatenate([ex.table for ex in exchanges])
+        table[:, COPY] += copy_base
+        table[:, SRC_VAR] = remap[var_base + table[:, SRC_VAR]]
+        table[:, DST_VAR] = remap[var_base + table[:, DST_VAR]]
+        return cls(name=name, variables=variables, table=table)
+
+    def __repr__(self):
+        return f"Exchange({self.name!r}, {self.n_copies} copies)"
 
 
 @dataclass

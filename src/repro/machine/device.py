@@ -37,7 +37,9 @@ class IPUDevice:
             for i in range(num_ipus * spec.tiles_per_ipu)
         ]
         self.model = CycleModel(spec=spec)
-        self.fabric = ExchangeFabric(self.model, self.ipu_of)
+        # Not the bound ``self.ipu_of``: a device the fabric points back to
+        # would outlive its last user until a cyclic collection.
+        self.fabric = ExchangeFabric(self.model, lambda tile_id, n=spec.tiles_per_ipu: tile_id // n)
         self.profiler = Profiler()
 
     @classmethod

@@ -81,7 +81,7 @@ from repro.serve.batching import (
 )
 from repro.serve.policy import CircuitBreaker, ServicePolicy, TokenBucket
 from repro.serve.queue import FairQueue, Job, JobResult
-from repro.solvers.api import failure_error, solve, validate_arrays
+from repro.solvers.api import failure_error, solve, validate_arrays, validate_shape
 from repro.solvers.config import load_config
 from repro.solvers.session import ProgramCache, batch_bucket, fingerprint_solve
 
@@ -242,6 +242,7 @@ class SolverService:
                                        reason="shutting_down")
         try:
             validate_arrays(matrix, b, x0)
+            validate_shape(matrix, solve_kwargs)
             load_config(config)
             check_observers(solve_kwargs.get("backend", "sim"),
                             tracer=solve_kwargs.get("trace") or None,

@@ -11,6 +11,7 @@ pass pipeline (:mod:`repro.graph.passes`) into a
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,11 +25,12 @@ from repro.errors import (
     JobTimeoutError,
     ReproError,
     SolverBreakdownError,
+    SolverConfigError,
     SRAMOverflowError,
 )
 from repro.graph import CompiledProgram, Engine, GlobalCounters
 from repro.graph.runtime import check_observers
-from repro.machine import IPUDevice
+from repro.machine import MK2, IPUDevice
 from repro.solvers.base import SolveProgress, SolveStats
 from repro.solvers.config import build_solver, load_config
 from repro.solvers.resilience import (
@@ -40,9 +42,11 @@ from repro.solvers.resilience import (
 from repro.solvers.session import CompiledSolve, fingerprint_solve, resolve_cache
 from repro.sparse.crs import ModifiedCRS
 from repro.sparse.distribute import DistributedMatrix
+from repro.sparse.partition import grid_factors
 from repro.tensordsl import TensorContext, Type
 
-__all__ = ["solve", "compile_solve", "SolveResult", "validate_arrays", "failure_error"]
+__all__ = ["solve", "compile_solve", "SolveResult", "validate_arrays", "validate_shape",
+           "failure_error"]
 
 
 @dataclass
@@ -194,6 +198,7 @@ def compile_solve(
     compile-time proxies through the real lowering pipeline.
     """
     batch = validate_arrays(matrix, b)
+    validate_shape(matrix, kwargs)
     ctx, _, _, _, _ = _build_program(matrix, b, config, batch=batch, **kwargs)
     return ctx.compile(optimize=optimize)
 
@@ -223,6 +228,43 @@ def validate_arrays(matrix, b, x0=None) -> int:
         if arr.dtype.kind == "f" and not np.isfinite(arr).all():
             raise ReproError(f"{name} contains non-finite values")
     return b_arr.shape[0] if b_arr.ndim == 2 else 1
+
+
+def _positive_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
+def validate_shape(matrix, options: dict) -> None:
+    """The device-shape half of the input gate (:func:`solve`,
+    ``compile_solve`` and ``SolverService.submit``, each passing its
+    keyword arguments): ``num_ipus``, ``tiles_per_ipu`` and ``num_tiles``
+    are positive ints, and ``grid_dims`` covers the matrix's rows and splits
+    into the tiles the matrix will be spread over.  A bad shape is a
+    :class:`~repro.errors.SolverConfigError` that names the argument."""
+    for name in ("num_ipus", "tiles_per_ipu", "num_tiles"):
+        value = options.get(name)
+        if value is not None and not _positive_int(value):
+            raise SolverConfigError(f"{name} must be a positive int, got {value!r}")
+    dims = options.get("grid_dims")
+    if dims is None:
+        return
+    n = int(matrix.n)
+    if not (isinstance(dims, (tuple, list)) and dims and all(_positive_int(d) for d in dims)):
+        raise SolverConfigError(f"grid_dims must be a tuple of positive ints, got {dims!r}")
+    if math.prod(dims) != n:
+        raise SolverConfigError(
+            f"grid_dims {tuple(dims)} holds {math.prod(dims)} cells "
+            f"but the matrix has {n} rows")
+    device = options.get("device")
+    tiles = device.num_tiles if device is not None else options.get("num_ipus", 1) * (
+        options.get("tiles_per_ipu", 16) or MK2.tiles_per_ipu)
+    # The tiles DistributedMatrix spreads the rows over, one grid block each.
+    parts = min(options.get("num_tiles") or tiles, n, tiles)
+    blocks = grid_factors(parts, len(dims))
+    if any(b > d for b, d in zip(blocks, dims)):
+        raise SolverConfigError(
+            f"grid_dims {tuple(dims)} cannot be split into {blocks} blocks, "
+            f"one per tile of the {parts} the matrix is spread over")
 
 
 def failure_error(failure: str, who: str, *, solver: str | None = None,
@@ -685,6 +727,8 @@ def solve(
     rconfig = ResilienceConfig.parse(resilience)
     config = load_config(config)
     batch = validate_arrays(matrix, b, x0)
+    validate_shape(matrix, dict(num_ipus=num_ipus, tiles_per_ipu=tiles_per_ipu,
+                                num_tiles=num_tiles, grid_dims=grid_dims, device=device))
     if batch > 1:
         # The resilience driver's checkpoint/restore and the fault
         # injector's corruption sites are written against single-RHS

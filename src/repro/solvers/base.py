@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sparse.distribute import DistVector, DistributedMatrix
+from repro.tensordsl.tensor import ContextRef
 
 __all__ = ["Solver", "SolveStats", "SolveProgress"]
 
@@ -145,6 +146,8 @@ class Solver:
     """Base class: a (possibly approximate) linear solver for one matrix."""
 
     name = "base"
+
+    ctx = ContextRef()
 
     #: Whether :meth:`solve_into` accepts multi-RHS (batched) vectors.
     #: Batched Krylov solves (docs/solvers.md) require every solver in the

@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.graph.codelet import Codelet, ComputeSet, SweepSpec
+from repro.graph.codelet import Codelet, ComputeSet, SweepSpec, VertexGroup
 from repro.graph.program import Execute as ExecuteStep
 from repro.solvers.base import Solver
 from repro.solvers.sweeps import SweepPlan, build_sweep
@@ -95,19 +95,21 @@ class GaussSeidel(Solver):
         sweep = SweepSpec(
             self.A, x, b, self._sweep, partial(self._device_state, direction), halo=True
         )
-        for t in self.A.tiles:
-            state = self._states[direction][t]
+        states = self._states[direction]
 
-            def run(ctx, t=t, state=state):
+        def cycles(t: int) -> tuple:
+            return (int(states[t]["plan"].cycles(model, spec)),)
+
+        def codelet(t: int) -> Codelet:
+            def run(ctx):
                 halo = x.halo.var.shard(t).data if self.A.plan.halo_count(t) else None
-                self._sweep(state, b.owned.var.shard(t).data, x.owned.var.shard(t).data, halo)
+                self._sweep(states[t], b.owned.var.shard(t).data, x.owned.var.shard(t).data,
+                            halo)
 
-            def cycles(ctx, plan=state["plan"]):
-                return plan.cycles(model, spec)
+            return Codelet(f"gs@{t}", run, lambda ctx: cycles(t), category="gs_sweep",
+                           spec=sweep)
 
-            cs.add_vertex(
-                Codelet(f"gs@{t}", run, cycles, category="gs_sweep", spec=sweep), t, {}
-            )
+        cs.add_group(VertexGroup(self.A.tiles, codelet, cycles, category="gs_sweep", spec=sweep))
         self.ctx.append(ExecuteStep(cs))
 
     def solve_into(self, x, b) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.codelet import Codelet, ComputeSet, SweepSpec
+from repro.graph.codelet import Codelet, ComputeSet, SweepSpec, VertexGroup
 from repro.graph.program import Execute as ExecuteStep
 from repro.machine.cycles import OP_CYCLES
 from repro.solvers.base import Solver
@@ -109,17 +109,14 @@ class _ILUBase(Solver):
         # so the compute set is cost-only — it charges the level-scheduled
         # cost and runs nothing.
         cs = ComputeSet(self.ctx.graph.unique_name("cs_ilu_factor"), category="ilu_factor")
-        for t in self.A.tiles:
-            cs.add_vertex(
-                Codelet(
-                    f"{self.name}_factor@{t}",
-                    run=None,
-                    cycles=lambda ctx, c=factor_cycle_costs[t]: c,
-                    category="ilu_factor",
-                ),
-                t,
-                {},
-            )
+        cs.add_group(VertexGroup(
+            self.A.tiles,
+            lambda t: Codelet(f"{self.name}_factor@{t}", run=None,
+                              cycles=factor_cycle_costs[t], category="ilu_factor"),
+            lambda t: (factor_cycle_costs[t],),
+            category="ilu_factor",
+            cost_only=True,
+        ))
         self.ctx.append(ExecuteStep(cs))
 
     def _factor_tile(self, loc) -> dict:  # pragma: no cover - abstract
@@ -146,18 +143,20 @@ class _ILUBase(Solver):
         model = self.ctx.device.model
         spec = self.ctx.device.spec
         sweep = SweepSpec(self.A, x, b, self._substitute, self._device_state)
-        for t in self.A.tiles:
+
+        def cycles(t: int) -> tuple:
             data = self._tile_data[t]
+            return (int(data["fwd"].cycles(model, spec) + data["bwd"].cycles(model, spec)),)
 
-            def run(ctx, t=t, data=data):
-                self._substitute(data, b.owned.var.shard(t).data, x.owned.var.shard(t).data)
+        def codelet(t: int) -> Codelet:
+            def run(ctx):
+                self._substitute(self._tile_data[t], b.owned.var.shard(t).data,
+                                 x.owned.var.shard(t).data)
 
-            def cycles(ctx, data=data):
-                return data["fwd"].cycles(model, spec) + data["bwd"].cycles(model, spec)
+            return Codelet(f"{self.name}@{t}", run, lambda ctx: cycles(t),
+                           category="ilu_solve", spec=sweep)
 
-            cs.add_vertex(
-                Codelet(f"{self.name}@{t}", run, cycles, category="ilu_solve", spec=sweep), t, {}
-            )
+        cs.add_group(VertexGroup(self.A.tiles, codelet, cycles, category="ilu_solve", spec=sweep))
         self.ctx.append(ExecuteStep(cs))
 
     @staticmethod

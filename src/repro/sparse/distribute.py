@@ -25,13 +25,14 @@ import numpy as np
 
 from repro.dw import DWArray
 from repro.graph import Exchange, Interval
-from repro.graph.codelet import Codelet, ComputeSet, SpmvSpec
-from repro.graph.program import Execute as ExecuteStep
+from repro.graph.codelet import Codelet, ComputeSet, SpmvSpec, VertexGroup
+from repro.graph.program import COPY, SRC_TILE, Execute as ExecuteStep
 from repro.sparse.crs import ModifiedCRS
 from repro.sparse.halo import HaloPlan, build_halo_plan, build_naive_plan
 from repro.sparse.partition import Partition, partition_rows
 from repro.sparse.sell import SlotMajorRows
 from repro.tensordsl import Tensor, Type
+from repro.tensordsl.tensor import ContextRef
 
 __all__ = ["DistVector", "DistributedMatrix", "RowSegments"]
 
@@ -78,6 +79,14 @@ class RowSegments:
         if self.empty is not None:
             sums[self.empty] = 0
         return sums
+
+
+def _consecutive(tiles, counts, keep_empty: bool = False) -> tuple:
+    """Back-to-back intervals of ``counts[i]`` elements on ``tiles[i]``
+    (empty ones dropped unless ``keep_empty``)."""
+    ends = np.cumsum(counts, dtype=np.int64).tolist()
+    return tuple(Interval(t, end - c, end) for t, c, end in zip(tiles, counts, ends)
+                 if c or keep_empty)
 
 
 class DistVector:
@@ -128,6 +137,8 @@ class DistVector:
 class DistributedMatrix:
     """A modified-CRS matrix decomposed across tiles with halo regions."""
 
+    ctx = ContextRef()
+
     def __init__(
         self,
         ctx,
@@ -156,6 +167,9 @@ class DistributedMatrix:
         self.perm = plan.global_permutation()
         self._build_local_blocks()
         self._device_rows: dict[int, SlotMajorRows] = {}
+        self._sender_tables = None  # the halo copy table cut per sending tile
+        self._spmv_cycles: dict = {}  # (cost dtype, batch) -> {tile: worker cycles}
+        self._owned_mapping = self._halo_mapping = None
 
     # -- construction -----------------------------------------------------------------
 
@@ -183,10 +197,17 @@ class DistributedMatrix:
             return dw.hi, dw.lo, dw.to_float64()
 
         values, diag = split(crs.values[entries]), split(crs.diag[self.perm])
+        owned = [plan.owned_count(t) for t in self.tiles]
+        tile_rows = np.concatenate([[0], np.cumsum(owned, dtype=np.int64)])
+        col_idx = plan.local_index(
+            np.repeat(self.tiles, np.diff(ptr[tile_rows])), cols
+        ).astype(np.int32)
+        # The device-wide row pointer and each tile's first row, kept for
+        # the per-worker row split of every SpMV.
+        self._row_ptr, self._tile_rows = ptr, tile_rows
         self.local: dict[int, dict] = {}
         row = 0
-        for t in self.tiles:
-            n_loc = plan.owned_count(t)
+        for t, n_loc in zip(self.tiles, owned):
             rows = slice(row, row + n_loc)
             a, b = ptr[row], ptr[row + n_loc]
             row += n_loc
@@ -195,7 +216,7 @@ class DistributedMatrix:
                 "n": n_loc,
                 "diag": diag[0][rows], "diag_lo": diag[1][rows], "diag_ext": diag[2][rows],
                 "values": values[0][a:b], "values_lo": values[1][a:b], "values_ext": values[2][a:b],
-                "col_idx": plan.local_index(t, cols[a:b]).astype(np.int32),
+                "col_idx": col_idx[a:b],
                 "row_ptr": (ptr[rows.start : rows.stop + 1] - a).astype(np.int32),
             }
             tile = device.tile(t)
@@ -209,27 +230,21 @@ class DistributedMatrix:
 
     # -- vectors -------------------------------------------------------------------------
 
-    def owned_mapping(self) -> list:
+    def owned_mapping(self) -> tuple:
         """The tile intervals of every owned tensor :meth:`vector` allocates."""
-        offset = 0
-        mapping = []
-        for t in self.tiles:
-            c = self.plan.owned_count(t)
-            mapping.append(Interval(t, offset, offset + c))
-            offset += c
-        return mapping
+        if self._owned_mapping is None:
+            self._owned_mapping = _consecutive(
+                self.tiles, [self.plan.owned_count(t) for t in self.tiles], keep_empty=True
+            )
+        return self._owned_mapping
 
     def halo_mapping(self) -> tuple:
         """``(intervals, total)`` of every halo tensor :meth:`vector`
         allocates (tiles without a halo hold no interval)."""
-        offset = 0
-        mapping = []
-        for t in self.tiles:
-            c = self.plan.halo_count(t)
-            if c:
-                mapping.append(Interval(t, offset, offset + c))
-                offset += c
-        return mapping, offset
+        if self._halo_mapping is None:
+            halo = _consecutive(self.tiles, [self.plan.halo_count(t) for t in self.tiles])
+            self._halo_mapping = halo, halo[-1].stop if halo else 0
+        return self._halo_mapping
 
     def device_columns(self) -> dict:
         """Per tile, the index array taking a local column (owned prefix,
@@ -296,33 +311,40 @@ class DistributedMatrix:
         exchange-coalescing pass merges adjacent programs into a single
         fabric phase, so the optimized schedule pays one BSP sync for the
         whole halo update; without the pass each block pays its own sync.
+        Every exchange of this matrix shares the per-sender slices of the
+        plan's one copy table.
         """
-        copies = self.plan.copies(vec.owned.var, vec.halo.var)
-        by_src: dict[int, list] = {}
-        for rc in copies:
-            by_src.setdefault(rc.src_tile, []).append(rc)
-        for t in sorted(by_src):
-            self.ctx.append(Exchange(by_src[t], name="exchange"))
+        if self._sender_tables is None:
+            table = self.plan.copies  # rows run sender by sender
+            cuts = np.flatnonzero(np.diff(table[:, SRC_TILE])) + 1
+            parts = np.split(table.copy(), cuts) if len(table) else []
+            for part in parts:
+                part[:, COPY] -= part[0, COPY]  # each program numbers its copies from 0
+                part.setflags(write=False)  # shared by every exchange of the matrix
+            self._sender_tables = parts
+        variables = (vec.owned.var, vec.halo.var)
+        for table in self._sender_tables:
+            self.ctx.append(Exchange(variables=variables, table=table))
 
-    def _worker_row_chunks(self, t: int, workers: int):
-        """Contiguous row ranges per worker, balanced by nonzero count."""
-        local = self.local[t]
-        nnz_prefix = local["row_ptr"]
-        n = local["n"]
-        total = int(nnz_prefix[-1]) + n  # off-diag + diagonal work
-        chunks = []
-        start = 0
-        for w in range(workers):
-            target = (w + 1) * total / workers
-            # Smallest end such that work(0..end) >= target.
-            end = int(np.searchsorted(nnz_prefix[1:] + np.arange(1, n + 1), target)) + 1
-            end = min(max(end, start), n)
-            if w == workers - 1:
-                end = n
-            if end > start:
-                chunks.append((start, end))
-            start = end
-        return chunks
+    def _worker_row_chunks(self, workers: int) -> dict:
+        """Per tile, contiguous local row ranges ``(start, stop)`` per
+        worker, balanced by work (an off-diagonal nonzero or a diagonal entry
+        each count one); empty ranges dropped.  All tiles at once, over the
+        device-wide row pointer."""
+        ptr, bounds = self._row_ptr, self._tile_rows
+        work = ptr + np.arange(ptr.size)  # work through each row, device-wide
+        first, n = bounds[:-1, None], np.diff(bounds)[:, None]
+        total = work[first + n] - work[first]
+        # Worker w stops at the first row whose work reaches (w + 1) / workers
+        # of its tile's total: the integer ceiling of that share, exactly.
+        share = -(-total * np.arange(1, workers + 1) // workers)
+        stop = np.minimum(np.searchsorted(work[1:], work[first] + share) + 1 - first, n)
+        stop[:, -1] = n[:, 0]
+        start = np.concatenate([np.zeros_like(stop[:, :1]), stop[:, :-1]], axis=1)
+        return {
+            t: [(s, e) for s, e in zip(starts, stops) if e > s]
+            for t, starts, stops in zip(self.tiles, start.tolist(), stop.tolist())
+        }
 
     def spmv(self, x: DistVector, y: DistVector, accumulate_category: str | None = None) -> None:
         """Append ``y = A x`` (halo exchange + per-tile SpMV compute set).
@@ -346,39 +368,42 @@ class DistributedMatrix:
         # residual SpMV counts as SpMV); the *cost* still uses the extended
         # per-op cycle counts.
         category = accumulate_category or "spmv"
-        model = self.ctx.device.model
-        workers = self.ctx.device.spec.workers_per_tile
-        cs = ComputeSet(self.ctx.graph.unique_name("cs_spmv"), category=category)
-        for t in self.tiles:
+        cycles = self._tile_spmv_cycles(cost_dtype, batch).__getitem__
+        # Whole-device lowering only vectorizes the f32 working-precision
+        # path; extended-precision SpMVs fall back to batched dispatch.
+        spec = (
+            SpmvSpec(self, x, y)
+            if x.dtype == Type.FLOAT32 and y.dtype == Type.FLOAT32
+            else None
+        )
+
+        def codelet(t: int) -> Codelet:
             local = self.local[t]
-            chunks = self._worker_row_chunks(t, workers)
+            return Codelet(f"spmv@{t}", lambda ctx: self._spmv_tile(t, local, x, y),
+                           lambda ctx: cycles(t), category=category, spec=spec)
 
-            def run(ctx, t=t, local=local):
-                self._spmv_tile(t, local, x, y)
+        cs = ComputeSet(self.ctx.graph.unique_name("cs_spmv"), category=category)
+        cs.add_group(VertexGroup(self.tiles, codelet, cycles, category=category, spec=spec))
+        self.ctx.append(ExecuteStep(cs))
 
-            def cycles(ctx, t=t, local=local, chunks=chunks):
-                ptr = local["row_ptr"]
+    def _tile_spmv_cycles(self, cost_dtype: str, batch: int) -> dict:
+        """Per tile, the SpMV's worker cycles over its nonzero-balanced row
+        chunks (computed once per precision and batch width)."""
+        key = (cost_dtype, batch)
+        if key not in self._spmv_cycles:
+            model = self.ctx.device.model
+            chunks = self._worker_row_chunks(self.ctx.device.spec.workers_per_tile)
+            per_tile = self._spmv_cycles[key] = {}
+            for t in self.tiles:
+                ptr = self.local[t]["row_ptr"].tolist()
                 # SpMM: every nonzero touches all `batch` RHS columns; the
                 # vertex overhead amortizes across the batch (the PopSparse
                 # effect the multi-RHS path exists for).
-                return [
-                    model.spmv_rows(
-                        cost_dtype, int(ptr[e] - ptr[s]) * batch, (e - s) * batch
-                    )
-                    for s, e in chunks
-                ] or [model.vertex_overhead]
-
-            # Whole-device lowering only vectorizes the f32 working-precision
-            # path; extended-precision SpMVs fall back to batched dispatch.
-            spec = (
-                SpmvSpec(self, x, y)
-                if x.dtype == Type.FLOAT32 and y.dtype == Type.FLOAT32
-                else None
-            )
-            cs.add_vertex(
-                Codelet(f"spmv@{t}", run, cycles, category=category, spec=spec), t, {}
-            )
-        self.ctx.append(ExecuteStep(cs))
+                per_tile[t] = tuple(
+                    model.spmv_rows(cost_dtype, (ptr[e] - ptr[s]) * batch, (e - s) * batch)
+                    for s, e in chunks[t]
+                ) or (model.vertex_overhead,)
+        return self._spmv_cycles[key]
 
     def _spmv_tile(self, t: int, local: dict, x: DistVector, y: DistVector) -> None:
         n_loc = local["n"]

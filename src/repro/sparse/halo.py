@@ -20,10 +20,19 @@ Burchard et al. [12], used by the ablation bench.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.graph.program import RegionCopy
+from repro.graph.program import (
+    COPY,
+    DST_OFFSET,
+    DST_TILE,
+    DST_VAR,
+    SIZE,
+    SRC_OFFSET,
+    SRC_TILE,
+)
 from repro.sparse.crs import ModifiedCRS
 from repro.sparse.partition import Partition
 
@@ -44,22 +53,55 @@ class Region:
         return self.cells.size
 
 
-@dataclass
+@dataclass(eq=False)
 class HaloPlan:
     """Per-tile memory layouts and the blockwise exchange schedule.
 
     The local layout of the solution vector on tile ``t`` is
     ``[interior cells | separator regions...]`` for the owned part and
-    ``[halo regions...]`` for the halo buffer (Fig. 3b).
+    ``[halo regions...]`` for the halo buffer (Fig. 3b).  The regions are
+    arrays, indexed by region id: region ``r`` is owned by
+    ``region_owner[r]``, holds ``region_cells[region_start[r] :
+    region_start[r + 1]]`` and sits at ``region_offset[r]`` in its owner's
+    layout; ``receivers`` has one ``(region, tile, halo offset)`` row per
+    tile requiring a region, region-major, tiles ascending.
     """
 
     partition: Partition
-    regions: list
     owned_order: dict  # tile -> np.ndarray of global ids (local layout)
     halo_order: dict  # tile -> np.ndarray of global ids (halo layout)
-    sep_offset: dict  # rid -> offset of the region in the owner's layout
-    halo_offset: dict  # (tile, rid) -> offset in the tile's halo buffer
+    owned_offset: np.ndarray  # global id -> its offset in its owner's layout
+    region_owner: np.ndarray
+    region_offset: np.ndarray
+    region_start: np.ndarray  # region id -> first of its cells; one more entry at the end
+    region_cells: np.ndarray  # separator cells, region by region, ascending within each
+    receivers: np.ndarray  # (pairs, 3) int64: region, receiving tile, offset in its halo
     blockwise: bool = True
+
+    # -- the regions as objects (inspection, the Schur interface) --------------------
+
+    @cached_property
+    def regions(self) -> list:
+        """The regions as :class:`Region` objects, by region id."""
+        bounds = np.searchsorted(self.receivers[:, 0], np.arange(len(self.region_owner) + 1))
+        tiles = self.receivers[:, 1].tolist()
+        cells = self.region_cells
+        return [
+            Region(r, owner, tuple(tiles[bounds[r] : bounds[r + 1]]), cells[a:b])
+            for r, (owner, a, b) in enumerate(zip(
+                self.region_owner.tolist(), self.region_start[:-1].tolist(),
+                self.region_start[1:].tolist()))
+        ]
+
+    @cached_property
+    def sep_offset(self) -> dict:
+        """rid -> offset of the region in the owner's layout."""
+        return dict(enumerate(self.region_offset.tolist()))
+
+    @cached_property
+    def halo_offset(self) -> dict:
+        """(tile, rid) -> offset of the region in the tile's halo buffer."""
+        return {(t, r): offset for r, t, offset in self.receivers.tolist()}
 
     # -- sizes ---------------------------------------------------------------------
 
@@ -80,61 +122,70 @@ class HaloPlan:
         permutation to the matrix realizes the reordering strategy."""
         return np.concatenate([self.owned_order[t] for t in self.tiles()])
 
-    def local_index(self, tile: int, cells) -> np.ndarray:
-        """Local vector index on ``tile`` (owned prefix, then halo) of each
-        global id in ``cells``, all of which the tile must hold."""
-        ids = np.concatenate([self.owned_order[tile], self.halo_order[tile]])
-        order = np.argsort(ids)
-        return order[np.searchsorted(ids[order], cells)]
+    def local_index(self, tiles, cells) -> np.ndarray:
+        """Local vector index (owned prefix, then halo) of each global id in
+        ``cells`` on ``tiles`` — one tile, or one per cell — which must hold
+        it: an owned cell's offset in its owner's layout, a halo cell's slot
+        in the tile's halo after the owned prefix."""
+        cells = np.asarray(cells, dtype=np.int64)
+        tiles = np.broadcast_to(np.asarray(tiles, dtype=np.int64), cells.shape)
+        out = self.owned_offset[cells]
+        foreign = np.flatnonzero(self.partition.owner[cells] != tiles)
+        if foreign.size:
+            keys, slots = self._halo_slots
+            at = np.searchsorted(keys, tiles[foreign] * self.partition.n + cells[foreign])
+            out[foreign] = self.partition.counts()[tiles[foreign]] + slots[at]
+        return out
+
+    @cached_property
+    def _halo_slots(self) -> tuple:
+        """Every halo cell keyed by ``tile * n + cell``, sorted, beside its
+        slot in that tile's halo."""
+        n = self.partition.n
+        keys = np.concatenate([t * n + ids for t, ids in self.halo_order.items()])
+        slots = np.concatenate([np.arange(ids.size) for ids in self.halo_order.values()])
+        order = np.argsort(keys)
+        return keys[order], slots[order]
 
     # -- exchange -----------------------------------------------------------------------
 
-    def copies(self, owned_var, halo_var) -> list:
-        """RegionCopies updating every halo buffer from its separator region.
-
-        ``owned_var``'s shard on each tile follows the owned layout;
-        ``halo_var``'s shard follows the halo layout.
-        """
-        out = []
-        for r in self.regions:
-            if self.blockwise:
-                out.append(
-                    RegionCopy(
-                        owned_var,
-                        r.owner,
-                        self.sep_offset[r.rid],
-                        tuple((halo_var, t, self.halo_offset[(t, r.rid)]) for t in r.receivers),
-                        r.size,
-                    )
-                )
-            else:
-                # Naive per-cell scheme: one instruction per cell (still
-                # broadcast per cell, as the fabric allows).
-                for k in range(r.size):
-                    out.append(
-                        RegionCopy(
-                            owned_var,
-                            r.owner,
-                            self.sep_offset[r.rid] + k,
-                            tuple(
-                                (halo_var, t, self.halo_offset[(t, r.rid)] + k)
-                                for t in r.receivers
-                            ),
-                            1,
-                        )
-                    )
-        return out
+    @cached_property
+    def copies(self) -> np.ndarray:
+        """The copy table (:data:`repro.graph.program.COPY` ... ``SIZE``
+        columns) updating every halo buffer from its separator region:
+        variable 0 is an owned vector (owned layout), variable 1 its halo
+        buffer (halo layout).  One copy per region, a row per receiver;
+        the naive scheme copies each cell on its own (still broadcast per
+        cell, as the fabric allows).  Rows run owner by owner."""
+        size = np.diff(self.region_start)
+        region, tile, offset = self.receivers.T
+        pairs = np.searchsorted(region, np.arange(size.size + 1))
+        fanout = np.diff(pairs)
+        pieces = np.ones_like(size) if self.blockwise else size  # copies per region
+        length = size if self.blockwise else np.ones_like(size)  # cells per copy
+        rows = pieces * fanout
+        row_region = np.repeat(np.arange(size.size), rows)
+        w = np.arange(rows.sum()) - np.repeat(np.cumsum(rows) - rows, rows)
+        piece = w // fanout[row_region]
+        pair = pairs[row_region] + w % fanout[row_region]
+        shift = piece * length[row_region]
+        table = np.zeros((row_region.size, 8), dtype=np.int64)
+        table[:, COPY] = (np.cumsum(pieces) - pieces)[row_region] + piece
+        table[:, SRC_TILE] = self.region_owner[row_region]
+        table[:, SRC_OFFSET] = self.region_offset[row_region] + shift
+        table[:, DST_VAR] = 1
+        table[:, DST_TILE] = tile[pair]
+        table[:, DST_OFFSET] = offset[pair] + shift
+        table[:, SIZE] = length[row_region]
+        return table
 
     # -- statistics (what the reordering optimizes) ---------------------------------------
 
     def num_copy_instructions(self) -> int:
         """Communication-program size: one instruction per copy per
         participant (sender + receivers)."""
-        total = 0
-        for r in self.regions:
-            per_copy = 1 + len(r.receivers)
-            total += per_copy if self.blockwise else per_copy * r.size
-        return total
+        table = self.copies
+        return len(table) + (int(table[-1, COPY]) + 1 if len(table) else 0)
 
     def total_halo_cells(self) -> int:
         return sum(self.halo_count(t) for t in self.tiles())
@@ -163,9 +214,9 @@ def _build(matrix: ModifiedCRS, partition: Partition, blockwise: bool) -> HaloPl
     # unique (cell, tile) pairs, held as two arrays.
     row_owner = np.repeat(owner, matrix.rows_nnz())
     foreign = row_owner != owner[matrix.col_idx]
-    req_cell, req_tile = np.divmod(
-        np.unique(matrix.col_idx[foreign].astype(np.int64) * parts + row_owner[foreign]), parts
-    )
+    pairs = np.sort(matrix.col_idx[foreign].astype(np.int64) * parts + row_owner[foreign])
+    # (A sort and a mask: cheaper here than np.unique's hashing.)
+    req_cell, req_tile = np.divmod(pairs[np.diff(pairs, prepend=-1) != 0], parts)
     # Separator cells, ascending; cell i's involved tiles are
     # ``req_tile[first[i] : first[i] + involved[i]]``, ascending.
     sep, first, involved = np.unique(req_cell, return_index=True, return_counts=True)
@@ -198,26 +249,34 @@ def _build(matrix: ModifiedCRS, partition: Partition, blockwise: bool) -> HaloPl
 
     # Step 4: one consistent order (ascending global id) everywhere.
     by_region = np.argsort(rid, kind="stable")
-    cells = sep[by_region]
-    regions, sep_offset, halo_offset = [], {}, {}
-    halo_fill = [0] * parts
-    a = 0
-    for r, size in enumerate(np.bincount(rid).tolist()):
-        i = by_region[a]
-        receivers = tuple(req_tile[first[i] : first[i] + involved[i]].tolist())
-        regions.append(Region(r, int(owner[sep[i]]), receivers, cells[a : a + size]))
-        sep_offset[r] = int(offset_in_tile[sep[i]])
-        for t in receivers:
-            halo_offset[(t, r)] = halo_fill[t]
-            halo_fill[t] += size
-        a += size
+    size = np.bincount(rid)
+    region_start = np.concatenate([[0], np.cumsum(size)])
+    head_at = by_region[region_start[:-1]]  # each region's first separator cell
+    head = sep[head_at]
+    # Each region's receivers, region-major: its first cell's involved tiles.
+    fanout = involved[head_at]
+    pair_region = np.repeat(np.arange(size.size), fanout)
+    pair_tile = req_tile[np.repeat(first[head_at] - (np.cumsum(fanout) - fanout), fanout)
+                         + np.arange(fanout.sum())]
+    # A region's offset in a receiver's halo: the sizes of the regions that
+    # tile receives before it (in region order, as in ``halo_cells``).
+    by_tile = np.lexsort((pair_region, pair_tile))
+    sizes = size[pair_region[by_tile]]
+    before = np.cumsum(sizes) - sizes
+    tile_first = np.flatnonzero(np.diff(pair_tile[by_tile], prepend=-1))
+    pair_offset = np.empty_like(before)
+    pair_offset[by_tile] = before - np.repeat(before[tile_first],
+                                              np.diff(np.append(tile_first, by_tile.size)))
     return HaloPlan(
         partition,
-        regions,
         owned_order=_slices(layout, owned_counts),
         halo_order=_slices(halo_cells, np.bincount(req_tile, minlength=parts)),
-        sep_offset=sep_offset,
-        halo_offset=halo_offset,
+        owned_offset=offset_in_tile,
+        region_owner=owner[head],
+        region_offset=offset_in_tile[head],
+        region_start=region_start,
+        region_cells=sep[by_region],
+        receivers=np.stack([pair_region, pair_tile, pair_offset], axis=1).astype(np.int64),
         blockwise=blockwise,
     )
 

@@ -14,6 +14,7 @@ each cell to a tile.  Two strategies:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +47,7 @@ class Partition:
         return self.owner.size
 
 
+@cache  # every solve's input gate asks (repro.solvers.api.validate_shape)
 def grid_factors(parts: int, ndim: int) -> tuple:
     """Factor ``parts`` into ``ndim`` near-equal factors (px*py*pz = parts)."""
     factors = [1] * ndim

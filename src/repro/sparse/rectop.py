@@ -20,6 +20,7 @@ from repro.graph import Exchange, RegionCopy
 from repro.graph.codelet import Codelet, ComputeSet
 from repro.graph.program import Execute as ExecuteStep
 from repro.sparse.distribute import DistVector, RowSegments
+from repro.tensordsl.tensor import ContextRef
 
 __all__ = ["DistributedRectOp"]
 
@@ -27,6 +28,8 @@ __all__ = ["DistributedRectOp"]
 class DistributedRectOp:
     """Distributed ``y = R x`` with output rows owned like ``out_matrix``'s
     vectors and input columns read from ``in_matrix``'s vectors."""
+
+    ctx = ContextRef()
 
     def __init__(self, ctx, R, out_matrix, in_matrix, name: str | None = None):
         R = sp.csr_matrix(R)

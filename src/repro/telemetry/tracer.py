@@ -100,7 +100,7 @@ class Tracer:
 
     def compute_phase(self, plan, start: int, cycles: int, sync_cycles: int) -> None:
         """Record one compute superstep from its frozen :class:`ComputePlan`."""
-        makespans = {tp.tile_id: tp.makespan for tp in plan.tiles}
+        makespans = dict(zip(plan.tile_ids.tolist(), plan.makespans.tolist()))
         n = len(makespans)
         mean = sum(makespans.values()) / n if n else 0.0
         imbalance = plan.worst_tile / mean if mean > 0 else 1.0

@@ -26,20 +26,20 @@ from repro.graph import (
     HostCallback,
     If as IfStep,
     Interval,
-    RegionCopy,
     Repeat as RepeatStep,
     RepeatWhile,
     Sequence,
     compile_program,
 )
+from repro.graph.program import COPY, DST_OFFSET, DST_TILE, DST_VAR, SIZE, SRC_TILE
 from repro.machine import IPUDevice
 from repro.tensordsl.expression import Expr
 from repro.tensordsl.materialize import (
-    batch_reduce_codelet,
+    batch_reduce_group,
     category_for,
     combine_codelet,
-    elementwise_codelets,
-    partial_reduce_codelets,
+    elementwise_group,
+    partial_reduce_group,
 )
 from repro.tensordsl.tensor import Tensor
 from repro.tensordsl.types import Type
@@ -169,9 +169,7 @@ class TensorContext:
                 f"cannot assign batch-{expr.batch} expression into "
                 f"batch-{out_var.batch} variable {out_var.name!r}"
             )
-        codelet = elementwise_codelets(self.device.model, expr, out_var, workers)
-        for t in sorted(common):
-            cs.add_vertex(codelet(t), t, {})
+        cs.add_group(elementwise_group(self.device.model, expr, out_var, workers, sorted(common)))
         self.append(ExecuteStep(cs))
 
     # -- reductions ------------------------------------------------------------------------------
@@ -198,24 +196,23 @@ class TensorContext:
             batch=batch,
         )
         cs = ComputeSet(self.graph.unique_name("cs_reduce"), category="reduce")
-        codelet = partial_reduce_codelets(self.device.model, expr, partials, workers, op=op)
-        for t in tiles:
-            cs.add_vertex(codelet(t), t, {})
+        cs.add_group(
+            partial_reduce_group(self.device.model, expr, partials, workers, tiles, op=op)
+        )
         self.append(ExecuteStep(cs))
 
         root = tiles[0]
         gathered = self.graph.add_single_tile(
             self.graph.unique_name("gath"), (len(tiles),), dtype, tile_id=root, batch=batch
         )
-        self.append(
-            Exchange(
-                [
-                    RegionCopy(partials, t, 0, ((gathered, root, i),), 1)
-                    for i, t in enumerate(tiles)
-                ],
-                name="exchange",
-            )
-        )
+        # Gather: partial i (variable 0 on tile i's tile) -> element i of
+        # ``gathered`` (variable 1 on the root), one copy per tile.
+        n = len(tiles)
+        gather = np.zeros((n, 8), dtype=np.int64)
+        gather[:, [COPY, DST_OFFSET]] = np.arange(n)[:, None]
+        gather[:, SRC_TILE] = tiles
+        gather[:, [DST_VAR, DST_TILE, SIZE]] = (1, root, 1)
+        self.append(Exchange(variables=(partials, gathered), table=gather))
 
         result = self.graph.add_replicated(
             self.graph.unique_name("red"), (), dtype, tile_ids=tiles, batch=batch
@@ -224,15 +221,13 @@ class TensorContext:
         cs2.add_vertex(combine_codelet(self.device.model, gathered, result, root, op=op), root, {})
         self.append(ExecuteStep(cs2))
 
-        # Broadcast the scalar back to every participating tile.
-        others = [t for t in tiles if t != root]
-        if others:
-            self.append(
-                Exchange(
-                    [RegionCopy(result, root, 0, tuple((result, t, 0) for t in others), 1)],
-                    name="exchange",
-                )
-            )
+        # Broadcast the scalar back to every participating tile: one copy,
+        # a destination per other tile.
+        if n > 1:
+            broadcast = np.zeros((n - 1, 8), dtype=np.int64)
+            broadcast[:, [SRC_TILE, SIZE]] = (root, 1)
+            broadcast[:, DST_TILE] = tiles[1:]
+            self.append(Exchange(variables=(result,), table=broadcast))
         return Tensor(self, var=result)
 
     def batch_reduce(self, tensor: Tensor, op: str = "max") -> Tensor:
@@ -254,10 +249,7 @@ class TensorContext:
             self.graph.unique_name("bred"), (), var.dtype, tile_ids=var.tile_ids
         )
         cs = ComputeSet(self.graph.unique_name("cs_batchred"), category="reduce")
-        for tile in var.tile_ids:
-            cs.add_vertex(
-                batch_reduce_codelet(self.device.model, var, out, tile, op=op), tile, {}
-            )
+        cs.add_group(batch_reduce_group(self.device.model, var, out, var.tile_ids, op=op))
         self.append(ExecuteStep(cs))
         return Tensor(self, var=out)
 

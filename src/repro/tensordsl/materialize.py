@@ -23,7 +23,13 @@ import numpy as np
 
 from repro.dw import joldes
 from repro.dw.eft import two_prod
-from repro.graph.codelet import BatchReduceSpec, Codelet, ElementwiseSpec, ReduceSpec
+from repro.graph.codelet import (
+    BatchReduceSpec,
+    Codelet,
+    ElementwiseSpec,
+    ReduceSpec,
+    VertexGroup,
+)
 from repro.tensordsl.expression import BinExpr, ConstExpr, ConvertExpr, Expr, Leaf, UnExpr
 from repro.tensordsl.types import Type, promote
 
@@ -31,10 +37,10 @@ __all__ = [
     "compile_expr",
     "assignment_evaluator",
     "expr_compilations",
-    "elementwise_codelets",
-    "partial_reduce_codelets",
+    "elementwise_group",
+    "partial_reduce_group",
     "combine_codelet",
-    "batch_reduce_codelet",
+    "batch_reduce_group",
     "category_for",
     "worker_chunks",
 ]
@@ -194,7 +200,10 @@ def _frozen(value):
 
 def _compile(expr: Expr):
     if isinstance(expr, Leaf):
-        return lambda resolve: resolve(expr)
+        # A fresh leaf: a root leaf remembers its evaluator, which must not
+        # point back at it (a cycle only the cyclic collector frees).
+        leaf = Leaf(expr.var)
+        return lambda resolve: resolve(leaf)
     if isinstance(expr, ConstExpr):
         value = np.float64(expr.value)
         convert = _converter(Type.FLOAT64, expr.dtype)
@@ -276,11 +285,11 @@ def _elementwise_worker_cycles(model, dtype, op_counts, n, workers):
     ] or [model.vertex_overhead]
 
 
-def elementwise_codelets(model, expr: Expr, out_var, workers: int):
-    """``codelet(tile_id)``: the fused elementwise codelet writing ``expr``
-    into ``out_var``'s shard on that tile.  What depends on the expression
-    alone — dtype, op mix, the spec, the worker cycles of a shard size — is
-    worked out once for the compute set, not per tile."""
+def elementwise_group(model, expr: Expr, out_var, workers: int, tiles) -> VertexGroup:
+    """The fused elementwise vertices writing ``expr`` into ``out_var``'s
+    shards on ``tiles``.  What depends on the expression alone — dtype, op
+    mix, the spec, the worker cycles of a shard size — is worked out once
+    for the compute set, not per tile."""
     expr_dt = expr.dtype
     op_counts = expr.op_counts()
     category = category_for(expr_dt)
@@ -290,6 +299,9 @@ def elementwise_codelets(model, expr: Expr, out_var, workers: int):
     worker_cycles = cache(
         lambda n: tuple(_elementwise_worker_cycles(model, expr_dt, op_counts, n, workers))
     )
+
+    def cycles(tile_id: int) -> tuple:
+        return worker_cycles(out_var.shard(tile_id).size * out_var.batch)
 
     def codelet(tile_id: int) -> Codelet:
         resolve = _tile_resolver(tile_id)
@@ -302,12 +314,10 @@ def elementwise_codelets(model, expr: Expr, out_var, workers: int):
             else:
                 sh.data[...], sh.lo[...] = value
 
-        def cycles(ctx):
-            return worker_cycles(out_var.shard(tile_id).size * out_var.batch)
+        return Codelet(f"ew@{tile_id}", run, lambda ctx: cycles(tile_id),
+                       category=category, spec=spec)
 
-        return Codelet(f"ew@{tile_id}", run, cycles, category=category, spec=spec)
-
-    return codelet
+    return VertexGroup(tiles, codelet, cycles, category=category, spec=spec)
 
 
 REDUCE_OPS = ("sum", "max", "min")
@@ -368,10 +378,11 @@ def _reduce_value_batched(value, dt: str, op: str, n: int, batch: int):
     return out
 
 
-def partial_reduce_codelets(model, expr: Expr, out_var, workers: int, op: str = "sum"):
-    """``codelet(tile_id)``: the per-tile partial reduction of ``expr`` into
-    ``out_var``'s one-element shard (shared per compute set like
-    :func:`elementwise_codelets`)."""
+def partial_reduce_group(model, expr: Expr, out_var, workers: int, tiles,
+                         op: str = "sum") -> VertexGroup:
+    """The per-tile partial reductions of ``expr`` into ``out_var``'s
+    one-element shards on ``tiles`` (shared per compute set like
+    :func:`elementwise_group`)."""
     dt = expr.dtype
     op_counts = expr.op_counts()
     spec = ReduceSpec(expr, out_var, op)
@@ -394,6 +405,9 @@ def partial_reduce_codelets(model, expr: Expr, out_var, workers: int, op: str = 
         costs[0] += model.reduce(dt, len(per_worker)) - model.vertex_overhead
         return tuple(costs)
 
+    def cycles(tile_id: int) -> tuple:
+        return worker_cycles(tile_size(tile_id) * out_var.batch)
+
     def codelet(tile_id: int) -> Codelet:
         resolve = _tile_resolver(tile_id)
 
@@ -409,12 +423,10 @@ def partial_reduce_codelets(model, expr: Expr, out_var, workers: int, op: str = 
             else:
                 sh.data[0] = result
 
-        def cycles(ctx):
-            return worker_cycles(tile_size(tile_id) * out_var.batch)
+        return Codelet(f"reduce@{tile_id}", run, lambda ctx: cycles(tile_id),
+                       category="reduce", spec=spec)
 
-        return Codelet(f"reduce@{tile_id}", run, cycles, category="reduce", spec=spec)
-
-    return codelet
+    return VertexGroup(tiles, codelet, cycles, category="reduce", spec=spec)
 
 
 def combine_codelet(model, gathered_var, out_var, tile_id: int, op: str = "sum") -> Codelet:
@@ -448,29 +460,26 @@ def combine_codelet(model, gathered_var, out_var, tile_id: int, op: str = "sum")
     )
 
 
-def batch_reduce_codelet(model, in_var, out_var, tile_id: int, op: str = "max") -> Codelet:
+def batch_reduce_group(model, in_var, out_var, tiles, op: str = "max") -> VertexGroup:
     """Collapse the trailing batch axis of a replicated batched scalar.
 
-    ``out = max_j in[:, j]`` (or min) — tile-local on every replica, so the
-    any-RHS-still-active loop condition costs no exchange.  max/min only:
-    they are order-insensitive, which keeps sim and fused bit-identical.
+    ``out = max_j in[:, j]`` (or min) on every tile of ``tiles`` —
+    tile-local on every replica, so the any-RHS-still-active loop condition
+    costs no exchange.  max/min only: they are order-insensitive, which
+    keeps sim and fused bit-identical.
     """
     if op not in ("max", "min"):
         raise ValueError(f"batch reduction supports max/min, got {op!r}")
     if in_var.dtype == Type.DOUBLEWORD:
         raise ValueError("batch reduction over dw scalars is not supported")
+    tasks = (model.reduce(in_var.dtype, in_var.batch),)
+    spec = BatchReduceSpec(in_var, out_var, op)
 
-    def run(ctx):
-        arr = in_var.shard(tile_id).data[0]
-        out_var.shard(tile_id).data[0] = arr.max() if op == "max" else arr.min()
+    def codelet(tile_id: int) -> Codelet:
+        def run(ctx):
+            arr = in_var.shard(tile_id).data[0]
+            out_var.shard(tile_id).data[0] = arr.max() if op == "max" else arr.min()
 
-    def cycles(ctx):
-        return model.reduce(in_var.dtype, in_var.batch)
+        return Codelet(f"batchred@{tile_id}", run, tasks, category="reduce", spec=spec)
 
-    return Codelet(
-        f"batchred@{tile_id}",
-        run,
-        cycles,
-        category="reduce",
-        spec=BatchReduceSpec(in_var, out_var, op),
-    )
+    return VertexGroup(tiles, codelet, lambda tile_id: tasks, category="reduce", spec=spec)

@@ -14,15 +14,48 @@ overload ``operator=``; Python cannot).
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.tensordsl.expression import BinExpr, ConstExpr, ConvertExpr, Expr, Leaf, UnExpr
 
-__all__ = ["Tensor"]
+__all__ = ["Tensor", "ContextRef"]
+
+
+class ContextRef:
+    """The ``ctx`` attribute of an object built into a
+    :class:`~repro.tensordsl.TensorContext` (tensors, distributed matrices,
+    solvers), held weakly.
+
+    The context's schedule refers back to these objects (specs, codelet
+    factories, host callbacks); a strong reference both ways would leave
+    every dropped program to the cyclic collector, which runs the less often
+    the fewer objects a build allocates.  The builder keeps the context
+    alive while it builds.
+    """
+
+    def __set_name__(self, owner, name):
+        self.slot = f"_{name}_ref"
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        ctx = getattr(obj, self.slot)()
+        if ctx is None:
+            raise ReferenceError(
+                f"the TensorContext this {type(obj).__name__} was built in is gone; "
+                "keep the context alive while building into it")
+        return ctx
+
+    def __set__(self, obj, ctx):
+        setattr(obj, self.slot, weakref.ref(ctx))
 
 
 class Tensor:
     """Handle to a (lazy or materialized) TensorDSL tensor."""
+
+    ctx = ContextRef()
 
     def __init__(self, ctx, expr: Expr | None = None, var=None):
         if (expr is None) == (var is None):

@@ -15,6 +15,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from copy_oracle import region_copies
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -604,7 +605,7 @@ def _reference_copy_ops(step, flat):
         return np.concatenate([np.arange(r0, r1) for r0, r1 in ranges])
 
     groups, buffers = {}, {}
-    for rc in step.copies:
+    for rc in region_copies(step):
         for dst_var, dst_tile, dst_offset in rc.dests:
             if flat:
                 src, sb = _flat_rows(rc.src_var, rc.src_tile, buffers)

@@ -8,6 +8,7 @@ regression on a communication-heavy program.
 
 import numpy as np
 import pytest
+from copy_oracle import region_copies
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -441,7 +442,7 @@ def _quadratic_coalesce(steps):
             or any(
                 var is rc.src_var and tile == rc.src_tile
                 and offset < rc.src_offset + rc.size and rc.src_offset < offset + size
-                for rc in s.copies
+                for rc in region_copies(s)
                 for var, tile, offset, size in written
             )
         ):
@@ -449,7 +450,7 @@ def _quadratic_coalesce(steps):
             group, written = [], []
         group.append(s)
         written += [(var, tile, offset, rc.size)
-                    for rc in s.copies for var, tile, offset in rc.dests]
+                    for rc in region_copies(s) for var, tile, offset in rc.dests]
     return groups + [group] if group else groups
 
 
@@ -501,11 +502,15 @@ class TestIndexedHazardChecks:
         out = CoalesceExchanges().run(Sequence(list(steps))).steps
         want = _quadratic_coalesce(steps)
         assert len(out) == len(want)
+        def key(rc):
+            return (id(rc.src_var), rc.src_tile, rc.src_offset, rc.size,
+                    tuple((id(var), tile, offset) for var, tile, offset in rc.dests))
+
         for merged, group in zip(out, want):
             assert merged.name == group[0].name
-            copies = [rc for s in group for rc in s.copies]
-            assert len(merged.copies) == len(copies)
-            assert all(a is b for a, b in zip(merged.copies, copies))
+            copies = [rc for s in group for rc in region_copies(s)]
+            assert merged.n_copies == len(copies)
+            assert [key(rc) for rc in region_copies(merged)] == [key(rc) for rc in copies]
 
     @given(_exchanges)
     @settings(max_examples=200, deadline=None)
@@ -516,7 +521,7 @@ class TestIndexedHazardChecks:
         compiled = compile_program(g, Sequence(list(steps)), optimize=False)
         for step in steps:
             ranges = []
-            for rc in step.copies:
+            for rc in region_copies(step):
                 ranges.append((id(rc.src_var.shard(rc.src_tile).data), rc.src_offset,
                                rc.src_offset + rc.size, False))
                 ranges += [(id(var.shard(tile).data), offset, offset + rc.size, True)
@@ -538,19 +543,18 @@ class TestIndexedHazardChecks:
         got = _any_write_overlap(array, start, start + size, is_write.astype(bool))
         assert got == _all_pairs_write_overlap(array, start, start + size, is_write)
 
-    def test_hazard_probes_grow_linearly_with_the_halo(self, monkeypatch):
+    def test_a_hazard_free_run_is_checked_once_as_the_halo_grows(self, monkeypatch):
         """An in-place ring halo: tile ``t`` sends its ``R`` owned regions into
         the halo slots of tile ``t + 1`` of the *same* variable, one exchange
-        per sending tile (as the sparse layer emits them).  Every region the
-        indexed check examines is one ``_regions_overlap`` call, and a copy
-        examines only what was written on its own source shard — ``R``
-        regions — so probes per copy stay put while the halo grows 4x."""
+        per sending tile (as the sparse layer emits them).  No read of the
+        run meets a write of it, so the whole run is one table check — not
+        one per exchange — however many tiles send."""
         from repro.graph.passes import coalesce
 
-        probes = []
-        real = coalesce._regions_overlap
-        monkeypatch.setattr(coalesce, "_regions_overlap",
-                            lambda *a: probes.append(a) or real(*a))
+        checks = []
+        real = coalesce._reads_written
+        monkeypatch.setattr(coalesce, "_reads_written",
+                            lambda *a: checks.append(len(a[0][0])) or real(*a))
         R = 3
 
         def ring(tiles):
@@ -561,14 +565,14 @@ class TestIndexedHazardChecks:
                           for k in range(R)])
                 for t in range(tiles)
             ]
-            probes.clear()
+            checks.clear()
             out = CoalesceExchanges().run(Sequence(steps))
             assert len(out.steps) == 1  # owned and halo slots never overlap
-            return len(probes), tiles * R
+            assert out.steps[0].n_copies == tiles * R
+            return list(checks)
 
-        small, large = ring(4), ring(16)
-        assert small == ((4 - 1) * R * R, 4 * R)
-        assert large == ((16 - 1) * R * R, 16 * R)  # all pairs would be ~16x, not ~4x
+        assert ring(4) == [4 * R]
+        assert ring(16) == [16 * R]
 
 
 # -- regression: coalescing on a communication-heavy program ---------------------------

@@ -234,7 +234,7 @@ class TestWorkerChunks:
         crs, dims = poisson3d(6)
         ctx, A = make(crs, dims, tiles=4)
         for t in A.tiles:
-            chunks = A._worker_row_chunks(t, 6)
+            chunks = A._worker_row_chunks(6)[t]
             covered = []
             for s, e in chunks:
                 covered.extend(range(s, e))
@@ -245,5 +245,5 @@ class TestWorkerChunks:
         ctx = TensorContext(IPUDevice(tiles_per_ipu=4))
         A = DistributedMatrix(ctx, crs)
         for t in A.tiles:
-            chunks = A._worker_row_chunks(t, 6)
+            chunks = A._worker_row_chunks(6)[t]
             assert sum(e - s for s, e in chunks) == A.local[t]["n"]

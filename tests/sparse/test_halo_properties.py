@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph.program import DST_OFFSET, DST_TILE, SIZE
 from repro.sparse import ModifiedCRS, build_halo_plan, partition_rows
 
 
@@ -92,15 +93,9 @@ class TestHaloPlanInvariants:
 
         # The copy schedule's (offset, size) windows must tile each halo
         # buffer without gaps or overlaps.
-        class FakeVar:  # structural stand-in: copies() only records metadata
-            def __init__(self):
-                pass
-
-        copies = plan.copies(FakeVar(), FakeVar())
         windows = {}
-        for rc in copies:
-            for _, t, off in rc.dests:
-                windows.setdefault(t, []).append((off, rc.size))
+        for t, off, size in plan.copies[:, [DST_TILE, DST_OFFSET, SIZE]].tolist():
+            windows.setdefault(t, []).append((off, size))
         for t, ws in windows.items():
             ws.sort()
             pos = 0

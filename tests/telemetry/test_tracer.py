@@ -9,7 +9,7 @@ pre-telemetry runtime.
 import numpy as np
 import pytest
 
-from repro.graph.passes.plans import ComputePlan, ExchangePlan, TilePlan
+from repro.graph.passes.plans import ComputePlan, ExchangePlan
 from repro.machine import IPUDevice
 from repro.machine.fabric import ExchangePhase, Transfer
 from repro.telemetry import CounterEvent, InstantEvent, SpanEvent, Tracer
@@ -17,14 +17,16 @@ from repro.telemetry.tracer import TILE_DETAIL_LIMIT
 
 
 def compute_plan(makespans, name="cs_test", category="spmv"):
-    tiles = tuple(TilePlan(t, m) for t, m in enumerate(makespans))
-    return ComputePlan(name=name, category=category, tiles=tiles,
+    return ComputePlan(name=name, category=category, tile_ids=np.arange(len(makespans)),
+                       makespans=np.array(makespans, dtype=np.int64),
                        worst_tile=max(makespans, default=0))
 
 
 def exchange_plan(transfers=(), name="exchange", local=0):
-    return ExchangePlan(name=name, transfers=tuple(transfers), local_cycles=local,
-                        vectorized=True, flat=(), n_ops=0, copies=((), ()))
+    plan = ExchangePlan(name=name, local_cycles=local, vectorized=True, flat=(), n_ops=0,
+                        copies=((), ()))
+    vars(plan)["transfers"] = tuple(transfers)  # seeds the lazily built list
+    return plan
 
 
 class TestTracerPrimitives:

@@ -45,9 +45,9 @@ class TestSolveCommand:
         ])
         assert rc == 0
 
-    def test_unknown_matrix_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["solve", "--matrix", "nonsense:3", "--config", "{}"])
+    def test_unknown_matrix_rejected(self, capsys):
+        assert main(["solve", "--matrix", "nonsense:3", "--config", "{}"]) == 19
+        assert "unknown matrix spec 'nonsense:3'" in capsys.readouterr().err
 
 
 class TestCacheCommands:
@@ -127,6 +127,22 @@ class TestCacheCommands:
         bs = np.load(rhs)
         for x, b in zip(xs, bs):
             assert np.linalg.norm(crs.spmv(x) - b) / np.linalg.norm(b) < 1e-4
+
+    @pytest.mark.parametrize("command", ["solve", "batch"])
+    @pytest.mark.parametrize("rhs, needle", [
+        ("missing.npy", "no such file"),
+        ("text.txt", "is not a .npy array"),
+        ("arrays.npz", "is an archive"),
+    ])
+    def test_malformed_rhs_file_is_a_typed_error(self, command, rhs, needle, tmp_path,
+                                                 capsys):
+        (tmp_path / "text.txt").write_text("1 2 3\n")
+        np.savez(tmp_path / "arrays.npz", b=np.ones(64))
+        rc = main([command, "--matrix", "poisson2d:8", "--config", "cg", "--tiles", "4",
+                   "--rhs", str(tmp_path / rhs)])
+        assert rc == 10
+        err = capsys.readouterr().err
+        assert err.startswith("error: --rhs:") and needle in err
 
     def test_batch_rejects_wrong_rhs_shape(self, tmp_path):
         rhs = tmp_path / "bad.npy"
@@ -352,6 +368,15 @@ class TestObservabilityCommands:
     def test_metrics_report_rejects_missing_file(self, tmp_path):
         with pytest.raises(SystemExit, match="no such metrics file"):
             main(["metrics-report", str(tmp_path / "missing.prom")])
+
+    @pytest.mark.parametrize("command", [["trace-report"], ["trace-report", "--check"],
+                                         ["metrics-report"]])
+    def test_report_commands_reject_malformed_json(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"traceEvents": [')
+        assert main([command[0], str(bad), *command[1:]]) == 10
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_wall_trace_works_on_every_backend(self, tmp_path, capsys):
         for backend in ("sim", "fused"):
