@@ -22,6 +22,7 @@ __all__ = [
     "QuotaExceededError",
     "MatrixFormatError",
     "SolverConfigError",
+    "FactorizationError",
 ]
 
 
@@ -233,3 +234,21 @@ class SolverConfigError(ReproError, ValueError):
     bounds (the message names its key path)."""
 
     exit_code = 20
+
+
+class FactorizationError(ReproError, ArithmeticError):
+    """An ILU(0) / DILU factorization produced a zero or non-finite pivot.
+
+    Each tile factors its block as the program is built, so this is raised
+    before anything is lowered or run — never a NaN solve.  Carries the
+    preconditioner's name, the tile and the tile-local row of the pivot.
+    """
+
+    exit_code = 21
+
+    def __init__(self, message: str, *, solver: str | None = None,
+                 tile: int | None = None, row: int | None = None):
+        self.solver = solver
+        self.tile = tile
+        self.row = row
+        super().__init__(message)

@@ -66,6 +66,7 @@ import numpy as np
 
 from repro.errors import (
     DivergenceError,
+    FactorizationError,
     JobTimeoutError,
     QuotaExceededError,
     ReproError,
@@ -519,6 +520,8 @@ class SolverService:
             failure, error = "breakdown", exc
         except DivergenceError as exc:
             failure, error = (exc.reason or "divergence"), exc
+        except FactorizationError as exc:  # the structure cannot factor: terminal
+            failure, error = "factorization", exc
         dt = time.perf_counter() - t0
         if width > 1:
             self._count_phases_saved(result, width)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import FactorizationError
 from repro.graph.codelet import Codelet, ComputeSet, SweepSpec, VertexGroup
 from repro.graph.program import Execute as ExecuteStep
 from repro.machine.cycles import OP_CYCLES
@@ -29,11 +30,21 @@ from repro.solvers.sweeps import SweepPlan, build_sweep
 __all__ = ["ILU0", "DILU"]
 
 
-def _factor_ilu0(n, row_ptr, col_idx, values, diag):
+def _check_pivot(value, solver: str, tile: int, row: int) -> None:
+    """Refuse a pivot no substitution may divide by."""
+    if value == 0 or not np.isfinite(value):
+        raise FactorizationError(
+            f"{solver}: the factorization of tile {tile} produced pivot {value} at local "
+            f"row {row}; the tile's block is singular or unstable under {solver}",
+            solver=solver, tile=tile, row=row)
+
+
+def _factor_ilu0(n, row_ptr, col_idx, values, diag, tile: int):
     """In-place-style block-local ILU(0); returns (values_f, diag_u, flops).
 
     Lower entries end up holding L (unit diagonal implied), upper entries
-    hold U's off-diagonals, ``diag_u`` holds U's diagonal.
+    hold U's off-diagonals, ``diag_u`` holds U's diagonal.  Each pivot is
+    checked as row ``i`` completes it, before a later row divides by it.
     """
     vals = values.astype(np.float32).copy()
     diag_u = diag.astype(np.float32).copy()
@@ -60,11 +71,13 @@ def _factor_ilu0(n, row_ptr, col_idx, values, diag):
                     p = row_map[i][j]
                     vals[p] = np.float32(vals[p] - l_ik * vals[pos_kj])
                     flops += 2
+        _check_pivot(diag_u[i], "ilu0", tile, i)
     return vals, diag_u, flops
 
 
-def _factor_dilu(n, row_ptr, col_idx, values, diag):
-    """Block-local DILU diagonal; returns (d, flops)."""
+def _factor_dilu(n, row_ptr, col_idx, values, diag, tile: int):
+    """Block-local DILU diagonal; returns (d, flops).  Each pivot is checked
+    as row ``i`` completes it."""
     d = diag.astype(np.float32).copy()
     row_map = []
     for i in range(n):
@@ -79,6 +92,7 @@ def _factor_dilu(n, row_ptr, col_idx, values, diag):
             if pos_ki is not None:
                 d[i] = np.float32(d[i] - values[pos_ik] * values[pos_ki] / d[k])
                 flops += 3
+        _check_pivot(d[i], "dilu", tile, i)
     return d, flops
 
 
@@ -98,7 +112,7 @@ class _ILUBase(Solver):
         factor_cycle_costs = {}
         for t in self.A.tiles:
             loc = self.A.local[t]
-            data = self._factor_tile(loc)
+            data = self._factor_tile(loc, t)
             data["work"] = np.empty(loc["n"], dtype=np.float32)
             self._tile_data[t] = data
             factor_cycle_costs[t] = data["factor_flops"] * (
@@ -119,7 +133,7 @@ class _ILUBase(Solver):
         ))
         self.ctx.append(ExecuteStep(cs))
 
-    def _factor_tile(self, loc) -> dict:  # pragma: no cover - abstract
+    def _factor_tile(self, loc, tile: int) -> dict:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def _device_state(self) -> dict:
@@ -187,9 +201,9 @@ def _triangular_plans(loc, values) -> tuple:
 class ILU0(_ILUBase):
     name = "ilu0"
 
-    def _factor_tile(self, loc) -> dict:
+    def _factor_tile(self, loc, tile: int) -> dict:
         vals, diag_u, flops = _factor_ilu0(
-            loc["n"], loc["row_ptr"], loc["col_idx"], loc["values"], loc["diag"]
+            loc["n"], loc["row_ptr"], loc["col_idx"], loc["values"], loc["diag"], tile
         )
         fwd, bwd = _triangular_plans(loc, vals)
         return {"fwd": fwd, "bwd": bwd, "diag": diag_u, "factor_flops": flops}
@@ -204,9 +218,9 @@ class ILU0(_ILUBase):
 class DILU(_ILUBase):
     name = "dilu"
 
-    def _factor_tile(self, loc) -> dict:
+    def _factor_tile(self, loc, tile: int) -> dict:
         d, flops = _factor_dilu(
-            loc["n"], loc["row_ptr"], loc["col_idx"], loc["values"], loc["diag"]
+            loc["n"], loc["row_ptr"], loc["col_idx"], loc["values"], loc["diag"], tile
         )
         fwd, bwd = _triangular_plans(loc, loc["values"])
         return {"fwd": fwd, "bwd": bwd, "diag": d, "factor_flops": flops}

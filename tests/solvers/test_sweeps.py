@@ -1,13 +1,19 @@
 """Tests for the level-scheduled sweep engine."""
 
+import shutil
+import stat
+
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machine import CycleModel, MK2
-from repro.solvers.sweeps import SweepPlan, build_sweep
+from repro.solvers import native, solve
+from repro.solvers.sweeps import SweepPlan, build_sweep, native_sweep
 from repro.sparse import ModifiedCRS, poisson2d
+from repro.sparse.suitesparse import g3_circuit_like
 
 
 def local_block(crs):
@@ -58,7 +64,7 @@ class TestBackwardSweep:
         crs, _ = poisson2d(3)
         n, ptr, cols, vals, diag = local_block(crs)
         plan = build_sweep(n, ptr, cols, vals, include=lambda r, c: c > r, backward=True)
-        assert plan.level_rows[0][-1] == n - 1  # last row has no upper deps
+        assert plan.schedule.levels[0][-1] == n - 1  # last row has no upper deps
 
 
 class TestGSLikeSweep:
@@ -183,12 +189,9 @@ def test_merged_plan_equals_per_tile_plans_bitwise(
         else:
             include = lambda r, c: np.ones(r.size, dtype=bool)
         plan = build_sweep(n, ptr, cols, vals, include=include, backward=backward)
-        if empty_level <= len(plan.level_rows):
-            none = np.zeros(0, dtype=np.int64)
-            levels = [plan.level_rows, plan.level_cols, plan.level_vals, plan.level_ptr]
-            for level, empty in zip(levels, (none, none, vals[:0], np.zeros(1, np.int64))):
-                level.insert(empty_level, empty)
-            plan = SweepPlan(n, *levels)
+        if empty_level <= plan.num_levels:
+            level_ptr = np.insert(plan.level_ptr, empty_level, plan.level_ptr[empty_level])
+            plan = SweepPlan(n, level_ptr, plan.rows, plan.entry_ptr, plan.cols, plan.vals)
         plans.append(plan)
         starts.append(row0)
         col_maps.append(np.concatenate([
@@ -244,3 +247,140 @@ def test_a_tile_last_row_sums_exactly_its_own_entries():
         assert _same_bits(x_tile[:n], x_dev[i * n : (i + 1) * n])
         assert _same_bits(x_tile[1:2], np.array([alone], np.float32))
     assert np.signbit(x_dev[3]) == np.signbit(np.float32(-0.0) - np.float32(-0.0))
+
+
+# -- the native call == the numpy loop, bit for bit -----------------------------------------
+
+#: Row lengths on both sides of every ``reduceat`` regime boundary: seven /
+#: eight rest addends, 128 / 129 (the recursive split), and long rows.
+EDGES = [0, 1, 7, 8, 9, 10, 127, 128, 129, 130, 137, 200, 257, 300]
+
+
+@st.composite
+def sweep_shape(draw):
+    """Row lengths 0-300 of an ``n``-row block with ``halo`` extra columns,
+    and whether its last row is empty."""
+    n = draw(st.integers(1, 10))
+    halo = draw(st.integers(0, 4))
+    length = st.one_of(st.integers(0, 12), st.sampled_from(EDGES))
+    lengths = draw(st.lists(length, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        lengths[-1] = 0
+    return n, halo, lengths
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=sweep_shape(),
+    kind=st.sampled_from(["ilu_forward", "ilu_backward", "gs_forward", "gs_backward"]),
+    with_diag=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_native_sweep_equals_the_numpy_loop_bitwise(shape, kind, with_diag, seed):
+    """Property: ``run`` (the native call wherever a compiler is) equals
+    ``run_numpy`` by ``view(np.uint32)`` — ILU-style strictly triangular
+    block-local plans both ways, include-all Gauss-Seidel plans whose rows
+    read same-level rows and halo cells, empty and trailing-empty rows,
+    rows of 0-300 entries, unit and non-unit diagonals, ±0.0 / ±inf / NaN.
+    Two NaNs match whatever their payloads."""
+    n, halo, lengths = shape
+    rng = np.random.default_rng(seed)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    ptr = np.concatenate([[0], np.cumsum(lengths)])
+    cols = rng.integers(0, n + halo, ptr[-1])
+    backward = kind.endswith("backward")
+    if kind.startswith("ilu"):
+        include = ((lambda r, c: (c > r) & (c < n)) if backward
+                   else (lambda r, c: (c < r) & (c < n)))
+    else:
+        include = lambda r, c: np.ones(r.size, dtype=bool)
+    plan = build_sweep(n, ptr, cols, _mostly_normal(rng, cols.size, special, share=0.02),
+                       include=include, backward=backward)
+    x = _mostly_normal(rng, n + halo, special, share=0.1)
+    rhs = _mostly_normal(rng, n, special, share=0.1)
+    diag = rng.choice(np.array([1.0, -2.0, 0.5, 3.0, 1e-3, -0.0], np.float32), n)
+    d = diag if with_diag else None
+    x_native, x_numpy = x.copy(), x.copy()
+    with np.errstate(all="ignore"):
+        plan.run(x_native, rhs, d)
+        plan.run_numpy(x_numpy, rhs, d)
+    assert _same_bits(x_native, x_numpy)
+
+
+def test_the_native_sweep_is_in_use_wherever_a_compiler_is():
+    """A broken toolchain fails here instead of silently losing the gain."""
+    assert native_sweep() is not None or shutil.which("cc") is None
+
+
+def test_run_takes_contiguous_float32_buffers_only():
+    plan = build_sweep(2, np.array([0, 0, 1]), np.array([0]), np.array([2.0], np.float32),
+                       include=lambda r, c: c < r)
+    x, b = np.zeros(2, np.float32), np.ones(2, np.float32)
+    for bad in (x.astype(np.float64), np.zeros(4, np.float32)[::2], x.tolist()):
+        with pytest.raises(TypeError, match="contiguous 1-D float32"):
+            plan.run(bad, b)
+    with pytest.raises(TypeError, match="sweep rhs"):
+        plan.run(x, b.astype(np.float64))
+    with pytest.raises(ValueError, match="at least 2"):
+        plan.run(np.zeros(1, np.float32), b)
+    plan.run(x, b)
+    assert x.tolist() == [1.0, -1.0]
+
+
+MPIR_FIG8 = {"solver": "mpir", "precision": "dw", "tol": 1e-9, "max_outer": 12,
+             "inner": {"solver": "bicgstab", "fixed_iterations": 50, "tol": 2e-7,
+                       "record_history": False, "preconditioner": {"solver": "ilu0"}}}
+
+
+def test_a_solve_without_the_library_is_bit_identical(monkeypatch):
+    """An ``mpir_ilu_g3``-shaped solve (the Fig. 8 config on a g3 double,
+    16 tiles) with the loader forced to report no library runs the numpy
+    loop — after one RuntimeWarning saying why — and matches the native
+    solve bit for bit: ``x``, residual history, modeled cycles."""
+    crs = g3_circuit_like(grid=16)
+    b = crs.spmv(np.random.default_rng(3).standard_normal(crs.n)).astype(np.float32)
+
+    def run():
+        return solve(crs, b, MPIR_FIG8, num_ipus=1, tiles_per_ipu=16, backend="sim")
+
+    reference = run()
+    monkeypatch.setattr(native, "load", lambda name: (None, "forced off"))
+    native_sweep.cache_clear()
+    try:
+        with pytest.warns(RuntimeWarning, match="numpy level loop: forced off"):
+            fallback = run()
+    finally:
+        native_sweep.cache_clear()
+    assert reference.failure is None
+    assert reference.x.tobytes() == fallback.x.tobytes()
+    assert reference.stats.residuals == fallback.stats.residuals
+    assert reference.cycles == fallback.cycles
+
+
+def test_the_loader_caches_and_needs_no_compiler_on_a_hit(tmp_path, monkeypatch):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    library, reason = native.load("sweep.c")
+    assert library is not None, reason
+    cache = tmp_path / "repro"
+    assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+    assert [p.suffix for p in cache.iterdir()] == [".so"]  # no temporary left behind
+    monkeypatch.setenv("PATH", str(tmp_path / "nothing"))
+    assert native.load("sweep.c")[0] is not None  # opened from the cache
+
+
+def test_the_loader_falls_back_to_a_private_directory(tmp_path, monkeypatch):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))  # mkdir under a file fails
+    library, reason = native.load("sweep.c")
+    assert library is not None, reason
+
+
+def test_the_loader_reports_a_missing_compiler(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setenv("PATH", str(tmp_path / "nothing"))
+    assert native.load("sweep.c") == (None, "no C compiler (cc) on PATH")

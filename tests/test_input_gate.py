@@ -3,20 +3,25 @@ every entry point — ``solve()``, ``SolverService.submit()`` and the CLI —
 never a NaN result reported as success.  So is a solver config whose
 tolerance or iteration cap is out of bounds, or a device shape (tile and
 IPU counts, ``grid_dims``) that cannot hold the matrix
-(``SolverConfigError``, exit code 20), and a CLI matrix spec that names no
-matrix (``MatrixFormatError``, exit code 19)."""
+(``SolverConfigError``, exit code 20), a CLI matrix spec that names no
+matrix (``MatrixFormatError``, exit code 19), and a block whose ILU(0) /
+DILU factorization meets a zero pivot (``FactorizationError``, exit code
+21)."""
 
 import asyncio
 import json
+import warnings
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse as sp
 
 from repro.cli import main
-from repro.errors import ReproError, SolverConfigError
+from repro.errors import FactorizationError, ReproError, SolverConfigError
 from repro.serve import ServicePolicy, SolverService
 from repro.solvers import solve
-from repro.sparse import poisson2d
+from repro.sparse import ModifiedCRS, poisson2d
 
 CRS, DIMS = poisson2d(8)
 N = CRS.n
@@ -232,3 +237,56 @@ def test_cli_exits_19_on_bad_matrix_spec(spec, needle, capsys):
     assert rc == 19
     err = capsys.readouterr().err
     assert err.startswith("error:") and needle in err
+
+
+#: Rows 0 and 1 couple as ``[[1, 1], [1, 1]]``: ILU(0) and DILU both produce
+#: the pivot ``1 - 1·1/1 = 0`` at local row 1 of the one tile.  It used to
+#: build and run the whole program behind a numpy divide warning and end in
+#: ``failure="nan_residual"``.
+ZERO_PIVOT = np.array([[1.0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+PIVOT_NEEDLE = "the factorization of tile 0 produced pivot 0.0 at local row 1"
+
+
+def _bicgstab(pre: str) -> dict:
+    return {"solver": "bicgstab", "preconditioner": {"solver": pre}}
+
+
+@pytest.mark.parametrize("pre", ["ilu0", "dilu"])
+def test_a_zero_pivot_is_refused_before_anything_is_lowered(pre):
+    from repro.graph.passes import pass_invocations
+
+    crs = ModifiedCRS.from_scipy(sp.csr_matrix(ZERO_PIVOT))
+    before = pass_invocations()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning on the way
+        with pytest.raises(FactorizationError, match=PIVOT_NEEDLE) as exc_info:
+            solve(crs, np.ones(4), _bicgstab(pre), num_tiles=1)
+    err = exc_info.value
+    assert (err.exit_code, err.solver, err.tile, err.row) == (21, pre, 0, 1)
+    assert pass_invocations() == before
+
+
+@pytest.mark.parametrize("pre", ["ilu0", "dilu"])
+def test_submit_settles_a_zero_pivot_job_with_the_error(pre):
+    crs = ModifiedCRS.from_scipy(sp.csr_matrix(ZERO_PIVOT))
+
+    async def go():
+        async with SolverService(workers=1) as svc:
+            job = svc.submit(crs, np.ones(4), _bicgstab(pre), num_tiles=1, backend="fused")
+            with pytest.raises(FactorizationError, match=PIVOT_NEEDLE):
+                await job.future
+            return svc.accounting()
+
+    acc = asyncio.run(go())
+    assert acc["balanced"], acc
+    assert acc["worker_faults"] == 0 and acc["failed"] == 1, acc
+
+
+def test_cli_exits_21_on_a_zero_pivot(tmp_path, capsys):
+    path = tmp_path / "pivot.mtx"
+    scipy.io.mmwrite(path, sp.coo_matrix(ZERO_PIVOT))
+    rc = main(["solve", "--matrix", str(path), "--config", json.dumps(_bicgstab("ilu0")),
+               "--tiles", "1"])
+    assert rc == 21
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and PIVOT_NEEDLE in err

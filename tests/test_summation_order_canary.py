@@ -17,7 +17,9 @@ sum, not that a kernel is wrong:
   ``a0 + pairwise(a1, a2, ...)`` — sequential from ``-0.0`` for up to seven
   rest addends, an unrolled tree from eight on (``sparse.sell`` reproduces
   the first regime slot by slot and leaves longer rows to ``reduceat``;
-  docs/runtime.md, "Why the summation order is not left to right").
+  docs/runtime.md, "Why the summation order is not left to right").  The
+  whole formula, tree and recursive split included, is pinned up to 300
+  addends: the native sweep kernel (``solvers/sweep.c``) implements it.
 
 The host-side f64 residual of every solve (``ModifiedCRS.spmv``) rides on
 SciPy's private compiled ``csr_matvec``; its canary names the SciPy version:
@@ -107,6 +109,41 @@ def test_reduceat_is_first_element_plus_pairwise_rest():
     assert _bits(np.add.reduceat(zeros, [0])[0]) == _bits(-0.0), (
         f"{VERSION}: reduceat's pairwise rest no longer starts from -0.0"
     )
+
+
+def _numpy_pairwise(a) -> np.float32:
+    """numpy's float32 ``pairwise_sum`` (``loops_utils.h.src``), written out:
+    below eight addends the sequential sum from ``-0.0``; up to 128, eight
+    accumulators over the multiple-of-eight prefix, the tree
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and a sequential tail; above 128
+    the sum of the halves split at ``n/2`` rounded down to a multiple of
+    eight.  ``solvers/sweep.c`` implements this formula."""
+    n = a.size
+    if n < 8:
+        return _sequential(a)
+    if n <= 128:
+        body = n - n % 8
+        r = a[:8].copy()
+        for i in range(8, body, 8):
+            r += a[i : i + 8]  # float32, accumulator by accumulator
+        tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return _sequential(a[body:], start=tree)
+    half = n // 2 - (n // 2) % 8
+    return np.float32(_numpy_pairwise(a[:half]) + _numpy_pairwise(a[half:]))
+
+
+def test_reduceat_is_first_element_plus_numpy_pairwise_up_to_300():
+    """Every segment length from 9 to 300: past eight rest addends, past 128
+    and through the recursive split — the order the native sweep kernel
+    reproduces.  A failure here means numpy moved, not that the kernel is
+    wrong (its own tests compare it with ``reduceat``)."""
+    rng = np.random.default_rng(6)
+    for n in range(9, 301):
+        for a in np.ascontiguousarray(_columns(rng, n, 6).T):
+            got = np.add.reduceat(a, [0])[0]
+            assert _bits(got) == _bits(a[0] + _numpy_pairwise(a[1:])), (
+                f"{VERSION}: reduceat over a segment of {n} is no longer a0 + pairwise(rest)"
+            )
 
 
 def test_reduceat_and_sum_disagree_on_short_columns():
