@@ -13,7 +13,8 @@ metadata the kernel lowerer pattern-matches on:
   variable read once plus the output write (no cache model).
 - ``SpmvSpec`` — the textbook 2·nnz FLOPs (plus the diagonal
   multiply-add), with traffic from the CRS arrays, gathered ``x`` and
-  written ``y``.
+  written ``y``; working precision only (an extended-precision SpMV counts
+  zero).
 - ``BatchReduceSpec`` — one op per (tile, RHS column) pair.
 - Exchange steps — bytes written by the plan's vectorized copy ops (halo
   and reduction traffic, double-word lo halves included).
@@ -96,6 +97,8 @@ def _spmv_costs(spec: SpmvSpec, tiles) -> tuple:
     m = spec.matrix
     xvar = spec.x.owned.var
     yvar = spec.y.owned.var
+    if xvar.dtype != "float32" or yvar.dtype != "float32":
+        return 0, 0  # the counts below are float32's: an extended SpMV is not estimated
     batch = max(xvar.batch, 1)
     nnz = 0
     rows = 0

@@ -17,20 +17,22 @@ genuinely scalar operands are expanded (``np.repeat`` over the segment
 sizes, reproducing per-tile broadcast exactly).  A level-scheduled sweep
 (ILU/DILU substitution, Gauss-Seidel) runs the solver's own substitution
 over the tiles' plans merged level by level
-(:meth:`repro.solvers.sweeps.SweepPlan.merged`).  Codelets without a spec —
-CodeDSL vertices, extended-precision SpMV — fall back to batched per-vertex
-dispatch *inside* the kernel, so fusion never changes what runs, only how
-it is dispatched; cost-only codelets emit nothing.
+(:meth:`repro.solvers.sweeps.SweepPlan.merged`).  An SpMV is one op over
+the whole device's rows: the native working-precision SpMV
+(:class:`repro.sparse.sell.DeviceSpmv`) or the binary64 residual SpMV of
+MPIR.  Codelets without a spec — CodeDSL vertices — fall back to batched
+per-vertex dispatch *inside* the kernel, so fusion never changes what runs,
+only how it is dispatched; cost-only codelets emit nothing.
 
 Every vectorized path reuses the exact numpy/Joldes op sequence of the
 per-tile path (the same ``compile_expr`` evaluator with a flat leaf
-resolver, the same pairwise summation shapes) or reproduces its rounding
-order term by term (the slot-major SpMV of
-:class:`repro.sparse.sell.SlotMajorRows` against the per-tile
-``np.add.reduceat``), which is why ``fused`` results are
+resolver, the same pairwise summation shapes, the same ``np.bincount``)
+or reproduces its rounding order term by term (the native SpMV and its
+numpy oracle :class:`repro.sparse.sell.SlotMajorRows` against the
+per-tile ``np.add.reduceat``), which is why ``fused`` results are
 bit-identical to ``sim`` — enforced by the property tests in
-``tests/graph/test_kernels.py``, ``tests/sparse/test_sell.py`` and
-``tests/solvers/test_sweeps.py``.
+``tests/graph/test_kernels.py``, ``tests/sparse/test_sell.py``,
+``tests/sparse/test_device_spmv.py`` and ``tests/solvers/test_sweeps.py``.
 Exchanges replay the plan's flat copy ops: one gather/scatter per
 whole-device buffer pair (:mod:`repro.graph.passes.plans`).
 
@@ -565,7 +567,7 @@ def _lower_reduce_group(spec: ReduceSpec, tiles):
 def _device_layout(m, tiles, owned_vars, hvar, batch: int):
     """Check that a group covers exactly ``m``'s tiles and that its vectors
     sit in the whole-device layout ``m`` itself allocates (the index space
-    of ``DistributedMatrix.device_rows`` and of the merged sweep plans):
+    of ``DistributedMatrix.device_columns`` and of the merged sweep plans):
     ``owned_vars`` in the owned mapping, ``hvar`` (unless ``None``) in the
     halo mapping, all with ``batch`` RHS columns.  Returns the flat halo
     buffer, ``None`` when there is no halo to read."""
@@ -597,27 +599,28 @@ def _device_layout(m, tiles, owned_vars, hvar, batch: int):
 
 
 def _lower_spmv_group(spec: SpmvSpec, tiles):
+    """One op per SpMV over the whole device's rows and ``[owned | halo]``
+    columns: the native working-precision SpMV
+    (:class:`repro.sparse.sell.DeviceSpmv`), or the binary64 evaluation of
+    :func:`repro.sparse.distribute.extended_spmv`.  Both sum a row's
+    products in the per-tile order, so they equal the per-tile vertices bit
+    for bit."""
+    from repro.tensordsl.types import Type
+
     m, x, y = spec.matrix, spec.x, spec.y
-    xvar, yvar = x.owned.var, y.owned.var
-    batch = xvar.batch
-    hflat = _device_layout(m, tiles, (xvar, yvar), x.halo.var, batch)
-    n = m.n
-    halo_total = 0 if hflat is None else hflat.shape[0]
-    xflat, yflat = xvar.flat_data, yvar.flat_data
-    rows = m.device_rows(batch)
-    diag = np.concatenate([m.local[t]["diag"] for t in m.tiles])
-    if batch > 1:
-        diag = diag[:, None]
-    # ``[owned | halo]``: the gather _spmv_tile performs per tile and call.
-    xfull = np.empty((n + halo_total,) + xflat.shape[1:], np.float32) if halo_total else xflat
+    xvar, yvar, hvar = x.owned.var, y.owned.var, x.halo.var
+    hflat = _device_layout(m, tiles, (xvar, yvar), hvar, xvar.batch)
+    if xvar.dtype == yvar.dtype == Type.FLOAT32:
+        try:
+            return m.device_spmv(xvar.batch).bind(xvar.flat_data, hflat, yvar.flat_data)
+        except (TypeError, ValueError):  # buffers the native call cannot take
+            raise _Unvectorizable from None
+    spmv = m.device_extended()
+    xs, ys = (xvar.flat_data, xvar.flat_lo), (yvar.flat_data, yvar.flat_lo)
+    hs = None if hflat is None else (hflat, hvar.flat_lo)
 
     def op():
-        if hflat is not None:
-            xfull[:n] = xflat
-            xfull[n:] = hflat
-        sums = rows.sums(xfull)
-        np.multiply(diag, xflat, out=yflat)
-        np.add(yflat, sums, out=yflat)
+        spmv(xs, hs, ys)
 
     return op
 

@@ -1,11 +1,15 @@
 """Build and load the package's C kernels through the system compiler.
 
-A kernel source ships beside this module.  :func:`load` compiles it with
-``cc`` once per source hash into the user cache (``$XDG_CACHE_HOME/repro``,
-else ``~/.cache/repro``; a private temporary directory when that is not
-writable) and opens it with :mod:`ctypes`.  It never raises: no compiler,
-a failed compile or a library that does not open is a reason string, and
-the caller runs its numpy form instead (``docs/runtime.md``).
+The kernels' one source, ``native.c``, ships beside this module.
+:func:`load` compiles it with ``cc`` once per source hash into the user
+cache (``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``; a private
+temporary directory when that is not writable) and opens it with
+:mod:`ctypes`.  It never raises: no compiler, a failed compile or a library
+that does not open is a reason string.  :func:`kernel` resolves one function
+of the library the one way every kernel does — argument types, a bit-for-bit
+self-check against its numpy form, one ``RuntimeWarning`` and ``None`` when
+either step fails — and the caller then runs its numpy form instead
+(``docs/runtime.md``).
 """
 
 from __future__ import annotations
@@ -17,16 +21,17 @@ import os
 import shutil
 import subprocess
 import tempfile
+import warnings
 from pathlib import Path
 
-__all__ = ["FLAGS", "load"]
+__all__ = ["FLAGS", "kernel", "load"]
 
 #: ``-ffp-contract=off``: no fused multiply-add may merge a product into a
 #: sum.  Never ``-ffast-math``: it reassociates sums and sets flush-to-zero
 #: for the whole process.
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-_HERE = Path(__file__).resolve().parent
+SOURCE = Path(__file__).resolve().with_name("native.c")
 
 
 def _cache_dir() -> Path:
@@ -50,12 +55,11 @@ def _compile(cc: str, source: Path, directory: Path, target: Path) -> None:
             os.unlink(tmp)
 
 
-def load(name: str) -> tuple:
-    """``(library, None)`` for the kernel source ``name``, or ``(None,
-    reason)`` when it cannot be built or opened."""
-    source = _HERE / name
-    key = hashlib.sha256(source.read_bytes() + " ".join(FLAGS).encode()).hexdigest()[:16]
-    filename = f"{source.stem}-{key}.so"
+def load() -> tuple:
+    """``(library, None)`` for :data:`SOURCE`, or ``(None, reason)`` when it
+    cannot be built or opened."""
+    key = hashlib.sha256(SOURCE.read_bytes() + " ".join(FLAGS).encode()).hexdigest()[:16]
+    filename = f"{SOURCE.stem}-{key}.so"
     target = _cache_dir() / filename
     try:
         if not target.exists():
@@ -64,12 +68,32 @@ def load(name: str) -> tuple:
                 return None, "no C compiler (cc) on PATH"
             try:
                 target.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-                _compile(cc, source, target.parent, target)
+                _compile(cc, SOURCE, target.parent, target)
             except OSError:  # the cache is not writable: a private directory
                 private = Path(tempfile.mkdtemp(prefix="repro-"))
                 atexit.register(shutil.rmtree, private, ignore_errors=True)
                 target = private / filename
-                _compile(cc, source, private, target)
+                _compile(cc, SOURCE, private, target)
         return ctypes.CDLL(str(target)), None
     except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
-        return None, f"{name} did not build or load: {exc}"
+        return None, f"{SOURCE.name} did not build or load: {exc}"
+
+
+def kernel(symbol: str, argtypes: list, self_check, what: str, fallback: str):
+    """The library function ``symbol`` taking ``argtypes``, once
+    ``self_check(function)`` — its comparison with the numpy form, ``None``
+    when they agree bit for bit, else what differed — passes.  ``None``,
+    after one ``RuntimeWarning`` naming ``what`` and the ``fallback`` that
+    runs instead, when the library does not build or load or the check
+    fails.  Callers resolve each kernel once per process."""
+    library, reason = load()
+    if library is not None:
+        function = getattr(library, symbol)
+        function.restype = None
+        function.argtypes = argtypes
+        reason = self_check(function)
+        if reason is None:
+            return function
+    warnings.warn(f"native {what} unavailable, running {fallback}: {reason}",
+                  RuntimeWarning, stacklevel=4)
+    return None

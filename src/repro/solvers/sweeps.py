@@ -10,7 +10,7 @@ concatenates the tiles' plans level by level into one plan over the flat
 device index space — what the fused kernels run, with the same ``run`` and
 bit-identical results (``docs/runtime.md``).
 
-``run`` is one call into ``sweep.c`` (:mod:`repro.solvers.native`), which
+``run`` is one call into ``native.c`` (:mod:`repro.solvers.native`), which
 sums each row in numpy's ``reduceat`` order; the numpy level loop
 (:meth:`SweepPlan.run_numpy`) is its oracle, and runs instead when no
 library loads or the library fails its load-time self-check.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,21 +268,12 @@ def _self_check(kernel) -> str | None:
 
 @functools.cache
 def native_sweep():
-    """The compiled level loop, resolved on the first :meth:`SweepPlan.run`:
-    ``None`` — with one ``RuntimeWarning`` saying why — when ``sweep.c``
-    does not build or load, or disagrees with the numpy loop on the
-    self-check; :meth:`SweepPlan.run` then runs the numpy loop."""
-    library, reason = native.load("sweep.c")
-    if library is not None:
-        kernel = library.repro_sweep_f32
-        kernel.restype = None
-        kernel.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 9
-        reason = _self_check(kernel)
-        if reason is None:
-            return kernel
-    warnings.warn(f"native sweep unavailable, running the numpy level loop: {reason}",
-                  RuntimeWarning, stacklevel=3)
-    return None
+    """The compiled level loop (``repro_sweep_f32``), resolved on the first
+    :meth:`SweepPlan.run`: ``None`` — with one ``RuntimeWarning`` saying why
+    — when the library does not build or load, or disagrees with the numpy
+    loop on the self-check; :meth:`SweepPlan.run` then runs the numpy loop."""
+    return native.kernel("repro_sweep_f32", [ctypes.c_int64] + [ctypes.c_void_p] * 9,
+                         _self_check, "sweep", "the numpy level loop")
 
 
 # -- building ------------------------------------------------------------------------------

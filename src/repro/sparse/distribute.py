@@ -21,6 +21,8 @@ SpMV numerics:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.dw import DWArray
@@ -30,11 +32,11 @@ from repro.graph.program import COPY, SRC_TILE, Execute as ExecuteStep
 from repro.sparse.crs import ModifiedCRS
 from repro.sparse.halo import HaloPlan, build_halo_plan, build_naive_plan
 from repro.sparse.partition import Partition, partition_rows
-from repro.sparse.sell import SlotMajorRows
+from repro.sparse.sell import DeviceSpmv
 from repro.tensordsl import Tensor, Type
 from repro.tensordsl.tensor import ContextRef
 
-__all__ = ["DistVector", "DistributedMatrix", "RowSegments"]
+__all__ = ["DistVector", "DistributedMatrix", "RowSegments", "extended_spmv"]
 
 
 class RowSegments:
@@ -166,7 +168,9 @@ class DistributedMatrix:
         #: perm[new_index] = old_index (the Sec. IV reordering).
         self.perm = plan.global_permutation()
         self._build_local_blocks()
-        self._device_rows: dict[int, SlotMajorRows] = {}
+        self._device_cols = None  # every entry's device column, int32
+        self._device_spmv: dict[int, DeviceSpmv] = {}
+        self._device_extended = None
         self._sender_tables = None  # the halo copy table cut per sending tile
         self._spmv_cycles: dict = {}  # (cost dtype, batch) -> {tile: worker cycles}
         self._owned_mapping = self._halo_mapping = None
@@ -203,8 +207,11 @@ class DistributedMatrix:
             np.repeat(self.tiles, np.diff(ptr[tile_rows])), cols
         ).astype(np.int32)
         # The device-wide row pointer and each tile's first row, kept for
-        # the per-worker row split of every SpMV.
+        # the per-worker row split of every SpMV; the (f32, lo, f64)
+        # coefficients and diagonal in layout order, which the tiles' arrays
+        # are views of, for the whole-device SpMVs.
         self._row_ptr, self._tile_rows = ptr, tile_rows
+        self._values, self._diag = values, diag
         self.local: dict[int, dict] = {}
         row = 0
         for t, n_loc in zip(self.tiles, owned):
@@ -262,24 +269,37 @@ class DistributedMatrix:
             columns[iv.tile_id] = np.concatenate(parts)
         return columns
 
-    def device_rows(self, batch: int = 1) -> SlotMajorRows:
-        """The off-diagonal part of the whole matrix as one slot-major
-        layout over the :meth:`device_columns` index space.  Every
-        working-precision SpMV of this matrix with ``batch`` RHS columns
-        shares the one instance — layout and scratch — which the fused
-        kernels call in program order.
-        """
-        rows = self._device_rows.get(batch)
-        if rows is None:
+    def _device_columns_of_entries(self) -> np.ndarray:
+        """Every off-diagonal entry's column in the :meth:`device_columns`
+        index space, rows in layout order (built once, shared by every
+        whole-device SpMV)."""
+        if self._device_cols is None:
             columns = self.device_columns()
-            locals_ = [self.local[t] for t in self.tiles]
-            rows = self._device_rows[batch] = SlotMajorRows(
-                np.concatenate([np.diff(loc["row_ptr"]) for loc in locals_]),
-                np.concatenate([columns[t][self.local[t]["col_idx"]] for t in self.tiles]),
-                np.concatenate([loc["values"] for loc in locals_]),
-                () if batch == 1 else (batch,),
-            )
-        return rows
+            self._device_cols = np.concatenate(
+                [columns[t][self.local[t]["col_idx"]] for t in self.tiles]).astype(np.int32)
+        return self._device_cols
+
+    def device_spmv(self, batch: int = 1) -> DeviceSpmv:
+        """The working-precision SpMV of the whole matrix over the
+        :meth:`device_columns` index space.  Every SpMV of this matrix with
+        ``batch`` RHS columns shares the one instance — arrays and scratch —
+        which the fused kernels call in program order."""
+        spmv = self._device_spmv.get(batch)
+        if spmv is None:
+            spmv = self._device_spmv[batch] = DeviceSpmv(
+                self._row_ptr, self._device_columns_of_entries(), self._values[0],
+                self._diag[0], self.halo_mapping()[1], batch)
+        return spmv
+
+    def device_extended(self):
+        """The extended-precision SpMV of the whole matrix over the
+        :meth:`device_columns` index space: :func:`extended_spmv` with the
+        device's entries bound (built once), called as ``(x, halo, y)``."""
+        if self._device_extended is None:
+            rows = np.repeat(np.arange(self.n, dtype=np.intp), np.diff(self._row_ptr))
+            self._device_extended = functools.partial(extended_spmv, (
+                rows, self._device_columns_of_entries(), self._values[2], self._diag[2]))
+        return self._device_extended
 
     def vector(self, name: str | None = None, dtype: str = Type.FLOAT32, data=None,
                batch: int = 1) -> DistVector:
@@ -369,13 +389,7 @@ class DistributedMatrix:
         # per-op cycle counts.
         category = accumulate_category or "spmv"
         cycles = self._tile_spmv_cycles(cost_dtype, batch).__getitem__
-        # Whole-device lowering only vectorizes the f32 working-precision
-        # path; extended-precision SpMVs fall back to batched dispatch.
-        spec = (
-            SpmvSpec(self, x, y)
-            if x.dtype == Type.FLOAT32 and y.dtype == Type.FLOAT32
-            else None
-        )
+        spec = SpmvSpec(self, x, y)
 
         def codelet(t: int) -> Codelet:
             local = self.local[t]
@@ -406,7 +420,6 @@ class DistributedMatrix:
         return self._spmv_cycles[key]
 
     def _spmv_tile(self, t: int, local: dict, x: DistVector, y: DistVector) -> None:
-        n_loc = local["n"]
         xo_sh = x.owned.var.shard(t)
         yo_sh = y.owned.var.shard(t)
         halo_sh = x.halo.var.shard(t) if self.plan.halo_count(t) else None
@@ -428,24 +441,41 @@ class DistributedMatrix:
             yo_sh.data[...] = local["diag"] * xo_sh.data + sums
             return
 
-        # Extended precision: binary64 evaluation, stored per y.dtype.
-        def wide(shard, dtype):
-            if dtype == Type.DOUBLEWORD:
-                return shard.data.astype(np.float64) + shard.lo.astype(np.float64)
-            return shard.data.astype(np.float64)
-
-        xo = wide(xo_sh, x.dtype)
-        xfull = (
-            np.concatenate([xo, wide(halo_sh, x.dtype)]) if halo_sh is not None else xo
+        extended_spmv(
+            (local["row_of_entry"], local["col_idx"], local["values_ext"], local["diag_ext"]),
+            (xo_sh.data, xo_sh.lo), None if halo_sh is None else (halo_sh.data, halo_sh.lo),
+            (yo_sh.data, yo_sh.lo),
         )
-        contrib = local["values_ext"] * xfull[local["col_idx"]]
-        sums = np.bincount(local["row_of_entry"], weights=contrib, minlength=n_loc)
-        result = local["diag_ext"] * xo + sums
-        if y.dtype == Type.DOUBLEWORD:
-            hi = result.astype(np.float32)
-            yo_sh.data[...] = hi
-            yo_sh.lo[...] = (result - hi.astype(np.float64)).astype(np.float32)
-        elif y.dtype == Type.FLOAT64:
-            yo_sh.data[...] = result
-        else:
-            yo_sh.data[...] = result.astype(np.float32)
+
+
+def _wide(hi: np.ndarray, lo) -> np.ndarray:
+    """A vector in binary64: a double word's ``hi + lo``, else its values."""
+    wide = hi.astype(np.float64)
+    return wide if lo is None else wide + lo.astype(np.float64)
+
+
+def extended_spmv(entries: tuple, x: tuple, halo, y: tuple) -> None:
+    """``y = diag * x + A_off [x | halo]`` evaluated in binary64 and stored
+    in ``y``'s representation: a double word's ``hi``/``lo`` split, float64,
+    or float32.  ``x``, ``halo`` and ``y`` are ``(values, lo)`` buffer pairs
+    (``lo`` is ``None`` unless the vector is a double word; ``halo`` is
+    ``None`` without a halo).
+
+    ``entries`` is ``(rows, cols, vals, diag)``: one tile's block over its
+    local columns, or the whole device's over
+    :meth:`DistributedMatrix.device_columns`.  ``np.bincount`` sums each
+    row's products in entry order from ``0.0``, and a row's entries are the
+    same in both, so the whole-device call equals the per-tile calls bit for
+    bit.
+    """
+    rows, cols, vals, diag = entries
+    xo = _wide(*x)
+    xfull = xo if halo is None else np.concatenate([xo, _wide(*halo)])
+    products = xfull[cols]
+    np.multiply(vals, products, out=products)
+    sums = np.bincount(rows, weights=products, minlength=diag.size)
+    result = diag * xo + sums
+    hi, lo = y
+    hi[...] = result  # rounded once to float32, or stored as is
+    if lo is not None:
+        lo[...] = result - hi

@@ -14,12 +14,16 @@ its longest row and stored column-major.
 
 :class:`SlotMajorRows` is the same idea put to work on the host, where the
 prediction does not hold: with ``sigma = n``, one chunk and *no padding* it
-is the SpMV inner loop of the fused whole-device kernels
-(:mod:`repro.graph.passes.kernels`).
+reproduces ``np.add.reduceat``'s row sums in a few whole-array passes.  It
+is the oracle and the no-compiler fallback of :class:`DeviceSpmv`, the
+fused whole-device kernels' SpMV (:mod:`repro.graph.passes.kernels`), which
+is one native call in the same order.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +31,8 @@ import numpy as np
 from repro.machine.cycles import CycleModel, OP_CYCLES
 from repro.sparse.crs import ModifiedCRS
 
-__all__ = ["SellBlock", "SlotMajorRows", "sell_spmv_cycles", "crs_spmv_cycles"]
+__all__ = ["DeviceSpmv", "SellBlock", "SlotMajorRows", "crs_spmv_cycles", "native_spmv",
+           "sell_spmv_cycles"]
 
 
 @dataclass
@@ -176,6 +181,142 @@ class SlotMajorRows:
                 self._long_vals * x[self._long_cols], self._long_start, axis=0
             )
         return self._sums
+
+
+class DeviceSpmv:
+    """``y = diag * x + Σ vals[e] * [x | halo][cols[e]]`` per row: a whole
+    device's working-precision SpMV over CRS arrays in the ``[owned | halo]``
+    index space (``DistributedMatrix.device_columns``), with ``batch`` RHS
+    columns on a trailing axis.
+
+    Each run is one call into ``native.c`` (``repro_spmv_f32``), which sums
+    every row in ``np.add.reduceat``'s order — so it equals the per-tile
+    SpMV bit for bit.  :meth:`run_numpy`, :class:`SlotMajorRows` plus the
+    diagonal, is its oracle and runs instead when no library loads or the
+    library fails its self-check; the slot-major layout is built only then.
+    The arrays are checked once, here: the native call trusts them.
+    """
+
+    def __init__(self, row_ptr, cols, vals, diag, halo: int, batch: int = 1):
+        self.row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
+        cols = np.asarray(cols)
+        self.vals = np.ascontiguousarray(vals, dtype=np.float32)
+        self.diag = np.ascontiguousarray(diag, dtype=np.float32)
+        self.n, self.halo, self.batch = self.diag.size, int(halo), int(batch)
+        width = self.n + self.halo
+        if not (self.row_ptr.size == self.n + 1 and self.row_ptr[0] == 0
+                and self.row_ptr[-1] == cols.size == self.vals.size
+                and (np.diff(self.row_ptr) >= 0).all() and cols.dtype.kind in "iu"
+                and cols.min(initial=0) >= 0 and cols.max(initial=0) < width
+                and width < 2**31 and self.batch >= 1):
+            raise ValueError("malformed SpMV: row_ptr does not index cols / vals, or a "
+                             "column is outside [x | halo]")
+        self.cols = np.ascontiguousarray(cols, dtype=np.int32)
+        longest = int(np.diff(self.row_ptr).max(initial=0))
+        # The native call's scratch: ``[x | halo]`` and the longest row's
+        # products.
+        self._xfull = np.empty(width * self.batch, dtype=np.float32)
+        self._prod = np.empty(max(longest, 1) * self.batch, dtype=np.float32)
+        self._args = (self.n, self.halo, self.batch, *(a.ctypes.data for a in (
+            self.row_ptr, self.cols, self.vals, self.diag)))
+        self._scratch = (self._xfull.ctypes.data, self._prod.ctypes.data)
+
+    def bind(self, x: np.ndarray, halo, y: np.ndarray):
+        """A zero-argument op writing ``y = A [x | halo]`` for these buffers
+        at every call: C-contiguous float32 ``(n,)`` arrays — ``(n, batch)``
+        with RHS columns — ``halo`` with ``halo`` rows (``None`` when there
+        are none), ``y`` overlapping neither."""
+        trailing = () if self.batch == 1 else (self.batch,)
+        buffers = [("x", x, self.n), ("y", y, self.n)]
+        if self.halo or halo is not None:
+            buffers.append(("halo", halo, self.halo))
+        for name, a, rows in buffers:
+            if not (isinstance(a, np.ndarray) and a.dtype == np.float32
+                    and a.shape == (rows,) + trailing and a.flags.c_contiguous):
+                raise TypeError(f"SpMV {name} must be a C-contiguous float32 array of shape "
+                                f"{(rows,) + trailing}")
+        if not y.flags.writeable or any(
+                np.shares_memory(a, y) for name, a, _ in buffers if name != "y"):
+            raise ValueError("SpMV y must be writable and overlap neither x nor halo")
+        args = (*self._args, x.ctypes.data, None if halo is None else halo.ctypes.data,
+                y.ctypes.data, *self._scratch)
+
+        def op():
+            kernel = native_spmv()
+            if kernel is None:
+                self.run_numpy(x, halo, y)
+            else:
+                kernel(*args)
+
+        return op
+
+    def run_numpy(self, x: np.ndarray, halo, y: np.ndarray) -> None:
+        """The native call as numpy: assemble ``[x | halo]``, the slot-major
+        row sums, then ``y = diag * x + sums``."""
+        rows, diag = self._numpy
+        if halo is None:
+            xfull = x
+        else:
+            xfull = self._xfull.reshape((-1,) + x.shape[1:])
+            xfull[: self.n] = x
+            xfull[self.n :] = halo
+        sums = rows.sums(xfull)
+        np.multiply(diag, x, out=y)
+        np.add(y, sums, out=y)
+
+    @functools.cached_property
+    def _numpy(self) -> tuple:
+        trailing = () if self.batch == 1 else (self.batch,)
+        rows = SlotMajorRows(np.diff(self.row_ptr), self.cols, self.vals, trailing)
+        return rows, self.diag[:, None] if trailing else self.diag
+
+
+def _self_check(kernel) -> str | None:
+    """Compare ``kernel`` with :meth:`DeviceSpmv.run_numpy` bit for bit on a
+    fixed matrix; ``None`` when they agree, else what differed.
+
+    Rows of 0, 1, 7, 8, 9, 128, 129 and 300 entries (both sides of each
+    ``reduceat`` regime and of the recursive split), runs of equal short
+    rows, a trailing empty row, columns in the halo suffix, signed-zero
+    products and diagonal entries; one and three RHS columns.
+    """
+    rng = np.random.default_rng(31)
+    lengths = [1, 7, 7, 7, 0, 8, 9, 128, 129, 300, 2, 2, 3, 0]
+    n, halo = len(lengths), 6
+    row_ptr = np.cumsum([0] + lengths)
+    cols = rng.integers(0, n + halo, row_ptr[-1])
+    size = cols.size + 4 * (n + halo)
+    draws = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
+    vals, cells = draws[: cols.size], draws[cols.size :].astype(np.float32).reshape(-1, 4)
+    vals[row_ptr[12] : row_ptr[13]] = -0.0
+    diag = np.linspace(0.5, 4.0, n)
+    diag[12] = -0.0
+    for batch, columns in ((1, 0), (3, slice(1, 4))):
+        spmv = DeviceSpmv(row_ptr, cols, vals, diag, halo, batch)
+        x = np.ascontiguousarray(cells[:n, columns])
+        h = np.ascontiguousarray(cells[n:, columns])
+        y_native, y_numpy = np.empty_like(x), np.empty_like(x)
+        kernel(*spmv._args, x.ctypes.data, h.ctypes.data, y_native.ctypes.data,
+               *spmv._scratch)
+        spmv.run_numpy(x, h, y_numpy)
+        differ = np.argwhere(y_native.view(np.uint32) != y_numpy.view(np.uint32))
+        if differ.size:
+            at = tuple(int(i) for i in differ[0])
+            return (f"self-check: y{list(at)} with {batch} RHS column(s) is "
+                    f"{y_native[at]!r}, numpy {y_numpy[at]!r}")
+    return None
+
+
+@functools.cache
+def native_spmv():
+    """The compiled SpMV (``repro_spmv_f32``), resolved on the first
+    :class:`DeviceSpmv` run: ``None`` — with one ``RuntimeWarning`` saying
+    why — when the library does not build or load, or disagrees with the
+    slot-major numpy SpMV on the self-check, which then runs instead."""
+    from repro.solvers import native  # the package's one C library and its loader
+
+    return native.kernel("repro_spmv_f32", [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 9,
+                         _self_check, "SpMV", "the slot-major numpy SpMV")
 
 
 def sell_spmv_cycles(model: CycleModel, block: SellBlock, workers: int = 6) -> int:

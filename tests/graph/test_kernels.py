@@ -286,8 +286,7 @@ def test_sweep_preconditioners_bit_identical_across_backends(matrix, config):
     the per-vertex hatch."""
     crs, dims = SWEEP_MATRICES[matrix]()
     fused = _assert_backends_agree(crs, dims, SWEEP_CONFIGS[config])
-    # At most the extended-precision residual SpMV of MPIR is left.
-    assert set(compiled_fallbacks(fused.compiled)) <= {"spmv"}
+    assert compiled_fallbacks(fused.compiled) == {}
 
 
 @pytest.mark.parametrize("direction", list(GS))
@@ -302,9 +301,10 @@ def test_multigrid_smoother_sweeps_bit_identical_across_backends(direction):
 
 
 def test_headline_inner_loops_have_no_fallback_vertices():
-    """Static: one iteration of the Fig. 8 solver's BiCGStab loop and of the
-    Fig. 5 CG loop launches kernels made of whole-device ops only — no
-    sweep, combine or factor vertex is dispatched per tile."""
+    """Static: the Fig. 8 solver's BiCGStab loop and the Fig. 5 CG loop
+    launch kernels made of whole-device ops only — no sweep, combine or
+    factor vertex is dispatched per tile — and so does the rest of either
+    program, MPIR's extended-precision residual SpMV included."""
     g3 = g3_circuit_like(grid=14)
     fig8 = compile_solve(g3, np.ones(g3.n), MPIR_FIG8, tiles_per_ipu=16)
     crs, dims = poisson3d(8)
@@ -314,8 +314,7 @@ def test_headline_inner_loops_have_no_fallback_vertices():
         kernels = compiled.kernels.loop_kernels(compiled.root, label)
         assert kernels
         assert [k.fallbacks for k in kernels] == [()] * len(kernels)
-    # What is left on the hatch is named: the residual SpMV, once per tile.
-    assert compiled_fallbacks(fig8) == {"spmv": 16}
+    assert compiled_fallbacks(fig8) == {}
     assert compiled_fallbacks(fig5) == {}
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.machine import CycleModel, MK2
 from repro.solvers import native, solve
 from repro.solvers.sweeps import SweepPlan, build_sweep, native_sweep
+from repro.sparse.sell import native_spmv
 from repro.sparse import ModifiedCRS, poisson2d
 from repro.sparse.suitesparse import g3_circuit_like
 
@@ -335,8 +336,9 @@ MPIR_FIG8 = {"solver": "mpir", "precision": "dw", "tol": 1e-9, "max_outer": 12,
 def test_a_solve_without_the_library_is_bit_identical(monkeypatch):
     """An ``mpir_ilu_g3``-shaped solve (the Fig. 8 config on a g3 double,
     16 tiles) with the loader forced to report no library runs the numpy
-    loop — after one RuntimeWarning saying why — and matches the native
-    solve bit for bit: ``x``, residual history, modeled cycles."""
+    loop and the slot-major SpMV — after one RuntimeWarning each saying why
+    — and matches the native solve bit for bit: ``x``, residual history,
+    modeled cycles."""
     crs = g3_circuit_like(grid=16)
     b = crs.spmv(np.random.default_rng(3).standard_normal(crs.n)).astype(np.float32)
 
@@ -344,13 +346,19 @@ def test_a_solve_without_the_library_is_bit_identical(monkeypatch):
         return solve(crs, b, MPIR_FIG8, num_ipus=1, tiles_per_ipu=16, backend="sim")
 
     reference = run()
-    monkeypatch.setattr(native, "load", lambda name: (None, "forced off"))
+    monkeypatch.setattr(native, "load", lambda: (None, "forced off"))
     native_sweep.cache_clear()
+    native_spmv.cache_clear()
     try:
-        with pytest.warns(RuntimeWarning, match="numpy level loop: forced off"):
+        with pytest.warns(RuntimeWarning) as caught:
             fallback = run()
     finally:
         native_sweep.cache_clear()
+        native_spmv.cache_clear()
+    assert sorted(str(w.message) for w in caught) == [
+        "native SpMV unavailable, running the slot-major numpy SpMV: forced off",
+        "native sweep unavailable, running the numpy level loop: forced off",
+    ]
     assert reference.failure is None
     assert reference.x.tobytes() == fallback.x.tobytes()
     assert reference.stats.residuals == fallback.stats.residuals
@@ -361,13 +369,13 @@ def test_the_loader_caches_and_needs_no_compiler_on_a_hit(tmp_path, monkeypatch)
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    library, reason = native.load("sweep.c")
+    library, reason = native.load()
     assert library is not None, reason
     cache = tmp_path / "repro"
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
     assert [p.suffix for p in cache.iterdir()] == [".so"]  # no temporary left behind
     monkeypatch.setenv("PATH", str(tmp_path / "nothing"))
-    assert native.load("sweep.c")[0] is not None  # opened from the cache
+    assert native.load()[0] is not None  # opened from the cache
 
 
 def test_the_loader_falls_back_to_a_private_directory(tmp_path, monkeypatch):
@@ -376,11 +384,11 @@ def test_the_loader_falls_back_to_a_private_directory(tmp_path, monkeypatch):
     blocker = tmp_path / "a-file"
     blocker.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))  # mkdir under a file fails
-    library, reason = native.load("sweep.c")
+    library, reason = native.load()
     assert library is not None, reason
 
 
 def test_the_loader_reports_a_missing_compiler(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setenv("PATH", str(tmp_path / "nothing"))
-    assert native.load("sweep.c") == (None, "no C compiler (cc) on PATH")
+    assert native.load() == (None, "no C compiler (cc) on PATH")

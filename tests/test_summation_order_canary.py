@@ -19,7 +19,13 @@ sum, not that a kernel is wrong:
   the first regime slot by slot and leaves longer rows to ``reduceat``;
   docs/runtime.md, "Why the summation order is not left to right").  The
   whole formula, tree and recursive split included, is pinned up to 300
-  addends: the native sweep kernel (``solvers/sweep.c``) implements it.
+  addends: the native sweep kernel (``solvers/native.c``) implements it,
+  and so does the native SpMV beside it, per RHS column — ``reduceat``
+  along axis 0 of an ``(nnz, batch)`` array sums each column as the
+  contiguous column;
+- ``np.bincount(rows, weights=w)`` sums each bin in float64, sequentially
+  in input order from ``0.0``: the extended-precision residual SpMV sums a
+  row that way per tile and over the whole device alike.
 
 The host-side f64 residual of every solve (``ModifiedCRS.spmv``) rides on
 SciPy's private compiled ``csr_matvec``; its canary names the SciPy version:
@@ -117,7 +123,7 @@ def _numpy_pairwise(a) -> np.float32:
     accumulators over the multiple-of-eight prefix, the tree
     ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and a sequential tail; above 128
     the sum of the halves split at ``n/2`` rounded down to a multiple of
-    eight.  ``solvers/sweep.c`` implements this formula."""
+    eight.  ``solvers/native.c`` implements this formula."""
     n = a.size
     if n < 8:
         return _sequential(a)
@@ -144,6 +150,49 @@ def test_reduceat_is_first_element_plus_numpy_pairwise_up_to_300():
             assert _bits(got) == _bits(a[0] + _numpy_pairwise(a[1:])), (
                 f"{VERSION}: reduceat over a segment of {n} is no longer a0 + pairwise(rest)"
             )
+
+
+def test_reduceat_along_axis_0_sums_each_column_as_the_contiguous_column():
+    """The batched SpMV's order: ``reduceat`` over ``(nnz, batch)`` rows is,
+    column by column, the 1-D ``reduceat`` of that column — not a
+    row-by-row accumulation."""
+    rng = np.random.default_rng(7)
+    for n in (2, 8, 9, 20, 129, 300):
+        for batch in (2, 3, 8, 64):
+            m = _columns(rng, n, batch)
+            got = np.add.reduceat(m, [0], axis=0)[0]
+            for j in range(batch):
+                want = np.add.reduceat(np.ascontiguousarray(m[:, j]), [0])[0]
+                assert _bits(got[j]) == _bits(want), (
+                    f"{VERSION}: reduceat along axis 0 of ({n}, {batch}) moved in column {j}"
+                )
+
+
+def test_bincount_sums_each_bin_in_float64_in_input_order():
+    """Bins interleaved in input order, weights spanning sixteen decades: a
+    left-to-right float64 sum from ``0.0`` per bin, never a pairwise tree or
+    a wider accumulator (the sequential and pairwise orders differ on these
+    weights, so the check can tell them apart)."""
+    rng = np.random.default_rng(8)
+    for size in (1, 9, 64, 300, 1000):
+        bins = rng.integers(0, 5, size)
+        weights = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9, size)
+        got = np.bincount(bins, weights=weights, minlength=5)
+        for k in range(5):
+            want = 0.0
+            for w in weights[bins == k]:
+                want = want + w  # Python floats: binary64, one rounding per add
+            assert got[k].view(np.uint64) == np.float64(want).view(np.uint64), (
+                f"{VERSION}: bincount no longer sums bin {k} of {size} sequentially"
+            )
+    zeros = np.bincount([0, 0], weights=[-0.0, -0.0])
+    assert _bits(np.float32(zeros[0])) == _bits(0.0), (
+        f"{VERSION}: bincount no longer starts a bin from +0.0"
+    )
+    w = np.array([1.0, 1e16, -1e16])
+    assert np.bincount([0, 0, 0], weights=w)[0] == 0.0 != w[0] + (w[1] + w[2]), (
+        f"{VERSION}: bincount no longer adds left to right"
+    )
 
 
 def test_reduceat_and_sum_disagree_on_short_columns():
