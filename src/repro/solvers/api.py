@@ -32,7 +32,7 @@ from repro.graph import CompiledProgram, Engine, GlobalCounters
 from repro.graph.runtime import check_observers
 from repro.machine import MK2, IPUDevice
 from repro.solvers.base import SolveProgress, SolveStats
-from repro.solvers.config import build_solver, load_config
+from repro.solvers.config import SOLVERS, build_solver, load_config
 from repro.solvers.resilience import (
     ResilienceConfig,
     ResilienceMonitor,
@@ -153,8 +153,8 @@ def _build_program(
         if unsupported:
             raise ReproError(
                 f"batched solves (batch={batch}) are not supported by "
-                f"solver(s) {', '.join(unsupported)}; use a float32 cg/"
-                "bicgstab config with identity or jacobi preconditioning, "
+                f"solver(s) {', '.join(unsupported)}; use a config of batch-capable "
+                f"solvers ({', '.join(k for k, c in SOLVERS.items() if c.supports_batch)}), "
                 "or solve the right-hand sides one at a time"
             )
         if getattr(solver, "rhs_dtype", Type.FLOAT32) != Type.FLOAT32:

@@ -38,7 +38,7 @@ from repro.solvers.multigrid import Multigrid
 from repro.solvers.richardson import Richardson
 from repro.solvers.schur import SchurInterface
 
-__all__ = ["SOLVERS", "build_solver", "load_config"]
+__all__ = ["SOLVERS", "SUB_SOLVER_KEYS", "build_solver", "load_config"]
 
 SOLVERS = {
     "bicgstab": PBiCGStab,
@@ -59,6 +59,8 @@ SOLVERS = {
 _ITERATION_CAPS = ("max_iterations", "fixed_iterations", "max_outer")
 #: Keys whose value is a nested solver config.
 _NESTED = ("inner", "preconditioner", "smoother")
+#: The nested keys :func:`build_solver` instantiates as sub-solvers.
+SUB_SOLVER_KEYS = ("preconditioner", "inner")
 
 
 def load_config(source) -> dict:
@@ -124,12 +126,7 @@ def build_solver(A, config) -> Solver:
     cls = SOLVERS[kind]
     kwargs = {}
     for key, val in cfg.items():
-        if key == "preconditioner":
-            kwargs["preconditioner"] = build_solver(A, val)
-        elif key == "inner":
-            kwargs["inner"] = build_solver(A, val)
-        else:
-            kwargs[key] = val
+        kwargs[key] = build_solver(A, val) if key in SUB_SOLVER_KEYS else val
     if kind in ("mpir", "schur") and "inner" not in kwargs:
         raise SolverConfigError(f"{kind} config needs an 'inner' solver")
     return cls(A, **kwargs)

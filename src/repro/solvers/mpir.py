@@ -105,12 +105,7 @@ class MPIR(Solver):
         cont.assign(1.0)
         bnorm2 = (b.t * b.t).reduce()
         tol2 = (bnorm2 * (self.tol * self.tol)).materialize()
-        bnorm2_host = [1.0]
-        ctx.callback(
-            lambda engine, _v=bnorm2.var: bnorm2_host.__setitem__(
-                0, max(engine.read_scalar(_v), 1e-300)
-            )
-        )
+        bnorm2_host = self._read_bnorm2(bnorm2)
 
         def body():
             # Step 1: extended-precision residual r = b - A x.
@@ -118,27 +113,9 @@ class MPIR(Solver):
             r_ext.owned.assign(b.t - ax.t)
             rnorm2.assign((r_ext.t * r_ext.t).reduce())
             it.assign(it + 1.0)
-            if self.record_history:
-                stats = self.stats
-
-                def record(engine, _r=rnorm2.var, _i=it.var):
-                    r2 = max(engine.read_scalar(_r), 0.0)
-                    stats.record(int(engine.read_scalar(_i)), (r2 / bnorm2_host[0]) ** 0.5,
-                                 cycles=engine.profiler.total_cycles)
-
-                ctx.callback(record)
-            else:
-                self._emit_tick(it)
+            self._emit_history(it, rnorm2, bnorm2_host)
             if self.verbose:
-
-                def progress(engine, _r=rnorm2.var, _i=it.var):
-                    rel = (max(engine.read_scalar(_r), 0.0) / bnorm2_host[0]) ** 0.5
-                    print(
-                        f"[mpir] refinement {int(engine.read_scalar(_i))}: "
-                        f"relative residual {rel:.3e}"
-                    )
-
-                ctx.callback(progress)
+                self._emit_verbose(it, rnorm2, bnorm2_host, step="refinement")
             # Continue while above tolerance; stop on divergence (MPIR only
             # converges for systems that are "not too ill-conditioned" —
             # a runaway residual means the working-precision inner solver

@@ -4,8 +4,9 @@ differently.
 ``pricing_identity.json`` was recorded on the commit *before* exchange plans
 carried their own priced phase and expression trees were compiled once
 (``PYTHONPATH=src python tests/baselines/test_pricing_identity.py --record``
-regenerates it — only ever on a parent commit, never to make a failing test
-pass).  Two solves, both on the fig5 device shape (2 IPUs x 16 tiles):
+regenerates it — only ever on a parent commit, and it refuses while ``src``
+differs from ``HEAD``; never to make a failing test pass).  Two solves, both
+on the fig5 device shape (2 IPUs x 16 tiles):
 
 - a traced CG solve on ``poisson3d:16`` — ``SolveResult.cycles``, the
   profiler's per-category and per-path cycles, the category fractions
@@ -138,5 +139,8 @@ def test_fused_never_prices(fabric_runs):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         raise SystemExit("usage: test_pricing_identity.py --record  (on the parent commit)")
+    from test_build_identity import refuse_dirty_src
+
+    refuse_dirty_src()
     GOLDEN.write_text(json.dumps({n: CASES[n]() for n in sorted(CASES)}, indent=1) + "\n")
     print(f"recorded {GOLDEN}")
