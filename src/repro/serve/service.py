@@ -526,12 +526,12 @@ class SolverService:
         if width > 1:
             self._count_phases_saved(result, width)
         for j, job in enumerate(live):
-            pending.remove(job)
-            job.exec_seconds += dt
             col = None
-            if error is None:
+            if error is None:  # scatter first: a fault here still retires the job
                 col = result if width == 1 else self._column_result(result, j)
                 failure = col.stats.failure
+            pending.remove(job)
+            job.exec_seconds += dt
             self._settle(job, col, failure, error, width)
 
     def _count_phases_saved(self, result, width: int) -> None:

@@ -93,6 +93,17 @@ class TestCacheCommands:
         assert "hits=2 misses=1" in out
         assert "in one program" not in out
 
+    @pytest.mark.parametrize("config", ["jacobi", "identity"])
+    def test_batch_root_without_column_records_runs_session_loop(self, config, capsys):
+        # A bare Jacobi/Identity batches in solve() but keeps no per-RHS
+        # batch_stats, so batch reports it one solve per rhs.
+        rc = main(["batch", "--matrix", "poisson2d:8", "--config", config,
+                   "--tiles", "4", "--count", "2"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "rhs   1:" in out
+        assert "in one program" not in out
+
     def test_batch_modes_agree_bit_identically(self, tmp_path):
         from repro.solvers import SolverSession
         from repro.sparse import poisson2d
