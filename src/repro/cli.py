@@ -46,7 +46,7 @@ Framework errors map to distinct exit codes (see ``repro.errors``):
 10 generic, 11 SRAM overflow, 12 solver breakdown, 13 divergence,
 14 bad fault spec, 15 backend capability, 16 service overloaded,
 17 job deadline exceeded, 18 tenant quota exceeded, 19 malformed matrix,
-20 malformed solver config.
+20 malformed solver config, 21 factorization breakdown.
 """
 
 from __future__ import annotations
@@ -373,6 +373,8 @@ def _cmd_metrics_report(args) -> int:
     """Render a metrics snapshot (Prometheus text or JSON) as kernel tables."""
     import re
 
+    from repro.telemetry.report import rank_kernels
+
     path = Path(args.path)
     if not path.exists():
         raise SystemExit(f"no such metrics file: {path}")
@@ -408,19 +410,19 @@ def _cmd_metrics_report(args) -> int:
         labels = dict(key)
         row = kernels.setdefault(
             labels.get("name", "?"),
-            {"kind": labels.get("kind", "?"), "wall_ns": 0.0, "launches": 0.0,
-             "bytes": 0.0, "flops": 0.0},
+            {"name": labels.get("name", "?"), "kind": labels.get("kind", "?"),
+             "launches": 0.0, "wall_ns": 0.0, "est_bytes": 0.0, "est_flops": 0.0},
         )
         row["wall_ns"] += ns
     for metric, field in (("repro_kernel_launches_total", "launches"),
-                          ("repro_kernel_bytes_total", "bytes"),
-                          ("repro_kernel_flops_total", "flops")):
+                          ("repro_kernel_bytes_total", "est_bytes"),
+                          ("repro_kernel_flops_total", "est_flops")):
         for key, v in series(metric).items():
             kname = dict(key).get("name", "?")
             if kname in kernels:
                 kernels[kname][field] += v
 
-    rows = sorted(kernels.items(), key=lambda kv: -kv[1]["wall_ns"])[: args.top]
+    rows = rank_kernels(kernels.values())[: args.top]
     if not rows:
         print(f"{path}: no repro_kernel_* series found "
               f"({len(samples)} metric(s) in the snapshot)")
@@ -429,13 +431,11 @@ def _cmd_metrics_report(args) -> int:
         print(f"hottest kernels (top {len(rows)} of {len(kernels)}, measured wall):")
         print(f"  {'kernel':<20} {'kind':<9} {'launches':>8} {'wall ms':>10} "
               f"{'share':>6} {'GB/s':>8} {'GFLOP/s':>8}")
-        for kname, r in rows:
-            sec = r["wall_ns"] * 1e-9
-            gbs = r["bytes"] / sec / 1e9 if sec > 0 and r["bytes"] else 0.0
-            gfs = r["flops"] / sec / 1e9 if sec > 0 and r["flops"] else 0.0
+        for r in rows:
             share = r["wall_ns"] / total_ns if total_ns else 0.0
-            print(f"  {kname:<20} {r['kind']:<9} {int(r['launches']):>8} "
-                  f"{r['wall_ns'] / 1e6:>10.3f} {share:>6.1%} {gbs:>8.2f} {gfs:>8.2f}")
+            print(f"  {r['name']:<20} {r['kind']:<9} {int(r['launches']):>8} "
+                  f"{r['wall_ns'] / 1e6:>10.3f} {share:>6.1%} {r['gb_per_s']:>8.2f} "
+                  f"{r['gflop_per_s']:>8.2f}")
 
     for gname, label in (
         ("repro_solve_iterations", "iterations"),

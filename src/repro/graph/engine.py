@@ -65,7 +65,6 @@ class Engine:
         self.backend.bind(program, self.device)
         self.backend.attach(tracer=tracer, injector=injector, wall_tracer=wall_tracer)
         self.tracer = tracer
-        self.wall_tracer = wall_tracer
         # Whole blocks launch as fused kernels, unless a cycle-domain observer
         # needs every superstep (``fused`` refuses those observers in attach).
         stepped = tracer is not None or injector is not None
@@ -120,8 +119,6 @@ class Engine:
             self._run_step(root)
         if self.tracer is not None:
             self.tracer.finalize()
-        if self.wall_tracer is not None:
-            self.wall_tracer.finalize()
 
     def _run_kernel_items(self, step: Step) -> bool:
         """Replay a block's fused-kernel item list, if one applies.

@@ -15,9 +15,11 @@ block, a bare-step root included, through the schedule's lowered items.
 The backend is untimed: it never prices a plan, and cycle tracers and
 fault injectors are rejected
 (:func:`~repro.graph.runtime.base.check_observers`), but a
-:class:`~repro.telemetry.WallTracer` is accepted — each launch then gets a
-measured ``perf_counter_ns`` span tagged with the kernel's fused step
-counts and byte/FLOP estimates.  Every launch is also tallied in
+:class:`~repro.telemetry.WallTracer` — a tracer on the host clock — is
+accepted: :meth:`Backend.run_kernel` gives each launch a measured
+``perf_counter_ns`` span tagged with the kernel's fused step counts and
+byte/FLOP estimates, the spans every per-kernel wall view is derived from.
+Every launch is also tallied in
 :class:`~repro.graph.runtime.counters.GlobalCounters` so telemetry and
 tests can prove fusion happened.
 """

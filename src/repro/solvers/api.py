@@ -295,15 +295,37 @@ def _open_observers(trace, wall_trace, metrics) -> SimpleNamespace:
 
     tracer, trace_path = _open(trace, Tracer)
     mreg, metrics_path = _open(metrics, MetricsRegistry)
-    wtracer, wall_path = _open(wall_trace, WallTracer, metrics=mreg)
+    wtracer, wall_path = _open(wall_trace, WallTracer)
     if wtracer is None and mreg is not None:
         # Metrics alone still want the per-kernel wall series; an internal
-        # tracer feeds the registry (and the result's wall_profile).
-        wtracer = WallTracer(metrics=mreg)
-    elif mreg is not None and wtracer.metrics is None:
-        wtracer.metrics = mreg
+        # tracer records the spans they are derived from.
+        wtracer = WallTracer()
     return SimpleNamespace(tracer=tracer, trace_path=trace_path, mreg=mreg,
-                           metrics_path=metrics_path, wtracer=wtracer, wall_path=wall_path)
+                           metrics_path=metrics_path, wtracer=wtracer, wall_path=wall_path,
+                           wall_mark=len(wtracer.events) if wtracer is not None else 0)
+
+
+def _kernel_metrics(mreg, events) -> None:
+    """The ``repro_kernel_*`` series of one solve, from the wall spans it
+    recorded (:func:`~repro.telemetry.report.kernel_rows`)."""
+    from repro.telemetry.report import kernel_rows, kernel_spans
+
+    spans = kernel_spans(events)
+    for r in kernel_rows(spans):
+        labels = {"name": r["name"], "kind": r["kind"]}
+        mreg.counter("repro_kernel_wall_ns_total", "measured wall ns per kernel/step").inc(
+            r["wall_ns"], **labels)
+        mreg.counter("repro_kernel_launches_total", "launches per kernel/step").inc(
+            r["launches"], **labels)
+        if r["est_bytes"]:
+            mreg.counter("repro_kernel_bytes_total", "estimated bytes per kernel/step").inc(
+                r["est_bytes"], **labels)
+        if r["est_flops"]:
+            mreg.counter("repro_kernel_flops_total", "estimated flops per kernel/step").inc(
+                r["est_flops"], **labels)
+    hist = mreg.histogram("repro_kernel_wall_seconds", "per-launch wall time distribution")
+    for ev in spans:
+        hist.observe(ev.dur * 1e-9, name=ev.name)
 
 
 def _set_gauges(mreg, rows) -> None:
@@ -369,7 +391,7 @@ class _Restarts:
     carried_iterations: int = 0
     disabled: set = field(default_factory=set)
 
-    def degrade(self, at, rconfig, matrix, device_tiles: int, tracer) -> bool:
+    def degrade(self, at, rconfig, matrix, device_tiles: int) -> bool:
         """Fold the failed attempt in and halve the tiles; False when the
         tile count cannot shrink further (the caller re-raises)."""
         if at.monitor is not None:
@@ -384,10 +406,6 @@ class _Restarts:
             self.records.extend(at.injector.records)
         if at.device is not None:
             self.cycles += at.device.profiler.total_cycles
-            if tracer is not None:
-                # The rebuilt program runs on a fresh device whose clock
-                # restarts at zero; keep the trace timeline monotone.
-                tracer.shift_clock(at.device.profiler.total_cycles)
         have = self.num_tiles
         if have is None:
             n_dev = self.device.num_tiles if self.device is not None else device_tiles
@@ -577,6 +595,7 @@ def _finalize(at, x, rels: list, batch: int, rs: _Restarts, report,
         wtracer.to_chrome(obs.wall_path)
     wall_seconds = time.perf_counter() - t_wall0
     if mreg is not None:
+        _kernel_metrics(mreg, wtracer.events[obs.wall_mark:])
         mreg.counter("repro_solves_total", "completed solve() calls").inc(
             1, backend=engine.backend.name
         )
@@ -646,9 +665,10 @@ def solve(
     — a batched solve runs all RHS columns through *one* program with one
     halo exchange per iteration (``docs/solvers.md``), returning ``x`` of
     shape ``(batch, n)`` plus per-RHS ``batch_stats`` and
-    ``relative_residuals``.  Batching requires a float32 cg/bicgstab config
-    (identity/jacobi preconditioning) and is incompatible with
-    ``inject_faults``/``resilience``.
+    ``relative_residuals``.  Batching takes any float32 config tree whose
+    solver classes all set ``supports_batch`` (cg, bicgstab, jacobi,
+    identity — so also CG preconditioned by a fixed-burst CG); it is
+    incompatible with ``inject_faults``/``resilience``.
 
     ``config`` is a dict / JSON string / path / bare solver name (see
     :mod:`repro.solvers.config`).  ``grid_dims`` enables the structured
@@ -675,7 +695,9 @@ def solve(
     tracer.  ``metrics`` collects counters/gauges/histograms into a
     :class:`~repro.telemetry.MetricsRegistry` (``True``, an instance, or a
     path — ``.json`` writes a JSON snapshot, anything else Prometheus
-    text) and is returned as ``SolveResult.metrics``.  ``on_progress``
+    text) and is returned as ``SolveResult.metrics``; the per-kernel
+    ``repro_kernel_*`` series are added when the solve completes, from the
+    wall spans it recorded.  ``on_progress``
     receives a :class:`~repro.solvers.SolveProgress` sample every
     ``progress_every`` recorded iterations while the solve runs.  All
     three are observational: the solution, residual history, and kernel
@@ -771,7 +793,7 @@ def solve(
                 raise
             except SRAMOverflowError:
                 if rconfig is None or not rconfig.degrade_on_oom or not rs.degrade(
-                    at, rconfig, matrix, num_ipus * tiles_per_ipu, obs.tracer
+                    at, rconfig, matrix, num_ipus * tiles_per_ipu
                 ):
                     raise
                 continue

@@ -10,6 +10,12 @@ labeled program scopes, solver convergence — which export to Chrome
 ``trace_event`` JSON (Perfetto-loadable) or NDJSON, and aggregate into a
 :class:`TelemetryReport`.
 
+:class:`WallTracer` is the same tracer on the host clock (nanoseconds, on
+every backend): one span per fused-kernel launch or stepped dispatch.  Its
+per-kernel profile, the report's kernel table and the ``repro_kernel_*``
+series in a :class:`MetricsRegistry` are views of those same spans
+(:func:`~repro.telemetry.report.kernel_rows`).
+
 Tracing is observational: a traced run is bit-identical in tensors *and*
 cycles to an untraced one.  See ``docs/observability.md``.
 """

@@ -6,6 +6,13 @@ imbalance, how exchange time divides against compute (BSP supersteps never
 overlap, so the "overlap summary" reports the serial shares and the
 uncovered gap), SRAM high-water marks, and the convergence trajectory.
 ``render()`` produces the text the ``repro trace-report`` CLI prints.
+
+:func:`kernel_rows` is the one per-kernel wall profile: the spans that carry
+a ``kind`` arg (a :class:`~repro.telemetry.walltrace.WallTracer`'s launches
+and per-step dispatches) folded per name and ranked with GB/s and GFLOP/s.
+``WallTracer.profile()``, :attr:`TelemetryReport.wall_kernels`, the
+``repro_kernel_*`` metric series ``solve()`` writes and the
+``metrics-report`` table are all views of it.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ from dataclasses import dataclass, field
 
 from repro.telemetry.events import CounterEvent, InstantEvent, SpanEvent
 
-__all__ = ["TelemetryReport", "IMBALANCE_BUCKETS"]
+__all__ = ["TelemetryReport", "IMBALANCE_BUCKETS", "kernel_spans", "kernel_rows",
+           "rank_kernels"]
 
 #: Histogram bucket edges for the per-superstep worst/mean tile ratio.
 IMBALANCE_BUCKETS = (1.05, 1.1, 1.25, 1.5, 2.0, 4.0)
@@ -27,6 +35,43 @@ def _bucket_label(i: int) -> str:
     if i == len(IMBALANCE_BUCKETS):
         return f"> {IMBALANCE_BUCKETS[-1]:.2f}"
     return f"{IMBALANCE_BUCKETS[i - 1]:.2f}-{IMBALANCE_BUCKETS[i]:.2f}"
+
+
+def kernel_spans(events):
+    """The spans that carry a ``kind`` arg: one per wall-timed launch."""
+    return [e for e in events if isinstance(e, SpanEvent) and "kind" in e.args]
+
+
+def rank_kernels(totals) -> list[dict]:
+    """Per-name totals (``name``, ``kind``, ``launches``, ``wall_ns``,
+    ``est_bytes``, ``est_flops``) with the derived ``gb_per_s`` and
+    ``gflop_per_s``, hottest first."""
+    rows = []
+    for r in totals:
+        sec = r["wall_ns"] * 1e-9
+        rows.append({
+            **r,
+            "gb_per_s": (r["est_bytes"] / sec / 1e9) if sec > 0 and r["est_bytes"] else 0.0,
+            "gflop_per_s": (r["est_flops"] / sec / 1e9) if sec > 0 and r["est_flops"] else 0.0,
+        })
+    rows.sort(key=lambda r: -r["wall_ns"])
+    return rows
+
+
+def kernel_rows(events) -> list[dict]:
+    """Fold :func:`kernel_spans` into one row per name, ranked
+    (:func:`rank_kernels`)."""
+    totals: dict = {}
+    for ev in kernel_spans(events):
+        row = totals.get(ev.name)
+        if row is None:
+            row = totals[ev.name] = {"name": ev.name, "kind": ev.args["kind"], "launches": 0,
+                                     "wall_ns": 0, "est_bytes": 0, "est_flops": 0}
+        row["launches"] += 1
+        row["wall_ns"] += ev.dur
+        row["est_bytes"] += ev.args.get("est_bytes", 0)
+        row["est_flops"] += ev.args.get("est_flops", 0)
+    return rank_kernels(totals.values())
 
 
 @dataclass
@@ -55,9 +100,8 @@ class TelemetryReport:
     #: Fault-injection / recovery summary (``fault`` / ``rollback`` /
     #: ``resilience`` instants from docs/resilience.md); empty = none seen.
     faults: dict = field(default_factory=dict)
-    #: Wall-clock kernel profile rows from ``kernel``-category spans
-    #: (:class:`~repro.telemetry.walltrace.WallTracer` traces):
-    #: [(name, launches, wall_ns, est_bytes, est_flops, gb_s, gflop_s)].
+    #: Wall-clock kernel profile (:func:`kernel_rows`, top N) of a
+    #: :class:`~repro.telemetry.walltrace.WallTracer` trace.
     wall_kernels: list = field(default_factory=list)
 
     @property
@@ -72,7 +116,6 @@ class TelemetryReport:
         rep = cls(meta=dict(meta or {}))
         per_set: dict = defaultdict(lambda: [None, 0, 0])  # name -> [cat, cycles, n]
         per_scope: dict = defaultdict(lambda: [0, 0])
-        per_kernel: dict = defaultdict(lambda: [0, 0, 0, 0])  # n, ns, bytes, flops
         imbalances: list[float] = []
         exch_bytes = 0
         exch_inter = 0
@@ -109,12 +152,6 @@ class TelemetryReport:
                 elif ev.cat == "scope":
                     per_scope[ev.name][0] += ev.dur
                     per_scope[ev.name][1] += 1
-                elif ev.cat == "kernel":
-                    entry = per_kernel[ev.name]
-                    entry[0] += 1
-                    entry[1] += ev.dur
-                    entry[2] += ev.args.get("est_bytes", 0)
-                    entry[3] += ev.args.get("est_flops", 0)
             elif isinstance(ev, CounterEvent) and ev.name == "residual":
                 rr = ev.values.get("relative_residual")
                 if rr is not None:
@@ -141,21 +178,7 @@ class TelemetryReport:
             ((name, cyc, n) for name, (cyc, n) in per_scope.items()),
             key=lambda row: -row[1],
         )[:top]
-        rep.wall_kernels = sorted(
-            (
-                (
-                    name,
-                    n,
-                    ns,
-                    b,
-                    f,
-                    (b / (ns * 1e-9) / 1e9) if ns > 0 and b else 0.0,
-                    (f / (ns * 1e-9) / 1e9) if ns > 0 and f else 0.0,
-                )
-                for name, (n, ns, b, f) in per_kernel.items()
-            ),
-            key=lambda row: -row[2],
-        )[:top]
+        rep.wall_kernels = kernel_rows(events)[:top]
 
         hist: dict = defaultdict(int)
         for imb in imbalances:
@@ -238,10 +261,10 @@ class TelemetryReport:
                 f"    {'kernel':<12s} {'launches':>8s} {'wall ms':>10s} "
                 f"{'GB/s':>8s} {'GFLOP/s':>8s}"
             )
-            for name, n, ns, _b, _f, gbs, gflops in self.wall_kernels:
+            for r in self.wall_kernels:
                 lines.append(
-                    f"    {name:<12s} {n:>8d} {ns / 1e6:>10.3f} "
-                    f"{gbs:>8.2f} {gflops:>8.2f}"
+                    f"    {r['name']:<12s} {r['launches']:>8d} {r['wall_ns'] / 1e6:>10.3f} "
+                    f"{r['gb_per_s']:>8.2f} {r['gflop_per_s']:>8.2f}"
                 )
         if self.hottest:
             lines.append(f"\n  hottest compute sets (top {len(self.hottest)}):")

@@ -14,6 +14,12 @@ Tracing never participates in execution: the hooks only *observe* the
 profiler clock and the frozen plans, so a traced run is bit-identical — in
 tensors and in cycles — to an untraced one, and a disabled tracer costs the
 backends a single ``is None`` check per superstep.
+
+The clock is the one thing a tracer's domain changes: :meth:`Tracer.now`
+reads the device's cycles here, and the wall-clock
+:class:`~repro.telemetry.walltrace.WallTracer` overrides it with host
+nanoseconds — event list, binding, scopes, end-of-run instants and every
+view are shared.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ TILE_DETAIL_LIMIT = 64
 
 
 class Tracer:
-    """Collects spans, counters, and instants from one program execution."""
+    """Collects spans, counters, and instants on one timeline, across every
+    run it is bound to."""
 
     def __init__(self):
         self.events: list = []
@@ -39,18 +46,27 @@ class Tracer:
         self.device = None
         self._tile_busy: dict[int, int] = {}
         self._finalized = False
-        #: Cycles added to every emitted timestamp.  A graceful-degradation
-        #: rebuild runs on a *fresh* device whose profiler clock restarts at
-        #: zero; the resilient solve driver advances this offset by the
-        #: aborted attempt's cycles (:meth:`shift_clock`) so one tracer's
-        #: timeline stays monotone across program rebuilds.
+        #: Added to every emitted timestamp, so that a run on a device whose
+        #: clock restarts at zero lands after what is already recorded
+        #: (:meth:`bind`).
         self._ts_offset = 0
 
     # -- device binding ------------------------------------------------------------
 
     def bind(self, device) -> None:
-        """Attach the device whose profiler clock timestamps the events."""
+        """Attach the device whose clock timestamps the next run's events.
+
+        A tracer bound again — a second solve into a shared tracer, a
+        program rebuilt after OOM degradation — continues its timeline past
+        everything it has recorded, and the new run emits its own
+        end-of-run instants (:meth:`finalize`).
+        """
         self.device = device
+        self._tile_busy = {}
+        self._finalized = False
+        end = max((e.start + e.dur if isinstance(e, SpanEvent) else e.ts
+                   for e in self.events), default=0)
+        self._ts_offset = max(0, end - self.now())
         spec = device.spec
         self.meta.update(
             num_ipus=device.num_ipus,
@@ -64,14 +80,6 @@ class Tracer:
         """The current cycle on the *device's* clock (offset excluded; the
         emitters apply :attr:`_ts_offset` exactly once)."""
         return self.device.profiler.total_cycles if self.device is not None else 0
-
-    def shift_clock(self, cycles: int) -> None:
-        """Advance the timeline offset applied to subsequently emitted
-        events — called when execution moves to a rebuilt program whose
-        device clock restarts at zero (OOM graceful degradation)."""
-        if cycles < 0:
-            raise ValueError("clock shift must be non-negative")
-        self._ts_offset += int(cycles)
 
     # -- low-level emitters --------------------------------------------------------
 
@@ -231,7 +239,7 @@ class Tracer:
         return chrome_trace(self.events, meta=self.meta)
 
     def to_ndjson(self, path) -> None:
-        """Newline-delimited JSON (one event per line, cycle timestamps)."""
+        """Newline-delimited JSON (one event per line, raw timestamps)."""
         from repro.telemetry.exporters import write_ndjson
 
         self.finalize()
@@ -241,4 +249,4 @@ class Tracer:
         return len(self.events)
 
     def __repr__(self):
-        return f"Tracer(events={len(self.events)}, device={self.device!r})"
+        return f"{type(self).__name__}(events={len(self.events)}, device={self.device!r})"

@@ -217,3 +217,26 @@ class TestTracingIsObservational:
         result = self._solve(trace=tr)
         assert result.telemetry is tr
         assert len(tr) > 0
+
+
+def test_shared_tracer_concatenates_runs():
+    """A tracer bound again continues its timeline past what it recorded,
+    and each run emits its own end-of-run instants."""
+    from repro.solvers import solve
+    from repro.sparse import poisson3d
+    from repro.telemetry import chrome_trace, validate_chrome_trace
+
+    crs, dims = poisson3d(6)
+    tr = Tracer()
+    cg = {"solver": "cg", "tol": 1e-6}
+    first = solve(crs, np.ones(crs.n), cg, grid_dims=dims, tiles_per_ipu=4, trace=tr)
+    n_first = len(tr)
+    end = max(e.start + e.dur if isinstance(e, SpanEvent) else e.ts for e in tr.events)
+    assert end == first.cycles
+    solve(crs, np.ones(crs.n), cg, grid_dims=dims, tiles_per_ipu=4, trace=tr)
+    second = [e for e in tr.events[n_first:] if isinstance(e, SpanEvent)]
+    assert second and min(e.start for e in second) >= end
+    peaks = [e for e in tr.events if isinstance(e, InstantEvent) and e.name == "sram_peak"]
+    assert len(peaks) == 2 and peaks[1].ts >= end
+    assert sum(isinstance(e, InstantEvent) and e.name == "tile_busy" for e in tr.events) == 2
+    assert validate_chrome_trace(chrome_trace(tr.events, meta=tr.meta)) == []

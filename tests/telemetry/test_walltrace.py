@@ -170,3 +170,53 @@ def test_batched_progress_reports_active_columns():
     assert samples[0].active_columns == 3
     assert samples[-1].active_columns <= 3
     assert min(p.active_columns for p in samples) < 3  # someone converged first
+
+
+def test_shared_wall_tracer_and_registry_count_each_launch_once():
+    crs, dims, b = small_problem()
+    wt, reg = WallTracer(), MetricsRegistry()
+    runs = [solve(crs, b, CG, grid_dims=dims, tiles_per_ipu=4, backend="fused",
+                  wall_trace=wt, metrics=reg) for _ in range(2)]
+    launches = sum(r.kernel_counters["kernels"] for r in runs)
+    assert launches == 22
+    assert sum(reg.counter("repro_kernel_launches_total").series.values()) == launches
+    assert sum(row["launches"] for row in wt.profile()["kernels"]) == launches
+
+
+def _kernel_table(rows):
+    return {r["name"]: (r["kind"], r["launches"], r["wall_ns"], r["est_bytes"],
+                        r["est_flops"]) for r in rows}
+
+
+def _registry_table(reg):
+    def series(metric):
+        return {dict(key)["name"]: v for key, v in reg.counter(metric).series.items()}
+
+    launches = series("repro_kernel_launches_total")
+    kinds = {dict(key)["name"]: dict(key)["kind"]
+             for key in reg.counter("repro_kernel_launches_total").series}
+    wall, nbytes, flops = (series(f"repro_kernel_{m}_total")
+                           for m in ("wall_ns", "bytes", "flops"))
+    return {name: (kinds[name], n, wall[name], nbytes.get(name, 0), flops.get(name, 0))
+            for name, n in launches.items()}
+
+
+@pytest.mark.parametrize("backend, trace", [("fused", None), ("sim", True)],
+                         ids=["fused", "stepped-sim"])
+def test_every_kernel_view_reads_the_same_spans(backend, trace):
+    """The profile, the report's kernel table and the ``repro_kernel_*``
+    series agree kernel by kernel (``fused`` refuses a cycle tracer, so only
+    ``sim`` is stepped by one)."""
+    from repro.telemetry import TelemetryReport
+
+    crs, dims, b = small_problem()
+    res = solve(crs, b, CG, grid_dims=dims, tiles_per_ipu=4, backend=backend,
+                trace=trace, wall_trace=True, metrics=True)
+    profile = _kernel_table(res.wall_profile["kernels"])
+    assert profile
+    if trace:
+        assert {kind for kind, *_ in profile.values()} == {"compute", "exchange"}
+    report = TelemetryReport.from_events(res.wall_telemetry.events,
+                                         meta=res.wall_telemetry.meta, top=len(profile))
+    assert _kernel_table(report.wall_kernels) == profile
+    assert _registry_table(res.metrics) == profile

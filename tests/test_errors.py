@@ -49,6 +49,20 @@ class TestHierarchy:
         assert len(set(codes)) == len(codes)
         assert all(c not in (0, 1, 2) for c in codes)
 
+    def test_cli_docstring_lists_every_exit_code(self):
+        import inspect
+        import re
+
+        import repro.cli
+        import repro.errors
+
+        doc = repro.cli.__doc__
+        listed = doc[doc.index("Framework errors map to distinct exit codes"):]
+        listed = {int(n) for n in re.findall(r"\b(\d+) [A-Za-z]", listed)}
+        codes = {cls.exit_code for _, cls in inspect.getmembers(repro.errors, inspect.isclass)
+                 if issubclass(cls, ReproError)}
+        assert codes <= listed, f"exit codes missing from repro.cli: {sorted(codes - listed)}"
+
 
 class TestServingErrors:
     def test_overload_message_carries_reason_and_depth(self):
