@@ -127,21 +127,24 @@ class FusedKernel:
 
 
 class ExchangeOp:
-    """Kernel op replaying one absorbed exchange from its plan's flat copies.
+    """Kernel op replaying one absorbed exchange from its plan's flat copies,
+    each bound once (:meth:`repro.graph.passes.plans.CopyOp.bind`: an
+    indexed float32 copy runs as one native loop).
 
-    ``n_assign`` is the static number of numpy array assignments one call
+    ``n_assign`` is the static number of array assignments one call
     performs (a double-word copy moves its hi and lo halves separately).
     """
 
-    __slots__ = ("copies", "n_assign")
+    __slots__ = ("copies", "n_assign", "_runs")
 
     def __init__(self, copies: tuple):
         self.copies = copies
         self.n_assign = sum(1 if c.dst_lo is None else 2 for c in copies)
+        self._runs = tuple(copy.bind() for copy in copies)
 
     def __call__(self) -> None:
-        for copy in self.copies:
-            copy.apply()
+        for run in self._runs:
+            run()
 
 
 class KernelSchedule:
@@ -260,18 +263,19 @@ def _flat_ndim(var) -> int:
     return 1 if var.batch == 1 else 2
 
 
-def _build_1d_fetchers(leaf_vars, tiles, ref_intervals, lo, hi, seg_sizes) -> dict:
-    """Per-variable flat-value fetchers for element-major (distributed)
-    evaluation.
+def _leaf_sources(leaf_vars, tiles, ref_intervals, lo, hi) -> dict:
+    """Where each leaf's values live for element-major (distributed)
+    evaluation: ``id(var) -> (hi, lo, index)``.
 
-    A leaf whose shard intervals equal the reference mapping resolves to a
-    zero-copy view ``flat[lo:hi]``; a per-tile scalar leaf resolves to its
-    per-tile values repeated over the segment sizes (exactly the per-tile
-    numpy broadcast, materialized).  Batched leaves work identically — all
-    indexing is along axis 0, the batch columns ride along.  Anything else
-    is unvectorizable.
+    A leaf whose shard intervals equal the reference mapping is the
+    zero-copy view ``flat[lo:hi]`` (``index`` ``None``); a per-tile scalar
+    leaf is a whole-device buffer whose row ``index[i]`` holds the value of
+    the ``i``-th tile in ``tiles``.  Batched leaves work identically — all
+    indexing is along axis 0, the batch columns ride along.  ``lo`` is
+    ``None`` unless the variable is double-word.  Anything else is
+    unvectorizable.
     """
-    fetchers: dict = {}
+    sources: dict = {}
     for var in leaf_vars:
         if var.flat_data is None:
             raise _Unvectorizable
@@ -285,39 +289,61 @@ def _build_1d_fetchers(leaf_vars, tiles, ref_intervals, lo, hi, seg_sizes) -> di
             )
         )
         if aligned:
-            data = var.flat_data[lo:hi]
-            lo_arr = var.flat_lo[lo:hi] if var.paired else None
-
-            def fetch(data=data, lo_arr=lo_arr):
-                return (data, lo_arr) if lo_arr is not None else data
-
+            sources[id(var)] = (var.flat_data[lo:hi],
+                                var.flat_lo[lo:hi] if var.paired else None, None)
         elif all(t in var.shards and var.shards[t].size == 1 for t in tiles):
             if var.replicated:
-                rows = np.array([var.replica_rows[t] for t in tiles], dtype=np.intp)
-
-                def fetch(var=var, rows=rows, seg=seg_sizes):
-                    vals = np.repeat(var.flat_data[rows, 0], seg, axis=0)
-                    if var.paired:
-                        return vals, np.repeat(var.flat_lo[rows, 0], seg, axis=0)
-                    return vals
-
+                rows = [var.replica_rows[t] for t in tiles]
+                data, lo_arr = var.flat_data[:, 0], var.flat_lo[:, 0] if var.paired else None
             else:
                 if var.flat_data.ndim != _flat_ndim(var):
                     raise _Unvectorizable
-                idx = np.array(
-                    [var.shards[t].interval.start for t in tiles], dtype=np.intp
-                )
-
-                def fetch(var=var, idx=idx, seg=seg_sizes):
-                    vals = np.repeat(var.flat_data[idx], seg, axis=0)
-                    if var.paired:
-                        return vals, np.repeat(var.flat_lo[idx], seg, axis=0)
-                    return vals
-
+                rows = [var.shards[t].interval.start for t in tiles]
+                data, lo_arr = var.flat_data, var.flat_lo
+            sources[id(var)] = (data, lo_arr, np.array(rows, dtype=np.intp))
         else:
             raise _Unvectorizable
-        fetchers[id(var)] = fetch
-    return fetchers
+    return sources
+
+
+def _fetchers(sources: dict, seg_sizes) -> dict:
+    """Per-variable flat-value fetchers over :func:`_leaf_sources`: the
+    aligned view, or a per-tile scalar repeated over the segment sizes
+    (exactly the per-tile numpy broadcast, materialized)."""
+
+    def fetcher(data, lo_arr, index):
+        if index is None:
+            value = data if lo_arr is None else (data, lo_arr)
+            return lambda: value
+        if lo_arr is None:
+            return lambda: np.repeat(data[index], seg_sizes, axis=0)
+        return lambda: (np.repeat(data[index], seg_sizes, axis=0),
+                        np.repeat(lo_arr[index], seg_sizes, axis=0))
+
+    return {key: fetcher(*source) for key, source in sources.items()}
+
+
+def _native(program, sources: dict, offsets, out, out_at, fallback):
+    """``fallback`` as one call of the native float32 evaluator
+    (:meth:`repro.tensordsl.materialize.F32Program.bind`) — or ``fallback``
+    itself when the tree is not float32 (``program`` ``None``) or the
+    buffers are not ones the call can take.  A group without per-tile
+    scalars is one segment: its elements do not depend on the tiles."""
+    if program is None:
+        return fallback
+    vectors, scalars = {}, {}
+    for i, var in enumerate(program.leaves):
+        data, _, index = sources[id(var)]
+        if index is None:
+            vectors[i] = data
+        else:
+            scalars[i] = (data, index)
+    if not scalars and out_at is None:
+        offsets = offsets[[0, -1]]
+    try:
+        return program.bind(offsets, vectors, scalars, out, out_at, fallback)
+    except (TypeError, ValueError):  # buffers the native call cannot take
+        return fallback
 
 
 def _whole_buffer(var):
@@ -361,7 +387,7 @@ def _contiguous_order(var, tiles) -> tuple:
 
 
 def _lower_elementwise_group(spec: ElementwiseSpec, tiles):
-    from repro.tensordsl.materialize import assignment_evaluator
+    from repro.tensordsl.materialize import assignment_evaluator, compile_f32
 
     expr, out = spec.expr, spec.out_var
     if len(set(tiles)) != len(tiles):
@@ -383,13 +409,22 @@ def _lower_elementwise_group(spec: ElementwiseSpec, tiles):
                 raise _Unvectorizable
         fetchers = {id(var): _whole_buffer(var) for var in leaf_vars}
         out_hi, out_lo = out.flat_data, out.flat_lo
+        # The native call sees the stacked buffers as one segment of
+        # vectors when they all share out's shape.
+        stacked = all(var.flat_data.shape == out_hi.shape and var.flat_data.flags.c_contiguous
+                      for var in (*leaf_vars, out))
+        sources = {id(var): (var.flat_data.reshape(-1), None, None)
+                   for var in leaf_vars} if stacked else {}
+        native_out, offsets = out_hi.reshape(-1), np.array([0, out_hi.size])
     else:
         if out.flat_data is None or out.flat_data.ndim != _flat_ndim(out):
             raise _Unvectorizable
         order, ref, lo, hi, seg = _contiguous_order(out, tiles)
-        fetchers = _build_1d_fetchers(leaf_vars, order, ref, lo, hi, seg)
+        sources = _leaf_sources(leaf_vars, order, ref, lo, hi)
+        fetchers = _fetchers(sources, seg)
         out_hi = out.flat_data[lo:hi]
         out_lo = out.flat_lo[lo:hi] if out.paired else None
+        stacked, native_out, offsets = True, out_hi, np.concatenate([[0], np.cumsum(seg)])
 
     evaluate = assignment_evaluator(expr, out)
 
@@ -400,7 +435,8 @@ def _lower_elementwise_group(spec: ElementwiseSpec, tiles):
         else:
             out_hi[...], out_lo[...] = value
 
-    return op
+    program = compile_f32(expr, out) if stacked else None
+    return _native(program, sources, offsets, native_out, None, op)
 
 
 def _dw_tree_sum_rows(hi2d, lo2d):
@@ -488,7 +524,7 @@ def _reduce_segments_batched(value, dt: str, op: str, seg, offsets, batch: int):
 
 
 def _lower_reduce_group(spec: ReduceSpec, tiles):
-    from repro.tensordsl.materialize import compile_expr
+    from repro.tensordsl.materialize import compile_expr, compile_f32
     from repro.tensordsl.types import Type
 
     expr, out, rop = spec.expr, spec.out_var, spec.op
@@ -527,7 +563,8 @@ def _lower_reduce_group(spec: ReduceSpec, tiles):
         seg = np.ones(len(order), dtype=np.intp)
     offsets = np.concatenate([[0], np.cumsum(seg)])
     total = int(offsets[-1])
-    fetchers = _build_1d_fetchers(leaf_vars, order, ref, lo, hi, seg)
+    sources = _leaf_sources(leaf_vars, order, ref, lo, hi)
+    fetchers = _fetchers(sources, seg)
     out_hi, out_lo = out.flat_data, out.flat_lo
     if out.replicated:
         out_idx = np.array([out.replica_rows[t] for t in order], dtype=np.intp)
@@ -561,7 +598,8 @@ def _lower_reduce_group(spec: ReduceSpec, tiles):
         else:
             out_hi[out_idx] = _reduce_segments(whole(value), expr_dt, rop, seg, offsets, equal)
 
-    return op
+    program = compile_f32(expr) if rop == "sum" else None
+    return _native(program, sources, offsets, out_hi, out_idx, op)
 
 
 def _device_layout(m, tiles, owned_vars, hvar, batch: int):

@@ -33,6 +33,8 @@ writes (which mutate the arrays in place).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -149,6 +151,117 @@ class CopyOp:
         self.dst[self.dst_index] = self.src[self.src_index]
         if self.dst_lo is not None:
             self.dst_lo[self.dst_index] = self.src_lo[self.src_index]
+
+    def bind(self):
+        """A zero-argument op doing :meth:`apply`: one native call per half
+        (``repro_copy_f32``) when an index is an int64 array and every array
+        is C-contiguous 1-D float32, else :meth:`apply` itself.  The indices
+        are checked once, here: the native call trusts them."""
+        if isinstance(self.src_index, slice) and isinstance(self.dst_index, slice):
+            return self.apply  # numpy's strided copy already is one loop
+        halves = [(self.src, self.dst)]
+        if self.dst_lo is not None:
+            halves.append((self.src_lo, self.dst_lo))
+        try:
+            calls = [_copy_args(src, self.src_index, dst, self.dst_index) for src, dst in halves]
+        except (TypeError, ValueError):
+            return self.apply
+        return _NativeCopy(tuple(args for args, _ in calls),
+                           tuple(keep for _, keep in calls), self.apply)
+
+
+class _NativeCopy:
+    """A bound :class:`CopyOp`: its ``repro_copy_f32`` calls, or ``apply``
+    when the library does not load.  ``indices`` keeps the int64 index
+    arrays the calls point into alive (the CopyOp keeps the arrays)."""
+
+    __slots__ = ("calls", "indices", "apply")
+
+    def __init__(self, calls: tuple, indices: tuple, apply):
+        self.calls, self.indices, self.apply = calls, indices, apply
+
+    def __call__(self) -> None:
+        kernel = native_copy()
+        if kernel is None:
+            self.apply()
+        else:
+            for args in self.calls:
+                kernel(*args)
+
+
+def _copy_args(src, src_index, dst, dst_index) -> tuple:
+    """``(args, indices)`` of the ``repro_copy_f32`` call doing
+    ``dst[dst_index] = src[src_index]``: a slice becomes a base address and
+    no index.  ``TypeError`` / ``ValueError`` when the arrays are not
+    C-contiguous 1-D float32, an index is out of range or the two sides
+    differ in length, or one side writes an element the other reads (numpy
+    reads every source element before it writes; the C loop interleaves)."""
+    sides = []  # (base address, index array or None, elements, first and last byte)
+    for array, index in ((src, src_index), (dst, dst_index)):
+        if not (isinstance(array, np.ndarray) and array.dtype == np.float32
+                and array.ndim == 1 and array.flags.c_contiguous):
+            raise TypeError("a native copy runs on C-contiguous 1-D float32 arrays")
+        base = array.ctypes.data
+        if isinstance(index, slice):
+            start, stop, step = index.indices(array.size)
+            if step != 1:
+                raise ValueError("a native copy takes contiguous slices")
+            first, last = start, stop - 1
+            sides.append((base + 4 * start, None, range(start, stop)))
+        else:
+            index = np.ascontiguousarray(index)
+            if index.dtype != np.int64 or index.ndim != 1:
+                raise ValueError("a native copy takes int64 indices")
+            first, last = (int(index.min()), int(index.max())) if index.size else (0, -1)
+            if first < 0 or last >= array.size:
+                raise ValueError("a native copy takes in-range indices")
+            sides.append((base, index, index))
+        sides[-1] += (base + 4 * first, base + 4 * last)
+    (src_at, src_idx, read, r0, r1), (dst_at, dst_idx, written, w0, w1) = sides
+    if len(read) != len(written) or not dst.flags.writeable:
+        raise ValueError("a native copy moves as many elements as it writes")
+    if r0 <= w1 and w0 <= r1 and np.intersect1d(  # the byte ranges meet: compare elements
+            src.ctypes.data + 4 * np.asarray(read), dst.ctypes.data + 4 * np.asarray(written)).size:
+        raise ValueError("a native copy never reads an element it writes")
+    args = (len(read), src_at, None if src_idx is None else src_idx.ctypes.data,
+            dst_at, None if dst_idx is None else dst_idx.ctypes.data)
+    return args, (src_idx, dst_idx)
+
+
+def _copy_self_check(kernel) -> str | None:
+    """Compare ``kernel`` with :meth:`CopyOp.apply` bit for bit on a fixed
+    case — a gather into a slice, a scatter from one, both sides indexed
+    (a repeated source element among them), and NaN payloads, signed zeros
+    and subnormals that a copy must move untouched; ``None`` when they
+    agree, else what differed."""
+    rng = np.random.default_rng(41)
+    src = rng.standard_normal(64).astype(np.float32)
+    src.view(np.uint32)[:4] = [0x7FC00001, 0xFFA00000, 0x80000000, 0x00000003]
+    gather, scatter = rng.permutation(64)[:40], rng.permutation(50)[:40]
+    for k, (si, di) in enumerate(((gather, slice(5, 45)), (slice(10, 50), scatter),
+                                  (np.r_[gather[:39], 0], scatter))):
+        op = CopyOp(src, np.zeros(50, dtype=np.float32), si, di)
+        want = op.dst.copy()
+        want[di] = src[si]
+        args, keep = _copy_args(op.src, si, op.dst, di)  # keep owns the indices
+        kernel(*args)
+        differ = np.flatnonzero(op.dst.view(np.uint32) != want.view(np.uint32))
+        if differ.size:
+            i = int(differ[0])
+            return f"self-check: element {i} of copy {k} is {op.dst[i]!r}, numpy {want[i]!r}"
+    return None
+
+
+@functools.cache
+def native_copy():
+    """The compiled indexed copy (``repro_copy_f32``), resolved on the first
+    bound :class:`CopyOp` run: ``None`` — with one ``RuntimeWarning`` saying
+    why — when the library does not build or load, or disagrees with numpy
+    on the self-check; the copies then run as numpy indexing."""
+    from repro.solvers import native  # the package's one C library and its loader
+
+    return native.kernel("repro_copy_f32", [ctypes.c_int64] + [ctypes.c_void_p] * 4,
+                         _copy_self_check, "indexed copy", "numpy indexing")
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,15 +5,26 @@
  * (repro.sparse.sell.DeviceSpmv.run).  Both sum a row's products as
  * np.add.reduceat does: the first product plus numpy's pairwise sum of the
  * rest (pairwise_sum in numpy's loops_utils.h.src), all in float32.  An
- * empty row sums to +0.0.
+ * empty row sums to +0.0.  repro_eval_f32 runs one float32 expression tree
+ * of the fused kernels (repro.tensordsl.materialize.F32Program) and sums a
+ * segment as ndarray.sum() does, +0.0 plus the pairwise sum of all of it;
+ * repro_copy_f32 is an exchange's indexed copy.
  *
- * Built with -O2 -ffp-contract=off and never -ffast-math: a contracted
- * multiply-add or a reassociated sum would change the last bit, and
- * -ffast-math also sets flush-to-zero for the whole process.
+ * Built with -O2 -ftree-vectorize -ffp-contract=off -fno-math-errno and
+ * never -ffast-math: a contracted multiply-add or a reassociated sum would
+ * change the last bit, and -ffast-math also sets flush-to-zero for the
+ * whole process.  Vectorizing a loop cannot change a bit: each lane does
+ * the one IEEE operation the scalar loop does.
  */
 
+#include <float.h>
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
+
+#if FLT_EVAL_METHOD != 0
+#error "float arithmetic must round to float at every operation"
+#endif
 
 static float pairwise(const float *a, int64_t n)
 {
@@ -194,4 +205,168 @@ void repro_spmv_f32(int64_t n, int64_t halo_rows, int64_t batch, const int64_t *
         spmv_one(n, row_ptr, cols, vals, diag, x, xfull, y, prod);
     else
         spmv_batch(n, batch, row_ptr, cols, vals, diag, x, xfull, y, prod);
+}
+
+/* -- The expression evaluator --------------------------------------------- */
+
+/* Opcodes, in the order of repro.tensordsl.materialize.F32_OPS, and operand
+ * modes.  A comparison gives 1.0f or 0.0f. */
+enum { COPY, NEG, ABS, SQRT, ADD, SUB, MUL, DIV, LT, LE, GT, GE, EQ, NE };
+enum { VEC, TMP, UNI, OUT, NONE };
+
+#define F_COPY(x, y) (x)
+#define F_NEG(x, y) (-(x))
+#define F_ABS(x, y) fabsf(x)
+#define F_SQRT(x, y) sqrtf(x)
+#define F_ADD(x, y) ((x) + (y))
+#define F_SUB(x, y) ((x) - (y))
+#define F_MUL(x, y) ((x) * (y))
+#define F_DIV(x, y) ((x) / (y))
+#define F_LT(x, y) ((x) < (y) ? 1.0f : 0.0f)
+#define F_LE(x, y) ((x) <= (y) ? 1.0f : 0.0f)
+#define F_GT(x, y) ((x) > (y) ? 1.0f : 0.0f)
+#define F_GE(x, y) ((x) >= (y) ? 1.0f : 0.0f)
+#define F_EQ(x, y) ((x) == (y) ? 1.0f : 0.0f)
+#define F_NE(x, y) ((x) != (y) ? 1.0f : 0.0f)
+
+#define EACH_OP(X) X(COPY) X(NEG) X(ABS) X(SQRT) X(ADD) X(SUB) X(MUL) X(DIV) \
+    X(LT) X(LE) X(GT) X(GE) X(EQ) X(NE)
+
+/* One operation on one pair of values. */
+static float apply(int64_t op, float x, float y)
+{
+    switch (op) {
+#define CASE(OP) case OP: return F_##OP(x, y);
+    EACH_OP(CASE)
+#undef CASE
+    }
+    return x;
+}
+
+/* d[i] = op(a[i], b[i]) for i < n, where a NULL a (b) is the value as (bs)
+ * in every lane.  d may be a or b itself: lane i reads before it writes. */
+static void map(int64_t op, int64_t n, float *d, const float *a, float as, const float *b,
+                float bs)
+{
+    if (!a && !b) {
+        float v = apply(op, as, bs);
+        for (int64_t i = 0; i < n; i++)
+            d[i] = v;
+        return;
+    }
+#define LOOPS(OP)                                                         \
+    case OP:                                                              \
+        if (a && b)                                                       \
+            for (int64_t i = 0; i < n; i++) d[i] = F_##OP(a[i], b[i]);    \
+        else if (a)                                                       \
+            for (int64_t i = 0; i < n; i++) d[i] = F_##OP(a[i], bs);      \
+        else                                                              \
+            for (int64_t i = 0; i < n; i++) d[i] = F_##OP(as, b[i]);      \
+        return;
+    switch (op) { EACH_OP(LOOPS) }
+#undef LOOPS
+}
+
+/* What the per-element instructions of one call read and write: vec[k] is
+ * the address of vector k's element 0, uni the per-segment values, tmp
+ * `block` floats per temporary, out the output's element 0. */
+struct frame {
+    const int64_t *vec;
+    const float *uni;
+    float *tmp;
+    int64_t block;
+    float *out;
+};
+
+/* An operand at element pos: a pointer for a vector or a temporary, a value
+ * for a per-segment scalar or a constant. */
+static const float *operand(const struct frame *f, int64_t mode, int64_t k, int64_t pos,
+                            float *value)
+{
+    if (mode == VEC)
+        return (const float *)(intptr_t)f->vec[k] + pos;
+    if (mode == TMP)
+        return f->tmp + k * f->block;
+    *value = mode == UNI ? f->uni[k] : 0.0f;
+    return NULL;
+}
+
+/* The per-element instructions over elements [pos, pos + n), n <= block. */
+static void run_block(const struct frame *f, int64_t nins, const int64_t *ins, int64_t pos,
+                      int64_t n)
+{
+    for (int64_t k = 0; k < nins; k++, ins += 7) {
+        float as = 0.0f, bs = 0.0f;
+        const float *a = operand(f, ins[3], ins[4], pos, &as);
+        const float *b = operand(f, ins[5], ins[6], pos, &bs);
+        float *d = ins[1] == OUT ? f->out + pos : f->tmp + ins[2] * f->block;
+        map(ins[0], n, d, a, as, b, bs);
+    }
+}
+
+/* pairwise() of the last instruction's values over elements [pos, pos + n):
+ * the same split, each piece of at most 128 elements evaluated into the
+ * last instruction's temporary `root` just before it is summed. */
+static float sum_range(const struct frame *f, int64_t nins, const int64_t *ins, int64_t root,
+                       int64_t pos, int64_t n)
+{
+    if (n <= 128) {
+        run_block(f, nins, ins, pos, n);
+        return pairwise(f->tmp + root * f->block, n);
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return sum_range(f, nins, ins, root, pos, n2) + sum_range(f, nins, ins, root, pos + n2, n - n2);
+}
+
+/* One float32 expression tree over the segments [off[s], off[s + 1]) of
+ * nseg segments.  prog holds
+ *   nscalar, nuni, nins, root, block (>= 128),
+ *   nscalar uni slots, one per per-segment scalar,
+ *   nuni instructions (op, dst, a, b) over uni slots (b < 0: unary),
+ *   nins instructions (op, dst mode, dst, a mode, a, b mode, b).
+ * scal[j] is the address of scalar j's base: scalar j of segment s is that
+ * base's element at[j * nseg + s].  The nuni instructions run once per
+ * segment, the nins once per block of at most `block` elements of a
+ * segment.  uni holds the constants, then the per-segment values; tmp
+ * holds `block` floats per temporary; vec as in struct frame.
+ *
+ * out_at == NULL: the last instruction writes out[i] for every element i
+ * (out may be a vector at the same element: each block reads before it
+ * writes).  Else out[out_at[s]] = +0.0f + pairwise(segment s's values of
+ * the last instruction, which writes temporary `root`) — ndarray.sum(). */
+void repro_eval_f32(int64_t nseg, const int64_t *off, const int64_t *prog, const int64_t *vec,
+                    const int64_t *scal, const int64_t *at, float *uni, float *tmp, float *out,
+                    const int64_t *out_at)
+{
+    int64_t nscalar = prog[0], nuni = prog[1], nins = prog[2], root = prog[3], block = prog[4];
+    const int64_t *slot = prog + 5, *uins = slot + nscalar, *ins = uins + 4 * nuni;
+    const struct frame f = {vec, uni, tmp, block, out};
+    for (int64_t s = 0; s < nseg; s++) {
+        for (int64_t j = 0; j < nscalar; j++)
+            uni[slot[j]] = ((const float *)(intptr_t)scal[j])[at[j * nseg + s]];
+        for (const int64_t *u = uins; u < ins; u += 4)
+            uni[u[1]] = apply(u[0], uni[u[2]], u[3] < 0 ? 0.0f : uni[u[3]]);
+        int64_t pos = off[s], end = off[s + 1];
+        if (out_at) {
+            out[out_at[s]] = 0.0f + sum_range(&f, nins, ins, root, pos, end - pos);
+            continue;
+        }
+        for (; pos < end; pos += block)
+            run_block(&f, nins, ins, pos, end - pos < block ? end - pos : block);
+    }
+}
+
+/* dst[di[i]] = src[si[i]] for i < n; a NULL index is the identity.  src and
+ * dst overlap in no element that one reads and the other writes. */
+void repro_copy_f32(int64_t n, const float *src, const int64_t *si, float *dst, const int64_t *di)
+{
+    if (si && di)
+        for (int64_t i = 0; i < n; i++) dst[di[i]] = src[si[i]];
+    else if (si)
+        for (int64_t i = 0; i < n; i++) dst[i] = src[si[i]];
+    else if (di)
+        for (int64_t i = 0; i < n; i++) dst[di[i]] = src[i];
+    else
+        memmove(dst, src, (size_t)n * sizeof(float));
 }

@@ -28,8 +28,12 @@ __all__ = ["FLAGS", "kernel", "load"]
 
 #: ``-ffp-contract=off``: no fused multiply-add may merge a product into a
 #: sum.  Never ``-ffast-math``: it reassociates sums and sets flush-to-zero
-#: for the whole process.
-FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+#: for the whole process.  ``-ftree-vectorize`` vectorizes the evaluator's
+#: loops (GCC's ``-O2`` alone leaves them scalar; clang vectorizes at ``-O2``
+#: and takes the flag too), which cannot change a bit: each lane does the
+#: IEEE operation of one scalar iteration, and no sum is reassociated.
+#: ``-fno-math-errno``: ``sqrtf`` is the square-root instruction alone.
+FLAGS = ("-O2", "-ftree-vectorize", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 
 SOURCE = Path(__file__).resolve().with_name("native.c")
 

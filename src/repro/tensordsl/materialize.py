@@ -16,7 +16,10 @@ broadcast inside the codelet, avoiding materializing expanded tensors
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import operator
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -34,7 +37,11 @@ from repro.tensordsl.expression import BinExpr, ConstExpr, ConvertExpr, Expr, Le
 from repro.tensordsl.types import Type, promote
 
 __all__ = [
+    "F32_OPS",
+    "F32Program",
     "compile_expr",
+    "compile_f32",
+    "native_eval",
     "assignment_evaluator",
     "expr_compilations",
     "elementwise_group",
@@ -246,6 +253,313 @@ def assignment_evaluator(expr: Expr, out_var):
     batched variable) — what assigning ``expr`` into ``out_var`` writes."""
     expand = out_var.batch > 1 and expr.batch == 1
     return _coerced(compile_expr(expr), expr.dtype, out_var.dtype, expand)
+
+
+# -- the float32 program: the same trees, rendered for native.c ---------------------------
+
+#: Opcodes of ``native.c``'s ``repro_eval_f32``, in its order: a copy, the
+#: unary ops, the arithmetic ops and the comparisons.
+F32_OPS = ("copy", "neg", "abs", "sqrt", "+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!=")
+_OPCODE = {op: code for code, op in enumerate(F32_OPS)}
+#: Operand modes of an instruction (``native.c``'s ``VEC, TMP, UNI, OUT, NONE``).
+_VEC, _TMP, _UNI, _OUT, _NONE = range(5)
+#: Floats per temporary: the longest run of elements one instruction
+#: evaluates at a time (at least 128, the longest piece a sum evaluates).
+_BLOCK = 1024
+
+
+class _NotF32(Exception):
+    """A node outside the float32, one-RHS trees the native evaluator runs."""
+
+
+@dataclass(frozen=True, eq=False)
+class F32Program:
+    """A float32 expression tree as a three-address program for
+    ``native.c``'s ``repro_eval_f32``.
+
+    ``code`` holds one ``(opcode, a, b)`` per instruction in post order;
+    instruction ``k`` defines ``("tmp", k)`` and the last one is the tree's
+    value.  An operand is ``("leaf", i)`` (``leaves[i]``, a variable),
+    ``("const", i)`` (``consts[i]``, a float32), ``("tmp", k)``, or
+    ``None`` for a unary op's second operand.
+    """
+
+    code: tuple
+    leaves: tuple
+    consts: tuple
+
+    def bind(self, offsets, vectors: dict, scalars: dict, out, out_at=None, fallback=None):
+        """A zero-argument op running the program over the segments
+        ``[offsets[s], offsets[s + 1])`` of ``offsets[-1]`` elements.
+
+        ``vectors`` maps a leaf index to its values, a float32 array of one
+        element per element; ``scalars`` maps the others to ``(base, at)``:
+        segment ``s`` reads ``base[at[s]]`` in every element (the per-tile
+        scalar of the per-tile codelets).  With ``out_at`` ``None`` the op
+        writes element ``i`` to ``out[i]`` — ``out`` may be one of the
+        vectors, never part of a scalar's ``base`` — else segment ``s``'s
+        ``.sum()`` to ``out[out_at[s]]``, and ``out`` overlaps no leaf.  All
+        are C-contiguous 1-D arrays, checked once here (``TypeError`` /
+        ``ValueError``): the native call trusts them.  The op runs
+        ``fallback`` instead when the evaluator does not load.
+        """
+        offsets = np.asarray(offsets, dtype=np.int64)
+        total, nseg = int(offsets[-1]), offsets.size - 1
+        if offsets[0] != 0 or (offsets[1:] < offsets[:-1]).any():
+            raise ValueError("segment offsets must rise from 0")
+        vecs, seg = sorted(vectors), sorted(scalars)
+        if sorted(vecs + seg) != list(range(len(self.leaves))):
+            raise ValueError("every leaf must be one vector or one per-segment scalar")
+        reduce = out_at is not None
+        _f32_buffer(out, None if reduce else total, "out")
+        if not out.flags.writeable:
+            raise ValueError("out must be writable")
+        arrays = [out] + [vectors[i] for i in vecs] + [scalars[i][0] for i in seg]
+        address = [a.ctypes.data for a in arrays]
+        for array, at_ in zip(arrays[1 : 1 + len(vecs)], address[1:]):
+            _f32_buffer(array, total, "vector")
+            if np.may_share_memory(array, out) and (reduce or at_ != address[0]):
+                raise ValueError("a vector overlaps out other than element for element")
+        at = np.array([scalars[i][1] for i in seg], dtype=np.int64).reshape(len(seg), nseg)
+        for base, row in zip(arrays[1 + len(vecs) :], at):
+            _f32_buffer(base, None, "scalar base")
+            if np.may_share_memory(base, out):
+                raise ValueError("a scalar base overlaps out")
+            if nseg and (row.min() < 0 or row.max() >= base.size):
+                raise ValueError("a per-segment scalar is indexed out of range")
+        if reduce:
+            out_at = np.asarray(out_at, dtype=np.int64)
+            if out_at.shape != (nseg,) or nseg and (out_at.min() < 0 or
+                                                    out_at.max() >= out.size):
+                raise ValueError("out_at must give one element of out per segment")
+        prog, n_uni, n_tmp = self._schedule(vecs, seg, reduce)
+        # One int64 array holds every index and address the call reads, one
+        # float32 array its temporaries and then its uni slots.
+        parts = (offsets, prog, address[1 : 1 + len(vecs)], address[1 + len(vecs) :],
+                 at.ravel(), out_at if reduce else ())
+        ints = np.concatenate([np.asarray(part, dtype=np.int64) for part in parts])
+        starts = [ints.ctypes.data]
+        for part in parts:
+            starts.append(starts[-1] + 8 * len(part))
+        scratch = np.empty(n_tmp * _BLOCK + n_uni, dtype=np.float32)
+        scratch[n_tmp * _BLOCK :][: len(self.consts)] = self.consts
+        tmp = scratch.ctypes.data
+        args = (nseg, *starts[:5], tmp + 4 * n_tmp * _BLOCK, tmp, address[0],
+                starts[5] if reduce else None)
+        buffers = (ints, scratch, arrays)
+        return _NativeOp(args, buffers, fallback)
+
+    def _schedule(self, vecs: list, seg: list, reduce: bool) -> tuple:
+        """``(prog, uni slots, temporaries)`` for ``repro_eval_f32``, worked
+        out once per program and leaf layout (the self-check rebinds its
+        programs).  An instruction whose operands are all constants or
+        per-segment scalars runs once per segment (into a ``uni`` slot after
+        the constants and the scalars), every other one once per block —
+        the last one into ``out``, or, for a sum, into a temporary.  A
+        temporary is read once (the code is a tree), so it is free again
+        after its reader."""
+        memo = vars(self).setdefault("_schedules", {})
+        key = (tuple(vecs), tuple(seg), reduce)
+        if key not in memo:
+            memo[key] = self._plan(vecs, seg, reduce)
+        return memo[key]
+
+    def _plan(self, vecs: list, seg: list, reduce: bool) -> tuple:
+        uni_of = {("const", i): i for i in range(len(self.consts))}
+        uni_of.update({("leaf", i): len(self.consts) + j for j, i in enumerate(seg)})
+        vec_of = {("leaf", i): k for k, i in enumerate(vecs)}
+        slots = [uni_of[("leaf", i)] for i in seg]
+        n_uni, root = len(uni_of), len(self.code) - 1
+        uins, ins, tmp_of, free, n_tmp = [], [], {}, [], 0
+
+        def mode(x) -> tuple:
+            if x is None:
+                return _NONE, 0
+            if x in vec_of:
+                return _VEC, vec_of[x]
+            if x in uni_of:
+                return _UNI, uni_of[x]
+            return _TMP, tmp_of[x]
+
+        for k, (op, a, b) in enumerate(self.code):
+            if k != root and all(x is None or x in uni_of for x in (a, b)):
+                uni_of[("tmp", k)] = n_uni
+                uins += [op, n_uni, uni_of[a], -1 if b is None else uni_of[b]]
+                n_uni += 1
+                continue
+            operands = (*mode(a), *mode(b))
+            if k == root and not reduce:
+                dst = (_OUT, 0)
+            else:
+                t = free.pop() if free else n_tmp
+                n_tmp = max(n_tmp, t + 1)
+                tmp_of[("tmp", k)] = t
+                dst = (_TMP, t)
+            free += [tmp_of[x] for x in (a, b) if x in tmp_of]
+            ins += [op, *dst, *operands]
+        head = [len(seg), len(uins) // 4, len(ins) // 7,
+                tmp_of[("tmp", root)] if reduce else -1, _BLOCK]
+        return np.array(head + slots + uins + ins, dtype=np.int64), n_uni, n_tmp
+
+
+def _f32_buffer(array, size, name: str) -> None:
+    if not (isinstance(array, np.ndarray) and array.dtype == np.float32 and array.ndim == 1
+            and array.flags.c_contiguous and (size is None or array.size == size)):
+        raise TypeError(f"{name} must be a C-contiguous 1-D float32 array"
+                        + ("" if size is None else f" of {size} elements"))
+
+
+class _NativeOp:
+    """A bound :class:`F32Program`: one ``repro_eval_f32`` call, or its
+    ``fallback`` when the evaluator does not load.  ``buffers`` keeps every
+    array the call's addresses point into alive."""
+
+    __slots__ = ("args", "buffers", "fallback")
+
+    def __init__(self, args: tuple, buffers: tuple, fallback):
+        self.args, self.buffers, self.fallback = args, buffers, fallback
+
+    def __call__(self) -> None:
+        kernel = native_eval()
+        if kernel is None:
+            self.fallback()
+        else:
+            kernel(*self.args)
+
+
+def compile_f32(expr: Expr, out_var=None):
+    """The :class:`F32Program` of ``expr`` — assigned into ``out_var`` when
+    given — or ``None`` when a node, a leaf or ``out_var`` is not float32
+    with one RHS column: double-word, binary64 and batched trees stay with
+    :func:`compile_expr`.  Its values are :func:`compile_expr`'s bit for
+    bit: the same IEEE operation per element, each constant rounded once
+    to float32 from binary64, a comparison 1.0 or 0.0."""
+    if out_var is not None and (out_var.dtype != Type.FLOAT32 or out_var.batch != 1):
+        return None
+    leaves: dict = {}
+    consts: list = []
+    code: list = []
+
+    def emit(node) -> tuple:
+        if node.dtype != Type.FLOAT32 or node.batch != 1:
+            raise _NotF32
+        if isinstance(node, Leaf):
+            return "leaf", leaves.setdefault(id(node.var), (len(leaves), node.var))[0]
+        if isinstance(node, ConstExpr):
+            consts.append(np.float32(np.float64(node.value)))
+            return "const", len(consts) - 1
+        if isinstance(node, ConvertExpr):  # float32 to float32: the value itself
+            return emit(node.operand)
+        if isinstance(node, UnExpr):
+            operands = emit(node.operand), None
+        elif isinstance(node, BinExpr):
+            operands = emit(node.left), emit(node.right)
+        else:
+            raise _NotF32
+        if node.op not in _OPCODE:
+            raise _NotF32
+        code.append((_OPCODE[node.op], *operands))
+        return "tmp", len(code) - 1
+
+    try:
+        value = emit(expr)
+    except _NotF32:
+        return None
+    if value[0] != "tmp":
+        code.append((_OPCODE["copy"], value, None))
+    return F32Program(tuple(code), tuple(var for _, var in leaves.values()), tuple(consts))
+
+
+class _CheckVar:
+    """A float32 vector leaf of the self-check."""
+
+    dtype, batch, shape = Type.FLOAT32, 1, (1,)
+
+
+@functools.cache
+def _check_case() -> tuple:
+    """The self-check's segment offsets and, per program: its vectors, its
+    per-segment scalars, whether it is written and/or summed, and numpy's
+    value of its tree with the sum of each segment."""
+    rng = np.random.default_rng(37)
+    lengths = [0, 1, 7, 8, 9, 128, 129, 300, 3]
+    offsets = np.cumsum([0] + lengths)
+    total, nseg = int(offsets[-1]), len(lengths)
+    size = 2 * total + 2 * nseg
+    draws = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
+    draws[::17] = np.resize([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-41, -3e-39], size // 17 + 1)
+    values = np.split(draws.astype(np.float32), np.cumsum([total, total, nseg]))
+    v0, v1, s0, s1 = (Leaf(_CheckVar()) for _ in range(4))
+    arith = BinExpr("-", BinExpr("+", v0, BinExpr("*", s0, ConstExpr(3.0))), v1)
+    tree = BinExpr("/", UnExpr("sqrt", UnExpr("abs", UnExpr("neg", arith))),
+                   BinExpr("-", s1, v0))
+    for op, x, y in (("<", v0, v1), ("<=", v0, s0), (">", v1, s1), (">=", v1, v0),
+                     ("==", v0, s1), ("!=", v1, v1)):
+        tree = BinExpr("+", tree, BinExpr(op, x, y))
+    every = np.arange(nseg)
+    source = {v0.var: values[0], v1.var: values[1], s0.var: (values[2], every),
+              s1.var: (values[3], every)}
+    repeated = {var: v if isinstance(v, np.ndarray) else np.repeat(v[0], lengths)
+                for var, v in source.items()}
+    cases = []
+    for expr, reduces in ((tree, (False, True)), (s1, (False,)), (v1, (True,))):
+        program = compile_f32(expr)
+        vectors, scalars = {}, {}
+        for i, var in enumerate(program.leaves):
+            (scalars if isinstance(source[var], tuple) else vectors)[i] = source[var]
+        with np.errstate(all="ignore"):
+            value = np.broadcast_to(compile_expr(expr)(lambda leaf: repeated[leaf.var]), total)
+            sums = np.array([value[a:b].sum() for a, b in zip(offsets[:-1], offsets[1:])],
+                            dtype=np.float32)
+        cases.append((program, vectors, scalars, reduces, value, sums))
+    return offsets, cases
+
+
+def _differ(got, want) -> np.ndarray:
+    """Indices where two float32 arrays differ in their bits, two NaNs
+    (whatever their payloads) matching."""
+    nan = np.isnan(got) & np.isnan(want)
+    return np.flatnonzero((got.view(np.uint32) != want.view(np.uint32)) & ~nan)
+
+
+def _self_check(kernel) -> str | None:
+    """Compare ``kernel`` with :func:`compile_expr` bit for bit on a fixed
+    case; ``None`` when they agree, else what differed.
+
+    One tree of every arithmetic, unary and comparison op over two vectors,
+    two per-segment scalars and a constant (a per-segment product among
+    them), written element by element and summed per segment; a
+    per-segment scalar written, a vector summed.  Segments of 0, 1, 7, 8,
+    9, 128, 129, 300 and 3 elements (both sides of each pairwise regime and
+    of the recursive split); ±0.0, ±inf, NaN and subnormals.
+    """
+    offsets, cases = _check_case()
+    for k, (program, vectors, scalars, reduces, value, sums) in enumerate(cases):
+        for reduce in reduces:
+            want = sums if reduce else value
+            out = np.empty(want.size, dtype=np.float32)
+            at = np.arange(want.size) if reduce else None
+            op = program.bind(offsets, vectors, scalars, out, at)  # owns the call's buffers
+            kernel(*op.args)
+            differ = _differ(out, want)
+            if differ.size:
+                i = int(differ[0])
+                return (f"self-check: {'sum' if reduce else 'element'} {i} of program {k} is "
+                        f"{out[i]!r}, numpy {want[i]!r}")
+    return None
+
+
+@functools.cache
+def native_eval():
+    """The compiled evaluator (``repro_eval_f32``), resolved on the first
+    bound :class:`F32Program` run: ``None`` — with one ``RuntimeWarning``
+    saying why — when the library does not build or load, or disagrees with
+    :func:`compile_expr` on the self-check; the fused kernels then run their
+    numpy trees."""
+    from repro.solvers import native  # the package's one C library and its loader
+
+    return native.kernel("repro_eval_f32", [ctypes.c_int64] + [ctypes.c_void_p] * 9,
+                         _self_check, "expression evaluator", "the numpy expression trees")
 
 
 @cache

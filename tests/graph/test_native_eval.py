@@ -1,0 +1,345 @@
+"""The native float32 evaluator: the fused kernels' trees in one C pass.
+
+``compile_f32`` renders a float32 expression tree as a three-address
+program and ``F32Program.bind`` runs it through ``native.c``'s
+``repro_eval_f32`` over segments: element by element into ``out``, or
+``.sum()`` per segment.  ``compile_expr`` (numpy) is its oracle and its
+fallback; the property here is that the two agree bit for bit.  The
+exchanges' indexed copies (``repro_copy_f32``) are checked beside it.
+"""
+
+import ctypes
+import shutil
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.graph.codelet import ElementwiseSpec, ReduceSpec
+from repro.graph.passes import plans
+from repro.graph.passes.plans import CopyOp, native_copy
+from repro.solvers import compile_solve, native, solve
+from repro.sparse import poisson3d
+from repro.sparse.suitesparse import g3_circuit_like
+from repro.tensordsl import materialize
+from repro.tensordsl.expression import (
+    OP_KINDS,
+    BinExpr,
+    ConstExpr,
+    ConvertExpr,
+    Leaf,
+    UnExpr,
+)
+from repro.tensordsl.materialize import F32_OPS, compile_expr, compile_f32, native_eval
+from repro.tensordsl.types import Type
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-41, -2e-39, 3e38, 1.0]
+
+
+class _Var:
+    """A float32 leaf: the attributes an expression reads off its variable."""
+
+    dtype, batch, shape = Type.FLOAT32, 1, (1,)
+
+
+VECTORS = [Leaf(_Var()) for _ in range(3)]
+SCALARS = [Leaf(_Var()) for _ in range(2)]
+
+
+def _same_bits(got, want) -> bool:
+    """Equal bit for bit — signed zeros told apart — except that a NaN only
+    has to be a NaN (its payload is whichever operand's the FPU kept)."""
+    nan = np.isnan(got)
+    return bool(np.array_equal(nan, np.isnan(want)) and np.array_equal(
+        got.view(np.uint32)[~nan], want.view(np.uint32)[~nan]))
+
+
+def _awkward(rng, size: int) -> np.ndarray:
+    out = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
+    special = rng.random(size) < 0.15
+    out[special] = rng.choice(SPECIAL, int(special.sum()))
+    return out.astype(np.float32)
+
+
+@st.composite
+def trees(draw, depth=0):
+    kinds = ["vector", "scalar", "const"]
+    if depth < 5:
+        kinds += ["unary", "binary", "binary", "compare", "convert"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "vector":
+        return draw(st.sampled_from(VECTORS))
+    if kind == "scalar":
+        return draw(st.sampled_from(SCALARS))
+    if kind == "const":
+        return ConstExpr(draw(st.sampled_from(SPECIAL) | st.floats(-1e3, 1e3)))
+    if kind == "convert":  # float32 to float32: the value itself
+        return ConvertExpr(draw(trees(depth=depth + 1)), Type.FLOAT32)
+    if kind == "unary":
+        return UnExpr(draw(st.sampled_from(["neg", "abs", "sqrt"])), draw(trees(depth=depth + 1)))
+    ops = ["+", "-", "*", "/"] if kind == "binary" else ["<", "<=", ">", ">=", "==", "!="]
+    return BinExpr(draw(st.sampled_from(ops)), draw(trees(depth=depth + 1)),
+                   draw(trees(depth=depth + 1)))
+
+
+@st.composite
+def segments(draw):
+    """Equal or unequal segment lengths, 0-300 elements each."""
+    length = st.one_of(st.integers(0, 12), st.sampled_from([7, 8, 9, 127, 128, 129, 200, 300]))
+    if draw(st.booleans()):
+        return [draw(length)] * draw(st.integers(1, 6))
+    return draw(st.lists(length, min_size=1, max_size=6))
+
+
+def _case(rng, expr, lengths):
+    """The program's operands over ``lengths``: vectors, per-segment scalars
+    gathered from a larger base, and numpy's value of ``expr``."""
+    offsets = np.cumsum([0] + lengths)
+    total, nseg = int(offsets[-1]), len(lengths)
+    values = {id(leaf.var): _awkward(rng, total) for leaf in VECTORS}
+    bases = {}
+    for leaf in SCALARS:
+        base = _awkward(rng, nseg + 3)
+        at = rng.permutation(nseg + 3)[:nseg]
+        bases[id(leaf.var)] = base, at
+        values[id(leaf.var)] = np.repeat(base[at], lengths)
+    with np.errstate(all="ignore"):
+        value = np.broadcast_to(compile_expr(expr)(lambda leaf: values[id(leaf.var)]), total)
+    return offsets, values, bases, value
+
+
+def _sums(value, offsets) -> np.ndarray:
+    """numpy's ``.sum()`` of each segment."""
+    with np.errstate(all="ignore"):
+        return np.array([value[a:b].sum() for a, b in zip(offsets[:-1], offsets[1:])],
+                        dtype=np.float32)
+
+
+def _run(program, offsets, values, bases, out, out_at=None):
+    vectors, scalars = {}, {}
+    for i, var in enumerate(program.leaves):
+        if id(var) in bases:
+            scalars[i] = bases[id(var)]
+        else:
+            vectors[i] = values[id(var)]
+
+    def numpy_ran():
+        raise AssertionError("the numpy fallback ran")
+
+    program.bind(offsets, vectors, scalars, out, out_at, numpy_ran)()
+
+
+def _native_or_skip():
+    if native_eval() is None:
+        pytest.skip("no native evaluator")
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr=trees(), lengths=segments(), reduce=st.booleans(), seed=st.integers(0, 2**16))
+def test_native_evaluator_equals_compile_expr_bitwise(expr, lengths, reduce, seed):
+    """Property: random float32 trees of every opcode over vectors,
+    per-segment scalars and constants, on equal and unequal segments of
+    0-300 elements, with ±0.0 / ±inf / NaN / subnormals: the native call
+    writes numpy's value element by element, or numpy's ``.sum()`` of each
+    segment, by ``view(np.uint32)``."""
+    _native_or_skip()
+    rng = np.random.default_rng(seed)
+    offsets, values, bases, value = _case(rng, expr, lengths)
+    program = compile_f32(expr)
+    if reduce:
+        out = np.full(len(lengths) + 2, 7.0, dtype=np.float32)
+        out_at = rng.permutation(out.size)[: len(lengths)]
+        _run(program, offsets, values, bases, out, out_at)
+        assert _same_bits(out[out_at], _sums(value, offsets))
+    else:
+        out = np.empty(value.size, dtype=np.float32)
+        _run(program, offsets, values, bases, out)
+        assert _same_bits(out, value)
+
+
+def test_the_opcodes_are_a_copy_and_every_expression_op():
+    """A new expression op fails here until the evaluator has it."""
+    assert F32_OPS[0] == "copy" and sorted(F32_OPS[1:]) == sorted(OP_KINDS)
+
+
+def test_out_may_be_the_vector_it_updates():
+    """``x = x + alpha * p`` over unequal segments, ``out`` the ``x``
+    buffer itself: each block reads before it writes."""
+    _native_or_skip()
+    x, p = VECTORS[:2]
+    alpha = SCALARS[0]
+    expr = BinExpr("+", x, BinExpr("*", alpha, p))
+    rng = np.random.default_rng(5)
+    offsets, values, bases, value = _case(rng, expr, [300, 0, 1, 1100, 129])
+    want = value.copy()
+    _run(compile_f32(expr), offsets, values, bases, values[id(x.var)])
+    assert _same_bits(values[id(x.var)], want)
+
+
+def test_a_tree_deeper_than_any_solver_emits():
+    """A right-leaning chain of 150 levels whose left operands are products:
+    every product stays live while the rest of the chain is evaluated, so
+    the program needs 150 temporaries at once."""
+    _native_or_skip()
+    v0, v1, v2 = VECTORS
+    expr = v2
+    for k in range(150):
+        expr = BinExpr("+" if k % 2 else "-", BinExpr("*", v0, v1 if k % 3 else SCALARS[0]), expr)
+    rng = np.random.default_rng(6)
+    offsets, values, bases, value = _case(rng, expr, [3, 500, 77])
+    program = compile_f32(expr)
+    seg = [i for i, var in enumerate(program.leaves) if id(var) in bases]
+    vecs = [i for i in range(len(program.leaves)) if i not in seg]
+    assert program._schedule(vecs, seg, False)[2] >= 150  # temporaries
+    for out_at in (None, np.arange(3)):
+        out = np.empty(value.size if out_at is None else 3, dtype=np.float32)
+        _run(program, offsets, values, bases, out, out_at)
+        assert _same_bits(out, value if out_at is None else _sums(value, offsets))
+
+
+def test_only_float32_trees_with_one_rhs_compile():
+    dw = Leaf(type("DwVar", (_Var,), {"dtype": Type.DOUBLEWORD})())
+    batched = Leaf(type("WideVar", (_Var,), {"batch": 3})())
+    x = VECTORS[0]
+    assert compile_f32(BinExpr("+", x, ConstExpr(1.0))) is not None
+    assert compile_f32(BinExpr("+", x, ConvertExpr(dw, Type.FLOAT32))) is None
+    assert compile_f32(BinExpr("*", x, batched)) is None
+    assert compile_f32(BinExpr("<", x, dw)) is None
+    assert compile_f32(BinExpr("+", x, ConstExpr(1.0, Type.FLOAT64))) is None
+    assert compile_f32(x, out_var=dw.var) is None
+
+
+def test_bind_refuses_buffers_the_call_cannot_take():
+    program = compile_f32(BinExpr("+", VECTORS[0], SCALARS[0]))
+    v, base = np.ones(4, np.float32), np.ones(2, np.float32)
+    offsets, at = np.array([0, 1, 4]), np.array([0, 1])
+    program.bind(offsets, {0: v}, {1: (base, at)}, np.empty(4, np.float32))
+    with pytest.raises(TypeError, match="vector must be a C-contiguous 1-D float32"):
+        program.bind(offsets, {0: v.astype(np.float64)}, {1: (base, at)}, v.copy())
+    with pytest.raises(TypeError, match="out must be"):
+        program.bind(offsets, {0: v}, {1: (base, at)}, np.empty(8, np.float32)[::2])
+    shifted = np.ones(5, np.float32)
+    with pytest.raises(ValueError, match="overlaps out other than element for element"):
+        program.bind(offsets, {0: shifted[:4]}, {1: (base, at)}, shifted[1:])
+    with pytest.raises(ValueError, match="overlaps out other than element for element"):
+        program.bind(offsets, {0: v}, {1: (base, at)}, v, np.arange(2))
+    with pytest.raises(ValueError, match="indexed out of range"):
+        program.bind(offsets, {0: v}, {1: (base, np.array([0, 2]))}, v)
+    with pytest.raises(ValueError, match="segment offsets"):
+        program.bind(np.array([0, 3, 2, 4]), {0: v}, {1: (base, np.arange(3))}, v)
+    with pytest.raises(ValueError, match="every leaf"):
+        program.bind(offsets, {0: v}, {}, v)
+
+
+def test_the_native_kernels_are_in_use_wherever_a_compiler_is():
+    """A broken toolchain fails here instead of silently losing the gain:
+    the evaluator and the copy resolve, and every float32 elementwise and
+    sum group of a Fig. 5-shaped CG lowers to one evaluator call."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    assert native_eval() is not None and native_copy() is not None
+    crs, dims = poisson3d(8)
+    compiled = compile_solve(crs, np.ones(crs.n, np.float32), CG, grid_dims=dims,
+                             num_ipus=2, tiles_per_ipu=8)
+    groups = native_ops = 0
+    for kernel in compiled.kernels.kernels:
+        native_ops += sum(isinstance(op, materialize._NativeOp) for op in kernel.ops)
+        for step in kernel.steps:
+            for g in getattr(getattr(step, "compute_set", None), "groups", ()):
+                groups += isinstance(g.spec, (ElementwiseSpec, ReduceSpec)) and not g.cost_only
+    assert groups > 20 and native_ops == groups
+
+
+def test_the_self_check_is_fast_and_catches_a_wrong_kernel():
+    """Every process runs the self-check on its first evaluator call: it
+    must stay under a millisecond, and a kernel off in one element of one
+    segment sum must fail it."""
+    kernel = native_eval()
+    if kernel is None:
+        pytest.skip("no native evaluator")
+    times = []
+    for _ in range(10):
+        start = time.perf_counter()
+        assert materialize._self_check(kernel) is None
+        times.append(time.perf_counter() - start)
+    assert min(times) < 1e-3, f"self-check takes {min(times) * 1e3:.2f} ms"
+
+    def one_sum_off(*args):
+        kernel(*args)
+        if args[9] is not None:  # a sum: segment 0 is empty, its sum +0.0
+            ctypes.c_uint32.from_address(args[8]).value ^= 1
+
+    assert materialize._self_check(one_sum_off).startswith("self-check: sum 0 of program 0")
+
+
+CG = {"solver": "cg", "tol": 1e-6}
+MPIR_FIG8 = {"solver": "mpir", "precision": "dw", "tol": 1e-9, "max_outer": 12,
+             "inner": {"solver": "bicgstab", "fixed_iterations": 50, "tol": 2e-7,
+                       "record_history": False, "preconditioner": {"solver": "ilu0"}}}
+
+
+def _solves():
+    """A Fig. 5-shaped fused CG (``poisson3d:12`` on 2 x 16 tiles) and an
+    ``mpir_ilu_g3``-shaped solve (the Fig. 8 config on a g3 double, 16
+    tiles)."""
+    crs, dims = poisson3d(12)
+    b = np.random.default_rng(8).standard_normal(crs.n).astype(np.float32)
+    g3 = g3_circuit_like(grid=16)
+    b3 = g3.spmv(np.random.default_rng(3).standard_normal(g3.n)).astype(np.float32)
+    return (solve(crs, b, CG, grid_dims=dims, num_ipus=2, tiles_per_ipu=16, backend="fused"),
+            solve(g3, b3, MPIR_FIG8, num_ipus=1, tiles_per_ipu=16, backend="sim"))
+
+
+@pytest.mark.parametrize("resolver, warning", [
+    (native_eval, "native expression evaluator unavailable, running the numpy expression "
+                  "trees: forced off"),
+    (native_copy, "native indexed copy unavailable, running numpy indexing: forced off"),
+])
+def test_solves_without_the_kernel_are_bit_identical(monkeypatch, resolver, warning):
+    """With the loader forced to report no library, the kernel's numpy form
+    runs — after exactly one RuntimeWarning saying why — and both solves
+    match the native ones bit for bit: ``x``, residual history, modeled
+    cycles."""
+    reference = _solves()
+    monkeypatch.setattr(native, "load", lambda: (None, "forced off"))
+    resolver.cache_clear()
+    try:
+        with pytest.warns(RuntimeWarning) as caught:
+            fallback = _solves()
+    finally:
+        resolver.cache_clear()
+    assert [str(w.message) for w in caught] == [warning]
+    for want, got in zip(reference, fallback):
+        assert want.failure is None
+        assert want.x.tobytes() == got.x.tobytes()
+        assert want.stats.residuals == got.stats.residuals
+        assert want.cycles == got.cycles
+
+
+def test_a_bound_copy_is_the_numpy_copy():
+    """Gathers, scatters and both-indexed copies between float32 buffers run
+    natively and move numpy's bits; a same-buffer copy that reads an
+    element it writes, a slice-to-slice copy and a float64 buffer stay
+    numpy."""
+    rng = np.random.default_rng(9)
+    src = _awkward(rng, 300)
+    gather, scatter = rng.permutation(300)[:120], rng.permutation(200)[:120]
+    for si, di in ((gather, slice(40, 160)), (slice(7, 127), scatter), (gather, scatter)):
+        want = np.zeros(200, np.float32)
+        want[di] = src[si]
+        op = CopyOp(src, np.zeros(200, np.float32), si, di)
+        run = op.bind()
+        assert isinstance(run, plans._NativeCopy) or native_copy() is None
+        run()
+        assert op.dst.view(np.uint32).tolist() == want.view(np.uint32).tolist()
+    buf = np.arange(10, dtype=np.float32)
+    stays = [CopyOp(buf, buf, np.array([0, 1, 2]), np.array([1, 2, 3])),
+             CopyOp(src, np.zeros(200, np.float32), slice(0, 5), slice(5, 10)),
+             CopyOp(src.astype(np.float64), np.zeros(200), gather, scatter)]
+    for op in stays:
+        assert op.bind() == op.apply
+    disjoint = CopyOp(buf, buf, np.array([0, 1]), np.array([5, 6])).bind()
+    disjoint()
+    assert buf[[5, 6]].tolist() == [0.0, 1.0]

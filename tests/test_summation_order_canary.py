@@ -25,7 +25,13 @@ sum, not that a kernel is wrong:
   contiguous column;
 - ``np.bincount(rows, weights=w)`` sums each bin in float64, sequentially
   in input order from ``0.0``: the extended-precision residual SpMV sums a
-  row that way per tile and over the whole device alike.
+  row that way per tile and over the whole device alike;
+- float32 ``add`` / ``subtract`` / ``multiply`` / ``divide`` / ``sqrt`` are
+  the IEEE operations — the binary64 result rounded once to float32 — the
+  comparisons give exactly ``0.0`` / ``1.0`` with NaN unordered, and
+  ``negative`` / ``absolute`` flip or clear the sign bit alone, NaN
+  included: the native expression evaluator (``repro_eval_f32``) does
+  exactly these in C ``float`` arithmetic.
 
 The host-side f64 residual of every solve (``ModifiedCRS.spmv``) rides on
 SciPy's private compiled ``csr_matvec``; its canary names the SciPy version:
@@ -202,6 +208,69 @@ def test_reduceat_and_sum_disagree_on_short_columns():
     cols = rng.standard_normal((7, 200)).astype(np.float32).T
     differ = sum(_bits(np.add.reduceat(a, [0])[0]) != _bits(a.sum()) for a in cols)
     assert 40 <= differ <= 160, f"{VERSION}: reduceat and .sum() differ in {differ} of 200"
+
+
+def _edge_values(rng) -> np.ndarray:
+    """float32 normals over many decades, subnormals, ±0.0, ±inf, NaNs
+    (quiet, with payloads, negative), the largest and smallest normals."""
+    bits = np.array([0x00000000, 0x80000000, 0x7F800000, 0xFF800000, 0x7FC00000,
+                     0xFFC00000, 0x7FC00123, 0x00000001, 0x80000001, 0x007FFFFF,
+                     0x00400000, 0x00800000, 0x7F7FFFFF, 0xFF7FFFFF, 0x3F800000,
+                     0x3F800001], dtype=np.uint32)
+    wide = rng.standard_normal(48) * 10.0 ** rng.integers(-40, 39, 48)
+    return np.concatenate([bits.view(np.float32), wide.astype(np.float32)])
+
+
+def _same_or_both_nan(got, want) -> np.ndarray:
+    return (got.view(np.uint32) == want.view(np.uint32)) | (np.isnan(got) & np.isnan(want))
+
+
+def test_float32_arithmetic_is_the_binary64_op_rounded_once():
+    """Every pair of edge values: float32 ``add`` / ``subtract`` /
+    ``multiply`` / ``divide`` equal the binary64 operation rounded once to
+    float32, and so does ``sqrt`` of each value.  The rounding is exact for
+    these five (binary64's 53 bits are at least 2 * 24 + 2), so this is
+    IEEE float32 arithmetic with subnormals kept — what the C evaluator's
+    ``float`` operations compute."""
+    values = _edge_values(np.random.default_rng(9))
+    a, b = (m.ravel() for m in np.meshgrid(values, values))
+    wide_a, wide_b = a.astype(np.float64), b.astype(np.float64)
+    with np.errstate(all="ignore"):
+        for op in (np.add, np.subtract, np.multiply, np.divide):
+            ok = _same_or_both_nan(op(a, b), op(wide_a, wide_b).astype(np.float32))
+            assert ok.all(), (f"{VERSION}: float32 {op.__name__}({a[~ok][0]!r}, "
+                              f"{b[~ok][0]!r}) is not the rounded binary64 result")
+        ok = _same_or_both_nan(np.sqrt(values), np.sqrt(values.astype(np.float64)).astype(
+            np.float32))
+        assert ok.all(), f"{VERSION}: float32 sqrt({values[~ok][0]!r}) moved"
+
+
+def test_comparisons_are_zero_or_one_and_nan_is_unordered():
+    values = _edge_values(np.random.default_rng(10))
+    a, b = (m.ravel() for m in np.meshgrid(values, values))
+    nan = np.isnan(a) | np.isnan(b)
+    wide_a, wide_b = a.astype(np.float64), b.astype(np.float64)
+    for op in (np.less, np.less_equal, np.greater, np.greater_equal, np.equal, np.not_equal):
+        got = op(a, b).astype(np.float32)
+        assert set(got.view(np.uint32).tolist()) <= {0x00000000, 0x3F800000}, (
+            f"{VERSION}: {op.__name__} is not exactly 0.0 / 1.0 as float32"
+        )
+        assert (got == op(wide_a, wide_b)).all(), f"{VERSION}: float32 {op.__name__} moved"
+        assert (got[nan] == (op is np.not_equal)).all(), (
+            f"{VERSION}: {op.__name__} with a NaN operand is no longer "
+            f"{op is np.not_equal}"
+        )
+
+
+def test_negative_and_absolute_touch_only_the_sign_bit():
+    values = _edge_values(np.random.default_rng(11))
+    bits = values.view(np.uint32)
+    assert (np.negative(values).view(np.uint32) == bits ^ 0x80000000).all(), (
+        f"{VERSION}: float32 negative no longer flips only the sign bit (NaN included)"
+    )
+    assert (np.abs(values).view(np.uint32) == bits & 0x7FFFFFFF).all(), (
+        f"{VERSION}: float32 absolute no longer clears only the sign bit (NaN included)"
+    )
 
 
 def _add_at_spmv(crs, x):
