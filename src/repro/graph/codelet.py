@@ -74,11 +74,14 @@ class SweepSpec:
     (ILU/DILU substitution, Gauss-Seidel); the vertices of one compute set
     share the spec object.
 
-    ``body(state, rhs, out, halo)`` is the solver's substitution over
+    ``body(state, rhs, out, halo)`` binds the solver's substitution over
     whatever index space ``state`` (plans, diagonal, scratch) was built
-    for: the vertex calls it with its tile's state and shard views, the
-    kernel op with ``device_state()`` — the same state merged over the flat
-    device index space, built once per solver — and the flat buffers.
+    for, and returns its ops in run order — native entries
+    (:mod:`repro.solvers.native`) or numpy callables: the vertex binds and
+    runs them with its tile's state and shard views, the kernel op binds
+    them once with ``device_state()`` — the same state merged over the
+    flat device index space, built once per solver — and the flat buffers,
+    and its table runs them.
     ``halo`` says whether the sweep reads ``x``'s halo buffer."""
 
     matrix: object  # repro.sparse DistributedMatrix

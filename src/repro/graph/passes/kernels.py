@@ -36,6 +36,11 @@ bit-identical to ``sim`` — enforced by the property tests in
 Exchanges replay the plan's flat copy ops: one gather/scatter per
 whole-device buffer pair (:mod:`repro.graph.passes.plans`).
 
+The native ops — float32 trees, copies, SpMVs and sweeps — are bound once
+here as table entries (:mod:`repro.solvers.native`); on its first launch a
+kernel folds each maximal run of them into one table, so a launch makes
+one ctypes call per run (``tests/graph/test_native_tables.py``).
+
 The schedule is stored on the :class:`CompiledProgram` alongside the
 per-step plans.  Every run launches it except one a cycle tracer or a fault
 injector observes: those see every superstep, so ``sim`` steps the plans
@@ -80,10 +85,14 @@ class FusedKernel:
 
     ``ops`` is the ordered tuple of zero-argument callables (vectorized
     group evaluators, :class:`ExchangeOp` replays, batched fallbacks) that
-    one dispatch executes.  ``n_compute`` / ``n_exchange`` count the absorbed
-    steps (the engine keeps its superstep statistics in parity with the
-    interpreted backends), ``n_dispatch`` the per-step dispatch calls the
-    kernel replaces, and ``fallbacks`` names the codelet of every per-vertex
+    one dispatch executes: the logical ops.  ``calls`` is how they run —
+    :func:`repro.solvers.native.fold` of ``ops`` on the first launch, every
+    maximal run of consecutive native entries one ``repro_run`` table, so a
+    launch makes one ctypes call per run rather than one per op.
+    ``n_compute`` / ``n_exchange`` count the absorbed steps (the engine
+    keeps its superstep statistics in parity with the interpreted
+    backends), ``n_dispatch`` the per-step dispatch calls the kernel
+    replaces, and ``fallbacks`` names the codelet of every per-vertex
     run that could not be vectorized (``n_fallback`` of them).  ``est_bytes``
     / ``est_flops`` carry the static traffic and arithmetic estimate
     (:mod:`repro.graph.passes.costs`) one launch represents — the wall-clock
@@ -98,7 +107,7 @@ class FusedKernel:
     """
 
     __slots__ = ("name", "ops", "n_compute", "n_exchange", "n_dispatch", "fallbacks",
-                 "n_fallback", "est_bytes", "est_flops", "steps", "cycles")
+                 "n_fallback", "est_bytes", "est_flops", "steps", "cycles", "_calls")
 
     def __init__(self, name: str, ops: tuple, n_compute: int, n_exchange: int,
                  n_dispatch: int, fallbacks: tuple, est_bytes: int = 0,
@@ -114,10 +123,19 @@ class FusedKernel:
         self.est_flops = est_flops
         self.steps = steps
         self.cycles = None
+        self._calls = None
+
+    @property
+    def calls(self) -> tuple:
+        if self._calls is None:
+            from repro.solvers.native import fold  # the package's one C library and its runner
+
+            self._calls = fold(self.ops)
+        return self._calls
 
     def run(self) -> None:
-        for op in self.ops:
-            op()
+        for call in self._calls or self.calls:
+            call()
 
     def __repr__(self):
         return (
@@ -128,23 +146,26 @@ class FusedKernel:
 
 class ExchangeOp:
     """Kernel op replaying one absorbed exchange from its plan's flat copies,
-    each bound once (:meth:`repro.graph.passes.plans.CopyOp.bind`: an
-    indexed float32 copy runs as one native loop).
+    each bound once (:meth:`repro.graph.passes.plans.CopyOp.bind`: a float32
+    copy is a native copy entry per half); ``parts`` are the bound copies,
+    which a kernel's table fold opens up.
 
     ``n_assign`` is the static number of array assignments one call
     performs (a double-word copy moves its hi and lo halves separately).
     """
 
-    __slots__ = ("copies", "n_assign", "_runs")
+    __slots__ = ("copies", "n_assign", "parts")
 
     def __init__(self, copies: tuple):
+        from repro.solvers.native import Chain  # the package's one C library and its runner
+
         self.copies = copies
         self.n_assign = sum(1 if c.dst_lo is None else 2 for c in copies)
-        self._runs = tuple(copy.bind() for copy in copies)
+        self.parts = Chain(copy.bind() for copy in copies).parts
 
     def __call__(self) -> None:
-        for run in self._runs:
-            run()
+        for part in self.parts:
+            part()
 
 
 class KernelSchedule:
@@ -672,13 +693,12 @@ def _lower_sweep_group(spec: SweepSpec, tiles):
     xvar, bvar = spec.x.owned.var, spec.b.owned.var
     hvar = spec.x.halo.var if spec.halo else None
     hflat = _device_layout(spec.matrix, tiles, (xvar, bvar), hvar, batch=1)
-    body, state = spec.body, spec.device_state()
-    xflat, bflat = xvar.flat_data, bvar.flat_data
+    from repro.solvers.native import Chain  # the package's one C library and its runner
 
-    def op():
-        body(state, bflat, xflat, hflat)
-
-    return op
+    try:
+        return Chain(spec.body(spec.device_state(), bvar.flat_data, xvar.flat_data, hflat))
+    except (TypeError, ValueError):  # buffers the native calls cannot take
+        raise _Unvectorizable from None
 
 
 def _lower_batch_reduce_group(spec: BatchReduceSpec, tiles):

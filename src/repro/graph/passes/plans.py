@@ -33,7 +33,6 @@ writes (which mutate the arrays in place).
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import heapq
 from dataclasses import dataclass, field
@@ -153,12 +152,13 @@ class CopyOp:
             self.dst_lo[self.dst_index] = self.src_lo[self.src_index]
 
     def bind(self):
-        """A zero-argument op doing :meth:`apply`: one native call per half
-        (``repro_copy_f32``) when an index is an int64 array and every array
-        is C-contiguous 1-D float32, else :meth:`apply` itself.  The indices
-        are checked once, here: the native call trusts them."""
-        if isinstance(self.src_index, slice) and isinstance(self.dst_index, slice):
-            return self.apply  # numpy's strided copy already is one loop
+        """:meth:`apply` as native entries (``repro_copy_f32``), one per half,
+        when every array is C-contiguous 1-D float32 — a
+        :class:`repro.solvers.native.Chain` of two for a double-word copy —
+        else :meth:`apply` itself.  The indices are checked once, here: the
+        native call trusts them."""
+        from repro.solvers import native  # the package's one C library and its loader
+
         halves = [(self.src, self.dst)]
         if self.dst_lo is not None:
             halves.append((self.src_lo, self.dst_lo))
@@ -166,27 +166,20 @@ class CopyOp:
             calls = [_copy_args(src, self.src_index, dst, self.dst_index) for src, dst in halves]
         except (TypeError, ValueError):
             return self.apply
-        return _NativeCopy(tuple(args for args, _ in calls),
-                           tuple(keep for _, keep in calls), self.apply)
+        entries = [native.Entry(native.COPY, args, (src, dst, keep),
+                                _numpy_copy(src, self.src_index, dst, self.dst_index),
+                                native_copy)
+                   for (src, dst), (args, keep) in zip(halves, calls)]
+        return entries[0] if len(entries) == 1 else native.Chain(entries)
 
 
-class _NativeCopy:
-    """A bound :class:`CopyOp`: its ``repro_copy_f32`` calls, or ``apply``
-    when the library does not load.  ``indices`` keeps the int64 index
-    arrays the calls point into alive (the CopyOp keeps the arrays)."""
+def _numpy_copy(src, src_index, dst, dst_index):
+    """One half of :meth:`CopyOp.apply`."""
 
-    __slots__ = ("calls", "indices", "apply")
+    def copy():
+        dst[dst_index] = src[src_index]
 
-    def __init__(self, calls: tuple, indices: tuple, apply):
-        self.calls, self.indices, self.apply = calls, indices, apply
-
-    def __call__(self) -> None:
-        kernel = native_copy()
-        if kernel is None:
-            self.apply()
-        else:
-            for args in self.calls:
-                kernel(*args)
+    return copy
 
 
 def _copy_args(src, src_index, dst, dst_index) -> tuple:
@@ -228,23 +221,26 @@ def _copy_args(src, src_index, dst, dst_index) -> tuple:
     return args, (src_idx, dst_idx)
 
 
-def _copy_self_check(kernel) -> str | None:
-    """Compare ``kernel`` with :meth:`CopyOp.apply` bit for bit on a fixed
-    case — a gather into a slice, a scatter from one, both sides indexed
-    (a repeated source element among them), and NaN payloads, signed zeros
-    and subnormals that a copy must move untouched; ``None`` when they
-    agree, else what differed."""
+def _copy_self_check(run) -> str | None:
+    """Compare copy entries run by ``run`` (``repro_run``) with
+    :meth:`CopyOp.apply` bit for bit on a fixed case — a gather into a
+    slice, a scatter from one, both sides indexed (a repeated source element
+    among them), a slice to a slice, and NaN payloads, signed zeros and
+    subnormals that a copy must move untouched; ``None`` when they agree,
+    else what differed."""
+    from repro.solvers import native  # the package's one C library and its loader
+
     rng = np.random.default_rng(41)
     src = rng.standard_normal(64).astype(np.float32)
     src.view(np.uint32)[:4] = [0x7FC00001, 0xFFA00000, 0x80000000, 0x00000003]
     gather, scatter = rng.permutation(64)[:40], rng.permutation(50)[:40]
     for k, (si, di) in enumerate(((gather, slice(5, 45)), (slice(10, 50), scatter),
-                                  (np.r_[gather[:39], 0], scatter))):
+                                  (np.r_[gather[:39], 0], scatter), (slice(0, 40), slice(3, 43)))):
         op = CopyOp(src, np.zeros(50, dtype=np.float32), si, di)
         want = op.dst.copy()
         want[di] = src[si]
         args, keep = _copy_args(op.src, si, op.dst, di)  # keep owns the indices
-        kernel(*args)
+        native.Table([native.Entry(native.COPY, args, keep, None, None)], run)()
         differ = np.flatnonzero(op.dst.view(np.uint32) != want.view(np.uint32))
         if differ.size:
             i = int(differ[0])
@@ -254,14 +250,14 @@ def _copy_self_check(kernel) -> str | None:
 
 @functools.cache
 def native_copy():
-    """The compiled indexed copy (``repro_copy_f32``), resolved on the first
-    bound :class:`CopyOp` run: ``None`` — with one ``RuntimeWarning`` saying
-    why — when the library does not build or load, or disagrees with numpy
-    on the self-check; the copies then run as numpy indexing."""
+    """The runner for copy entries (``repro_copy_f32``), resolved on the
+    first bound :class:`CopyOp` run or table fold: ``None`` — with one
+    ``RuntimeWarning`` saying why — when the library does not build or
+    load, or disagrees with numpy on the self-check; the copies then run
+    as numpy indexing."""
     from repro.solvers import native  # the package's one C library and its loader
 
-    return native.kernel("repro_copy_f32", [ctypes.c_int64] + [ctypes.c_void_p] * 4,
-                         _copy_self_check, "indexed copy", "numpy indexing")
+    return native.kernel(_copy_self_check, "indexed copy", "numpy indexing")
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,13 +14,15 @@ preconditioner).
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
 from repro.graph.codelet import Codelet, ComputeSet, SweepSpec, VertexGroup
+from repro.graph.passes.plans import CopyOp
 from repro.graph.program import Execute as ExecuteStep
 from repro.solvers.base import Solver
+from repro.solvers.native import Chain
 from repro.solvers.sweeps import SweepPlan, build_sweep
 
 __all__ = ["GaussSeidel"]
@@ -77,15 +79,17 @@ class GaussSeidel(Solver):
         return self._merged[direction]
 
     @staticmethod
-    def _sweep(state, rhs, out, halo=None):
-        """One in-place sweep of ``out`` against ``rhs``; ``halo`` holds the
-        neighbor values, constants within the sweep."""
+    def _sweep(state, rhs, out, halo=None) -> tuple:
+        """The ops of one in-place sweep of ``out`` against ``rhs``, bound
+        once, in run order; ``halo`` holds the neighbor values, constants
+        within the sweep."""
         xfull, n = state["xfull"], out.shape[0]
-        xfull[:n] = out
+        copies = [CopyOp(out, xfull, slice(None), slice(0, n))]
         if halo is not None:
-            xfull[n:] = halo
-        state["plan"].run(xfull, rhs, diag=state["diag"])
-        out[...] = xfull[:n]
+            copies.append(CopyOp(halo, xfull, slice(None), slice(n, None)))
+        return (*(copy.bind() for copy in copies),
+                state["plan"].bind(xfull, rhs, diag=state["diag"]),
+                CopyOp(xfull, out, slice(0, n), slice(None)).bind())
 
     def _emit_sweep(self, x, b, direction: str) -> None:
         self.A.exchange(x)
@@ -101,10 +105,14 @@ class GaussSeidel(Solver):
             return (int(states[t]["plan"].cycles(model, spec)),)
 
         def codelet(t: int) -> Codelet:
-            def run(ctx):
+            @cache  # bound on the first run: the shards are never reallocated
+            def bound() -> Chain:
                 halo = x.halo.var.shard(t).data if self.A.plan.halo_count(t) else None
-                self._sweep(states[t], b.owned.var.shard(t).data, x.owned.var.shard(t).data,
-                            halo)
+                return Chain(self._sweep(states[t], b.owned.var.shard(t).data,
+                                         x.owned.var.shard(t).data, halo))
+
+            def run(ctx):
+                bound()()
 
             return Codelet(f"gs@{t}", run, lambda ctx: cycles(t), category="gs_sweep",
                            spec=sweep)

@@ -18,6 +18,8 @@ model.  All numerics run in float32, like the IPU.
 
 from __future__ import annotations
 
+from functools import cache, partial
+
 import numpy as np
 
 from repro.errors import FactorizationError
@@ -25,7 +27,9 @@ from repro.graph.codelet import Codelet, ComputeSet, SweepSpec, VertexGroup
 from repro.graph.program import Execute as ExecuteStep
 from repro.machine.cycles import OP_CYCLES
 from repro.solvers.base import Solver
+from repro.solvers.native import Chain
 from repro.solvers.sweeps import SweepPlan, build_sweep
+from repro.tensordsl.materialize import vector_f32
 
 __all__ = ["ILU0", "DILU"]
 
@@ -103,7 +107,8 @@ class _ILUBase(Solver):
     plans, the factored ``diag`` and a ``work`` vector — over one index
     space: ``_tile_data[t]`` over tile ``t``'s rows, :meth:`_device_state`
     over the flat device buffers.  :meth:`_substitute` is the one body both
-    run.
+    run: it binds the substitution's native entries, which a vertex runs at
+    once and a fused kernel folds into its table.
     """
 
     def _setup(self) -> None:
@@ -163,9 +168,13 @@ class _ILUBase(Solver):
             return (int(data["fwd"].cycles(model, spec) + data["bwd"].cycles(model, spec)),)
 
         def codelet(t: int) -> Codelet:
+            @cache  # bound on the first run: the shards are never reallocated
+            def substitution() -> Chain:
+                return Chain(self._substitute(self._tile_data[t], b.owned.var.shard(t).data,
+                                              x.owned.var.shard(t).data))
+
             def run(ctx):
-                self._substitute(self._tile_data[t], b.owned.var.shard(t).data,
-                                 x.owned.var.shard(t).data)
+                substitution()()
 
             return Codelet(f"{self.name}@{t}", run, lambda ctx: cycles(t),
                            category="ilu_solve", spec=sweep)
@@ -174,11 +183,11 @@ class _ILUBase(Solver):
         self.ctx.append(ExecuteStep(cs))
 
     @staticmethod
-    def _substitute(state, rhs, out, halo=None):  # pragma: no cover - abstract
-        """``out = M⁻¹ rhs`` over ``state``'s index space.  Both sweeps write
-        every row before any row reads it (their entries are exactly their
-        dependencies), so ``work`` needs no reset and ``out`` may alias
-        ``rhs``."""
+    def _substitute(state, rhs, out, halo=None) -> tuple:  # pragma: no cover - abstract
+        """The ops of ``out = M⁻¹ rhs`` over ``state``'s index space, bound
+        once, in run order.  Both sweeps write every row before any row
+        reads it (their entries are exactly their dependencies), so
+        ``work`` needs no reset and ``out`` may alias ``rhs``."""
         raise NotImplementedError
 
 
@@ -209,10 +218,10 @@ class ILU0(_ILUBase):
         return {"fwd": fwd, "bwd": bwd, "diag": diag_u, "factor_flops": flops}
 
     @staticmethod
-    def _substitute(state, rhs, out, halo=None):
+    def _substitute(state, rhs, out, halo=None) -> tuple:
         work = state["work"]
-        state["fwd"].run(work, rhs)  # L y = rhs (unit diagonal)
-        state["bwd"].run(out, work, diag=state["diag"])  # U x = y
+        return (state["fwd"].bind(work, rhs),  # L y = rhs (unit diagonal)
+                state["bwd"].bind(out, work, diag=state["diag"]))  # U x = y
 
 
 class DILU(_ILUBase):
@@ -226,8 +235,10 @@ class DILU(_ILUBase):
         return {"fwd": fwd, "bwd": bwd, "diag": d, "factor_flops": flops}
 
     @staticmethod
-    def _substitute(state, rhs, out, halo=None):
+    def _substitute(state, rhs, out, halo=None) -> tuple:
         d, work = state["diag"], state["work"]
-        state["fwd"].run(work, rhs, diag=d)  # (D+L) w = rhs
-        np.multiply(d, work, out=work)  # z = D w
-        state["bwd"].run(out, work, diag=d)  # (D+U) x = z
+        scale = vector_f32("*").bind([0, work.size], {0: d, 1: work}, {}, work,
+                                     fallback=partial(np.multiply, d, work, out=work))
+        return (state["fwd"].bind(work, rhs, diag=d),  # (D+L) w = rhs
+                scale,  # z = D w
+                state["bwd"].bind(out, work, diag=d))  # (D+U) x = z

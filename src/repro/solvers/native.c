@@ -1,6 +1,6 @@
 /* The package's native kernels, in numpy's summation order.
  *
- * repro_sweep_f32 is the level loop of repro.solvers.sweeps.SweepPlan.run,
+ * repro_sweep_f32 is the level loop of repro.solvers.sweeps.SweepPlan.bind,
  * repro_spmv_f32 the whole-device SpMV of the fused kernels
  * (repro.sparse.sell.DeviceSpmv.run).  Both sum a row's products as
  * np.add.reduceat does: the first product plus numpy's pairwise sum of the
@@ -8,7 +8,8 @@
  * empty row sums to +0.0.  repro_eval_f32 runs one float32 expression tree
  * of the fused kernels (repro.tensordsl.materialize.F32Program) and sums a
  * segment as ndarray.sum() does, +0.0 plus the pairwise sum of all of it;
- * repro_copy_f32 is an exchange's indexed copy.
+ * repro_copy_f32 is an exchange's copy.  repro_run calls the four in the
+ * order of a table (repro.solvers.native.Table): one call per fused kernel.
  *
  * Built with -O2 -ftree-vectorize -ffp-contract=off -fno-math-errno and
  * never -ffast-math: a contracted multiply-add or a reassociated sum would
@@ -369,4 +370,47 @@ void repro_copy_f32(int64_t n, const float *src, const int64_t *si, float *dst, 
         for (int64_t i = 0; i < n; i++) dst[di[i]] = src[i];
     else
         memmove(dst, src, (size_t)n * sizeof(float));
+}
+
+/* -- The runner ------------------------------------------------------------ */
+
+/* Entry kinds, in the order of repro.solvers.native's EVAL, COPY, SPMV,
+ * SWEEP. */
+enum { RUN_EVAL, RUN_COPY, RUN_SPMV, RUN_SWEEP };
+
+#define ARG(k) ((void *)(intptr_t)a[k])
+
+/* Run the n entries of table in order.  An entry is its kind, then the
+ * arguments of that kind's function, each one int64 (an address, 0 for
+ * NULL): 10 for repro_eval_f32, 5 for repro_copy_f32, 12 for repro_spmv_f32
+ * and 10 for repro_sweep_f32.  The runner does no arithmetic of its own; a
+ * later entry reads what an earlier one wrote. */
+void repro_run(int64_t n, const int64_t *table)
+{
+    for (int64_t e = 0; e < n; e++) {
+        const int64_t *a = table + 1;
+        switch (table[0]) {
+        case RUN_EVAL:
+            repro_eval_f32(a[0], ARG(1), ARG(2), ARG(3), ARG(4), ARG(5), ARG(6), ARG(7), ARG(8),
+                           ARG(9));
+            table = a + 10;
+            break;
+        case RUN_COPY:
+            repro_copy_f32(a[0], ARG(1), ARG(2), ARG(3), ARG(4));
+            table = a + 5;
+            break;
+        case RUN_SPMV:
+            repro_spmv_f32(a[0], a[1], a[2], ARG(3), ARG(4), ARG(5), ARG(6), ARG(7), ARG(8),
+                           ARG(9), ARG(10), ARG(11));
+            table = a + 12;
+            break;
+        case RUN_SWEEP:
+            repro_sweep_f32(a[0], ARG(1), ARG(2), ARG(3), ARG(4), ARG(5), ARG(6), ARG(7), ARG(8),
+                            ARG(9));
+            table = a + 10;
+            break;
+        default: /* tables are built from the four kinds only */
+            return;
+        }
+    }
 }

@@ -1,14 +1,24 @@
-"""Build and load the package's C kernels through the system compiler.
+"""Build and load the package's C kernels through the system compiler, and
+run them as tables.
 
 The kernels' one source, ``native.c``, ships beside this module.
 :func:`load` compiles it with ``cc`` once per source hash into the user
 cache (``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``; a private
 temporary directory when that is not writable) and opens it with
 :mod:`ctypes`.  It never raises: no compiler, a failed compile or a library
-that does not open is a reason string.  :func:`kernel` resolves one function
-of the library the one way every kernel does — argument types, a bit-for-bit
-self-check against its numpy form, one ``RuntimeWarning`` and ``None`` when
-either step fails — and the caller then runs its numpy form instead
+that does not open is a reason string.
+
+Every native op is an :class:`Entry` of one of four kinds (:data:`EVAL`,
+:data:`COPY`, :data:`SPMV`, :data:`SWEEP`): the kind's arguments, bound
+once, and the numpy form that is its oracle and fallback.  The library's
+one entry point, ``repro_run``, runs a table of entries in order;
+:func:`fold` packs every maximal run of consecutive entries of a fused
+kernel into one :class:`Table`, so the kernel makes one ctypes call per run
+instead of one per op.  :func:`kernel` resolves ``repro_run`` for one kind
+the one way every kind does — a bit-for-bit self-check of that kind against
+its numpy form, run through the runner, and one ``RuntimeWarning`` and
+``None`` when the library does not load or the check fails — and that
+kind's entries then run their numpy forms, splitting the tables
 (``docs/runtime.md``).
 """
 
@@ -24,7 +34,16 @@ import tempfile
 import warnings
 from pathlib import Path
 
-__all__ = ["FLAGS", "kernel", "load"]
+import numpy as np
+
+__all__ = ["ARGS", "COPY", "EVAL", "FLAGS", "SPMV", "SWEEP", "Chain", "Entry", "Table",
+           "fold", "kernel", "load"]
+
+#: Entry kinds of a ``repro_run`` table, in ``native.c``'s order:
+#: ``repro_eval_f32``, ``repro_copy_f32``, ``repro_spmv_f32`` and
+#: ``repro_sweep_f32``; ``ARGS[kind]`` is the number of arguments each takes.
+EVAL, COPY, SPMV, SWEEP = range(4)
+ARGS = (10, 5, 12, 10)
 
 #: ``-ffp-contract=off``: no fused multiply-add may merge a product into a
 #: sum.  Never ``-ffast-math``: it reassociates sums and sets flush-to-zero
@@ -83,21 +102,111 @@ def load() -> tuple:
         return None, f"{SOURCE.name} did not build or load: {exc}"
 
 
-def kernel(symbol: str, argtypes: list, self_check, what: str, fallback: str):
-    """The library function ``symbol`` taking ``argtypes``, once
-    ``self_check(function)`` — its comparison with the numpy form, ``None``
-    when they agree bit for bit, else what differed — passes.  ``None``,
-    after one ``RuntimeWarning`` naming ``what`` and the ``fallback`` that
-    runs instead, when the library does not build or load or the check
-    fails.  Callers resolve each kernel once per process."""
+def kernel(self_check, what: str, fallback: str):
+    """The library's runner, ``repro_run(n, table)``, for the entries of
+    one kind, once ``self_check(run)`` — the kind's comparison with its
+    numpy form, run through the runner: ``None`` when they agree bit for
+    bit, else what differed — passes.  ``None``, after one
+    ``RuntimeWarning`` naming ``what`` and the ``fallback`` that runs
+    instead, when the library does not build or load or the check fails.
+    Callers resolve each kind once per process."""
     library, reason = load()
     if library is not None:
-        function = getattr(library, symbol)
-        function.restype = None
-        function.argtypes = argtypes
-        reason = self_check(function)
+        run = library.repro_run
+        run.restype = None
+        run.argtypes = [ctypes.c_int64, ctypes.c_void_p]
+        reason = self_check(run)
         if reason is None:
-            return function
+            return run
     warnings.warn(f"native {what} unavailable, running {fallback}: {reason}",
                   RuntimeWarning, stacklevel=4)
     return None
+
+
+class Entry:
+    """One bound native op: ``kind`` with its arguments ``args`` (sizes and
+    addresses, ``None`` for NULL, checked by whoever bound them) as one
+    table row, and ``fallback``, the numpy form that runs instead when
+    ``resolve()`` — the kind's cached :func:`kernel` — is ``None``.
+    ``keep`` holds every array the addresses point into; the arrays are
+    written in place, never reallocated, so the addresses hold as long as
+    the entry does.  Called alone, an entry is a one-entry table."""
+
+    __slots__ = ("kind", "row", "keep", "fallback", "resolve", "_address")
+
+    def __init__(self, kind: int, args: tuple, keep, fallback, resolve):
+        if len(args) != ARGS[kind]:
+            raise ValueError(f"a kind {kind} entry takes {ARGS[kind]} arguments, not {len(args)}")
+        self.kind, self.keep, self.fallback, self.resolve = kind, keep, fallback, resolve
+        self.row = np.array([kind, *(0 if a is None else a for a in args)], dtype=np.int64)
+        self._address = self.row.ctypes.data
+
+    def __call__(self) -> None:
+        run = self.resolve()
+        if run is None:
+            self.fallback()
+        else:
+            run(1, self._address)
+
+
+def _parts(op) -> tuple:
+    """The ops ``op`` runs one after the other: its ``parts`` (a
+    :class:`Chain`'s, an exchange's copies), else ``op`` itself."""
+    return getattr(op, "parts", (op,))
+
+
+class Chain:
+    """Ops that run one after the other as one op — entries, numpy
+    callables, anything with ``parts`` (flattened here) — and that
+    :func:`fold` opens up."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        self.parts = tuple(p for part in parts for p in _parts(part))
+
+    def __call__(self) -> None:
+        for part in self.parts:
+            part()
+
+
+class Table:
+    """Consecutive entries run by one call of ``run``, the library's
+    ``repro_run``."""
+
+    __slots__ = ("entries", "rows", "_run", "_n", "_address")
+
+    def __init__(self, entries, run):
+        self.entries = tuple(entries)
+        self.rows = np.concatenate([e.row for e in self.entries])
+        self._run, self._n, self._address = run, len(self.entries), self.rows.ctypes.data
+
+    def __call__(self) -> None:
+        self._run(self._n, self._address)
+
+
+def fold(ops) -> tuple:
+    """``ops`` as they run: chains opened, every maximal run of consecutive
+    entries whose kind resolves packed into one :class:`Table`, and an entry
+    whose kind does not resolve replaced by its numpy fallback — which
+    splits the run around it.  Resolves every kind present (their
+    self-checks run on first use)."""
+    calls, run = [], []
+
+    def close():
+        if run:
+            calls.append(Table(run, run[0].resolve()))
+            run.clear()
+
+    for op in ops:
+        for part in _parts(op):
+            if not isinstance(part, Entry):
+                close()
+                calls.append(part)
+            elif part.resolve() is None:
+                close()
+                calls.append(part.fallback)
+            else:
+                run.append(part)
+    close()
+    return tuple(calls)

@@ -7,13 +7,14 @@ dependency order, updating ``x[row]`` from a subset of the row's entries.
 arrays; the cycle cost model uses the IPUTHREADING single-compute-set
 strategy (Sec. V-A / the IPUTHREADING library).  ``SweepPlan.merged``
 concatenates the tiles' plans level by level into one plan over the flat
-device index space — what the fused kernels run, with the same ``run`` and
+device index space — what the fused kernels run, with the same ``bind`` and
 bit-identical results (``docs/runtime.md``).
 
-``run`` is one call into ``native.c`` (:mod:`repro.solvers.native`), which
-sums each row in numpy's ``reduceat`` order; the numpy level loop
-(:meth:`SweepPlan.run_numpy`) is its oracle, and runs instead when no
-library loads or the library fails its load-time self-check.
+``bind`` makes a sweep one ``repro_sweep_f32`` entry of ``native.c``
+(:mod:`repro.solvers.native`), which sums each row in numpy's ``reduceat``
+order; a fused kernel's table runs it with the ops around it.  The numpy
+level loop (:meth:`SweepPlan.run_numpy`) is its oracle, and runs instead
+when no library loads or the library fails its load-time self-check.
 
 Dependencies are the entries whose column is itself updated by the sweep;
 for structurally symmetric matrices the level order reproduces the
@@ -23,7 +24,6 @@ the lower-triangular dependency between them).
 
 from __future__ import annotations
 
-import ctypes
 import functools
 from dataclasses import dataclass
 
@@ -96,7 +96,7 @@ class SweepPlan:
         # The native call's scratch: the largest level's products.
         level_entries = np.diff(self.entry_ptr[self.level_ptr])
         self._prod = np.empty(int(level_entries.max(initial=0)), dtype=np.float32)
-        # How much of each buffer ``run`` touches.
+        # How much of each buffer a bound sweep touches.
         self._rhs_size = int(self.rows.max(initial=-1)) + 1
         self._x_size = max(self._rhs_size, int(self.cols.max(initial=-1)) + 1)
         self._plan_args = (self.num_levels, *(a.ctypes.data for a in (
@@ -117,7 +117,7 @@ class SweepPlan:
         move by the row offset when ``col_maps`` is ``None`` (block-local
         entries).  Tiles never read each other's rows within a sweep, and a
         row's sum runs over exactly its own entries wherever they sit, so
-        :meth:`run` over the concatenated vectors equals the per-plan runs
+        a sweep over the concatenated vectors equals the per-plan sweeps
         bit for bit.
         """
         global _MERGED_INVOCATIONS
@@ -146,29 +146,30 @@ class SweepPlan:
 
     # -- execution ----------------------------------------------------------------
 
-    def run(self, x_full: np.ndarray, rhs: np.ndarray, diag=None) -> None:
-        """Sweep in place: ``x[row] = (rhs[row] - Σ vals·x_full[cols]) / diag[row]``.
+    def bind(self, x_full: np.ndarray, rhs: np.ndarray, diag=None) -> native.Entry:
+        """A :class:`repro.solvers.native.Entry` sweeping in place at every
+        call: ``x[row] = (rhs[row] - Σ vals·x_full[cols]) / diag[row]``.
 
         ``x_full`` is the working vector (owned prefix + halo suffix); only
         owned rows are written.  ``diag=None`` means unit diagonal.  All
-        three are contiguous 1-D float32 arrays.  Every backend runs this
-        one body: the native call, or :meth:`run_numpy` without one.
+        three are contiguous 1-D float32 arrays, checked once, here: the
+        native call trusts them.  The entry runs :meth:`run_numpy` instead
+        when the library does not load.
         """
         args = (
             _buffer(x_full, "x_full", self._x_size, writable=True),
             _buffer(rhs, "rhs", self._rhs_size),
             None if diag is None else _buffer(diag, "diag", self._rhs_size),
         )
-        kernel = native_sweep()
-        if kernel is None:
-            self.run_numpy(x_full, rhs, diag)
-        else:
-            kernel(*self._plan_args, *args, self._prod.ctypes.data)
+        return native.Entry(native.SWEEP, (*self._plan_args, *args, self._prod.ctypes.data),
+                            (self, x_full, rhs, diag),
+                            functools.partial(self.run_numpy, x_full, rhs, diag), native_sweep)
 
     def run_numpy(self, x_full: np.ndarray, rhs: np.ndarray, diag=None) -> None:
-        """:meth:`run` as a numpy loop over the levels — the native call's
-        oracle and fallback: per level, one gather–multiply–``reduceat``
-        (:class:`RowSegments`), subtract and divide on preallocated scratch."""
+        """The sweep of :meth:`bind` as a numpy loop over the levels — the
+        native call's oracle and fallback: per level, one
+        gather–multiply–``reduceat`` (:class:`RowSegments`), subtract and
+        divide on preallocated scratch."""
         for rows, cols, vals, segments, prod, padded, acc, div in self._steps:
             rhs.take(rows, out=acc, mode="clip")
             if cols.size:  # else every sum is +0.0, and rhs - 0.0 is rhs
@@ -226,9 +227,10 @@ class SweepPlan:
 # -- the native call ---------------------------------------------------------------------
 
 
-def _self_check(kernel) -> str | None:
-    """Compare ``kernel`` with :meth:`SweepPlan.run_numpy` bit for bit on a
-    fixed plan; ``None`` when they agree, else what differed.
+def _self_check(run) -> str | None:
+    """Compare sweep entries run by ``run`` (``repro_run``) with
+    :meth:`SweepPlan.run_numpy` bit for bit on a fixed plan; ``None`` when
+    they agree, else what differed.
 
     Level 0 has rows of 1, 7, 8, 9, 128, 129 and 300 entries (both sides of
     each ``reduceat`` regime and of the recursive split), an empty row and
@@ -255,8 +257,7 @@ def _self_check(kernel) -> str | None:
     diag = rng.uniform(0.5, 4.0, rows.size).astype(np.float32)
     for d in (diag, None):
         x_native, x_numpy = x0.copy(), x0.copy()
-        kernel(*plan._plan_args, x_native.ctypes.data, rhs.ctypes.data,
-               None if d is None else d.ctypes.data, plan._prod.ctypes.data)
+        native.Table([plan.bind(x_native, rhs, d)], run)()
         plan.run_numpy(x_numpy, rhs, d)
         differ = np.flatnonzero(x_native.view(np.uint32) != x_numpy.view(np.uint32))
         if differ.size:
@@ -268,12 +269,12 @@ def _self_check(kernel) -> str | None:
 
 @functools.cache
 def native_sweep():
-    """The compiled level loop (``repro_sweep_f32``), resolved on the first
-    :meth:`SweepPlan.run`: ``None`` — with one ``RuntimeWarning`` saying why
-    — when the library does not build or load, or disagrees with the numpy
-    loop on the self-check; :meth:`SweepPlan.run` then runs the numpy loop."""
-    return native.kernel("repro_sweep_f32", [ctypes.c_int64] + [ctypes.c_void_p] * 9,
-                         _self_check, "sweep", "the numpy level loop")
+    """The runner for sweep entries (``repro_sweep_f32``), resolved on the
+    first bound sweep run or table fold: ``None`` — with one
+    ``RuntimeWarning`` saying why — when the library does not build or
+    load, or disagrees with the numpy loop on the self-check; the sweep
+    entries then run the numpy loop."""
+    return native.kernel(_self_check, "sweep", "the numpy level loop")
 
 
 # -- building ------------------------------------------------------------------------------

@@ -17,12 +17,11 @@ prediction does not hold: with ``sigma = n``, one chunk and *no padding* it
 reproduces ``np.add.reduceat``'s row sums in a few whole-array passes.  It
 is the oracle and the no-compiler fallback of :class:`DeviceSpmv`, the
 fused whole-device kernels' SpMV (:mod:`repro.graph.passes.kernels`), which
-is one native call in the same order.
+is one native table entry in the same order.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 from dataclasses import dataclass
 
@@ -189,7 +188,8 @@ class DeviceSpmv:
     index space (``DistributedMatrix.device_columns``), with ``batch`` RHS
     columns on a trailing axis.
 
-    Each run is one call into ``native.c`` (``repro_spmv_f32``), which sums
+    :meth:`bind` makes it one ``repro_spmv_f32`` entry of ``native.c``
+    (a fused kernel's table runs it with the ops around it), which sums
     every row in ``np.add.reduceat``'s order — so it equals the per-tile
     SpMV bit for bit.  :meth:`run_numpy`, :class:`SlotMajorRows` plus the
     diagonal, is its oracle and runs instead when no library loads or the
@@ -222,10 +222,10 @@ class DeviceSpmv:
         self._scratch = (self._xfull.ctypes.data, self._prod.ctypes.data)
 
     def bind(self, x: np.ndarray, halo, y: np.ndarray):
-        """A zero-argument op writing ``y = A [x | halo]`` for these buffers
-        at every call: C-contiguous float32 ``(n,)`` arrays — ``(n, batch)``
-        with RHS columns — ``halo`` with ``halo`` rows (``None`` when there
-        are none), ``y`` overlapping neither."""
+        """A :class:`repro.solvers.native.Entry` writing ``y = A [x | halo]``
+        for these buffers at every call: C-contiguous float32 ``(n,)``
+        arrays — ``(n, batch)`` with RHS columns — ``halo`` with ``halo``
+        rows (``None`` when there are none), ``y`` overlapping neither."""
         trailing = () if self.batch == 1 else (self.batch,)
         buffers = [("x", x, self.n), ("y", y, self.n)]
         if self.halo or halo is not None:
@@ -238,17 +238,12 @@ class DeviceSpmv:
         if not y.flags.writeable or any(
                 np.shares_memory(a, y) for name, a, _ in buffers if name != "y"):
             raise ValueError("SpMV y must be writable and overlap neither x nor halo")
+        from repro.solvers import native  # the package's one C library and its loader
+
         args = (*self._args, x.ctypes.data, None if halo is None else halo.ctypes.data,
                 y.ctypes.data, *self._scratch)
-
-        def op():
-            kernel = native_spmv()
-            if kernel is None:
-                self.run_numpy(x, halo, y)
-            else:
-                kernel(*args)
-
-        return op
+        return native.Entry(native.SPMV, args, (self, x, halo, y),
+                            functools.partial(self.run_numpy, x, halo, y), native_spmv)
 
     def run_numpy(self, x: np.ndarray, halo, y: np.ndarray) -> None:
         """The native call as numpy: assemble ``[x | halo]``, the slot-major
@@ -271,15 +266,18 @@ class DeviceSpmv:
         return rows, self.diag[:, None] if trailing else self.diag
 
 
-def _self_check(kernel) -> str | None:
-    """Compare ``kernel`` with :meth:`DeviceSpmv.run_numpy` bit for bit on a
-    fixed matrix; ``None`` when they agree, else what differed.
+def _self_check(run) -> str | None:
+    """Compare SpMV entries run by ``run`` (``repro_run``) with
+    :meth:`DeviceSpmv.run_numpy` bit for bit on a fixed matrix; ``None``
+    when they agree, else what differed.
 
     Rows of 0, 1, 7, 8, 9, 128, 129 and 300 entries (both sides of each
     ``reduceat`` regime and of the recursive split), runs of equal short
     rows, a trailing empty row, columns in the halo suffix, signed-zero
     products and diagonal entries; one and three RHS columns.
     """
+    from repro.solvers import native  # the package's one C library and its loader
+
     rng = np.random.default_rng(31)
     lengths = [1, 7, 7, 7, 0, 8, 9, 128, 129, 300, 2, 2, 3, 0]
     n, halo = len(lengths), 6
@@ -296,8 +294,7 @@ def _self_check(kernel) -> str | None:
         x = np.ascontiguousarray(cells[:n, columns])
         h = np.ascontiguousarray(cells[n:, columns])
         y_native, y_numpy = np.empty_like(x), np.empty_like(x)
-        kernel(*spmv._args, x.ctypes.data, h.ctypes.data, y_native.ctypes.data,
-               *spmv._scratch)
+        native.Table([spmv.bind(x, h, y_native)], run)()
         spmv.run_numpy(x, h, y_numpy)
         differ = np.argwhere(y_native.view(np.uint32) != y_numpy.view(np.uint32))
         if differ.size:
@@ -309,14 +306,14 @@ def _self_check(kernel) -> str | None:
 
 @functools.cache
 def native_spmv():
-    """The compiled SpMV (``repro_spmv_f32``), resolved on the first
-    :class:`DeviceSpmv` run: ``None`` — with one ``RuntimeWarning`` saying
-    why — when the library does not build or load, or disagrees with the
-    slot-major numpy SpMV on the self-check, which then runs instead."""
+    """The runner for SpMV entries (``repro_spmv_f32``), resolved on the
+    first :class:`DeviceSpmv` run or table fold: ``None`` — with one
+    ``RuntimeWarning`` saying why — when the library does not build or
+    load, or disagrees with the slot-major numpy SpMV on the self-check,
+    which then runs instead."""
     from repro.solvers import native  # the package's one C library and its loader
 
-    return native.kernel("repro_spmv_f32", [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 9,
-                         _self_check, "SpMV", "the slot-major numpy SpMV")
+    return native.kernel(_self_check, "SpMV", "the slot-major numpy SpMV")
 
 
 def sell_spmv_cycles(model: CycleModel, block: SellBlock, workers: int = 6) -> int:

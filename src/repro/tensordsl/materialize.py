@@ -16,7 +16,6 @@ broadcast inside the codelet, avoiding materializing expanded tensors
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import operator
 from dataclasses import dataclass
@@ -42,6 +41,7 @@ __all__ = [
     "compile_expr",
     "compile_f32",
     "native_eval",
+    "vector_f32",
     "assignment_evaluator",
     "expr_compilations",
     "elementwise_group",
@@ -289,8 +289,9 @@ class F32Program:
     consts: tuple
 
     def bind(self, offsets, vectors: dict, scalars: dict, out, out_at=None, fallback=None):
-        """A zero-argument op running the program over the segments
-        ``[offsets[s], offsets[s + 1])`` of ``offsets[-1]`` elements.
+        """A :class:`repro.solvers.native.Entry` running the program over
+        the segments ``[offsets[s], offsets[s + 1])`` of ``offsets[-1]``
+        elements.
 
         ``vectors`` maps a leaf index to its values, a float32 array of one
         element per element; ``scalars`` maps the others to ``(base, at)``:
@@ -300,7 +301,7 @@ class F32Program:
         vectors, never part of a scalar's ``base`` — else segment ``s``'s
         ``.sum()`` to ``out[out_at[s]]``, and ``out`` overlaps no leaf.  All
         are C-contiguous 1-D arrays, checked once here (``TypeError`` /
-        ``ValueError``): the native call trusts them.  The op runs
+        ``ValueError``): the native call trusts them.  The entry runs
         ``fallback`` instead when the evaluator does not load.
         """
         offsets = np.asarray(offsets, dtype=np.int64)
@@ -346,8 +347,9 @@ class F32Program:
         tmp = scratch.ctypes.data
         args = (nseg, *starts[:5], tmp + 4 * n_tmp * _BLOCK, tmp, address[0],
                 starts[5] if reduce else None)
-        buffers = (ints, scratch, arrays)
-        return _NativeOp(args, buffers, fallback)
+        from repro.solvers import native  # the package's one C library and its loader
+
+        return native.Entry(native.EVAL, args, (ints, scratch, arrays), fallback, native_eval)
 
     def _schedule(self, vecs: list, seg: list, reduce: bool) -> tuple:
         """``(prog, uni slots, temporaries)`` for ``repro_eval_f32``, worked
@@ -409,24 +411,6 @@ def _f32_buffer(array, size, name: str) -> None:
                         + ("" if size is None else f" of {size} elements"))
 
 
-class _NativeOp:
-    """A bound :class:`F32Program`: one ``repro_eval_f32`` call, or its
-    ``fallback`` when the evaluator does not load.  ``buffers`` keeps every
-    array the call's addresses point into alive."""
-
-    __slots__ = ("args", "buffers", "fallback")
-
-    def __init__(self, args: tuple, buffers: tuple, fallback):
-        self.args, self.buffers, self.fallback = args, buffers, fallback
-
-    def __call__(self) -> None:
-        kernel = native_eval()
-        if kernel is None:
-            self.fallback()
-        else:
-            kernel(*self.args)
-
-
 def compile_f32(expr: Expr, out_var=None):
     """The :class:`F32Program` of ``expr`` — assigned into ``out_var`` when
     given — or ``None`` when a node, a leaf or ``out_var`` is not float32
@@ -470,10 +454,17 @@ def compile_f32(expr: Expr, out_var=None):
     return F32Program(tuple(code), tuple(var for _, var in leaves.values()), tuple(consts))
 
 
-class _CheckVar:
-    """A float32 vector leaf of the self-check."""
+class _Vector:
+    """A float32 vector leaf with no graph variable behind it."""
 
     dtype, batch, shape = Type.FLOAT32, 1, (1,)
+
+
+@functools.cache
+def vector_f32(op: str) -> F32Program:
+    """The program of ``a op b`` over two float32 vectors, ``a`` leaf 0 and
+    ``b`` leaf 1: the glue a solver binds between its native ops."""
+    return compile_f32(BinExpr(op, Leaf(_Vector()), Leaf(_Vector())))
 
 
 @functools.cache
@@ -489,7 +480,7 @@ def _check_case() -> tuple:
     draws = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
     draws[::17] = np.resize([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-41, -3e-39], size // 17 + 1)
     values = np.split(draws.astype(np.float32), np.cumsum([total, total, nseg]))
-    v0, v1, s0, s1 = (Leaf(_CheckVar()) for _ in range(4))
+    v0, v1, s0, s1 = (Leaf(_Vector()) for _ in range(4))
     arith = BinExpr("-", BinExpr("+", v0, BinExpr("*", s0, ConstExpr(3.0))), v1)
     tree = BinExpr("/", UnExpr("sqrt", UnExpr("abs", UnExpr("neg", arith))),
                    BinExpr("-", s1, v0))
@@ -522,9 +513,10 @@ def _differ(got, want) -> np.ndarray:
     return np.flatnonzero((got.view(np.uint32) != want.view(np.uint32)) & ~nan)
 
 
-def _self_check(kernel) -> str | None:
-    """Compare ``kernel`` with :func:`compile_expr` bit for bit on a fixed
-    case; ``None`` when they agree, else what differed.
+def _self_check(run) -> str | None:
+    """Compare evaluator entries run by ``run`` (``repro_run``) with
+    :func:`compile_expr` bit for bit on a fixed case; ``None`` when they
+    agree, else what differed.
 
     One tree of every arithmetic, unary and comparison op over two vectors,
     two per-segment scalars and a constant (a per-segment product among
@@ -533,14 +525,15 @@ def _self_check(kernel) -> str | None:
     9, 128, 129, 300 and 3 elements (both sides of each pairwise regime and
     of the recursive split); ±0.0, ±inf, NaN and subnormals.
     """
+    from repro.solvers import native  # the package's one C library and its loader
+
     offsets, cases = _check_case()
     for k, (program, vectors, scalars, reduces, value, sums) in enumerate(cases):
         for reduce in reduces:
             want = sums if reduce else value
             out = np.empty(want.size, dtype=np.float32)
             at = np.arange(want.size) if reduce else None
-            op = program.bind(offsets, vectors, scalars, out, at)  # owns the call's buffers
-            kernel(*op.args)
+            native.Table([program.bind(offsets, vectors, scalars, out, at)], run)()
             differ = _differ(out, want)
             if differ.size:
                 i = int(differ[0])
@@ -551,15 +544,14 @@ def _self_check(kernel) -> str | None:
 
 @functools.cache
 def native_eval():
-    """The compiled evaluator (``repro_eval_f32``), resolved on the first
-    bound :class:`F32Program` run: ``None`` — with one ``RuntimeWarning``
-    saying why — when the library does not build or load, or disagrees with
-    :func:`compile_expr` on the self-check; the fused kernels then run their
-    numpy trees."""
+    """The runner for evaluator entries (``repro_eval_f32``), resolved on
+    the first bound :class:`F32Program` run or table fold: ``None`` — with
+    one ``RuntimeWarning`` saying why — when the library does not build or
+    load, or disagrees with :func:`compile_expr` on the self-check; the
+    fused kernels then run their numpy trees."""
     from repro.solvers import native  # the package's one C library and its loader
 
-    return native.kernel("repro_eval_f32", [ctypes.c_int64] + [ctypes.c_void_p] * 9,
-                         _self_check, "expression evaluator", "the numpy expression trees")
+    return native.kernel(_self_check, "expression evaluator", "the numpy expression trees")
 
 
 @cache

@@ -20,8 +20,10 @@ from hypothesis import strategies as st
 from repro.graph.codelet import ElementwiseSpec, ReduceSpec
 from repro.graph.passes import plans
 from repro.graph.passes.plans import CopyOp, native_copy
-from repro.solvers import compile_solve, native, solve
-from repro.sparse import poisson3d
+from repro.solvers import compile_solve, native, solve, sweeps
+from repro.solvers.sweeps import native_sweep
+from repro.sparse import poisson3d, sell
+from repro.sparse.sell import native_spmv
 from repro.sparse.suitesparse import g3_circuit_like
 from repro.tensordsl import materialize
 from repro.tensordsl.expression import (
@@ -236,7 +238,8 @@ def test_bind_refuses_buffers_the_call_cannot_take():
 def test_the_native_kernels_are_in_use_wherever_a_compiler_is():
     """A broken toolchain fails here instead of silently losing the gain:
     the evaluator and the copy resolve, and every float32 elementwise and
-    sum group of a Fig. 5-shaped CG lowers to one evaluator call."""
+    sum group of a Fig. 5-shaped CG lowers to one evaluator entry of its
+    kernel's table."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
     assert native_eval() is not None and native_copy() is not None
@@ -245,7 +248,8 @@ def test_the_native_kernels_are_in_use_wherever_a_compiler_is():
                              num_ipus=2, tiles_per_ipu=8)
     groups = native_ops = 0
     for kernel in compiled.kernels.kernels:
-        native_ops += sum(isinstance(op, materialize._NativeOp) for op in kernel.ops)
+        native_ops += sum(entry.kind == native.EVAL for call in kernel.calls
+                          if isinstance(call, native.Table) for entry in call.entries)
         for step in kernel.steps:
             for g in getattr(getattr(step, "compute_set", None), "groups", ()):
                 groups += isinstance(g.spec, (ElementwiseSpec, ReduceSpec)) and not g.cost_only
@@ -266,10 +270,11 @@ def test_the_self_check_is_fast_and_catches_a_wrong_kernel():
         times.append(time.perf_counter() - start)
     assert min(times) < 1e-3, f"self-check takes {min(times) * 1e3:.2f} ms"
 
-    def one_sum_off(*args):
-        kernel(*args)
-        if args[9] is not None:  # a sum: segment 0 is empty, its sum +0.0
-            ctypes.c_uint32.from_address(args[8]).value ^= 1
+    def one_sum_off(n, table):
+        kernel(n, table)
+        row = (ctypes.c_int64 * 11).from_address(table)  # kind, then the ten arguments
+        if row[10]:  # a sum (out_at given): segment 0 is empty, its sum +0.0
+            ctypes.c_uint32.from_address(row[9]).value ^= 1
 
     assert materialize._self_check(one_sum_off).startswith("self-check: sum 0 of program 0")
 
@@ -292,51 +297,111 @@ def _solves():
             solve(g3, b3, MPIR_FIG8, num_ipus=1, tiles_per_ipu=16, backend="sim"))
 
 
-@pytest.mark.parametrize("resolver, warning", [
-    (native_eval, "native expression evaluator unavailable, running the numpy expression "
+#: Per kind: the module and name of its self-check, its resolver, and the
+#: warning it gives when forced off.
+KINDS = {
+    native.EVAL: (materialize, "_self_check", native_eval,
+                  "native expression evaluator unavailable, running the numpy expression "
                   "trees: forced off"),
-    (native_copy, "native indexed copy unavailable, running numpy indexing: forced off"),
-])
-def test_solves_without_the_kernel_are_bit_identical(monkeypatch, resolver, warning):
-    """With the loader forced to report no library, the kernel's numpy form
-    runs — after exactly one RuntimeWarning saying why — and both solves
-    match the native ones bit for bit: ``x``, residual history, modeled
-    cycles."""
-    reference = _solves()
-    monkeypatch.setattr(native, "load", lambda: (None, "forced off"))
-    resolver.cache_clear()
+    native.COPY: (plans, "_copy_self_check", native_copy,
+                  "native indexed copy unavailable, running numpy indexing: forced off"),
+    native.SPMV: (sell, "_self_check", native_spmv,
+                  "native SpMV unavailable, running the slot-major numpy SpMV: forced off"),
+    native.SWEEP: (sweeps, "_self_check", native_sweep,
+                   "native sweep unavailable, running the numpy level loop: forced off"),
+}
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return _solves()
+
+
+def _launch_calls(result) -> list:
+    """Per kernel of a solve's program that does anything: ``(native
+    calls, numpy calls)`` one launch makes."""
+    counts = []
+    for kernel in result.compiled.kernels.kernels:
+        if kernel.ops:
+            tables = sum(isinstance(call, native.Table) for call in kernel.calls)
+            counts.append((tables, len(kernel.calls) - tables))
+    return counts
+
+
+def test_a_kernel_launch_makes_one_native_call_per_run_of_entries(reference):
+    """What was realized: every kernel of the Fig. 5-shaped CG launches as
+    exactly one native call; a kernel of the ``mpir_ilu_g3``-shaped solve
+    makes at most one more native call than it has numpy ops, and its
+    inner loop (PBiCGStab + ILU(0) sweeps) is one call."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    cg, mpir = (_launch_calls(result) for result in reference)
+    assert len(cg) >= 2 and cg == [(1, 0)] * len(cg)
+    assert all(tables <= 1 + numpy for tables, numpy in mpir)
+    assert (1, 0) in mpir
+
+
+@pytest.mark.parametrize("off", [*KINDS, "library"],
+                         ids=["evaluator", "copy", "spmv", "sweep", "library"])
+def test_solves_without_a_kind_are_bit_identical(monkeypatch, reference, off):
+    """With one kind's self-check failing — or the loader forced to report
+    no library, every kind — that kind's numpy form runs, after exactly one
+    RuntimeWarning per kind saying why, its entries are out of every table,
+    and both solves match the native ones bit for bit: ``x``, residual
+    history, modeled cycles."""
+    kinds = list(KINDS) if off == "library" else [off]
+    if off == "library":
+        monkeypatch.setattr(native, "load", lambda: (None, "forced off"))
+    else:
+        module, check = KINDS[off][:2]
+        monkeypatch.setattr(module, check, lambda run: "forced off")
+    for kind in kinds:
+        KINDS[kind][2].cache_clear()
     try:
         with pytest.warns(RuntimeWarning) as caught:
             fallback = _solves()
     finally:
-        resolver.cache_clear()
-    assert [str(w.message) for w in caught] == [warning]
+        for kind in kinds:
+            KINDS[kind][2].cache_clear()
+    assert sorted(str(w.message) for w in caught) == sorted(KINDS[k][3] for k in kinds)
     for want, got in zip(reference, fallback):
         assert want.failure is None
         assert want.x.tobytes() == got.x.tobytes()
         assert want.stats.residuals == got.stats.residuals
         assert want.cycles == got.cycles
+        for kernel in got.compiled.kernels.kernels:
+            assert not any(entry.kind in kinds for call in kernel.calls
+                           if isinstance(call, native.Table) for entry in call.entries)
 
 
 def test_a_bound_copy_is_the_numpy_copy():
-    """Gathers, scatters and both-indexed copies between float32 buffers run
-    natively and move numpy's bits; a same-buffer copy that reads an
-    element it writes, a slice-to-slice copy and a float64 buffer stay
-    numpy."""
+    """Gathers, scatters, both-indexed and slice-to-slice copies between
+    float32 buffers are native entries and move numpy's bits, a
+    double-word copy one entry per half; a same-buffer copy that reads an
+    element it writes and a float64 buffer stay numpy."""
     rng = np.random.default_rng(9)
     src = _awkward(rng, 300)
     gather, scatter = rng.permutation(300)[:120], rng.permutation(200)[:120]
-    for si, di in ((gather, slice(40, 160)), (slice(7, 127), scatter), (gather, scatter)):
+    for si, di in ((gather, slice(40, 160)), (slice(7, 127), scatter), (gather, scatter),
+                   (slice(100, 220), slice(3, 123))):
         want = np.zeros(200, np.float32)
         want[di] = src[si]
         op = CopyOp(src, np.zeros(200, np.float32), si, di)
         run = op.bind()
-        assert isinstance(run, plans._NativeCopy) or native_copy() is None
+        assert isinstance(run, native.Entry) and run.kind == native.COPY
         run()
         assert op.dst.view(np.uint32).tolist() == want.view(np.uint32).tolist()
+    lo = _awkward(rng, 300)
+    dw = CopyOp(src, np.zeros(200, np.float32), gather, scatter, lo, np.zeros(200, np.float32))
+    halves = dw.bind()
+    assert [entry.kind for entry in halves.parts] == [native.COPY, native.COPY]
+    halves()
+    for got, half in ((dw.dst, src), (dw.dst_lo, lo)):
+        want = np.zeros(200, np.float32)
+        want[scatter] = half[gather]
+        assert got.view(np.uint32).tolist() == want.view(np.uint32).tolist()
     buf = np.arange(10, dtype=np.float32)
     stays = [CopyOp(buf, buf, np.array([0, 1, 2]), np.array([1, 2, 3])),
-             CopyOp(src, np.zeros(200, np.float32), slice(0, 5), slice(5, 10)),
              CopyOp(src.astype(np.float64), np.zeros(200), gather, scatter)]
     for op in stays:
         assert op.bind() == op.apply

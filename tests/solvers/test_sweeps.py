@@ -34,7 +34,7 @@ class TestForwardSweep:
         plan = build_sweep(n, ptr, cols, vals, include=lambda r, c: c < r)
         b = np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32)
         y = np.zeros(4, dtype=np.float32)
-        plan.run(y, b, diag=None)
+        plan.bind(y, b, diag=None)()
         expected = np.linalg.solve(np.tril(a), b.astype(np.float64))
         np.testing.assert_allclose(y, expected, rtol=1e-6, atol=1e-6)
 
@@ -45,7 +45,7 @@ class TestForwardSweep:
         plan = build_sweep(n, ptr, cols, vals, include=lambda r, c: c < r)
         b = np.array([2.0, 6.0, 24.0], dtype=np.float32)
         y = np.zeros(3, dtype=np.float32)
-        plan.run(y, b, diag=diag)
+        plan.bind(y, b, diag=diag)()
         np.testing.assert_allclose(y, np.linalg.solve(a, b.astype(np.float64)), rtol=1e-6)
 
 
@@ -57,7 +57,7 @@ class TestBackwardSweep:
         plan = build_sweep(n, ptr, cols, vals, include=lambda r, c: c > r, backward=True)
         b = np.array([6.0, 9.0, 8.0], dtype=np.float32)
         x = np.zeros(3, dtype=np.float32)
-        plan.run(x, b, diag=diag)
+        plan.bind(x, b, diag=diag)()
         np.testing.assert_allclose(x, np.linalg.solve(a, b.astype(np.float64)), rtol=1e-6)
 
     def test_backward_levels_reversed(self):
@@ -83,7 +83,7 @@ class TestGSLikeSweep:
             x_seq[i] = np.float32(
                 (b[i] - np.sum(v.astype(np.float32) * x_seq[c])) / np.float32(diag[i])
             )
-        plan.run(x_plan, b, diag=diag)
+        plan.bind(x_plan, b, diag=diag)()
         # Structurally symmetric matrix: level order == sequential result.
         np.testing.assert_allclose(x_plan, x_seq, rtol=1e-5)
 
@@ -96,7 +96,7 @@ class TestGSLikeSweep:
         plan = build_sweep(n, ptr, cols, vals, include=lambda r, c: np.ones(r.size, bool))
         x_full = np.array([0.0, 0.0, 10.0, 20.0], dtype=np.float32)
         b = np.array([12.0, 44.0], dtype=np.float32)
-        plan.run(x_full, b, diag=np.array([2.0, 2.0], dtype=np.float32))
+        plan.bind(x_full, b, diag=np.array([2.0, 2.0], dtype=np.float32))()
         np.testing.assert_allclose(x_full[:2], [1.0, 2.0])
         np.testing.assert_allclose(x_full[2:], [10.0, 20.0])  # halo untouched
         # One level: no dependencies through halo columns.
@@ -120,7 +120,7 @@ class TestSweepCost:
         plan = build_sweep(0, np.array([0]), np.array([]), np.array([]),
                            include=lambda r, c: np.ones(r.size, bool))
         x = np.zeros(0, dtype=np.float32)
-        plan.run(x, np.zeros(0, dtype=np.float32))
+        plan.bind(x, np.zeros(0, dtype=np.float32))()
         assert plan.schedule.num_levels == 0
 
 
@@ -174,7 +174,7 @@ def test_merged_plan_equals_per_tile_plans_bitwise(
     blocks, backward, with_diag, local_only, empty_level, seed
 ):
     """Property: ``SweepPlan.merged`` over the concatenated vectors equals
-    each tile's own ``run`` bit for bit — different level counts per tile,
+    each tile's own sweep bit for bit — different level counts per tile,
     empty levels, empty rows, a trailing empty row, rows of 0-12 entries
     (both ``reduceat`` regimes), ±0.0 / inf values, halo columns or the
     block-local default column shift."""
@@ -209,10 +209,10 @@ def test_merged_plan_equals_per_tile_plans_bitwise(
     x_dev = np.concatenate(xs + halos)
     rhs_dev, diag_dev = np.concatenate(rhss), np.concatenate(diags)
     with np.errstate(all="ignore"):
-        merged.run(x_dev, rhs_dev, diag=diag_dev if with_diag else None)
+        merged.bind(x_dev, rhs_dev, diag=diag_dev if with_diag else None)()
         for i, plan in enumerate(plans):
             x_tile = np.concatenate([xs[i], halos[i]])
-            plan.run(x_tile, rhss[i], diag=diags[i] if with_diag else None)
+            plan.bind(x_tile, rhss[i], diag=diags[i] if with_diag else None)()
             n = plan.n
             assert _same_bits(x_dev[starts[i] : starts[i] + n], x_tile[:n])
             np.testing.assert_array_equal(x_tile[n:], halos[i])  # halo untouched
@@ -240,10 +240,10 @@ def test_a_tile_last_row_sums_exactly_its_own_entries():
                             2 * n + np.arange(i * halo, (i + 1) * halo)])
             for i in range(2)]
     x_dev = np.concatenate([np.zeros(2 * n, np.float32)] + x_halo)
-    SweepPlan.merged(plans, [0, n], maps).run(x_dev, np.concatenate(rhs))
+    SweepPlan.merged(plans, [0, n], maps).bind(x_dev, np.concatenate(rhs))()
     for i in range(2):
         x_tile = np.concatenate([np.zeros(n, np.float32), x_halo[i]])
-        plans[i].run(x_tile, rhs[i])
+        plans[i].bind(x_tile, rhs[i])()
         alone = rhs[i][1] - np.add.reduceat(vals[i][1:] * x_halo[i], [0])[0]
         assert _same_bits(x_tile[:n], x_dev[i * n : (i + 1) * n])
         assert _same_bits(x_tile[1:2], np.array([alone], np.float32))
@@ -278,7 +278,7 @@ def sweep_shape(draw):
     seed=st.integers(0, 2**16),
 )
 def test_native_sweep_equals_the_numpy_loop_bitwise(shape, kind, with_diag, seed):
-    """Property: ``run`` (the native call wherever a compiler is) equals
+    """Property: a bound sweep (the native call wherever a compiler is) equals
     ``run_numpy`` by ``view(np.uint32)`` — ILU-style strictly triangular
     block-local plans both ways, include-all Gauss-Seidel plans whose rows
     read same-level rows and halo cells, empty and trailing-empty rows,
@@ -303,7 +303,7 @@ def test_native_sweep_equals_the_numpy_loop_bitwise(shape, kind, with_diag, seed
     d = diag if with_diag else None
     x_native, x_numpy = x.copy(), x.copy()
     with np.errstate(all="ignore"):
-        plan.run(x_native, rhs, d)
+        plan.bind(x_native, rhs, d)()
         plan.run_numpy(x_numpy, rhs, d)
     assert _same_bits(x_native, x_numpy)
 
@@ -313,18 +313,18 @@ def test_the_native_sweep_is_in_use_wherever_a_compiler_is():
     assert native_sweep() is not None or shutil.which("cc") is None
 
 
-def test_run_takes_contiguous_float32_buffers_only():
+def test_bind_takes_contiguous_float32_buffers_only():
     plan = build_sweep(2, np.array([0, 0, 1]), np.array([0]), np.array([2.0], np.float32),
                        include=lambda r, c: c < r)
     x, b = np.zeros(2, np.float32), np.ones(2, np.float32)
     for bad in (x.astype(np.float64), np.zeros(4, np.float32)[::2], x.tolist()):
         with pytest.raises(TypeError, match="contiguous 1-D float32"):
-            plan.run(bad, b)
+            plan.bind(bad, b)
     with pytest.raises(TypeError, match="sweep rhs"):
-        plan.run(x, b.astype(np.float64))
+        plan.bind(x, b.astype(np.float64))
     with pytest.raises(ValueError, match="at least 2"):
-        plan.run(np.zeros(1, np.float32), b)
-    plan.run(x, b)
+        plan.bind(np.zeros(1, np.float32), b)
+    plan.bind(x, b)()
     assert x.tolist() == [1.0, -1.0]
 
 

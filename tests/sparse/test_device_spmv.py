@@ -103,9 +103,10 @@ def test_the_self_check_is_fast_and_catches_a_wrong_kernel():
         times.append(time.perf_counter() - start)
     assert min(times) < 1e-3, f"self-check takes {min(times) * 1e3:.2f} ms"
 
-    def off_by_one_element(*args):
-        kernel(*args)
-        ctypes.memset(args[9], 0, 4)  # y[0] = +0.0
+    def off_by_one_element(n, table):
+        kernel(n, table)
+        row = (ctypes.c_int64 * 13).from_address(table)  # kind, then the twelve arguments
+        ctypes.memset(row[10], 0, 4)  # y[0] = +0.0
 
     assert _self_check(off_by_one_element).startswith("self-check: y[0] with 1 RHS column")
 
