@@ -25,8 +25,9 @@ per-vertex dispatch *inside* the kernel, so fusion never changes what runs,
 only how it is dispatched; cost-only codelets emit nothing.
 
 Every vectorized path reuses the exact numpy/Joldes op sequence of the
-per-tile path (the same ``compile_expr`` evaluator with a flat leaf
-resolver, the same pairwise summation shapes, the same ``np.bincount``)
+per-tile path (the same expression program, run by the native evaluator
+or by the same numpy interpreter with a flat leaf resolver, the same
+pairwise summation shapes, the same ``np.bincount``)
 or reproduces its rounding order term by term (the native SpMV and its
 numpy oracle :class:`repro.sparse.sell.SlotMajorRows` against the
 per-tile ``np.add.reduceat``), which is why ``fused`` results are
@@ -36,7 +37,7 @@ bit-identical to ``sim`` — enforced by the property tests in
 Exchanges replay the plan's flat copy ops: one gather/scatter per
 whole-device buffer pair (:mod:`repro.graph.passes.plans`).
 
-The native ops — float32 trees, copies, SpMVs and sweeps — are bound once
+The native ops — float32 programs, copies, SpMVs and sweeps — are bound once
 here as table entries (:mod:`repro.solvers.native`); on its first launch a
 kernel folds each maximal run of them into one table, so a launch makes
 one ctypes call per run (``tests/graph/test_native_tables.py``).
@@ -346,12 +347,10 @@ def _fetchers(sources: dict, seg_sizes) -> dict:
 
 def _native(program, sources: dict, offsets, out, out_at, fallback):
     """``fallback`` as one call of the native float32 evaluator
-    (:meth:`repro.tensordsl.materialize.F32Program.bind`) — or ``fallback``
-    itself when the tree is not float32 (``program`` ``None``) or the
-    buffers are not ones the call can take.  A group without per-tile
-    scalars is one segment: its elements do not depend on the tiles."""
-    if program is None:
-        return fallback
+    (:meth:`repro.tensordsl.materialize.Program.bind`) — or ``fallback``
+    itself when the program is not float32 with one RHS or the buffers are
+    not ones the call can take.  A group without per-tile scalars is one
+    segment: its elements do not depend on the tiles."""
     vectors, scalars = {}, {}
     for i, var in enumerate(program.leaves):
         data, _, index = sources[id(var)]
@@ -363,7 +362,7 @@ def _native(program, sources: dict, offsets, out, out_at, fallback):
         offsets = offsets[[0, -1]]
     try:
         return program.bind(offsets, vectors, scalars, out, out_at, fallback)
-    except (TypeError, ValueError):  # buffers the native call cannot take
+    except (TypeError, ValueError):  # a program or buffers the native call cannot take
         return fallback
 
 
@@ -408,7 +407,7 @@ def _contiguous_order(var, tiles) -> tuple:
 
 
 def _lower_elementwise_group(spec: ElementwiseSpec, tiles):
-    from repro.tensordsl.materialize import assignment_evaluator, compile_f32
+    from repro.tensordsl.materialize import assignment_evaluator
 
     expr, out = spec.expr, spec.out_var
     if len(set(tiles)) != len(tiles):
@@ -447,36 +446,17 @@ def _lower_elementwise_group(spec: ElementwiseSpec, tiles):
         out_lo = out.flat_lo[lo:hi] if out.paired else None
         stacked, native_out, offsets = True, out_hi, np.concatenate([[0], np.cumsum(seg)])
 
-    evaluate = assignment_evaluator(expr, out)
+    program = assignment_evaluator(expr, out)
 
     def op():
-        value = evaluate(_make_resolver(fetchers))
+        value = program(_make_resolver(fetchers))
         if out_lo is None:
             out_hi[...] = value
         else:
             out_hi[...], out_lo[...] = value
 
-    program = compile_f32(expr, out) if stacked else None
-    return _native(program, sources, offsets, native_out, None, op)
-
-
-def _dw_tree_sum_rows(hi2d, lo2d):
-    """Row-wise double-word pairwise summation, same index pairing as the
-    per-tile ``_dw_tree_sum`` (materialize.py) — add_dw_dw is pointwise, so
-    each row's result is bit-identical to its 1-D reduction."""
-    from repro.dw import joldes
-
-    H, L = hi2d, lo2d
-    while H.shape[1] > 1:
-        half = H.shape[1] // 2
-        h2, l2 = joldes.add_dw_dw(
-            H[:, :half], L[:, :half], H[:, half : 2 * half], L[:, half : 2 * half]
-        )
-        if H.shape[1] % 2:
-            h2 = np.concatenate([h2, H[:, -1:]], axis=1)
-            l2 = np.concatenate([l2, L[:, -1:]], axis=1)
-        H, L = h2, l2
-    return H[:, 0], L[:, 0]
+    # ``reshape(-1)`` of a buffer that is not contiguous would be a copy.
+    return _native(program, sources, offsets, native_out, None, op) if stacked else op
 
 
 def _equal_segments(seg) -> bool:
@@ -486,46 +466,35 @@ def _equal_segments(seg) -> bool:
 
 def _reduce_segments(value, dt: str, op: str, seg, offsets, equal: bool):
     """Per-segment reduction matching materialize._reduce_value per segment;
-    ``equal`` is the static :func:`_equal_segments` of ``seg``."""
-    T = len(seg)
-    if dt == "dw":
-        from repro.tensordsl.materialize import _dw_tree_sum, _reduce_value
+    ``equal`` is the static :func:`_equal_segments` of ``seg``: the
+    segments then reduce as the rows of one matrix."""
+    from repro.tensordsl.materialize import _dw_tree_sum, _reduce_value
 
-        hi = np.asarray(value[0], np.float32).ravel()
-        lo = np.asarray(value[1], np.float32).ravel()
-        if equal:
-            n = int(seg[0])
-            H, L = hi.reshape(T, n), lo.reshape(T, n)
-            if op == "sum":
-                return _dw_tree_sum_rows(H, L)
-            wide = H.astype(np.float64) + L.astype(np.float64)
-            k = np.argmax(wide, axis=1) if op == "max" else np.argmin(wide, axis=1)
-            rows = np.arange(T)
-            return H[rows, k], L[rows, k]
-        res_h = np.empty(T, np.float32)
-        res_l = np.empty(T, np.float32)
+    T = len(seg)
+    paired = dt == "dw"
+    if paired:
+        parts = [np.asarray(part, np.float32).ravel() for part in value]
+    else:
+        parts = [np.asarray(value).ravel()]
+    if not equal:
+        res = np.empty((len(parts), T), parts[0].dtype)
         for i in range(T):
             a, b = offsets[i], offsets[i + 1]
-            if op == "sum":
-                res_h[i], res_l[i] = _dw_tree_sum(hi[a:b], lo[a:b])
-            else:
-                res_h[i], res_l[i] = _reduce_value((hi[a:b], lo[a:b]), dt, op)
-        return res_h, res_l
-    arr = np.asarray(value).ravel()
-    if equal:
-        n = int(seg[0])
-        m = arr.reshape(T, n)
+            res[:, i] = _reduce_value(tuple(p[a:b] for p in parts) if paired else parts[0][a:b],
+                                      dt, op)
+        return (res[0], res[1]) if paired else res[0]
+    rows = [p.reshape(T, int(seg[0])) for p in parts]
+    if not paired:
+        m = rows[0]
         if op == "sum":
-            return m.sum(axis=1, dtype=arr.dtype)
+            return m.sum(axis=1, dtype=m.dtype)
         return m.max(axis=1) if op == "max" else m.min(axis=1)
-    res = np.empty(T, arr.dtype)
-    for i in range(T):
-        a, b = offsets[i], offsets[i + 1]
-        if op == "sum":
-            res[i] = arr[a:b].sum(dtype=arr.dtype)
-        else:
-            res[i] = arr[a:b].max() if op == "max" else arr[a:b].min()
-    return res
+    H, L = rows
+    if op == "sum":
+        return _dw_tree_sum(H, L)
+    wide = H.astype(np.float64) + L.astype(np.float64)
+    k = np.argmax(wide, axis=1) if op == "max" else np.argmin(wide, axis=1)
+    return H[np.arange(T), k], L[np.arange(T), k]
 
 
 def _reduce_segments_batched(value, dt: str, op: str, seg, offsets, batch: int):
@@ -545,7 +514,7 @@ def _reduce_segments_batched(value, dt: str, op: str, seg, offsets, batch: int):
 
 
 def _lower_reduce_group(spec: ReduceSpec, tiles):
-    from repro.tensordsl.materialize import compile_expr, compile_f32
+    from repro.tensordsl.materialize import compile_expr
     from repro.tensordsl.types import Type
 
     expr, out, rop = spec.expr, spec.out_var, spec.op
@@ -597,7 +566,7 @@ def _lower_reduce_group(spec: ReduceSpec, tiles):
     paired = expr_dt == Type.DOUBLEWORD
     equal = _equal_segments(seg)
     shape = (total,) if batch == 1 else (total, batch)
-    evaluate = compile_expr(expr)
+    program = compile_expr(expr)
 
     def whole(part):
         """A scalar-valued expression, broadcast over the segment layout."""
@@ -605,7 +574,7 @@ def _lower_reduce_group(spec: ReduceSpec, tiles):
         return part if part.shape == shape else np.broadcast_to(part, shape)
 
     def op():
-        value = evaluate(_make_resolver(fetchers))
+        value = program(_make_resolver(fetchers))
         if paired:
             res_h, res_l = _reduce_segments(
                 (whole(value[0]), whole(value[1])), expr_dt, rop, seg, offsets, equal
@@ -619,8 +588,7 @@ def _lower_reduce_group(spec: ReduceSpec, tiles):
         else:
             out_hi[out_idx] = _reduce_segments(whole(value), expr_dt, rop, seg, offsets, equal)
 
-    program = compile_f32(expr) if rop == "sum" else None
-    return _native(program, sources, offsets, out_hi, out_idx, op)
+    return _native(program, sources, offsets, out_hi, out_idx, op) if rop == "sum" else op
 
 
 def _device_layout(m, tiles, owned_vars, hvar, batch: int):

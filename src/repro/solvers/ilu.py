@@ -18,7 +18,7 @@ model.  All numerics run in float32, like the IPU.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -237,8 +237,13 @@ class DILU(_ILUBase):
     @staticmethod
     def _substitute(state, rhs, out, halo=None) -> tuple:
         d, work = state["diag"], state["work"]
-        scale = vector_f32("*").bind([0, work.size], {0: d, 1: work}, {}, work,
-                                     fallback=partial(np.multiply, d, work, out=work))
+        program = vector_f32("*")
+        values = dict(zip(program.leaves, (d, work)))
+
+        def interpret():
+            np.copyto(work, program(lambda leaf: values[leaf.var]))
+
+        scale = program.bind([0, work.size], {0: d, 1: work}, {}, work, fallback=interpret)
         return (state["fwd"].bind(work, rhs, diag=d),  # (D+L) w = rhs
                 scale,  # z = D w
                 state["bwd"].bind(out, work, diag=d))  # (D+U) x = z

@@ -12,14 +12,21 @@ working-precision semantics:
 Broadcasting follows NumPy rules — scalar shards are size-1 arrays that
 broadcast inside the codelet, avoiding materializing expanded tensors
 (exactly the paper's approach).
+
+A tree compiles once, into one three-address :class:`Program` (:data:`OPS`):
+first the float32 opcodes ``native.c``'s evaluator runs (:data:`F32_OPS`),
+then the precision conversions, batch expansion and double-word ops only
+numpy runs.  The numpy interpreter, ``program(resolve)``, runs any program:
+it is the per-tile codelets' evaluator, the fused kernels' numpy ops, and
+the native evaluator's oracle and fallback.  :meth:`Program.bind` renders a
+program whose every node is float32 with one RHS for ``native.c``.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -37,9 +44,9 @@ from repro.tensordsl.types import Type, promote
 
 __all__ = [
     "F32_OPS",
-    "F32Program",
+    "OPS",
+    "Program",
     "compile_expr",
-    "compile_f32",
     "native_eval",
     "vector_f32",
     "assignment_evaluator",
@@ -68,21 +75,6 @@ def _to_dw(value):
     return hi, (wide - hi.astype(np.float64)).astype(np.float32)
 
 
-def _converter(src: str, dst: str):
-    """The ``src -> dst`` precision conversion as a one-argument function
-    (``None`` when the representations already agree)."""
-    if src == dst:
-        return None
-    if src == Type.DOUBLEWORD:
-        if dst == Type.FLOAT32:
-            return lambda value: _dw_view64(value).astype(np.float32)
-        return _dw_view64
-    if dst == Type.DOUBLEWORD:
-        return _to_dw
-    target = np.float32 if dst == Type.FLOAT32 else np.float64
-    return lambda value: np.asarray(value, dtype=target)
-
-
 def _dw_sqrt(value):
     """Vectorized double-word square root (one Newton refinement)."""
     hi = np.asarray(value[0], np.float32)
@@ -105,162 +97,65 @@ def _dw_abs(value):
     return np.where(neg, -hi, hi), np.where(neg, -lo, lo)
 
 
-#: (operand is dw, op) -> the unary op on one value.
-_UNARY = {
-    (False, "neg"): operator.neg,
-    (False, "abs"): np.abs,
-    (False, "sqrt"): np.sqrt,
-    (True, "neg"): lambda value: (-value[0], -value[1]),
-    (True, "abs"): _dw_abs,
-    (True, "sqrt"): _dw_sqrt,
-}
-
-_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
-
-_DW_BINARY = {
-    "+": joldes.add_dw_dw,
-    "-": joldes.sub_dw_dw,
-    "*": joldes.mul_dw_dw,
-    "/": joldes.div_dw_dw,
-}
-
-_CMP = {
-    "<": np.less,
-    "<=": np.less_equal,
-    ">": np.greater,
-    ">=": np.greater_equal,
-    "==": np.equal,
-    "!=": np.not_equal,
-}
+def _compare(cmp):
+    return lambda left, right: cmp(left, right).astype(np.float32)
 
 
-def _expand_batch(value, dt: str):
-    """Append a trailing length-1 axis so an unbatched operand broadcasts
-    against a ``(n, batch)`` value (numpy aligns trailing axes, so a bare
-    ``(n,)`` array would otherwise pair ``n`` with ``batch``)."""
-    if dt == Type.DOUBLEWORD:
-        return np.asarray(value[0])[..., None], np.asarray(value[1])[..., None]
-    return np.asarray(value)[..., None]
+def _dw_binary(fn):
+    return lambda left, right: fn(left[0], left[1], right[0], right[1])
 
 
-# -- the expression compiler ------------------------------------------------------------
-
-#: Process-wide count of expression trees :func:`compile_expr` has compiled
-#: (the tests assert a build compiles each tree once and a cache hit none).
-_COMPILATIONS = 0
-
-
-def expr_compilations() -> int:
-    """Total expression trees compiled by :func:`compile_expr` in this process."""
-    return _COMPILATIONS
-
-
-def compile_expr(expr: Expr):
-    """Compile ``expr`` into ``evaluate(resolve)``: the tree's value in
-    ``expr.dtype`` representation, with leaves supplied by ``resolve(leaf)``
-    in their variable's representation (an array, or a (hi, lo) pair for dw).
-
-    This is the single source of truth for op semantics: the per-tile path
-    resolves leaves to shard views, the fused whole-device path to flat
-    per-device arrays — both run the exact same numpy/Joldes code, which is
-    why the two backends are bit-identical.  Everything the tree fixes —
-    dtypes, promotions, conversions, batch alignment, constant values — is
-    decided here, once; the evaluator is a straight-line tree of closures.
-    A tree compiles once: the evaluator is remembered on its (frozen) root,
-    beside the node's cached ``dtype`` / ``batch``.
-    """
-    evaluate = vars(expr).get("_evaluate")
-    if evaluate is None:
-        global _COMPILATIONS
-        _COMPILATIONS += 1
-        evaluate = vars(expr)["_evaluate"] = _compile(expr)
-    return evaluate
-
-
-def _then(evaluate, fn):
-    return lambda resolve: fn(evaluate(resolve))
-
-
-def _coerced(evaluate, src: str, dst: str, expand: bool):
-    """``evaluate`` with its ``src`` value converted to ``dst`` and, when
-    ``expand``, given a trailing batch axis to broadcast against a batched
-    value."""
-    convert = _converter(src, dst)
-    if convert is not None:
-        evaluate = _then(evaluate, convert)
-    if expand:
-        evaluate = _then(evaluate, lambda value: _expand_batch(value, dst))
-    return evaluate
-
-
-def _operand(expr: Expr, dst: str, expand: bool):
-    return _coerced(_compile(expr), expr.dtype, dst, expand)
-
-
-def _frozen(value):
-    """A constant shared by every evaluation: its arrays become read-only."""
-    for part in value if isinstance(value, tuple) else (value,):
-        if isinstance(part, np.ndarray):
-            part.setflags(write=False)
-    return value
-
-
-def _compile(expr: Expr):
-    if isinstance(expr, Leaf):
-        # A fresh leaf: a root leaf remembers its evaluator, which must not
-        # point back at it (a cycle only the cyclic collector frees).
-        leaf = Leaf(expr.var)
-        return lambda resolve: resolve(leaf)
-    if isinstance(expr, ConstExpr):
-        value = np.float64(expr.value)
-        convert = _converter(Type.FLOAT64, expr.dtype)
-        value = _frozen(value if convert is None else convert(value))
-        return lambda resolve: value
-    if isinstance(expr, ConvertExpr):
-        return _operand(expr.operand, expr.target, expand=False)
-    if isinstance(expr, UnExpr):
-        key = (expr.operand.dtype == Type.DOUBLEWORD, expr.op)
-        if key not in _UNARY:
-            raise ValueError(f"unknown unary op {expr.op!r}")
-        return _then(_compile(expr.operand), _UNARY[key])
-    if isinstance(expr, BinExpr):
-        compare = expr.op in _CMP
-        dt = promote(expr.left.dtype, expr.right.dtype) if compare else expr.dtype
-        wide = expr.batch > 1
-        left = _operand(expr.left, dt, wide and expr.left.batch == 1)
-        right = _operand(expr.right, dt, wide and expr.right.batch == 1)
-        if compare:
-            cmp = _CMP[expr.op]
-            if dt == Type.DOUBLEWORD:
-                left, right = _then(left, _dw_view64), _then(right, _dw_view64)
-            return lambda resolve: cmp(left(resolve), right(resolve)).astype(np.float32)
-        if dt == Type.DOUBLEWORD:
-            fn = _DW_BINARY[expr.op]
-
-            def dw(resolve):
-                (lh, ll), (rh, rl) = left(resolve), right(resolve)
-                return fn(lh, ll, rh, rl)
-
-            return dw
-        fn = _BINARY[expr.op]
-        return lambda resolve: fn(left(resolve), right(resolve))
-    raise TypeError(f"unknown expression {expr!r}")
-
-
-def assignment_evaluator(expr: Expr, out_var):
-    """``compile_expr(expr)`` with its value in ``out_var``'s representation
-    (converted, and batch-expanded when an unbatched ``expr`` fills a
-    batched variable) — what assigning ``expr`` into ``out_var`` writes."""
-    expand = out_var.batch > 1 and expr.batch == 1
-    return _coerced(compile_expr(expr), expr.dtype, out_var.dtype, expand)
-
-
-# -- the float32 program: the same trees, rendered for native.c ---------------------------
+# -- the expression program --------------------------------------------------------------
 
 #: Opcodes of ``native.c``'s ``repro_eval_f32``, in its order: a copy, the
 #: unary ops, the arithmetic ops and the comparisons.
 F32_OPS = ("copy", "neg", "abs", "sqrt", "+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!=")
-_OPCODE = {op: code for code, op in enumerate(F32_OPS)}
+
+#: Every opcode's numpy form, in opcode order: :data:`F32_OPS` (over
+#: float32 or float64 values), then the opcodes only the interpreter runs —
+#: the precision conversions (``src`` to ``dst`` is ``f"{src} to {dst}"``),
+#: the trailing-batch expansion and the double-word ops.  Expanding appends
+#: a length-1 axis, so an unbatched operand broadcasts against a
+#: ``(n, batch)`` value (numpy aligns trailing axes: a bare ``(n,)`` would
+#: pair ``n`` with ``batch``).  A double-word comparison is
+#: ``"dw to float64"`` of each operand, then the comparison.
+_NUMPY = {
+    "copy": lambda value: value,
+    "neg": operator.neg,
+    "abs": np.abs,
+    "sqrt": np.sqrt,
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "<": _compare(np.less),
+    "<=": _compare(np.less_equal),
+    ">": _compare(np.greater),
+    ">=": _compare(np.greater_equal),
+    "==": _compare(np.equal),
+    "!=": _compare(np.not_equal),
+    "float64 to float32": lambda value: np.asarray(value, dtype=np.float32),
+    "float32 to float64": lambda value: np.asarray(value, dtype=np.float64),
+    "float32 to dw": _to_dw,
+    "float64 to dw": _to_dw,
+    "dw to float32": lambda value: _dw_view64(value).astype(np.float32),
+    "dw to float64": _dw_view64,
+    "expand": lambda value: np.asarray(value)[..., None],
+    "dw expand": lambda value: (np.asarray(value[0])[..., None], np.asarray(value[1])[..., None]),
+    "dw neg": lambda value: (-value[0], -value[1]),
+    "dw abs": _dw_abs,
+    "dw sqrt": _dw_sqrt,
+    "dw +": _dw_binary(joldes.add_dw_dw),
+    "dw -": _dw_binary(joldes.sub_dw_dw),
+    "dw *": _dw_binary(joldes.mul_dw_dw),
+    "dw /": _dw_binary(joldes.div_dw_dw),
+}
+#: Every opcode by number: :data:`F32_OPS` keep ``native.c``'s.
+OPS = tuple(_NUMPY)
+_OPCODE = {op: code for code, op in enumerate(OPS)}
+_RUN = tuple(_NUMPY.values())
+_COMPARISONS = frozenset(F32_OPS[8:])
+
 #: Operand modes of an instruction (``native.c``'s ``VEC, TMP, UNI, OUT, NONE``).
 _VEC, _TMP, _UNI, _OUT, _NONE = range(5)
 #: Floats per temporary: the longest run of elements one instruction
@@ -268,25 +163,71 @@ _VEC, _TMP, _UNI, _OUT, _NONE = range(5)
 _BLOCK = 1024
 
 
-class _NotF32(Exception):
-    """A node outside the float32, one-RHS trees the native evaluator runs."""
+class Program:
+    """An expression tree as a three-address program: the one compiled
+    form of a tree (:func:`compile_expr`).
 
+    ``code`` holds one ``(opcode, a, b)`` per instruction (:data:`OPS`) in
+    post order; instruction ``k`` defines ``("tmp", k)`` and the last one is
+    the tree's value.  An operand is ``("leaf", i)`` (``leaves[i]``, a
+    variable), ``("const", i)`` (``consts[i]``, in its node's
+    representation), ``("tmp", k)``, or ``None`` for a unary op's second
+    operand.  ``native`` is whether every node is float32 with one RHS:
+    only such a program :meth:`bind` renders for ``native.c``.
 
-@dataclass(frozen=True, eq=False)
-class F32Program:
-    """A float32 expression tree as a three-address program for
-    ``native.c``'s ``repro_eval_f32``.
-
-    ``code`` holds one ``(opcode, a, b)`` per instruction in post order;
-    instruction ``k`` defines ``("tmp", k)`` and the last one is the tree's
-    value.  An operand is ``("leaf", i)`` (``leaves[i]``, a variable),
-    ``("const", i)`` (``consts[i]``, a float32), ``("tmp", k)``, or
-    ``None`` for a unary op's second operand.
+    ``program(resolve)`` is the numpy interpreter, the native evaluator's
+    oracle and fallback: each instruction calls its opcode's numpy / Joldes
+    function, with leaves supplied by ``resolve(leaf)`` in their variable's
+    representation (an array, or a (hi, lo) pair for dw).
     """
 
-    code: tuple
-    leaves: tuple
-    consts: tuple
+    def __init__(self, code: tuple, leaves: tuple, consts: tuple, native: bool):
+        self.code, self.leaves, self.consts, self.native = code, leaves, consts, native
+        self._schedules: dict = {}
+
+    def __call__(self, resolve):
+        nodes, steps, tail = self._registers
+        regs = [resolve(leaf) for leaf in nodes]
+        regs += tail
+        for fn, dst, a, b in steps:
+            regs[dst] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
+        return regs[dst]
+
+    @cached_property
+    def _registers(self) -> tuple:
+        """The interpreter's leaves, its ``(fn, dst, a, b)`` steps over one
+        register file — the leaves, the constants, then the temporaries —
+        and the file after the leaves, worked out on the first call (a
+        program the native evaluator runs may never need them).  A
+        temporary is read once (the code is a tree), so its reader's value
+        takes its slot: the file holds no more arrays at a time than the
+        tree has live."""
+        # Fresh leaves: a root leaf remembers its program, which must not
+        # point back at it (a cycle only the cyclic collector frees).
+        nodes = tuple(Leaf(var) for var in self.leaves)
+        first = len(self.leaves) + len(self.consts)
+        slot = {("leaf", i): i for i in range(len(self.leaves))}
+        slot.update({("const", i): len(self.leaves) + i for i in range(len(self.consts))})
+        free, steps, size = [], [], first
+        for k, (op, a, b) in enumerate(self.code):
+            free += [slot[x] for x in (a, b) if x is not None and x[0] == "tmp"]
+            dst = free.pop() if free else size
+            size = max(size, dst + 1)
+            slot[("tmp", k)] = dst
+            steps.append((_RUN[op], dst, slot[a], None if b is None else slot[b]))
+        return nodes, tuple(steps), [*self.consts, *[None] * (size - first)]
+
+    def followed_by(self, *ops) -> Program:
+        """This program with the unary opcodes ``ops`` (``None`` skipped)
+        applied to its value in turn.  They convert or expand it, so the
+        result is not native."""
+        code = list(self.code)
+        for op in ops:
+            if op is not None:
+                code.append((_OPCODE[op], ("tmp", len(code) - 1), None))
+        if len(code) == len(self.code):
+            return self
+        return Program(tuple(code), self.leaves, self.consts, native=False)
 
     def bind(self, offsets, vectors: dict, scalars: dict, out, out_at=None, fallback=None):
         """A :class:`repro.solvers.native.Entry` running the program over
@@ -302,8 +243,11 @@ class F32Program:
         ``.sum()`` to ``out[out_at[s]]``, and ``out`` overlaps no leaf.  All
         are C-contiguous 1-D arrays, checked once here (``TypeError`` /
         ``ValueError``): the native call trusts them.  The entry runs
-        ``fallback`` instead when the evaluator does not load.
+        ``fallback`` instead when the evaluator does not load.  A program
+        that is not :attr:`native` raises ``TypeError``.
         """
+        if not self.native:
+            raise TypeError("only a program whose every node is float32 with one RHS binds")
         offsets = np.asarray(offsets, dtype=np.int64)
         total, nseg = int(offsets[-1]), offsets.size - 1
         if offsets[0] != 0 or (offsets[1:] < offsets[:-1]).any():
@@ -360,11 +304,10 @@ class F32Program:
         the last one into ``out``, or, for a sum, into a temporary.  A
         temporary is read once (the code is a tree), so it is free again
         after its reader."""
-        memo = vars(self).setdefault("_schedules", {})
         key = (tuple(vecs), tuple(seg), reduce)
-        if key not in memo:
-            memo[key] = self._plan(vecs, seg, reduce)
-        return memo[key]
+        if key not in self._schedules:
+            self._schedules[key] = self._plan(vecs, seg, reduce)
+        return self._schedules[key]
 
     def _plan(self, vecs: list, seg: list, reduce: bool) -> tuple:
         uni_of = {("const", i): i for i in range(len(self.consts))}
@@ -411,47 +354,113 @@ def _f32_buffer(array, size, name: str) -> None:
                         + ("" if size is None else f" of {size} elements"))
 
 
-def compile_f32(expr: Expr, out_var=None):
-    """The :class:`F32Program` of ``expr`` — assigned into ``out_var`` when
-    given — or ``None`` when a node, a leaf or ``out_var`` is not float32
-    with one RHS column: double-word, binary64 and batched trees stay with
-    :func:`compile_expr`.  Its values are :func:`compile_expr`'s bit for
-    bit: the same IEEE operation per element, each constant rounded once
-    to float32 from binary64, a comparison 1.0 or 0.0."""
-    if out_var is not None and (out_var.dtype != Type.FLOAT32 or out_var.batch != 1):
-        return None
+#: Process-wide count of expression trees :func:`compile_expr` has compiled
+#: (the tests assert a build compiles each tree once and a cache hit none).
+_COMPILATIONS = 0
+
+
+def expr_compilations() -> int:
+    """Total expression trees compiled by :func:`compile_expr` in this process."""
+    return _COMPILATIONS
+
+
+def compile_expr(expr: Expr) -> Program:
+    """The :class:`Program` of ``expr``: its value in ``expr.dtype``
+    representation.
+
+    This is the single source of truth for op semantics: the per-tile path
+    resolves leaves to shard views, the fused whole-device path to flat
+    per-device arrays, and the native evaluator runs the float32 programs
+    of either — the same program, which is why the backends are
+    bit-identical.  Everything the tree fixes — dtypes, promotions,
+    conversions, batch alignment, constant values (rounded once from
+    binary64) — is decided here, once.  A tree compiles once: the program
+    is remembered on its (frozen) root, beside the node's cached ``dtype``
+    / ``batch``.
+    """
+    program = vars(expr).get("_program")
+    if program is None:
+        global _COMPILATIONS
+        _COMPILATIONS += 1
+        program = vars(expr)["_program"] = _program_of(expr)
+    return program
+
+
+def _frozen(value):
+    """A constant shared by every evaluation: its arrays become read-only."""
+    for part in value if isinstance(value, tuple) else (value,):
+        if isinstance(part, np.ndarray):
+            part.setflags(write=False)
+    return value
+
+
+def _program_of(expr: Expr) -> Program:
     leaves: dict = {}
     consts: list = []
     code: list = []
+    native = True
+
+    def instruction(op: str, a, b=None) -> tuple:
+        code.append((_OPCODE[op], a, b))
+        return "tmp", len(code) - 1
+
+    def operand(node, dst: str, expand: bool, view: bool = False) -> tuple:
+        """``node`` converted to ``dst``, given a trailing batch axis when
+        ``expand``, and seen as binary64 when ``view`` (a double-word
+        comparison)."""
+        x = emit(node)
+        if node.dtype != dst:
+            x = instruction(f"{node.dtype} to {dst}", x)
+        if expand:
+            x = instruction("dw expand" if dst == Type.DOUBLEWORD else "expand", x)
+        return instruction("dw to float64", x) if view else x
 
     def emit(node) -> tuple:
-        if node.dtype != Type.FLOAT32 or node.batch != 1:
-            raise _NotF32
+        nonlocal native
+        native = native and node.dtype == Type.FLOAT32 and node.batch == 1
         if isinstance(node, Leaf):
             return "leaf", leaves.setdefault(id(node.var), (len(leaves), node.var))[0]
         if isinstance(node, ConstExpr):
-            consts.append(np.float32(np.float64(node.value)))
+            value = np.float64(node.value)
+            if node.dtype != Type.FLOAT64:
+                value = _NUMPY[f"{Type.FLOAT64} to {node.dtype}"](value)
+            consts.append(_frozen(value))
             return "const", len(consts) - 1
-        if isinstance(node, ConvertExpr):  # float32 to float32: the value itself
-            return emit(node.operand)
+        if isinstance(node, ConvertExpr):
+            return operand(node.operand, node.target, expand=False)
         if isinstance(node, UnExpr):
-            operands = emit(node.operand), None
-        elif isinstance(node, BinExpr):
-            operands = emit(node.left), emit(node.right)
-        else:
-            raise _NotF32
-        if node.op not in _OPCODE:
-            raise _NotF32
-        code.append((_OPCODE[node.op], *operands))
-        return "tmp", len(code) - 1
+            if node.op not in ("neg", "abs", "sqrt"):
+                raise ValueError(f"unknown unary op {node.op!r}")
+            dw = node.operand.dtype == Type.DOUBLEWORD
+            return instruction("dw " + node.op if dw else node.op, emit(node.operand))
+        if isinstance(node, BinExpr):
+            compare = node.op in _COMPARISONS
+            if not compare and node.op not in ("+", "-", "*", "/"):
+                raise ValueError(f"unknown binary op {node.op!r}")
+            dt = promote(node.left.dtype, node.right.dtype) if compare else node.dtype
+            dw = dt == Type.DOUBLEWORD
+            wide = node.batch > 1
+            left = operand(node.left, dt, wide and node.left.batch == 1, dw and compare)
+            right = operand(node.right, dt, wide and node.right.batch == 1, dw and compare)
+            return instruction("dw " + node.op if dw and not compare else node.op, left, right)
+        raise TypeError(f"unknown expression {node!r}")
 
-    try:
-        value = emit(expr)
-    except _NotF32:
-        return None
+    value = emit(expr)
+    del emit, operand  # the two closures cycle through each other
     if value[0] != "tmp":
-        code.append((_OPCODE["copy"], value, None))
-    return F32Program(tuple(code), tuple(var for _, var in leaves.values()), tuple(consts))
+        instruction("copy", value)
+    return Program(tuple(code), tuple(var for _, var in leaves.values()), tuple(consts), native)
+
+
+def assignment_evaluator(expr: Expr, out_var) -> Program:
+    """``compile_expr(expr)`` with its value in ``out_var``'s representation
+    (converted, and batch-expanded when an unbatched ``expr`` fills a
+    batched variable) — what assigning ``expr`` into ``out_var`` writes."""
+    src, dst = expr.dtype, out_var.dtype
+    expand = out_var.batch > 1 and expr.batch == 1
+    return compile_expr(expr).followed_by(
+        f"{src} to {dst}" if src != dst else None,
+        ("dw expand" if dst == Type.DOUBLEWORD else "expand") if expand else None)
 
 
 class _Vector:
@@ -461,10 +470,10 @@ class _Vector:
 
 
 @functools.cache
-def vector_f32(op: str) -> F32Program:
+def vector_f32(op: str) -> Program:
     """The program of ``a op b`` over two float32 vectors, ``a`` leaf 0 and
     ``b`` leaf 1: the glue a solver binds between its native ops."""
-    return compile_f32(BinExpr(op, Leaf(_Vector()), Leaf(_Vector())))
+    return compile_expr(BinExpr(op, Leaf(_Vector()), Leaf(_Vector())))
 
 
 @functools.cache
@@ -494,7 +503,7 @@ def _check_case() -> tuple:
                 for var, v in source.items()}
     cases = []
     for expr, reduces in ((tree, (False, True)), (s1, (False,)), (v1, (True,))):
-        program = compile_f32(expr)
+        program = compile_expr(expr)
         vectors, scalars = {}, {}
         for i, var in enumerate(program.leaves):
             (scalars if isinstance(source[var], tuple) else vectors)[i] = source[var]
@@ -514,8 +523,8 @@ def _differ(got, want) -> np.ndarray:
 
 
 def _self_check(run) -> str | None:
-    """Compare evaluator entries run by ``run`` (``repro_run``) with
-    :func:`compile_expr` bit for bit on a fixed case; ``None`` when they
+    """Compare evaluator entries run by ``run`` (``repro_run``) with the
+    numpy interpreter bit for bit on a fixed case; ``None`` when they
     agree, else what differed.
 
     One tree of every arithmetic, unary and comparison op over two vectors,
@@ -545,10 +554,10 @@ def _self_check(run) -> str | None:
 @functools.cache
 def native_eval():
     """The runner for evaluator entries (``repro_eval_f32``), resolved on
-    the first bound :class:`F32Program` run or table fold: ``None`` — with
+    the first bound :class:`Program` run or table fold: ``None`` — with
     one ``RuntimeWarning`` saying why — when the library does not build or
-    load, or disagrees with :func:`compile_expr` on the self-check; the
-    fused kernels then run their numpy trees."""
+    load, or disagrees with the numpy interpreter on the self-check; the
+    fused kernels then interpret their programs in numpy."""
     from repro.solvers import native  # the package's one C library and its loader
 
     return native.kernel(_self_check, "expression evaluator", "the numpy expression trees")
@@ -630,15 +639,21 @@ REDUCE_OPS = ("sum", "max", "min")
 
 
 def _dw_tree_sum(hi, lo):
-    """Pairwise double-word summation of flat (hi, lo) arrays."""
-    while hi.size > 1:
-        half = hi.size // 2
-        h2, l2 = joldes.add_dw_dw(hi[:half], lo[:half], hi[half : 2 * half], lo[half : 2 * half])
-        if hi.size % 2:
-            h2 = np.concatenate([h2, hi[-1:]])
-            l2 = np.concatenate([l2, lo[-1:]])
+    """Pairwise double-word summation of (hi, lo) arrays along their last
+    axis: halves added element by element, an odd tail carried.
+    ``add_dw_dw`` is pointwise, so each row of a matrix sums as it would
+    alone; an empty row sums to ``(0, 0)``."""
+    while hi.shape[-1] > 1:
+        half = hi.shape[-1] // 2
+        h2, l2 = joldes.add_dw_dw(hi[..., :half], lo[..., :half],
+                                  hi[..., half : 2 * half], lo[..., half : 2 * half])
+        if hi.shape[-1] % 2:
+            h2 = np.concatenate([h2, hi[..., -1:]], axis=-1)
+            l2 = np.concatenate([l2, lo[..., -1:]], axis=-1)
         hi, lo = h2, l2
-    return (hi[0], lo[0]) if hi.size else (np.float32(0), np.float32(0))
+    if not hi.shape[-1]:
+        return np.zeros(hi.shape[:-1], np.float32), np.zeros(hi.shape[:-1], np.float32)
+    return hi[..., 0], lo[..., 0]
 
 
 def _reduce_value(value, dt: str, op: str):

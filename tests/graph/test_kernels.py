@@ -19,6 +19,7 @@ from copy_oracle import region_copies
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dw import joldes
 from repro.errors import BackendCapabilityError
 from repro.graph import (
     Engine,
@@ -36,6 +37,7 @@ from repro.graph import (
 )
 from repro.graph.passes import ExchangeOp, FusedKernel
 from repro.graph.passes.costs import estimate_exchange
+from repro.graph.passes.kernels import _equal_segments, _reduce_segments
 from repro.machine import IPUDevice
 from repro.solvers import SolverSession, compile_solve, solve
 from repro.solvers.session import fingerprint_solve
@@ -222,6 +224,35 @@ def test_uneven_shards_reduce_fused_matches_sim():
         )
     for got, want in zip(results["fused"], results["sim"]):
         np.testing.assert_array_equal(got, want)
+
+
+def _dw_pairwise(hi, lo):
+    """One segment's double-word sum in the per-tile halving order: halves
+    added element by element, an odd tail carried, empty (0, 0)."""
+    while hi.size > 1:
+        half = hi.size // 2
+        h2, l2 = joldes.add_dw_dw(hi[:half], lo[:half], hi[half : 2 * half], lo[half : 2 * half])
+        if hi.size % 2:
+            h2, l2 = np.concatenate([h2, hi[-1:]]), np.concatenate([l2, lo[-1:]])
+        hi, lo = h2, l2
+    return (hi[0], lo[0]) if hi.size else (np.float32(0), np.float32(0))
+
+
+@pytest.mark.parametrize("lengths", [[0, 3, 1, 8, 5], [7, 7, 7], [6, 6], [1]])
+def test_dw_segment_sums_follow_the_per_tile_halving(lengths):
+    """Equal segments sum as the rows of one matrix, unequal ones one by
+    one; either way each is the per-tile pairwise sum, and an empty
+    segment sums to (0, 0)."""
+    rng = np.random.default_rng(len(lengths))
+    seg = np.array(lengths)
+    offsets = np.concatenate([[0], np.cumsum(seg)])
+    hi = rng.standard_normal(offsets[-1]).astype(np.float32)
+    lo = (hi * rng.standard_normal(offsets[-1]) * 2.0**-26).astype(np.float32)
+    got = _reduce_segments((hi, lo), Type.DOUBLEWORD, "sum", seg, offsets, _equal_segments(seg))
+    want = np.array([_dw_pairwise(hi[a:b], lo[a:b]) for a, b in zip(offsets[:-1], offsets[1:])],
+                    dtype=np.float32)
+    for part, column in zip(got, want.T):
+        assert np.asarray(part).view(np.uint32).tolist() == column.view(np.uint32).tolist()
 
 
 # -- level-set sweeps: one kernel op per sweep ------------------------------------------

@@ -1,20 +1,23 @@
 """The native float32 evaluator: the fused kernels' trees in one C pass.
 
-``compile_f32`` renders a float32 expression tree as a three-address
-program and ``F32Program.bind`` runs it through ``native.c``'s
+``compile_expr`` renders an expression tree as a three-address program;
+``Program.bind`` runs a float32, one-RHS program through ``native.c``'s
 ``repro_eval_f32`` over segments: element by element into ``out``, or
-``.sum()`` per segment.  ``compile_expr`` (numpy) is its oracle and its
-fallback; the property here is that the two agree bit for bit.  The
-exchanges' indexed copies (``repro_copy_f32``) are checked beside it.
+``.sum()`` per segment.  The program's numpy interpreter is its oracle and
+its fallback; the property here is that the two agree bit for bit, and
+that exactly the float32, one-RHS programs bind.  The exchanges' indexed
+copies (``repro_copy_f32``) are checked beside it.
 """
 
 import ctypes
 import shutil
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.graph.codelet import ElementwiseSpec, ReduceSpec
@@ -34,8 +37,21 @@ from repro.tensordsl.expression import (
     Leaf,
     UnExpr,
 )
-from repro.tensordsl.materialize import F32_OPS, compile_expr, compile_f32, native_eval
+from repro.tensordsl.materialize import (
+    F32_OPS,
+    OPS,
+    assignment_evaluator,
+    compile_expr,
+    native_eval,
+)
 from repro.tensordsl.types import Type
+
+# The random trees of every representation that the compiler's own property
+# test draws.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tensordsl"))
+from test_compile_expr import DTYPES, B, N  # noqa: E402
+from test_compile_expr import _Var as AnyVar  # noqa: E402
+from test_compile_expr import trees as any_trees  # noqa: E402
 
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-41, -2e-39, 3e38, 1.0]
 
@@ -119,6 +135,10 @@ def _sums(value, offsets) -> np.ndarray:
                         dtype=np.float32)
 
 
+def _numpy_ran():
+    raise AssertionError("the numpy fallback ran")
+
+
 def _run(program, offsets, values, bases, out, out_at=None):
     vectors, scalars = {}, {}
     for i, var in enumerate(program.leaves):
@@ -127,10 +147,7 @@ def _run(program, offsets, values, bases, out, out_at=None):
         else:
             vectors[i] = values[id(var)]
 
-    def numpy_ran():
-        raise AssertionError("the numpy fallback ran")
-
-    program.bind(offsets, vectors, scalars, out, out_at, numpy_ran)()
+    program.bind(offsets, vectors, scalars, out, out_at, _numpy_ran)()
 
 
 def _native_or_skip():
@@ -149,7 +166,7 @@ def test_native_evaluator_equals_compile_expr_bitwise(expr, lengths, reduce, see
     _native_or_skip()
     rng = np.random.default_rng(seed)
     offsets, values, bases, value = _case(rng, expr, lengths)
-    program = compile_f32(expr)
+    program = compile_expr(expr)
     if reduce:
         out = np.full(len(lengths) + 2, 7.0, dtype=np.float32)
         out_at = rng.permutation(out.size)[: len(lengths)]
@@ -162,8 +179,10 @@ def test_native_evaluator_equals_compile_expr_bitwise(expr, lengths, reduce, see
 
 
 def test_the_opcodes_are_a_copy_and_every_expression_op():
-    """A new expression op fails here until the evaluator has it."""
+    """A new expression op fails here until the evaluator has it; the
+    opcodes only numpy runs come after ``native.c``'s."""
     assert F32_OPS[0] == "copy" and sorted(F32_OPS[1:]) == sorted(OP_KINDS)
+    assert OPS[: len(F32_OPS)] == F32_OPS and len(set(OPS)) == len(OPS)
 
 
 def test_out_may_be_the_vector_it_updates():
@@ -176,7 +195,7 @@ def test_out_may_be_the_vector_it_updates():
     rng = np.random.default_rng(5)
     offsets, values, bases, value = _case(rng, expr, [300, 0, 1, 1100, 129])
     want = value.copy()
-    _run(compile_f32(expr), offsets, values, bases, values[id(x.var)])
+    _run(compile_expr(expr), offsets, values, bases, values[id(x.var)])
     assert _same_bits(values[id(x.var)], want)
 
 
@@ -191,7 +210,7 @@ def test_a_tree_deeper_than_any_solver_emits():
         expr = BinExpr("+" if k % 2 else "-", BinExpr("*", v0, v1 if k % 3 else SCALARS[0]), expr)
     rng = np.random.default_rng(6)
     offsets, values, bases, value = _case(rng, expr, [3, 500, 77])
-    program = compile_f32(expr)
+    program = compile_expr(expr)
     seg = [i for i, var in enumerate(program.leaves) if id(var) in bases]
     vecs = [i for i in range(len(program.leaves)) if i not in seg]
     assert program._schedule(vecs, seg, False)[2] >= 150  # temporaries
@@ -201,20 +220,62 @@ def test_a_tree_deeper_than_any_solver_emits():
         assert _same_bits(out, value if out_at is None else _sums(value, offsets))
 
 
-def test_only_float32_trees_with_one_rhs_compile():
-    dw = Leaf(type("DwVar", (_Var,), {"dtype": Type.DOUBLEWORD})())
-    batched = Leaf(type("WideVar", (_Var,), {"batch": 3})())
-    x = VECTORS[0]
-    assert compile_f32(BinExpr("+", x, ConstExpr(1.0))) is not None
-    assert compile_f32(BinExpr("+", x, ConvertExpr(dw, Type.FLOAT32))) is None
-    assert compile_f32(BinExpr("*", x, batched)) is None
-    assert compile_f32(BinExpr("<", x, dw)) is None
-    assert compile_f32(BinExpr("+", x, ConstExpr(1.0, Type.FLOAT64))) is None
-    assert compile_f32(x, out_var=dw.var) is None
+def _nodes(expr):
+    yield expr
+    for child in (getattr(expr, name, None) for name in ("operand", "left", "right")):
+        if child is not None:
+            yield from _nodes(child)
+
+
+DW = Leaf(type("DwVar", (_Var,), {"dtype": Type.DOUBLEWORD})())
+WIDE = Leaf(type("WideVar", (_Var,), {"batch": 3})())
+
+
+OUT_VARS = st.builds(AnyVar, st.sampled_from(DTYPES), st.just(False), st.sampled_from([1, B]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=any_trees() | trees(), out=st.none() | OUT_VARS, seed=st.integers(0, 2**16))
+@example(tree=BinExpr("+", VECTORS[0], ConstExpr(1.0)), out=None, seed=0)
+@example(tree=BinExpr("+", VECTORS[0], ConvertExpr(DW, Type.FLOAT32)), out=None, seed=0)
+@example(tree=BinExpr("*", VECTORS[0], WIDE), out=None, seed=0)
+@example(tree=BinExpr("<", VECTORS[0], DW), out=None, seed=0)
+@example(tree=BinExpr("+", VECTORS[0], ConstExpr(1.0, Type.FLOAT64)), out=None, seed=0)
+@example(tree=VECTORS[0], out=DW.var, seed=0)
+def test_only_float32_trees_with_one_rhs_bind(tree, out, seed):
+    """Property over the random f32 / dw / f64, batched and unbatched trees
+    of ``tests/tensordsl/test_compile_expr.py`` and the float32 trees
+    above — alone, or assigned into a variable of any representation: a
+    program binds exactly when every node (and the variable) is float32
+    with one RHS, and then its entry writes the numpy interpreter's value
+    bit for bit; any other program raises ``TypeError``, whatever float32
+    buffers it is given."""
+    with np.errstate(all="ignore"):  # constants are rounded at compile time
+        program = compile_expr(tree) if out is None else assignment_evaluator(tree, out)
+    native = all(node.dtype == Type.FLOAT32 and node.batch == 1 for node in _nodes(tree))
+    native = native and (out is None or (out.dtype == Type.FLOAT32 and out.batch == 1))
+    rng = np.random.default_rng(seed)
+    buffers = {id(var): _awkward(rng, 1 if var.shape == () else N) for var in program.leaves}
+    vectors, scalars = {}, {}
+    for i, var in enumerate(program.leaves):
+        if var.shape == ():
+            scalars[i] = buffers[id(var)], np.zeros(1, np.int64)
+        else:
+            vectors[i] = buffers[id(var)]
+    got = np.empty(N, np.float32)
+    if not native:
+        with pytest.raises(TypeError, match="every node is float32 with one RHS"):
+            program.bind([0, N], vectors, scalars, got)
+        return
+    with np.errstate(all="ignore"):
+        want = np.broadcast_to(program(lambda leaf: buffers[id(leaf.var)]), N)
+    fallback = _numpy_ran if native_eval() is not None else lambda: got.__setitem__(..., want)
+    program.bind([0, N], vectors, scalars, got, fallback=fallback)()
+    assert _same_bits(got, want)
 
 
 def test_bind_refuses_buffers_the_call_cannot_take():
-    program = compile_f32(BinExpr("+", VECTORS[0], SCALARS[0]))
+    program = compile_expr(BinExpr("+", VECTORS[0], SCALARS[0]))
     v, base = np.ones(4, np.float32), np.ones(2, np.float32)
     offsets, at = np.array([0, 1, 4]), np.array([0, 1])
     program.bind(offsets, {0: v}, {1: (base, at)}, np.empty(4, np.float32))

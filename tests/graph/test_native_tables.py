@@ -19,7 +19,7 @@ from repro.solvers.ilu import DILU, ILU0
 from repro.solvers.sweeps import build_sweep, native_sweep
 from repro.sparse.sell import DeviceSpmv, native_spmv
 from repro.tensordsl.expression import BinExpr, ConstExpr, Leaf, UnExpr
-from repro.tensordsl.materialize import compile_expr, compile_f32, native_eval
+from repro.tensordsl.materialize import compile_expr, native_eval
 from repro.tensordsl.types import Type
 
 #: Segments of the pool's vectors: an empty one, short ones and one past
@@ -119,14 +119,14 @@ def _expr(tree, pool, leaves):
 
 def _bind_expr(expr, leaves, out, out_at=None):
     """The evaluator entry of ``expr`` into ``out`` (per-segment sums at
-    ``out_at``), its fallback :func:`compile_expr` with the scalars
-    repeated over the segments — the numpy form the fused kernels run."""
-    program = compile_f32(expr)
+    ``out_at``), its fallback the program's numpy interpreter with the
+    scalars repeated over the segments — the numpy form the fused kernels
+    run."""
+    program = compile_expr(expr)
     vectors, scalars = {}, {}
     for i, var in enumerate(program.leaves):
         source = leaves[id(var)]
         (scalars if isinstance(source, tuple) else vectors)[i] = source
-    evaluate = compile_expr(expr)
 
     def numpy_form():
         def resolve(leaf):
@@ -135,7 +135,7 @@ def _bind_expr(expr, leaves, out, out_at=None):
                 return np.repeat(source[0][source[1]], LENGTHS)
             return source
 
-        value = np.broadcast_to(evaluate(resolve), N)
+        value = np.broadcast_to(program(resolve), N)
         if out_at is None:
             out[...] = value
         else:
