@@ -175,12 +175,11 @@ def _cmd_solve(args) -> int:
         print(f"modeled IPU time:  {result.seconds * 1e3:.3f} ms ({result.cycles} cycles)")
     else:
         print(f"backend:           {result.backend} (numerics only, no cycle model)")
-    if result.kernel_counters is not None:
-        kc = result.kernel_counters
-        print(f"fused kernels:     {kc['kernels']} launches / {kc['dispatches']} "
-              f"dispatches ({kc['fused_compute_sets']} compute sets + "
-              f"{kc['fused_exchanges']} exchanges fused, "
-              f"{kc['fallback_vertices']} fallback vertices)")
+    kc = result.kernel_counters
+    print(f"fused kernels:     {kc['kernels']} launches / {kc['dispatches']} "
+          f"dispatches ({kc['fused_compute_sets']} compute sets + "
+          f"{kc['fused_exchanges']} exchanges fused, "
+          f"{kc['fallback_vertices']} fallback vertices)")
     print(f"host wall-clock:   {result.wall_seconds * 1e3:.1f} ms (measured)")
     if result.wall_profile is not None and result.wall_profile["kernels"]:
         prof = result.wall_profile
@@ -663,9 +662,7 @@ def _cmd_info(args) -> int:
 
 
 def main(argv=None) -> int:
-    from repro.graph.runtime import BACKENDS
-
-    backends = sorted(BACKENDS)
+    backends = ("fused", "sim")
     parser = argparse.ArgumentParser(prog="repro", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -11,8 +11,9 @@ package provides those artifacts; the DSLs of :mod:`repro.codedsl` and
 - :mod:`repro.graph.program` — the execution-schedule step types,
 - :mod:`repro.graph.engine` — control-flow interpreter over a compiled
   program, delegating compute/exchange to a runtime backend,
-- :mod:`repro.graph.runtime` — pluggable backends: cycle-accurate ``sim``
-  and kernel-dispatch ``fused`` (docs/runtime.md),
+- :mod:`repro.graph.runtime` — the runtime ``Backend``: kernel launches,
+  with the cycle clock attached on ``sim`` and not on ``fused``
+  (docs/runtime.md),
 - :mod:`repro.graph.compiler` — graph statistics (the compile-time proxy
   used by the ablation benches),
 - :mod:`repro.graph.passes` — the pass-based graph compiler: optimization
@@ -44,14 +45,7 @@ from repro.graph.passes import (
     compile_program,
     default_passes,
 )
-from repro.graph.runtime import (
-    Backend,
-    FusedBackend,
-    GlobalCounters,
-    SimBackend,
-    register_backend,
-    resolve_backend,
-)
+from repro.graph.runtime import Backend
 
 __all__ = [
     "Interval",
@@ -81,9 +75,4 @@ __all__ = [
     "compile_program",
     "default_passes",
     "Backend",
-    "SimBackend",
-    "FusedBackend",
-    "GlobalCounters",
-    "register_backend",
-    "resolve_backend",
 ]

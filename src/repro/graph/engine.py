@@ -3,16 +3,18 @@
 This is the analogue of ``poplar::Engine`` loading a compiled executable.
 The engine owns *only* control flow — ``Sequence`` / ``Repeat`` /
 ``RepeatWhile`` / ``If`` / ``HostCallback`` — plus the host data interface;
-compute and exchange phases are delegated to a pluggable runtime backend
-(:mod:`repro.graph.runtime`).  With the default ``backend="sim"`` execution
-is deterministic: the same program on the same inputs always produces the
-same results *and the same cycle counts*, mirroring the measurement
-methodology of Sec. VI-A.  ``backend="fused"`` produces bit-identical
-results from the same whole-device kernels, without any cycle accounting.
+compute and exchange phases are delegated to the runtime backend
+(:mod:`repro.graph.runtime`).  With the default ``backend="sim"`` the
+cycle clock observes the run, and execution is deterministic: the same
+program on the same inputs always produces the same results *and the same
+cycle counts*, mirroring the measurement methodology of Sec. VI-A.
+``backend="fused"`` produces bit-identical results from the same
+whole-device kernels, without the clock.
 
-Blocks run as the compiled program's fused kernels on every backend unless
-a cycle tracer or a fault injector is attached: those observe each
-superstep, so the engine then steps compute sets and exchanges one by one.
+Blocks run as the compiled program's fused kernels unless a cycle tracer
+or a fault injector is attached: those observe each superstep, so the
+engine then steps compute sets and exchanges one by one.  The engine
+tallies what it launched per run (:meth:`Engine.kernel_counters`).
 """
 
 from __future__ import annotations
@@ -31,22 +33,21 @@ from repro.graph.program import (
     Sequence,
     Step,
 )
-from repro.graph.runtime import CONTROL_CYCLES, resolve_backend
+from repro.graph.runtime import CONTROL_CYCLES, Backend
 from repro.graph.variable import Variable
 
 __all__ = ["Engine", "CONTROL_CYCLES"]
 
 
 class Engine:
-    """Executes a :class:`CompiledProgram` on a runtime backend.
+    """Executes a :class:`CompiledProgram` on the runtime backend.
 
     The only supported construction is ``Engine(compiled_program)`` followed
     by ``engine.run()`` — the engine only ever sees schedules the pass
     pipeline has lowered into plans, like ``poplar::Engine`` only ever loads
-    compiled executables.  ``backend`` selects the runtime: ``"sim"``
-    (cycle-accurate, the default), ``"fused"`` (whole-device kernels,
-    numerics only), or any :class:`~repro.graph.runtime.Backend`
-    instance/class.
+    compiled executables.  ``backend`` names the runtime: ``"sim"``
+    (cycle-accurate, the default) or ``"fused"`` (whole-device kernels,
+    numerics only).
     """
 
     def __init__(self, program: CompiledProgram, backend="sim", tracer=None,
@@ -61,7 +62,7 @@ class Engine:
         self.graph = program.graph
         self.device = self.graph.device
         self.profiler = self.device.profiler
-        self.backend = resolve_backend(backend)
+        self.backend = Backend(backend)
         self.backend.bind(program, self.device)
         self.backend.attach(tracer=tracer, injector=injector, wall_tracer=wall_tracer)
         self.tracer = tracer
@@ -69,9 +70,14 @@ class Engine:
         # needs every superstep (``fused`` refuses those observers in attach).
         stepped = tracer is not None or injector is not None
         self._kernel_schedule = None if stepped else program.kernels
-        # Execution statistics (compile-proxy counters live in compiler.py).
+        # Execution statistics (compile-proxy counters live in compiler.py),
+        # kept per engine so concurrent runs never see each other's.
         self.supersteps = 0
         self.exchanges = 0
+        self.kernels = 0
+        self.fused_compute_sets = 0
+        self.fused_exchanges = 0
+        self.fallback_vertices = 0
         self.host_callbacks = 0
         self.loop_iterations = 0
         # The shard each scalar is read from, found once per variable: a
@@ -117,6 +123,21 @@ class Engine:
             sh = self._reading[var] = var.shards[min(var.shards)]
         return sh
 
+    def kernel_counters(self) -> dict:
+        """What this engine's runs launched: fused-kernel launches, host
+        dispatches (every dispatch is a launch, so ``dispatches ==
+        kernels``), the Execute / Exchange steps whose work ran inside a
+        kernel, and the per-vertex ``run()`` calls inside kernels for
+        compute sets the lowerer could not vectorize.  A stepped run
+        launches nothing."""
+        return {
+            "kernels": self.kernels,
+            "dispatches": self.kernels,
+            "fused_compute_sets": self.fused_compute_sets,
+            "fused_exchanges": self.fused_exchanges,
+            "fallback_vertices": self.fallback_vertices,
+        }
+
     # -- execution ---------------------------------------------------------------------
 
     def run(self) -> None:
@@ -150,6 +171,10 @@ class Engine:
             if isinstance(item, FusedKernel):
                 self.supersteps += item.n_compute
                 self.exchanges += item.n_exchange
+                self.kernels += 1
+                self.fused_compute_sets += item.n_compute
+                self.fused_exchanges += item.n_exchange
+                self.fallback_vertices += item.n_fallback
                 self.backend.run_kernel(item)
             else:
                 self._run_step(item)

@@ -75,8 +75,8 @@ class Variable:
     element (shard ``t`` is ``flat_data[start:stop]``), a replicated
     variable's buffer has one row per replica (``replica_rows`` maps
     ``tile_id`` to its row).  Tile-local codelets and exchange copies go
-    through the views exactly as before; the fused runtime backend
-    (:mod:`repro.graph.runtime.fused`) operates on the flat buffers
+    through the views exactly as before; the fused kernels
+    (:mod:`repro.graph.passes.kernels`) operate on the flat buffers
     directly, which is what hoists gather/scatter out of the hot path.
 
     A variable may carry a trailing *batch* axis of width ``batch`` (multi-RHS

@@ -28,7 +28,7 @@ from repro.errors import (
     SolverConfigError,
     SRAMOverflowError,
 )
-from repro.graph import CompiledProgram, Engine, GlobalCounters
+from repro.graph import CompiledProgram, Engine
 from repro.graph.runtime import check_observers
 from repro.machine import MK2, IPUDevice
 from repro.solvers.base import SolveProgress, SolveStats
@@ -73,9 +73,10 @@ class SolveResult:
     telemetry: object = None  # Tracer when solve(..., trace=...) was used
     #: ResilienceReport when faults and/or resilience were active, else None.
     resilience: object = None
-    #: :class:`~repro.graph.GlobalCounters` delta for this solve (kernel
-    #: launches, dispatches, fused/fallback breakdown) on the untimed
-    #: ``backend="fused"``, else None.
+    #: This solve's kernel tallies (:meth:`~repro.graph.Engine.kernel_counters`
+    #: summed over OOM restarts): launches, dispatches, fused/fallback
+    #: breakdown.  Zero launches on a run stepped for a cycle tracer or a
+    #: fault injector.
     kernel_counters: dict | None = None
     #: Measured host wall-clock seconds for the whole solve call, recorded
     #: on every backend (contrast ``seconds``, which is the sim backend's
@@ -387,6 +388,7 @@ class _Restarts:
     monitors: list = field(default_factory=list)
     records: list = field(default_factory=list)
     cycles: int = 0
+    kernels: Counter = field(default_factory=Counter)
     count: int = 0
     carried_iterations: int = 0
     disabled: set = field(default_factory=set)
@@ -406,6 +408,8 @@ class _Restarts:
             self.records.extend(at.injector.records)
         if at.device is not None:
             self.cycles += at.device.profiler.total_cycles
+        if at.engine is not None:
+            self.kernels.update(at.engine.kernel_counters())
         have = self.num_tiles
         if have is None:
             n_dev = self.device.num_tiles if self.device is not None else device_tiles
@@ -422,6 +426,10 @@ class _Restarts:
         self.num_tiles = want
         self.device = None  # always rebuild on a fresh device
         return True
+
+    def kernel_counters(self, engine) -> dict:
+        """The final attempt's kernel tallies plus every earlier one's."""
+        return {k: n + self.kernels[k] for k, n in engine.kernel_counters().items()}
 
     def report(self, at, failure, rconfig) -> ResilienceReport:
         records = self.records + (list(at.injector.records) if at.injector is not None else [])
@@ -581,7 +589,7 @@ def _readback(at, matrix, b64) -> tuple:
 
 
 def _finalize(at, x, rels: list, batch: int, rs: _Restarts, report,
-              obs, pcache, kernel_track, t_wall0: float) -> SolveResult:
+              obs, pcache, t_wall0: float) -> SolveResult:
     """Stage 7: wall trace and metrics out, then the :class:`SolveResult`."""
     solver, engine, device = at.solver, at.engine, at.device
     rel = max(rels)
@@ -627,7 +635,7 @@ def _finalize(at, x, rels: list, batch: int, rs: _Restarts, report,
         backend=engine.backend.name,
         telemetry=obs.tracer,
         resilience=report,
-        kernel_counters=None if engine.backend.has_cycle_clock else kernel_track,
+        kernel_counters=rs.kernel_counters(engine),
         wall_seconds=wall_seconds,
         wall_profile=wtracer.profile() if wtracer is not None else None,
         wall_telemetry=wtracer,
@@ -674,10 +682,10 @@ def solve(
     :mod:`repro.solvers.config`).  ``grid_dims`` enables the structured
     partitioner for stencil matrices.  ``optimize=False`` skips the graph
     compiler's optimization passes (the no-pass ablation baseline).
-    ``backend="fused"`` executes numerics only (bit-identical solution,
-    zero reported cycles) by dispatching the compiled program's fused
-    whole-device kernels, and populates ``SolveResult.kernel_counters`` —
-    see ``docs/runtime.md``.  An unknown backend, or ``trace`` /
+    ``backend="fused"`` runs the same fused whole-device kernels as
+    ``"sim"`` without the cycle clock: a bit-identical solution and zero
+    reported cycles (``docs/runtime.md``).  Both report what they launched
+    in ``SolveResult.kernel_counters``.  An unknown backend, or ``trace`` /
     ``inject_faults`` on ``fused``, raises before anything is built.
 
     ``trace`` enables telemetry (``docs/observability.md``; requires the
@@ -771,35 +779,33 @@ def solve(
                   blockwise_halo=blockwise_halo)
     rs = _Restarts(num_tiles=num_tiles, device=device, x0=x0)
 
-    # Delta over the whole solve (restarts included) — the counters are
-    # process-global, so concurrent engines would fold into one delta.
-    with GlobalCounters.track() as kernel_track:
-        while True:
-            # One pass, filled stage by stage — so the OOM handler sees
-            # whatever exists when the build or the run raised.
-            at = SimpleNamespace(monitor=None, injector=None, device=None, solver=None)
-            try:
-                _acquire(at, matrix, b, b64, config, layout, rs, pcache=pcache,
-                         rconfig=rconfig, optimize=optimize, backend=backend,
-                         batch=batch, tracer=obs.tracer)
-                _arm(at, plan, rs, backend, obs, progress, tick)
-                aborted = _run_under_recovery(at, matrix, b64, obs.tracer)
-            except JobTimeoutError as exc:
-                # Deadline fired from inside the engine (or just before it),
-                # so the solver exists: hand the caller the partial
-                # convergence record with the typed error.
-                exc.solver = at.solver.name
-                exc.stats = at.solver.stats.copy()
+    while True:
+        # One pass, filled stage by stage — so the OOM handler sees
+        # whatever exists when the build or the run raised.
+        at = SimpleNamespace(monitor=None, injector=None, device=None, solver=None,
+                             engine=None)
+        try:
+            _acquire(at, matrix, b, b64, config, layout, rs, pcache=pcache,
+                     rconfig=rconfig, optimize=optimize, backend=backend,
+                     batch=batch, tracer=obs.tracer)
+            _arm(at, plan, rs, backend, obs, progress, tick)
+            aborted = _run_under_recovery(at, matrix, b64, obs.tracer)
+        except JobTimeoutError as exc:
+            # Deadline fired from inside the engine (or just before it),
+            # so the solver exists: hand the caller the partial
+            # convergence record with the typed error.
+            exc.solver = at.solver.name
+            exc.stats = at.solver.stats.copy()
+            raise
+        except SRAMOverflowError:
+            if rconfig is None or not rconfig.degrade_on_oom or not rs.degrade(
+                at, rconfig, matrix, num_ipus * tiles_per_ipu
+            ):
                 raise
-            except SRAMOverflowError:
-                if rconfig is None or not rconfig.degrade_on_oom or not rs.degrade(
-                    at, rconfig, matrix, num_ipus * tiles_per_ipu
-                ):
-                    raise
-                continue
-            if at.monitor is not None:
-                rs.monitors.append(at.monitor)
-            break
+            continue
+        if at.monitor is not None:
+            rs.monitors.append(at.monitor)
+        break
 
     x, rels = _readback(at, matrix, b64)
     failure = aborted if aborted is not None else at.solver.classify_failure(at.engine)
@@ -817,4 +823,4 @@ def solve(
         name = at.solver.name
         raise failure_error(failure, name, solver=name,
                             iteration=at.solver.stats.total_iterations)
-    return _finalize(at, x, rels, batch, rs, report, obs, pcache, kernel_track, t_wall0)
+    return _finalize(at, x, rels, batch, rs, report, obs, pcache, t_wall0)

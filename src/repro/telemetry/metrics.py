@@ -13,7 +13,7 @@ Design rules:
 - **Zero overhead when disabled.**  Nothing here is global; a registry
   only exists when a caller asks for one, and every producer hook guards
   emission behind one ``is None`` check (the same seam contract as the
-  tracers in :mod:`repro.graph.runtime.base`).
+  tracers in :mod:`repro.graph.runtime`).
 - **Instruments are cheap.**  A counter/gauge sample is one dict store; a
   histogram observation is a bisect over its (few) bucket edges.  Labels
   are plain keyword arguments, stored as sorted key-value tuples.

@@ -1,7 +1,7 @@
 """The ``Tracer``: structured event collection for the runtime backends.
 
-A tracer is handed to a backend via ``Backend.attach`` (see
-:mod:`repro.graph.runtime.base`); the cycle-accurate sim backend then emits
+A tracer is handed to the backend via ``Backend.attach`` (see
+:mod:`repro.graph.runtime`); the backend, on the cycle clock, then emits
 one :class:`~repro.telemetry.events.SpanEvent` per BSP superstep — compute
 phases with per-tile worker makespans and the load-imbalance ratio,
 exchange phases with transfer volume and fabric congestion — plus counter

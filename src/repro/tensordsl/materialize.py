@@ -70,9 +70,15 @@ def _dw_view64(value):
 
 
 def _to_dw(value):
+    """The double word nearest ``value``: ``hi`` rounded to float32, ``lo``
+    the float32 remainder — and ``lo = 0`` wherever ``hi`` is not finite
+    (±inf, NaN, or a float64 beyond float32's range), so ``hi + lo``
+    keeps an infinity instead of turning it into NaN."""
     wide = np.asarray(value, dtype=np.float64)
-    hi = wide.astype(np.float32)
-    return hi, (wide - hi.astype(np.float64)).astype(np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = wide.astype(np.float32)
+        lo = (wide - hi.astype(np.float64)).astype(np.float32)
+    return hi, np.where(np.isfinite(hi), lo, np.float32(0))
 
 
 def _dw_sqrt(value):

@@ -5,8 +5,8 @@ bit-identical between sim and fused (hypothesis), every solver family is
 bit-identical — the ``sim`` side always with a cycle tracer attached, so it
 steps every vertex instead of launching the same kernels — the CG inner
 loop lowers to a bounded number of kernel launches (statically via
-:class:`KernelSchedule` and dynamically via
-:class:`GlobalCounters`), the session cache keys sim and fused apart and
+:class:`KernelSchedule` and dynamically via the engine's per-run
+tallies), the session cache keys sim and fused apart and
 replays fused hits bit-identically, and the untimed backend rejects the
 cycle-domain observers with a typed error before anything is built.
 """
@@ -22,11 +22,10 @@ from hypothesis import strategies as st
 from repro.dw import joldes
 from repro.errors import BackendCapabilityError
 from repro.graph import (
+    Backend,
     Engine,
     Exchange,
     Execute,
-    FusedBackend,
-    GlobalCounters,
     Graph,
     If,
     RegionCopy,
@@ -169,7 +168,24 @@ def test_solver_fused_bit_identical_to_sim(config):
     assert sim.stats.total_iterations == fused.stats.total_iterations
     assert fused.kernel_counters is not None
     assert fused.kernel_counters["kernels"] > 0
-    assert sim.kernel_counters is None
+    # The traced sim run stepped every vertex: it launched nothing.
+    assert set(sim.kernel_counters.values()) == {0}
+
+
+def test_unobserved_sim_launches_what_fused_launches():
+    """Unobserved ``sim`` runs the same kernels as ``fused`` with the cycle
+    clock attached, so it tallies the same launches; a traced ``sim`` run
+    steps every vertex and launches none."""
+    crs, dims = poisson3d(6)
+    b = np.ones(crs.n)
+    sim, fused, traced = (solve(crs, b, CG, grid_dims=dims, tiles_per_ipu=4,
+                                backend=backend, trace=trace)
+                          for backend, trace in (("sim", None), ("fused", None),
+                                                 ("sim", True)))
+    assert sim.kernel_counters == fused.kernel_counters
+    assert sim.kernel_counters["kernels"] > 0
+    assert traced.kernel_counters == dict.fromkeys(fused.kernel_counters, 0)
+    assert sim.cycles == traced.cycles > 0 == fused.cycles
 
 
 #: The stencil case plus the four Fig. 7 matrix families (graph-partitioned,
@@ -408,8 +424,9 @@ def test_cost_only_codelets_are_priced_but_never_dispatched():
     sim = Engine(compiled, backend="sim")
     sim.run()
     assert sim.profiler.total_cycles >= 400
-    with GlobalCounters.track() as delta:
-        Engine(compiled, backend="fused").run()
+    fused = Engine(compiled, backend="fused")
+    fused.run()
+    delta = fused.kernel_counters()
     assert delta["fused_compute_sets"] == 1 and delta["fallback_vertices"] == 0
 
 
@@ -432,13 +449,13 @@ def test_cg_loop_lowers_to_bounded_kernel_count():
 
 
 def test_cg_runtime_kernel_counters_bounded():
-    """Dynamic twin of the static bound: GlobalCounters must report at most
-    5 launches per executed CG iteration (plus setup), and every launch
-    exactly once."""
+    """Dynamic twin of the static bound: the engine's tallies must report
+    at most 5 launches per executed CG iteration (plus setup), and every
+    launch exactly once."""
     crs, dims = poisson3d(8)
-    with GlobalCounters.track() as delta:
-        res = solve(crs, np.ones(crs.n), CG, grid_dims=dims, num_ipus=2,
-                    tiles_per_ipu=4, backend="fused")
+    res = solve(crs, np.ones(crs.n), CG, grid_dims=dims, num_ipus=2,
+                tiles_per_ipu=4, backend="fused")
+    delta = res.engine.kernel_counters()
     assert res.kernel_counters == delta
     assert delta["kernels"] <= 5 * res.iterations + 10
     assert delta["dispatches"] == delta["kernels"]
@@ -462,8 +479,8 @@ def test_engine_statistics_parity_between_sim_and_fused():
 # -- typed capability guards -----------------------------------------------------------
 
 def test_untimed_backend_rejects_cycle_domain_observers():
-    backend = FusedBackend()
-    assert not backend.has_cycle_clock
+    backend = Backend("fused")
+    assert backend.clock is None
     with pytest.raises(BackendCapabilityError) as tr:
         backend.attach(tracer=object())
     with pytest.raises(BackendCapabilityError) as inj:

@@ -1,9 +1,9 @@
-"""Tests for the pluggable runtime: backend registry, plan lowering, and
-the sim/fused backend pair.
+"""Tests for the runtime: the one backend class, plan lowering, and the
+sim/fused pair.
 
 The contract under test is the one ``docs/runtime.md`` documents: both
-backends execute the same compiled program, ``sim`` adds the cycle model,
-and ``fused`` is bit-identical on numerics while leaving the profiler
+names run the same compiled program, ``sim`` attaches the cycle clock, and
+``fused`` is bit-identical on numerics while leaving the profiler
 untouched.
 """
 
@@ -24,16 +24,7 @@ from repro.graph import (
 )
 from repro.errors import BackendCapabilityError
 from repro.graph.engine import CONTROL_CYCLES as ENGINE_CONTROL_CYCLES
-from repro.graph.runtime import (
-    BACKENDS,
-    Backend,
-    CONTROL_CYCLES,
-    FusedBackend,
-    GlobalCounters,
-    SimBackend,
-    register_backend,
-    resolve_backend,
-)
+from repro.graph.runtime import Backend, CONTROL_CYCLES
 from repro.machine import IPUDevice
 from repro.telemetry import Tracer
 
@@ -54,47 +45,24 @@ def inc_cs(var, amount=1.0):
     return cs
 
 
-class TestBackendRegistry:
-    def test_builtin_backends_registered(self):
-        assert BACKENDS["sim"] is SimBackend
-        assert BACKENDS["fused"] is FusedBackend
-        # Two backends, not three: one timed reference, one kernel path.
-        assert sorted(BACKENDS) == ["fused", "sim"]
-
-    def test_resolve_by_name(self):
-        assert isinstance(resolve_backend("sim"), SimBackend)
-        assert isinstance(resolve_backend("fused"), FusedBackend)
-
-    def test_resolve_class_and_instance(self):
-        assert isinstance(resolve_backend(SimBackend), SimBackend)
-        inst = FusedBackend()
-        assert resolve_backend(inst) is inst
+class TestBackend:
+    def test_names_pick_the_cycle_clock(self):
+        g = make_graph()
+        compiled = compile_program(g, Execute(inc_cs(g.add_variable("x", (8,)))),
+                                   optimize=False)
+        assert Engine(compiled, backend="sim").backend.clock is g.device.profiler
+        assert Engine(compiled, backend="fused").backend.clock is None
 
     def test_unknown_name_lists_available(self):
         with pytest.raises(ValueError, match="fused.*sim") as err:
-            resolve_backend("turbo")
+            Backend("turbo")
         assert isinstance(err.value, BackendCapabilityError)
         assert err.value.exit_code == 15 and err.value.backend == "turbo"
 
     def test_bad_spec_type(self):
-        with pytest.raises(TypeError):
-            resolve_backend(42)
-
-    def test_custom_backend_registration(self):
-        @register_backend
-        class NullBackend(Backend):
-            name = "null-test"
-
-            def run_compute_set(self, step):
-                pass
-
-            def run_exchange(self, step):
-                pass
-
-        try:
-            assert isinstance(resolve_backend("null-test"), NullBackend)
-        finally:
-            del BACKENDS["null-test"]
+        # Only the two names select a backend: anything else is an unknown one.
+        with pytest.raises(BackendCapabilityError):
+            Backend(42)
 
     def test_control_cycles_reexported(self):
         assert ENGINE_CONTROL_CYCLES == CONTROL_CYCLES
@@ -110,9 +78,9 @@ class TestAttach:
         compiled = compile_program(g, Execute(inc_cs(v)), optimize=False)
         tracer, wall = Tracer(), WallTracer()
         injector = FaultInjector(FaultPlan.parse("bitflip:p=0.1"))
-        assert SimBackend.has_cycle_clock
         engine = Engine(compiled, tracer=tracer, injector=injector, wall_tracer=wall)
         backend = engine.backend
+        assert backend.clock is g.device.profiler
         assert (backend.tracer, backend.injector, backend.wall_tracer) == (
             tracer, injector, wall)
         assert injector.tracer is tracer
@@ -281,8 +249,8 @@ class TestFusedBackend:
                     else Exchange([RegionCopy(v, 0, 0, ((a, 3, 0),), 2)]))
             eng = Engine(compile_program(g, root, optimize=False), backend=backend,
                          tracer=tracer)
-            with GlobalCounters.track() as kc:
-                eng.run()
+            eng.run()
+            kc = eng.kernel_counters()
             launches = 0 if tracer is not None else 1
             assert kc["kernels"] == kc["dispatches"] == launches
             assert (eng.supersteps, eng.exchanges) == (
@@ -298,7 +266,7 @@ class TestFusedBackend:
         """Per-step numerics live on ``sim`` only: a step handed to the
         kernel backend directly is reported as a lowering bug."""
         v = make_graph().add_variable("x", (8,))
-        backend = FusedBackend()
+        backend = Backend("fused")
         for run in (backend.run_compute_set, backend.run_exchange):
             with pytest.raises(RuntimeError, match="lowering bug"):
                 run(Execute(inc_cs(v)))

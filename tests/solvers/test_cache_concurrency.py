@@ -7,13 +7,14 @@ traffic (docs/serving.md).  Entry *execution* stays serialized through
 :attr:`~repro.solvers.CompiledSolve.lock` — also exercised here.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.solvers import CompiledSolve, ProgramCache, solve
-from repro.sparse import poisson2d
+from repro.solvers import CompiledSolve, ProgramCache, SolverSession, solve
+from repro.sparse import poisson2d, poisson3d
 
 
 def _dummy_entry(key: str) -> CompiledSolve:
@@ -105,3 +106,35 @@ class TestConcurrentSolves:
         stats = cache.stats()
         assert stats["misses"] == len(grids)
         assert stats["hits"] == len(grids) * (rounds - 1)
+
+
+class TestPerRunKernelCounters:
+    def test_concurrent_sessions_report_only_their_own_launches(self):
+        """Two threads solving different structures at once: every result's
+        ``kernel_counters`` is its own solve's, equal to that structure's
+        solo value — the tallies live on each run's engine, so one thread's
+        launches never land in the other's."""
+        systems = {"2d": poisson2d(24), "3d": poisson3d(12)}
+        sessions, rhs, solo = {}, {}, {}
+        for name, (crs, dims) in systems.items():
+            sessions[name] = SolverSession(crs, "cg", grid_dims=dims, backend="fused")
+            rhs[name] = np.random.default_rng(len(name)).standard_normal(crs.n)
+            sessions[name].solve(rhs[name])  # warm: compiled and cached
+            solo[name] = sessions[name].solve(rhs[name]).kernel_counters
+        assert solo["2d"] != solo["3d"]
+        start = threading.Barrier(len(systems), timeout=60)
+
+        def run(name: str) -> list:
+            start.wait()
+            return [sessions[name].solve(rhs[name]).kernel_counters for _ in range(10)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
+        try:
+            with ThreadPoolExecutor(max_workers=len(systems)) as pool:
+                results = dict(zip(systems, pool.map(run, systems, timeout=300)))
+        finally:
+            sys.setswitchinterval(interval)
+        for name, counters in results.items():
+            wrong = sum(kc != solo[name] for kc in counters)
+            assert wrong == 0, f"{wrong}/10 {name} solves reported another run's launches"

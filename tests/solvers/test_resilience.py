@@ -151,6 +151,28 @@ class TestDegradation:
         assert r.failure is None
         assert r.relative_residual <= 1e-5
 
+    def test_restart_kernel_tallies_sum_over_every_attempt(self, monkeypatch):
+        """An OOM restart runs a new engine; the solve's ``kernel_counters``
+        are the first attempt's launches plus the second's."""
+        from repro.graph import Engine
+
+        crs, dims, b = _system()
+        run, engines = Engine.run, []
+
+        def run_then_oom_once(engine):
+            run(engine)
+            engines.append(engine)
+            if len(engines) == 1:
+                raise SRAMOverflowError("out of SRAM after the first attempt's launches")
+
+        monkeypatch.setattr(Engine, "run", run_then_oom_once)
+        r = solve(crs, b, CG, num_ipus=2, tiles_per_ipu=16, grid_dims=dims,
+                  backend="fused", resilience=True)
+        assert r.resilience.restarts == 1 and len(engines) == 2
+        first, second = (e.kernel_counters() for e in engines)
+        assert first["kernels"] > 0 and second["kernels"] > 0
+        assert r.kernel_counters == {k: first[k] + second[k] for k in first}
+
     def test_degraded_restart_warm_starts_from_checkpoint(self):
         # An OOM after the solve has made progress must not discard it: the
         # rebuilt program warm-starts from the latest checkpointed iterate

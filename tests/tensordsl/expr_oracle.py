@@ -24,9 +24,12 @@ def convert_value(value, src: str, dst: str):
         return wide.astype(np.float32) if dst == Type.FLOAT32 else wide
     if dst == Type.DOUBLEWORD:
         wide = np.asarray(value, dtype=np.float64)
-        hi = wide.astype(np.float32)
-        lo = (wide - hi.astype(np.float64)).astype(np.float32)
-        return hi, lo
+        with np.errstate(over="ignore", invalid="ignore"):
+            hi = wide.astype(np.float32)
+            lo = (wide - hi.astype(np.float64)).astype(np.float32)
+        # A non-finite hi (±inf, NaN, a float64 beyond float32's range)
+        # carries a zero lo, so hi + lo keeps an infinity.
+        return hi, np.where(np.isfinite(hi), lo, np.float32(0))
     target = np.float32 if dst == Type.FLOAT32 else np.float64
     return np.asarray(value, dtype=target)
 

@@ -10,6 +10,8 @@ NaN inputs, ``compile_expr(e)(resolve)`` equals the oracle
 test pins that a build compiles each tree once and a cache hit none.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from expr_oracle import convert_value, eval_expr, expand_batch
@@ -22,6 +24,8 @@ from repro.solvers import ProgramCache, solve
 from repro.sparse import poisson3d
 from repro.tensordsl.expression import BinExpr, ConstExpr, ConvertExpr, Leaf, UnExpr
 from repro.tensordsl.materialize import (
+    _dw_view64,
+    _to_dw,
     assignment_evaluator,
     compile_expr,
     expr_compilations,
@@ -129,6 +133,26 @@ def test_mismatched_batch_widths_and_unknown_ops_fail_at_compile_time():
                              Leaf(_Var(Type.FLOAT32, False, 3))))
     with pytest.raises(ValueError, match="unary op"):
         compile_expr(UnExpr("exp", Leaf(_Var(Type.FLOAT32, False, 1))))
+
+
+def test_to_dw_keeps_infinities_and_leaves_finite_values_alone():
+    """A non-finite hi carries ``lo = 0``: ±inf and a float64 beyond
+    float32's range round to an infinity, not to a NaN pair, with no numpy
+    warning.  Finite values split exactly as ``hi, (wide - hi)`` did."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hi, lo = _to_dw(np.array([np.inf, -np.inf, 1e300]))
+        np.testing.assert_array_equal(_dw_view64((hi, lo)), [np.inf, -np.inf, np.inf])
+        assert not lo.any()
+        rng = np.random.default_rng(5)
+        for wide in (rng.standard_normal(256) * 10.0 ** rng.integers(-30, 30, 256),
+                     rng.standard_normal(64).astype(np.float32),
+                     np.array([0.0, -0.0, 3e38, -3e38, 1e-45])):
+            wide64 = np.asarray(wide, np.float64)
+            hi, lo = _to_dw(wide)
+            want_lo = (wide64 - wide64.astype(np.float32).astype(np.float64)).astype(np.float32)
+            assert _bits(hi) == _bits(wide64.astype(np.float32))
+            assert _bits(lo) == _bits(want_lo)
 
 
 def _spec_trees(compiled) -> set:
