@@ -19,7 +19,7 @@ scalar/NumPy-array containers, and :mod:`repro.dw.softfloat` is the
 software-emulated double-precision alternative (Sec. III-D).
 """
 
-from repro.dw.eft import fast_two_sum, fma, split, two_prod, two_sum
+from repro.dw.eft import fast_two_sum, fma, from_float64, split, two_prod, two_sum
 from repro.dw.scalar import DWScalar
 from repro.dw.array import DWArray
 from repro.dw import joldes, lange_rump, softfloat
@@ -30,6 +30,7 @@ __all__ = [
     "two_prod",
     "split",
     "fma",
+    "from_float64",
     "DWScalar",
     "DWArray",
     "joldes",

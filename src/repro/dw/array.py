@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dw import joldes
-from repro.dw.eft import two_prod
+from repro.dw.eft import from_float64, two_prod
 from repro.dw.scalar import DWScalar
 
 __all__ = ["DWArray"]
@@ -41,10 +41,7 @@ class DWArray:
     @classmethod
     def from_float64(cls, values, arith=joldes):
         """Split float64 values into normalized (hi, lo) float32 pairs."""
-        v = np.asarray(values, dtype=np.float64)
-        hi = v.astype(np.float32)
-        lo = (v - hi.astype(np.float64)).astype(np.float32)
-        return cls(hi, lo, arith)
+        return cls(*from_float64(values), arith)
 
     @classmethod
     def zeros(cls, shape, arith=joldes):
@@ -90,10 +87,7 @@ class DWArray:
             self.hi[idx] = value.hi
             self.lo[idx] = value.lo
         else:
-            v = np.asarray(value, dtype=np.float64)
-            hi = v.astype(np.float32)
-            self.hi[idx] = hi
-            self.lo[idx] = (v - hi.astype(np.float64)).astype(np.float32)
+            self.hi[idx], self.lo[idx] = from_float64(value)
 
     def __repr__(self):
         return f"DWArray(shape={self.shape}, value≈{self.to_float64()!r})"

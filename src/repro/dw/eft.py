@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["two_sum", "fast_two_sum", "two_prod", "split", "fma"]
+__all__ = ["two_sum", "fast_two_sum", "two_prod", "split", "fma", "from_float64"]
 
 #: Dekker split constants: 2**ceil(p/2) + 1 for precision p.
 _SPLITTERS = {
@@ -99,3 +99,17 @@ def two_prod(a, b):
     bh, bl = split(b)
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     return p, e
+
+
+def from_float64(values):
+    """The double word nearest each binary64 value, as float32 ``(hi, lo)``:
+    ``hi`` the value rounded to float32, ``lo`` the float32 remainder — and
+    ``lo = 0`` wherever ``hi`` is not finite (±inf, NaN, or a value beyond
+    float32's range), so ``hi + lo`` keeps an infinity instead of turning
+    it into NaN.  The package's one float64 → double-word split; no numpy
+    warning."""
+    wide = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = wide.astype(np.float32)
+        lo = (wide - hi.astype(np.float64)).astype(np.float32)
+    return hi, np.where(np.isfinite(hi), lo, np.float32(0))

@@ -19,8 +19,9 @@ sizes, reproducing per-tile broadcast exactly).  A level-scheduled sweep
 over the tiles' plans merged level by level
 (:meth:`repro.solvers.sweeps.SweepPlan.merged`).  An SpMV is one op over
 the whole device's rows: the native working-precision SpMV
-(:class:`repro.sparse.sell.DeviceSpmv`) or the binary64 residual SpMV of
-MPIR.  Codelets without a spec — CodeDSL vertices — fall back to batched
+(:class:`repro.sparse.sell.DeviceSpmv`) or the native binary64 residual
+SpMV of MPIR (:class:`repro.sparse.distribute.DeviceExtendedSpmv`).
+Codelets without a spec — CodeDSL vertices — fall back to batched
 per-vertex dispatch *inside* the kernel, so fusion never changes what runs,
 only how it is dispatched; cost-only codelets emit nothing.
 
@@ -37,10 +38,11 @@ bit-identical to ``sim`` — enforced by the property tests in
 Exchanges replay the plan's flat copy ops: one gather/scatter per
 whole-device buffer pair (:mod:`repro.graph.passes.plans`).
 
-The native ops — float32 programs, copies, SpMVs and sweeps — are bound once
-here as table entries (:mod:`repro.solvers.native`); on its first launch a
-kernel folds each maximal run of them into one table, so a launch makes
-one ctypes call per run (``tests/graph/test_native_tables.py``).
+The native ops — expression programs (float32 or double-word), copies,
+SpMVs and sweeps — are bound once here as table entries
+(:mod:`repro.solvers.native`); on its first launch a kernel folds each
+maximal run of them into one table, so a launch makes one ctypes call per
+run (``tests/graph/test_native_tables.py``).
 
 The schedule is stored on the :class:`CompiledProgram` alongside the
 per-step plans.  Every run launches it except one a cycle tracer or a fault
@@ -50,6 +52,7 @@ vertex by vertex for them.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 
 import numpy as np
@@ -346,14 +349,17 @@ def _fetchers(sources: dict, seg_sizes) -> dict:
 
 
 def _native(program, sources: dict, offsets, out, out_at, fallback):
-    """``fallback`` as one call of the native float32 evaluator
+    """``fallback`` as one call of a native evaluator
     (:meth:`repro.tensordsl.materialize.Program.bind`) — or ``fallback``
-    itself when the program is not float32 with one RHS or the buffers are
-    not ones the call can take.  A group without per-tile scalars is one
-    segment: its elements do not depend on the tiles."""
+    itself when the program has a batched node or the buffers are not ones
+    the call can take.  A double word's buffers are its ``(hi, lo)`` pair.
+    A group without per-tile scalars is one segment: its elements do not
+    depend on the tiles."""
     vectors, scalars = {}, {}
     for i, var in enumerate(program.leaves):
-        data, _, index = sources[id(var)]
+        data, lo, index = sources[id(var)]
+        if lo is not None:
+            data = (data, lo)
         if index is None:
             vectors[i] = data
         else:
@@ -364,6 +370,12 @@ def _native(program, sources: dict, offsets, out, out_at, fallback):
         return program.bind(offsets, vectors, scalars, out, out_at, fallback)
     except (TypeError, ValueError):  # a program or buffers the native call cannot take
         return fallback
+
+
+def _pair(hi, lo=None):
+    """An output buffer as a native evaluator takes it: ``hi``, or a double
+    word's ``(hi, lo)``."""
+    return hi if lo is None else (hi, lo)
 
 
 def _whole_buffer(var):
@@ -431,11 +443,17 @@ def _lower_elementwise_group(spec: ElementwiseSpec, tiles):
         out_hi, out_lo = out.flat_data, out.flat_lo
         # The native call sees the stacked buffers as one segment of
         # vectors when they all share out's shape.
-        stacked = all(var.flat_data.shape == out_hi.shape and var.flat_data.flags.c_contiguous
-                      for var in (*leaf_vars, out))
-        sources = {id(var): (var.flat_data.reshape(-1), None, None)
-                   for var in leaf_vars} if stacked else {}
-        native_out, offsets = out_hi.reshape(-1), np.array([0, out_hi.size])
+        stacked = all(part.shape == out_hi.shape and part.flags.c_contiguous
+                      for var in (*leaf_vars, out) for part in (var.flat_data, var.flat_lo)
+                      if part is not None)
+
+        def flat(var) -> tuple:
+            return tuple(None if part is None else part.reshape(-1)
+                         for part in (var.flat_data, var.flat_lo))
+
+        sources = {id(var): (*flat(var), None) for var in leaf_vars} if stacked else {}
+        native_out = flat(out) if stacked else None
+        offsets = np.array([0, out_hi.size])
     else:
         if out.flat_data is None or out.flat_data.ndim != _flat_ndim(out):
             raise _Unvectorizable
@@ -444,7 +462,8 @@ def _lower_elementwise_group(spec: ElementwiseSpec, tiles):
         fetchers = _fetchers(sources, seg)
         out_hi = out.flat_data[lo:hi]
         out_lo = out.flat_lo[lo:hi] if out.paired else None
-        stacked, native_out, offsets = True, out_hi, np.concatenate([[0], np.cumsum(seg)])
+        stacked, native_out = True, (out_hi, out_lo)
+        offsets = np.concatenate([[0], np.cumsum(seg)])
 
     program = assignment_evaluator(expr, out)
 
@@ -456,7 +475,9 @@ def _lower_elementwise_group(spec: ElementwiseSpec, tiles):
             out_hi[...], out_lo[...] = value
 
     # ``reshape(-1)`` of a buffer that is not contiguous would be a copy.
-    return _native(program, sources, offsets, native_out, None, op) if stacked else op
+    if not stacked:
+        return op
+    return _native(program, sources, offsets, _pair(*native_out), None, op)
 
 
 def _equal_segments(seg) -> bool:
@@ -588,7 +609,9 @@ def _lower_reduce_group(spec: ReduceSpec, tiles):
         else:
             out_hi[out_idx] = _reduce_segments(whole(value), expr_dt, rop, seg, offsets, equal)
 
-    return _native(program, sources, offsets, out_hi, out_idx, op) if rop == "sum" else op
+    if rop != "sum":
+        return op
+    return _native(program, sources, offsets, _pair(out_hi, out_lo), out_idx, op)
 
 
 def _device_layout(m, tiles, owned_vars, hvar, batch: int):
@@ -628,10 +651,11 @@ def _device_layout(m, tiles, owned_vars, hvar, batch: int):
 def _lower_spmv_group(spec: SpmvSpec, tiles):
     """One op per SpMV over the whole device's rows and ``[owned | halo]``
     columns: the native working-precision SpMV
-    (:class:`repro.sparse.sell.DeviceSpmv`), or the binary64 evaluation of
-    :func:`repro.sparse.distribute.extended_spmv`.  Both sum a row's
-    products in the per-tile order, so they equal the per-tile vertices bit
-    for bit."""
+    (:class:`repro.sparse.sell.DeviceSpmv`), or the native binary64
+    evaluation of :func:`repro.sparse.distribute.extended_spmv`
+    (:class:`repro.sparse.distribute.DeviceExtendedSpmv`).  Both sum a
+    row's products in the per-tile order, so they equal the per-tile
+    vertices bit for bit."""
     from repro.tensordsl.types import Type
 
     m, x, y = spec.matrix, spec.x, spec.y
@@ -645,11 +669,10 @@ def _lower_spmv_group(spec: SpmvSpec, tiles):
     spmv = m.device_extended()
     xs, ys = (xvar.flat_data, xvar.flat_lo), (yvar.flat_data, yvar.flat_lo)
     hs = None if hflat is None else (hflat, hvar.flat_lo)
-
-    def op():
-        spmv(xs, hs, ys)
-
-    return op
+    try:
+        return spmv.bind(xs, hs, ys)
+    except (TypeError, ValueError):  # buffers the native call cannot take
+        return functools.partial(spmv.run_numpy, xs, hs, ys)
 
 
 def _lower_sweep_group(spec: SweepSpec, tiles):

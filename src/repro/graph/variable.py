@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.dw.eft import from_float64
+
 __all__ = ["Interval", "Shard", "Variable", "NUMPY_DTYPES"]
 
 #: dtype-name -> numpy storage dtype of the primary (hi) array.
@@ -194,9 +196,7 @@ class Variable:
         # ``flat`` is one replica's (or the whole distributed) layout; restore
         # broadcasts it over the batch columns and over the replica rows.
         if self.paired:
-            v = np.asarray(flat, dtype=np.float64)
-            hi = v.astype(np.float32)
-            self.restore((hi, (v - hi.astype(np.float64)).astype(np.float32)))
+            self.restore(from_float64(flat))
         else:
             self.restore((flat, None))
 

@@ -305,9 +305,13 @@ class Solver:
 
     @staticmethod
     def _safe(d):
-        """Guard a scalar divisor against exact zero (a breakdown keeps the
-        iteration finite; the loop flag then exits cleanly)."""
-        return d + d.eq(0.0) * 1e-30
+        """Guard a scalar divisor against exact zero: an exactly-zero
+        divisor becomes ``1e30``, so its quotient is negligible (``|n| /
+        1e30``, never an overflow) and the step along that direction is
+        skipped — a BiCGStab ``r0·v == 0`` then gives ``beta ≈ 0``, which
+        restarts ``p = r``.  A tiny divisor instead (``1e-30``) turned the
+        quotient into a 1e26 step that overflowed the iterate."""
+        return d + d.eq(0.0) * 1e30
 
     @staticmethod
     def _frozen(active, new, old):

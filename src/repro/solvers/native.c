@@ -6,10 +6,13 @@
  * np.add.reduceat does: the first product plus numpy's pairwise sum of the
  * rest (pairwise_sum in numpy's loops_utils.h.src), all in float32.  An
  * empty row sums to +0.0.  repro_eval_f32 runs one float32 expression tree
- * of the fused kernels (repro.tensordsl.materialize.F32Program) and sums a
+ * of the fused kernels (repro.tensordsl.materialize.Program) and sums a
  * segment as ndarray.sum() does, +0.0 plus the pairwise sum of all of it;
- * repro_copy_f32 is an exchange's copy.  repro_run calls the four in the
- * order of a table (repro.solvers.native.Table): one call per fused kernel.
+ * repro_eval_dw runs a tree with double-word or binary64 nodes and sums
+ * double words in _dw_tree_sum's halving order; repro_xspmv is MPIR's
+ * binary64 residual SpMV; repro_copy_f32 is an exchange's copy.  repro_run
+ * calls the six in the order of a table (repro.solvers.native.Table): one
+ * call per fused kernel.
  *
  * Built with -O2 -ftree-vectorize -ffp-contract=off -fno-math-errno and
  * never -ffast-math: a contracted multiply-add or a reassociated sum would
@@ -245,9 +248,10 @@ static float apply(int64_t op, float x, float y)
 }
 
 /* d[i] = op(a[i], b[i]) for i < n, where a NULL a (b) is the value as (bs)
- * in every lane.  d may be a or b itself: lane i reads before it writes. */
-static void map(int64_t op, int64_t n, float *d, const float *a, float as, const float *b,
-                float bs)
+ * in every lane.  d may be a or b itself: lane i reads before it writes.
+ * Inlined into each of its two callers. */
+static inline __attribute__((always_inline)) void
+map(int64_t op, int64_t n, float *d, const float *a, float as, const float *b, float bs)
 {
     if (!a && !b) {
         float v = apply(op, as, bs);
@@ -372,19 +376,407 @@ void repro_copy_f32(int64_t n, const float *src, const int64_t *si, float *dst, 
         memmove(dst, src, (size_t)n * sizeof(float));
 }
 
+/* -- The double-word evaluator ------------------------------------------------ */
+
+/* repro_eval_dw runs an expression tree with double-word or binary64 nodes
+ * (repro.tensordsl.materialize.Program, one RHS): the interpreter's opcodes
+ * 14-28 after the float32 ones, each doing exactly repro.dw's operation
+ * sequence on (hi, lo) float32 pairs.  2Prod's error term is the exact
+ * binary64 product plus -p, rounded to binary64 and then to float32, as
+ * repro.dw.eft.fma emulates the IPU's FMA; nothing is contracted
+ * (-ffp-contract=off), so each line is the numpy expression it mirrors. */
+
+/* Representations of a value: float32, a double word, binary64. */
+enum { R32, RDW, R64 };
+/* Opcodes after F32_OPS, in the order of repro.tensordsl.materialize.OPS. */
+enum { F64_TO_F32 = 14, F32_TO_F64, F32_TO_DW, F64_TO_DW, DW_TO_F32, DW_TO_F64, EXPAND,
+       DW_EXPAND, DW_NEG, DW_ABS, DW_SQRT, DW_ADD, DW_SUB, DW_MUL, DW_DIV };
+
+typedef struct { float h, l; } dw;
+
+static inline dw two_sum(float a, float b)
+{
+    float s = a + b, bb = s - a;
+    return (dw){s, (a - (s - bb)) + (b - bb)};
+}
+
+static inline dw fast_two_sum(float a, float b)
+{
+    float s = a + b;
+    return (dw){s, b - (s - a)};
+}
+
+static inline float fma32(float a, float b, float c)
+{
+    return (float)((double)a * (double)b + (double)c);
+}
+
+static inline dw two_prod(float a, float b)
+{
+    float p = a * b;
+    return (dw){p, fma32(a, b, -p)};
+}
+
+/* The double word nearest w: lo = 0 wherever hi is not finite
+ * (repro.dw.eft.from_float64). */
+static inline dw split64(double w)
+{
+    float hi = (float)w;
+    return (dw){hi, isfinite(hi) ? (float)(w - (double)hi) : 0.0f};
+}
+
+static inline dw neg_dw(dw x)
+{
+    return (dw){-x.h, -x.l};
+}
+
+static inline dw add_dw_fp(dw x, float y)
+{
+    dw s = two_sum(x.h, y);
+    return fast_two_sum(s.h, x.l + s.l);
+}
+
+static inline dw add_dw_dw(dw x, dw y)
+{
+    dw s = two_sum(x.h, y.h), t = two_sum(x.l, y.l);
+    dw v = fast_two_sum(s.h, s.l + t.h);
+    return fast_two_sum(v.h, t.l + v.l);
+}
+
+static inline dw mul_dw_fp(dw x, float y)
+{
+    dw c = two_prod(x.h, y);
+    return fast_two_sum(c.h, fma32(x.l, y, c.l));
+}
+
+static inline dw mul_dw_dw(dw x, dw y)
+{
+    dw c = two_prod(x.h, y.h);
+    float tl1 = fma32(x.h, y.l, x.l * y.l);
+    return fast_two_sum(c.h, c.l + fma32(x.l, y.h, tl1));
+}
+
+static inline dw div_dw_fp(dw x, float y)
+{
+    float th = x.h / y;
+    dw p = two_prod(th, y);
+    return fast_two_sum(th, (((x.h - p.h) - p.l) + x.l) / y);
+}
+
+static inline dw div_dw_dw(dw x, dw y)
+{
+    float th = x.h / y.h;
+    dw r = mul_dw_fp(y, th);
+    return fast_two_sum(th, ((x.h - r.h) + (x.l - r.l)) / y.h);
+}
+
+static inline dw sqrt_dw(dw x)
+{
+    float s0 = sqrtf(x.h);
+    dw p = two_prod(s0, s0);
+    dw c = div_dw_fp(add_dw_dw(x, neg_dw(p)), 2.0f * s0);
+    return x.h == 0 ? (dw){0.0f, 0.0f} : add_dw_fp(c, s0);
+}
+
+/* One operand or destination over a run of lanes: float32 lanes h (and lo
+ * lanes l for a double word), or binary64 lanes d; lane i is at i * step,
+ * step 0 for a per-segment value. */
+struct lane {
+    float *h, *l;
+    double *d;
+    int64_t step;
+};
+
+/* Lane i of lane set v (one of a, b, d), at i * s_v: the loop of EACH is
+ * compiled twice, once with every step 1 — the loop the compiler
+ * vectorizes — and once with the steps as given.  ivdep: lane i reads
+ * lane i of each operand only, and a destination overlaps an operand
+ * lane for lane or not at all (Program.bind checks it), so no iteration
+ * reads what another writes.  Each vector lane still does the one IEEE
+ * operation of its scalar iteration. */
+#define H(v, i) ((v).h[(i) * s_##v])
+#define L(v, i) ((v).l[(i) * s_##v])
+#define D(v, i) ((v).d[(i) * s_##v])
+#define DW(v, i) ((dw){H(v, i), L(v, i)})
+#define EACH(body)                                                                 \
+    do {                                                                           \
+        if (a.step == 1 && b.step == 1 && d.step == 1) {                           \
+            const int64_t s_a = 1, s_b = 1, s_d = 1;                               \
+            _Pragma("GCC ivdep")                                                   \
+            for (int64_t i = 0; i < n; i++) { (void)s_b; body; }                   \
+        } else {                                                                   \
+            const int64_t s_a = a.step, s_b = b.step, s_d = d.step;                \
+            for (int64_t i = 0; i < n; i++) { (void)s_b; body; }                   \
+        }                                                                          \
+    } while (0)
+#define PUT(r) { dw r_ = (r); H(d, i) = r_.h; L(d, i) = r_.l; }
+
+/* One binary64 op of F32_OPS: a comparison gives float32 1.0f or 0.0f. */
+static void map64(int64_t op, int64_t n, struct lane d, struct lane a, struct lane b)
+{
+    switch (op) {
+#define F64(OP, expr) case OP: EACH(double x = D(a, i); double y = b.d ? D(b, i) : 0.0; \
+                                    (void)y; D(d, i) = (expr)); return;
+#define CMP64(OP, expr) case OP: EACH(double x = D(a, i); double y = D(b, i); \
+                                      H(d, i) = (expr) ? 1.0f : 0.0f); return;
+    F64(COPY, x) F64(NEG, -x) F64(ABS, fabs(x)) F64(SQRT, sqrt(x))
+    F64(ADD, x + y) F64(SUB, x - y) F64(MUL, x * y) F64(DIV, x / y)
+    CMP64(LT, x < y) CMP64(LE, x <= y) CMP64(GT, x > y) CMP64(GE, x >= y)
+    CMP64(EQ, x == y) CMP64(NE, x != y)
+#undef F64
+#undef CMP64
+    }
+}
+
+/* d = op(a, b) over n lanes, `rep` the representation of op's operands;
+ * lane i reads all it needs before it writes. */
+static void wide_op(int64_t op, int64_t rep, int64_t n, struct lane d, struct lane a,
+                    struct lane b)
+{
+    if (op < F64_TO_F32) {
+        if (rep == R32)
+            map(op, n, d.h, a.step ? a.h : NULL, a.h[0], b.h && b.step ? b.h : NULL,
+                b.h ? b.h[0] : 0.0f);
+        else if (rep == R64)
+            map64(op, n, d, a, b);
+        else /* a double word's copy */
+            EACH(PUT(DW(a, i)));
+        return;
+    }
+    switch (op) {
+    case F64_TO_F32: EACH(H(d, i) = (float)D(a, i)); return;
+    case F32_TO_F64: EACH(D(d, i) = (double)H(a, i)); return;
+    case F32_TO_DW: EACH(PUT(split64((double)H(a, i)))); return;
+    case F64_TO_DW: EACH(PUT(split64(D(a, i)))); return;
+    case DW_TO_F32: EACH(H(d, i) = (float)((double)H(a, i) + (double)L(a, i))); return;
+    case DW_TO_F64: EACH(D(d, i) = (double)H(a, i) + (double)L(a, i)); return;
+    case DW_NEG: EACH(PUT(neg_dw(DW(a, i)))); return;
+    case DW_ABS: EACH(dw x = DW(a, i); PUT(x.h < 0 ? neg_dw(x) : x)); return;
+    case DW_SQRT: EACH(PUT(sqrt_dw(DW(a, i)))); return;
+    case DW_ADD: EACH(PUT(add_dw_dw(DW(a, i), DW(b, i)))); return;
+    case DW_SUB: EACH(PUT(add_dw_dw(DW(a, i), neg_dw(DW(b, i))))); return;
+    case DW_MUL: EACH(PUT(mul_dw_dw(DW(a, i), DW(b, i)))); return;
+    case DW_DIV: EACH(PUT(div_dw_dw(DW(a, i), DW(b, i)))); return;
+    }
+}
+
+/* Slots of per-segment values: a float32, a double word or a binary64. */
+union slot {
+    double d;
+    float f[2];
+};
+
+struct wide_frame {
+    const int64_t *vec;
+    union slot *uni;
+    float *tmp;
+    int64_t block;
+    const int64_t *out;
+};
+
+/* An operand (mode, k) of representation rep at lanes [pos, ...):
+ * vector k's element pos (a double word's lo is vector k + 1), temporary
+ * k's lane 0 (2 * block floats each: float32 lanes, or hi then lo lanes,
+ * or binary64 lanes), uni slot k, or out's element pos. */
+static struct lane wide_operand(const struct wide_frame *f, int64_t mode, int64_t k,
+                                int64_t rep, int64_t pos)
+{
+    struct lane v = {NULL, NULL, NULL, 1};
+    float *h = NULL, *l = NULL;
+    switch (mode) {
+    case VEC: case OUT: {
+        const int64_t *base = mode == VEC ? f->vec + k : f->out;
+        if (rep == R64) {
+            v.d = (double *)(intptr_t)base[0] + pos;
+            return v;
+        }
+        h = (float *)(intptr_t)base[0] + pos;
+        l = rep == RDW ? (float *)(intptr_t)base[1] + pos : NULL;
+        break;
+    }
+    case TMP:
+        h = f->tmp + k * 2 * f->block;
+        if (rep == R64) {
+            v.d = (double *)h;
+            return v;
+        }
+        l = h + f->block;
+        break;
+    case UNI:
+        v.step = 0;
+        if (rep == R64) {
+            v.d = &f->uni[k].d;
+            return v;
+        }
+        h = &f->uni[k].f[0];
+        l = &f->uni[k].f[1];
+        break;
+    default: /* NONE */
+        return v;
+    }
+    v.h = h;
+    v.l = rep == R32 ? NULL : l;
+    return v;
+}
+
+/* Instructions (op, a rep, b rep, d rep, d mode, d, a mode, a, b mode, b)
+ * over lanes [pos, pos + n); the destination `out` is at lane outpos. */
+static void wide_block(const struct wide_frame *f, int64_t nins, const int64_t *ins,
+                       int64_t pos, int64_t n, int64_t outpos)
+{
+    for (int64_t k = 0; k < nins; k++, ins += 10) {
+        struct lane d = wide_operand(f, ins[4], ins[5], ins[3], ins[4] == OUT ? outpos : pos);
+        struct lane a = wide_operand(f, ins[6], ins[7], ins[1], pos);
+        struct lane b = wide_operand(f, ins[8], ins[9], ins[2], pos);
+        wide_op(ins[0], ins[1], n, d, a, b);
+    }
+}
+
+/* The double-word sum of h/l[0, n) in repro.tensordsl.materialize's
+ * _dw_tree_sum order: halves added lane by lane, an odd tail carried, until
+ * one is left; (0, 0) for none.  Overwrites h and l. */
+static dw dw_tree_sum(float *h, float *l, int64_t n)
+{
+    if (n == 0)
+        return (dw){0.0f, 0.0f};
+    while (n > 1) {
+        int64_t half = n / 2;
+        for (int64_t i = 0; i < half; i++) {
+            dw s = add_dw_dw((dw){h[i], l[i]}, (dw){h[half + i], l[half + i]});
+            h[i] = s.h;
+            l[i] = s.l;
+        }
+        if (n % 2) {
+            h[half] = h[n - 1];
+            l[half] = l[n - 1];
+        }
+        n = half + n % 2;
+    }
+    return (dw){h[0], l[0]};
+}
+
+/* One tree with double-word or binary64 nodes over the segments [off[s],
+ * off[s + 1]) of nseg segments.  prog holds
+ *   nscalar, nuni, nins, root rep, block,
+ *   nscalar (uni slot, rep, scal index) triples, one per per-segment scalar,
+ *   nuni instructions run once per segment, over uni slots,
+ *   nins instructions run once per block of at most `block` lanes,
+ * each instruction ten int64s (see wide_block).  Per-segment scalar j of
+ * segment s is element at[j * nseg + s] of base scal[index] (a double
+ * word's lo base is scal[index + 1]); uni holds the constants, the
+ * per-segment values and the per-segment temporaries; tmp holds 2 * block
+ * floats per temporary; vec as in wide_operand.  out holds out's address,
+ * then its lo half's for a double word.
+ *
+ * out_at == NULL: the last instruction writes out element by element (out
+ * may be a vector at the same element).  Else the last instruction writes
+ * segment s's values to seg (2 floats per element of the longest
+ * segment), and out[out_at[s]] is their sum: ndarray.sum() of float32
+ * values (+0.0f + pairwise), or dw_tree_sum of double words. */
+void repro_eval_dw(int64_t nseg, const int64_t *off, const int64_t *prog, const int64_t *vec,
+                   const int64_t *scal, const int64_t *at, union slot *uni, float *tmp,
+                   const int64_t *out, const int64_t *out_at, float *seg)
+{
+    int64_t nscalar = prog[0], nuni = prog[1], nins = prog[2], rep = prog[3], block = prog[4];
+    const int64_t *slots = prog + 5, *uins = slots + 3 * nscalar, *ins = uins + 10 * nuni;
+    const struct wide_frame f = {vec, uni, tmp, block, out};
+    for (int64_t s = 0; s < nseg; s++) {
+        for (int64_t j = 0; j < nscalar; j++) {
+            const int64_t *t = slots + 3 * j;
+            int64_t e = at[j * nseg + s];
+            union slot *v = &uni[t[0]];
+            if (t[1] == R64) {
+                v->d = ((const double *)(intptr_t)scal[t[2]])[e];
+                continue;
+            }
+            v->f[0] = ((const float *)(intptr_t)scal[t[2]])[e];
+            if (t[1] == RDW)
+                v->f[1] = ((const float *)(intptr_t)scal[t[2] + 1])[e];
+        }
+        wide_block(&f, nuni, uins, 0, 1, 0);
+        int64_t pos = off[s], end = off[s + 1];
+        if (out_at) {
+            int64_t seg_out[2] = {(int64_t)(intptr_t)seg, (int64_t)(intptr_t)(seg + end - pos)};
+            struct wide_frame g = {vec, uni, tmp, block, seg_out};
+            for (int64_t p = pos; p < end; p += block)
+                wide_block(&g, nins, ins, p, end - p < block ? end - p : block, p - pos);
+            float *oh = (float *)(intptr_t)out[0];
+            if (rep == RDW) {
+                dw sum = dw_tree_sum(seg, seg + end - pos, end - pos);
+                oh[out_at[s]] = sum.h;
+                ((float *)(intptr_t)out[1])[out_at[s]] = sum.l;
+            } else {
+                oh[out_at[s]] = 0.0f + pairwise(seg, end - pos);
+            }
+            continue;
+        }
+        for (; pos < end; pos += block)
+            wide_block(&f, nins, ins, pos, end - pos < block ? end - pos : block, pos);
+    }
+}
+
+/* -- The extended-precision SpMV ------------------------------------------------ */
+
+/* y = diag * x + the row sums of vals[e] * xfull[cols[e]] in binary64
+ * (repro.sparse.distribute.extended_spmv): xfull is [x | halo] widened to
+ * binary64 (a double word's hi + lo), each row sums its products in entry
+ * order from +0.0 — np.bincount's order — and the result is stored in y's
+ * representation: rounded to float32, split into a double word, or as is.
+ * reps is x's (and halo's) representation plus 3 times y's; a lo pointer is
+ * used only for a double word.  xfull holds n + halo_rows doubles. */
+void repro_xspmv(int64_t n, int64_t halo_rows, int64_t reps, const int64_t *row_ptr,
+                 const int32_t *cols, const double *vals, const double *diag, const void *x,
+                 const float *x_lo, const void *halo, const float *halo_lo, void *y,
+                 float *y_lo, double *xfull)
+{
+    int64_t xrep = reps % 3, yrep = reps / 3;
+    for (int64_t part = 0; part < 2; part++) {
+        const void *v = part ? halo : x;
+        const float *lo = part ? halo_lo : x_lo;
+        int64_t m = part ? halo_rows : n;
+        double *w = xfull + (part ? n : 0);
+        if (m == 0)
+            continue;
+        if (xrep == R64)
+            memcpy(w, v, (size_t)m * sizeof(double));
+        else if (xrep == RDW)
+            for (int64_t i = 0; i < m; i++)
+                w[i] = (double)((const float *)v)[i] + (double)lo[i];
+        else
+            for (int64_t i = 0; i < m; i++)
+                w[i] = (double)((const float *)v)[i];
+    }
+    for (int64_t i = 0; i < n; i++) {
+        double sum = 0.0;
+        for (int64_t e = row_ptr[i]; e < row_ptr[i + 1]; e++)
+            sum += vals[e] * xfull[cols[e]];
+        double r = diag[i] * xfull[i] + sum;
+        if (yrep == R64) {
+            ((double *)y)[i] = r;
+        } else if (yrep == RDW) {
+            dw p = split64(r);
+            ((float *)y)[i] = p.h;
+            y_lo[i] = p.l;
+        } else {
+            ((float *)y)[i] = (float)r;
+        }
+    }
+}
+
 /* -- The runner ------------------------------------------------------------ */
 
 /* Entry kinds, in the order of repro.solvers.native's EVAL, COPY, SPMV,
- * SWEEP. */
-enum { RUN_EVAL, RUN_COPY, RUN_SPMV, RUN_SWEEP };
+ * SWEEP, DWEVAL, XSPMV. */
+enum { RUN_EVAL, RUN_COPY, RUN_SPMV, RUN_SWEEP, RUN_DWEVAL, RUN_XSPMV };
 
 #define ARG(k) ((void *)(intptr_t)a[k])
 
 /* Run the n entries of table in order.  An entry is its kind, then the
  * arguments of that kind's function, each one int64 (an address, 0 for
- * NULL): 10 for repro_eval_f32, 5 for repro_copy_f32, 12 for repro_spmv_f32
- * and 10 for repro_sweep_f32.  The runner does no arithmetic of its own; a
- * later entry reads what an earlier one wrote. */
+ * NULL): 10 for repro_eval_f32, 5 for repro_copy_f32, 12 for
+ * repro_spmv_f32, 10 for repro_sweep_f32, 11 for repro_eval_dw and 14 for
+ * repro_xspmv.  The runner does no arithmetic of its own; a later entry
+ * reads what an earlier one wrote. */
 void repro_run(int64_t n, const int64_t *table)
 {
     for (int64_t e = 0; e < n; e++) {
@@ -409,7 +801,17 @@ void repro_run(int64_t n, const int64_t *table)
                             ARG(9));
             table = a + 10;
             break;
-        default: /* tables are built from the four kinds only */
+        case RUN_DWEVAL:
+            repro_eval_dw(a[0], ARG(1), ARG(2), ARG(3), ARG(4), ARG(5), ARG(6), ARG(7), ARG(8),
+                          ARG(9), ARG(10));
+            table = a + 11;
+            break;
+        case RUN_XSPMV:
+            repro_xspmv(a[0], a[1], a[2], ARG(3), ARG(4), ARG(5), ARG(6), ARG(7), ARG(8),
+                        ARG(9), ARG(10), ARG(11), ARG(12), ARG(13));
+            table = a + 14;
+            break;
+        default: /* tables are built from the six kinds only */
             return;
         }
     }

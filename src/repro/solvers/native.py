@@ -8,8 +8,9 @@ temporary directory when that is not writable) and opens it with
 :mod:`ctypes`.  It never raises: no compiler, a failed compile or a library
 that does not open is a reason string.
 
-Every native op is an :class:`Entry` of one of four kinds (:data:`EVAL`,
-:data:`COPY`, :data:`SPMV`, :data:`SWEEP`): the kind's arguments, bound
+Every native op is an :class:`Entry` of one of six kinds (:data:`EVAL`,
+:data:`COPY`, :data:`SPMV`, :data:`SWEEP`, :data:`DWEVAL`, :data:`XSPMV`):
+the kind's arguments, bound
 once, and the numpy form that is its oracle and fallback.  The library's
 one entry point, ``repro_run``, runs a table of entries in order;
 :func:`fold` packs every maximal run of consecutive entries of a fused
@@ -36,14 +37,16 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["ARGS", "COPY", "EVAL", "FLAGS", "SPMV", "SWEEP", "Chain", "Entry", "Table",
-           "fold", "kernel", "load"]
+__all__ = ["ARGS", "COPY", "DWEVAL", "EVAL", "FLAGS", "SPMV", "SWEEP", "XSPMV", "Chain",
+           "Entry", "Table", "fold", "kernel", "load"]
 
 #: Entry kinds of a ``repro_run`` table, in ``native.c``'s order:
-#: ``repro_eval_f32``, ``repro_copy_f32``, ``repro_spmv_f32`` and
-#: ``repro_sweep_f32``; ``ARGS[kind]`` is the number of arguments each takes.
-EVAL, COPY, SPMV, SWEEP = range(4)
-ARGS = (10, 5, 12, 10)
+#: ``repro_eval_f32``, ``repro_copy_f32``, ``repro_spmv_f32``,
+#: ``repro_sweep_f32``, ``repro_eval_dw`` (the double-word evaluator) and
+#: ``repro_xspmv`` (the extended-precision SpMV); ``ARGS[kind]`` is the
+#: number of arguments each takes.
+EVAL, COPY, SPMV, SWEEP, DWEVAL, XSPMV = range(6)
+ARGS = (10, 5, 12, 10, 11, 14)
 
 #: ``-ffp-contract=off``: no fused multiply-add may merge a product into a
 #: sum.  Never ``-ffast-math``: it reassociates sums and sets flush-to-zero

@@ -25,7 +25,7 @@ import functools
 
 import numpy as np
 
-from repro.dw import DWArray
+from repro.dw import DWArray, from_float64
 from repro.graph import Exchange, Interval
 from repro.graph.codelet import Codelet, ComputeSet, SpmvSpec, VertexGroup
 from repro.graph.program import COPY, SRC_TILE, Execute as ExecuteStep
@@ -34,9 +34,11 @@ from repro.sparse.halo import HaloPlan, build_halo_plan, build_naive_plan
 from repro.sparse.partition import Partition, partition_rows
 from repro.sparse.sell import DeviceSpmv
 from repro.tensordsl import Tensor, Type
+from repro.tensordsl.types import RANK
 from repro.tensordsl.tensor import ContextRef
 
-__all__ = ["DistVector", "DistributedMatrix", "RowSegments", "extended_spmv"]
+__all__ = ["DeviceExtendedSpmv", "DistVector", "DistributedMatrix", "RowSegments",
+           "extended_spmv", "native_xspmv"]
 
 
 class RowSegments:
@@ -291,14 +293,14 @@ class DistributedMatrix:
                 self._diag[0], self.halo_mapping()[1], batch)
         return spmv
 
-    def device_extended(self):
+    def device_extended(self) -> DeviceExtendedSpmv:
         """The extended-precision SpMV of the whole matrix over the
-        :meth:`device_columns` index space: :func:`extended_spmv` with the
-        device's entries bound (built once), called as ``(x, halo, y)``."""
+        :meth:`device_columns` index space (built once, shared like
+        :meth:`device_spmv`)."""
         if self._device_extended is None:
-            rows = np.repeat(np.arange(self.n, dtype=np.intp), np.diff(self._row_ptr))
-            self._device_extended = functools.partial(extended_spmv, (
-                rows, self._device_columns_of_entries(), self._values[2], self._diag[2]))
+            self._device_extended = DeviceExtendedSpmv(
+                self._row_ptr, self._device_columns_of_entries(), self._values[2],
+                self._diag[2], self.halo_mapping()[1])
         return self._device_extended
 
     def vector(self, name: str | None = None, dtype: str = Type.FLOAT32, data=None,
@@ -476,6 +478,141 @@ def extended_spmv(entries: tuple, x: tuple, halo, y: tuple) -> None:
     sums = np.bincount(rows, weights=products, minlength=diag.size)
     result = diag * xo + sums
     hi, lo = y
-    hi[...] = result  # rounded once to float32, or stored as is
-    if lo is not None:
-        lo[...] = result - hi
+    if lo is None:
+        hi[...] = result  # rounded once to float32, or stored as is
+    else:
+        hi[...], lo[...] = from_float64(result)
+
+
+class DeviceExtendedSpmv:
+    """:func:`extended_spmv` over a whole device's CRS arrays in the
+    ``[owned | halo]`` index space, as one ``repro_xspmv`` entry of
+    ``native.c`` (:meth:`bind`): binary64 products, each row summed in
+    entry order from ``0.0`` — ``np.bincount``'s order — and the result
+    stored through the one double-word split.  :meth:`run_numpy`, the numpy
+    function itself, is its oracle and fallback.  The arrays are checked
+    once, here: the native call trusts them."""
+
+    def __init__(self, row_ptr, cols, vals, diag, halo: int):
+        self.row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
+        self.vals = np.ascontiguousarray(vals, dtype=np.float64)
+        self.diag = np.ascontiguousarray(diag, dtype=np.float64)
+        self.n, self.halo = self.diag.size, int(halo)
+        cols = np.asarray(cols)
+        if not (self.row_ptr.size == self.n + 1 and self.row_ptr[0] == 0
+                and self.row_ptr[-1] == cols.size == self.vals.size
+                and (np.diff(self.row_ptr) >= 0).all() and cols.dtype.kind in "iu"
+                and cols.min(initial=0) >= 0 and cols.max(initial=0) < self.n + self.halo
+                and self.n + self.halo < 2**31):
+            raise ValueError("malformed SpMV: row_ptr does not index cols / vals, or a "
+                             "column is outside [x | halo]")
+        self.cols = np.ascontiguousarray(cols, dtype=np.int32)
+        rows = np.repeat(np.arange(self.n, dtype=np.intp), np.diff(self.row_ptr))
+        self.entries = (rows, self.cols, self.vals, self.diag)
+        self._xfull = np.empty(self.n + self.halo, dtype=np.float64)
+
+    def bind(self, x: tuple, halo, y: tuple):
+        """A :class:`repro.solvers.native.Entry` writing ``y = A [x | halo]``
+        at every call.  ``x``, ``halo`` and ``y`` are ``(values, lo)``
+        pairs as :func:`extended_spmv` takes them: C-contiguous 1-D float32
+        or float64 ``values`` (``lo`` ``None``), or a double word's float32
+        halves; ``halo`` is ``None`` without halo rows and is in ``x``'s
+        representation; ``y`` overlaps neither."""
+        buffers = [("x", x, self.n), ("y", y, self.n)]
+        if self.halo or halo is not None:
+            buffers.append(("halo", halo, self.halo))
+        reps = {}
+        for name, (values, lo), rows in buffers:
+            parts = (values,) if lo is None else (values, lo)
+            if not all(isinstance(a, np.ndarray) and a.shape == (rows,) and a.flags.c_contiguous
+                       and a.dtype in (np.float32, np.float64) for a in parts) or (
+                           lo is not None and not values.dtype == lo.dtype == np.float32):
+                raise TypeError(f"SpMV {name} must be C-contiguous float32 / float64 arrays, "
+                                f"or a double word's float32 halves, of {rows} rows")
+            # native.c's representation codes are the types' RANK.
+            reps[name] = RANK[Type.DOUBLEWORD if lo is not None else
+                              Type.FLOAT64 if values.dtype == np.float64 else Type.FLOAT32]
+        if reps.get("halo", reps["x"]) != reps["x"]:
+            raise TypeError("SpMV halo must be in x's representation")
+        written = [a for a in y if a is not None]
+        read = [a for name, pair, _ in buffers if name != "y" for a in pair if a is not None]
+        if not all(a.flags.writeable for a in written) or any(
+                np.shares_memory(a, b) for a in written for b in read):
+            raise ValueError("SpMV y must be writable and overlap neither x nor halo")
+        from repro.solvers import native  # the package's one C library and its loader
+
+        def address(a):
+            return None if a is None else a.ctypes.data
+
+        h = (None, None) if halo is None else halo
+        args = (self.n, self.halo, reps["x"] + 3 * reps["y"],
+                *(a.ctypes.data for a in (self.row_ptr, self.cols, self.vals, self.diag)),
+                *map(address, (*x, *h, *y)), self._xfull.ctypes.data)
+        return native.Entry(native.XSPMV, args, (self, x, halo, y),
+                            functools.partial(self.run_numpy, x, halo, y), native_xspmv)
+
+    def run_numpy(self, x: tuple, halo, y: tuple) -> None:
+        extended_spmv(self.entries, x, halo, y)
+
+
+def _xspmv_self_check(run) -> str | None:
+    """Compare extended SpMV entries run by ``run`` (``repro_run``) with
+    :func:`extended_spmv` bit for bit on a fixed matrix; ``None`` when they
+    agree, else what differed.
+
+    Rows of 0, 1, 2, 9 and 40 entries, a trailing empty row, columns in the
+    halo suffix, weights spanning sixteen decades (the binary64 order
+    shows), ±0.0, ±inf and NaN; every representation of ``x`` into every
+    representation of ``y``, a double word's sum beyond float32's range
+    among them.
+    """
+    from repro.solvers import native  # the package's one C library and its loader
+
+    rng = np.random.default_rng(47)
+    lengths = [1, 0, 40, 2, 9, 9, 1, 0]
+    n, halo = len(lengths), 5
+    row_ptr = np.cumsum([0] + lengths)
+    cols = rng.integers(0, n + halo, row_ptr[-1])
+    vals = rng.standard_normal(cols.size) * 10.0 ** rng.integers(-8, 9, cols.size)
+    vals[3], vals[4] = -0.0, 1e300
+    diag = np.linspace(0.5, 4.0, n)
+    diag[-1] = -0.0
+    wide = rng.standard_normal(n + halo) * 10.0 ** rng.integers(-3, 4, n + halo)
+    wide[[1, 2, n + 1]] = (-0.0, np.inf, np.nan)
+    spmv = DeviceExtendedSpmv(row_ptr, cols, vals, diag, halo)
+    with np.errstate(all="ignore"):
+        hi, lo = from_float64(wide)
+        forms = {"float32": (wide.astype(np.float32), None), "dw": (hi, lo * 3),
+                 "float64": (wide, None)}
+        for xname, (v, vlo) in forms.items():
+            x = (v[:n].copy(), None if vlo is None else vlo[:n].copy())
+            h = (v[n:].copy(), None if vlo is None else vlo[n:].copy())
+            for yname, (yv, ylo) in forms.items():
+                got, want = ((np.empty(n, yv.dtype),
+                              None if ylo is None else np.empty(n, ylo.dtype))
+                             for _ in range(2))
+                native.Table([spmv.bind(x, h, got)], run)()
+                spmv.run_numpy(x, h, want)
+                for g, w in zip(got, want):
+                    if g is None:
+                        continue
+                    bits = f"u{g.itemsize}"
+                    nan = np.isnan(g) & np.isnan(w)
+                    differ = np.flatnonzero((g.view(bits) != w.view(bits)) & ~nan)
+                    if differ.size:
+                        i = int(differ[0])
+                        return (f"self-check: y[{i}] of {xname} into {yname} is {g[i]!r}, "
+                                f"numpy {w[i]!r}")
+    return None
+
+
+@functools.cache
+def native_xspmv():
+    """The runner for extended SpMV entries (``repro_xspmv``), resolved on
+    the first :class:`DeviceExtendedSpmv` run or table fold: ``None`` —
+    with one ``RuntimeWarning`` saying why — when the library does not
+    build or load, or disagrees with :func:`extended_spmv` on the
+    self-check, which then runs instead."""
+    from repro.solvers import native  # the package's one C library and its loader
+
+    return native.kernel(_xspmv_self_check, "extended SpMV", "the binary64 numpy SpMV")

@@ -14,12 +14,13 @@ broadcast inside the codelet, avoiding materializing expanded tensors
 (exactly the paper's approach).
 
 A tree compiles once, into one three-address :class:`Program` (:data:`OPS`):
-first the float32 opcodes ``native.c``'s evaluator runs (:data:`F32_OPS`),
-then the precision conversions, batch expansion and double-word ops only
-numpy runs.  The numpy interpreter, ``program(resolve)``, runs any program:
-it is the per-tile codelets' evaluator, the fused kernels' numpy ops, and
-the native evaluator's oracle and fallback.  :meth:`Program.bind` renders a
-program whose every node is float32 with one RHS for ``native.c``.
+first the float32 opcodes (:data:`F32_OPS`), then the precision
+conversions, batch expansion and double-word ops.  The numpy interpreter,
+``program(resolve)``, runs any program: it is the per-tile codelets'
+evaluator, the fused kernels' numpy ops, and the native evaluators' oracle
+and fallback.  :meth:`Program.bind` renders a program whose every node has
+one RHS for ``native.c``: a float32 one for ``repro_eval_f32``, any other
+for ``repro_eval_dw``, which runs every opcode but the batch expansions.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from repro.dw import joldes
-from repro.dw.eft import two_prod
+from repro.dw.eft import from_float64, two_prod
 from repro.graph.codelet import (
     BatchReduceSpec,
     Codelet,
@@ -40,7 +41,7 @@ from repro.graph.codelet import (
     VertexGroup,
 )
 from repro.tensordsl.expression import BinExpr, ConstExpr, ConvertExpr, Expr, Leaf, UnExpr
-from repro.tensordsl.types import Type, promote
+from repro.tensordsl.types import RANK, Type, promote
 
 __all__ = [
     "F32_OPS",
@@ -48,6 +49,7 @@ __all__ = [
     "Program",
     "compile_expr",
     "native_eval",
+    "native_dw_eval",
     "vector_f32",
     "assignment_evaluator",
     "expr_compilations",
@@ -69,16 +71,8 @@ def _dw_view64(value):
     return np.asarray(value[0], np.float64) + np.asarray(value[1], np.float64)
 
 
-def _to_dw(value):
-    """The double word nearest ``value``: ``hi`` rounded to float32, ``lo``
-    the float32 remainder — and ``lo = 0`` wherever ``hi`` is not finite
-    (±inf, NaN, or a float64 beyond float32's range), so ``hi + lo``
-    keeps an infinity instead of turning it into NaN."""
-    wide = np.asarray(value, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        hi = wide.astype(np.float32)
-        lo = (wide - hi.astype(np.float64)).astype(np.float32)
-    return hi, np.where(np.isfinite(hi), lo, np.float32(0))
+#: A float32 or float64 value as a double word: the package's one split.
+_to_dw = from_float64
 
 
 def _dw_sqrt(value):
@@ -167,6 +161,10 @@ _VEC, _TMP, _UNI, _OUT, _NONE = range(5)
 #: Floats per temporary: the longest run of elements one instruction
 #: evaluates at a time (at least 128, the longest piece a sum evaluates).
 _BLOCK = 1024
+#: ``native.c``'s representation codes (``R32, RDW, R64``): a value's
+#: :data:`repro.tensordsl.types.RANK`.
+_R32, _RDW, _R64 = (RANK[t] for t in (Type.FLOAT32, Type.DOUBLEWORD, Type.FLOAT64))
+_NUMPY_DTYPE = {_R32: np.float32, _RDW: np.float32, _R64: np.float64}
 
 
 class Program:
@@ -178,8 +176,9 @@ class Program:
     the tree's value.  An operand is ``("leaf", i)`` (``leaves[i]``, a
     variable), ``("const", i)`` (``consts[i]``, in its node's
     representation), ``("tmp", k)``, or ``None`` for a unary op's second
-    operand.  ``native`` is whether every node is float32 with one RHS:
-    only such a program :meth:`bind` renders for ``native.c``.
+    operand.  ``native`` is whether every node has one RHS: only such a
+    program :meth:`bind` renders for ``native.c``; ``f32`` whether every
+    node is float32 too, the programs ``repro_eval_f32`` runs.
 
     ``program(resolve)`` is the numpy interpreter, the native evaluator's
     oracle and fallback: each instruction calls its opcode's numpy / Joldes
@@ -187,8 +186,9 @@ class Program:
     representation (an array, or a (hi, lo) pair for dw).
     """
 
-    def __init__(self, code: tuple, leaves: tuple, consts: tuple, native: bool):
+    def __init__(self, code: tuple, leaves: tuple, consts: tuple, native: bool, f32: bool):
         self.code, self.leaves, self.consts, self.native = code, leaves, consts, native
+        self.f32 = native and f32
         self._schedules: dict = {}
 
     def __call__(self, resolve):
@@ -225,35 +225,63 @@ class Program:
 
     def followed_by(self, *ops) -> Program:
         """This program with the unary opcodes ``ops`` (``None`` skipped)
-        applied to its value in turn.  They convert or expand it, so the
-        result is not native."""
+        applied to its value in turn.  They convert (the result is not
+        float32 throughout) or expand it (the result is not native)."""
         code = list(self.code)
         for op in ops:
             if op is not None:
                 code.append((_OPCODE[op], ("tmp", len(code) - 1), None))
         if len(code) == len(self.code):
             return self
-        return Program(tuple(code), self.leaves, self.consts, native=False)
+        expands = any(op is not None and "expand" in op for op in ops)
+        return Program(tuple(code), self.leaves, self.consts, self.native and not expands,
+                       f32=False)
+
+    @cached_property
+    def _reps(self) -> dict:
+        """Every operand's representation code (:data:`_R32`, :data:`_RDW`,
+        :data:`_R64`): a leaf's variable's, a constant's, an instruction
+        value's by its opcode — a comparison gives float32, another float32
+        opcode its operand's, a conversion its target, a double-word op a
+        double word."""
+        reps = {("leaf", i): RANK[var.dtype] for i, var in enumerate(self.leaves)}
+        for i, value in enumerate(self.consts):
+            reps[("const", i)] = (_RDW if isinstance(value, tuple) else
+                                  _R64 if np.asarray(value).dtype == np.float64 else _R32)
+        for k, (op, a, _) in enumerate(self.code):
+            name = OPS[op]
+            if name in _COMPARISONS:
+                reps[("tmp", k)] = _R32
+            elif name in F32_OPS:
+                reps[("tmp", k)] = reps[a]
+            elif " to " in name:
+                reps[("tmp", k)] = RANK[name.split(" to ")[1]]
+            else:
+                reps[("tmp", k)] = _RDW
+        return reps
 
     def bind(self, offsets, vectors: dict, scalars: dict, out, out_at=None, fallback=None):
         """A :class:`repro.solvers.native.Entry` running the program over
         the segments ``[offsets[s], offsets[s + 1])`` of ``offsets[-1]``
         elements.
 
-        ``vectors`` maps a leaf index to its values, a float32 array of one
-        element per element; ``scalars`` maps the others to ``(base, at)``:
-        segment ``s`` reads ``base[at[s]]`` in every element (the per-tile
-        scalar of the per-tile codelets).  With ``out_at`` ``None`` the op
-        writes element ``i`` to ``out[i]`` — ``out`` may be one of the
-        vectors, never part of a scalar's ``base`` — else segment ``s``'s
-        ``.sum()`` to ``out[out_at[s]]``, and ``out`` overlaps no leaf.  All
-        are C-contiguous 1-D arrays, checked once here (``TypeError`` /
-        ``ValueError``): the native call trusts them.  The entry runs
-        ``fallback`` instead when the evaluator does not load.  A program
-        that is not :attr:`native` raises ``TypeError``.
+        ``vectors`` maps a leaf index to its values, one element per
+        element; ``scalars`` maps the others to ``(base, at)``: segment
+        ``s`` reads ``base[at[s]]`` in every element (the per-tile scalar of
+        the per-tile codelets).  With ``out_at`` ``None`` the op writes
+        element ``i`` to ``out[i]`` — ``out`` may be one of the vectors,
+        never part of a scalar's ``base`` — else segment ``s``'s sum to
+        ``out[out_at[s]]`` (``.sum()`` of float32 values, ``_dw_tree_sum``
+        of double words), and ``out`` overlaps no leaf.  Every buffer is a
+        C-contiguous 1-D array in its value's representation: float32,
+        float64, or a ``(hi, lo)`` pair of float32 arrays for a double
+        word.  All are checked once here (``TypeError`` / ``ValueError``):
+        the native call trusts them.  The entry runs ``fallback`` instead
+        when its evaluator does not load.  A program that is not
+        :attr:`native`, or a binary64 sum, raises ``TypeError``.
         """
         if not self.native:
-            raise TypeError("only a program whose every node is float32 with one RHS binds")
+            raise TypeError("only a program whose every node has one RHS binds")
         offsets = np.asarray(offsets, dtype=np.int64)
         total, nseg = int(offsets[-1]), offsets.size - 1
         if offsets[0] != 0 or (offsets[1:] < offsets[:-1]).any():
@@ -262,64 +290,122 @@ class Program:
         if sorted(vecs + seg) != list(range(len(self.leaves))):
             raise ValueError("every leaf must be one vector or one per-segment scalar")
         reduce = out_at is not None
-        _f32_buffer(out, None if reduce else total, "out")
-        if not out.flags.writeable:
-            raise ValueError("out must be writable")
-        arrays = [out] + [vectors[i] for i in vecs] + [scalars[i][0] for i in seg]
-        address = [a.ctypes.data for a in arrays]
-        for array, at_ in zip(arrays[1 : 1 + len(vecs)], address[1:]):
-            _f32_buffer(array, total, "vector")
-            if np.may_share_memory(array, out) and (reduce or at_ != address[0]):
-                raise ValueError("a vector overlaps out other than element for element")
-        at = np.array([scalars[i][1] for i in seg], dtype=np.int64).reshape(len(seg), nseg)
-        for base, row in zip(arrays[1 + len(vecs) :], at):
-            _f32_buffer(base, None, "scalar base")
-            if np.may_share_memory(base, out):
-                raise ValueError("a scalar base overlaps out")
-            if nseg and (row.min() < 0 or row.max() >= base.size):
-                raise ValueError("a per-segment scalar is indexed out of range")
         if reduce:
             out_at = np.asarray(out_at, dtype=np.int64)
-            if out_at.shape != (nseg,) or nseg and (out_at.min() < 0 or
-                                                    out_at.max() >= out.size):
-                raise ValueError("out_at must give one element of out per segment")
+        # A float32 program needs no representation table.
+        rep_of = (lambda key: _R32) if self.f32 else self._reps.__getitem__
+        root = rep_of(("tmp", len(self.code) - 1))
+        if reduce and root == _R64:
+            raise TypeError("a binary64 sum does not bind")
+        outs = _buffers(out, root, None if reduce else total, "out")
+        if not all(part.flags.writeable for part in outs):
+            raise ValueError("out must be writable")
+        leaf_rep = [rep_of(("leaf", i)) for i in range(len(self.leaves))]
+        vec_parts = [_buffers(vectors[i], leaf_rep[i], total, "vector") for i in vecs]
+        for parts in vec_parts:
+            for k, part in enumerate(parts):
+                for j, dst in enumerate(outs):
+                    if np.may_share_memory(part, dst) and (
+                            reduce or j != k or part.ctypes.data != dst.ctypes.data):
+                        raise ValueError("a vector overlaps out other than element for element")
+        base_parts = [_buffers(scalars[i][0], leaf_rep[i], None, "scalar base") for i in seg]
+        at = np.array([scalars[i][1] for i in seg], dtype=np.int64).reshape(len(seg), nseg)
+        for parts, row in zip(base_parts, at):
+            if any(np.may_share_memory(part, dst) for part in parts for dst in outs):
+                raise ValueError("a scalar base overlaps out")
+            if nseg and (row.min() < 0 or row.max() >= min(p.size for p in parts)):
+                raise ValueError("a per-segment scalar is indexed out of range")
+        if reduce and (out_at.shape != (nseg,) or nseg and (
+                out_at.min() < 0 or out_at.max() >= outs[0].size)):
+            raise ValueError("out_at must give one element of out per segment")
+        address = [[a.ctypes.data for a in parts] for parts in (outs, *vec_parts, *base_parts)]
+        vec_address = [a for parts in address[1 : 1 + len(vecs)] for a in parts]
+        base_address = [a for parts in address[1 + len(vecs) :] for a in parts]
+        keep = [a for parts in (outs, *vec_parts, *base_parts) for a in parts]
+        if self.f32:
+            return self._bind_f32(offsets, nseg, vecs, seg, vec_address, base_address, at,
+                                  address[0][0], out_at, keep, fallback)
+        return self._bind_dw(offsets, nseg, vecs, seg, vec_address, base_address, at,
+                             address[0], out_at, keep, fallback)
+
+    def _bind_f32(self, offsets, nseg, vecs, seg, vec_address, base_address, at, out,
+                  out_at, keep, fallback):
+        """The ``repro_eval_f32`` entry of a float32 program."""
+        reduce = out_at is not None
         prog, n_uni, n_tmp = self._schedule(vecs, seg, reduce)
-        # One int64 array holds every index and address the call reads, one
-        # float32 array its temporaries and then its uni slots.
-        parts = (offsets, prog, address[1 : 1 + len(vecs)], address[1 + len(vecs) :],
-                 at.ravel(), out_at if reduce else ())
-        ints = np.concatenate([np.asarray(part, dtype=np.int64) for part in parts])
-        starts = [ints.ctypes.data]
-        for part in parts:
-            starts.append(starts[-1] + 8 * len(part))
+        ints, starts = _packed(offsets, prog, vec_address, base_address, at.ravel(),
+                               out_at if reduce else ())
+        # One float32 array holds the temporaries and then the uni slots.
         scratch = np.empty(n_tmp * _BLOCK + n_uni, dtype=np.float32)
         scratch[n_tmp * _BLOCK :][: len(self.consts)] = self.consts
         tmp = scratch.ctypes.data
-        args = (nseg, *starts[:5], tmp + 4 * n_tmp * _BLOCK, tmp, address[0],
+        args = (nseg, *starts[:5], tmp + 4 * n_tmp * _BLOCK, tmp, out,
                 starts[5] if reduce else None)
         from repro.solvers import native  # the package's one C library and its loader
 
-        return native.Entry(native.EVAL, args, (ints, scratch, arrays), fallback, native_eval)
+        return native.Entry(native.EVAL, args, (ints, scratch, keep), fallback, native_eval)
+
+    def _bind_dw(self, offsets, nseg, vecs, seg, vec_address, base_address, at, out,
+                 out_at, keep, fallback):
+        """The ``repro_eval_dw`` entry of a program with a double-word or
+        binary64 node."""
+        reduce = out_at is not None
+        prog, n_uni, n_tmp = self._schedule(vecs, seg, reduce)
+        ints, starts = _packed(offsets, prog, vec_address, base_address, at.ravel(), out,
+                               out_at if reduce else ())
+        # Uni slots of 8 bytes: a float32 in the first half, a double word's
+        # hi and lo, or a binary64.
+        uni = np.zeros(max(n_uni, 1), dtype=np.float64)
+        halves = uni.view(np.float32).reshape(-1, 2)
+        for k, value in enumerate(self.consts):
+            if isinstance(value, tuple):
+                halves[k] = value
+            elif np.asarray(value).dtype == np.float64:
+                uni[k] = value
+            else:
+                halves[k, 0] = value
+        longest = int(np.diff(offsets).max(initial=0)) if reduce else 0
+        tmp = np.empty(n_tmp * 2 * _BLOCK, dtype=np.float32)
+        seg_scratch = np.empty(2 * longest, dtype=np.float32)
+        args = (nseg, *starts[:5], uni.ctypes.data, tmp.ctypes.data, starts[5],
+                starts[6] if reduce else None, seg_scratch.ctypes.data if reduce else None)
+        from repro.solvers import native  # the package's one C library and its loader
+
+        return native.Entry(native.DWEVAL, args, (ints, uni, tmp, seg_scratch, keep), fallback,
+                            native_dw_eval)
 
     def _schedule(self, vecs: list, seg: list, reduce: bool) -> tuple:
-        """``(prog, uni slots, temporaries)`` for ``repro_eval_f32``, worked
-        out once per program and leaf layout (the self-check rebinds its
-        programs).  An instruction whose operands are all constants or
-        per-segment scalars runs once per segment (into a ``uni`` slot after
-        the constants and the scalars), every other one once per block —
-        the last one into ``out``, or, for a sum, into a temporary.  A
-        temporary is read once (the code is a tree), so it is free again
-        after its reader."""
+        """``(prog, uni slots, temporaries)`` for ``repro_eval_f32`` (a
+        float32 program) or ``repro_eval_dw``, worked out once per program
+        and leaf layout (the self-checks rebind their programs).  An
+        instruction whose operands are all constants or per-segment
+        scalars runs once per segment (into a ``uni`` slot after the
+        constants and the scalars), every other one once per block — the
+        last one into ``out``, or, for a sum, into a temporary (float32)
+        or the segment scratch (``repro_eval_dw``).  A temporary is read
+        once (the code is a tree), so it is free again after its reader."""
         key = (tuple(vecs), tuple(seg), reduce)
         if key not in self._schedules:
             self._schedules[key] = self._plan(vecs, seg, reduce)
         return self._schedules[key]
 
     def _plan(self, vecs: list, seg: list, reduce: bool) -> tuple:
+        f32 = self.f32
+        reps = {} if f32 else self._reps
         uni_of = {("const", i): i for i in range(len(self.consts))}
         uni_of.update({("leaf", i): len(self.consts) + j for j, i in enumerate(seg)})
-        vec_of = {("leaf", i): k for k, i in enumerate(vecs)}
-        slots = [uni_of[("leaf", i)] for i in seg]
+        # A double word's lo half is the next vector, or the next scalar base.
+        vec_of, scal_of, k = {}, {}, 0
+        for i in vecs:
+            vec_of[("leaf", i)], k = k, k + 1 + (reps.get(("leaf", i)) == _RDW)
+        k = 0
+        for i in seg:
+            scal_of[("leaf", i)], k = k, k + 1 + (reps.get(("leaf", i)) == _RDW)
+        if f32:
+            slots = [uni_of[("leaf", i)] for i in seg]
+        else:
+            slots = [x for i in seg for x in (uni_of[("leaf", i)], reps[("leaf", i)],
+                                               scal_of[("leaf", i)])]
         n_uni, root = len(uni_of), len(self.code) - 1
         uins, ins, tmp_of, free, n_tmp = [], [], {}, [], 0
 
@@ -332,14 +418,21 @@ class Program:
                 return _UNI, uni_of[x]
             return _TMP, tmp_of[x]
 
+        def rep(x) -> tuple:
+            return () if f32 else (0 if x is None else reps[x],)
+
         for k, (op, a, b) in enumerate(self.code):
+            typed = (op, *rep(a), *rep(b), *rep(("tmp", k)))
             if k != root and all(x is None or x in uni_of for x in (a, b)):
                 uni_of[("tmp", k)] = n_uni
-                uins += [op, n_uni, uni_of[a], -1 if b is None else uni_of[b]]
+                if f32:
+                    uins += [op, n_uni, uni_of[a], -1 if b is None else uni_of[b]]
+                else:
+                    uins += [*typed, _UNI, n_uni, *mode(a), *mode(b)]
                 n_uni += 1
                 continue
             operands = (*mode(a), *mode(b))
-            if k == root and not reduce:
+            if k == root and not (reduce and f32):
                 dst = (_OUT, 0)
             else:
                 t = free.pop() if free else n_tmp
@@ -347,10 +440,41 @@ class Program:
                 tmp_of[("tmp", k)] = t
                 dst = (_TMP, t)
             free += [tmp_of[x] for x in (a, b) if x in tmp_of]
-            ins += [op, *dst, *operands]
-        head = [len(seg), len(uins) // 4, len(ins) // 7,
-                tmp_of[("tmp", root)] if reduce else -1, _BLOCK]
+            ins += [*typed, *dst, *operands]
+        width = 4 if f32 else 10
+        head = [len(seg), len(uins) // width, len(ins) // (7 if f32 else 10),
+                (tmp_of[("tmp", root)] if reduce else -1) if f32 else reps[("tmp", root)],
+                _BLOCK]
         return np.array(head + slots + uins + ins, dtype=np.int64), n_uni, n_tmp
+
+
+def _packed(*parts) -> tuple:
+    """``parts`` as one int64 array — every index and address a native
+    call reads — and the address where each part starts in it."""
+    ints = np.concatenate([np.asarray(part, dtype=np.int64) for part in parts])
+    starts = [ints.ctypes.data]
+    for part in parts[:-1]:
+        starts.append(starts[-1] + 8 * len(part))
+    return ints, starts
+
+
+def _buffers(value, rep: int, size, name: str) -> list:
+    """``value``'s arrays: one float32 or float64 array, or a double word's
+    ``(hi, lo)`` float32 pair, each C-contiguous and 1-D with ``size``
+    elements (any when ``None``; a pair's halves alike) — else
+    ``TypeError``."""
+    if rep == _RDW:
+        if not (isinstance(value, tuple) and len(value) == 2):
+            raise TypeError(f"{name} must be a (hi, lo) pair of float32 arrays")
+        _f32_buffer(value[0], size, name)
+        _f32_buffer(value[1], value[0].size, name)
+        return list(value)
+    if not (isinstance(value, np.ndarray) and value.dtype == _NUMPY_DTYPE[rep]
+            and value.ndim == 1 and value.flags.c_contiguous
+            and (size is None or value.size == size)):
+        raise TypeError(f"{name} must be a C-contiguous 1-D {_NUMPY_DTYPE[rep].__name__} array"
+                        + ("" if size is None else f" of {size} elements"))
+    return [value]
 
 
 def _f32_buffer(array, size, name: str) -> None:
@@ -404,7 +528,7 @@ def _program_of(expr: Expr) -> Program:
     leaves: dict = {}
     consts: list = []
     code: list = []
-    native = True
+    native = f32 = True
 
     def instruction(op: str, a, b=None) -> tuple:
         code.append((_OPCODE[op], a, b))
@@ -422,8 +546,8 @@ def _program_of(expr: Expr) -> Program:
         return instruction("dw to float64", x) if view else x
 
     def emit(node) -> tuple:
-        nonlocal native
-        native = native and node.dtype == Type.FLOAT32 and node.batch == 1
+        nonlocal native, f32
+        native, f32 = native and node.batch == 1, f32 and node.dtype == Type.FLOAT32
         if isinstance(node, Leaf):
             return "leaf", leaves.setdefault(id(node.var), (len(leaves), node.var))[0]
         if isinstance(node, ConstExpr):
@@ -455,7 +579,8 @@ def _program_of(expr: Expr) -> Program:
     del emit, operand  # the two closures cycle through each other
     if value[0] != "tmp":
         instruction("copy", value)
-    return Program(tuple(code), tuple(var for _, var in leaves.values()), tuple(consts), native)
+    return Program(tuple(code), tuple(var for _, var in leaves.values()), tuple(consts), native,
+                   f32)
 
 
 def assignment_evaluator(expr: Expr, out_var) -> Program:
@@ -470,9 +595,13 @@ def assignment_evaluator(expr: Expr, out_var) -> Program:
 
 
 class _Vector:
-    """A float32 vector leaf with no graph variable behind it."""
+    """A vector leaf with no graph variable behind it (float32 unless
+    ``dtype`` says otherwise)."""
 
-    dtype, batch, shape = Type.FLOAT32, 1, (1,)
+    batch, shape = 1, (1,)
+
+    def __init__(self, dtype: str = Type.FLOAT32):
+        self.dtype = dtype
 
 
 @functools.cache
@@ -555,6 +684,135 @@ def _self_check(run) -> str | None:
                 return (f"self-check: {'sum' if reduce else 'element'} {i} of program {k} is "
                         f"{out[i]!r}, numpy {want[i]!r}")
     return None
+
+
+@functools.cache
+def _dw_check_case() -> tuple:
+    """The double-word self-check's segment offsets and, per program: its
+    vectors, its per-segment scalars, whether it is written and/or summed,
+    its numpy value and the sum of each segment."""
+    rng = np.random.default_rng(47)
+    lengths = [0, 1, 2, 3, 7, 1101, 5]
+    offsets = np.cumsum([0] + lengths)
+    total, nseg = int(offsets[-1]), len(lengths)
+
+    def draws(size, scale=1.0):
+        out = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size) * scale
+        out[::13] = np.resize([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-41, -3e-39, 3e38, 1e300],
+                              out[::13].size)
+        return out
+
+    def dw(size):
+        hi = draws(size).astype(np.float32)
+        lo = (draws(size, 1e-9) * np.abs(np.nan_to_num(hi))).astype(np.float32)
+        return hi, lo
+
+    with np.errstate(all="ignore"):
+        d0v, d1v, v0v, w0v = dw(total), dw(total), draws(total).astype(np.float32), draws(total)
+        dsv, wsv = dw(nseg), draws(nseg)
+    d0, d1, ds, v0, w0, ws = (Leaf(_Vector(t)) for t in (
+        Type.DOUBLEWORD, Type.DOUBLEWORD, Type.DOUBLEWORD, Type.FLOAT32, Type.FLOAT64,
+        Type.FLOAT64))
+    source = {d0.var: d0v, d1.var: d1v, v0.var: v0v, w0.var: w0v,
+              ds.var: (dsv, np.arange(nseg)), ws.var: (wsv, np.arange(nseg))}
+    c = ConstExpr
+    arith = BinExpr("/", BinExpr("*", BinExpr("+", d0, v0), ds), d1)
+    dw_tree = BinExpr("+", BinExpr("-", UnExpr("sqrt", UnExpr("abs", UnExpr("neg", arith))),
+                                   ConvertExpr(w0, Type.DOUBLEWORD)),
+                      BinExpr("*", ConvertExpr(ws, Type.DOUBLEWORD), c(0.1, Type.DOUBLEWORD)))
+    wide = BinExpr("/", UnExpr("sqrt", UnExpr("abs", UnExpr("neg", BinExpr(
+        "-", BinExpr("*", w0, ws), BinExpr("+", v0, c(3.0, Type.FLOAT64)))))), w0)
+    f32_tree = BinExpr("+", ConvertExpr(d0, Type.FLOAT32), ConvertExpr(wide, Type.FLOAT32))
+    for op, x, y in (("<", d0, d1), ("<=", d0, ds), (">", w0, ws), (">=", v0, d1),
+                     ("==", d1, d1), ("!=", w0, v0)):
+        f32_tree = BinExpr("+", f32_tree, BinExpr(op, x, y))
+    f64_tree = BinExpr("+", ConvertExpr(d1, Type.FLOAT64), wide)
+
+    def repeated(value):
+        if not isinstance(value[1], np.ndarray) or value[1].dtype != np.int64:
+            return value
+        base = value[0]
+        return (tuple(np.repeat(part, lengths) for part in base) if isinstance(base, tuple)
+                else np.repeat(base, lengths))
+
+    flat = {var: repeated(v) for var, v in source.items()}
+    cases = []
+    for expr, reduces in ((dw_tree, (False, True)), (f32_tree, (False, True)),
+                          (f64_tree, (False,)), (ds, (False, True))):
+        program = compile_expr(expr)
+        vectors, scalars = {}, {}
+        for i, var in enumerate(program.leaves):
+            value = source[var]
+            if isinstance(value[1], np.ndarray) and value[1].dtype == np.int64:
+                scalars[i] = value
+            else:
+                vectors[i] = value
+        with np.errstate(all="ignore"):
+            value = program(lambda leaf: flat[leaf.var])
+            parts = tuple(np.broadcast_to(part, total) for part in (
+                value if isinstance(value, tuple) else (value,)))
+            sums = [[], []]
+            for a, b in zip(offsets[:-1], offsets[1:]):
+                if len(parts) == 2:
+                    for half, got in zip(sums, _dw_tree_sum(parts[0][a:b], parts[1][a:b])):
+                        half.append(got)
+                elif parts[0].dtype == np.float32:
+                    sums[0].append(parts[0][a:b].sum())
+        sums = [np.array(half, dtype=np.float32) for half in sums[: len(parts)]]
+        cases.append((program, vectors, scalars, reduces, parts, sums))
+    return offsets, cases
+
+
+def _dw_self_check(run) -> str | None:
+    """Compare double-word evaluator entries run by ``run``
+    (``repro_run``) with the numpy interpreter bit for bit on a fixed case;
+    ``None`` when they agree, else what differed.
+
+    Every opcode but the batch expansions: a double-word tree of every
+    double-word op and both conversions into a double word, a float32 tree
+    of the conversions out of one, the float32 opcodes over binary64 and the
+    double-word comparisons, and a binary64 tree; double-word vectors and
+    per-segment scalars, float32 and binary64 ones, constants of each
+    representation; a double-word per-segment scalar alone.  Written
+    element by element and, where float32 or a double word, summed per
+    segment (``.sum()``, ``_dw_tree_sum``).  Segments of 0, 1, 2, 3, 7,
+    1101 (past a block, odd) and 5 elements;
+    ±0.0, ±inf, NaN, subnormals, float32 overflow and a binary64 beyond
+    float32's range.
+    """
+    from repro.solvers import native  # the package's one C library and its loader
+
+    offsets, cases = _dw_check_case()
+    for k, (program, vectors, scalars, reduces, parts, sums) in enumerate(cases):
+        for reduce in reduces:
+            want = sums if reduce else parts
+            out = tuple(np.empty(w.size, dtype=w.dtype) for w in want)
+            at = np.arange(want[0].size) if reduce else None
+            native.Table([program.bind(offsets, vectors, scalars,
+                                       out if len(out) == 2 else out[0], at)], run)()
+            for half, (got, w) in enumerate(zip(out, want)):
+                bits = "u8" if got.dtype == np.float64 else "u4"
+                nan = np.isnan(got) & np.isnan(w)
+                differ = np.flatnonzero((got.view(bits) != w.view(bits)) & ~nan)
+                if differ.size:
+                    i = int(differ[0])
+                    return (f"self-check: {'sum' if reduce else 'element'} {i} "
+                            f"{('hi', 'lo')[half] if len(out) == 2 else ''} of program {k} "
+                            f"is {got[i]!r}, numpy {w[i]!r}")
+    return None
+
+
+@functools.cache
+def native_dw_eval():
+    """The runner for double-word evaluator entries (``repro_eval_dw``),
+    resolved like :func:`native_eval`: ``None`` — with one
+    ``RuntimeWarning`` — when the library does not build or load, or
+    disagrees with the numpy interpreter on its self-check; the fused
+    kernels then interpret those programs in numpy."""
+    from repro.solvers import native  # the package's one C library and its loader
+
+    return native.kernel(_dw_self_check, "double-word evaluator",
+                         "the numpy double-word trees")
 
 
 @functools.cache

@@ -25,7 +25,7 @@ from repro.graph.passes import plans
 from repro.graph.passes.plans import CopyOp, native_copy
 from repro.solvers import compile_solve, native, solve, sweeps
 from repro.solvers.sweeps import native_sweep
-from repro.sparse import poisson3d, sell
+from repro.sparse import distribute, poisson3d, sell
 from repro.sparse.sell import native_spmv
 from repro.sparse.suitesparse import g3_circuit_like
 from repro.tensordsl import materialize
@@ -69,9 +69,10 @@ SCALARS = [Leaf(_Var()) for _ in range(2)]
 def _same_bits(got, want) -> bool:
     """Equal bit for bit — signed zeros told apart — except that a NaN only
     has to be a NaN (its payload is whichever operand's the FPU kept)."""
-    nan = np.isnan(got)
-    return bool(np.array_equal(nan, np.isnan(want)) and np.array_equal(
-        got.view(np.uint32)[~nan], want.view(np.uint32)[~nan]))
+    got, want = np.asarray(got), np.ascontiguousarray(want)
+    nan, bits = np.isnan(got), f"u{got.dtype.itemsize}"
+    return bool(got.dtype == want.dtype and np.array_equal(nan, np.isnan(want))
+                and np.array_equal(got.view(bits)[~nan], want.view(bits)[~nan]))
 
 
 def _awkward(rng, size: int) -> np.ndarray:
@@ -242,36 +243,57 @@ OUT_VARS = st.builds(AnyVar, st.sampled_from(DTYPES), st.just(False), st.sampled
 @example(tree=BinExpr("<", VECTORS[0], DW), out=None, seed=0)
 @example(tree=BinExpr("+", VECTORS[0], ConstExpr(1.0, Type.FLOAT64)), out=None, seed=0)
 @example(tree=VECTORS[0], out=DW.var, seed=0)
-def test_only_float32_trees_with_one_rhs_bind(tree, out, seed):
+def test_only_trees_with_one_rhs_bind(tree, out, seed):
     """Property over the random f32 / dw / f64, batched and unbatched trees
     of ``tests/tensordsl/test_compile_expr.py`` and the float32 trees
     above — alone, or assigned into a variable of any representation: a
-    program binds exactly when every node (and the variable) is float32
-    with one RHS, and then its entry writes the numpy interpreter's value
-    bit for bit; any other program raises ``TypeError``, whatever float32
-    buffers it is given."""
+    program binds exactly when every node (and the variable) has one RHS —
+    to the float32 evaluator when every node is float32 too, else to the
+    double-word evaluator — and then its entry writes the numpy
+    interpreter's value bit for bit; any other program raises
+    ``TypeError``, whatever buffers it is given."""
     with np.errstate(all="ignore"):  # constants are rounded at compile time
         program = compile_expr(tree) if out is None else assignment_evaluator(tree, out)
-    native = all(node.dtype == Type.FLOAT32 and node.batch == 1 for node in _nodes(tree))
-    native = native and (out is None or (out.dtype == Type.FLOAT32 and out.batch == 1))
+    nodes = [*_nodes(tree), *([] if out is None else [out])]
+    native_ = all(node.batch == 1 for node in nodes)
+    f32 = native_ and all(node.dtype == Type.FLOAT32 for node in nodes)
+    assert (program.native, program.f32) == (native_, f32)
     rng = np.random.default_rng(seed)
     buffers = {id(var): _awkward(rng, 1 if var.shape == () else N) for var in program.leaves}
+    if not native_:
+        vectors = {i: buffers[id(var)] for i, var in enumerate(program.leaves)}
+        with pytest.raises(TypeError, match="every node has one RHS"):
+            program.bind([0, N], vectors, {}, np.empty(N, np.float32))
+        return
+    resolved = {}
+    for i, var in enumerate(program.leaves):
+        value = buffers[id(var)]
+        if var.dtype == Type.DOUBLEWORD:
+            value = (value, _awkward(rng, value.size) * np.float32(2.0**-30))
+        elif var.dtype == Type.FLOAT64:
+            value = value.astype(np.float64)
+        resolved[i] = value
     vectors, scalars = {}, {}
     for i, var in enumerate(program.leaves):
         if var.shape == ():
-            scalars[i] = buffers[id(var)], np.zeros(1, np.int64)
+            scalars[i] = resolved[i], np.zeros(1, np.int64)
         else:
-            vectors[i] = buffers[id(var)]
-    got = np.empty(N, np.float32)
-    if not native:
-        with pytest.raises(TypeError, match="every node is float32 with one RHS"):
-            program.bind([0, N], vectors, scalars, got)
-        return
+            vectors[i] = resolved[i]
     with np.errstate(all="ignore"):
-        want = np.broadcast_to(program(lambda leaf: buffers[id(leaf.var)]), N)
-    fallback = _numpy_ran if native_eval() is not None else lambda: got.__setitem__(..., want)
-    program.bind([0, N], vectors, scalars, got, fallback=fallback)()
-    assert _same_bits(got, want)
+        value = program(lambda leaf: resolved[program.leaves.index(leaf.var)])
+    want = [np.broadcast_to(part, N) for part in (value if isinstance(value, tuple)
+                                                  else (value,))]
+    got = [np.empty(N, part.dtype) for part in want]
+    runner = native_eval() if f32 else materialize.native_dw_eval()
+
+    def numpy_form():
+        for g, w in zip(got, want):
+            g[...] = w
+
+    program.bind([0, N], vectors, scalars, got[0] if len(got) == 1 else tuple(got),
+                 fallback=_numpy_ran if runner is not None else numpy_form)()
+    for g, w in zip(got, want):
+        assert _same_bits(g, w)
 
 
 def test_bind_refuses_buffers_the_call_cannot_take():
@@ -370,6 +392,12 @@ KINDS = {
                   "native SpMV unavailable, running the slot-major numpy SpMV: forced off"),
     native.SWEEP: (sweeps, "_self_check", native_sweep,
                    "native sweep unavailable, running the numpy level loop: forced off"),
+    native.DWEVAL: (materialize, "_dw_self_check", materialize.native_dw_eval,
+                    "native double-word evaluator unavailable, running the numpy double-word "
+                    "trees: forced off"),
+    native.XSPMV: (distribute, "_xspmv_self_check", distribute.native_xspmv,
+                   "native extended SpMV unavailable, running the binary64 numpy SpMV: "
+                   "forced off"),
 }
 
 
@@ -390,20 +418,20 @@ def _launch_calls(result) -> list:
 
 
 def test_a_kernel_launch_makes_one_native_call_per_run_of_entries(reference):
-    """What was realized: every kernel of the Fig. 5-shaped CG launches as
-    exactly one native call; a kernel of the ``mpir_ilu_g3``-shaped solve
-    makes at most one more native call than it has numpy ops, and its
-    inner loop (PBiCGStab + ILU(0) sweeps) is one call."""
+    """What was realized: every kernel of the Fig. 5-shaped CG, and every
+    kernel of the ``mpir_ilu_g3``-shaped solve — its inner loop (PBiCGStab
+    + ILU(0) sweeps) and its double-word outer step alike — launches as
+    exactly one native call."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
     cg, mpir = (_launch_calls(result) for result in reference)
     assert len(cg) >= 2 and cg == [(1, 0)] * len(cg)
-    assert all(tables <= 1 + numpy for tables, numpy in mpir)
-    assert (1, 0) in mpir
+    assert len(mpir) >= 4 and mpir == [(1, 0)] * len(mpir)
 
 
 @pytest.mark.parametrize("off", [*KINDS, "library"],
-                         ids=["evaluator", "copy", "spmv", "sweep", "library"])
+                         ids=["evaluator", "copy", "spmv", "sweep", "dw-evaluator",
+                              "extended-spmv", "library"])
 def test_solves_without_a_kind_are_bit_identical(monkeypatch, reference, off):
     """With one kind's self-check failing — or the loader forced to report
     no library, every kind — that kind's numpy form runs, after exactly one

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.solvers import solve
-from repro.sparse import poisson2d
+from repro.sparse import ModifiedCRS, poisson2d
 from repro.sparse.suitesparse import af_shell_like
 
 
@@ -112,3 +112,53 @@ class TestMPIRMechanics:
             tiles_per_ipu=4,
         )
         assert res.relative_residual < 1e-10
+
+
+#: The Fig. 8 solver (benchmarks/bench_fig8_solver_platforms.py).
+FIG8 = {"solver": "mpir", "precision": "dw", "tol": 1e-9, "max_outer": 12,
+        "inner": {"solver": "bicgstab", "fixed_iterations": 50, "tol": 2e-7,
+                  "record_history": False, "preconditioner": {"solver": "ilu0"}}}
+
+
+@pytest.fixture(scope="module")
+def g3():
+    from repro.sparse.suitesparse import g3_circuit_like
+
+    crs = g3_circuit_like(64)
+    return crs, crs.to_scipy()
+
+
+@pytest.mark.parametrize("seed, draw", [(29, 293), (105, 147), (307, 285)])
+def test_an_exact_zero_inner_divisor_does_not_end_the_refinement(g3, seed, draw):
+    """Right-hand sides ``A x*`` on which an inner PBiCGStab step meets
+    ``r0·v == 0.0`` exactly in float32 (``x*`` the ``draw``-th
+    ``standard_normal(4096)`` of ``default_rng([seed, 3])``).  Guarding
+    that divisor with ``1e-30`` made ``alpha`` ~1e26 and the refinement
+    diverge or go NaN; an exactly-zero divisor now gives a negligible
+    quotient, the step is skipped, and the Fig. 8 solve converges."""
+    crs, a = g3
+    rng = np.random.default_rng([seed, 3])
+    for _ in range(draw):
+        x_star = rng.standard_normal(crs.n)
+    res = solve(crs, a @ x_star, FIG8, num_ipus=1, tiles_per_ipu=16, backend="fused")
+    assert res.failure is None
+    assert res.relative_residual < 1e-9 * 10
+    assert res.iterations <= 10
+
+
+@pytest.mark.parametrize("config", [
+    {"solver": "bicgstab", "tol": 1e-6, "max_iterations": 20},
+    {"solver": "mpir", "precision": "dw", "tol": 1e-9, "max_outer": 4,
+     "inner": {"solver": "bicgstab", "fixed_iterations": 5, "tol": 1e-7,
+               "record_history": False}},
+], ids=["bicgstab", "mpir"])
+def test_a_zero_r0_dot_v_keeps_the_iterate_finite(config):
+    """``A = [[1, -2], [0, 1]]``, ``b = [1, 1]``: ``v = A b`` is orthogonal
+    to ``r0 = b``, so the first ``r0·v`` is exactly zero.  The iterate stays
+    finite and the failure is typed — not a ``nan_residual``."""
+    crs = ModifiedCRS([1.0, 1.0], [-2.0], [1], [0, 1, 1])
+    res = solve(crs, np.ones(2, np.float32), config, num_ipus=1, tiles_per_ipu=1,
+                backend="fused")
+    assert np.isfinite(res.x).all()
+    assert res.failure == "max_iterations"
+    assert all(np.isfinite(res.stats.residuals))

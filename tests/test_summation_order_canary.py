@@ -31,7 +31,12 @@ sum, not that a kernel is wrong:
   comparisons give exactly ``0.0`` / ``1.0`` with NaN unordered, and
   ``negative`` / ``absolute`` flip or clear the sign bit alone, NaN
   included: the native expression evaluator (``repro_eval_f32``) does
-  exactly these in C ``float`` arithmetic.
+  exactly these in C ``float`` arithmetic;
+- the float64 → float32 cast rounds to nearest, ties to even, and
+  ``repro.dw``'s numpy path performs no fused multiply-add (its emulated
+  FMA rounds the exact binary64 result twice): the native double-word
+  evaluator (``repro_eval_dw``) and extended SpMV (``repro_xspmv``) do the
+  same casts and the same separately rounded products.
 
 The host-side f64 residual of every solve (``ModifiedCRS.spmv``) rides on
 SciPy's private compiled ``csr_matvec``; its canary names the SciPy version:
@@ -314,3 +319,51 @@ def test_csr_matvec_does_not_contract_to_a_fused_multiply_add():
     x = np.array([1.0, b])
     assert _add_at_spmv(crs, x)[0] == 0.0
     assert crs.spmv(x)[0] == 0.0, f"{SCIPY}: csr_matvec contracts sum += a*x to an FMA"
+
+
+def test_float64_to_float32_rounds_to_nearest_even():
+    """The double-word split (``repro.dw.eft.from_float64``) and the
+    extended SpMV's float32 store round binary64 to float32 as C's
+    ``(float)`` cast does in ``native.c``: to nearest, ties to even,
+    overflowing to ±inf, subnormals kept — never truncated or flushed."""
+    cases = [
+        (1 + 2.0**-24, 1.0),                    # a tie: down to the even 1.0
+        (1 + 3 * 2.0**-24, 1 + 2.0**-22),       # a tie: up to the even neighbour
+        (-(1 + 2.0**-24), -1.0),
+        (1 + 2.0**-24 + 2.0**-50, 1 + 2.0**-23),  # past the tie: up
+        (1 + 2.0**-23 - 2.0**-50, 1 + 2.0**-23),  # not truncated
+        ((2 - 2.0**-24) * 2.0**127, np.inf),    # the tie above FLT_MAX: overflow
+        (-3.5e38, -np.inf),
+        (3 * 2.0**-150, 2.0**-148),             # a subnormal tie: to even
+        (2.0**-150, 0.0),                       # half the least subnormal: to even 0
+        (-(2.0**-150), -0.0),
+    ]
+    wide = np.array([w for w, _ in cases])
+    with np.errstate(over="ignore"):
+        got = wide.astype(np.float32)
+    want = np.array([w for _, w in cases], dtype=np.float32)
+    assert got.view(np.uint32).tolist() == want.view(np.uint32).tolist(), (
+        f"{VERSION}: the float64 -> float32 cast no longer rounds to nearest even"
+    )
+
+
+def test_the_double_word_numpy_path_performs_no_fused_multiply_add():
+    """``repro.dw``'s numpy operations round every float32 product before
+    it is added (``native.c`` is built with ``-ffp-contract=off`` to match),
+    and its emulated FMA, ``eft.fma``, rounds the exact binary64 product
+    plus the addend once more to float32: ``a * b`` below is ``1 + 2**-11 +
+    2**-24`` exactly, which rounds to ``-c``."""
+    from repro.dw import eft, joldes
+
+    a = b = np.array([1 + 2.0**-12], np.float32)
+    c = np.array([-(1 + 2.0**-11)], np.float32)
+    assert (a * b + c)[0] == 0.0, f"{VERSION}: float32 a * b + c is contracted to an FMA"
+    assert eft.fma(a, b, c)[0] == np.float32(2.0**-24)
+    assert eft.two_prod(a, b)[1][0] == np.float32(2.0**-24)
+    # DWTimesDW3's tl0 = xl * yl is rounded before fma(xh, yl, tl0) adds
+    # it: with (xh, xl) = (-1, a) and (yh, yl) = (0, a), the result is
+    # -a + fl(a * a) = 2**-12; a contracted tl0 would give 2**-12 + 2**-24.
+    hi, lo = joldes.mul_dw_dw(np.float32(-1.0), a, np.float32(0.0), b)
+    assert (hi[0], lo[0]) == (np.float32(2.0**-12), np.float32(0.0)), (
+        f"{VERSION}: mul_dw_dw's xl * yl is no longer rounded before it is added"
+    )
