@@ -11,9 +11,11 @@ later step.
 This bench is the cache's acceptance gate:
 
 - cache hits must reuse the lowered artifact without re-running a single
-  compiler pass (asserted via the process-wide pass-invocation counters),
+  compiler pass (asserted by counting the calls of the pass pipeline and
+  of the lowering while the bench runs),
 - the matrix's bytes are hashed once for the whole run, not once per step
-  (asserted via ``matrix_hash_invocations`` — a count, not a stopwatch),
+  (asserted by counting the calls of the hashing step — a count, not a
+  stopwatch),
 - hit solutions and modeled cycle counts must be bit-identical to cold
   compiles of the same step,
 - the amortized host wall-clock over 10 solves must beat the
@@ -22,13 +24,15 @@ This bench is the cache's acceptance gate:
 
 import statistics
 import time
+from unittest import mock
 
 import numpy as np
 
 from repro.bench import cached_solve_wallclock, print_table, save_result
 from repro.graph import Engine
-from repro.graph.passes import compile_invocations, pass_invocations
-from repro.solvers import SolverSession, fingerprint_solve, matrix_hash_invocations, solve
+from repro.graph.passes import PassManager, compile_program
+from repro.solvers import SolverSession, fingerprint_solve, solve
+from repro.solvers.session import _hash_matrix
 from repro.sparse import poisson3d
 
 GRID = 16  # 4,096 rows — the Fig. 5 matrix family at laptop scale
@@ -80,47 +84,47 @@ def test_compile_cache_amortizes_time_stepping():
 
     session = SolverSession(crs, CONFIG, grid_dims=dims, tiles_per_ipu=TILES_PER_IPU)
     cached_results, cached_times = [], []
-    passes_at_hit_start = compiles_at_hit_start = None
-    hashes_at_start = matrix_hash_invocations()
-    x_prev = None
-    for i, b in enumerate(bs):
-        if i == 1:  # everything after step 0 must be served from the cache
-            passes_at_hit_start = pass_invocations()
-            compiles_at_hit_start = compile_invocations()
-        t0 = time.perf_counter()
-        result = session.solve(b, x0=x_prev)
-        cached_times.append(time.perf_counter() - t0)
-        cached_results.append(result)
-        x_prev = result.x
-    assert pass_invocations() == passes_at_hit_start
-    assert compile_invocations() == compiles_at_hit_start
-    # One content hash for ten steps: the nine hits key on the memo.
-    assert matrix_hash_invocations() == hashes_at_start + 1
+    with mock.patch("repro.solvers.session._hash_matrix", wraps=_hash_matrix) as hashes:
+        x_prev = None
+        with mock.patch.object(PassManager, "run", autospec=True,
+                               side_effect=PassManager.run) as passes, \
+                mock.patch("repro.tensordsl.context.compile_program",
+                           wraps=compile_program) as lowered:
+            for b in bs:
+                t0 = time.perf_counter()
+                result = session.solve(b, x0=x_prev)
+                cached_times.append(time.perf_counter() - t0)
+                cached_results.append(result)
+                x_prev = result.x
+        # Step 0 lowered the program; every later step was served from the cache.
+        assert (passes.call_count, lowered.call_count) == (1, 1)
+        # One content hash for ten steps: the nine hits key on the memo.
+        assert hashes.call_count == 1
 
-    cold_results, cold_times = [], []
-    x_prev = None
-    for b in bs:
-        t0 = time.perf_counter()
-        result = solve(crs, b, CONFIG, grid_dims=dims,
-                       tiles_per_ipu=TILES_PER_IPU, x0=x_prev)
-        cold_times.append(time.perf_counter() - t0)
-        cold_results.append(result)
-        x_prev = result.x
+        cold_results, cold_times = [], []
+        x_prev = None
+        for b in bs:
+            t0 = time.perf_counter()
+            result = solve(crs, b, CONFIG, grid_dims=dims,
+                           tiles_per_ipu=TILES_PER_IPU, x0=x_prev)
+            cold_times.append(time.perf_counter() - t0)
+            cold_results.append(result)
+            x_prev = result.x
 
-    # A hit must be indistinguishable from a cold compile — in the solution
-    # bytes and in the modeled cycle count.
-    for hit, cold in zip(cached_results, cold_results):
-        np.testing.assert_array_equal(hit.x, cold.x)
-        assert hit.cycles == cold.cycles
-        assert hit.stats.residuals == cold.stats.residuals
+        # A hit must be indistinguishable from a cold compile — in the solution
+        # bytes and in the modeled cycle count.
+        for hit, cold in zip(cached_results, cold_results):
+            np.testing.assert_array_equal(hit.x, cold.x)
+            assert hit.cycles == cold.cycles
+            assert hit.stats.residuals == cold.stats.residuals
 
-    stats = session.stats()
-    assert stats["misses"] == 1
-    assert stats["hits"] == STEPS - 1
-    assert stats["evictions"] == 0
+        stats = session.stats()
+        assert stats["misses"] == 1
+        assert stats["hits"] == STEPS - 1
+        assert stats["evictions"] == 0
 
-    stages = _staged_hit_ms(crs, dims, session.cache, bs[-1], cached_results[-2].x)
-    assert matrix_hash_invocations() == hashes_at_start + 1
+        stages = _staged_hit_ms(crs, dims, session.cache, bs[-1], cached_results[-2].x)
+    assert hashes.call_count == 1
 
     speedup = sum(cold_times) / sum(cached_times)
     hit_mean = sum(cached_times[1:]) / (STEPS - 1)

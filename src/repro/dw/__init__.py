@@ -13,7 +13,9 @@ Two arithmetic families are provided, mirroring the paper's TwoFloat library:
 - :mod:`repro.dw.lange_rump` — the faster, normalization-omitting algorithms
   in the style of Lange & Rump (ACM TOMS 2020).  Fewer flops, looser bounds.
 
-:mod:`repro.dw.eft` holds the error-free transforms both families build on,
+:mod:`repro.dw.eft` holds the error-free transforms both families build on
+(their low part is 0 wherever the high part is not finite, so an overflow
+is ``(±inf, 0)``),
 :mod:`repro.dw.scalar` and :mod:`repro.dw.array` wrap them in ergonomic
 scalar/NumPy-array containers, and :mod:`repro.dw.softfloat` is the
 software-emulated double-precision alternative (Sec. III-D).

@@ -10,6 +10,12 @@ we emulate FMA bit-exactly by widening to float64: a product of two 24-bit
 mantissas fits in 48 bits < 53, so ``float64(a) * float64(b)`` is exact and
 one float64 addition plus a final rounding to float32 rounds identically to a
 hardware FMA.  For float64 operands we fall back to Dekker splitting.
+
+Where the rounded result is not finite (an overflow, an infinite or NaN
+operand) there is no finite error term: the transforms return a low part of
+0 there, so a double word that overflows reads ``(±inf, 0)`` — a
+divergence — instead of the NaN that ``inf - inf`` would leave in its low
+part.  NaN still propagates through the high part.
 """
 
 from __future__ import annotations
@@ -32,26 +38,38 @@ def _dtype_of(a, b):
     return dt
 
 
+def _finite_lo(hi, lo):
+    """``lo``, with 0 wherever ``hi`` is not finite: the same object when
+    every ``hi`` is finite, else ``lo``'s dtype, and a scalar for a scalar."""
+    finite = np.isfinite(hi)
+    if finite.all():
+        return lo
+    out = np.where(finite, lo, np.zeros_like(lo))
+    return out[()] if out.ndim == 0 else out
+
+
 def two_sum(a, b):
     """Knuth's 2Sum: return ``(s, e)`` with ``s = fl(a + b)`` and ``a + b = s + e`` exactly.
 
-    Six flops, no magnitude precondition.
+    Six flops, no magnitude precondition.  ``e = 0`` where ``s`` is not
+    finite.
     """
     s = a + b
     bb = s - a
     e = (a - (s - bb)) + (b - bb)
-    return s, e
+    return s, _finite_lo(s, e)
 
 
 def fast_two_sum(a, b):
     """Dekker's Fast2Sum: like :func:`two_sum` but requires ``|a| >= |b|`` (or a == 0).
 
     Three flops.  The double-word algorithms only invoke it where the
-    precondition is guaranteed, so it is not checked here.
+    precondition is guaranteed, so it is not checked here.  ``e = 0`` where
+    ``s`` is not finite.
     """
     s = a + b
     e = b - (s - a)
-    return s, e
+    return s, _finite_lo(s, e)
 
 
 def split(a):
@@ -88,17 +106,18 @@ def two_prod(a, b):
     """2Prod: return ``(p, e)`` with ``p = fl(a * b)`` and ``a * b = p + e`` exactly.
 
     Uses the FMA formulation ``e = fma(a, b, -p)`` for float32 (2 flops on
-    hardware) and Dekker's 17-flop splitting product for float64.
+    hardware) and Dekker's 17-flop splitting product for float64.  ``e = 0``
+    where ``p`` is not finite.
     """
     dt = _dtype_of(a, b)
     p = a * b
     if np.dtype(dt) == np.dtype(np.float32):
         e = fma(a, b, -p)
-        return p, e
-    ah, al = split(a)
-    bh, bl = split(b)
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, e
+    else:
+        ah, al = split(a)
+        bh, bl = split(b)
+        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p, _finite_lo(p, e)
 
 
 def from_float64(values):

@@ -27,10 +27,8 @@ from repro.graph.passes.base import (
     PassManager,
     PassReport,
     PassResult,
-    compile_invocations,
     compile_program,
     default_passes,
-    pass_invocations,
     rewrite_bottom_up,
 )
 from repro.graph.passes.coalesce import CoalesceExchanges
@@ -55,9 +53,7 @@ __all__ = [
     "PassResult",
     "CompiledProgram",
     "compile_program",
-    "compile_invocations",
     "default_passes",
-    "pass_invocations",
     "rewrite_bottom_up",
     "FlattenSequences",
     "HoistLoopInvariants",

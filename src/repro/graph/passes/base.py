@@ -35,26 +35,7 @@ __all__ = [
     "compile_program",
     "default_passes",
     "rewrite_bottom_up",
-    "pass_invocations",
-    "compile_invocations",
 ]
-
-#: Process-wide counters: how many individual pass applications and full
-#: ``compile_program`` lowerings have run.  The compile cache's tests (and
-#: its acceptance criterion) assert these do NOT move on a cache hit — a hit
-#: must reuse the lowered artifact, not re-lower it.
-_PASS_INVOCATIONS = 0
-_COMPILE_INVOCATIONS = 0
-
-
-def pass_invocations() -> int:
-    """Total individual ``Pass.run`` applications in this process."""
-    return _PASS_INVOCATIONS
-
-
-def compile_invocations() -> int:
-    """Total ``compile_program`` lowerings in this process."""
-    return _COMPILE_INVOCATIONS
 
 
 def rewrite_bottom_up(step: Step, fn, memo: dict | None = None) -> Step:
@@ -189,12 +170,10 @@ class PassManager:
         self.passes = list(passes) if passes is not None else default_passes()
 
     def run(self, root: Step) -> tuple[Step, PassReport]:
-        global _PASS_INVOCATIONS
         report = PassReport()
         stats = collect_stats(root) if self.passes else None
         for p in self.passes:
             root = p.run(root)
-            _PASS_INVOCATIONS += 1
             before, stats = stats, collect_stats(root)
             report.results.append(PassResult(p.name, before, stats))
         return root, report
@@ -272,8 +251,6 @@ def compile_program(graph, root: Step, passes=None, optimize: bool = True) -> Co
     from repro.graph.passes.kernels import build_kernels
     from repro.graph.passes.plans import build_plans
 
-    global _COMPILE_INVOCATIONS
-    _COMPILE_INVOCATIONS += 1
     manager = PassManager([] if not optimize else passes)
     optimized, report = manager.run(root)
     # The report's first and last tallies are the source and optimized ones.

@@ -5,7 +5,7 @@ The paper's premise is amortized compilation: build a solver graph once
 per sparsity structure, then solve many right-hand sides against it.  This
 package is the serving half of that premise (ROADMAP item 1): a
 long-running :class:`SolverService` that admits solve jobs from multiple
-tenants, runs them on a worker pool over one process-wide
+tenants, runs them on a worker pool over one shared
 :class:`~repro.solvers.ProgramCache`, and degrades gracefully instead of
 falling over — bounded queue + typed rejections, per-tenant quotas,
 per-job deadlines (cooperative, mid-solve), seeded deterministic retries,

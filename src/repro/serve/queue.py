@@ -22,15 +22,12 @@ callbacks), so it needs no lock of its own — unlike the cross-thread
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError, ServiceOverloadError
 
 __all__ = ["Job", "JobResult", "FairQueue"]
-
-_job_ids = itertools.count(1)
 
 
 @dataclass
@@ -60,7 +57,8 @@ class Job:
     batchable: bool = False
 
     # -- filled in by the service ---------------------------------------------------
-    id: int = field(default_factory=lambda: next(_job_ids))
+    #: Admission order within the service (from 1; 0 = not admitted).
+    id: int = 0
     #: Structure fingerprint of attempt 0 (circuit-breaker key).
     fingerprint: str = ""
     #: Coalescing key: jobs sharing a ``batch_key`` may ride one stacked

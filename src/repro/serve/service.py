@@ -3,7 +3,7 @@
 The paper's solvers are amortized-compile engines — setup once, solve many
 — and this module is the "solve many, for many tenants" layer (ROADMAP
 item 1): a long-running asyncio service that accepts solve jobs, runs them
-on a thread worker pool over one process-wide structure-keyed
+on a thread worker pool over one structure-keyed
 :class:`~repro.solvers.ProgramCache`, and is robust by construction:
 
 - **Admission control** — a bounded tenant-fair queue
@@ -43,9 +43,10 @@ on a thread worker pool over one process-wide structure-keyed
 
 Solves execute in a :class:`~concurrent.futures.ThreadPoolExecutor` so the
 event loop stays responsive for admission and shutdown while numerics run.
-Jobs that share a structure fingerprint serialize on a per-fingerprint
-lock (cache entries are stateful — :attr:`~repro.solvers.CompiledSolve`);
-distinct structures run concurrently.
+The service holds no execution lock of its own: dispatches that share a
+cache entry take turns on the cache's
+(:meth:`~repro.solvers.ProgramCache.lock`, held by every cached
+:func:`~repro.solvers.solve`), and distinct structures run concurrently.
 
 Serving is *observational*: a served result is bit-identical — solution,
 residual history, cycles — to a direct :func:`repro.solvers.solve` call
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -115,16 +117,15 @@ class SolverService:
             raise ReproError("SolverService needs at least 1 worker")
         self.policy = policy if policy is not None else ServicePolicy()
         self.workers = int(workers)
-        #: The process-wide structure-keyed compile cache shared by every
-        #: tenant (thread-safe since this PR).
+        #: The structure-keyed compile cache shared by every tenant; it
+        #: also serializes the runs of each entry.
         self.cache = cache if cache is not None else ProgramCache()
         self.metrics = metrics  # MetricsRegistry or None
         self.breaker = CircuitBreaker(self.policy.breaker_threshold,
                                       self.policy.breaker_cooldown)
         self._buckets: dict[str, TokenBucket] = {}
         self._queue = FairQueue(self.policy.max_queue_depth)
-        self._struct_locks: dict[str, threading.Lock] = {}
-        self._struct_locks_guard = threading.Lock()
+        self._job_ids = itertools.count(1)
         bp = self.policy.batch
         self._assembler = (BatchAssembler(bp)
                            if bp is not None and bp.enabled else None)
@@ -268,7 +269,7 @@ class SolverService:
                                          retry_after=bucket.retry_after())
 
         job = Job(
-            matrix=matrix, b=b, config=config, tenant=tenant,
+            id=next(self._job_ids), matrix=matrix, b=b, config=config, tenant=tenant,
             deadline=None if deadline is None else now + float(deadline),
             seed=int(seed), x0=x0, inject_faults=inject_faults,
             resilience=resilience, solve_kwargs=dict(solve_kwargs),
@@ -337,14 +338,11 @@ class SolverService:
         ):
             self.metrics.gauge(name, help_text).set(value)
 
-    def _fingerprint(self, job: Job, config, batch: int | None = None) -> str:
-        """The structure key solve() will use for this job's cache entry —
-        also the circuit-breaker key and the execution-serialization key.
-        ``batch`` overrides the RHS width (the batched dispatch keys on the
-        padded bucket width, not the job's own 1-D shape)."""
-        if batch is None:
-            b = np.asarray(job.b)
-            batch = b.shape[0] if b.ndim == 2 else 1
+    def _fingerprint(self, job: Job, config) -> str:
+        """The structure key solve() will use for this job's cache entry when
+        it runs alone — the circuit-breaker and batch key."""
+        b = np.asarray(job.b)
+        batch = b.shape[0] if b.ndim == 2 else 1
         structure = {k: v for k, v in job.solve_kwargs.items()
                      if k in STRUCTURAL_SOLVE_KWARGS}
         return fingerprint_solve(job.matrix, config, **structure,
@@ -361,13 +359,6 @@ class SolverService:
                 and job.inject_faults is None and job.resilience is None
                 and batchable_solve_kwargs(job.solve_kwargs)
                 and config_supports_batch(config))
-
-    def _struct_lock(self, fingerprint: str) -> threading.Lock:
-        with self._struct_locks_guard:
-            lock = self._struct_locks.get(fingerprint)
-            if lock is None:
-                lock = self._struct_locks[fingerprint] = threading.Lock()
-            return lock
 
     def _job_done(self, job: Job, outcome: str) -> None:
         if self.metrics is not None:
@@ -491,11 +482,7 @@ class SolverService:
         pol = self.policy.batch
         bucket = (batch_bucket(width, pol.max_batch) if width > 1 and pol.bucket
                   else width)
-        if width == 1:  # a batch of one runs the classic single-RHS program
-            fingerprint = (lead.fingerprint if lead.attempt == 0
-                           else self._fingerprint(lead, config))
-        else:
-            fingerprint = self._fingerprint(lead, config, batch=bucket)
+        if width > 1:  # a batch of one runs the classic single-RHS program
             with self._state_lock:
                 self.counts["batches"] += 1
                 self.counts["coalesced"] += width - 1
@@ -510,8 +497,7 @@ class SolverService:
         result = error = None
         try:
             result = await self._loop.run_in_executor(
-                self._executor, self._solve_attempt,
-                live, config, fingerprint, remaining, bucket)
+                self._executor, self._solve_attempt, live, config, remaining, bucket)
         except JobTimeoutError as exc:
             self._timed_out(pending, exc, time.perf_counter() - t0, width)
             return
@@ -573,8 +559,8 @@ class SolverService:
                 job.redispatches += 1
                 self._requeue(job)
 
-    def _solve_attempt(self, jobs: list, config, fingerprint: str,
-                       remaining: float | None, bucket: int):
+    def _solve_attempt(self, jobs: list, config, remaining: float | None,
+                       bucket: int):
         """One attempt, on a worker thread.
 
         A lone job solves its own ``b``/``x0`` (with its fault and
@@ -582,11 +568,9 @@ class SolverService:
         sides — zero rows pad up to the cache bucket, inert columns with
         ``||b|| = 0`` that the masked loop retires at iteration 0 — and a
         job without an ``x0`` gets a zero row, identical to the build-time
-        initial image its single-RHS solve would start from.
-
-        Holds the structure lock: cache entries are stateful, so two
-        dispatches sharing a fingerprint must not prepare/run the same
-        entry concurrently; distinct structures proceed in parallel.
+        initial image its single-RHS solve would start from.  Two
+        dispatches of one structure take turns inside ``solve`` on the
+        cache entry's execution lock.
         """
         lead = jobs[0]
         b, x0 = lead.b, lead.x0
@@ -599,16 +583,15 @@ class SolverService:
                 b[j] = np.asarray(job.b, dtype=np.float64)
                 if job.x0 is not None:
                     x0[j] = np.asarray(job.x0, dtype=np.float64)
-        with self._struct_lock(fingerprint):
-            return solve(
-                lead.matrix, b, config,
-                x0=x0,
-                cache=self.cache,
-                max_wall_seconds=remaining,
-                inject_faults=lead.inject_faults,
-                resilience=lead.resilience,
-                **lead.solve_kwargs,
-            )
+        return solve(
+            lead.matrix, b, config,
+            x0=x0,
+            cache=self.cache,
+            max_wall_seconds=remaining,
+            inject_faults=lead.inject_faults,
+            resilience=lead.resilience,
+            **lead.solve_kwargs,
+        )
 
     def _settle(self, job: Job, result, failure: str | None,
                 error: ReproError | None, width: int) -> None:

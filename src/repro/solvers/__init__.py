@@ -25,10 +25,8 @@ from repro.solvers.session import (
     CompiledSolve,
     ProgramCache,
     SolverSession,
-    default_cache,
     fingerprint_matrix,
     fingerprint_solve,
-    matrix_hash_invocations,
 )
 
 __all__ = [
@@ -55,10 +53,8 @@ __all__ = [
     "CompiledSolve",
     "ProgramCache",
     "SolverSession",
-    "default_cache",
     "fingerprint_matrix",
     "fingerprint_solve",
-    "matrix_hash_invocations",
     "SOLVERS",
     "build_solver",
     "load_config",

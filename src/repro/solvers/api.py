@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
@@ -39,7 +40,7 @@ from repro.solvers.resilience import (
     ResilienceReport,
     RollbackSignal,
 )
-from repro.solvers.session import CompiledSolve, fingerprint_solve, resolve_cache
+from repro.solvers.session import CompiledSolve, ProgramCache, fingerprint_solve
 from repro.sparse.crs import ModifiedCRS
 from repro.sparse.distribute import DistributedMatrix
 from repro.sparse.partition import grid_factors
@@ -455,15 +456,9 @@ class _Restarts:
 
 
 def _acquire(at, matrix, b, b64, config, layout: dict, rs: _Restarts, *,
-             pcache, rconfig, optimize: bool, backend: str, batch: int, tracer):
+             pcache, key, rconfig, optimize: bool, batch: int, tracer):
     """Stage 3: a cache hit, or build + compile (+ capture into the cache)."""
-    entry = key = None
-    if pcache is not None:
-        key = fingerprint_solve(
-            matrix, config, **layout, num_tiles=rs.num_tiles, optimize=optimize,
-            backend=backend, resilient=rconfig is not None, batch=batch,
-        )
-        entry = pcache.get(key)
+    entry = pcache.get(key) if pcache is not None else None
     if entry is None:
         at.monitor = ResilienceMonitor(rconfig) if rconfig is not None else None
         t_build = time.perf_counter()
@@ -732,13 +727,15 @@ def solve(
     ``SolveResult.resilience`` with a
     :class:`~repro.solvers.resilience.ResilienceReport`.
 
-    ``cache`` enables the structure-keyed compile cache
-    (``docs/performance.md``): ``True`` uses the process-wide
-    :class:`~repro.solvers.session.ProgramCache`, or pass your own
-    instance.  A hit rebinds ``b``/``x0`` into the cached
+    ``cache`` is ``None`` or a :class:`~repro.solvers.session.ProgramCache`
+    (anything else raises ``TypeError``): the structure-keyed compile cache
+    (``docs/performance.md``).  A hit rebinds ``b``/``x0`` into the cached
     :class:`~repro.graph.CompiledProgram` and re-executes it — no passes
     re-run, and solution *and* cycles are bit-identical to a cold
-    compile.  An explicit ``device`` disables caching (the cached shards
+    compile.  The solve holds the entry's execution lock
+    (:meth:`~repro.solvers.session.ProgramCache.lock`) from the lookup to
+    the returned result, so threads sharing a cache take turns per
+    structure.  An explicit ``device`` disables caching (the cached shards
     live on a cache-owned device).  Repeated-solve callers should prefer
     :class:`~repro.solvers.session.SolverSession`.
 
@@ -770,57 +767,65 @@ def solve(
     b64 = np.asarray(b, dtype=np.float64)
     progress = _progress_hook(t_wall0, max(1, int(progress_every)), obs.mreg, on_progress)
     tick = _deadline_tick(t_wall0, deadline)
-    pcache = resolve_cache(cache)
-    if device is not None:
-        # A caller-owned device would end up holding cache-owned shards;
-        # every entry builds on a fresh device instead.
-        pcache = None
+    if cache is not None and not isinstance(cache, ProgramCache):
+        raise TypeError(f"cannot interpret cache={cache!r} (None or a ProgramCache)")
+    # A caller-owned device would end up holding cache-owned shards; every
+    # entry builds on a fresh device instead.
+    pcache = cache if device is None else None
     layout = dict(num_ipus=num_ipus, tiles_per_ipu=tiles_per_ipu, grid_dims=grid_dims,
                   blockwise_halo=blockwise_halo)
     rs = _Restarts(num_tiles=num_tiles, device=device, x0=x0)
 
     while True:
-        # One pass, filled stage by stage — so the OOM handler sees
-        # whatever exists when the build or the run raised.
-        at = SimpleNamespace(monitor=None, injector=None, device=None, solver=None,
-                             engine=None)
-        try:
-            _acquire(at, matrix, b, b64, config, layout, rs, pcache=pcache,
-                     rconfig=rconfig, optimize=optimize, backend=backend,
-                     batch=batch, tracer=obs.tracer)
-            _arm(at, plan, rs, backend, obs, progress, tick)
-            aborted = _run_under_recovery(at, matrix, b64, obs.tracer)
-        except JobTimeoutError as exc:
-            # Deadline fired from inside the engine (or just before it),
-            # so the solver exists: hand the caller the partial
-            # convergence record with the typed error.
-            exc.solver = at.solver.name
-            exc.stats = at.solver.stats.copy()
-            raise
-        except SRAMOverflowError:
-            if rconfig is None or not rconfig.degrade_on_oom or not rs.degrade(
-                at, rconfig, matrix, num_ipus * tiles_per_ipu
-            ):
+        key = None if pcache is None else fingerprint_solve(
+            matrix, config, **layout, num_tiles=rs.num_tiles, optimize=optimize,
+            backend=backend, resilient=rconfig is not None, batch=batch,
+        )
+        # prepare() and the run overwrite the entry's buffers, and the result
+        # is read out of them: one solve per entry from lookup to result.
+        # An OOM restart keys a new entry, so each attempt takes its own.
+        with pcache.lock(key) if pcache is not None else nullcontext():
+            # One pass, filled stage by stage — so the OOM handler sees
+            # whatever exists when the build or the run raised.
+            at = SimpleNamespace(monitor=None, injector=None, device=None, solver=None,
+                                 engine=None)
+            try:
+                _acquire(at, matrix, b, b64, config, layout, rs, pcache=pcache, key=key,
+                         rconfig=rconfig, optimize=optimize, batch=batch,
+                         tracer=obs.tracer)
+                _arm(at, plan, rs, backend, obs, progress, tick)
+                aborted = _run_under_recovery(at, matrix, b64, obs.tracer)
+            except JobTimeoutError as exc:
+                # Deadline fired from inside the engine (or just before it),
+                # so the solver exists: hand the caller the partial
+                # convergence record with the typed error.
+                exc.solver = at.solver.name
+                exc.stats = at.solver.stats.copy()
                 raise
-            continue
-        if at.monitor is not None:
-            rs.monitors.append(at.monitor)
-        break
+            except SRAMOverflowError:
+                if rconfig is None or not rconfig.degrade_on_oom or not rs.degrade(
+                    at, rconfig, matrix, num_ipus * tiles_per_ipu
+                ):
+                    raise
+                continue
+            if at.monitor is not None:
+                rs.monitors.append(at.monitor)
 
-    x, rels = _readback(at, matrix, b64)
-    failure = aborted if aborted is not None else at.solver.classify_failure(at.engine)
-    at.solver.stats.failure = failure
-    report = rs.report(at, failure, rconfig) if rconfig is not None or plan is not None else None
+            x, rels = _readback(at, matrix, b64)
+            failure = aborted if aborted is not None else at.solver.classify_failure(at.engine)
+            at.solver.stats.failure = failure
+            report = (rs.report(at, failure, rconfig)
+                      if rconfig is not None or plan is not None else None)
 
-    if obs.tracer is not None:
-        obs.tracer.convergence(at.solver.stats)
-        if report is not None:
-            obs.tracer.resilience(report)
-        if obs.trace_path is not None:
-            obs.tracer.to_chrome(obs.trace_path)
+            if obs.tracer is not None:
+                obs.tracer.convergence(at.solver.stats)
+                if report is not None:
+                    obs.tracer.resilience(report)
+                if obs.trace_path is not None:
+                    obs.tracer.to_chrome(obs.trace_path)
 
-    if rconfig is not None and rconfig.raise_on_failure and failure is not None:
-        name = at.solver.name
-        raise failure_error(failure, name, solver=name,
-                            iteration=at.solver.stats.total_iterations)
-    return _finalize(at, x, rels, batch, rs, report, obs, pcache, t_wall0)
+            if rconfig is not None and rconfig.raise_on_failure and failure is not None:
+                name = at.solver.name
+                raise failure_error(failure, name, solver=name,
+                                    iteration=at.solver.stats.total_iterations)
+            return _finalize(at, x, rels, batch, rs, report, obs, pcache, t_wall0)

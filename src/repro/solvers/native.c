@@ -394,16 +394,23 @@ enum { F64_TO_F32 = 14, F32_TO_F64, F32_TO_DW, F64_TO_DW, DW_TO_F32, DW_TO_F64, 
 
 typedef struct { float h, l; } dw;
 
+/* An error-free transform's pair: its low part is 0 wherever the rounded
+ * result is not finite (repro.dw.eft), as split64's. */
+static inline dw eft(float hi, float lo)
+{
+    return (dw){hi, isfinite(hi) ? lo : 0.0f};
+}
+
 static inline dw two_sum(float a, float b)
 {
     float s = a + b, bb = s - a;
-    return (dw){s, (a - (s - bb)) + (b - bb)};
+    return eft(s, (a - (s - bb)) + (b - bb));
 }
 
 static inline dw fast_two_sum(float a, float b)
 {
     float s = a + b;
-    return (dw){s, b - (s - a)};
+    return eft(s, b - (s - a));
 }
 
 static inline float fma32(float a, float b, float c)
@@ -414,7 +421,7 @@ static inline float fma32(float a, float b, float c)
 static inline dw two_prod(float a, float b)
 {
     float p = a * b;
-    return (dw){p, fma32(a, b, -p)};
+    return eft(p, fma32(a, b, -p));
 }
 
 /* The double word nearest w: lo = 0 wherever hi is not finite

@@ -13,7 +13,8 @@ the analogue for the simulated pipeline:
   strategy, the optimization setting, and the runtime backend,
 - :class:`ProgramCache` — an LRU map from fingerprint to a ready-to-run
   :class:`CompiledSolve`, with hit/miss/eviction counters that surface in
-  telemetry and the CLI,
+  telemetry and the CLI, and one execution lock per fingerprint that the
+  solves of a structure take turns on,
 - :class:`CompiledSolve` — one built-and-lowered solver program plus a
   snapshot of every graph variable's initial storage; ``prepare``
   restores that snapshot (one array assignment per variable) and rebinds a
@@ -40,6 +41,7 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,11 +54,8 @@ __all__ = [
     "ProgramCache",
     "SolverSession",
     "batch_bucket",
-    "default_cache",
     "fingerprint_matrix",
     "fingerprint_solve",
-    "matrix_hash_invocations",
-    "resolve_cache",
 ]
 
 
@@ -85,16 +84,6 @@ def batch_bucket(batch: int, max_batch: int) -> int:
 
 _HASHED_ARRAYS = ("row_ptr", "col_idx", "diag", "values")
 
-#: Process-wide counter: how many times a matrix's bytes were actually
-#: hashed.  A time-stepping session must move it once, not once per step
-#: (``benchmarks/bench_compile_cache.py`` asserts that).
-_MATRIX_HASH_INVOCATIONS = 0
-
-
-def matrix_hash_invocations() -> int:
-    """Total full content hashes of a matrix in this process."""
-    return _MATRIX_HASH_INVOCATIONS
-
 
 def fingerprint_matrix(matrix) -> str:
     """Content hash of a :class:`~repro.sparse.crs.ModifiedCRS` matrix.
@@ -114,7 +103,6 @@ def fingerprint_matrix(matrix) -> str:
     writeable) re-hashes on every call, frozen again or not.  Two threads
     racing the first hash both compute the same digest; neither waits.
     """
-    global _MATRIX_HASH_INVOCATIONS
     arrays = tuple(getattr(matrix, name) for name in _HASHED_ARRAYS)
     immutable = all(
         isinstance(arr.base, bytes) and not arr.flags.writeable for arr in arrays
@@ -122,18 +110,24 @@ def fingerprint_matrix(matrix) -> str:
     memo = matrix.__dict__.get("_fingerprint")
     if memo is not None and immutable and all(a is b for a, b in zip(memo[1], arrays)):
         return memo[0]
-    _MATRIX_HASH_INVOCATIONS += 1
+    digest = _hash_matrix(matrix.n, arrays)
+    if immutable:
+        matrix._fingerprint = (digest, arrays)
+    return digest
+
+
+def _hash_matrix(n: int, arrays: tuple) -> str:
+    """The SHA-256 of a matrix's size and arrays: the one place its bytes
+    are read (a time-stepping session must reach it once, not once per
+    step)."""
     h = hashlib.sha256()
-    h.update(f"n={matrix.n}".encode())
+    h.update(f"n={n}".encode())
     for name, arr in zip(_HASHED_ARRAYS, arrays):
         arr = np.ascontiguousarray(arr)
         h.update(name.encode())
         h.update(arr.dtype.str.encode())
         h.update(arr.tobytes())
-    digest = h.hexdigest()
-    if immutable:
-        matrix._fingerprint = (digest, arrays)
-    return digest
+    return h.hexdigest()
 
 
 def fingerprint_solve(
@@ -187,7 +181,10 @@ class CompiledSolve:
     variable's flat storage taken *before* the first execution.
     :meth:`prepare` rolls the device back to that image, which is what
     makes a re-run bit-identical to the first run (the program itself is
-    never mutated by execution; only the storage is).
+    never mutated by execution; only the storage is).  So an entry runs one
+    solve at a time: its :class:`ProgramCache` owns the execution lock,
+    :meth:`ProgramCache.lock`, which :func:`~repro.solvers.solve` holds
+    from the lookup to the finished result.
     """
 
     key: str
@@ -203,13 +200,6 @@ class CompiledSolve:
     initial_state: dict = field(default_factory=dict, repr=False)
     #: Bytes this entry pins: every variable's flat storage plus its snapshot.
     nbytes: int = 0
-    #: Execution lock: an entry is *stateful* (``prepare`` + the run mutate
-    #: its shard arrays in place), so concurrent executors sharing one
-    #: cache must hold this around prepare-and-run.  The serving runtime
-    #: (``repro.serve``) serializes per structure through it; the cache's
-    #: own lock only protects the LRU map, never a running solve.
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False,
-                                 compare=False)
 
     @classmethod
     def capture(cls, key, ctx, solver, xvec, bvec, device, compiled,
@@ -272,13 +262,17 @@ class CompiledSolve:
 class ProgramCache:
     """LRU cache of :class:`CompiledSolve` entries keyed by fingerprint.
 
-    Thread/task-safe: every map operation (get/put/evict/clear) and every
+    Thread-safe: every map operation (get/put/evict/clear) and every
     hit/miss/eviction counter update happens under one internal ``RLock``,
-    so a cross-tenant cache shared by the serving runtime's worker pool
-    (``docs/serving.md``) never corrupts its LRU order or under-counts.
-    The lock covers the *map only* — executing a cached entry mutates that
-    entry's shard arrays, which concurrent executors must serialize through
-    :attr:`CompiledSolve.lock` instead.
+    so a cache shared by threads — a :class:`SolverSession`, or the serving
+    runtime's worker pool (``docs/serving.md``) — never corrupts its LRU
+    order or under-counts.
+
+    Executing an entry overwrites its shard arrays, so the cache also
+    serializes the runs: :meth:`lock` is one execution lock per
+    fingerprint, held by :func:`~repro.solvers.solve` from the lookup to
+    the finished result.  Solves of one structure take turns (a cold burst
+    builds once, and the rest hit); distinct structures run concurrently.
     """
 
     def __init__(self, capacity: int = 8):
@@ -287,9 +281,33 @@ class ProgramCache:
         self.capacity = capacity
         self._entries: OrderedDict[str, CompiledSolve] = OrderedDict()
         self._lock = threading.RLock()
+        #: fingerprint -> [execution lock, threads holding or awaiting it].
+        self._runs: dict[str, list] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+
+    @contextmanager
+    def lock(self, key: str):
+        """Hold ``key``'s execution lock for the ``with`` block.
+
+        Independent of the LRU map: an evicted entry's lock still
+        serializes whoever holds it, and a lock is dropped only once no
+        thread holds or awaits it.
+        """
+        with self._lock:
+            run = self._runs.get(key)
+            if run is None:
+                run = self._runs[key] = [threading.Lock(), 0]
+            run[1] += 1
+        try:
+            with run[0]:
+                yield
+        finally:
+            with self._lock:
+                run[1] -= 1
+                if not run[1]:
+                    del self._runs[key]
 
     def get(self, key: str) -> CompiledSolve | None:
         """Look up ``key``; counts a hit (and refreshes LRU order) or a miss."""
@@ -341,27 +359,6 @@ class ProgramCache:
         )
 
 
-#: Process-wide cache used by ``solve(..., cache=True)`` and the CLI.
-_DEFAULT_CACHE = ProgramCache()
-
-
-def default_cache() -> ProgramCache:
-    """The process-wide :class:`ProgramCache` (``solve(..., cache=True)``)."""
-    return _DEFAULT_CACHE
-
-
-def resolve_cache(cache) -> ProgramCache | None:
-    """``None``/``False`` → caching off; ``True`` → the process-wide
-    default; a :class:`ProgramCache` → itself."""
-    if cache is None or cache is False:
-        return None
-    if cache is True:
-        return _DEFAULT_CACHE
-    if isinstance(cache, ProgramCache):
-        return cache
-    raise TypeError(f"cannot interpret cache={cache!r} (True/False/ProgramCache)")
-
-
 class SolverSession:
     """A reusable solve pipeline pinned to one (matrix, config, shape).
 
@@ -370,7 +367,8 @@ class SolverSession:
     :class:`~repro.graph.CompiledProgram` and re-executes it — no symbolic
     execution, no compiler passes, no re-partitioning.  Per-call keyword
     overrides are allowed (e.g. a different ``num_tiles``) and simply key
-    a different cache entry.
+    a different cache entry.  Threads may share a session: their solves
+    take turns on the compiled program (:meth:`ProgramCache.lock`).
 
         session = SolverSession(matrix, "cg", grid_dims=(40, 40))
         for b in rhs_stream:

@@ -34,17 +34,7 @@ from repro.solvers import native
 from repro.sparse.distribute import RowSegments
 from repro.sparse.levelset import LevelSchedule
 
-__all__ = ["SweepPlan", "build_sweep", "merged_invocations", "native_sweep"]
-
-
-#: Process-wide count of :meth:`SweepPlan.merged` calls (the cache tests
-#: assert a compiled program merges its plans once, not once per hit).
-_MERGED_INVOCATIONS = 0
-
-
-def merged_invocations() -> int:
-    """Total :meth:`SweepPlan.merged` calls in this process."""
-    return _MERGED_INVOCATIONS
+__all__ = ["SweepPlan", "build_sweep", "native_sweep"]
 
 
 def _buffer(a, name: str, size: int, writable: bool = False) -> int:
@@ -120,8 +110,6 @@ class SweepPlan:
         a sweep over the concatenated vectors equals the per-plan sweeps
         bit for bit.
         """
-        global _MERGED_INVOCATIONS
-        _MERGED_INVOCATIONS += 1
         rows, cols, vals, counts, row_level = [], [], [], [], []
         for i, p in enumerate(plans):
             rows.append(p.rows + row_offsets[i])

@@ -52,7 +52,6 @@ __all__ = [
     "native_dw_eval",
     "vector_f32",
     "assignment_evaluator",
-    "expr_compilations",
     "elementwise_group",
     "partial_reduce_group",
     "combine_codelet",
@@ -484,16 +483,6 @@ def _f32_buffer(array, size, name: str) -> None:
                         + ("" if size is None else f" of {size} elements"))
 
 
-#: Process-wide count of expression trees :func:`compile_expr` has compiled
-#: (the tests assert a build compiles each tree once and a cache hit none).
-_COMPILATIONS = 0
-
-
-def expr_compilations() -> int:
-    """Total expression trees compiled by :func:`compile_expr` in this process."""
-    return _COMPILATIONS
-
-
 def compile_expr(expr: Expr) -> Program:
     """The :class:`Program` of ``expr``: its value in ``expr.dtype``
     representation.
@@ -510,8 +499,6 @@ def compile_expr(expr: Expr) -> Program:
     """
     program = vars(expr).get("_program")
     if program is None:
-        global _COMPILATIONS
-        _COMPILATIONS += 1
         program = vars(expr)["_program"] = _program_of(expr)
     return program
 

@@ -12,6 +12,7 @@ cycle-domain observers with a typed error before anything is built.
 """
 
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -510,13 +511,14 @@ def test_untimed_backend_rejects_cycle_domain_observers():
     ({"backend": "nope"}, None),
 ], ids=["trace", "inject_faults", "unknown-name"])
 def test_solve_rejects_a_wrong_backend_before_building_anything(kwargs, capability):
-    from repro.graph.passes import pass_invocations
+    from repro.graph.passes import compile_program
 
     crs, dims = poisson3d(6)
-    before = pass_invocations()
-    with pytest.raises(BackendCapabilityError) as err:
+    with mock.patch("repro.tensordsl.context.compile_program",
+                    wraps=compile_program) as lowered, \
+            pytest.raises(BackendCapabilityError) as err:
         solve(crs, np.ones(crs.n), CG, grid_dims=dims, tiles_per_ipu=4, **kwargs)
-    assert pass_invocations() == before  # failed at the door, not after the build
+    assert lowered.call_count == 0  # failed at the door, not after the build
     assert err.value.backend == kwargs["backend"]
     assert err.value.capability == capability
     if capability is None:

@@ -7,6 +7,7 @@ coalescing unchanged (docs/serving.md, "Dynamic batching").
 """
 
 import asyncio
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -217,12 +218,11 @@ class TestDeadlinesInBatches:
                 svc._now = lambda: clock[0]
                 attempt = svc._solve_attempt
 
-                def gated(jobs, config, fingerprint, remaining, bucket):
+                def gated(jobs, config, remaining, bucket):
                     if remaining is not None:
                         clock[0] += remaining
                         remaining = 1e-9
-                    return attempt(jobs, config, fingerprint, remaining,
-                                   bucket)
+                    return attempt(jobs, config, remaining, bucket)
 
                 svc._solve_attempt = gated
                 doomed = svc.submit(CRS, bs[0], CONFIG, tenant="t",
@@ -345,7 +345,7 @@ class TestAdmissionValidation:
         """An unknown backend name, or a cycle-domain observer on the
         untimed backend, is a caller error: rejected at ``submit`` before
         anything is compiled, not admitted and booked as a worker fault."""
-        from repro.graph.passes import pass_invocations
+        from repro.graph.passes import compile_program
 
         good = _bs(1)[0]
         cases = [
@@ -359,11 +359,12 @@ class TestAdmissionValidation:
             # would turn the good job below into a QuotaExceededError.
             policy = ServicePolicy(quota_rate=0.0, quota_burst=1.0)
             async with SolverService(workers=1, policy=policy) as svc:
-                before = pass_invocations()
-                for kw in cases:
-                    with pytest.raises(BackendCapabilityError):
-                        svc.submit(CRS, good, CONFIG, grid_dims=DIMS, **kw)
-                assert pass_invocations() == before
+                with mock.patch("repro.tensordsl.context.compile_program",
+                                wraps=compile_program) as lowered:
+                    for kw in cases:
+                        with pytest.raises(BackendCapabilityError):
+                            svc.submit(CRS, good, CONFIG, grid_dims=DIMS, **kw)
+                assert lowered.call_count == 0
                 ok = await self._submit(svc, good).future
                 return ok, svc.accounting()
 

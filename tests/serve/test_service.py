@@ -311,6 +311,22 @@ class TestLifecycle:
 
         assert run(go()).reason == "shutting_down"
 
+    def test_job_ids_are_unique_and_increasing_per_service(self):
+        """Each service numbers its own jobs from 1: no counter is shared
+        between services, and a result carries its job's id."""
+        async def go():
+            out = []
+            for _ in range(2):
+                async with SolverService(workers=1) as svc:
+                    jobs = [svc.submit(CRS, B, "cg", grid_dims=DIMS, backend="fused")
+                            for _ in range(3)]
+                    results = [await job.future for job in jobs]
+                out.append(([j.id for j in jobs], [r.job_id for r in results]))
+            return out
+
+        for ids, result_ids in run(go()):
+            assert ids == result_ids == [1, 2, 3]
+
     def test_repr_tracks_state(self):
         async def go():
             svc = SolverService(workers=1)

@@ -1,20 +1,28 @@
 """Concurrent access to the structure-keyed compile cache.
 
-The serving runtime (``repro.serve``) shares one process-wide
-:class:`~repro.solvers.ProgramCache` across a worker pool, so the LRU map
-and its hit/miss/eviction counters must survive concurrent get/put/evict
-traffic (docs/serving.md).  Entry *execution* stays serialized through
-:attr:`~repro.solvers.CompiledSolve.lock` — also exercised here.
+A :class:`~repro.solvers.ProgramCache` is shared by threads — a
+:class:`~repro.solvers.SolverSession` called from several of them, or the
+serving runtime's worker pool (docs/serving.md) — so the LRU map and its
+hit/miss/eviction counters must survive concurrent get/put/evict traffic.
+A cached entry's buffers are overwritten in place by ``prepare`` and the
+run, so the cache also owns one execution lock per fingerprint
+(:meth:`~repro.solvers.ProgramCache.lock`), which every cached ``solve``
+holds from the lookup to its result: a concurrent solve observes only
+itself.
 """
 
+import asyncio
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 
+from repro.serve import SolverService
 from repro.solvers import CompiledSolve, ProgramCache, SolverSession, solve
 from repro.sparse import poisson2d, poisson3d
+from repro.sparse.suitesparse import g3_circuit_like
 
 
 def _dummy_entry(key: str) -> CompiledSolve:
@@ -50,26 +58,121 @@ class TestCacheMapConcurrency:
         assert stats["size"] <= stats["capacity"] == 4
         assert len(cache) == stats["size"]
 
-    def test_entry_lock_serializes_stateful_execution(self):
-        """CompiledSolve.lock is a real mutex: two holders never overlap."""
-        entry = _dummy_entry("k")
+    def test_execution_lock_serializes_one_key_and_is_dropped_when_free(self):
+        """Two holders of one key never overlap, another key is not held up
+        by them, and once nobody holds or awaits a lock it is gone."""
+        cache = ProgramCache(capacity=1)
         inside, overlaps = [], []
+        held = threading.Event()
 
         def use() -> None:
-            with entry.lock:
+            with cache.lock("k"):
                 inside.append(None)
                 if len(inside) > 1:
                     overlaps.append(True)
+                held.set()
                 threading.Event().wait(0.002)
                 inside.pop()
 
         with ThreadPoolExecutor(max_workers=8) as pool:
-            for _ in range(8):
-                pool.submit(use)
+            futures = [pool.submit(use) for _ in range(8)]
+            held.wait(timeout=10)
+            with cache.lock("other"):  # never waits on "k"'s holders
+                pass
+            for f in futures:
+                f.result(timeout=30)
         assert not overlaps
+        assert cache._runs == {}
+
+
+#: Three structures, each a fused-kernel program: two CG systems and the
+#: paper's Fig. 8 solver, MPIR (double-word) + PBiCGStab + ILU(0), on a small
+#: circuit matrix.
+def _systems() -> dict:
+    cg = {"solver": "cg", "tol": 1e-6}
+    mpir = {"solver": "mpir", "precision": "dw", "tol": 1e-9, "max_outer": 12,
+            "inner": {"solver": "bicgstab", "fixed_iterations": 50, "tol": 2e-7,
+                      "record_history": False, "preconditioner": {"solver": "ilu0"}}}
+    (a, a_dims), (b, b_dims) = poisson2d(32), poisson3d(8)
+    return {
+        "cg_2d": (a, cg, dict(grid_dims=a_dims, tiles_per_ipu=8, backend="fused")),
+        "cg_3d": (b, cg, dict(grid_dims=b_dims, tiles_per_ipu=8, backend="fused")),
+        "mpir_g3": (g3_circuit_like(16), mpir, dict(tiles_per_ipu=8, backend="fused")),
+    }
+
+
+SYSTEMS = _systems()
+THREADS = 3  # direct solvers, beside the service's two workers
+PER_THREAD = 6
+SERVED = 6
 
 
 class TestConcurrentSolves:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_threads_and_a_service_sharing_one_cache_observe_only_their_own_solve(
+            self, seed):
+        """Three threads calling ``solve(cache=…)`` and a 2-worker
+        ``SolverService`` share one cold cache, all released at once: every
+        first job is the same CG structure (one miss racing hits), the rest
+        mix a second CG structure and MPIR(dw) + PBiCGStab + ILU(0).  Each
+        result's ``x``, residual history and kernel tallies equal the same
+        job solved alone, bit for bit, and each structure is built once."""
+        rng = np.random.default_rng(seed)
+        names = list(SYSTEMS)
+
+        def jobs(count: int) -> list:
+            picks = ["cg_2d"] + [names[i] for i in rng.integers(len(names), size=count - 1)]
+            return [(name, rng.standard_normal(SYSTEMS[name][0].n)) for name in picks]
+
+        direct = [jobs(PER_THREAD) for _ in range(THREADS)]
+        served = jobs(SERVED)
+
+        def run(name: str, b, cache):
+            crs, config, kw = SYSTEMS[name]
+            return solve(crs, b, config, cache=cache, **kw)
+
+        alone = ProgramCache()
+        solo = [[run(name, b, alone) for name, b in share] for share in direct + [served]]
+
+        cache = ProgramCache()
+        start = threading.Barrier(THREADS + 1, timeout=60)
+
+        def solve_directly(share: list) -> list:
+            start.wait()
+            return [run(name, b, cache) for name, b in share]
+
+        async def serve_all() -> list:
+            async with SolverService(workers=2, cache=cache) as svc:
+                start.wait()
+                submitted = [svc.submit(SYSTEMS[name][0], b, SYSTEMS[name][1],
+                                        **SYSTEMS[name][2]) for name, b in served]
+                return [(await job.future).result for job in submitted]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
+        try:
+            with ThreadPoolExecutor(max_workers=THREADS + 1) as pool:
+                threads = [pool.submit(solve_directly, share) for share in direct]
+                threads.append(pool.submit(asyncio.run, serve_all()))
+                results = [f.result(timeout=300) for f in threads]
+        finally:
+            sys.setswitchinterval(interval)
+
+        wrong = []
+        for share, got, want in zip(direct + [served], results, solo):
+            for (name, _), res, ref in zip(share, got, want):
+                if not (np.array_equal(res.x, ref.x)
+                        and res.stats.residuals == ref.stats.residuals
+                        and res.kernel_counters == ref.kernel_counters):
+                    wrong.append(name)
+        total = THREADS * PER_THREAD + SERVED
+        assert not wrong, f"{len(wrong)}/{total} concurrent solves differ from solo: {wrong}"
+        # A cold burst on one structure builds it once; everything else hits.
+        built = {name for share in direct + [served] for name, _ in share}
+        stats = cache.stats()
+        assert (stats["misses"], stats["hits"]) == (len(built), total - len(built))
+        assert cache._runs == {}
+
     def test_parallel_solves_through_one_shared_cache_stay_bit_identical(self):
         """Four threads, four distinct structures, one shared cache: every
         concurrent result must equal its single-threaded reference bit for

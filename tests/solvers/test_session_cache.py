@@ -1,24 +1,23 @@
 """The structure-keyed compile cache and reusable solve sessions."""
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.errors import ReproError
 from repro.graph import Graph
-from repro.graph.passes import compile_invocations, pass_invocations
+from repro.graph.passes import PassManager, compile_program
 from repro.machine import IPUDevice
 from repro.solvers import (
     ProgramCache,
     SolverSession,
-    default_cache,
     fingerprint_matrix,
     fingerprint_solve,
     solve,
 )
-from repro.solvers.session import resolve_cache
-from repro.solvers.sweeps import merged_invocations
+from repro.solvers.sweeps import SweepPlan
 from repro.sparse import ModifiedCRS, poisson2d, poisson3d
 
 CG = {"solver": "cg", "tol": 1e-6}
@@ -132,27 +131,38 @@ class TestProgramCache:
         cache.clear()
         assert len(cache) == 0
 
-    def test_resolve_cache_forms(self):
+    def test_cache_takes_none_or_a_program_cache(self):
+        """There is no process-wide cache: ``True``/``False`` are refused
+        like any other non-cache, before anything is built."""
+        crs, dims, b = _system()
         cache = ProgramCache()
-        assert resolve_cache(None) is None
-        assert resolve_cache(False) is None
-        assert resolve_cache(True) is default_cache()
-        assert resolve_cache(cache) is cache
-        with pytest.raises(TypeError):
-            resolve_cache("yes please")
+        solve(crs, b, CG, grid_dims=dims, tiles_per_ipu=4, cache=None)
+        solve(crs, b, CG, grid_dims=dims, tiles_per_ipu=4, cache=cache)
+        assert cache.stats()["misses"] == 1
+        with mock.patch("repro.tensordsl.context.compile_program",
+                        wraps=compile_program) as lowered:
+            for bad in (True, False, "yes please"):
+                with pytest.raises(TypeError, match="ProgramCache"):
+                    solve(crs, b, CG, grid_dims=dims, tiles_per_ipu=4, cache=bad)
+        assert lowered.call_count == 0
 
 
 class TestCacheHits:
     def test_hit_is_bit_identical_and_runs_no_passes(self):
         crs, dims, b = _system()
         cache = ProgramCache()
-        cold = solve(crs, b, CG, grid_dims=dims, tiles_per_ipu=4, cache=cache)
-        assert cache.stats()["misses"] == 1
-        passes0, compiles0 = pass_invocations(), compile_invocations()
-        hit = solve(crs, b, CG, grid_dims=dims, tiles_per_ipu=4, cache=cache)
+        # The call counts are this test's own: a build in another thread
+        # cannot move them between the cold solve and the hit.
+        with mock.patch.object(PassManager, "run", autospec=True,
+                               side_effect=PassManager.run) as passes, \
+                mock.patch("repro.tensordsl.context.compile_program",
+                           wraps=compile_program) as lowered:
+            cold = solve(crs, b, CG, grid_dims=dims, tiles_per_ipu=4, cache=cache)
+            assert cache.stats()["misses"] == 1
+            assert (passes.call_count, lowered.call_count) == (1, 1)
+            hit = solve(crs, b, CG, grid_dims=dims, tiles_per_ipu=4, cache=cache)
         # The hit re-executed the cached CompiledProgram without re-lowering.
-        assert pass_invocations() == passes0
-        assert compile_invocations() == compiles0
+        assert (passes.call_count, lowered.call_count) == (1, 1)
         assert cache.stats()["hits"] == 1
         np.testing.assert_array_equal(hit.x, cold.x)
         assert hit.cycles == cold.cycles
@@ -195,12 +205,12 @@ class TestCacheHits:
                   "preconditioner": {"solver": "ilu0"}}
         cache = ProgramCache()
         kw = dict(grid_dims=dims, tiles_per_ipu=4, backend="fused", cache=cache)
-        merges0 = merged_invocations()
-        cold = solve(crs, b, config, **kw)
-        assert merged_invocations() == merges0 + 2  # forward + backward
-        solve(crs, np.random.default_rng(4).standard_normal(crs.n), config, **kw)
-        hits = [solve(crs, b, config, **kw) for _ in range(2)]
-        assert merged_invocations() == merges0 + 2
+        with mock.patch.object(SweepPlan, "merged", wraps=SweepPlan.merged) as merges:
+            cold = solve(crs, b, config, **kw)
+            assert merges.call_count == 2  # forward + backward
+            solve(crs, np.random.default_rng(4).standard_normal(crs.n), config, **kw)
+            hits = [solve(crs, b, config, **kw) for _ in range(2)]
+        assert merges.call_count == 2
         assert cache.stats() == {**cache.stats(), "hits": 3, "misses": 1}
         for hit in hits:
             np.testing.assert_array_equal(hit.x, cold.x)

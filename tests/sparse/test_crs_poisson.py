@@ -3,6 +3,7 @@
 import copy
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MatrixFormatError, ReproError
-from repro.solvers.session import fingerprint_matrix, matrix_hash_invocations
+from repro.solvers.session import _hash_matrix, fingerprint_matrix
 from repro.sparse import ModifiedCRS, poisson2d, poisson3d
 from repro.sparse.suitesparse import (
     MATRICES,
@@ -207,37 +208,42 @@ class TestImmutableValue:
             ModifiedCRS([1.0, 1.0], [1.0, 1.0], [0, 0], [1, 1, 2])
 
 
+def _counting_hashes():
+    """Count the matrix content hashes of the ``with`` block."""
+    return mock.patch("repro.solvers.session._hash_matrix", wraps=_hash_matrix)
+
+
 class TestFingerprintMemo:
     def test_one_hash_per_matrix_object(self):
         m, _ = poisson2d(5)
-        before = matrix_hash_invocations()
-        keys = {fingerprint_matrix(m) for _ in range(5)}
+        with _counting_hashes() as hashes:
+            keys = {fingerprint_matrix(m) for _ in range(5)}
         assert len(keys) == 1
-        assert matrix_hash_invocations() == before + 1
+        assert hashes.call_count == 1
 
     def test_deepcopy_rehashes_and_never_trusts_the_inherited_memo(self):
         m, _ = poisson2d(5)
         key = fingerprint_matrix(m)
         clone = copy.deepcopy(m)
         assert clone.values.flags.writeable  # numpy's deepcopy owns its data
-        before = matrix_hash_invocations()
-        assert fingerprint_matrix(clone) == key
-        clone.values[0] *= 2.0
-        changed = fingerprint_matrix(clone)
-        assert changed != key
-        # Frozen again, it could be thawed again: still hashed on every call.
-        clone.values.setflags(write=False)
-        assert fingerprint_matrix(clone) == changed
-        assert matrix_hash_invocations() == before + 3
+        with _counting_hashes() as hashes:
+            assert fingerprint_matrix(clone) == key
+            clone.values[0] *= 2.0
+            changed = fingerprint_matrix(clone)
+            assert changed != key
+            # Frozen again, it could be thawed again: still hashed on every call.
+            clone.values.setflags(write=False)
+            assert fingerprint_matrix(clone) == changed
+        assert hashes.call_count == 3
         assert fingerprint_matrix(m) == key  # the original is untouched
 
     def test_a_rebound_array_rehashes(self):
         m, _ = poisson2d(5)
         key = fingerprint_matrix(m)
         m.values = ModifiedCRS(m.diag, m.values * 2.0, m.col_idx, m.row_ptr).values
-        before = matrix_hash_invocations()
-        assert fingerprint_matrix(m) != key
-        assert matrix_hash_invocations() == before + 1
+        with _counting_hashes() as hashes:
+            assert fingerprint_matrix(m) != key
+        assert hashes.call_count == 1
 
     def test_threads_racing_the_first_hash_agree_and_do_not_block(self):
         """Event-loop admission and a worker may both be first: no lock, so
@@ -247,28 +253,35 @@ class TestFingerprintMemo:
         workers = 8
         start = threading.Barrier(workers)
         digests = []
+        # A mock's call count is itself a racy ``+= 1``: count under a lock.
+        hashes, counting = [0], threading.Lock()
+
+        def counted_hash(*args):
+            with counting:
+                hashes[0] += 1
+            return _hash_matrix(*args)
 
         def first_hash():
             start.wait(timeout=10)
             digests.append(fingerprint_matrix(m))
 
-        before = matrix_hash_invocations()
         threads = [threading.Thread(target=first_hash) for _ in range(workers)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
+            with mock.patch("repro.solvers.session._hash_matrix", new=counted_hash):
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                settled = hashes[0]
+                assert fingerprint_matrix(m) == expected
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert digests == [expected] * workers
-        assert 1 <= matrix_hash_invocations() - before <= workers
-        settled = matrix_hash_invocations()
-        assert fingerprint_matrix(m) == expected
-        assert matrix_hash_invocations() == settled
+        assert 1 <= settled <= workers
+        assert hashes[0] == settled
 
 
 class TestPoisson:

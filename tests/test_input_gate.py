@@ -11,6 +11,7 @@ DILU factorization meets a zero pivot (``FactorizationError``, exit code
 import asyncio
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ import scipy.sparse as sp
 
 from repro.cli import main
 from repro.errors import FactorizationError, ReproError, SolverConfigError
+from repro.graph.passes import compile_program
 from repro.serve import ServicePolicy, SolverService
 from repro.solvers import solve
 from repro.sparse import ModifiedCRS, poisson2d
@@ -26,6 +28,18 @@ from repro.sparse import ModifiedCRS, poisson2d
 CRS, DIMS = poisson2d(8)
 N = CRS.n
 GOOD = np.random.default_rng(0).standard_normal(N)
+
+
+def _counting_lowerings():
+    """Count the program lowerings of the ``with`` block: a refused call
+    must count none."""
+    return mock.patch("repro.tensordsl.context.compile_program", wraps=compile_program)
+
+
+def test_the_lowering_count_sees_a_build():
+    with _counting_lowerings() as lowered:
+        solve(CRS, GOOD, "cg", grid_dims=DIMS, tiles_per_ipu=4)
+    assert lowered.call_count == 1
 
 
 def _with(value, at=3):
@@ -115,14 +129,12 @@ CONFIG_IDS = [c[0] for c in BAD_CONFIGS]
 
 @pytest.mark.parametrize("case", BAD_CONFIGS, ids=CONFIG_IDS)
 def test_solve_rejects_bad_bounds(case):
-    from repro.graph.passes import pass_invocations
-
     _, config, needle = case
-    before = pass_invocations()
-    with pytest.raises(SolverConfigError, match=needle) as exc_info:
+    with _counting_lowerings() as lowered, \
+            pytest.raises(SolverConfigError, match=needle) as exc_info:
         solve(CRS, GOOD, config, grid_dims=DIMS, tiles_per_ipu=4)
     assert exc_info.value.exit_code == 20
-    assert pass_invocations() == before  # refused at the gate, nothing built
+    assert lowered.call_count == 0  # refused at the gate, nothing built
 
 
 @pytest.mark.parametrize("case", BAD_CONFIGS, ids=CONFIG_IDS)
@@ -174,16 +186,15 @@ def _shape(overrides: dict) -> dict:
 
 @pytest.mark.parametrize("case", BAD_SHAPES, ids=SHAPE_IDS)
 def test_solve_and_compile_solve_reject_bad_shapes(case):
-    from repro.graph.passes import pass_invocations
     from repro.solvers import compile_solve
 
     _, overrides, needle = case
-    before = pass_invocations()
-    for entry in (solve, compile_solve):
-        with pytest.raises(SolverConfigError, match=needle) as exc_info:
-            entry(CRS, GOOD, "cg", **_shape(overrides))
-        assert exc_info.value.exit_code == 20
-    assert pass_invocations() == before  # refused at the gate, nothing built
+    with _counting_lowerings() as lowered:
+        for entry in (solve, compile_solve):
+            with pytest.raises(SolverConfigError, match=needle) as exc_info:
+                entry(CRS, GOOD, "cg", **_shape(overrides))
+            assert exc_info.value.exit_code == 20
+    assert lowered.call_count == 0  # refused at the gate, nothing built
 
 
 def test_a_nine_row_grid_refuses_a_four_cell_shape():
@@ -253,17 +264,14 @@ def _bicgstab(pre: str) -> dict:
 
 @pytest.mark.parametrize("pre", ["ilu0", "dilu"])
 def test_a_zero_pivot_is_refused_before_anything_is_lowered(pre):
-    from repro.graph.passes import pass_invocations
-
     crs = ModifiedCRS.from_scipy(sp.csr_matrix(ZERO_PIVOT))
-    before = pass_invocations()
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), _counting_lowerings() as lowered:
         warnings.simplefilter("error")  # and no numpy warning on the way
         with pytest.raises(FactorizationError, match=PIVOT_NEEDLE) as exc_info:
             solve(crs, np.ones(4), _bicgstab(pre), num_tiles=1)
     err = exc_info.value
     assert (err.exit_code, err.solver, err.tile, err.row) == (21, pre, 0, 1)
-    assert pass_invocations() == before
+    assert lowered.call_count == 0
 
 
 @pytest.mark.parametrize("pre", ["ilu0", "dilu"])

@@ -36,7 +36,10 @@ sum, not that a kernel is wrong:
   ``repro.dw``'s numpy path performs no fused multiply-add (its emulated
   FMA rounds the exact binary64 result twice): the native double-word
   evaluator (``repro_eval_dw``) and extended SpMV (``repro_xspmv``) do the
-  same casts and the same separately rounded products.
+  same casts and the same separately rounded products;
+- ``inf - inf`` is NaN and a float32 add or product that overflows rounds to
+  ±inf: the double-word special-value contract (``repro.dw.eft``, a low
+  part of 0 wherever the high part is not finite) is stated against them.
 
 The host-side f64 residual of every solve (``ModifiedCRS.spmv``) rides on
 SciPy's private compiled ``csr_matvec``; its canary names the SciPy version:
@@ -367,3 +370,17 @@ def test_the_double_word_numpy_path_performs_no_fused_multiply_add():
     assert (hi[0], lo[0]) == (np.float32(2.0**-12), np.float32(0.0)), (
         f"{VERSION}: mul_dw_dw's xl * yl is no longer rounded before it is added"
     )
+
+
+def test_infinity_minus_infinity_is_nan_and_an_overflowing_add_rounds_to_infinity():
+    """What the error-free transforms select against: an overflowed sum
+    or product is ±inf, and the error term computed from it (``s - a``
+    with ``s`` infinite) would be NaN, so ``repro.dw.eft`` returns 0 there."""
+    big = np.array([3e38, -3e38], np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = big + big
+        product = np.array([2e19, -2e19], np.float32) * np.float32(2e19)
+        gap = total - total
+    assert total.tolist() == [np.inf, -np.inf], f"{VERSION}: float32 overflow is not ±inf"
+    assert product.tolist() == [np.inf, -np.inf], f"{VERSION}: float32 overflow is not ±inf"
+    assert np.isnan(gap).all(), f"{VERSION}: inf - inf is not NaN"
