@@ -158,8 +158,7 @@ def ipu_spmv_run(crs, grid_dims=None, num_ipus: int = 1, tiles_per_ipu: int = 16
     )
 
 
-def cached_solve_wallclock(crs, config, bs, grid_dims=None, num_ipus: int = 1,
-                           tiles_per_ipu: int = 16, **solve_kwargs) -> dict:
+def cached_solve_wallclock(crs, config, bs, **solve_kwargs) -> dict:
     """Host wall-clock of one solve per rhs in ``bs``, cached vs. uncached.
 
     Runs the whole batch twice: once through a shared
@@ -173,9 +172,7 @@ def cached_solve_wallclock(crs, config, bs, grid_dims=None, num_ipus: int = 1,
     """
     from repro.solvers import SolverSession, solve
 
-    session = SolverSession(crs, config, num_ipus=num_ipus,
-                            tiles_per_ipu=tiles_per_ipu, grid_dims=grid_dims,
-                            **solve_kwargs)
+    session = SolverSession(crs, config, **solve_kwargs)
     cached_times, cached_results = [], []
     for b in bs:
         t0 = time.perf_counter()
@@ -185,10 +182,7 @@ def cached_solve_wallclock(crs, config, bs, grid_dims=None, num_ipus: int = 1,
     cold_times, cold_results = [], []
     for b in bs:
         t0 = time.perf_counter()
-        cold_results.append(
-            solve(crs, b, config, num_ipus=num_ipus, tiles_per_ipu=tiles_per_ipu,
-                  grid_dims=grid_dims, **solve_kwargs)
-        )
+        cold_results.append(solve(crs, b, config, **solve_kwargs))
         cold_times.append(time.perf_counter() - t0)
 
     return {

@@ -121,12 +121,25 @@ def _load_matrix(spec: str):
         "or an existing Matrix-Market file")
 
 
+def _request(args):
+    """The matrix ``--matrix`` names, and the shape options of ``--ipus``,
+    ``--tiles`` and ``--backend``, checked against it before anything
+    runs."""
+    from repro.solvers import ProgramShape
+
+    matrix, dims = _load_matrix(args.matrix)
+    shape = ProgramShape.of(matrix, num_ipus=args.ipus, tiles_per_ipu=args.tiles,
+                            grid_dims=dims,
+                            backend=getattr(args, "backend", ProgramShape.backend))
+    return matrix, vars(shape)
+
+
 def _cmd_solve(args) -> int:
     import time
 
     from repro.solvers import ProgramCache, solve
 
-    matrix, dims = _load_matrix(args.matrix)
+    matrix, shape = _request(args)
     if args.rhs:
         b = _load_rhs(args.rhs)
     else:
@@ -148,10 +161,7 @@ def _cmd_solve(args) -> int:
             matrix,
             b,
             args.config,
-            num_ipus=args.ipus,
-            tiles_per_ipu=args.tiles,
-            grid_dims=dims,
-            backend=args.backend,
+            **shape,
             trace=args.trace,
             wall_trace=args.wall_trace,
             metrics=args.metrics,
@@ -246,7 +256,7 @@ def _cmd_batch(args) -> int:
     from repro.serve.batching import config_supports_batch
     from repro.solvers import SolverSession, solve
 
-    matrix, dims = _load_matrix(args.matrix)
+    matrix, shape = _request(args)
     if args.rhs:
         bs = _load_rhs(args.rhs)
         if bs.ndim == 1:
@@ -265,15 +275,7 @@ def _cmd_batch(args) -> int:
         # Batched path: every RHS column rides the same program, so each
         # iteration runs ONE halo exchange for all of them (docs/solvers.md).
         t0 = time.perf_counter()
-        result = solve(
-            matrix,
-            bs,
-            args.config,
-            num_ipus=args.ipus,
-            tiles_per_ipu=args.tiles,
-            grid_dims=dims,
-            backend=args.backend,
-        )
+        result = solve(matrix, bs, args.config, **shape)
         host = time.perf_counter() - t0
         for i, st in enumerate(result.batch_stats):
             line = (f"  rhs {i:>3}: iterations={st.total_iterations:<5} "
@@ -294,14 +296,7 @@ def _cmd_batch(args) -> int:
             print(f"solutions written to {args.output} (one row per rhs)")
         return 0
 
-    session = SolverSession(
-        matrix,
-        args.config,
-        num_ipus=args.ipus,
-        tiles_per_ipu=args.tiles,
-        grid_dims=dims,
-        backend=args.backend,
-    )
+    session = SolverSession(matrix, args.config, **shape)
     results, times = [], []
     for i, b in enumerate(bs):
         t0 = time.perf_counter()
@@ -451,17 +446,9 @@ def _cmd_compile_report(args) -> int:
     """Lower a solver program through the pass pipeline and show the report."""
     from repro.solvers import compile_solve
 
-    matrix, dims = _load_matrix(args.matrix)
+    matrix, shape = _request(args)
     b = np.random.default_rng(args.seed).standard_normal(matrix.n)
-    compiled = compile_solve(
-        matrix,
-        b,
-        args.config,
-        optimize=not args.no_opt,
-        num_ipus=args.ipus,
-        tiles_per_ipu=args.tiles,
-        grid_dims=dims,
-    )
+    compiled = compile_solve(matrix, b, args.config, **{**shape, "optimize": not args.no_opt})
     src, opt = compiled.source_stats, compiled.stats
     print(f"matrix:               n={matrix.n} nnz={matrix.nnz}")
     print(f"source schedule:      {src.steps} steps, {src.compute_sets} compute sets, "
@@ -506,9 +493,11 @@ def _cmd_serve(args) -> int:
 
     from repro.serve import (BatchPolicy, LoadGenerator, RetryPolicy,
                              ServicePolicy, SolverService)
-    from repro.solvers import solve
+    from repro.solvers import load_config, solve
 
-    matrix, dims = _load_matrix(args.matrix)
+    # The request every job repeats, checked before the service starts.
+    matrix, shape = _request(args)
+    load_config(args.config)
     rng = np.random.default_rng(args.seed)
 
     retry = RetryPolicy(base_delay=args.retry_base_delay)
@@ -528,16 +517,16 @@ def _cmd_serve(args) -> int:
 
         mreg = MetricsRegistry()
 
+    # A spec's keys that are the service's, not the job's solve().
+    service_keys = ("matrix", "b", "config", "tenant", "seed")
+
     def spec(tenant: str, **extra) -> dict:
-        s = {
+        return {
             "matrix": matrix, "b": rng.standard_normal(matrix.n),
             "config": args.config, "tenant": tenant,
             "seed": int(rng.integers(2**31)),
-            "grid_dims": dims, "num_ipus": args.ipus,
-            "tiles_per_ipu": args.tiles, "backend": args.backend,
+            **shape, **extra,
         }
-        s.update(extra)
-        return s
 
     async def run() -> dict:
         service = SolverService(policy=policy, workers=args.workers,
@@ -614,15 +603,9 @@ def _cmd_serve(args) -> int:
             for rec in report.served:
                 res = rec["result"]
                 job = rec["spec"]
-                ref = solve(
-                    job["matrix"], job["b"], res.effective_config,
-                    grid_dims=job.get("grid_dims"),
-                    num_ipus=job.get("num_ipus", 1),
-                    tiles_per_ipu=job.get("tiles_per_ipu", 16),
-                    backend=job.get("backend", "sim"),
-                    inject_faults=job.get("inject_faults"),
-                    resilience=job.get("resilience"),
-                )
+                # The job's own shape and fault/resilience options.
+                ref = solve(job["matrix"], job["b"], res.effective_config,
+                            **{k: v for k, v in job.items() if k not in service_keys})
                 checked += 1
                 if not (np.array_equal(res.result.x, ref.x)
                         and res.result.stats.residuals == ref.stats.residuals):
@@ -661,25 +644,40 @@ def _cmd_info(args) -> int:
     return 0
 
 
+def _request_options(**override) -> argparse.ArgumentParser:
+    """The parent parser of the subcommands that name a solve (``solve``,
+    ``batch``, ``compile-report``, ``serve``).  A fresh one per subcommand:
+    argparse shares a parent's actions, so an override must not reach the
+    others.  ``override`` updates a flag's settings; ``None`` drops it."""
+    flags = {
+        "matrix": dict(required=True,
+                       help="poisson[2d|3d]:N | g3|afshell|geo|hook[:size] | file.mtx"),
+        "config": dict(required=True,
+                       help="solver config: JSON string, path to a .json file, or a "
+                            "bare solver name like 'cg'"),
+        "ipus": dict(type=int, default=1),
+        "tiles": dict(type=int, default=16, help="tiles per IPU"),
+        "seed": dict(type=int, default=0),
+        "backend": dict(choices=("fused", "sim"), default="sim",
+                        help="runtime backend: cycle-accurate sim (default) or "
+                             "numerics-only kernel-dispatch fused (docs/runtime.md)"),
+    }
+    parent = argparse.ArgumentParser(add_help=False)
+    for name, settings in flags.items():
+        extra = override.get(name, {})
+        if extra is not None:
+            parent.add_argument(f"--{name}", **{**settings, **extra})
+    return parent
+
+
 def main(argv=None) -> int:
-    backends = ("fused", "sim")
     parser = argparse.ArgumentParser(prog="repro", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve a sparse linear system")
-    p_solve.add_argument("--matrix", required=True,
-                         help="poisson[2d|3d]:N | g3|afshell|geo|hook[:size] | file.mtx")
-    p_solve.add_argument("--config", required=True,
-                         help="solver config: JSON string, path to a .json file, or a "
-                              "bare solver name like 'cg'")
+    p_solve = sub.add_parser("solve", parents=[_request_options()],
+                             help="solve a sparse linear system")
     p_solve.add_argument("--rhs", help="right-hand side as a .npy file (default: random)")
-    p_solve.add_argument("--ipus", type=int, default=1)
-    p_solve.add_argument("--tiles", type=int, default=16, help="tiles per IPU")
-    p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--backend", choices=backends, default="sim",
-                         help="runtime backend: cycle-accurate sim (default) or "
-                              "numerics-only kernel-dispatch fused (docs/runtime.md)")
     p_solve.add_argument("--profile", action="store_true", help="print the cycle breakdown")
     p_solve.add_argument("--trace",
                          help="write a Chrome trace_event JSON (Perfetto-loadable) of "
@@ -716,24 +714,15 @@ def main(argv=None) -> int:
     p_solve.set_defaults(fn=_cmd_solve)
 
     p_batch = sub.add_parser(
-        "batch",
+        "batch", parents=[_request_options()],
         help="solve many right-hand sides at once: one batched multi-RHS "
              "program when the config can use the batch axis (docs/solvers.md), "
              "else one solve per rhs through a compile-cache session")
-    p_batch.add_argument("--matrix", required=True,
-                         help="poisson[2d|3d]:N | g3|afshell|geo|hook[:size] | file.mtx")
-    p_batch.add_argument("--config", required=True,
-                         help="solver config: JSON string, path to a .json file, or a "
-                              "bare solver name like 'cg'")
     p_batch.add_argument("--rhs",
                          help="right-hand sides as an (m, n) .npy file, one per row "
                               "(default: --count random vectors)")
     p_batch.add_argument("--count", type=int, default=4,
                          help="number of random right-hand sides when --rhs is absent")
-    p_batch.add_argument("--ipus", type=int, default=1)
-    p_batch.add_argument("--tiles", type=int, default=16, help="tiles per IPU")
-    p_batch.add_argument("--seed", type=int, default=0)
-    p_batch.add_argument("--backend", choices=backends, default="sim")
     p_batch.add_argument("--output",
                          help="write the stacked solutions to a .npy file, one row per rhs")
     p_batch.set_defaults(fn=_cmd_batch)
@@ -766,39 +755,29 @@ def main(argv=None) -> int:
                            help="how many hottest kernels to show")
     p_metrics.set_defaults(fn=_cmd_metrics_report)
 
-    p_rep = sub.add_parser("compile-report",
+    # The kernel schedule is lowered for every backend: no --backend here.
+    p_rep = sub.add_parser("compile-report", parents=[_request_options(backend=None)],
                            help="show what the graph compiler does to a solver program")
-    p_rep.add_argument("--matrix", required=True,
-                       help="poisson3d:N | poisson2d:N | g3|afshell|geo|hook[:size] | file.mtx")
-    p_rep.add_argument("--config", required=True,
-                       help="solver config: JSON string or path to a .json file")
-    p_rep.add_argument("--ipus", type=int, default=1)
-    p_rep.add_argument("--tiles", type=int, default=16, help="tiles per IPU")
-    p_rep.add_argument("--seed", type=int, default=0)
     p_rep.add_argument("--no-opt", action="store_true",
                        help="freeze the raw schedule (skip optimization passes)")
     p_rep.add_argument("--tree", action="store_true", help="print the optimized step tree")
     p_rep.add_argument("--depth", type=int, default=8, help="step-tree depth limit")
     p_rep.set_defaults(fn=_cmd_compile_report)
 
+    serve_options = _request_options(
+        config=dict(required=False, default="cg",
+                    help="solver config: JSON string, .json file, or a bare "
+                         "solver name (default: cg)"),
+        seed=dict(help="seeds the right-hand sides and per-job retry schedules"),
+        backend=dict(default="fused",
+                     help="backend for regular tenants (fault tenant always "
+                          "uses sim); default fused, the fastest on the host "
+                          "and bit-identical to sim"))
     p_serve = sub.add_parser(
-        "serve",
+        "serve", parents=[serve_options],
         help="run the fault-tolerant serving runtime in-process and drive "
              "it with a load run: baseline, overload burst, fault tenant "
              "(docs/serving.md)")
-    p_serve.add_argument("--matrix", required=True,
-                         help="poisson[2d|3d]:N | g3|afshell|geo|hook[:size] | file.mtx")
-    p_serve.add_argument("--config", default="cg",
-                         help="solver config: JSON string, .json file, or a bare "
-                              "solver name (default: cg)")
-    p_serve.add_argument("--ipus", type=int, default=1)
-    p_serve.add_argument("--tiles", type=int, default=16, help="tiles per IPU")
-    p_serve.add_argument("--seed", type=int, default=0,
-                         help="seeds the right-hand sides and per-job retry schedules")
-    p_serve.add_argument("--backend", choices=backends, default="fused",
-                         help="backend for regular tenants (fault tenant always "
-                              "uses sim); default fused, the fastest on the host "
-                              "and bit-identical to sim")
     p_serve.add_argument("--workers", type=int, default=2,
                          help="worker threads executing solves")
     p_serve.add_argument("--queue-depth", type=int, default=8,

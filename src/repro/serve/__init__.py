@@ -13,7 +13,12 @@ per-structure circuit breaking, graceful drain — and, since PR 10,
 queue-level dynamic batching: compatible jobs sharing a structure
 fingerprint coalesce into one stacked multi-RHS solve
 (:class:`BatchPolicy` / :class:`BatchAssembler`), bit-identical per
-column to serving each job alone.
+column to serving each job alone.  Admission is one request gate: a
+job's arrays, its config and its one
+:class:`~repro.solvers.ProgramShape` are checked at ``submit()``, and a
+keyword that is not a shape or observer option of
+:func:`~repro.solvers.solve` is refused there, typed, before the job
+spends a quota token.
 
 See ``docs/serving.md`` for the architecture and the failure-mode table,
 and ``benchmarks/bench_serve_load.py`` for the overload/bit-identity
@@ -23,7 +28,6 @@ acceptance harness.
 from repro.serve.batching import (
     BatchAssembler,
     BatchPolicy,
-    batchable_solve_kwargs,
     config_supports_batch,
 )
 from repro.serve.client import LoadGenerator, LoadReport, ServiceClient
@@ -47,7 +51,6 @@ __all__ = [
     "BatchPolicy",
     "BatchAssembler",
     "config_supports_batch",
-    "batchable_solve_kwargs",
     "FairQueue",
     "Job",
     "JobResult",

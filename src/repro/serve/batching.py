@@ -14,12 +14,12 @@ many right-hand sides.  This module closes the loop by forming the batch
   up to power-of-two buckets so the compile cache holds ``O(log
   max_batch)`` batched artifacts per structure instead of one per width
   (:func:`repro.solvers.session.batch_bucket`).
-- :func:`config_supports_batch` / :func:`batchable_solve_kwargs` — the
-  *static* eligibility checks: only configs whose every solver class opts
-  in (``supports_batch``, the rule :func:`repro.solvers.solve` enforces)
-  and whose root keeps per-column records can ride the multi-RHS batch
-  axis, and only jobs whose solve kwargs are purely structural (no
-  per-job tracers or hooks) can share a program.
+- :func:`config_supports_batch` — the *static* eligibility check of a
+  config: only configs whose every solver class opts in
+  (``supports_batch``, the rule :func:`repro.solvers.solve` enforces) and
+  whose root keeps per-column records can ride the multi-RHS batch axis.
+  The service adds its own: a job with observers of its own (a tracer, a
+  metrics registry, a progress hook) never shares a dispatch.
 - :class:`BatchAssembler` — sits between the
   :class:`~repro.serve.FairQueue` and the worker pool.  When a worker
   pops a batch-eligible job, the assembler sweeps the queue for jobs
@@ -55,17 +55,7 @@ __all__ = [
     "BatchPolicy",
     "BatchAssembler",
     "config_supports_batch",
-    "batchable_solve_kwargs",
 ]
-
-#: solve() keyword arguments that describe the *program* (and therefore
-#: may differ between batches but must agree within one).  Anything else
-#: (tracers, metrics registries, progress hooks...) is per-job state that
-#: cannot be shared across a coalesced solve.
-STRUCTURAL_SOLVE_KWARGS = frozenset({
-    "num_ipus", "tiles_per_ipu", "num_tiles", "grid_dims",
-    "blockwise_halo", "optimize", "backend",
-})
 
 
 def config_supports_batch(config) -> bool:
@@ -83,7 +73,7 @@ def config_supports_batch(config) -> bool:
 
     def tree(config):  # the config tree's solver classes, root first
         cfg = load_config(config)
-        yield SOLVERS.get(cfg.get("solver"))
+        yield SOLVERS[cfg["solver"]]
         for k in SUB_SOLVER_KEYS:
             if k in cfg:
                 yield from tree(cfg[k])
@@ -92,18 +82,7 @@ def config_supports_batch(config) -> bool:
         classes = list(tree(config))
     except Exception:
         return False
-    return (None not in classes and classes[0].keeps_batch_stats
-            and all(c.supports_batch for c in classes))
-
-
-def batchable_solve_kwargs(solve_kwargs: dict) -> bool:
-    """Whether a job's extra solve kwargs are purely structural.
-
-    Jobs carrying per-job observational state (a tracer, a metrics
-    registry, a progress hook, fault/resilience specs ride on the Job
-    itself) cannot share one stacked solve call.
-    """
-    return set(solve_kwargs) <= STRUCTURAL_SOLVE_KWARGS
+    return classes[0].keeps_batch_stats and all(c.supports_batch for c in classes)
 
 
 @dataclass(frozen=True)

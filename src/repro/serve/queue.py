@@ -26,6 +26,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError, ServiceOverloadError
+from repro.solvers.session import ProgramShape
 
 __all__ = ["Job", "JobResult", "FairQueue"]
 
@@ -46,9 +47,12 @@ class Job:
     x0: object = None
     inject_faults: object = None
     resilience: object = None
-    #: Extra :func:`repro.solvers.solve` keyword arguments (backend,
-    #: tiles_per_ipu, grid_dims, ...).
-    solve_kwargs: dict = field(default_factory=dict)
+    #: The device shape the job's program is built for.
+    shape: ProgramShape = field(default_factory=ProgramShape)
+    #: :func:`repro.solvers.solve`'s observer options (``trace``,
+    #: ``metrics``, ``on_progress``, ...); a job with any never shares a
+    #: dispatch.
+    observers: dict = field(default_factory=dict)
 
     #: Whether the submitter allows this job to be coalesced into a
     #: stacked multi-RHS solve with compatible jobs (``submit(...,

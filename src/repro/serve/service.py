@@ -76,19 +76,18 @@ from repro.errors import (
     SolverBreakdownError,
 )
 from repro.graph.runtime import check_observers
-from repro.serve.batching import (
-    STRUCTURAL_SOLVE_KWARGS,
-    BatchAssembler,
-    batchable_solve_kwargs,
-    config_supports_batch,
-)
+from repro.serve.batching import BatchAssembler, config_supports_batch
 from repro.serve.policy import CircuitBreaker, ServicePolicy, TokenBucket
 from repro.serve.queue import FairQueue, Job, JobResult
-from repro.solvers.api import failure_error, solve, validate_arrays, validate_shape
+from repro.solvers.api import failure_error, solve, validate_arrays
 from repro.solvers.config import load_config
-from repro.solvers.session import ProgramCache, batch_bucket, fingerprint_solve
+from repro.solvers.session import ProgramCache, ProgramShape, batch_bucket
 
 __all__ = ["SolverService"]
+
+#: :func:`~repro.solvers.solve`'s observer options: a job passes them
+#: through to its own solve, so it never shares a dispatch.
+_OBSERVERS = frozenset({"trace", "wall_trace", "metrics", "on_progress", "progress_every"})
 
 
 def _shutting_down() -> ServiceOverloadError:
@@ -220,14 +219,23 @@ class SolverService:
     def submit(self, matrix, b, config, *, tenant: str = "default",
                deadline: float | None = None, seed: int = 0, x0=None,
                inject_faults=None, resilience=None, batchable: bool = True,
-               **solve_kwargs) -> Job:
+               **options) -> Job:
         """Admit one solve job; returns it with a live ``future``.
+
+        ``options`` are :func:`~repro.solvers.solve`'s shape options, one
+        :class:`~repro.solvers.session.ProgramShape` that keys the job's
+        program, circuit breaker and batch, and its observer options
+        (``trace``, ``wall_trace``, ``metrics``, ``on_progress``,
+        ``progress_every``), which pass through to the job's solve and keep
+        it out of any batch.  Any other keyword is refused, whether unknown
+        or the service's own (``cache``, ``max_wall_seconds``: use
+        ``deadline``).
 
         Raises the typed admission errors **synchronously**:
         :class:`~repro.errors.ReproError` (malformed ``b``/``x0``/
-        ``deadline``/``config``, an unknown ``backend`` or one that cannot
-        host ``trace``/``inject_faults`` — caught here instead of deep in a
-        worker),
+        ``deadline``/``config``/shape, a refused keyword, an unknown
+        ``backend`` or one that cannot host ``trace``/``inject_faults`` —
+        caught here instead of deep in a worker),
         :class:`~repro.errors.ServiceOverloadError` (queue full, draining,
         or circuit open) and :class:`~repro.errors.QuotaExceededError`
         (tenant out of tokens).  ``deadline`` is wall-clock seconds from
@@ -244,10 +252,15 @@ class SolverService:
                                        reason="shutting_down")
         try:
             validate_arrays(matrix, b, x0)
-            validate_shape(matrix, solve_kwargs)
+            shape, observers = ProgramShape.split(matrix, options)
+            refused = sorted(set(observers) - _OBSERVERS)
+            if refused:
+                raise ReproError(
+                    f"submit() does not take {', '.join(refused)}: it takes solve()'s "
+                    f"shape and observer options; the service owns the cache, and "
+                    f"deadline= bounds a job's wall clock")
             load_config(config)
-            check_observers(solve_kwargs.get("backend", "sim"),
-                            tracer=solve_kwargs.get("trace") or None,
+            check_observers(shape.backend, tracer=observers.get("trace") or None,
                             injector=inject_faults)
             if deadline is None:
                 deadline = self.policy.default_deadline
@@ -272,7 +285,7 @@ class SolverService:
             id=next(self._job_ids), matrix=matrix, b=b, config=config, tenant=tenant,
             deadline=None if deadline is None else now + float(deadline),
             seed=int(seed), x0=x0, inject_faults=inject_faults,
-            resilience=resilience, solve_kwargs=dict(solve_kwargs),
+            resilience=resilience, shape=shape, observers=observers,
             batchable=bool(batchable),
         )
         job.fingerprint = self._fingerprint(job, config)
@@ -342,23 +355,18 @@ class SolverService:
         """The structure key solve() will use for this job's cache entry when
         it runs alone — the circuit-breaker and batch key."""
         b = np.asarray(job.b)
-        batch = b.shape[0] if b.ndim == 2 else 1
-        structure = {k: v for k, v in job.solve_kwargs.items()
-                     if k in STRUCTURAL_SOLVE_KWARGS}
-        return fingerprint_solve(job.matrix, config, **structure,
-                                 resilient=job.resilience is not None, batch=int(batch))
+        return job.shape.key(job.matrix, config, resilient=job.resilience is not None,
+                             batch=b.shape[0] if b.ndim == 2 else 1)
 
     def _batch_eligible(self, job: Job, config) -> bool:
         """Static batch eligibility (the PR 7 multi-RHS gate, decided at
         admission / re-queue): batching on, job opted in, a single 1-D
-        right-hand side, no fault/resilience state, purely structural
-        solve kwargs, and a config whose whole tree rides the f32 batch
-        axis."""
+        right-hand side, no fault/resilience state, no observers of its
+        own, and a config whose whole tree rides the f32 batch axis."""
         return (self._assembler is not None and job.batchable
                 and np.asarray(job.b).ndim == 1
                 and job.inject_faults is None and job.resilience is None
-                and batchable_solve_kwargs(job.solve_kwargs)
-                and config_supports_batch(config))
+                and not job.observers and config_supports_batch(config))
 
     def _job_done(self, job: Job, outcome: str) -> None:
         if self.metrics is not None:
@@ -590,7 +598,8 @@ class SolverService:
             max_wall_seconds=remaining,
             inject_faults=lead.inject_faults,
             resilience=lead.resilience,
-            **lead.solve_kwargs,
+            **vars(lead.shape),
+            **lead.observers,
         )
 
     def _settle(self, job: Job, result, failure: str | None,

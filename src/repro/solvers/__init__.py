@@ -24,6 +24,7 @@ from repro.solvers.schur import SchurInterface
 from repro.solvers.session import (
     CompiledSolve,
     ProgramCache,
+    ProgramShape,
     SolverSession,
     fingerprint_matrix,
     fingerprint_solve,
@@ -52,6 +53,7 @@ __all__ = [
     "ResilienceReport",
     "CompiledSolve",
     "ProgramCache",
+    "ProgramShape",
     "SolverSession",
     "fingerprint_matrix",
     "fingerprint_solve",

@@ -11,7 +11,7 @@ pass pipeline (:mod:`repro.graph.passes`) into a
 
 from __future__ import annotations
 
-import math
+import dataclasses
 import time
 from collections import Counter
 from contextlib import nullcontext
@@ -26,12 +26,11 @@ from repro.errors import (
     JobTimeoutError,
     ReproError,
     SolverBreakdownError,
-    SolverConfigError,
     SRAMOverflowError,
 )
 from repro.graph import CompiledProgram, Engine
 from repro.graph.runtime import check_observers
-from repro.machine import MK2, IPUDevice
+from repro.machine import IPUDevice
 from repro.solvers.base import SolveProgress, SolveStats
 from repro.solvers.config import SOLVERS, build_solver, load_config
 from repro.solvers.resilience import (
@@ -40,14 +39,12 @@ from repro.solvers.resilience import (
     ResilienceReport,
     RollbackSignal,
 )
-from repro.solvers.session import CompiledSolve, ProgramCache, fingerprint_solve
+from repro.solvers.session import CompiledSolve, ProgramCache, ProgramShape
 from repro.sparse.crs import ModifiedCRS
 from repro.sparse.distribute import DistributedMatrix
-from repro.sparse.partition import grid_factors
 from repro.tensordsl import TensorContext, Type
 
-__all__ = ["solve", "compile_solve", "SolveResult", "validate_arrays", "validate_shape",
-           "failure_error"]
+__all__ = ["solve", "compile_solve", "SolveResult", "validate_arrays", "failure_error"]
 
 
 @dataclass
@@ -130,23 +127,16 @@ def _build_program(
     matrix: ModifiedCRS,
     b: np.ndarray,
     config,
-    num_ipus: int = 1,
-    tiles_per_ipu: int = 16,
-    num_tiles: int | None = None,
-    grid_dims=None,
+    shape: ProgramShape,
     x0: np.ndarray | None = None,
-    device: IPUDevice | None = None,
-    blockwise_halo: bool = True,
     monitor=None,
     batch: int = 1,
 ):
     """Construct the full solver schedule; shared by solve/compile_solve."""
-    if device is None:
-        device = IPUDevice(num_ipus=num_ipus, tiles_per_ipu=tiles_per_ipu)
+    device = IPUDevice(num_ipus=shape.num_ipus, tiles_per_ipu=shape.tiles_per_ipu)
     ctx = TensorContext(device)
-    A = DistributedMatrix(
-        ctx, matrix, num_tiles=num_tiles, grid_dims=grid_dims, blockwise=blockwise_halo
-    )
+    A = DistributedMatrix(ctx, matrix, num_tiles=shape.num_tiles, grid_dims=shape.grid_dims,
+                          blockwise=shape.blockwise_halo)
     solver = build_solver(A, config)
     if batch > 1:
         unsupported = sorted(
@@ -186,23 +176,18 @@ def _build_program(
     return ctx, solver, xvec, bvec, device
 
 
-def compile_solve(
-    matrix: ModifiedCRS,
-    b: np.ndarray,
-    config,
-    optimize: bool = True,
-    **kwargs,
-) -> CompiledProgram:
-    """Build and lower a solver program without executing it.
+def compile_solve(matrix: ModifiedCRS, b: np.ndarray, config, **shape) -> CompiledProgram:
+    """Build and lower a solver program without executing it; ``shape``
+    holds :func:`solve`'s shape options (:class:`ProgramShape`).
 
     Returns the :class:`CompiledProgram` artifact — the CLI's
     ``compile-report`` view and the ablation benches use this to measure
     compile-time proxies through the real lowering pipeline.
     """
     batch = validate_arrays(matrix, b)
-    validate_shape(matrix, kwargs)
-    ctx, _, _, _, _ = _build_program(matrix, b, config, batch=batch, **kwargs)
-    return ctx.compile(optimize=optimize)
+    shape = ProgramShape.of(matrix, **shape)
+    ctx = _build_program(matrix, b, config, shape, batch=batch)[0]
+    return ctx.compile(optimize=shape.optimize)
 
 
 def validate_arrays(matrix, b, x0=None) -> int:
@@ -230,43 +215,6 @@ def validate_arrays(matrix, b, x0=None) -> int:
         if arr.dtype.kind == "f" and not np.isfinite(arr).all():
             raise ReproError(f"{name} contains non-finite values")
     return b_arr.shape[0] if b_arr.ndim == 2 else 1
-
-
-def _positive_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
-
-
-def validate_shape(matrix, options: dict) -> None:
-    """The device-shape half of the input gate (:func:`solve`,
-    ``compile_solve`` and ``SolverService.submit``, each passing its
-    keyword arguments): ``num_ipus``, ``tiles_per_ipu`` and ``num_tiles``
-    are positive ints, and ``grid_dims`` covers the matrix's rows and splits
-    into the tiles the matrix will be spread over.  A bad shape is a
-    :class:`~repro.errors.SolverConfigError` that names the argument."""
-    for name in ("num_ipus", "tiles_per_ipu", "num_tiles"):
-        value = options.get(name)
-        if value is not None and not _positive_int(value):
-            raise SolverConfigError(f"{name} must be a positive int, got {value!r}")
-    dims = options.get("grid_dims")
-    if dims is None:
-        return
-    n = int(matrix.n)
-    if not (isinstance(dims, (tuple, list)) and dims and all(_positive_int(d) for d in dims)):
-        raise SolverConfigError(f"grid_dims must be a tuple of positive ints, got {dims!r}")
-    if math.prod(dims) != n:
-        raise SolverConfigError(
-            f"grid_dims {tuple(dims)} holds {math.prod(dims)} cells "
-            f"but the matrix has {n} rows")
-    device = options.get("device")
-    tiles = device.num_tiles if device is not None else options.get("num_ipus", 1) * (
-        options.get("tiles_per_ipu", 16) or MK2.tiles_per_ipu)
-    # The tiles DistributedMatrix spreads the rows over, one grid block each.
-    parts = min(options.get("num_tiles") or tiles, n, tiles)
-    blocks = grid_factors(parts, len(dims))
-    if any(b > d for b, d in zip(blocks, dims)):
-        raise SolverConfigError(
-            f"grid_dims {tuple(dims)} cannot be split into {blocks} blocks, "
-            f"one per tile of the {parts} the matrix is spread over")
 
 
 def failure_error(failure: str, who: str, *, solver: str | None = None,
@@ -381,10 +329,9 @@ def _deadline_tick(t_wall0: float, deadline: float | None):
 @dataclass
 class _Restarts:
     """OOM-degradation bookkeeping: what earlier attempts contributed and
-    the shape (tiles, device, warm start) the next one builds at."""
+    the shape and warm start the next one builds at."""
 
-    num_tiles: int | None
-    device: IPUDevice | None
+    shape: ProgramShape
     x0: np.ndarray | None
     monitors: list = field(default_factory=list)
     records: list = field(default_factory=list)
@@ -394,7 +341,7 @@ class _Restarts:
     carried_iterations: int = 0
     disabled: set = field(default_factory=set)
 
-    def degrade(self, at, rconfig, matrix, device_tiles: int) -> bool:
+    def degrade(self, at, rconfig, matrix) -> bool:
         """Fold the failed attempt in and halve the tiles; False when the
         tile count cannot shrink further (the caller re-raises)."""
         if at.monitor is not None:
@@ -411,10 +358,8 @@ class _Restarts:
             self.cycles += at.device.profiler.total_cycles
         if at.engine is not None:
             self.kernels.update(at.engine.kernel_counters())
-        have = self.num_tiles
-        if have is None:
-            n_dev = self.device.num_tiles if self.device is not None else device_tiles
-            have = min(n_dev, matrix.n)
+        shape = self.shape
+        have = shape.num_tiles or min(shape.num_ipus * shape.tiles_per_ipu, matrix.n)
         want = max(rconfig.min_tiles, have // 2)
         if want >= have:
             return False
@@ -424,8 +369,7 @@ class _Restarts:
         # injected OOMs against the degraded build.
         self.disabled.add("tile_oom")
         self.count += 1
-        self.num_tiles = want
-        self.device = None  # always rebuild on a fresh device
+        self.shape = dataclasses.replace(shape, num_tiles=want)
         return True
 
     def kernel_counters(self, engine) -> dict:
@@ -455,21 +399,21 @@ class _Restarts:
         )
 
 
-def _acquire(at, matrix, b, b64, config, layout: dict, rs: _Restarts, *,
-             pcache, key, rconfig, optimize: bool, batch: int, tracer):
+def _acquire(at, matrix, b, b64, config, rs: _Restarts, *,
+             pcache, key, rconfig, batch: int, tracer):
     """Stage 3: a cache hit, or build + compile (+ capture into the cache)."""
     entry = pcache.get(key) if pcache is not None else None
     if entry is None:
         at.monitor = ResilienceMonitor(rconfig) if rconfig is not None else None
         t_build = time.perf_counter()
         ctx, at.solver, at.xvec, bvec, at.device = _build_program(
-            matrix, b, config, **layout, num_tiles=rs.num_tiles,
+            matrix, b, config, rs.shape,
             # Under caching x0 is bound via prepare() below, so the
             # snapshotted initial image stays x0-free (x = 0).
             x0=None if pcache is not None else rs.x0,
-            device=rs.device, monitor=at.monitor, batch=batch,
+            monitor=at.monitor, batch=batch,
         )
-        at.compiled = ctx.compile(optimize=optimize)
+        at.compiled = ctx.compile(optimize=rs.shape.optimize)
         if pcache is not None:
             entry = CompiledSolve.capture(
                 key, ctx, at.solver, at.xvec, bvec, at.device, at.compiled,
@@ -642,15 +586,14 @@ def solve(
     matrix: ModifiedCRS,
     b: np.ndarray,
     config,
-    num_ipus: int = 1,
-    tiles_per_ipu: int = 16,
-    num_tiles: int | None = None,
-    grid_dims=None,
+    num_ipus: int = ProgramShape.num_ipus,
+    tiles_per_ipu: int = ProgramShape.tiles_per_ipu,
+    num_tiles: int | None = ProgramShape.num_tiles,
+    grid_dims=ProgramShape.grid_dims,
     x0: np.ndarray | None = None,
-    device: IPUDevice | None = None,
-    blockwise_halo: bool = True,
-    optimize: bool = True,
-    backend: str = "sim",
+    blockwise_halo: bool = ProgramShape.blockwise_halo,
+    optimize: bool = ProgramShape.optimize,
+    backend: str = ProgramShape.backend,
     trace=None,
     wall_trace=None,
     metrics=None,
@@ -674,9 +617,14 @@ def solve(
     incompatible with ``inject_faults``/``resilience``.
 
     ``config`` is a dict / JSON string / path / bare solver name (see
-    :mod:`repro.solvers.config`).  ``grid_dims`` enables the structured
-    partitioner for stencil matrices.  ``optimize=False`` skips the graph
-    compiler's optimization passes (the no-pass ablation baseline).
+    :mod:`repro.solvers.config`).  The seven shape options (``num_ipus``
+    through ``backend``) are one :class:`~repro.solvers.session.ProgramShape`,
+    defaulted and checked there before anything is built: a malformed one
+    is a :class:`~repro.errors.SolverConfigError` naming it.  ``num_tiles``
+    spreads the rows over fewer tiles than the device has, and
+    ``grid_dims`` enables the structured partitioner for stencil matrices.
+    ``optimize=False`` skips the graph compiler's optimization passes (the
+    no-pass ablation baseline).
     ``backend="fused"`` runs the same fused whole-device kernels as
     ``"sim"`` without the cycle clock: a bit-identical solution and zero
     reported cycles (``docs/runtime.md``).  Both report what they launched
@@ -735,8 +683,8 @@ def solve(
     compile.  The solve holds the entry's execution lock
     (:meth:`~repro.solvers.session.ProgramCache.lock`) from the lookup to
     the returned result, so threads sharing a cache take turns per
-    structure.  An explicit ``device`` disables caching (the cached shards
-    live on a cache-owned device).  Repeated-solve callers should prefer
+    structure.  Every program builds on a device of its own.
+    Repeated-solve callers should prefer
     :class:`~repro.solvers.session.SolverSession`.
 
     Stages: validate, open observers, acquire (hit, or build + compile +
@@ -750,12 +698,13 @@ def solve(
     if deadline is not None and deadline <= 0:
         raise ReproError(f"max_wall_seconds must be > 0, got {max_wall_seconds!r}")
     plan = FaultPlan.parse(inject_faults) if inject_faults is not None else None
+    shape = ProgramShape.of(matrix, num_ipus=num_ipus, tiles_per_ipu=tiles_per_ipu,
+                            num_tiles=num_tiles, grid_dims=grid_dims,
+                            blockwise_halo=blockwise_halo, optimize=optimize, backend=backend)
     check_observers(backend, tracer=obs.tracer, injector=plan)
     rconfig = ResilienceConfig.parse(resilience)
     config = load_config(config)
     batch = validate_arrays(matrix, b, x0)
-    validate_shape(matrix, dict(num_ipus=num_ipus, tiles_per_ipu=tiles_per_ipu,
-                                num_tiles=num_tiles, grid_dims=grid_dims, device=device))
     if batch > 1:
         # The resilience driver's checkpoint/restore and the fault
         # injector's corruption sites are written against single-RHS
@@ -769,30 +718,22 @@ def solve(
     tick = _deadline_tick(t_wall0, deadline)
     if cache is not None and not isinstance(cache, ProgramCache):
         raise TypeError(f"cannot interpret cache={cache!r} (None or a ProgramCache)")
-    # A caller-owned device would end up holding cache-owned shards; every
-    # entry builds on a fresh device instead.
-    pcache = cache if device is None else None
-    layout = dict(num_ipus=num_ipus, tiles_per_ipu=tiles_per_ipu, grid_dims=grid_dims,
-                  blockwise_halo=blockwise_halo)
-    rs = _Restarts(num_tiles=num_tiles, device=device, x0=x0)
+    rs = _Restarts(shape=shape, x0=x0)
 
     while True:
-        key = None if pcache is None else fingerprint_solve(
-            matrix, config, **layout, num_tiles=rs.num_tiles, optimize=optimize,
-            backend=backend, resilient=rconfig is not None, batch=batch,
-        )
+        key = None if cache is None else rs.shape.key(
+            matrix, config, resilient=rconfig is not None, batch=batch)
         # prepare() and the run overwrite the entry's buffers, and the result
         # is read out of them: one solve per entry from lookup to result.
         # An OOM restart keys a new entry, so each attempt takes its own.
-        with pcache.lock(key) if pcache is not None else nullcontext():
+        with cache.lock(key) if cache is not None else nullcontext():
             # One pass, filled stage by stage — so the OOM handler sees
             # whatever exists when the build or the run raised.
             at = SimpleNamespace(monitor=None, injector=None, device=None, solver=None,
                                  engine=None)
             try:
-                _acquire(at, matrix, b, b64, config, layout, rs, pcache=pcache, key=key,
-                         rconfig=rconfig, optimize=optimize, batch=batch,
-                         tracer=obs.tracer)
+                _acquire(at, matrix, b, b64, config, rs, pcache=cache, key=key,
+                         rconfig=rconfig, batch=batch, tracer=obs.tracer)
                 _arm(at, plan, rs, backend, obs, progress, tick)
                 aborted = _run_under_recovery(at, matrix, b64, obs.tracer)
             except JobTimeoutError as exc:
@@ -804,8 +745,7 @@ def solve(
                 raise
             except SRAMOverflowError:
                 if rconfig is None or not rconfig.degrade_on_oom or not rs.degrade(
-                    at, rconfig, matrix, num_ipus * tiles_per_ipu
-                ):
+                    at, rconfig, matrix):
                     raise
                 continue
             if at.monitor is not None:
@@ -828,4 +768,4 @@ def solve(
                 name = at.solver.name
                 raise failure_error(failure, name, solver=name,
                                     iteration=at.solver.stats.total_iterations)
-            return _finalize(at, x, rels, batch, rs, report, obs, pcache, t_wall0)
+            return _finalize(at, x, rels, batch, rs, report, obs, cache, t_wall0)

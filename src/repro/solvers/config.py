@@ -67,18 +67,28 @@ def load_config(source) -> dict:
     """Accept a dict, a JSON string, a path to a JSON file, or a bare
     solver name (``"cg"`` is shorthand for ``{"solver": "cg"}``).
 
-    The bounds of a solve are checked here, over the whole tree: a ``tol``
-    must be a finite real >= 0 and every iteration cap a positive int.  A
-    NaN, infinite or negative tolerance or a negative cap would otherwise
-    end the solve after 0 iterations and report success.  A bad value
-    raises :class:`SolverConfigError` naming its key path
+    The config is checked here, at every level of the tree, so a bad one
+    is refused before anything is built.  Each level names a known
+    ``solver``, and ``mpir`` and ``schur`` also an ``inner`` one.  A
+    ``tol`` must be a finite real >= 0 and every iteration cap a positive
+    int: a NaN, infinite or negative tolerance or a negative cap would
+    otherwise end the solve after 0 iterations and report success.  A bad
+    config raises :class:`SolverConfigError` naming its key path
     (``inner.preconditioner.tol``)."""
     cfg = _parse(source)
-    _check_bounds(cfg, "")
+    _check(cfg, "")
     return cfg
 
 
-def _check_bounds(cfg: dict, path: str) -> None:
+def _check(cfg: dict, path: str) -> None:
+    at = f" at {path[:-1]}" if path else ""
+    if "solver" not in cfg:
+        raise SolverConfigError(f"solver config{at} needs a 'solver' key")
+    kind = cfg["solver"]
+    if not isinstance(kind, str) or kind not in SOLVERS:
+        raise SolverConfigError(f"unknown solver {kind!r}{at}; available: {sorted(SOLVERS)}")
+    if kind in ("mpir", "schur") and "inner" not in cfg:
+        raise SolverConfigError(f"{kind} config{at} needs an 'inner' solver")
     for key, value in cfg.items():
         where = path + key
         if key == "tol":
@@ -90,7 +100,7 @@ def _check_bounds(cfg: dict, path: str) -> None:
                     and value > 0):
                 raise SolverConfigError(f"{where} must be a positive int, got {value!r}")
         elif key in _NESTED and isinstance(value, (dict, str, Path)):
-            _check_bounds(_parse(value), where + ".")
+            _check(_parse(value), where + ".")
 
 
 def _parse(source) -> dict:
@@ -115,18 +125,10 @@ def _parse(source) -> dict:
 
 
 def build_solver(A, config) -> Solver:
-    """Recursively instantiate the solver tree described by ``config``."""
+    """Recursively instantiate the solver tree described by ``config``
+    (checked by :func:`load_config`)."""
     cfg = dict(load_config(config))
-    try:
-        kind = cfg.pop("solver")
-    except KeyError:
-        raise SolverConfigError("solver config needs a 'solver' key") from None
-    if kind not in SOLVERS:
-        raise SolverConfigError(f"unknown solver {kind!r}; available: {sorted(SOLVERS)}")
-    cls = SOLVERS[kind]
-    kwargs = {}
-    for key, val in cfg.items():
-        kwargs[key] = build_solver(A, val) if key in SUB_SOLVER_KEYS else val
-    if kind in ("mpir", "schur") and "inner" not in kwargs:
-        raise SolverConfigError(f"{kind} config needs an 'inner' solver")
+    cls = SOLVERS[cfg.pop("solver")]
+    kwargs = {key: build_solver(A, val) if key in SUB_SOLVER_KEYS else val
+              for key, val in cfg.items()}
     return cls(A, **kwargs)

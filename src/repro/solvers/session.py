@@ -6,11 +6,13 @@ step.  On a real IPU the Poplar graph compile dominates the first solve
 and is amortized by keeping the ``poplar::Engine`` alive; this module is
 the analogue for the simulated pipeline:
 
-- :func:`fingerprint_solve` — a structural fingerprint of everything the
-  lowered program depends on: the matrix (sparsity pattern *and* values —
-  the values are baked into tile-local blocks at distribution time), the
-  canonicalized solver config, the device shape, the partition, the halo
-  strategy, the optimization setting, and the runtime backend,
+- :class:`ProgramShape` — the device shape, the partition, the halo
+  strategy, the optimization setting and the runtime backend, defaulted
+  and checked in one place; its :meth:`~ProgramShape.key` is a structural
+  fingerprint of everything the lowered program depends on: the matrix
+  (sparsity pattern *and* values — the values are baked into tile-local
+  blocks at distribution time), the canonicalized solver config, and that
+  shape,
 - :class:`ProgramCache` — an LRU map from fingerprint to a ready-to-run
   :class:`CompiledSolve`, with hit/miss/eviction counters that surface in
   telemetry and the CLI, and one execution lock per fingerprint that the
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -46,12 +49,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import ReproError, SolverConfigError
+from repro.graph.runtime import check_observers
 from repro.solvers.config import load_config
+from repro.sparse.partition import grid_factors
 
 __all__ = [
     "CompiledSolve",
     "ProgramCache",
+    "ProgramShape",
     "SolverSession",
     "batch_bucket",
     "fingerprint_matrix",
@@ -130,44 +136,105 @@ def _hash_matrix(n: int, arrays: tuple) -> str:
     return h.hexdigest()
 
 
-def fingerprint_solve(
-    matrix,
-    config,
-    *,
-    num_ipus: int = 1,
-    tiles_per_ipu: int = 16,
-    num_tiles: int | None = None,
-    grid_dims=None,
-    blockwise_halo: bool = True,
-    optimize: bool = True,
-    backend: str = "sim",
-    resilient: bool = False,
-    batch: int = 1,
-) -> str:
-    """The cache key: everything the lowered program artifact depends on.
+def _positive_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
-    ``b`` and ``x0`` are deliberately absent — they are host-rebindable
-    (see the module docstring).  ``resilient`` keys on whether a
-    :class:`~repro.solvers.resilience.ResilienceMonitor` was woven into
-    the schedule (its detection callbacks are program steps).  ``batch``
-    keys on the RHS batch width: a batched program allocates ``(n, batch)``
-    shards and a masked iteration loop, so each width is its own artifact
-    (``b``'s *values* still rebind freely within a width).
+
+@dataclass(frozen=True)
+class ProgramShape:
+    """The device shape a program is built for.  With the matrix and the
+    config it names one program: :meth:`key`, the cache key.
+
+    The one place these options are defaulted and checked.  ``num_ipus``,
+    ``tiles_per_ipu`` and ``num_tiles`` (``None``: every tile) are positive
+    ints, and ``grid_dims`` (``None``: no structured partition) is a tuple of
+    positive ints.  A bad value is a :class:`~repro.errors.SolverConfigError`
+    that names it (exit code 20); an unknown ``backend`` is a
+    :class:`~repro.errors.BackendCapabilityError`.  :meth:`of` also checks
+    the shape against the matrix it is to hold.
     """
-    parts = {
-        "matrix": fingerprint_matrix(matrix),
-        "config": json.dumps(load_config(config), sort_keys=True, default=str),
-        "num_ipus": int(num_ipus),
-        "tiles_per_ipu": int(tiles_per_ipu),
-        "num_tiles": None if num_tiles is None else int(num_tiles),
-        "grid_dims": None if grid_dims is None else [int(d) for d in grid_dims],
-        "blockwise_halo": bool(blockwise_halo),
-        "optimize": bool(optimize),
-        "backend": str(backend),
-        "resilient": bool(resilient),
-        "batch": int(batch),
-    }
-    return hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()
+
+    num_ipus: int = 1
+    tiles_per_ipu: int = 16
+    num_tiles: int | None = None
+    grid_dims: tuple | None = None
+    blockwise_halo: bool = True
+    optimize: bool = True
+    backend: str = "sim"
+
+    def __post_init__(self):
+        for name in ("num_ipus", "tiles_per_ipu", "num_tiles"):
+            value = getattr(self, name)
+            if value is None and name == "num_tiles":
+                continue
+            if not _positive_int(value):
+                raise SolverConfigError(f"{name} must be a positive int, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        dims = self.grid_dims
+        if dims is not None:
+            if not (isinstance(dims, (tuple, list)) and dims and all(map(_positive_int, dims))):
+                raise SolverConfigError(
+                    f"grid_dims must be a tuple of positive ints, got {dims!r}")
+            object.__setattr__(self, "grid_dims", tuple(map(int, dims)))
+        object.__setattr__(self, "blockwise_halo", bool(self.blockwise_halo))
+        object.__setattr__(self, "optimize", bool(self.optimize))
+        check_observers(self.backend)
+
+    @classmethod
+    def of(cls, matrix, **options) -> ProgramShape:
+        """The shape ``options`` name, checked against ``matrix``:
+        ``grid_dims`` covers its rows and splits into one block per tile
+        the rows are spread over."""
+        shape = cls(**options)
+        dims = shape.grid_dims
+        if dims is None:
+            return shape
+        n = int(matrix.n)
+        if math.prod(dims) != n:
+            raise SolverConfigError(
+                f"grid_dims {dims} holds {math.prod(dims)} cells "
+                f"but the matrix has {n} rows")
+        tiles = shape.num_ipus * shape.tiles_per_ipu
+        parts = min(shape.num_tiles or tiles, n, tiles)
+        blocks = grid_factors(parts, len(dims))
+        if any(b > d for b, d in zip(blocks, dims)):
+            raise SolverConfigError(
+                f"grid_dims {dims} cannot be split into {blocks} blocks, "
+                f"one per tile of the {parts} the matrix is spread over")
+        return shape
+
+    @classmethod
+    def split(cls, matrix, options: dict) -> tuple:
+        """``options`` as the shape they name (:meth:`of`) and the rest."""
+        names = cls.__dataclass_fields__
+        shape = cls.of(matrix, **{k: v for k, v in options.items() if k in names})
+        return shape, {k: v for k, v in options.items() if k not in names}
+
+    def key(self, matrix, config, *, resilient: bool = False, batch: int = 1) -> str:
+        """The cache key: everything the lowered program artifact depends on.
+
+        ``b`` and ``x0`` are deliberately absent — they are host-rebindable
+        (see the module docstring).  ``resilient`` keys on whether a
+        :class:`~repro.solvers.resilience.ResilienceMonitor` was woven into
+        the schedule (its detection callbacks are program steps).  ``batch``
+        keys on the RHS batch width: a batched program allocates ``(n,
+        batch)`` shards and a masked iteration loop, so each width is its own
+        artifact (``b``'s *values* still rebind freely within a width).
+        """
+        parts = {
+            **vars(self),
+            "matrix": fingerprint_matrix(matrix),
+            "config": json.dumps(load_config(config), sort_keys=True, default=str),
+            "resilient": bool(resilient),
+            "batch": int(batch),
+        }
+        return hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()
+
+
+def fingerprint_solve(matrix, config, *, resilient: bool = False, batch: int = 1,
+                      **shape) -> str:
+    """:meth:`ProgramShape.key` of the shape the keywords name."""
+    return ProgramShape(**shape).key(matrix, config, resilient=resilient, batch=batch)
 
 
 @dataclass
@@ -365,10 +432,13 @@ class SolverSession:
     The first :meth:`solve` builds and lowers the program; every later
     call with the same structure rebinds ``b``/``x0`` into the cached
     :class:`~repro.graph.CompiledProgram` and re-executes it — no symbolic
-    execution, no compiler passes, no re-partitioning.  Per-call keyword
-    overrides are allowed (e.g. a different ``num_tiles``) and simply key
-    a different cache entry.  Threads may share a session: their solves
-    take turns on the compiled program (:meth:`ProgramCache.lock`).
+    execution, no compiler passes, no re-partitioning.  The shape options
+    among ``solve_kwargs`` are checked once, here, as a
+    :class:`ProgramShape`; the rest are :func:`~repro.solvers.solve`'s own
+    options, passed to every call.  Per-call keyword overrides are allowed
+    (e.g. a different ``num_tiles``) and simply key a different cache
+    entry.  Threads may share a session: their solves take turns on the
+    compiled program (:meth:`ProgramCache.lock`).
 
         session = SolverSession(matrix, "cg", grid_dims=(40, 40))
         for b in rhs_stream:
@@ -376,24 +446,16 @@ class SolverSession:
     """
 
     def __init__(self, matrix, config, cache: ProgramCache | None = None, **solve_kwargs):
-        if "device" in solve_kwargs:
-            raise ReproError(
-                "SolverSession manages its own devices; 'device' is not supported"
-            )
         self.matrix = matrix
         self.config = config
         self.cache = cache if cache is not None else ProgramCache()
-        self.solve_kwargs = dict(solve_kwargs)
+        self.shape, self.options = ProgramShape.split(matrix, solve_kwargs)
 
     def solve(self, b, x0=None, **overrides):
         """Solve ``A x = b`` through the session's compile cache."""
         from repro.solvers.api import solve as _solve
 
-        if "device" in overrides:
-            raise ReproError(
-                "SolverSession manages its own devices; 'device' is not supported"
-            )
-        kwargs = {**self.solve_kwargs, **overrides}
+        kwargs = {**vars(self.shape), **self.options, **overrides}
         return _solve(self.matrix, b, self.config, x0=x0, cache=self.cache, **kwargs)
 
     def stats(self) -> dict:

@@ -47,7 +47,7 @@ class Partition:
         return self.owner.size
 
 
-@cache  # every solve's input gate asks (repro.solvers.api.validate_shape)
+@cache  # every solve's input gate asks (repro.solvers.ProgramShape.of)
 def grid_factors(parts: int, ndim: int) -> tuple:
     """Factor ``parts`` into ``ndim`` near-equal factors (px*py*pz = parts)."""
     factors = [1] * ndim

@@ -6,12 +6,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import ReproError, SolverConfigError
 from repro.graph import Graph
 from repro.graph.passes import PassManager, compile_program
 from repro.machine import IPUDevice
 from repro.solvers import (
     ProgramCache,
+    ProgramShape,
     SolverSession,
     fingerprint_matrix,
     fingerprint_solve,
@@ -284,13 +285,6 @@ class TestCacheHits:
         assert stats["misses"] == 3 and stats["hits"] == 0
         assert stats["size"] == 1
 
-    def test_explicit_device_disables_caching(self):
-        crs, dims, b = _system()
-        cache = ProgramCache()
-        dev = IPUDevice(num_ipus=1, tiles_per_ipu=4)
-        solve(crs, b, CG, grid_dims=dims, device=dev, cache=cache)
-        assert len(cache) == 0 and cache.stats()["misses"] == 0
-
     def test_stats_are_detached_per_result(self):
         # Under caching the solver tree's stats are reset in place on every
         # hit; each SolveResult must keep its own copy.
@@ -313,14 +307,18 @@ class TestSolverSession:
         assert _counts(session) == {"hits": 1, "misses": 1, "evictions": 0,
                                     "size": 1, "capacity": 8}
 
-    def test_session_rejects_device(self):
+    def test_session_checks_its_shape_once_at_construction(self):
         crs, dims, b = _system()
-        dev = IPUDevice(num_ipus=1, tiles_per_ipu=4)
-        with pytest.raises(ReproError, match="device"):
-            SolverSession(crs, CG, device=dev)
-        session = SolverSession(crs, CG, grid_dims=dims, tiles_per_ipu=4)
-        with pytest.raises(ReproError, match="device"):
-            session.solve(b, device=dev)
+        with pytest.raises(SolverConfigError, match="tiles_per_ipu must be a positive int"):
+            SolverSession(crs, CG, grid_dims=dims, tiles_per_ipu=None)
+        session = SolverSession(crs, CG, grid_dims=list(dims), tiles_per_ipu=np.int64(4),
+                                backend="fused")
+        assert session.shape == ProgramShape(tiles_per_ipu=4, grid_dims=dims,
+                                             backend="fused")
+        assert session.options == {}
+        # Every program builds on a device of its own: there is no device=.
+        with pytest.raises(TypeError, match="device"):
+            session.solve(b, device=IPUDevice(num_ipus=1, tiles_per_ipu=4))
 
     def test_per_call_overrides_key_new_entries(self):
         crs, dims, b = _system()

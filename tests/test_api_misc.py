@@ -31,15 +31,6 @@ class TestSolveResult:
         assert result.engine is not None
         assert result.solver.name == "bicgstab"
 
-    def test_custom_device(self):
-        from repro.machine import IPUDevice
-
-        crs, dims = poisson2d(6)
-        dev = IPUDevice(num_ipus=1, tiles_per_ipu=9)
-        res = solve(crs, np.ones(crs.n), {"solver": "jacobi", "sweeps": 5},
-                    grid_dims=dims, device=dev)
-        assert res.engine.device is dev
-
 
 class TestResidualDtype:
     def test_float32_rhs_reports_f64_relative_residual(self):

@@ -1,12 +1,12 @@
 """One input gate: a malformed ``b``/``x0`` is a typed ``ReproError`` on
 every entry point — ``solve()``, ``SolverService.submit()`` and the CLI —
-never a NaN result reported as success.  So is a solver config whose
-tolerance or iteration cap is out of bounds, or a device shape (tile and
-IPU counts, ``grid_dims``) that cannot hold the matrix
-(``SolverConfigError``, exit code 20), a CLI matrix spec that names no
-matrix (``MatrixFormatError``, exit code 19), and a block whose ILU(0) /
-DILU factorization meets a zero pivot (``FactorizationError``, exit code
-21)."""
+never a NaN result reported as success.  So is a solver config that names
+no known solver or whose tolerance or iteration cap is out of bounds, or a
+device shape (tile and IPU counts, ``grid_dims``) that cannot hold the
+matrix (``SolverConfigError``, exit code 20), a keyword ``submit()`` does
+not take, a CLI matrix spec that names no matrix (``MatrixFormatError``,
+exit code 19), and a block whose ILU(0) / DILU factorization meets a zero
+pivot (``FactorizationError``, exit code 21)."""
 
 import asyncio
 import json
@@ -21,8 +21,9 @@ import scipy.sparse as sp
 from repro.cli import main
 from repro.errors import FactorizationError, ReproError, SolverConfigError
 from repro.graph.passes import compile_program
+from repro.machine import IPUDevice
 from repro.serve import ServicePolicy, SolverService
-from repro.solvers import solve
+from repro.solvers import ProgramCache, SolverSession, compile_solve, solve
 from repro.sparse import ModifiedCRS, poisson2d
 
 CRS, DIMS = poisson2d(8)
@@ -104,7 +105,9 @@ def test_cli_exits_10(case, tmp_path, capsys):
 
 #: (id, config, message) — a tolerance or iteration cap out of bounds, at any
 #: depth of the config tree; each used to finish after 0 iterations with
-#: ``failure=None`` (or, for ``"abc"``, raise a raw ``TypeError``).
+#: ``failure=None`` (or, for ``"abc"``, raise a raw ``TypeError``).  And a
+#: tree that names no known solver, or an MPIR without its inner solver:
+#: ``submit()`` used to admit those and book them as worker faults.
 BAD_CONFIGS = [
     ("tol_nan", {"solver": "cg", "tol": float("nan")}, "tol must be a finite real"),
     ("tol_negative", {"solver": "cg", "tol": -1}, "tol must be a finite real"),
@@ -123,6 +126,12 @@ BAD_CONFIGS = [
         "solver": "mpir", "inner": {"solver": "bicgstab", "preconditioner": {
             "solver": "jacobi", "max_iterations": -1}}},
      "inner.preconditioner.max_iterations must be"),
+    ("unknown_solver", {"solver": "nope"}, "unknown solver 'nope'"),
+    ("no_solver_key", {"tol": 1e-6}, "solver config needs a 'solver' key"),
+    ("mpir_without_inner", {"solver": "mpir", "precision": "dw"},
+     "mpir config needs an 'inner' solver"),
+    ("nested_unknown_solver", {"solver": "cg", "preconditioner": {"solver": "amg"}},
+     "unknown solver 'amg' at preconditioner"),
 ]
 CONFIG_IDS = [c[0] for c in BAD_CONFIGS]
 
@@ -166,7 +175,9 @@ def test_cli_exits_20_on_bad_bounds(case, capsys):
 
 
 #: (id, device-shape keywords, message) — each used to end in a raw
-#: ``ValueError`` from the device or the partitioner.
+#: ``ValueError`` or ``TypeError`` from the device or the partitioner, or
+#: (``tiles_per_ipu=None``) in a solve on the 1,472 tiles of a whole IPU.
+#: ``None`` is a value only for ``num_tiles`` and ``grid_dims``.
 BAD_SHAPES = [
     ("tiles_per_ipu_zero", {"tiles_per_ipu": 0}, "tiles_per_ipu must be a positive int"),
     ("tiles_per_ipu_float", {"tiles_per_ipu": 2.5}, "tiles_per_ipu must be a positive int"),
@@ -176,6 +187,13 @@ BAD_SHAPES = [
     ("grid_dims_not_ints", {"grid_dims": "8x8"}, "grid_dims must be a tuple"),
     ("grid_dims_unsplittable", {"grid_dims": (1, 64), "tiles_per_ipu": 4},
      r"cannot be split into \(2, 2\) blocks"),
+    ("num_ipus_none", {"num_ipus": None, "grid_dims": None},
+     "num_ipus must be a positive int, got None"),
+    ("num_ipus_none_with_grid_dims", {"num_ipus": None},
+     "num_ipus must be a positive int, got None"),
+    ("tiles_per_ipu_none", {"tiles_per_ipu": None},
+     "tiles_per_ipu must be a positive int, got None"),
+    ("num_ipus_bool", {"num_ipus": True}, "num_ipus must be a positive int, got True"),
 ]
 SHAPE_IDS = [c[0] for c in BAD_SHAPES]
 
@@ -186,8 +204,6 @@ def _shape(overrides: dict) -> dict:
 
 @pytest.mark.parametrize("case", BAD_SHAPES, ids=SHAPE_IDS)
 def test_solve_and_compile_solve_reject_bad_shapes(case):
-    from repro.solvers import compile_solve
-
     _, overrides, needle = case
     with _counting_lowerings() as lowered:
         for entry in (solve, compile_solve):
@@ -195,6 +211,27 @@ def test_solve_and_compile_solve_reject_bad_shapes(case):
                 entry(CRS, GOOD, "cg", **_shape(overrides))
             assert exc_info.value.exit_code == 20
     assert lowered.call_count == 0  # refused at the gate, nothing built
+
+
+@pytest.mark.parametrize("case", BAD_SHAPES, ids=SHAPE_IDS)
+def test_a_session_refuses_a_bad_shape_when_it_is_made(case):
+    _, overrides, needle = case
+    with pytest.raises(SolverConfigError, match=needle) as exc_info:
+        SolverSession(CRS, "cg", **_shape(overrides))
+    assert exc_info.value.exit_code == 20
+
+
+def test_compile_solve_takes_the_backend_like_every_shape_option():
+    sim = compile_solve(CRS, GOOD, "cg", **_shape({}))
+    fused = compile_solve(CRS, GOOD, "cg", backend="fused", **_shape({}))
+    assert fused.stats == sim.stats  # the kernel schedule is lowered for every backend
+
+
+def test_solve_takes_no_device():
+    # Every program builds on a device of its own, cached or not.
+    with _counting_lowerings() as lowered, pytest.raises(TypeError, match="device"):
+        solve(CRS, GOOD, "cg", device=IPUDevice(num_ipus=1, tiles_per_ipu=4), **_shape({}))
+    assert lowered.call_count == 0
 
 
 def test_a_nine_row_grid_refuses_a_four_cell_shape():
@@ -223,7 +260,60 @@ def test_submit_rejects_bad_shapes_without_spending_quota(case):
     assert acc["rejections"] == {"invalid_argument": 1}
 
 
-@pytest.mark.parametrize("command", ["solve", "compile-report", "batch"])
+#: (id, keyword) — each used to be admitted, then fail in a worker and be
+#: booked as a worker fault (``device=`` for 7 of 8 jobs sharing it).
+REFUSED_KEYWORDS = [
+    ("unknown", "foo", lambda: 1),
+    ("cache", "cache", ProgramCache),
+    ("max_wall_seconds", "max_wall_seconds", lambda: 1.0),
+    ("device", "device", lambda: IPUDevice(num_ipus=1, tiles_per_ipu=4)),
+]
+
+
+@pytest.mark.parametrize("case", REFUSED_KEYWORDS, ids=[c[0] for c in REFUSED_KEYWORDS])
+def test_submit_refuses_keywords_it_does_not_take(case):
+    _, name, value = case
+
+    async def go():
+        policy = ServicePolicy(quota_rate=0.0, quota_burst=1.0)
+        async with SolverService(workers=1, policy=policy) as svc:
+            with _counting_lowerings() as lowered:
+                with pytest.raises(ReproError, match=f"does not take {name}") as exc_info:
+                    svc.submit(CRS, GOOD, "cg", backend="fused", **_shape({}),
+                               **{name: value()})
+                assert exc_info.value.exit_code == 10
+                assert lowered.call_count == 0
+            # The refusal spent no quota token: this job takes the only one.
+            ok = await svc.solve(CRS, GOOD, "cg", grid_dims=DIMS, backend="fused")
+            return ok, svc.accounting()
+
+    ok, acc = asyncio.run(go())
+    assert ok.result.failure is None
+    assert acc["balanced"], acc
+    assert acc["rejections"] == {"invalid_argument": 1}
+    assert acc["worker_faults"] == 0
+
+
+def test_submit_passes_observers_through_and_keeps_the_job_unbatched():
+    from repro.serve import BatchPolicy
+
+    async def go():
+        policy = ServicePolicy(batch=BatchPolicy(max_batch=4, max_wait_ms=0.0))
+        async with SolverService(workers=1, policy=policy) as svc:
+            seen = []
+            job = svc.submit(CRS, GOOD, "cg", backend="fused", wall_trace=True,
+                             on_progress=seen.append, progress_every=2, **_shape({}))
+            plain = svc.submit(CRS, GOOD, "cg", backend="fused", **_shape({}))
+            return job, plain, await job.future, seen
+
+    job, plain, served, seen = asyncio.run(go())
+    assert job.batch_key is None and plain.batch_key is not None
+    assert job.fingerprint == plain.fingerprint  # the same program
+    assert served.result.wall_telemetry is not None
+    assert seen and all(p.iteration % 2 == 0 for p in seen)
+
+
+@pytest.mark.parametrize("command", ["solve", "compile-report", "batch", "serve"])
 @pytest.mark.parametrize("flags, needle", [
     (["--tiles", "0"], "tiles_per_ipu must be a positive int, got 0"),
     (["--tiles", "-3"], "tiles_per_ipu must be a positive int, got -3"),
@@ -234,6 +324,15 @@ def test_cli_exits_20_on_bad_device_shape(command, flags, needle, capsys):
     assert rc == 20
     err = capsys.readouterr().err
     assert err.startswith("error:") and needle in err
+
+
+def test_serve_checks_its_config_before_starting_the_service(capsys):
+    rc = main(["serve", "--matrix", "poisson2d:8", "--config", '{"solver": "nope"}',
+               "--tiles", "4", "--jobs", "2"])
+    assert rc == 20
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no load run, no ledger
+    assert captured.err.startswith("error: unknown solver 'nope'")
 
 
 @pytest.mark.parametrize("spec, needle", [
