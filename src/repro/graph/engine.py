@@ -141,14 +141,18 @@ class Engine:
     # -- execution ---------------------------------------------------------------------
 
     def run(self) -> None:
-        """Execute the compiled program's root step."""
+        """Execute the compiled program's root step.  Device arithmetic is
+        IEEE arithmetic without traps: an overflow or a NaN is a value the
+        solver's checks classify, so the numpy forms of the ops warn no more
+        than their native forms do."""
         root = self.compiled.root
-        if self._kernel_schedule is not None and isinstance(root, (Execute, Exchange)):
-            # A bare-step root has no enclosing block; launched as kernels,
-            # it runs as the one-kernel item list lowered for it.
-            self._run_block(root)
-        else:
-            self._run_step(root)
+        with np.errstate(all="ignore"):
+            if self._kernel_schedule is not None and isinstance(root, (Execute, Exchange)):
+                # A bare-step root has no enclosing block; launched as
+                # kernels, it runs as the one-kernel item list lowered for it.
+                self._run_block(root)
+            else:
+                self._run_step(root)
         if self.tracer is not None:
             self.tracer.finalize()
 

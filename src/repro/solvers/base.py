@@ -257,10 +257,13 @@ class Solver:
         rho_var = getattr(self, "_rho_var", None)
         rho = engine.read_batch(rho_var).tolist() if rho_var is not None else []
         breakdown = getattr(self, "_breakdown", 0.0)
+        bnorm2 = getattr(self, "_bnorm2_host", ())
         failures = []
         for j, st in enumerate(self.batch_stats or [self.stats]):
             f = self._classify_stats(st, tol)
-            if f == "max_iterations" and j < len(rho) and not abs(rho[j]) > breakdown:
+            if j < len(bnorm2) and not math.isfinite(bnorm2[j]):
+                f = "nan_residual"  # float32 ‖b‖² overflowed: no residual measures against it
+            elif f == "max_iterations" and j < len(rho) and not abs(rho[j]) > breakdown:
                 f = "breakdown"  # rho collapsed, or went NaN
             failures.append(f)
         for st, f in zip(self.batch_stats or (), failures):
@@ -332,13 +335,16 @@ class Solver:
 
     def _read_bnorm2(self, bnorm2) -> list:
         """Append a callback reading ``‖b‖²`` (floored at 1e-300) back to the
-        host, one Python float per column; returns the list it fills."""
+        host, one Python float per column; returns the list it fills, which
+        :meth:`classify_failure` also reads: a column whose float32 ``‖b‖²``
+        is not finite is a ``"nan_residual"``."""
         host: list = []
 
         def cb(engine, _v=bnorm2.var):
             host[:] = [max(v, 1e-300) for v in engine.read_batch(_v).tolist()]
 
         self.ctx.callback(cb)
+        self._bnorm2_host = host
         return host
 
     @staticmethod

@@ -14,6 +14,12 @@ weakens as the tile count grows (visible in the Fig. 8 bench).
 Factorization and substitution are parallelized per tile over the six
 worker threads with Level-Set Scheduling; cycle costs use the IPUTHREADING
 model.  All numerics run in float32, like the IPU.
+
+Each tile's block is factored once, at build time, by :func:`factor`: one
+``repro_factor_f32`` entry of ``native.c`` (:mod:`repro.solvers.native`),
+whose oracle — and fallback when the library does not load or fails its
+load-time self-check — is the Python loop :func:`_factor_ilu0` or
+:func:`_factor_dilu`.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from repro.errors import FactorizationError
 from repro.graph.codelet import Codelet, ComputeSet, SweepSpec, VertexGroup
 from repro.graph.program import Execute as ExecuteStep
 from repro.machine.cycles import OP_CYCLES
+from repro.solvers import native
 from repro.solvers.base import Solver
 from repro.solvers.native import Chain
 from repro.solvers.sweeps import SweepPlan, build_sweep
@@ -50,8 +57,8 @@ def _factor_ilu0(n, row_ptr, col_idx, values, diag, tile: int):
     hold U's off-diagonals, ``diag_u`` holds U's diagonal.  Each pivot is
     checked as row ``i`` completes it, before a later row divides by it.
     """
-    vals = values.astype(np.float32).copy()
-    diag_u = diag.astype(np.float32).copy()
+    vals = values.astype(np.float32)
+    diag_u = diag.astype(np.float32)
     # Per-row lookup: local col -> entry position (halo columns excluded).
     row_map = []
     for i in range(n):
@@ -82,7 +89,8 @@ def _factor_ilu0(n, row_ptr, col_idx, values, diag, tile: int):
 def _factor_dilu(n, row_ptr, col_idx, values, diag, tile: int):
     """Block-local DILU diagonal; returns (d, flops).  Each pivot is checked
     as row ``i`` completes it."""
-    d = diag.astype(np.float32).copy()
+    values = values.astype(np.float32)
+    d = diag.astype(np.float32)
     row_map = []
     for i in range(n):
         s, e = row_ptr[i], row_ptr[i + 1]
@@ -98,6 +106,157 @@ def _factor_dilu(n, row_ptr, col_idx, values, diag, tile: int):
                 flops += 3
         _check_pivot(d[i], "dilu", tile, i)
     return d, flops
+
+
+_ORACLES = {"ilu0": _factor_ilu0, "dilu": _factor_dilu}
+
+
+def factor(solver: str, n: int, row_ptr, col_idx, values, diag, tile: int) -> tuple:
+    """Tile ``tile``'s block-local factorization under ``solver`` (``"ilu0"``
+    or ``"dilu"``): ``(values, diag, flops)`` in float32 — ILU(0)'s L and U
+    off-diagonals and U's diagonal, or DILU's unchanged values and modified
+    diagonal.  A pivot that is zero or not finite raises
+    :class:`FactorizationError` at the first such row, as the Python loops
+    do: they are the entry's oracle and fallback."""
+    entry = _factor_entry(solver, n, row_ptr, col_idx, values, diag, tile)
+    entry()
+    return _factored(entry, solver, tile)
+
+
+def _factored(entry, solver: str, tile: int) -> tuple:
+    """``(values, diag, flops)`` as a factor entry wrote them, or the
+    :class:`FactorizationError` of the first bad pivot it reported."""
+    vals, d, _, out = entry.keep[2:]
+    if out[1] >= 0:
+        _check_pivot(d[out[1]], solver, tile, int(out[1]))
+    return vals, d, int(out[0])
+
+
+def _factor_entry(solver: str, n: int, row_ptr, col_idx, values, diag, tile: int):
+    """The bound ``repro_factor_f32`` entry of :func:`factor`; it keeps
+    ``(row_ptr, cols, vals, diag, scratch, out)`` and writes ``vals``,
+    ``diag`` and ``out = (flops, first bad pivot row or -1)`` in place."""
+    row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
+    cols = np.ascontiguousarray(col_idx, dtype=np.int64)
+    vals = np.array(values, dtype=np.float32)  # copies: the entry writes them
+    d = np.array(diag, dtype=np.float32)
+    # The native call trusts these indices: check them once, here.
+    lengths = row_ptr[1:] - row_ptr[:-1]
+    if not (row_ptr.shape == (n + 1,) and d.shape == (n,) and row_ptr[0] == 0
+            and row_ptr[-1] == cols.size == vals.size and (lengths >= 0).all()
+            and cols.min(initial=0) >= 0):
+        raise ValueError("malformed block: row_ptr does not index col_idx / values, diag is "
+                         "not one per row, or a column is negative")
+    out = np.zeros(2, dtype=np.int64)
+    # native.c's pos, uniq and lower; pos comes in -1 (a fill loop in C
+    # would become a memset call, see repro_levels).
+    scratch = np.full(n + cols.size + int(lengths.max(initial=0)), -1, dtype=np.int64)
+
+    def fallback():
+        *factored, flops = _ORACLES[solver](n, row_ptr, cols, vals, d, tile)
+        if solver == "ilu0":
+            vals[...] = factored[0]
+        d[...] = factored[-1]
+        out[...] = (flops, -1)
+
+    keep = (row_ptr, cols, vals, d, scratch, out)
+    mode = tuple(_ORACLES).index(solver)  # native.c's: 0 ILU(0), 1 DILU
+    return native.Entry(native.FACTOR, (mode, n, *(a.ctypes.data for a in keep)), keep,
+                        fallback, native_factor)
+
+
+def _check_blocks() -> list:
+    """The self-check's blocks, ``(n, row_ptr, col_idx, values, diag)``:
+    one of :data:`CHECK_ROWS` rows that factors completely — unsorted and
+    repeated columns, halo columns, empty rows, rows with only lower or
+    only upper entries, entries from 1e-30 to 1e30 with subnormals and
+    signed zeros, pivots from 1e25 to 1e30 — one of :data:`CHECK_SCALED`
+    rows with a symmetric pattern and entries and pivots of one scale, so
+    a product rounded or not shows in its difference — and four 2 x 2
+    blocks whose second pivot is zero, -inf or NaN, or whose first is
+    zero."""
+    rng = np.random.default_rng(53)
+    n = CHECK_ROWS
+    lengths = rng.integers(0, 7, n)
+    lengths[[0, 9]] = 0
+    shuffled = rng.random((n, n + 6)).argsort(axis=1)  # each row's columns in random order
+    cols = [shuffled[i, :size] for i, size in enumerate(lengths)]
+    cols[3] = rng.integers(0, 3, 4)  # only lower, with repeats
+    cols[5] = np.array([n + 2, 7, 6, 30])  # only upper and halo
+    cols[11] = np.array([4, 20, 4, 2, 20])  # repeats, lower and upper
+    lengths = [c.size for c in cols]
+    nnz = sum(lengths)
+    # Lower entries up to 1e8, upper from 1e-8: no DILU product overflows.
+    lower = np.concatenate(cols) < np.repeat(np.arange(n), lengths)
+    values = rng.choice([-1.0, 1.0], nnz) * 10.0 ** np.where(
+        lower, rng.uniform(-30, 8, nnz), rng.uniform(-8, 30, nnz))
+    values[rng.choice(nnz, 6, replace=False)] = [1e-40, -3e-42, 1e-45, 0.0, -0.0, 2e-38]
+    diag = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(25, 30, n)
+    blocks = [(n, np.concatenate([[0], np.cumsum(lengths)]), np.concatenate(cols), values, diag)]
+    # A symmetric pattern (every pair updates a pivot) plus halo columns,
+    # entries and pivots of one scale, so every product shows in its sum.
+    m = CHECK_SCALED
+    pattern = rng.random((m, m + 2)) < 0.2
+    pattern[:, :m] |= pattern[:, :m].T
+    np.fill_diagonal(pattern, False)
+    cols = np.concatenate([rng.permutation(np.flatnonzero(row)) for row in pattern])
+    blocks.append((m, np.concatenate([[0], np.cumsum(pattern.sum(axis=1))]), cols,
+                   rng.uniform(-1.0, 1.0, cols.size), rng.uniform(3.0, 6.0, m)))
+    for off, pivot in (((1.0, 1.0), 1.0), ((1e30, 1e30), 1e-30), ((np.nan, 1.0), 1.0),
+                       ((1.0, 1.0), 0.0)):
+        blocks.append((2, np.array([0, 1, 2]), np.array([1, 0]), np.array(off),
+                       np.array([pivot, 1.0])))
+    return blocks
+
+
+#: The rows of the self-check's two complete blocks (:func:`_check_blocks`).
+CHECK_ROWS, CHECK_SCALED = 40, 16
+
+
+def _self_check(run) -> str | None:
+    """Compare factor entries run by ``run`` (``repro_run``) with the
+    Python loops on :func:`_check_blocks`, both solvers: the factored
+    values, the diagonal and the flop count bit for bit, or the first bad
+    pivot and its error message; ``None`` when all agree, else the first
+    difference."""
+    def outcome(factorization):
+        try:
+            with np.errstate(all="ignore"):
+                return factorization()
+        except FactorizationError as exc:
+            return str(exc)
+
+    for b, block in enumerate(_check_blocks()):
+        for solver, oracle in _ORACLES.items():
+            entry = _factor_entry(solver, *block, tile=0)
+            native.Table([entry], run)()
+            got = outcome(lambda: _factored(entry, solver, 0))
+            want = outcome(lambda: oracle(*block, tile=0))
+            where = f"self-check: {solver} block {b}"
+            if isinstance(got, str) or isinstance(want, str):
+                if got != want:
+                    return f"{where}: {str(got)[:200]}; the loop: {str(want)[:200]}"
+                continue
+            if got[2] != want[-1]:
+                return f"{where}: {got[2]} flops, the loop {want[-1]}"
+            unchanged = np.asarray(block[3], dtype=np.float32)
+            for name, mine, ref in (("values", got[0], want[0] if solver == "ilu0" else unchanged),
+                                    ("diag", got[1], want[-2])):
+                same = (mine.view(np.uint32) == ref.view(np.uint32)) | (np.isnan(mine)
+                                                                          & np.isnan(ref))
+                if not same.all():
+                    i = int(np.flatnonzero(~same)[0])
+                    return f"{where}: {name}[{i}] is {mine[i]!r}, the loop's {ref[i]!r}"
+    return None
+
+
+@cache
+def native_factor():
+    """The runner for factor entries (``repro_factor_f32``), resolved on
+    the first :func:`factor`: ``None`` — with one ``RuntimeWarning`` saying
+    why — when the library does not build or load, or disagrees with the
+    Python loops on the self-check; the factorizations then run the loops."""
+    return native.kernel(_self_check, "factorization", "the Python ILU(0) / DILU loops")
 
 
 class _ILUBase(Solver):
@@ -211,8 +370,8 @@ class ILU0(_ILUBase):
     name = "ilu0"
 
     def _factor_tile(self, loc, tile: int) -> dict:
-        vals, diag_u, flops = _factor_ilu0(
-            loc["n"], loc["row_ptr"], loc["col_idx"], loc["values"], loc["diag"], tile
+        vals, diag_u, flops = factor(
+            "ilu0", loc["n"], loc["row_ptr"], loc["col_idx"], loc["values"], loc["diag"], tile
         )
         fwd, bwd = _triangular_plans(loc, vals)
         return {"fwd": fwd, "bwd": bwd, "diag": diag_u, "factor_flops": flops}
@@ -228,8 +387,8 @@ class DILU(_ILUBase):
     name = "dilu"
 
     def _factor_tile(self, loc, tile: int) -> dict:
-        d, flops = _factor_dilu(
-            loc["n"], loc["row_ptr"], loc["col_idx"], loc["values"], loc["diag"], tile
+        _, d, flops = factor(
+            "dilu", loc["n"], loc["row_ptr"], loc["col_idx"], loc["values"], loc["diag"], tile
         )
         fwd, bwd = _triangular_plans(loc, loc["values"])
         return {"fwd": fwd, "bwd": bwd, "diag": d, "factor_flops": flops}

@@ -10,8 +10,10 @@
  * segment as ndarray.sum() does, +0.0 plus the pairwise sum of all of it;
  * repro_eval_dw runs a tree with double-word or binary64 nodes and sums
  * double words in _dw_tree_sum's halving order; repro_xspmv is MPIR's
- * binary64 residual SpMV; repro_copy_f32 is an exchange's copy.  repro_run
- * calls the six in the order of a table (repro.solvers.native.Table): one
+ * binary64 residual SpMV; repro_copy_f32 is an exchange's copy.  Two more
+ * run once per tile at build time: repro_factor_f32 is a tile's ILU(0) or
+ * DILU factorization, repro_levels a sweep's dependency levels.  repro_run
+ * calls the eight in the order of a table (repro.solvers.native.Table): one
  * call per fused kernel.
  *
  * Built with -O2 -ftree-vectorize -ffp-contract=off -fno-math-errno and
@@ -770,20 +772,148 @@ void repro_xspmv(int64_t n, int64_t halo_rows, int64_t reps, const int64_t *row_
     }
 }
 
+/* -- The block-local factorizations ----------------------------------------- */
+
+/* One tile's ILU(0) (mode 0) or DILU (mode 1) over its local block, in the
+ * order of repro.solvers.ilu's _factor_ilu0 and _factor_dilu, which keep a
+ * dict per row from local column to entry position: a column's first entry
+ * in CRS order fixes where the row's iteration visits it, its last entry is
+ * the position the dict holds, and halo columns (col >= n) are not in it.
+ * uniq[e] is that last position at a column's first entry, -1 at every
+ * other entry; pos[c] is row i's dict while row i is factored, -1 outside.
+ *
+ * ILU(0): for each lower column k of row i in increasing order,
+ * l = vals[ik] / diag[k] replaces vals[ik], then each upper column j > k of
+ * row k updates diag[i] (j == i) or vals[ij] (j in row i) by - l * vals[kj].
+ * DILU: for each lower column k of row i in dict order with an entry
+ * vals[ki], diag[i] = diag[i] - vals[ik] * vals[ki] / diag[k]; vals stay.
+ * Every operation is one float32 operation, the product rounded before it
+ * is subtracted.  After each row the pivot diag[i] is checked: zero or not
+ * finite stops the factorization with out = {flops so far, i}; a complete
+ * one ends with out = {flops, -1}.
+ *
+ * row_ptr[n + 1] indexes cols and vals; scratch holds n + nnz + the
+ * longest row's entries, the first n -1 (pos, which each row leaves -1
+ * again; the caller fills it, as repro_levels explains). */
+static void repro_factor_f32(int64_t mode, int64_t n, const int64_t *row_ptr, const int64_t *cols,
+                      float *vals, float *diag, int64_t *scratch, int64_t *out)
+{
+    int64_t *pos = scratch, *uniq = scratch + n, *lower = uniq + row_ptr[n];
+    int64_t flops = 0;
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t e = row_ptr[i]; e < row_ptr[i + 1]; e++)
+            if (cols[e] < n)
+                pos[cols[e]] = e;
+        for (int64_t e = row_ptr[i]; e < row_ptr[i + 1]; e++) {
+            int64_t c = cols[e];
+            uniq[e] = -1;
+            if (c < n) { /* the first entry of c takes its last position */
+                uniq[e] = pos[c];
+                pos[c] = -1;
+            }
+        }
+    }
+    for (int64_t i = 0; i < n; i++) {
+        int64_t m = 0;
+        for (int64_t e = row_ptr[i]; e < row_ptr[i + 1]; e++) {
+            if (uniq[e] < 0)
+                continue;
+            int64_t k = cols[e];
+            pos[k] = uniq[e];
+            if (k >= i)
+                continue;
+            if (mode == 1) {
+                int64_t ki = -1;
+                for (int64_t f = row_ptr[k]; f < row_ptr[k + 1]; f++)
+                    if (uniq[f] >= 0 && cols[f] == i)
+                        ki = uniq[f];
+                if (ki >= 0) {
+                    diag[i] = diag[i] - vals[uniq[e]] * vals[ki] / diag[k];
+                    flops += 3;
+                }
+            } else {
+                int64_t t = m++;
+                for (; t > 0 && lower[t - 1] > k; t--)
+                    lower[t] = lower[t - 1];
+                lower[t] = k;
+            }
+        }
+        for (int64_t t = 0; t < m; t++) {
+            int64_t k = lower[t];
+            float l = vals[pos[k]] / diag[k];
+            vals[pos[k]] = l;
+            flops += 1;
+            for (int64_t f = row_ptr[k]; f < row_ptr[k + 1]; f++) {
+                int64_t j = cols[f];
+                if (uniq[f] < 0 || j <= k)
+                    continue;
+                if (j == i) {
+                    diag[i] = diag[i] - l * vals[uniq[f]];
+                    flops += 2;
+                } else if (pos[j] >= 0) {
+                    vals[pos[j]] = vals[pos[j]] - l * vals[uniq[f]];
+                    flops += 2;
+                }
+            }
+        }
+        for (int64_t e = row_ptr[i]; e < row_ptr[i + 1]; e++)
+            if (uniq[e] >= 0)
+                pos[cols[e]] = -1;
+        if (diag[i] == 0.0f || !isfinite(diag[i])) {
+            out[0] = flops;
+            out[1] = i;
+            return;
+        }
+    }
+    out[0] = flops;
+    out[1] = -1;
+}
+
+/* -- The dependency levels --------------------------------------------------- */
+
+/* level[i] = 1 + the largest level of the rows cols[e] row i depends on
+ * (rows[e] == i), or 0 when it depends on none, rows taken in increasing
+ * order (backward == 0) or decreasing order: repro.sparse.levelset's
+ * _levels_directional.  The m edges come in any order; a counting sort
+ * groups them by row, keeping their order within a row, into scratch
+ * (n + 2 + m int64s, the first n + 2 zero).  level comes in zero, so a
+ * dependency on a row not yet reached reads 0.  (The caller zeroes both:
+ * a zeroing loop here would become a memset call, and its new PLT entry
+ * would shift every kernel of the library off its old alignment.) */
+static void repro_levels(int64_t n, int64_t backward, int64_t m, const int64_t *rows,
+                  const int64_t *cols, int64_t *level, int64_t *scratch)
+{
+    int64_t *ptr = scratch, *grouped = scratch + n + 2;
+    for (int64_t e = 0; e < m; e++)
+        ptr[rows[e] + 2]++;
+    for (int64_t i = 0; i < n; i++)
+        ptr[i + 2] += ptr[i + 1];
+    for (int64_t e = 0; e < m; e++) /* then row i's edges are ptr[i] .. ptr[i + 1] */
+        grouped[ptr[rows[e] + 1]++] = cols[e];
+    for (int64_t t = 0; t < n; t++) {
+        int64_t i = backward ? n - 1 - t : t, top = -1;
+        for (int64_t e = ptr[i]; e < ptr[i + 1]; e++)
+            if (level[grouped[e]] > top)
+                top = level[grouped[e]];
+        level[i] = top + 1;
+    }
+}
+
 /* -- The runner ------------------------------------------------------------ */
 
 /* Entry kinds, in the order of repro.solvers.native's EVAL, COPY, SPMV,
- * SWEEP, DWEVAL, XSPMV. */
-enum { RUN_EVAL, RUN_COPY, RUN_SPMV, RUN_SWEEP, RUN_DWEVAL, RUN_XSPMV };
+ * SWEEP, DWEVAL, XSPMV, FACTOR, LEVELS. */
+enum { RUN_EVAL, RUN_COPY, RUN_SPMV, RUN_SWEEP, RUN_DWEVAL, RUN_XSPMV, RUN_FACTOR, RUN_LEVELS };
 
 #define ARG(k) ((void *)(intptr_t)a[k])
 
 /* Run the n entries of table in order.  An entry is its kind, then the
  * arguments of that kind's function, each one int64 (an address, 0 for
  * NULL): 10 for repro_eval_f32, 5 for repro_copy_f32, 12 for
- * repro_spmv_f32, 10 for repro_sweep_f32, 11 for repro_eval_dw and 14 for
- * repro_xspmv.  The runner does no arithmetic of its own; a later entry
- * reads what an earlier one wrote. */
+ * repro_spmv_f32, 10 for repro_sweep_f32, 11 for repro_eval_dw, 14 for
+ * repro_xspmv, 8 for repro_factor_f32 and 7 for repro_levels.  The runner
+ * does no arithmetic of its own; a later entry reads what an earlier one
+ * wrote. */
 void repro_run(int64_t n, const int64_t *table)
 {
     for (int64_t e = 0; e < n; e++) {
@@ -818,7 +948,15 @@ void repro_run(int64_t n, const int64_t *table)
                         ARG(9), ARG(10), ARG(11), ARG(12), ARG(13));
             table = a + 14;
             break;
-        default: /* tables are built from the six kinds only */
+        case RUN_FACTOR:
+            repro_factor_f32(a[0], a[1], ARG(2), ARG(3), ARG(4), ARG(5), ARG(6), ARG(7));
+            table = a + 8;
+            break;
+        case RUN_LEVELS:
+            repro_levels(a[0], a[1], a[2], ARG(3), ARG(4), ARG(5), ARG(6));
+            table = a + 7;
+            break;
+        default: /* tables are built from the eight kinds only */
             return;
         }
     }

@@ -8,10 +8,11 @@ temporary directory when that is not writable) and opens it with
 :mod:`ctypes`.  It never raises: no compiler, a failed compile or a library
 that does not open is a reason string.
 
-Every native op is an :class:`Entry` of one of six kinds (:data:`EVAL`,
-:data:`COPY`, :data:`SPMV`, :data:`SWEEP`, :data:`DWEVAL`, :data:`XSPMV`):
-the kind's arguments, bound
-once, and the numpy form that is its oracle and fallback.  The library's
+Every native op is an :class:`Entry` of one of eight kinds (:data:`EVAL`,
+:data:`COPY`, :data:`SPMV`, :data:`SWEEP`, :data:`DWEVAL`, :data:`XSPMV`,
+:data:`FACTOR`, :data:`LEVELS`): the kind's arguments, bound once, and the
+numpy or Python form that is its oracle and fallback.  The last two run at
+build time, one entry per tile and sweep.  The library's
 one entry point, ``repro_run``, runs a table of entries in order;
 :func:`fold` packs every maximal run of consecutive entries of a fused
 kernel into one :class:`Table`, so the kernel makes one ctypes call per run
@@ -37,16 +38,17 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["ARGS", "COPY", "DWEVAL", "EVAL", "FLAGS", "SPMV", "SWEEP", "XSPMV", "Chain",
-           "Entry", "Table", "fold", "kernel", "load"]
+__all__ = ["ARGS", "COPY", "DWEVAL", "EVAL", "FACTOR", "FLAGS", "LEVELS", "SPMV", "SWEEP",
+           "XSPMV", "Chain", "Entry", "Table", "fold", "kernel", "load"]
 
 #: Entry kinds of a ``repro_run`` table, in ``native.c``'s order:
 #: ``repro_eval_f32``, ``repro_copy_f32``, ``repro_spmv_f32``,
-#: ``repro_sweep_f32``, ``repro_eval_dw`` (the double-word evaluator) and
-#: ``repro_xspmv`` (the extended-precision SpMV); ``ARGS[kind]`` is the
-#: number of arguments each takes.
-EVAL, COPY, SPMV, SWEEP, DWEVAL, XSPMV = range(6)
-ARGS = (10, 5, 12, 10, 11, 14)
+#: ``repro_sweep_f32``, ``repro_eval_dw`` (the double-word evaluator),
+#: ``repro_xspmv`` (the extended-precision SpMV), ``repro_factor_f32`` (a
+#: tile's ILU(0) or DILU factorization) and ``repro_levels`` (a sweep's
+#: dependency levels); ``ARGS[kind]`` is the number of arguments each takes.
+EVAL, COPY, SPMV, SWEEP, DWEVAL, XSPMV, FACTOR, LEVELS = range(8)
+ARGS = (10, 5, 12, 10, 11, 14, 8, 7)
 
 #: ``-ffp-contract=off``: no fused multiply-add may merge a product into a
 #: sum.  Never ``-ffast-math``: it reassociates sums and sets flush-to-zero

@@ -4,8 +4,10 @@ All sequential row sweeps in the framework (Gauss-Seidel smoothing, ILU/DILU
 forward and backward substitution) share the same shape: process rows in
 dependency order, updating ``x[row]`` from a subset of the row's entries.
 ``SweepPlan`` precomputes the level structure once (Sec. V-A) as flat
-arrays; the cycle cost model uses the IPUTHREADING single-compute-set
-strategy (Sec. V-A / the IPUTHREADING library).  ``SweepPlan.merged``
+arrays — :func:`build_sweep` takes its levels from
+:func:`repro.sparse.levelset.dependency_levels`, one native entry; the
+cycle cost model uses the IPUTHREADING single-compute-set strategy
+(Sec. V-A / the IPUTHREADING library).  ``SweepPlan.merged``
 concatenates the tiles' plans level by level into one plan over the flat
 device index space — what the fused kernels run, with the same ``bind`` and
 bit-identical results (``docs/runtime.md``).
@@ -32,7 +34,7 @@ import numpy as np
 from repro.machine import threading as thr
 from repro.solvers import native
 from repro.sparse.distribute import RowSegments
-from repro.sparse.levelset import LevelSchedule
+from repro.sparse.levelset import LevelSchedule, dependency_levels
 
 __all__ = ["SweepPlan", "build_sweep", "native_sweep"]
 
@@ -74,23 +76,28 @@ class SweepPlan:
             np.ascontiguousarray(a, dtype=np.int64)
             for a in (self.level_ptr, self.rows, self.entry_ptr, self.cols))
         self.vals = np.ascontiguousarray(self.vals, dtype=np.float32)
-        # The native call trusts these indices: check them once, here.
-        if not (self.level_ptr.size and self.level_ptr[0] == 0
-                and self.level_ptr[-1] == self.rows.size == self.entry_ptr.size - 1
-                and self.entry_ptr[0] == 0 and self.entry_ptr[-1] == self.cols.size
-                and self.cols.size == self.vals.size
-                and (np.diff(self.level_ptr) >= 0).all() and (np.diff(self.entry_ptr) >= 0).all()
+
+    @functools.cached_property
+    def _native_args(self) -> tuple:
+        """What :meth:`bind` needs, made on the first bind (a tile's plan
+        that only a :meth:`merged` plan runs is never bound): the plan
+        checked — the native call trusts its indices — the call's plan
+        arguments and scratch, and how much of ``rhs`` and ``x_full`` a
+        sweep touches."""
+        lp, ep = self.level_ptr, self.entry_ptr
+        if not (lp.size and lp[0] == 0 and lp[-1] == self.rows.size == ep.size - 1
+                and ep[0] == 0 and ep[-1] == self.cols.size == self.vals.size
+                and (lp[1:] >= lp[:-1]).all() and (ep[1:] >= ep[:-1]).all()
                 and self.rows.min(initial=0) >= 0 and self.cols.min(initial=0) >= 0):
             raise ValueError("malformed sweep plan: level_ptr / entry_ptr do not index "
                              "rows / cols, or an index is negative")
-        # The native call's scratch: the largest level's products.
-        level_entries = np.diff(self.entry_ptr[self.level_ptr])
-        self._prod = np.empty(int(level_entries.max(initial=0)), dtype=np.float32)
-        # How much of each buffer a bound sweep touches.
-        self._rhs_size = int(self.rows.max(initial=-1)) + 1
-        self._x_size = max(self._rhs_size, int(self.cols.max(initial=-1)) + 1)
-        self._plan_args = (self.num_levels, *(a.ctypes.data for a in (
-            self.level_ptr, self.rows, self.entry_ptr, self.cols, self.vals)))
+        # The scratch: the largest level's products.
+        level_entries = ep[lp[1:]] - ep[lp[:-1]]
+        prod = np.empty(int(level_entries.max(initial=0)), dtype=np.float32)
+        rhs_size = int(self.rows.max(initial=-1)) + 1
+        x_size = max(rhs_size, int(self.cols.max(initial=-1)) + 1)
+        arrays = (self.level_ptr, self.rows, self.entry_ptr, self.cols, self.vals, prod)
+        return arrays, (self.num_levels, *(a.ctypes.data for a in arrays)), rhs_size, x_size
 
     @property
     def num_levels(self) -> int:
@@ -144,13 +151,13 @@ class SweepPlan:
         native call trusts them.  The entry runs :meth:`run_numpy` instead
         when the library does not load.
         """
+        arrays, (*plan, prod), rhs_size, x_size = self._native_args
         args = (
-            _buffer(x_full, "x_full", self._x_size, writable=True),
-            _buffer(rhs, "rhs", self._rhs_size),
-            None if diag is None else _buffer(diag, "diag", self._rhs_size),
+            _buffer(x_full, "x_full", x_size, writable=True),
+            _buffer(rhs, "rhs", rhs_size),
+            None if diag is None else _buffer(diag, "diag", rhs_size),
         )
-        return native.Entry(native.SWEEP, (*self._plan_args, *args, self._prod.ctypes.data),
-                            (self, x_full, rhs, diag),
+        return native.Entry(native.SWEEP, (*plan, *args, prod), (arrays, x_full, rhs, diag),
                             functools.partial(self.run_numpy, x_full, rhs, diag), native_sweep)
 
     def run_numpy(self, x_full: np.ndarray, rhs: np.ndarray, diag=None) -> None:
@@ -268,22 +275,6 @@ def native_sweep():
 # -- building ------------------------------------------------------------------------------
 
 
-def _levels_directional(n: int, dep_rows, dep_cols, backward: bool):
-    """level_of[row] for deps (row depends on col); forward: col<row only,
-    backward: col>row only — both guaranteed acyclic."""
-    level_of = np.zeros(n, dtype=np.int64)
-    # Group deps per row.
-    order = np.argsort(dep_rows, kind="stable")
-    dr, dc = dep_rows[order], dep_cols[order]
-    ptr = np.searchsorted(dr, np.arange(n + 1))
-    row_iter = range(n - 1, -1, -1) if backward else range(n)
-    for i in row_iter:
-        cols = dc[ptr[i] : ptr[i + 1]]
-        if cols.size:
-            level_of[i] = level_of[cols].max() + 1
-    return level_of
-
-
 def build_sweep(
     n: int,
     row_ptr: np.ndarray,
@@ -304,22 +295,16 @@ def build_sweep(
     row_ptr = np.asarray(row_ptr)
     col_idx = np.asarray(col_idx, dtype=np.int64)
     values = np.asarray(values)
-    e_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(row_ptr))
+    e_rows = np.repeat(np.arange(n, dtype=np.int64), row_ptr[1:] - row_ptr[:-1])
     keep = np.asarray(include(e_rows, col_idx), dtype=bool)
     e_rows, e_cols, e_vals = e_rows[keep], col_idx[keep], values[keep]
 
     dep = ((e_cols > e_rows) if backward else (e_cols < e_rows)) & (e_cols < n)
-    level_of = _levels_directional(n, e_rows[dep], e_cols[dep], backward)
-
-    num_levels = int(level_of.max()) + 1 if n else 0
-    # Rows by (level, row); entries by (level of their row, row), each
-    # row's in CRS order.
-    rows = np.lexsort((np.arange(n), level_of))
-    level_ptr = np.searchsorted(level_of[rows], np.arange(num_levels + 1))
-    entry_order = np.lexsort((e_rows, level_of[e_rows]))
-    entry_ptr = np.concatenate([[0], np.cumsum(np.bincount(e_rows, minlength=n)[rows])])
-    levels = [rows[a:b] for a, b in zip(level_ptr[:-1], level_ptr[1:])]
-    return SweepPlan(
-        n, level_ptr, rows, entry_ptr, e_cols[entry_order], e_vals[entry_order],
-        schedule=LevelSchedule(levels=levels, n=n),
-    )
+    level_of = dependency_levels(n, e_rows[dep], e_cols[dep], backward)
+    schedule = LevelSchedule.of(level_of)
+    # Entries by the level of their row (a stable sort keeps them by row,
+    # each row's in CRS order).
+    entry_order = np.argsort(level_of[e_rows], kind="stable")
+    entry_ptr = np.concatenate([[0], np.cumsum(np.bincount(e_rows, minlength=n)[schedule.rows])])
+    return SweepPlan(n, schedule.level_ptr, schedule.rows, entry_ptr, e_cols[entry_order],
+                     e_vals[entry_order], schedule=schedule)

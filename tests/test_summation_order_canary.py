@@ -37,6 +37,9 @@ sum, not that a kernel is wrong:
   FMA rounds the exact binary64 result twice): the native double-word
   evaluator (``repro_eval_dw``) and extended SpMV (``repro_xspmv``) do the
   same casts and the same separately rounded products;
+- ``np.float32`` *scalar* arithmetic rounds every product and quotient
+  once, with no fused multiply-add: the native ILU(0) / DILU factorization
+  (``repro_factor_f32``) repeats the Python loops' scalar operations in C;
 - ``inf - inf`` is NaN and a float32 add or product that overflows rounds to
   ±inf: the double-word special-value contract (``repro.dw.eft``, a low
   part of 0 wherever the high part is not finite) is stated against them.
@@ -251,6 +254,32 @@ def test_float32_arithmetic_is_the_binary64_op_rounded_once():
         ok = _same_or_both_nan(np.sqrt(values), np.sqrt(values.astype(np.float64)).astype(
             np.float32))
         assert ok.all(), f"{VERSION}: float32 sqrt({values[~ok][0]!r}) moved"
+
+
+def test_float32_scalars_round_each_product_and_quotient_like_c_floats():
+    """The ILU(0) / DILU loops (``solvers/ilu.py``) compute on ``np.float32``
+    scalars, and ``repro_factor_f32`` mirrors them in C ``float`` built with
+    ``-ffp-contract=off``: scalar ``a - b * c`` rounds the product before it
+    subtracts (``b * c`` below is ``1 + 2**-11 + 2**-24`` exactly, which
+    rounds to ``a``; a fused multiply-add would give ``-2**-24``), and
+    scalar ``*`` / ``/`` / ``-`` over every pair of edge values are the
+    binary64 operation rounded once — the correctly rounded result."""
+    a, b = np.float32(1 + 2.0**-11), np.float32(1 + 2.0**-12)
+    got = a - b * b
+    assert type(got) is np.float32 and got == 0.0, (
+        f"{VERSION}: float32 scalar a - b * c is contracted to an FMA")
+    values = _edge_values(np.random.default_rng(12))
+    with np.errstate(all="ignore"):
+        for op in (np.subtract, np.multiply, np.divide):
+            for x in values[::3]:
+                for y in values:
+                    scalar = op(x, y)
+                    want = np.float32(op(np.float64(x), np.float64(y)))
+                    same = (type(scalar) is np.float32 and (
+                        scalar.view(np.uint32) == want.view(np.uint32)
+                        or (np.isnan(scalar) and np.isnan(want))))
+                    assert same, (f"{VERSION}: float32 scalar {op.__name__}({x!r}, {y!r}) "
+                                  f"is {scalar!r}, not the rounded binary64 {want!r}")
 
 
 def test_comparisons_are_zero_or_one_and_nan_is_unordered():
