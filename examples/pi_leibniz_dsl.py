@@ -27,7 +27,7 @@ x = ctx.tensor((N,), Type.FLOAT32)
 offsets = ctx.tensor(
     (NUM_TILES,),
     data=np.array(
-        [s.interval.start for s in sorted(x.var.shards.values(), key=lambda s: s.interval.start)],
+        sorted(x.var.mapping[:, 1].tolist()),
         dtype=np.float32,
     ),
     tile_ids=list(range(NUM_TILES)),

@@ -315,6 +315,13 @@ class InjectionRecord:
 # -- the injector ----------------------------------------------------------------------
 
 
+def sram_targets(device) -> list:
+    """What an SRAM bit flip may hit: ``(tile, shard name, array)`` of every
+    non-empty float array in the device's SRAM, by tile, then by name."""
+    return [(tile, name, arr) for tile, name, arr in device.sram.contents()
+            if arr.dtype.kind == "f" and arr.size]
+
+
 class FaultInjector:
     """Replays a :class:`FaultPlan` against a running backend.
 
@@ -463,12 +470,7 @@ class FaultInjector:
         })
 
     def _flip_sram(self, rng, plan) -> None:
-        candidates = []
-        for tile in self.device.tiles:
-            for name in sorted(tile.memory):
-                arr = tile.memory[name]
-                if arr.dtype.kind == "f" and arr.size:
-                    candidates.append((tile.tile_id, name, arr))
+        candidates = sram_targets(self.device)
         if not candidates:
             return
         tile_id, name, arr = candidates[int(rng.integers(len(candidates)))]

@@ -156,27 +156,38 @@ class Vertex:
 class VertexGroup:
     """The vertices one codelet factory places in a compute set, as a table.
 
-    ``tiles`` is the tile-id array in placement order and ``cycles(tile)``
-    that tile's per-worker cycle costs (a tuple of ints) — all that planning,
-    pricing and kernel lowering read.  ``spec``, ``category`` and
-    ``cost_only`` are shared by the group's vertices.  ``factory(tile)``
-    builds a tile's :class:`Codelet`, whose cycle cost is ``cycles(tile)``;
-    only the per-vertex path asks for them (:attr:`vertices`).
+    ``tiles`` is the tile-id array in placement order and ``cycles(key)``
+    the per-worker cycle costs (a tuple of ints) of a vertex whose ``keys``
+    entry is ``key`` — an int per vertex such as its shard size (default:
+    its tile) — so a whole device of vertices prices as its few distinct
+    keys (:meth:`costs`).  That is all planning, pricing and kernel
+    lowering read.  ``spec``, ``category`` and ``cost_only`` are shared by
+    the group's vertices.  ``factory(tile)`` builds a tile's
+    :class:`Codelet`, whose cycle cost is its vertex's; only the per-vertex
+    path asks for them (:attr:`vertices`).
     """
 
-    __slots__ = ("tiles", "factory", "cycles", "category", "spec", "cost_only", "ctx",
+    __slots__ = ("tiles", "factory", "cycles", "keys", "category", "spec", "cost_only", "ctx",
                  "_vertices")
 
     def __init__(self, tiles, factory, cycles, category: str = "elementwise", spec=None,
-                 cost_only: bool = False, ctx: dict | None = None):
+                 cost_only: bool = False, ctx: dict | None = None, keys=None):
         self.tiles = np.asarray(tiles, dtype=np.int64)
         self.factory = factory
         self.cycles = cycles
+        self.keys = self.tiles if keys is None else np.asarray(keys, dtype=np.int64)
         self.category = category
         self.spec = spec
         self.cost_only = cost_only
         self.ctx = ctx  # the bindings every vertex sees (None: a fresh {} each)
         self._vertices = None
+
+    def costs(self) -> tuple:
+        """``(tasks, index)``: the distinct per-worker cycle tuples of the
+        group's vertices, and for each vertex (``tiles`` order) the position
+        of its own in ``tasks``."""
+        keys, index = np.unique(self.keys, return_inverse=True)
+        return [self.cycles(k) for k in keys.tolist()], index.reshape(-1)
 
     @property
     def vertices(self) -> tuple:

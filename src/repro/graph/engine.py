@@ -80,7 +80,7 @@ class Engine:
         self.fallback_vertices = 0
         self.host_callbacks = 0
         self.loop_iterations = 0
-        # The shard each scalar is read from, found once per variable: a
+        # The storage each scalar is read from, found once per variable: a
         # loop test reads the same few scalars every iteration.
         self._reading: dict = {}
 
@@ -99,29 +99,32 @@ class Engine:
             raise ValueError(
                 f"{var.name!r} carries {var.batch} RHS values; use read_batch"
             )
-        sh = self._reading_shard(var)
-        val = float(sh.data[0])
-        if sh.lo is not None:
-            val += float(sh.lo[0])
+        data, lo = self._scalar_views(var)
+        val = float(data[0])
+        if lo is not None:
+            val += float(lo[0])
         return val
 
     def read_batch(self, var: Variable) -> np.ndarray:
         """Per-RHS values of a (possibly batched) scalar, shape ``(batch,)``."""
         if not var.is_scalar:
             raise ValueError(f"{var.name!r} is not a scalar")
-        sh = self._reading_shard(var)
-        row = np.asarray(sh.data[0], dtype=np.float64)
-        if sh.lo is not None:
-            row = row + np.asarray(sh.lo[0], dtype=np.float64)
+        data, lo = self._scalar_views(var)
+        row = np.asarray(data[0], dtype=np.float64)
+        if lo is not None:
+            row = row + np.asarray(lo[0], dtype=np.float64)
         return np.atleast_1d(row)
 
-    def _reading_shard(self, var: Variable):
-        """``var``'s lowest-numbered tile's shard (a variable's shards are
-        fixed once allocated)."""
-        sh = self._reading.get(var)
-        if sh is None:
-            sh = self._reading[var] = var.shards[min(var.shards)]
-        return sh
+    def _scalar_views(self, var: Variable) -> tuple:
+        """``(hi, lo)``: views of the scalar's storage on its lowest-numbered
+        tile — a replica's row, or the one element (a variable's storage
+        is fixed once allocated)."""
+        views = self._reading.get(var)
+        if views is None:
+            at = int(var.rows_of(var.tiles.min())) if var.replicated else slice(None)
+            lo = None if var.flat_lo is None else var.flat_lo[at]
+            views = self._reading[var] = (var.flat_data[at], lo)
+        return views
 
     def kernel_counters(self) -> dict:
         """What this engine's runs launched: fused-kernel launches, host

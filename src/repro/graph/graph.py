@@ -1,10 +1,10 @@
-"""The dataflow graph: owns variables and allocates their shards in tile SRAM."""
+"""The dataflow graph: owns variables and places their storage in tile SRAM."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.variable import Interval, NUMPY_DTYPES, Shard, Variable
+from repro.graph.variable import Interval, NUMPY_DTYPES, Variable, as_mapping
 from repro.machine.device import IPUDevice
 
 __all__ = ["Graph"]
@@ -34,7 +34,8 @@ class Graph:
     def add_variable(
         self, name: str, shape, dtype: str = "float32", mapping=None, batch: int = 1
     ) -> Variable:
-        """Create a variable sharded by ``mapping`` (list of Intervals).
+        """Create a variable sharded by ``mapping`` (a ``(tile, start,
+        stop)`` int array, or a list of Intervals).
 
         Without a mapping, the elements are spread linearly and evenly over
         all tiles (Poplar's ``mapLinearly``); scalars land on tile 0.
@@ -42,11 +43,10 @@ class Graph:
         ``(n_local, batch)`` and the mapping still covers logical elements.
         """
         var = Variable(name, shape, dtype, batch=batch)
-        if mapping is None:
-            mapping = self.linear_mapping(var.size)
-        self._check_mapping(var, mapping)
-        self._allocate(var, mapping)
-        return self._register(var)
+        rows = self.linear_mapping(var.size) if mapping is None else as_mapping(mapping)
+        self._check_mapping(var, rows)
+        store = (var.size,) if batch == 1 else (var.size, batch)
+        return self._place(var, rows, store)
 
     def add_replicated(
         self, name: str, shape, dtype: str = "float32", tile_ids=None, batch: int = 1
@@ -54,55 +54,50 @@ class Graph:
         """Create a variable with a full copy on every tile in ``tile_ids``
         (default: all tiles).  Used for solver scalars."""
         var = Variable(name, shape, dtype, replicated=True, batch=batch)
-        tiles = list(tile_ids) if tile_ids is not None else list(range(self.device.num_tiles))
-        np_dtype = NUMPY_DTYPES[var.dtype]
+        tiles = self._tiles(tile_ids)
+        rows = np.zeros((len(tiles), 3), dtype=np.int64)
+        rows[:, 0], rows[:, 2] = tiles, var.size
         store = (len(tiles), var.size) if batch == 1 else (len(tiles), var.size, batch)
-        var.flat_data = np.zeros(store, dtype=np_dtype)
-        if var.paired:
-            var.flat_lo = np.zeros(store, dtype=np.float32)
-        for row, t in enumerate(tiles):
-            var.replica_rows[t] = row
-            self._alloc_shard(var, Interval(t, 0, var.size), row=row)
-        return self._register(var)
+        return self._place(var, rows, store)
 
     def add_single_tile(
         self, name: str, shape, dtype: str = "float32", tile_id: int = 0, batch: int = 1
     ) -> Variable:
         """Create a variable living entirely on one tile."""
         var = Variable(name, shape, dtype, batch=batch)
-        self._allocate(var, [Interval(tile_id, 0, var.size)])
-        return self._register(var)
-
-    def _register(self, var: Variable) -> Variable:
-        if var.name in self.variables:
-            raise KeyError(f"variable {var.name!r} already exists")
-        self.variables[var.name] = var
-        return var
+        store = (var.size,) if batch == 1 else (var.size, batch)
+        return self._place(var, np.array([[tile_id, 0, var.size]], dtype=np.int64), store)
 
     # -- mapping helpers ------------------------------------------------------------
 
-    def linear_mapping(self, size: int, tile_ids=None) -> list:
-        """Evenly split ``size`` elements across tiles, remainder spread first."""
-        tiles = list(tile_ids) if tile_ids is not None else list(range(self.device.num_tiles))
-        if size == 0:
-            return []
+    def _tiles(self, tile_ids) -> np.ndarray:
+        if tile_ids is None:
+            return np.arange(self.device.num_tiles, dtype=np.int64)
+        if not isinstance(tile_ids, np.ndarray):
+            tile_ids = list(tile_ids)
+        return np.asarray(tile_ids, dtype=np.int64).reshape(-1)
+
+    def linear_mapping(self, size: int, tile_ids=None) -> np.ndarray:
+        """Evenly split ``size`` elements across tiles, remainder spread
+        first: ``(tile, start, stop)`` rows."""
+        tiles = self._tiles(tile_ids)
         if size <= len(tiles):
-            return [Interval(tiles[i], i, i + 1) for i in range(size)]
-        base, extra = divmod(size, len(tiles))
-        mapping, start = [], 0
-        for i, t in enumerate(tiles):
-            n = base + (1 if i < extra else 0)
-            mapping.append(Interval(t, start, start + n))
-            start += n
-        return mapping
+            tiles, counts = tiles[:size], np.ones(size, dtype=np.int64)
+        else:
+            base, extra = divmod(size, len(tiles))
+            counts = base + (np.arange(len(tiles)) < extra)
+        stops = np.cumsum(counts)
+        return np.stack([tiles, stops - counts, stops], axis=1)
 
     @staticmethod
-    def _check_mapping(var: Variable, mapping) -> None:
-        pos = 0
-        for iv in sorted(mapping, key=lambda iv: iv.start):
-            if iv.start != pos or iv.stop <= iv.start:
-                raise ValueError(f"mapping of {var.name!r} has gaps/overlaps at {iv}")
-            pos = iv.stop
+    def _check_mapping(var: Variable, rows: np.ndarray) -> None:
+        ordered = rows[np.argsort(rows[:, 1], kind="stable")]
+        starts, stops = ordered[:, 1], ordered[:, 2]
+        bad = (starts != np.concatenate([[0], stops[:-1]])) | (stops <= starts)
+        if bad.any():
+            iv = Interval(*ordered[int(np.argmax(bad))].tolist())
+            raise ValueError(f"mapping of {var.name!r} has gaps/overlaps at {iv}")
+        pos = int(stops[-1]) if len(stops) else 0
         if pos != var.size:
             raise ValueError(
                 f"mapping of {var.name!r} covers {pos} of {var.size} elements"
@@ -110,36 +105,26 @@ class Graph:
 
     # -- storage ---------------------------------------------------------------------
 
-    def _allocate(self, var: Variable, mapping) -> None:
-        # One flat per-device buffer, indexed by global element; every shard
-        # is a view (contiguity of the mapping is checked in _check_mapping).
-        np_dtype = NUMPY_DTYPES[var.dtype]
-        store = (var.size,) if var.batch == 1 else (var.size, var.batch)
-        var.flat_data = np.zeros(store, dtype=np_dtype)
+    def _place(self, var: Variable, rows: np.ndarray, store: tuple) -> Variable:
+        """Give ``var`` its mapping and flat storage, charge its shards to
+        tile SRAM (:meth:`repro.machine.tile.SRAM.place`) and register it."""
+        if var.name in self.variables:
+            raise KeyError(f"variable {var.name!r} already exists")
+        tiles = rows[:, 0]
+        ordered = np.sort(tiles)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise KeyError(f"variable {var.name!r} maps two shards to one tile")
+        if len(tiles) and (tiles.min() < 0 or tiles.max() >= self.device.num_tiles):
+            raise IndexError(f"variable {var.name!r} maps a shard off the device")
+        var.mapping = rows
+        var.flat_data = np.zeros(store, dtype=NUMPY_DTYPES[var.dtype])
         if var.paired:
             var.flat_lo = np.zeros(store, dtype=np.float32)
-        for iv in mapping:
-            self._alloc_shard(var, iv)
-
-    def _alloc_shard(self, var: Variable, iv: Interval, row: int | None = None) -> None:
-        tile = self.device.tile(iv.tile_id)
-        if row is None:
-            data = var.flat_data[iv.start : iv.stop]
-            lo = var.flat_lo[iv.start : iv.stop] if var.paired else None
-        else:
-            data = var.flat_data[row]
-            lo = var.flat_lo[row] if var.paired else None
-        tile.alloc(f"{var.name}@{iv.tile_id}", data)
-        if var.paired:
-            tile.alloc(f"{var.name}@{iv.tile_id}!lo", lo)
-        var.shards[iv.tile_id] = Shard(data, lo, iv)
+        self.device.sram.place(var)
+        self.variables[var.name] = var
+        return var
 
     def free(self, var: Variable) -> None:
         """Release a variable's SRAM (e.g. solver temporaries)."""
-        for t, sh in var.shards.items():
-            tile = self.device.tile(t)
-            tile.free(f"{var.name}@{t}")
-            if sh.lo is not None:
-                tile.free(f"{var.name}@{t}!lo")
+        self.device.sram.release(var)
         del self.variables[var.name]
-        var.shards.clear()

@@ -173,8 +173,11 @@ class PassManager:
         report = PassReport()
         stats = collect_stats(root) if self.passes else None
         for p in self.passes:
-            root = p.run(root)
-            before, stats = stats, collect_stats(root)
+            new = p.run(root)
+            # Passes never mutate a schedule: one they return unchanged
+            # keeps its tallies.
+            before, stats = stats, stats if new is root else collect_stats(new)
+            root = new
             report.results.append(PassResult(p.name, before, stats))
         return root, report
 

@@ -43,12 +43,7 @@ __all__ = ["estimate_groups", "estimate_compute_set", "estimate_exchange"]
 
 def _elements(var, tiles) -> int:
     """Logical elements of ``var`` sharded over the given tiles."""
-    shards = getattr(var, "shards", None)
-    if not shards:
-        return 0
-    if shards.keys() == set(tiles):  # all of it: one replica each, or the whole mapping
-        return var.size * (len(shards) if var.replicated else 1)
-    return sum(shards[t].size for t in tiles if t in shards)
+    return int(var.sizes_on(tiles, missing=0).sum())
 
 
 def _leaf_read_bytes(expr, tiles) -> int:
@@ -78,8 +73,8 @@ def _reduce_costs(spec: ReduceSpec, tiles) -> tuple:
     # The reduced value has the footprint of the largest leaf shard *on each
     # tile* — summed over the group's tiles, not the largest leaf total (a
     # scalar leaf outweighs an absent vector leaf on its own tile only).
-    shards = [getattr(leaf.var, "shards", None) or {} for leaf in spec.expr.leaves()]
-    n = sum(max((s[t].size for s in shards if t in s), default=0) for t in tiles)
+    sizes = [leaf.var.sizes_on(tiles, missing=0) for leaf in spec.expr.leaves()]
+    n = int(np.maximum.reduce(sizes).sum()) if sizes else 0
     flops = (_expr_flops(spec.expr) + 1) * n * batch  # eval + one reduce op/elem
     bytes_ = _leaf_read_bytes(spec.expr, tiles) + len(tiles) * out.unit_bytes()
     return bytes_, flops
@@ -100,12 +95,10 @@ def _spmv_costs(spec: SpmvSpec, tiles) -> tuple:
     if xvar.dtype != "float32" or yvar.dtype != "float32":
         return 0, 0  # the counts below are float32's: an extended SpMV is not estimated
     batch = max(xvar.batch, 1)
-    nnz = 0
-    rows = 0
-    for t in tiles:
-        local = m.local[t]
-        nnz += int(local["row_ptr"][-1])
-        rows += int(local["n"])
+    at = np.searchsorted(m.tiles, tiles)  # the tiles' row ranges in m's layout
+    first, last = m._tile_rows[at], m._tile_rows[at + 1]
+    nnz = int((m._row_ptr[last] - m._row_ptr[first]).sum())
+    rows = int((last - first).sum())
     # Off-diagonal multiply-add per stored entry, plus the fused diagonal
     # multiply-add per row, for every RHS column.
     flops = batch * 2 * (nnz + rows)
@@ -134,7 +127,7 @@ def estimate_groups(groups) -> tuple:
         if costs is None:
             continue
         try:
-            b, f = costs(g.spec, g.tiles.tolist())
+            b, f = costs(g.spec, g.tiles)
         except Exception:
             continue
         total_b += b

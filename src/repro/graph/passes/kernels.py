@@ -65,6 +65,7 @@ from repro.graph.codelet import (
     SweepSpec,
 )
 from repro.graph.passes.costs import estimate_exchange, estimate_groups
+from repro.graph.passes.plans import _distinct
 from repro.graph.program import (
     Execute,
     Exchange,
@@ -288,46 +289,43 @@ def _flat_ndim(var) -> int:
     return 1 if var.batch == 1 else 2
 
 
-def _leaf_sources(leaf_vars, tiles, ref_intervals, lo, hi) -> dict:
+def _leaf_sources(leaf_vars, tiles, ref, lo, hi) -> dict:
     """Where each leaf's values live for element-major (distributed)
     evaluation: ``id(var) -> (hi, lo, index)``.
 
-    A leaf whose shard intervals equal the reference mapping is the
-    zero-copy view ``flat[lo:hi]`` (``index`` ``None``); a per-tile scalar
-    leaf is a whole-device buffer whose row ``index[i]`` holds the value of
-    the ``i``-th tile in ``tiles``.  Batched leaves work identically — all
-    indexing is along axis 0, the batch columns ride along.  ``lo`` is
-    ``None`` unless the variable is double-word.  Anything else is
-    unvectorizable.
+    A leaf whose shards are the reference mapping rows ``ref`` (one per
+    tile of ``tiles``) is the zero-copy view ``flat[lo:hi]`` (``index``
+    ``None``); a per-tile scalar leaf is a whole-device buffer whose row
+    ``index[i]`` holds the value of the ``i``-th tile in ``tiles``.  Batched
+    leaves work identically — all indexing is along axis 0, the batch
+    columns ride along.  ``lo`` is ``None`` unless the variable is
+    double-word.  Anything else is unvectorizable.
     """
     sources: dict = {}
     for var in leaf_vars:
         if var.flat_data is None:
             raise _Unvectorizable
         aligned = (
-            ref_intervals is not None
+            ref is not None
             and not var.replicated
             and var.flat_data.ndim == _flat_ndim(var)
-            and all(
-                t in var.shards and var.shards[t].interval == ref_intervals[t]
-                for t in tiles
-            )
+            and var.maps(ref)
         )
         if aligned:
             sources[id(var)] = (var.flat_data[lo:hi],
                                 var.flat_lo[lo:hi] if var.paired else None, None)
-        elif all(t in var.shards and var.shards[t].size == 1 for t in tiles):
-            if var.replicated:
-                rows = [var.replica_rows[t] for t in tiles]
-                data, lo_arr = var.flat_data[:, 0], var.flat_lo[:, 0] if var.paired else None
-            else:
-                if var.flat_data.ndim != _flat_ndim(var):
-                    raise _Unvectorizable
-                rows = [var.shards[t].interval.start for t in tiles]
-                data, lo_arr = var.flat_data, var.flat_lo
-            sources[id(var)] = (data, lo_arr, np.array(rows, dtype=np.intp))
-        else:
+            continue
+        rows = var.rows_of(tiles)
+        if not ((rows >= 0).all() and (var.mapping[rows, 2] - var.mapping[rows, 1] == 1).all()):
             raise _Unvectorizable
+        if var.replicated:
+            data, lo_arr = var.flat_data[:, 0], var.flat_lo[:, 0] if var.paired else None
+        else:
+            if var.flat_data.ndim != _flat_ndim(var):
+                raise _Unvectorizable
+            rows = var.mapping[rows, 1]
+            data, lo_arr = var.flat_data, var.flat_lo
+        sources[id(var)] = (data, lo_arr, rows.astype(np.intp))
     return sources
 
 
@@ -401,18 +399,24 @@ def _make_resolver(fetchers: dict):
 def _contiguous_order(var, tiles) -> tuple:
     """Group tiles sorted by ``var``'s intervals; requires a gap-free range.
 
-    Returns ``(order, intervals, lo, hi, seg_sizes)``.
+    Returns ``(order, rows, lo, hi, seg_sizes)``: ``rows`` are ``var``'s
+    mapping rows of the tiles in ``order``.
     """
-    order = sorted(tiles, key=lambda t: var.shards[t].interval.start)
-    ivs = [var.shards[t].interval for t in order]
-    lo, hi = ivs[0].start, ivs[-1].stop
-    pos = lo
-    for iv in ivs:
-        if iv.start != pos:
-            raise _Unvectorizable
-        pos = iv.stop
-    seg = np.array([iv.size for iv in ivs], dtype=np.intp)
-    return order, {t: var.shards[t].interval for t in order}, lo, hi, seg
+    found = var.rows_of(tiles)
+    if (found < 0).any():
+        raise _Unvectorizable
+    rows = var.mapping[found]
+    rows = rows[np.argsort(rows[:, 1], kind="stable")]
+    if (rows[1:, 1] != rows[:-1, 2]).any():
+        raise _Unvectorizable
+    seg = (rows[:, 2] - rows[:, 1]).astype(np.intp)
+    return rows[:, 0], rows, int(rows[0, 1]), int(rows[-1, 2]), seg
+
+
+def _same_replicas(var, tiles) -> bool:
+    """``var`` is a replicated variable with one replica on each of the
+    (distinct) ``tiles`` and nowhere else."""
+    return var.replicated and np.array_equal(np.sort(var.tiles), np.sort(tiles))
 
 
 # -- group lowerers ----------------------------------------------------------------------
@@ -422,7 +426,7 @@ def _lower_elementwise_group(spec: ElementwiseSpec, tiles):
     from repro.tensordsl.materialize import assignment_evaluator
 
     expr, out = spec.expr, spec.out_var
-    if len(set(tiles)) != len(tiles):
+    if _distinct(tiles) != len(tiles):
         raise _Unvectorizable
     leaf_vars = _leaf_vars(expr)
 
@@ -430,13 +434,13 @@ def _lower_elementwise_group(spec: ElementwiseSpec, tiles):
         # Whole-replica-matrix evaluation: every leaf must be replicated on
         # the same rows, so the stacked (replicas, size) buffers align and
         # the pointwise ops compute each row exactly as its tile would.
-        if out.flat_data is None or set(tiles) != set(out.replica_rows):
+        if out.flat_data is None or not _same_replicas(out, tiles):
             raise _Unvectorizable
         for var in leaf_vars:
             if not (
                 var.replicated
                 and var.flat_data is not None
-                and var.replica_rows == out.replica_rows
+                and np.array_equal(var.tiles, out.tiles)
             ):
                 raise _Unvectorizable
         fetchers = {id(var): _whole_buffer(var) for var in leaf_vars}
@@ -540,7 +544,7 @@ def _lower_reduce_group(spec: ReduceSpec, tiles):
 
     expr, out, rop = spec.expr, spec.out_var, spec.op
     batch = expr.batch
-    if len(set(tiles)) != len(tiles):
+    if _distinct(tiles) != len(tiles):
         raise _Unvectorizable
     # A replicated scalar ``out`` (the combine of a global reduction) keeps
     # one row per replica: ``(replicas, 1[, batch])``.
@@ -550,7 +554,7 @@ def _lower_reduce_group(spec: ReduceSpec, tiles):
         raise _Unvectorizable
     if batch > 1 and expr.dtype == "dw":
         raise _Unvectorizable
-    if not all(t in out.shards and out.shards[t].size == 1 for t in tiles):
+    if not (out.sizes_on(tiles, missing=0) == 1).all():
         raise _Unvectorizable
     leaf_vars = _leaf_vars(expr)
     # Segment layout comes from the non-scalar leaves (per-tile evaluation
@@ -561,15 +565,13 @@ def _lower_reduce_group(spec: ReduceSpec, tiles):
         if not v.replicated
         and v.flat_data is not None
         and v.flat_data.ndim == _flat_ndim(v)
-        and any(t in v.shards and v.shards[t].size > 1 for t in tiles)
+        and (v.sizes_on(tiles, missing=0) > 1).any()
     ]
     if big:
-        ref_var = big[0]
-        if not all(t in ref_var.shards for t in tiles):
-            raise _Unvectorizable
-        order, ref, lo, hi, seg = _contiguous_order(ref_var, tiles)
+        order, ref, lo, hi, seg = _contiguous_order(big[0], tiles)
     else:
-        order = sorted(tiles, key=lambda t: out.shards[t].interval.start)
+        starts = out.mapping[out.rows_of(tiles), 1]
+        order = np.asarray(tiles, dtype=np.int64)[np.argsort(starts, kind="stable")]
         ref, lo, hi = None, 0, 0
         seg = np.ones(len(order), dtype=np.intp)
     offsets = np.concatenate([[0], np.cumsum(seg)])
@@ -577,12 +579,13 @@ def _lower_reduce_group(spec: ReduceSpec, tiles):
     sources = _leaf_sources(leaf_vars, order, ref, lo, hi)
     fetchers = _fetchers(sources, seg)
     out_hi, out_lo = out.flat_data, out.flat_lo
+    out_idx = out.rows_of(order)
     if out.replicated:
-        out_idx = np.array([out.replica_rows[t] for t in order], dtype=np.intp)
         out_hi = out_hi[:, 0]
         out_lo = out_lo[:, 0] if out_lo is not None else None
     else:
-        out_idx = np.array([out.shards[t].interval.start for t in order], dtype=np.intp)
+        out_idx = out.mapping[out_idx, 1]
+    out_idx = out_idx.astype(np.intp)
     expr_dt = expr.dtype
     paired = expr_dt == Type.DOUBLEWORD
     equal = _equal_segments(seg)
@@ -621,20 +624,17 @@ def _device_layout(m, tiles, owned_vars, hvar, batch: int):
     ``owned_vars`` in the owned mapping, ``hvar`` (unless ``None``) in the
     halo mapping, all with ``batch`` RHS columns.  Returns the flat halo
     buffer, ``None`` when there is no halo to read."""
-    if set(tiles) != set(m.tiles):
+    if not (_distinct(tiles) == len(tiles) and np.array_equal(np.sort(tiles), m.tiles)):
         raise _Unvectorizable
 
-    def mapped(var, size, intervals):
+    def mapped(var, size, rows):
         return (
             not var.replicated
             and var.flat_data is not None
             and var.flat_data.ndim == _flat_ndim(var)
             and var.batch == batch
             and var.size == size
-            and all(
-                iv.tile_id in var.shards and var.shards[iv.tile_id].interval == iv
-                for iv in intervals
-            )
+            and var.maps(rows)
         )
 
     owned = m.owned_mapping()
@@ -697,13 +697,13 @@ def _lower_batch_reduce_group(spec: BatchReduceSpec, tiles):
     over the stacked replica buffers.  max/min are order-insensitive, so the
     row-wise numpy reduction is bit-identical to each tile's own ``arr.max()``."""
     src, out, rop = spec.in_var, spec.out_var, spec.op
-    if len(set(tiles)) != len(tiles):
+    if _distinct(tiles) != len(tiles):
         raise _Unvectorizable
     if not (src.replicated and out.replicated):
         raise _Unvectorizable
     if src.flat_data is None or out.flat_data is None:
         raise _Unvectorizable
-    if src.replica_rows != out.replica_rows or set(tiles) != set(src.replica_rows):
+    if not (np.array_equal(src.tiles, out.tiles) and _same_replicas(src, tiles)):
         raise _Unvectorizable
     if src.flat_data.ndim != 3 or out.flat_data.ndim != 2:
         raise _Unvectorizable
@@ -746,7 +746,7 @@ def _lower_compute_set(cs) -> tuple:
         lower = _LOWERERS.get(type(g.spec))
         if lower is not None:
             try:
-                ops.append(lower(g.spec, g.tiles.tolist()))
+                ops.append(lower(g.spec, g.tiles))
                 continue
             except _Unvectorizable:
                 pass

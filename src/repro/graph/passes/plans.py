@@ -26,9 +26,9 @@ re-deriving structure on the hot path.
   per-shard-pair ``ops`` (thousands on a many-tile halo exchange) are built
   from the same elementary copies when ``sim`` or the injector first asks.
 
-Plans hold direct references to shard arrays; the graph allocates shard
-storage exactly once, so the references stay valid across host reads and
-writes (which mutate the arrays in place).
+Plans hold direct references to the variables' arrays; the graph
+allocates each variable's storage exactly once, so the references stay
+valid across host reads and writes (which mutate the arrays in place).
 """
 
 from __future__ import annotations
@@ -272,7 +272,7 @@ class ExchangePlan:
     #: hazard plan has no flat form: ``flat is ops``.
     flat: tuple
     n_ops: int  # len(ops), known without building them
-    copies: tuple = field(repr=False)  # _copy_ops' (endpoints, table)
+    copies: tuple = field(repr=False)  # _copy_ops' (variables, endpoints, table)
     fabric: object = field(default=None, repr=False)  # prices ``phase``
     exchange: object = field(default=None, repr=False)  # the step: its copy table
 
@@ -344,25 +344,28 @@ def _distinct(values: np.ndarray) -> int:
 def _plan_compute_set(cs: ComputeSet, workers: int) -> ComputePlan:
     category = compute_set_category(cs)
     tile_ids = cs.tile_ids
+    packed: dict = {}  # tasks -> makespan: a compute set's tiles share a handful
+
+    def makespan(tasks) -> int:
+        if tasks not in packed:
+            packed[tasks] = lpt_makespan(tasks, workers)
+        return packed[tasks]
+
+    costs = [g.costs() for g in cs.groups]
     if _distinct(tile_ids) == len(tile_ids):
         # One vertex per tile (every producer's group): the tile's makespan
-        # packs its group's worker tasks, which a group repeats per shard size.
-        packed: dict = {}
-        makespans = []
-        for g in cs.groups:
-            for t in g.tiles.tolist():
-                tasks = g.cycles(t)
-                if tasks not in packed:
-                    packed[tasks] = lpt_makespan(tasks, workers)
-                makespans.append(packed[tasks])
+        # packs its vertex's worker tasks, priced once per distinct tasks.
+        parts = [np.array([makespan(t) for t in tasks], dtype=np.int64)[index]
+                 for tasks, index in costs]
+        makespans = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
     else:
         per_tile: dict = {}
-        for g in cs.groups:
-            for t in g.tiles.tolist():
-                per_tile.setdefault(t, []).extend(g.cycles(t))
+        for g, (tasks, index) in zip(cs.groups, costs):
+            for t, k in zip(g.tiles.tolist(), index.tolist()):
+                per_tile.setdefault(t, []).extend(tasks[k])
         tile_ids = np.fromiter(per_tile, dtype=np.int64, count=len(per_tile))
-        makespans = [lpt_makespan(tasks, workers) for tasks in per_tile.values()]
-    makespans = np.array(makespans, dtype=np.int64)
+        makespans = np.array([lpt_makespan(tasks, workers) for tasks in per_tile.values()],
+                             dtype=np.int64)
     return ComputePlan(
         name=cs.name,
         category=category,
@@ -412,7 +415,7 @@ def _plan_exchange(step: Exchange, fabric) -> ExchangePlan:
     rank[order] = np.arange(len(keys))
     endpoint = rank[inverse]
     src, dst = endpoint[0::2], endpoint[1::2]
-    endpoints = [(step.variables[k // tiles], k % tiles) for k in keys[order].tolist()]
+    endpoints = np.stack(np.divmod(keys[order], tiles), axis=1)  # (variable, tile) rows
     table = np.stack([src, dst, t[:, SRC_OFFSET], t[:, DST_OFFSET], t[:, SIZE]], axis=1)
 
     # On-tile memcpy: 8 bytes per cycle through the st64 path; copies
@@ -436,7 +439,7 @@ def _plan_exchange(step: Exchange, fabric) -> ExchangePlan:
     # numpy op (their order cannot be observed) — per whole-device buffer
     # pair here, per shard pair in ``ExchangePlan.ops``.  Overlapping
     # regions keep strict program order, one op per copy.
-    copies = (endpoints, table)
+    copies = (step.variables, endpoints, table)
     return ExchangePlan(
         name=step.name,
         local_cycles=local_cycles,
@@ -449,26 +452,41 @@ def _plan_exchange(step: Exchange, fabric) -> ExchangePlan:
     )
 
 
-def _flat_rows(var, tile_id: int, buffers: dict) -> tuple:
-    """``((hi, lo), base)``: the whole-device buffers of ``var`` indexed by
-    global row on axis 0, and the row at which ``tile_id``'s shard starts.
-
-    A distributed variable's ``flat_data`` already is that buffer; a
-    replicated one stores a row per replica, so its buffer is the
-    ``reshape(-1[, batch])`` view and replica ``r`` starts at ``r * size``.
-    ``buffers`` keeps one view per variable so copies group by identity.
-    """
+def _flat_buffers(var) -> tuple:
+    """The whole-device ``(hi, lo)`` buffers of ``var`` indexed by global
+    row on axis 0: a distributed variable's ``flat_data`` already is that
+    buffer; a replicated one stores a row per replica, so its buffer is the
+    ``reshape(-1[, batch])`` view and replica ``r`` starts at ``r * size``."""
     if not var.replicated:
-        return (var.flat_data, var.flat_lo), var.shards[tile_id].interval.start
-    pair = buffers.get(id(var))
-    if pair is None:
-        shape = (-1,) if var.batch == 1 else (-1, var.batch)
-        lo = var.flat_lo.reshape(shape) if var.paired else None
-        pair = buffers[id(var)] = (var.flat_data.reshape(shape), lo)
-    return pair, var.replica_rows[tile_id] * var.size
+        return var.flat_data, var.flat_lo
+    shape = (-1,) if var.batch == 1 else (-1, var.batch)
+    return var.flat_data.reshape(shape), var.flat_lo.reshape(shape) if var.paired else None
 
 
-def _copy_ops(endpoints, table, flat: bool, fuse: bool = True) -> tuple:
+def _endpoint_arrays(variables, endpoints, flat: bool) -> tuple:
+    """``(arrays, array_id, base)`` of an exchange's ``(variable, tile)``
+    endpoint rows: each endpoint's ``(hi, lo)`` arrays, an id per distinct
+    array pair, and the row of its shard in them.  ``flat`` addresses the
+    variables' whole-device buffers — one pair per variable, the shard
+    rows read off its mapping — else the shard views."""
+    var_of, tile_of = endpoints.T
+    if not flat:
+        shards = [variables[v].shard(t) for v, t in endpoints.tolist()]
+        return ([(sh.data, sh.lo) for sh in shards], np.arange(len(shards)),
+                np.zeros(len(shards), dtype=np.int64))
+    arrays = [None] * len(endpoints)
+    base = np.empty(len(endpoints), dtype=np.int64)
+    for v in np.unique(var_of).tolist():
+        var, ks = variables[v], np.flatnonzero(var_of == v)
+        pair = _flat_buffers(var)
+        for k in ks.tolist():
+            arrays[k] = pair
+        rows = var.rows_of(tile_of[ks])
+        base[ks] = rows * var.size if var.replicated else var.mapping[rows, 1]
+    return arrays, var_of, base
+
+
+def _copy_ops(variables, endpoints, table, flat: bool, fuse: bool = True) -> tuple:
     """The CopyOps of an exchange's elementary copies.
 
     ``flat`` addresses the variables' whole-device buffers (global row =
@@ -481,18 +499,9 @@ def _copy_ops(endpoints, table, flat: bool, fuse: bool = True) -> tuple:
     if not len(table):
         return ()
     src, dst, src_row, dst_row, size = table.T
-    if flat:
-        buffers: dict = {}
-        located = [_flat_rows(var, tile, buffers) for var, tile in endpoints]
-        arrays = [pair for pair, _ in located]
-        base = np.array([row for _, row in located], dtype=np.int64)
-        src_row, dst_row = src_row + base[src], dst_row + base[dst]
-        ids: dict = {}
-        array_id = np.array([ids.setdefault(id(hi), len(ids)) for hi, _ in arrays])
-    else:
-        arrays = [(var.shards[tile].data, var.shards[tile].lo) for var, tile in endpoints]
-        array_id = np.arange(len(arrays))
-    pair = array_id[src] * len(arrays) + array_id[dst] if fuse else np.arange(len(table))
+    arrays, array_id, base = _endpoint_arrays(variables, endpoints, flat)
+    src_row, dst_row = src_row + base[src], dst_row + base[dst]
+    pair = array_id[src] * (array_id.max() + 1) + array_id[dst] if fuse else np.arange(len(table))
     _, first, op_of = np.unique(pair, return_index=True, return_inverse=True)
     op_of = np.argsort(np.argsort(first))[op_of]  # ops numbered by first appearance
     order = np.lexsort((dst_row, op_of))  # stable: equal rows keep program order

@@ -117,11 +117,8 @@ class Exchange(Step):
         self.variables = tuple(variables)
         self.table = table
         self.name = name
-
-    @property
-    def n_copies(self) -> int:
-        """Region copies (distinct copy ids) — what ``compile_proxy`` counts."""
-        return int(self.table[-1, COPY]) + 1 if len(self.table) else 0
+        #: Region copies (distinct copy ids) — what ``compile_proxy`` counts.
+        self.n_copies = int(table[-1, COPY]) + 1 if len(table) else 0
 
     @classmethod
     def merged(cls, exchanges, name: str) -> "Exchange":

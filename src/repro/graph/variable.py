@@ -49,7 +49,8 @@ class Interval:
 
 
 class Shard:
-    """The on-tile storage of one interval (or full copy) of a variable.
+    """A view of one tile's part of a variable: its interval (or full copy)
+    of the flat storage, built on demand by :meth:`Variable.shard`.
 
     ``size`` is the *logical* element count of the interval — for a batched
     variable the backing array has shape ``(size, batch)``, so callers that
@@ -69,15 +70,28 @@ class Shard:
         return self.interval.size
 
 
+def as_mapping(mapping) -> np.ndarray:
+    """A tile mapping as a ``(k, 3)`` int64 array of ``(tile, start, stop)``
+    rows: an array passes through, a sequence of :class:`Interval` is
+    converted."""
+    if isinstance(mapping, np.ndarray):
+        return mapping.astype(np.int64, copy=False).reshape(-1, 3)
+    rows = [(iv.tile_id, iv.start, iv.stop) for iv in mapping]
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
 class Variable:
     """A tensor distributed over tile SRAM.
 
-    Shards are *views* into one flat per-device buffer (``flat_data`` /
-    ``flat_lo``): a distributed variable's buffer is indexed by global
-    element (shard ``t`` is ``flat_data[start:stop]``), a replicated
-    variable's buffer has one row per replica (``replica_rows`` maps
-    ``tile_id`` to its row).  Tile-local codelets and exchange copies go
-    through the views exactly as before; the fused kernels
+    The storage is one flat per-device buffer (``flat_data`` / ``flat_lo``)
+    and the tile mapping one ``(tile, start, stop)`` int array
+    (``mapping``, a row per shard in mapping order).  A distributed
+    variable's buffer is indexed by global element (tile ``t``'s shard is
+    ``flat_data[start:stop]``); a replicated variable's buffer has one row
+    per replica, row ``i`` on the tile of mapping row ``i`` (whose interval
+    is the whole ``[0, size)``).  :meth:`shard` builds a tile's view on
+    demand — the stepped ``sim`` path, the codelets and the fault injector
+    read through such views; the fused kernels
     (:mod:`repro.graph.passes.kernels`) operate on the flat buffers
     directly, which is what hoists gather/scatter out of the hot path.
 
@@ -102,12 +116,13 @@ class Variable:
         self.dtype = dtype
         self.replicated = replicated
         self.batch = int(batch)
-        self.shards: dict[int, Shard] = {}
-        #: Flat per-device storage backing the shard views (see class doc).
+        #: One ``(tile, start, stop)`` row per shard (see class doc).
+        self.mapping = np.zeros((0, 3), dtype=np.int64)
+        #: Flat per-device storage the shard views alias (see class doc).
         self.flat_data: np.ndarray | None = None
         self.flat_lo: np.ndarray | None = None
-        #: Replicated variables: tile_id -> row index into ``flat_data``.
-        self.replica_rows: dict[int, int] = {}
+        self._lookup = None  # tile -> mapping row (-1: none), on first lookup
+        self._views: dict = {}  # tile_id -> Shard, as the per-tile paths ask
 
     @property
     def size(self) -> int:
@@ -126,11 +141,72 @@ class Variable:
         return self.dtype in _PAIRED
 
     @property
-    def tile_ids(self):
-        return sorted(self.shards)
+    def tiles(self) -> np.ndarray:
+        """The tile of each shard, in mapping order."""
+        return self.mapping[:, 0]
+
+    @property
+    def tile_ids(self) -> list:
+        return np.sort(self.tiles).tolist()
+
+    def rows_of(self, tiles) -> np.ndarray:
+        """The mapping row of each tile in ``tiles`` (for a replicated
+        variable, its replica row), ``-1`` where the variable has no
+        shard."""
+        if self._lookup is None:  # tile -> row, up to one past the last tile
+            self._lookup = np.full(int(self.tiles.max(initial=-1)) + 2, -1, dtype=np.int64)
+            self._lookup[self.tiles] = np.arange(len(self.tiles))
+        return self._lookup[np.minimum(tiles, len(self._lookup) - 1)]
+
+    def maps(self, rows: np.ndarray) -> bool:
+        """Whether every ``(tile, start, stop)`` row of ``rows`` is one of
+        this variable's shards."""
+        found = self.rows_of(rows[:, 0])
+        return bool((found >= 0).all()) and np.array_equal(self.mapping[found], rows)
+
+    def sizes_on(self, tiles, missing: int | None = None) -> np.ndarray:
+        """Each tile's shard size (logical elements); ``missing`` where a
+        tile holds no shard (``None``: ``KeyError``)."""
+        rows = self.rows_of(tiles)
+        sizes = self.mapping[rows, 2] - self.mapping[rows, 1]
+        if (rows < 0).any():
+            if missing is None:
+                raise KeyError(int(np.asarray(tiles)[rows < 0][0]))
+            sizes[rows < 0] = missing
+        return sizes
 
     def shard(self, tile_id: int) -> Shard:
-        return self.shards[tile_id]
+        """A view of ``tile_id``'s part of the storage, built on first use
+        (only the per-tile paths ask) and kept."""
+        sh = self._views.get(tile_id)
+        if sh is None:
+            row = int(self.rows_of(tile_id))
+            if row < 0:
+                raise KeyError(tile_id)
+            start, stop = self.mapping[row, 1:].tolist()
+            index = row if self.replicated else slice(start, stop)
+            lo = None if self.flat_lo is None else self.flat_lo[index]
+            sh = Shard(self.flat_data[index], lo, Interval(int(tile_id), start, stop))
+            self._views[tile_id] = sh
+        return sh
+
+    # -- a region of device SRAM (repro.machine.tile.SRAM) ----------------------------
+
+    def shard_bytes(self) -> tuple:
+        """Bytes of each shard's hi half, and of its lo half for a double word."""
+        nbytes = (self.mapping[:, 2] - self.mapping[:, 1]) * self.flat_data.itemsize * self.batch
+        return (nbytes, nbytes) if self.paired else (nbytes,)
+
+    def shard_name(self, k: int, half: int = 0) -> str:
+        return f"{self.name}@{int(self.mapping[k, 0])}" + ("!lo" if half else "")
+
+    def arrays_on(self, tile_id: int) -> dict:
+        row = int(self.rows_of(tile_id))
+        if row < 0:
+            return {}
+        sh = self.shard(tile_id)
+        return {self.shard_name(row, half): a for half, a in enumerate((sh.data, sh.lo))
+                if a is not None}
 
     def element_bytes(self) -> int:
         base = np.dtype(NUMPY_DTYPES[self.dtype]).itemsize
@@ -143,7 +219,7 @@ class Variable:
     # -- host-side whole-tensor access ---------------------------------------------
     #
     # All of it goes through the flat buffers, never shard by shard: every
-    # shard is a view into them (``Graph._alloc_shard``), so one array
+    # shard is a view into them (``Variable.shard``), so one array
     # assignment per variable reads or writes the whole device.
 
     def snapshot(self) -> tuple:
@@ -166,7 +242,7 @@ class Variable:
         """
         data, lo = self.flat_data, self.flat_lo
         if self.replicated:  # every replica holds the same values; read the first
-            row = self.replica_rows[self.tile_ids[0]]
+            row = int(self.rows_of(self.tile_ids[0]))
             data, lo = data[row], None if lo is None else lo[row]
         joined = data.astype(np.float64) + lo.astype(np.float64) if self.paired else data
         if self.batched:  # storage is element-major (n, batch)
@@ -201,6 +277,6 @@ class Variable:
             self.restore((flat, None))
 
     def __repr__(self):
-        kind = "replicated" if self.replicated else f"{len(self.shards)} shards"
+        kind = "replicated" if self.replicated else f"{len(self.mapping)} shards"
         batch = f", batch={self.batch}" if self.batched else ""
         return f"Variable({self.name!r}, shape={self.shape}, dtype={self.dtype}{batch}, {kind})"

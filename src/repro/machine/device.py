@@ -12,7 +12,7 @@ from repro.machine.cycles import CycleModel
 from repro.machine.fabric import ExchangeFabric
 from repro.machine.profiler import Profiler
 from repro.machine.spec import MK2, IPUSpec
-from repro.machine.tile import Tile
+from repro.machine.tile import SRAM, Tile
 
 __all__ = ["IPUDevice"]
 
@@ -32,9 +32,12 @@ class IPUDevice:
             spec = spec.with_(tiles_per_ipu=tiles_per_ipu)
         self.spec = spec
         self.num_ipus = num_ipus
+        num_tiles = num_ipus * spec.tiles_per_ipu
+        #: Every tile's SRAM accounting as whole-device arrays.
+        self.sram = SRAM(num_tiles, spec.sram_per_tile)
         self.tiles = [
-            Tile(tile_id=i, ipu_id=i // spec.tiles_per_ipu, spec=spec)
-            for i in range(num_ipus * spec.tiles_per_ipu)
+            Tile(tile_id=i, ipu_id=i // spec.tiles_per_ipu, spec=spec, sram=self.sram)
+            for i in range(num_tiles)
         ]
         self.model = CycleModel(spec=spec)
         # Not the bound ``self.ipu_of``: a device the fabric points back to
@@ -81,13 +84,12 @@ class IPUDevice:
     def sram_report(self) -> dict:
         """Current/peak SRAM usage — partitioning sanity checks and the
         telemetry layer's per-tile high-water marks use this."""
-        used = [t.bytes_used for t in self.tiles]
-        peak = [t.bytes_peak for t in self.tiles]
+        used, peak = self.sram.used, self.sram.peak
         return {
-            "max_tile_bytes": max(used, default=0),
-            "total_bytes": sum(used),
-            "max_tile_peak_bytes": max(peak, default=0),
-            "per_tile_peak_bytes": peak,
+            "max_tile_bytes": int(used.max(initial=0)),
+            "total_bytes": int(used.sum()),
+            "max_tile_peak_bytes": int(peak.max(initial=0)),
+            "per_tile_peak_bytes": peak.tolist(),
             "capacity_per_tile": self.spec.sram_per_tile,
         }
 

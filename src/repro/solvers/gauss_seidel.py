@@ -70,7 +70,7 @@ class GaussSeidel(Solver):
             self._merged[direction] = {
                 "plan": SweepPlan.merged(
                     [s["plan"] for s in states],
-                    [iv.start for iv in A.owned_mapping()],
+                    A.owned_mapping()[:, 1].tolist(),
                     [columns[t] for t in A.tiles],
                 ),
                 "diag": np.concatenate([s["diag"] for s in states]),

@@ -306,7 +306,7 @@ class _ILUBase(Solver):
         by the kernel op of every :meth:`solve_into` call site."""
         if self._merged is None:
             states = [self._tile_data[t] for t in self.A.tiles]
-            starts = [iv.start for iv in self.A.owned_mapping()]
+            starts = self.A.owned_mapping()[:, 1].tolist()
             self._merged = {
                 "fwd": SweepPlan.merged([s["fwd"] for s in states], starts),
                 "bwd": SweepPlan.merged([s["bwd"] for s in states], starts),

@@ -274,13 +274,13 @@ class CompiledSolve:
         """Snapshot the post-build, pre-run state of every graph variable."""
         initial = {}
         for name, var in ctx.graph.variables.items():
-            # The whole-buffer snapshot/restore is only the shards' state
-            # if every shard is a view into the flat storage.
-            assert all(
-                np.shares_memory(sh.data, var.flat_data)
-                and (sh.lo is None or np.shares_memory(sh.lo, var.flat_lo))
-                for sh in var.shards.values()
-            ), f"variable {name!r}: a shard is not a view of the flat storage"
+            # The whole-buffer snapshot/restore is the shards' state: every
+            # shard is a view of the flat storage, one row per element (one
+            # per replica) of the mapping.
+            rows = len(var.mapping) if var.replicated else var.size
+            assert var.flat_data.shape[0] == rows and (
+                var.flat_lo is None or var.flat_lo.shape == var.flat_data.shape
+            ), f"variable {name!r}: the mapping does not cover the flat storage"
             initial[name] = var.snapshot()
         nbytes = 2 * sum(
             a.nbytes for snap in initial.values() for a in snap if a is not None

@@ -22,11 +22,12 @@ SpMV numerics:
 from __future__ import annotations
 
 import functools
+import weakref
 
 import numpy as np
 
 from repro.dw import DWArray, from_float64
-from repro.graph import Exchange, Interval
+from repro.graph import Exchange
 from repro.graph.codelet import Codelet, ComputeSet, SpmvSpec, VertexGroup
 from repro.graph.program import COPY, SRC_TILE, Execute as ExecuteStep
 from repro.sparse.crs import ModifiedCRS
@@ -85,12 +86,26 @@ class RowSegments:
         return sums
 
 
-def _consecutive(tiles, counts, keep_empty: bool = False) -> tuple:
-    """Back-to-back intervals of ``counts[i]`` elements on ``tiles[i]``
-    (empty ones dropped unless ``keep_empty``)."""
-    ends = np.cumsum(counts, dtype=np.int64).tolist()
-    return tuple(Interval(t, end - c, end) for t, c, end in zip(tiles, counts, ends)
-                 if c or keep_empty)
+class _TileBlocks(dict):
+    """tile -> block, each built by ``build(tile)`` on first access.  The
+    bound method is held weakly: its object owns this dict."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = weakref.WeakMethod(build)
+
+    def __missing__(self, tile: int) -> dict:
+        block = self[tile] = self._build()(tile)
+        return block
+
+
+def _consecutive(tiles, counts, keep_empty: bool = False) -> np.ndarray:
+    """Back-to-back ``(tile, start, stop)`` rows of ``counts[i]`` elements
+    on ``tiles[i]`` (empty ones dropped unless ``keep_empty``)."""
+    counts = np.asarray(counts, dtype=np.int64)
+    ends = np.cumsum(counts)
+    rows = np.stack([np.asarray(tiles, dtype=np.int64).reshape(-1), ends - counts, ends], axis=1)
+    return rows if keep_empty else rows[counts > 0]
 
 
 class DistVector:
@@ -167,6 +182,9 @@ class DistributedMatrix:
             plan = builder(crs, partition)
         self.plan = plan
         self.tiles = plan.tiles()
+        #: tile -> its position in ``tiles`` (-1: no rows there), one past the last tile.
+        self._position = np.full(max(self.tiles, default=-1) + 2, -1, dtype=np.int64)
+        self._position[self.tiles] = np.arange(len(self.tiles))
         #: perm[new_index] = old_index (the Sec. IV reordering).
         self.perm = plan.global_permutation()
         self._build_local_blocks()
@@ -174,7 +192,7 @@ class DistributedMatrix:
         self._device_spmv: dict[int, DeviceSpmv] = {}
         self._device_extended = None
         self._sender_tables = None  # the halo copy table cut per sending tile
-        self._spmv_cycles: dict = {}  # (cost dtype, batch) -> {tile: worker cycles}
+        self._spmv_cycles: dict = {}  # (cost dtype, batch) -> (keys, tasks)
         self._owned_mapping = self._halo_mapping = None
 
     # -- construction -----------------------------------------------------------------
@@ -184,7 +202,8 @@ class DistributedMatrix:
         return self.crs.n
 
     def _build_local_blocks(self) -> None:
-        """Extract and allocate each tile's local modified-CRS block."""
+        """Gather the matrix into layout order and place the tiles' local
+        modified-CRS blocks in SRAM."""
         crs, plan, device = self.crs, self.plan, self.ctx.device
         # Every row's entries, rows in layout (``perm``) order: one gather
         # for the whole matrix, cut per tile at the row-pointer bounds.
@@ -193,54 +212,89 @@ class DistributedMatrix:
         ptr = np.concatenate([[0], np.cumsum(lengths)])
         entries = np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1])
         cols = crs.col_idx[entries]
-
-        def split(wide):
-            # (f32, lo, f32 + lo): a double-word copy of the coefficients for
-            # the extended-precision residual SpMV of MPIR (standard
-            # mixed-precision IR practice: the residual must see A beyond
-            # working precision, else the f32 rounding of A bounds accuracy).
-            dw = DWArray.from_float64(wide)
-            return dw.hi, dw.lo, dw.to_float64()
-
-        values, diag = split(crs.values[entries]), split(crs.diag[self.perm])
+        self._wide = (crs.values[entries], crs.diag[self.perm])
         owned = [plan.owned_count(t) for t in self.tiles]
         tile_rows = np.concatenate([[0], np.cumsum(owned, dtype=np.int64)])
         col_idx = plan.local_index(
             np.repeat(self.tiles, np.diff(ptr[tile_rows])), cols
         ).astype(np.int32)
         # The device-wide row pointer and each tile's first row, kept for
-        # the per-worker row split of every SpMV; the (f32, lo, f64)
-        # coefficients and diagonal in layout order, which the tiles' arrays
-        # are views of, for the whole-device SpMVs.
-        self._row_ptr, self._tile_rows = ptr, tile_rows
-        self._values, self._diag = values, diag
-        self.local: dict[int, dict] = {}
-        row = 0
-        for t, n_loc in zip(self.tiles, owned):
-            rows = slice(row, row + n_loc)
-            a, b = ptr[row], ptr[row + n_loc]
-            row += n_loc
-            local = {
-                "rows_global": plan.owned_order[t],
-                "n": n_loc,
-                "diag": diag[0][rows], "diag_lo": diag[1][rows], "diag_ext": diag[2][rows],
-                "values": values[0][a:b], "values_lo": values[1][a:b], "values_ext": values[2][a:b],
-                "col_idx": col_idx[a:b],
-                "row_ptr": (ptr[rows.start : rows.stop + 1] - a).astype(np.int32),
-            }
-            tile = device.tile(t)
-            for key in ("diag", "values", "col_idx", "row_ptr", "values_lo", "diag_lo"):
-                tile.alloc(f"{self.name}.{key}@{t}", local[key])
-            local["segments"] = RowSegments(local["row_ptr"])
-            local["row_of_entry"] = np.repeat(
-                np.arange(n_loc, dtype=np.int32), np.diff(local["row_ptr"])
-            )
-            self.local[t] = local
+        # the per-worker row split of every SpMV; the binary64 coefficients
+        # and diagonal in layout order (``_wide``, above), whose float32
+        # and double-word forms the SpMVs and the tiles' arrays take.
+        self._row_ptr, self._tile_rows, self._col_idx = ptr, tile_rows, col_idx
+        #: tile -> its local block (views of the arrays above plus its own
+        #: row pointer and row segments), built when a per-tile path asks.
+        self.local = _TileBlocks(self._local_block)
+        device.sram.place(self)
+
+    @functools.cached_property
+    def _f32(self) -> tuple:
+        """``(coefficients, diagonal)`` in working precision, for the float32
+        whole-device SpMV."""
+        with np.errstate(over="ignore"):
+            return tuple(wide.astype(np.float32) for wide in self._wide)
+
+    @functools.cached_property
+    def _split(self) -> tuple:
+        """``(coefficients, diagonal)``, each as ``(f32, lo, f32 + lo)``: a
+        double-word copy for the extended-precision residual SpMV of MPIR
+        (standard mixed-precision IR practice: the residual must see A
+        beyond working precision, else the f32 rounding of A bounds
+        accuracy).  Built on first use; its hi words are :attr:`_f32` (the
+        same bits as the split's own), and the tiles' arrays are views of
+        it."""
+        split = [DWArray(hi, from_float64(wide)[1]) for wide, hi in zip(self._wide, self._f32)]
+        return tuple((dw.hi, dw.lo, dw.to_float64()) for dw in split)
+
+    def _local_block(self, t: int) -> dict:
+        i = int(self._position[min(t, len(self._position) - 1)])
+        if i < 0:
+            raise KeyError(t)
+        row, end = self._tile_rows[i : i + 2].tolist()
+        rows = slice(row, end)
+        a, b = self._row_ptr[row], self._row_ptr[end]
+        values, diag = self._split
+        local = {
+            "rows_global": self.plan.owned_order[t],
+            "n": end - row,
+            "diag": diag[0][rows], "diag_lo": diag[1][rows], "diag_ext": diag[2][rows],
+            "values": values[0][a:b], "values_lo": values[1][a:b], "values_ext": values[2][a:b],
+            "col_idx": self._col_idx[a:b],
+            "row_ptr": (self._row_ptr[row : end + 1] - a).astype(np.int32),
+        }
+        local["segments"] = RowSegments(local["row_ptr"])
+        local["row_of_entry"] = np.repeat(
+            np.arange(end - row, dtype=np.int32), np.diff(local["row_ptr"])
+        )
+        return local
+
+    # -- a region of device SRAM (repro.machine.tile.SRAM) ---------------------------------
+
+    #: The local arrays each tile holds in SRAM, in allocation order.
+    SRAM_KEYS = ("diag", "values", "col_idx", "row_ptr", "values_lo", "diag_lo")
+
+    def shard_bytes(self) -> list:
+        # float32 coefficients and lo words, int32 indices: 4 bytes each.
+        rows, nnz = np.diff(self._tile_rows), np.diff(self._row_ptr[self._tile_rows])
+        size = {"diag": rows, "values": nnz, "col_idx": nnz, "row_ptr": rows + 1,
+                "values_lo": nnz, "diag_lo": rows}
+        return [4 * size[key] for key in self.SRAM_KEYS]
+
+    def shard_name(self, k: int, half: int) -> str:
+        return f"{self.name}.{self.SRAM_KEYS[half]}@{self.tiles[k]}"
+
+    def arrays_on(self, tile_id: int) -> dict:
+        if tile_id not in self.plan.owned_order:
+            return {}
+        local = self.local[tile_id]
+        return {f"{self.name}.{key}@{tile_id}": local[key] for key in self.SRAM_KEYS}
 
     # -- vectors -------------------------------------------------------------------------
 
-    def owned_mapping(self) -> tuple:
-        """The tile intervals of every owned tensor :meth:`vector` allocates."""
+    def owned_mapping(self) -> np.ndarray:
+        """The ``(tile, start, stop)`` rows of every owned tensor
+        :meth:`vector` allocates."""
         if self._owned_mapping is None:
             self._owned_mapping = _consecutive(
                 self.tiles, [self.plan.owned_count(t) for t in self.tiles], keep_empty=True
@@ -248,11 +302,11 @@ class DistributedMatrix:
         return self._owned_mapping
 
     def halo_mapping(self) -> tuple:
-        """``(intervals, total)`` of every halo tensor :meth:`vector`
-        allocates (tiles without a halo hold no interval)."""
+        """``(rows, total)`` of every halo tensor :meth:`vector` allocates
+        (tiles without a halo hold no row)."""
         if self._halo_mapping is None:
             halo = _consecutive(self.tiles, [self.plan.halo_count(t) for t in self.tiles])
-            self._halo_mapping = halo, halo[-1].stop if halo else 0
+            self._halo_mapping = halo, int(halo[-1, 2]) if len(halo) else 0
         return self._halo_mapping
 
     def device_columns(self) -> dict:
@@ -261,14 +315,14 @@ class DistributedMatrix:
         of this matrix's vectors: column ``c < n`` is row ``c`` of an owned
         buffer, column ``n + h`` is row ``h`` of the matching halo buffer
         (the mappings :meth:`vector` allocates)."""
-        halo = {iv.tile_id: iv for iv in self.halo_mapping()[0]}
+        halo = {t: (a, b) for t, a, b in self.halo_mapping()[0].tolist()}
         columns = {}
-        for iv in self.owned_mapping():
-            parts = [np.arange(iv.start, iv.stop, dtype=np.intp)]
-            if iv.tile_id in halo:
-                h = halo[iv.tile_id]
-                parts.append(np.arange(self.n + h.start, self.n + h.stop, dtype=np.intp))
-            columns[iv.tile_id] = np.concatenate(parts)
+        for t, a, b in self.owned_mapping().tolist():
+            parts = [np.arange(a, b, dtype=np.intp)]
+            if t in halo:
+                h0, h1 = halo[t]
+                parts.append(np.arange(self.n + h0, self.n + h1, dtype=np.intp))
+            columns[t] = np.concatenate(parts)
         return columns
 
     def _device_columns_of_entries(self) -> np.ndarray:
@@ -276,9 +330,15 @@ class DistributedMatrix:
         index space, rows in layout order (built once, shared by every
         whole-device SpMV)."""
         if self._device_cols is None:
-            columns = self.device_columns()
-            self._device_cols = np.concatenate(
-                [columns[t][self.local[t]["col_idx"]] for t in self.tiles]).astype(np.int32)
+            # A local column below the tile's row count is an owned row, the
+            # rest index the tile's halo, which starts at its halo offset.
+            first, rows = self._tile_rows[:-1], np.diff(self._tile_rows)
+            halo = np.array([self.plan.halo_count(t) for t in self.tiles], dtype=np.int64)
+            nnz = np.diff(self._row_ptr[self._tile_rows])
+            per_tile = np.stack([rows, first, self.n + np.cumsum(halo) - halo - rows])
+            n_loc, owned_at, halo_at = np.repeat(per_tile.astype(np.int32), nnz, axis=1)
+            col = self._col_idx
+            self._device_cols = np.where(col < n_loc, owned_at, halo_at) + col
         return self._device_cols
 
     def device_spmv(self, batch: int = 1) -> DeviceSpmv:
@@ -289,8 +349,8 @@ class DistributedMatrix:
         spmv = self._device_spmv.get(batch)
         if spmv is None:
             spmv = self._device_spmv[batch] = DeviceSpmv(
-                self._row_ptr, self._device_columns_of_entries(), self._values[0],
-                self._diag[0], self.halo_mapping()[1], batch)
+                self._row_ptr, self._device_columns_of_entries(), *self._f32,
+                self.halo_mapping()[1], batch)
         return spmv
 
     def device_extended(self) -> DeviceExtendedSpmv:
@@ -299,8 +359,8 @@ class DistributedMatrix:
         :meth:`device_spmv`)."""
         if self._device_extended is None:
             self._device_extended = DeviceExtendedSpmv(
-                self._row_ptr, self._device_columns_of_entries(), self._values[2],
-                self._diag[2], self.halo_mapping()[1])
+                self._row_ptr, self._device_columns_of_entries(), self._split[0][2],
+                self._split[1][2], self.halo_mapping()[1])
         return self._device_extended
 
     def vector(self, name: str | None = None, dtype: str = Type.FLOAT32, data=None,
@@ -348,11 +408,11 @@ class DistributedMatrix:
         for table in self._sender_tables:
             self.ctx.append(Exchange(variables=variables, table=table))
 
-    def _worker_row_chunks(self, workers: int) -> dict:
-        """Per tile, contiguous local row ranges ``(start, stop)`` per
-        worker, balanced by work (an off-diagonal nonzero or a diagonal entry
-        each count one); empty ranges dropped.  All tiles at once, over the
-        device-wide row pointer."""
+    def _worker_row_bounds(self, workers: int) -> tuple:
+        """``(start, stop)``: per tile (rows, in ``tiles`` order) and worker
+        (columns), the contiguous local row range the worker takes,
+        balanced by work (an off-diagonal nonzero or a diagonal entry each
+        count one).  All tiles at once, over the device-wide row pointer."""
         ptr, bounds = self._row_ptr, self._tile_rows
         work = ptr + np.arange(ptr.size)  # work through each row, device-wide
         first, n = bounds[:-1, None], np.diff(bounds)[:, None]
@@ -363,10 +423,7 @@ class DistributedMatrix:
         stop = np.minimum(np.searchsorted(work[1:], work[first] + share) + 1 - first, n)
         stop[:, -1] = n[:, 0]
         start = np.concatenate([np.zeros_like(stop[:, :1]), stop[:, :-1]], axis=1)
-        return {
-            t: [(s, e) for s, e in zip(starts, stops) if e > s]
-            for t, starts, stops in zip(self.tiles, start.tolist(), stop.tolist())
-        }
+        return start, stop
 
     def spmv(self, x: DistVector, y: DistVector, accumulate_category: str | None = None) -> None:
         """Append ``y = A x`` (halo exchange + per-tile SpMV compute set).
@@ -390,35 +447,40 @@ class DistributedMatrix:
         # residual SpMV counts as SpMV); the *cost* still uses the extended
         # per-op cycle counts.
         category = accumulate_category or "spmv"
-        cycles = self._tile_spmv_cycles(cost_dtype, batch).__getitem__
+        keys, tasks = self._tile_spmv_cycles(cost_dtype, batch)
         spec = SpmvSpec(self, x, y)
 
         def codelet(t: int) -> Codelet:
             local = self.local[t]
+            cycles = tasks[keys[self._position[t]]]
             return Codelet(f"spmv@{t}", lambda ctx: self._spmv_tile(t, local, x, y),
-                           lambda ctx: cycles(t), category=category, spec=spec)
+                           cycles, category=category, spec=spec)
 
         cs = ComputeSet(self.ctx.graph.unique_name("cs_spmv"), category=category)
-        cs.add_group(VertexGroup(self.tiles, codelet, cycles, category=category, spec=spec))
+        cs.add_group(VertexGroup(self.tiles, codelet, tasks.__getitem__, category=category,
+                                 spec=spec, keys=keys))
         self.ctx.append(ExecuteStep(cs))
 
-    def _tile_spmv_cycles(self, cost_dtype: str, batch: int) -> dict:
-        """Per tile, the SpMV's worker cycles over its nonzero-balanced row
-        chunks (computed once per precision and batch width)."""
+    def _tile_spmv_cycles(self, cost_dtype: str, batch: int) -> tuple:
+        """``(keys, tasks)``: the SpMV's distinct per-worker cycle tuples over
+        the tiles' nonzero-balanced row chunks, and per tile (``tiles``
+        order) which one is its own (computed once per precision and batch
+        width)."""
         key = (cost_dtype, batch)
         if key not in self._spmv_cycles:
             model = self.ctx.device.model
-            chunks = self._worker_row_chunks(self.ctx.device.spec.workers_per_tile)
-            per_tile = self._spmv_cycles[key] = {}
-            for t in self.tiles:
-                ptr = self.local[t]["row_ptr"].tolist()
-                # SpMM: every nonzero touches all `batch` RHS columns; the
-                # vertex overhead amortizes across the batch (the PopSparse
-                # effect the multi-RHS path exists for).
-                per_tile[t] = tuple(
-                    model.spmv_rows(cost_dtype, (ptr[e] - ptr[s]) * batch, (e - s) * batch)
-                    for s, e in chunks[t]
-                ) or (model.vertex_overhead,)
+            start, stop = self._worker_row_bounds(self.ctx.device.spec.workers_per_tile)
+            first = self._tile_rows[:-1, None]
+            nnz = self._row_ptr[first + stop] - self._row_ptr[first + start]
+            # SpMM: every nonzero touches all `batch` RHS columns; the
+            # vertex overhead amortizes across the batch (the PopSparse
+            # effect the multi-RHS path exists for).  An empty chunk is -1.
+            cost = np.where(stop > start,
+                            model.spmv_rows(cost_dtype, nnz * batch, (stop - start) * batch), -1)
+            rows, keys = np.unique(cost, axis=0, return_inverse=True)
+            tasks = [tuple(c for c in row if c >= 0) or (model.vertex_overhead,)
+                     for row in rows.tolist()]
+            self._spmv_cycles[key] = keys.reshape(-1), tasks
         return self._spmv_cycles[key]
 
     def _spmv_tile(self, t: int, local: dict, x: DistVector, y: DistVector) -> None:

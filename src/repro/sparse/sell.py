@@ -266,6 +266,13 @@ class DeviceSpmv:
         return rows, self.diag[:, None] if trailing else self.diag
 
 
+#: The self-check's matrix, which every process runs on its first SpMV:
+#: its row lengths, halo cells and RHS columns (one, then three).
+CHECK_LENGTHS = (1, 7, 7, 7, 0, 8, 9, 128, 129, 300, 2, 2, 3, 0)
+CHECK_HALO = 6
+CHECK_COLUMNS = 4
+
+
 def _self_check(run) -> str | None:
     """Compare SpMV entries run by ``run`` (``repro_run``) with
     :meth:`DeviceSpmv.run_numpy` bit for bit on a fixed matrix; ``None``
@@ -279,17 +286,17 @@ def _self_check(run) -> str | None:
     from repro.solvers import native  # the package's one C library and its loader
 
     rng = np.random.default_rng(31)
-    lengths = [1, 7, 7, 7, 0, 8, 9, 128, 129, 300, 2, 2, 3, 0]
-    n, halo = len(lengths), 6
-    row_ptr = np.cumsum([0] + lengths)
+    n, halo = len(CHECK_LENGTHS), CHECK_HALO
+    row_ptr = np.cumsum((0,) + CHECK_LENGTHS)
     cols = rng.integers(0, n + halo, row_ptr[-1])
-    size = cols.size + 4 * (n + halo)
+    size = cols.size + CHECK_COLUMNS * (n + halo)
     draws = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
-    vals, cells = draws[: cols.size], draws[cols.size :].astype(np.float32).reshape(-1, 4)
+    vals = draws[: cols.size]
+    cells = draws[cols.size :].astype(np.float32).reshape(-1, CHECK_COLUMNS)
     vals[row_ptr[12] : row_ptr[13]] = -0.0
     diag = np.linspace(0.5, 4.0, n)
     diag[12] = -0.0
-    for batch, columns in ((1, 0), (3, slice(1, 4))):
+    for batch, columns in ((1, 0), (3, slice(1, CHECK_COLUMNS))):
         spmv = DeviceSpmv(row_ptr, cols, vals, diag, halo, batch)
         x = np.ascontiguousarray(cells[:n, columns])
         h = np.ascontiguousarray(cells[n:, columns])

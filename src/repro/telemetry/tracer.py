@@ -195,7 +195,7 @@ class Tracer:
             return
         self._finalized = True
         ts = self.now()
-        peaks = {t.tile_id: t.bytes_peak for t in self.device.tiles}
+        peaks = dict(enumerate(self.device.sram.peak.tolist()))
         self.instant(
             "sram_peak",
             "memory",

@@ -25,7 +25,6 @@ from repro.graph import (
     Graph,
     HostCallback,
     If as IfStep,
-    Interval,
     Repeat as RepeatStep,
     RepeatWhile,
     Sequence,
@@ -107,26 +106,26 @@ class TensorContext:
     # -- materialization ---------------------------------------------------------------------
 
     def _participating_tiles(self, expr: Expr):
-        """Tiles that hold every leaf, and the distributed mapping (if any)."""
+        """Tiles that hold every leaf (sorted), and the distributed mapping
+        (if any)."""
         dist_var = None
         tiles = None
         for leaf in expr.leaves():
             v = leaf.var
-            tiles = set(v.shards) if tiles is None else tiles & v.shards.keys()
+            tiles = (np.sort(v.tiles) if tiles is None
+                     else np.intersect1d(tiles, v.tiles, assume_unique=True))
             if not v.is_scalar and not v.replicated:
                 if dist_var is None:
                     dist_var = v
-                elif v.shards.keys() != dist_var.shards.keys() or any(
-                    s.interval != dist_var.shards[t].interval for t, s in v.shards.items()
-                ):
+                elif len(v.mapping) != len(dist_var.mapping) or not v.maps(dist_var.mapping):
                     raise ValueError(
                         f"operands {dist_var.name!r} and {v.name!r} have different tile mappings"
                     )
         if tiles is None:  # constants only
-            tiles = set(range(self.device.num_tiles))
-        if not tiles:
+            tiles = np.arange(self.device.num_tiles, dtype=np.int64)
+        if not len(tiles):
             raise ValueError("expression has no common tile")
-        return sorted(tiles), dist_var
+        return tiles, dist_var
 
     def materialize_expr(self, expr: Expr) -> Tensor:
         """Fuse ``expr`` into one codelet per tile writing a fresh variable."""
@@ -137,7 +136,7 @@ class TensorContext:
                 name, expr.shape, expr.dtype, tile_ids=tiles, batch=expr.batch
             )
         else:
-            mapping = [dist_var.shard(t).interval for t in dist_var.tile_ids]
+            mapping = dist_var.mapping[np.argsort(dist_var.tiles, kind="stable")]
             out = self.graph.add_variable(
                 name, expr.shape, expr.dtype, mapping=mapping, batch=expr.batch
             )
@@ -157,10 +156,10 @@ class TensorContext:
         # subset of the device).  Emit only where every leaf has a shard;
         # off-tile replicas go stale, which is fine — scalar reads and all
         # distributed expressions resolve on the participating tiles.
-        common = set(out_var.shards)
+        common = np.sort(out_var.tiles)
         for leaf in expr.leaves():
-            common &= leaf.var.shards.keys()
-        if not common:
+            common = np.intersect1d(common, leaf.var.tiles, assume_unique=True)
+        if not len(common):
             raise ValueError(
                 f"assignment into {out_var.name!r} has no tile holding every operand"
             )
@@ -169,7 +168,7 @@ class TensorContext:
                 f"cannot assign batch-{expr.batch} expression into "
                 f"batch-{out_var.batch} variable {out_var.name!r}"
             )
-        cs.add_group(elementwise_group(self.device.model, expr, out_var, workers, sorted(common)))
+        cs.add_group(elementwise_group(self.device.model, expr, out_var, workers, common))
         self.append(ExecuteStep(cs))
 
     # -- reductions ------------------------------------------------------------------------------
@@ -183,16 +182,17 @@ class TensorContext:
         if dist_var is None:
             # Scalar expression: "reducing" it is just materializing it.
             return self.materialize_expr(expr)
-        tiles = dist_var.tile_ids
+        tiles = np.sort(dist_var.tiles)
         dtype = expr.dtype
         batch = expr.batch
         workers = self.device.spec.workers_per_tile
 
+        n = len(tiles)
         partials = self.graph.add_variable(
             self.graph.unique_name("part"),
-            (len(tiles),),
+            (n,),
             dtype,
-            mapping=[Interval(t, i, i + 1) for i, t in enumerate(tiles)],
+            mapping=np.stack([tiles, np.arange(n), np.arange(1, n + 1)], axis=1),
             batch=batch,
         )
         cs = ComputeSet(self.graph.unique_name("cs_reduce"), category="reduce")
@@ -201,13 +201,12 @@ class TensorContext:
         )
         self.append(ExecuteStep(cs))
 
-        root = tiles[0]
+        root = int(tiles[0])
         gathered = self.graph.add_single_tile(
-            self.graph.unique_name("gath"), (len(tiles),), dtype, tile_id=root, batch=batch
+            self.graph.unique_name("gath"), (n,), dtype, tile_id=root, batch=batch
         )
         # Gather: partial i (variable 0 on tile i's tile) -> element i of
         # ``gathered`` (variable 1 on the root), one copy per tile.
-        n = len(tiles)
         gather = np.zeros((n, 8), dtype=np.int64)
         gather[:, [COPY, DST_OFFSET]] = np.arange(n)[:, None]
         gather[:, SRC_TILE] = tiles
@@ -245,11 +244,12 @@ class TensorContext:
             return t
         if not (var.replicated and var.is_scalar):
             raise ValueError("batch_reduce needs a replicated scalar tensor")
+        tiles = np.sort(var.tiles)
         out = self.graph.add_replicated(
-            self.graph.unique_name("bred"), (), var.dtype, tile_ids=var.tile_ids
+            self.graph.unique_name("bred"), (), var.dtype, tile_ids=tiles
         )
         cs = ComputeSet(self.graph.unique_name("cs_batchred"), category="reduce")
-        cs.add_group(batch_reduce_group(self.device.model, var, out, var.tile_ids, op=op))
+        cs.add_group(batch_reduce_group(self.device.model, var, out, tiles, op=op))
         self.append(ExecuteStep(cs))
         return Tensor(self, var=out)
 

@@ -820,7 +820,7 @@ def _tile_resolver(tile_id: int):
     every codelet on it)."""
 
     def resolve(leaf: Leaf):
-        sh = leaf.var.shards[tile_id]
+        sh = leaf.var.shard(tile_id)
         return sh.data if sh.lo is None else (sh.data, sh.lo)
 
     return resolve
@@ -861,29 +861,28 @@ def elementwise_group(model, expr: Expr, out_var, workers: int, tiles) -> Vertex
     category = category_for(expr_dt)
     spec = ElementwiseSpec(expr, out_var)
     evaluate = assignment_evaluator(expr, out_var)
-    # Remembered per shard size: the tiles of a compute set share a handful.
+    # Keyed by shard size: the tiles of a compute set share a handful.
     worker_cycles = cache(
         lambda n: tuple(_elementwise_worker_cycles(model, expr_dt, op_counts, n, workers))
     )
 
-    def cycles(tile_id: int) -> tuple:
-        return worker_cycles(out_var.shard(tile_id).size * out_var.batch)
-
     def codelet(tile_id: int) -> Codelet:
         resolve = _tile_resolver(tile_id)
+        sh = out_var.shard(tile_id)
+        tasks = worker_cycles(sh.size * out_var.batch)
 
         def run(ctx):
             value = evaluate(resolve)
-            sh = out_var.shards[tile_id]
             if sh.lo is None:
                 sh.data[...] = value
             else:
                 sh.data[...], sh.lo[...] = value
 
-        return Codelet(f"ew@{tile_id}", run, lambda ctx: cycles(tile_id),
-                       category=category, spec=spec)
+        return Codelet(f"ew@{tile_id}", run, tasks, category=category, spec=spec)
 
-    return VertexGroup(tiles, codelet, cycles, category=category, spec=spec)
+    tiles = np.asarray(tiles, dtype=np.int64)
+    return VertexGroup(tiles, codelet, worker_cycles, category=category, spec=spec,
+                       keys=out_var.sizes_on(tiles) * out_var.batch)
 
 
 REDUCE_OPS = ("sum", "max", "min")
@@ -961,9 +960,10 @@ def partial_reduce_group(model, expr: Expr, out_var, workers: int, tiles,
     evaluate = compile_expr(expr)
     vectors = [leaf.var for leaf in expr.leaves() if not leaf.var.is_scalar]
 
-    def tile_size(tile_id: int) -> int:
-        """Number of elements the expression produces on this tile."""
-        return max([1] + [v.shard(tile_id).size for v in vectors])
+    def tile_sizes(tiles) -> np.ndarray:
+        """Number of elements the expression produces on each tile."""
+        return np.maximum.reduce([np.ones(len(tiles), dtype=np.int64)]
+                                 + [v.sizes_on(tiles) for v in vectors])
 
     @cache
     def worker_cycles(n: int) -> tuple:
@@ -977,17 +977,15 @@ def partial_reduce_group(model, expr: Expr, out_var, workers: int, tiles,
         costs[0] += model.reduce(dt, len(per_worker)) - model.vertex_overhead
         return tuple(costs)
 
-    def cycles(tile_id: int) -> tuple:
-        return worker_cycles(tile_size(tile_id) * out_var.batch)
-
     def codelet(tile_id: int) -> Codelet:
         resolve = _tile_resolver(tile_id)
+        sh = out_var.shard(tile_id)
+        size = int(tile_sizes([tile_id])[0])
 
         def run(ctx):
             value = evaluate(resolve)
-            sh = out_var.shards[tile_id]
             if out_var.batch > 1:
-                result = _reduce_value_batched(value, dt, op, tile_size(tile_id), out_var.batch)
+                result = _reduce_value_batched(value, dt, op, size, out_var.batch)
             else:
                 result = _reduce_value(value, dt, op)
             if dt == Type.DOUBLEWORD:
@@ -995,10 +993,12 @@ def partial_reduce_group(model, expr: Expr, out_var, workers: int, tiles,
             else:
                 sh.data[0] = result
 
-        return Codelet(f"reduce@{tile_id}", run, lambda ctx: cycles(tile_id),
+        return Codelet(f"reduce@{tile_id}", run, worker_cycles(size * out_var.batch),
                        category="reduce", spec=spec)
 
-    return VertexGroup(tiles, codelet, cycles, category="reduce", spec=spec)
+    tiles = np.asarray(tiles, dtype=np.int64)
+    return VertexGroup(tiles, codelet, worker_cycles, category="reduce", spec=spec,
+                       keys=tile_sizes(tiles) * out_var.batch)
 
 
 def combine_codelet(model, gathered_var, out_var, tile_id: int, op: str = "sum") -> Codelet:
@@ -1054,4 +1054,5 @@ def batch_reduce_group(model, in_var, out_var, tiles, op: str = "max") -> Vertex
 
         return Codelet(f"batchred@{tile_id}", run, tasks, category="reduce", spec=spec)
 
-    return VertexGroup(tiles, codelet, lambda tile_id: tasks, category="reduce", spec=spec)
+    return VertexGroup(tiles, codelet, lambda key: tasks, category="reduce", spec=spec,
+                       keys=np.zeros(len(tiles), dtype=np.int64))

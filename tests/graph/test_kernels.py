@@ -390,9 +390,9 @@ def test_sweep_in_a_foreign_mapping_runs_per_vertex_and_matches_sim():
         A = DistributedMatrix(ctx, crs, grid_dims=dims)
         x = A.vector()
         mapping, offset = [], 0
-        for iv in reversed(A.owned_mapping()):
-            mapping.append(Interval(iv.tile_id, offset, offset + iv.size))
-            offset += iv.size
+        for t, start, stop in reversed(A.owned_mapping().tolist()):
+            mapping.append(Interval(t, offset, offset + stop - start))
+            offset += stop - start
         foreign = ctx.from_mapping("b_foreign", (crs.n,), Type.FLOAT32, mapping)
         rhs = np.random.default_rng(4).standard_normal(crs.n).astype(np.float32)
         foreign.write(rhs)
@@ -641,12 +641,26 @@ def test_flat_exchange_accounts_the_same_bytes_and_dispatches():
     )
 
 
+def _flat_rows(var, tile_id: int, buffers: dict) -> tuple:
+    """``((hi, lo), base)``: the whole-device buffers of ``var`` by global
+    row and the row at which ``tile_id``'s shard starts, one endpoint at a
+    time (a replicated variable's buffer is its ``reshape(-1[, batch])``
+    view, replica ``r`` at ``r * size``; one view per variable)."""
+    if not var.replicated:
+        return (var.flat_data, var.flat_lo), var.shard(tile_id).interval.start
+    pair = buffers.get(id(var))
+    if pair is None:
+        shape = (-1,) if var.batch == 1 else (-1, var.batch)
+        lo = var.flat_lo.reshape(shape) if var.paired else None
+        pair = buffers[id(var)] = (var.flat_data.reshape(shape), lo)
+    return pair, var.tiles.tolist().index(tile_id) * var.size
+
+
 def _reference_copy_ops(step, flat):
     """The list-built exchange lowering the array-built one replaced, kept
     as its oracle: one ``(src, dst, src_index, dst_index, src_lo, dst_lo)``
     per array pair in order of first appearance, segments in destination
     order, a slice where they abut."""
-    from repro.graph.passes.plans import _flat_rows
 
     def row_index(ranges):
         if all(a[1] == b[0] for a, b in zip(ranges, ranges[1:])):

@@ -13,24 +13,25 @@ def graph():
 
 
 class TestLinearMapping:
+    # A mapping is one (tile, start, stop) row per shard.
     def test_even_split(self, graph):
         m = graph.linear_mapping(8)
-        assert [iv.size for iv in m] == [2, 2, 2, 2]
-        assert m[0] == Interval(0, 0, 2)
-        assert m[-1] == Interval(3, 6, 8)
+        assert (m[:, 2] - m[:, 1]).tolist() == [2, 2, 2, 2]
+        assert m[0].tolist() == [0, 0, 2]
+        assert m[-1].tolist() == [3, 6, 8]
 
     def test_remainder_spread_first(self, graph):
         m = graph.linear_mapping(10)
-        assert [iv.size for iv in m] == [3, 3, 2, 2]
+        assert (m[:, 2] - m[:, 1]).tolist() == [3, 3, 2, 2]
 
     def test_fewer_elements_than_tiles(self, graph):
         m = graph.linear_mapping(2)
         assert len(m) == 2
-        assert all(iv.size == 1 for iv in m)
+        assert (m[:, 2] - m[:, 1] == 1).all()
 
     def test_subset_of_tiles(self, graph):
         m = graph.linear_mapping(4, tile_ids=[1, 3])
-        assert {iv.tile_id for iv in m} == {1, 3}
+        assert set(m[:, 0].tolist()) == {1, 3}
 
 
 class TestVariables:

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.machine import IPUDevice, MK2, Tile
+from repro.machine import IPUDevice, MK2
 from repro.machine.tile import SRAMOverflowError
 
 
 class TestTile:
     def setup_method(self):
-        self.tile = Tile(tile_id=0, ipu_id=0, spec=MK2)
+        self.tile = IPUDevice(num_ipus=1, tiles_per_ipu=1).tile(0)
 
     def test_alloc_tracks_bytes(self):
         a = self.tile.alloc("x", np.zeros(100, dtype=np.float32))

@@ -356,7 +356,7 @@ def _views_of_flat_storage(var) -> bool:
     return all(
         np.shares_memory(sh.data, var.flat_data)
         and (sh.lo is None or np.shares_memory(sh.lo, var.flat_lo))
-        for sh in var.shards.values()
+        for sh in map(var.shard, var.tiles.tolist())
     )
 
 
@@ -429,7 +429,7 @@ class TestWholeBufferRestore:
         var.scatter(host)
         # The host write reached every shard, in the layout the codelets read.
         per_element = host.reshape(var.batch, -1).T if var.batched else host.reshape(-1)
-        for sh in var.shards.values():
+        for sh in map(var.shard, var.tiles.tolist()):
             iv = sh.interval
             want = per_element[iv.start:iv.stop]
             hi = want.astype(np.float32)
@@ -445,14 +445,14 @@ class TestWholeBufferRestore:
             hi + (host - hi).astype(np.float32).astype(np.float64) if var.paired else hi)
         snap = var.snapshot()
         shards = [(sh.data.copy(), None if sh.lo is None else sh.lo.copy())
-                  for sh in var.shards.values()]
-        for sh in var.shards.values():  # what a run does: writes through the views
+                  for sh in map(var.shard, var.tiles.tolist())]
+        for sh in map(var.shard, var.tiles.tolist()):  # what a run does: writes through the views
             sh.data[...] = -1.0
             if sh.lo is not None:
                 sh.lo[...] = 0.5
         assert not np.array_equal(var.gather(), before)
         var.restore(snap)
-        for sh, (data, lo) in zip(var.shards.values(), shards):
+        for sh, (data, lo) in zip(map(var.shard, var.tiles.tolist()), shards):
             assert sh.data.tobytes() == data.tobytes()
             assert lo is None or sh.lo.tobytes() == lo.tobytes()
         np.testing.assert_array_equal(var.gather(), before)

@@ -9,7 +9,6 @@ whole-device numpy op over the same index space.
 
 import ctypes
 import shutil
-import time
 from collections import Counter
 
 import numpy as np
@@ -20,6 +19,7 @@ from hypothesis import strategies as st
 from repro.solvers import native, solve
 from repro.sparse import poisson2d, poisson3d
 from repro.sparse.distribute import RowSegments
+from repro.sparse import sell
 from repro.sparse.sell import DeviceSpmv, _self_check, native_spmv
 
 #: Row lengths on both sides of every ``reduceat`` regime boundary: seven /
@@ -89,19 +89,17 @@ def test_the_native_spmv_is_in_use_wherever_a_compiler_is():
     assert native_spmv() is not None or shutil.which("cc") is None
 
 
-def test_the_self_check_is_fast_and_catches_a_wrong_kernel():
-    """Every process runs the self-check on its first SpMV: it must stay
-    well under a millisecond, and a kernel that is off in one element of
+def test_the_self_check_is_small_and_catches_a_wrong_kernel():
+    """Every process runs the self-check on its first SpMV: its case is
+    bounded by size — rows, entries, RHS columns (a wall-clock gate would
+    flap on a loaded host) — and a kernel that is off in one element of
     one RHS column must fail it."""
+    assert len(sell.CHECK_LENGTHS) <= 16 and sum(sell.CHECK_LENGTHS) <= 640
+    assert sell.CHECK_HALO <= 8 and sell.CHECK_COLUMNS <= 4
     kernel = native_spmv()
     if kernel is None:
         pytest.skip("no native SpMV")
-    times = []
-    for _ in range(10):
-        start = time.perf_counter()
-        assert _self_check(kernel) is None
-        times.append(time.perf_counter() - start)
-    assert min(times) < 1e-3, f"self-check takes {min(times) * 1e3:.2f} ms"
+    assert _self_check(kernel) is None
 
     def off_by_one_element(n, table):
         kernel(n, table)

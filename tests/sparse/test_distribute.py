@@ -233,10 +233,10 @@ class TestWorkerChunks:
     def test_chunks_cover_all_rows(self):
         crs, dims = poisson3d(6)
         ctx, A = make(crs, dims, tiles=4)
-        for t in A.tiles:
-            chunks = A._worker_row_chunks(6)[t]
+        start, stop = A._worker_row_bounds(6)
+        for i, t in enumerate(A.tiles):
             covered = []
-            for s, e in chunks:
+            for s, e in zip(start[i], stop[i]):
                 covered.extend(range(s, e))
             assert covered == list(range(A.local[t]["n"]))
 
@@ -244,6 +244,6 @@ class TestWorkerChunks:
         crs, dims = poisson2d(2)
         ctx = TensorContext(IPUDevice(tiles_per_ipu=4))
         A = DistributedMatrix(ctx, crs)
-        for t in A.tiles:
-            chunks = A._worker_row_chunks(6)[t]
-            assert sum(e - s for s, e in chunks) == A.local[t]["n"]
+        start, stop = A._worker_row_bounds(6)
+        for i, t in enumerate(A.tiles):
+            assert (stop[i] - start[i]).sum() == A.local[t]["n"]

@@ -256,7 +256,7 @@ class TestPaperFig1:
         # Fill it with the Leibniz sequence using CodeDSL (tile-centric; each
         # tile fills its own shard — offsets shift the series per tile, so we
         # pass a per-tile offset via a second tensor).
-        starts = sorted(s.interval.start for s in x.var.shards.values())
+        starts = sorted(x.var.mapping[:, 1].tolist())
         offsets = ctx.tensor((4,), data=np.array(starts, dtype=np.float32), tile_ids=[0, 1, 2, 3])
         from repro.codedsl import For, Select
 

@@ -120,7 +120,7 @@ def _pi(backend: str, tracer) -> dict:
     tiles, n = 4, 2000
     ctx = TensorContext(IPUDevice(tiles_per_ipu=tiles))
     x = ctx.tensor((n,), Type.FLOAT32)
-    starts = sorted(s.interval.start for s in x.var.shards.values())
+    starts = sorted(x.var.mapping[:, 1].tolist())
     offsets = ctx.tensor((tiles,), data=np.array(starts, dtype=np.float32),
                          tile_ids=list(range(tiles)))
     ctx.Execute([x, offsets], lambda xs, off: For(
