@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.sparse.crs import ModifiedCRS
 from repro.sparse.levelset import level_schedule
@@ -61,6 +60,8 @@ def global_ilu0(matrix: ModifiedCRS):
 
 def _ilu_apply(lower, upper):
     """Preconditioner application  z = U⁻¹ L⁻¹ r  (two triangular solves)."""
+
+    import scipy.sparse.linalg as spla  # loaded on first use: a heavy module
 
     def apply(r):
         y = spla.spsolve_triangular(lower, r, lower=True, unit_diagonal=True)

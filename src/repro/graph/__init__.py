@@ -31,6 +31,7 @@ from repro.graph.program import (
     RegionCopy,
     Repeat,
     RepeatWhile,
+    ScalarReads,
     Sequence,
 )
 from repro.graph.engine import Engine
@@ -62,6 +63,7 @@ __all__ = [
     "RepeatWhile",
     "If",
     "HostCallback",
+    "ScalarReads",
     "Engine",
     "GraphStats",
     "collect_stats",

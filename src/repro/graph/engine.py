@@ -13,8 +13,12 @@ whole-device kernels, without the clock.
 
 Blocks run as the compiled program's fused kernels unless a cycle tracer
 or a fault injector is attached: those observe each superstep, so the
-engine then steps compute sets and exchanges one by one.  The engine
-tallies what it launched per run (:meth:`Engine.kernel_counters`).
+engine then steps compute sets and exchanges one by one.  On an unobserved
+``fused`` run a loop whose body is native runs as one table instead
+(:mod:`repro.graph.loops`), folded on its first such launch; everything
+else — and any loop a clock, tracer, hook or non-native item observes —
+runs in the Python loop below.  The engine tallies what it launched per run
+(:meth:`Engine.kernel_counters`), a folded loop's launches included.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ from repro.graph.runtime import CONTROL_CYCLES, Backend
 from repro.graph.variable import Variable
 
 __all__ = ["Engine", "CONTROL_CYCLES"]
+
+_UNFOLDED = object()
 
 
 class Engine:
@@ -70,6 +76,9 @@ class Engine:
         # needs every superstep (``fused`` refuses those observers in attach).
         stepped = tracer is not None or injector is not None
         self._kernel_schedule = None if stepped else program.kernels
+        # Loops run as one native table only when nothing observes them.
+        self._folds = (None if stepped or self.backend.clock is not None
+                       or wall_tracer is not None else program.kernels.loops)
         # Execution statistics (compile-proxy counters live in compiler.py),
         # kept per engine so concurrent runs never see each other's.
         self.supersteps = 0
@@ -234,13 +243,33 @@ class Engine:
 
     # -- loops -------------------------------------------------------------------------
 
+    def _run_native_loop(self, step) -> bool:
+        """Run ``step`` as its folded table, when it folds and nothing
+        observes it; False when the Python loop must run it."""
+        if self._folds is None:
+            return False
+        loop = self._folds.get(id(step), _UNFOLDED)
+        if loop is _UNFOLDED:
+            from repro.graph.loops import fold_loop
+
+            loop = self._folds[id(step)] = fold_loop(self._kernel_schedule, step,
+                                                     self._scalar_views)
+        if loop is None or loop.observed():
+            return False
+        loop.run(self)
+        return True
+
     def _run_repeat(self, step: Repeat) -> None:
+        if self._run_native_loop(step):
+            return
         for _ in range(step.count):
             self.loop_iterations += 1
             self.backend.control()
             self._run_block(step.body)
 
     def _run_repeat_while(self, step: RepeatWhile) -> None:
+        if self._run_native_loop(step):
+            return
         iters = 0
         while True:
             if step.check_before_first or iters > 0:

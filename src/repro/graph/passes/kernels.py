@@ -180,14 +180,18 @@ class KernelSchedule:
     body, or an ``If`` branch.  ``items_for`` maps a block (by identity,
     like the plan table) to its lowered item tuple — ``FusedKernel`` objects
     interleaved with the control-flow / host-callback steps that flushed
-    them.  Steps absorbed into a kernel never appear as items.
+    them.  Steps absorbed into a kernel never appear as items.  ``loops``
+    maps a loop step (by identity) to its folded native table, ``None`` when
+    it does not fold: the engine fills it on a loop's first unobserved
+    launch (:mod:`repro.graph.loops`).
     """
 
-    __slots__ = ("_items", "kernels")
+    __slots__ = ("_items", "kernels", "loops")
 
     def __init__(self, items: dict, kernels: tuple):
         self._items = items
         self.kernels = kernels
+        self.loops: dict = {}
 
     @property
     def n_kernels(self) -> int:

@@ -25,6 +25,7 @@ __all__ = [
     "RepeatWhile",
     "If",
     "HostCallback",
+    "ScalarReads",
 ]
 
 
@@ -178,13 +179,32 @@ class If(Step):
     else_body: Step | None = None
 
 
+@dataclass(frozen=True)
+class ScalarReads:
+    """What a host callback that only reads device scalars declares, so that
+    a loop around it can run as one native table and the callback's calls
+    be applied after the loop (:mod:`repro.graph.loops`).
+
+    ``scalars`` are the variables each call reads (``Engine.read_scalar``);
+    ``observed()`` is true while each call must run in place (it fires a
+    hook that is set); ``replay(engine, *columns)`` has the effect of the
+    loop's calls, given each scalar's value at each call (one list of
+    ``read_scalar`` floats per scalar)."""
+
+    scalars: tuple
+    observed: object
+    replay: object
+
+
 @dataclass
 class HostCallback(Step):
     """Call back into host code mid-program (progress output, host I/O).
 
     The callable receives the running engine; it may read/write variables
-    through the host interface but must not mutate the schedule.
+    through the host interface but must not mutate the schedule.  ``reads``
+    is set when it only reads device scalars (:class:`ScalarReads`).
     """
 
     fn: object
     name: str = "host_callback"
+    reads: ScalarReads | None = None

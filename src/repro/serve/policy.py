@@ -53,13 +53,14 @@ class RetryPolicy:
     """Seeded, deterministic retry behavior for transient solve failures.
 
     A failed attempt retries after an exponential-backoff delay with
-    multiplicative jitter.  The whole delay schedule is precomputed from
-    the job seed (:meth:`schedule`), so a served job's retry timing is
-    replayable.  What each retry *runs* comes from :meth:`effective_config`:
-    attempt 0 uses the job's own config; later attempts escalate the
-    iteration budget (the standard fix for ``max_iterations``/stagnation)
-    until ``fallback_after``, from which point the configured fallback — a
-    more robust solver such as preconditioned BiCGStab — takes over.
+    multiplicative jitter.  The delay schedule is a pure function of the
+    job seed (:meth:`schedule`), drawn when a retry happens, so a served
+    job's retry timing is replayable.  What each retry *runs* comes from
+    :meth:`effective_config`: attempt 0 uses the job's own config; later
+    attempts escalate the iteration budget (the standard fix for
+    ``max_iterations``/stagnation) until ``fallback_after``, from which
+    point the configured fallback — a more robust solver such as
+    preconditioned BiCGStab — takes over.
     """
 
     #: Total attempts including the first (1 = never retry).

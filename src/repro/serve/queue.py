@@ -71,8 +71,8 @@ class Job:
     #: ``None`` marks the job batch-ineligible.  Recomputed on re-queue so
     #: a retried job only batches with peers at the same escalation.
     batch_key: str | None = None
-    #: Precomputed deterministic backoff delays (RetryPolicy.schedule).
-    retry_delays: tuple = ()
+    #: Attempts made before this one (the backoff before the next is
+    #: ``RetryPolicy.schedule(seed)[attempt]``).
     attempt: int = 0
     #: Times this job survived a batch whose earliest deadline expired and
     #: was pushed back to the queue (not a retry: the attempt ladder is

@@ -291,7 +291,6 @@ class SolverService:
         job.fingerprint = self._fingerprint(job, config)
         job.batch_key = (job.fingerprint
                          if self._batch_eligible(job, config) else None)
-        job.retry_delays = self.policy.retry.schedule(job.seed)
         job.submitted_at = now
         job.future = self._loop.create_future()
 
@@ -638,8 +637,8 @@ class SolverService:
                 error.last_result = result  # the final attempt's SolveResult
             self._finish(job, "failed", error=error)
             return
-        delay = (job.retry_delays[job.attempt]
-                 if job.attempt < len(job.retry_delays) else 0.0)
+        # Drawn only here, on a retry: admission computes no backoff.
+        delay = retry.schedule(job.seed)[job.attempt]
         if job.deadline is not None and delay >= job.deadline - now:
             self._finish(job, "timed_out", error=JobTimeoutError(
                 f"backoff ({delay:.3f}s) would overrun the deadline",

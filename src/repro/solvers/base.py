@@ -22,6 +22,7 @@ from operator import mul
 
 import numpy as np
 
+from repro.graph.program import ScalarReads
 from repro.sparse.distribute import DistVector, DistributedMatrix
 from repro.tensordsl.tensor import ContextRef
 
@@ -99,6 +100,15 @@ class SolveStats:
         if self.progress is not None:
             self.progress(int(iteration), float(relative_residual),
                           1 if active is None else int(active))
+
+    def extend(self, iterations, residuals, cycles: int = 0) -> None:
+        """Append the records :meth:`record` appends one by one, firing no
+        hook — how a loop run as one native table hands its history over,
+        which it does only while neither hook is set
+        (:meth:`Solver._emit_history`)."""
+        self.iterations.extend(map(int, iterations))
+        self.residuals.extend(map(float, residuals))
+        self.cycles.extend([int(cycles)] * len(residuals))
 
     def reset(self) -> None:
         """Clear the record *in place* for a fresh run of the same program.
@@ -368,6 +378,12 @@ class Solver:
         nothing is recorded (:meth:`SolveStats.record` fires it otherwise);
         an unset hook makes it a no-op, so the program is the same whether
         or not a deadline is later installed.
+
+        One RHS's callback declares what it reads (:class:`ScalarReads`):
+        ``it`` and ``rnorm2``, or nothing without ``record_history``.  While
+        no hook is set, a loop around it may then run as one native table,
+        and the loop's records are appended after it in one
+        :meth:`SolveStats.extend` (:mod:`repro.graph.loops`).
         """
         stats, columns = self.stats, self.batch_stats
         if not self.record_history:
@@ -377,9 +393,21 @@ class Solver:
                 if hook is not None:
                     hook(int(engine.read_scalar(_i)))
 
-            self.ctx.callback(tick)
+            self.ctx.callback(tick, reads=ScalarReads(
+                (), lambda: stats.tick is not None, lambda engine: None))
             return
         relative = self._relative(rnorm2, bnorm2_host)
+        reads = None
+        if active is None and rnorm2.var.batch == 1:
+
+            def replay(engine, iterations, rnorm2s):
+                b2 = bnorm2_host[0]  # the per-iteration path's expression, per element
+                stats.extend(iterations, [(max(r, 0.0) / b2) ** 0.5 for r in rnorm2s],
+                             engine.profiler.total_cycles)
+
+            reads = ScalarReads((it.var, rnorm2.var),
+                                lambda: stats.tick is not None or stats.progress is not None,
+                                replay)
 
         def record(engine, _i=it.var):
             i = int(engine.read_scalar(_i))
@@ -394,7 +422,7 @@ class Solver:
                 if act[j] != 0.0:
                     st.record(i, rel[j], cycles=cyc)
 
-        self.ctx.callback(record)
+        self.ctx.callback(record, reads=reads)
 
     def _emit_verbose(self, it, rnorm2, bnorm2_host, active=None, every: int = 1,
                       step: str = "iteration") -> None:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.graph import Exchange, RegionCopy
 from repro.graph.codelet import Codelet, ComputeSet
@@ -136,6 +135,8 @@ class Multigrid(Solver):
         # Coarsest-grid direct factorization (in the plan's layout order).
         coarsest = self.hierarchy[-1]["A"]
         perm = coarsest.perm
+        import scipy.sparse.linalg as spla  # loaded on first use: a heavy module
+
         a_perm = sp.csc_matrix(coarsest.crs.to_scipy()[np.ix_(perm, perm)])
         self._coarse_lu = spla.splu(a_perm)
         self._coarse_gather = ctx.graph.add_single_tile(

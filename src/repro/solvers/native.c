@@ -14,7 +14,10 @@
  * run once per tile at build time: repro_factor_f32 is a tile's ILU(0) or
  * DILU factorization, repro_levels a sweep's dependency levels.  repro_run
  * calls the eight in the order of a table (repro.solvers.native.Table): one
- * call per fused kernel.
+ * call per fused kernel.  Four control kinds run the entries after them as a
+ * body: REPEAT, WHILE and IF are the engine's Repeat, RepeatWhile and If, and
+ * LOG appends a float32 scalar to a host-owned buffer, so a whole solver loop
+ * (repro.graph.loops) is one call.
  *
  * Built with -O2 -ftree-vectorize -ffp-contract=off -fno-math-errno and
  * never -ffast-math: a contracted multiply-add or a reassociated sum would
@@ -902,62 +905,145 @@ static void repro_levels(int64_t n, int64_t backward, int64_t m, const int64_t *
 /* -- The runner ------------------------------------------------------------ */
 
 /* Entry kinds, in the order of repro.solvers.native's EVAL, COPY, SPMV,
- * SWEEP, DWEVAL, XSPMV, FACTOR, LEVELS. */
-enum { RUN_EVAL, RUN_COPY, RUN_SPMV, RUN_SWEEP, RUN_DWEVAL, RUN_XSPMV, RUN_FACTOR, RUN_LEVELS };
+ * SWEEP, DWEVAL, XSPMV, FACTOR, LEVELS, REPEAT, WHILE, IF, LOG, and the
+ * number of arguments each takes. */
+enum { RUN_EVAL, RUN_COPY, RUN_SPMV, RUN_SWEEP, RUN_DWEVAL, RUN_XSPMV, RUN_FACTOR, RUN_LEVELS,
+       RUN_REPEAT, RUN_WHILE, RUN_IF, RUN_LOG, RUN_KINDS };
+static const int64_t WIDTH[RUN_KINDS] = {10, 5, 12, 10, 11, 14, 8, 7, 3, 6, 6, 4};
 
 #define ARG(k) ((void *)(intptr_t)a[k])
 
-/* Run the n entries of table in order.  An entry is its kind, then the
- * arguments of that kind's function, each one int64 (an address, 0 for
- * NULL): 10 for repro_eval_f32, 5 for repro_copy_f32, 12 for
- * repro_spmv_f32, 10 for repro_sweep_f32, 11 for repro_eval_dw, 14 for
- * repro_xspmv, 8 for repro_factor_f32 and 7 for repro_levels.  The runner
- * does no arithmetic of its own; a later entry reads what an earlier one
- * wrote. */
-void repro_run(int64_t n, const int64_t *table)
+/* The address after the next n entries of table (a control entry's body
+ * entries are among the n). */
+static const int64_t *skip(int64_t n, const int64_t *table)
+{
+    for (int64_t e = 0; e < n; e++)
+        table += 1 + WIDTH[table[0]];
+    return table;
+}
+
+/* A loop or branch condition, as the engine reads it: the float32 value,
+ * plus its double word's lo half when lo is not NULL, in binary64. */
+static double condition(const float *hi, const float *lo)
+{
+    double v = (double)*hi;
+    if (lo)
+        v += (double)*lo;
+    return v;
+}
+
+/* Count n body runs into *runs, unless runs is NULL. */
+static void count(int64_t *runs, int64_t n)
+{
+    if (runs)
+        *runs += n;
+}
+
+/* Run the next n entries of table in order (a control entry's body entries
+ * are among the n).  A leaf entry is its kind, then the arguments of that
+ * kind's function, each one int64 (an address, 0 for NULL): 10 for
+ * repro_eval_f32, 5 for repro_copy_f32, 12 for repro_spmv_f32, 10 for
+ * repro_sweep_f32, 11 for repro_eval_dw, 14 for repro_xspmv, 8 for
+ * repro_factor_f32 and 7 for repro_levels.  The control kinds, each adding
+ * its body runs to an int64 counter (NULL: none):
+ *
+ *   REPEAT count nbody runs: the next nbody entries, count times;
+ *   WHILE cond lo max before nbody runs: the engine's RepeatWhile: while
+ *     condition(cond, lo) != 0.0 (tested before the first run only when
+ *     before != 0), at most max runs of the next nbody entries;
+ *   IF cond lo nthen nelse then_runs else_runs: the next nthen entries when
+ *     condition(cond, lo) != 0.0 (NaN included), else the nelse after them;
+ *   LOG src buffer cursor capacity: buffer[*cursor] = *src, then ++*cursor,
+ *     while *cursor < capacity.
+ *
+ * The runner does no arithmetic of its own; a later entry reads what an
+ * earlier one wrote, and tables are built by repro.solvers.native.Table,
+ * which checks every body's extent. */
+static void run(int64_t n, const int64_t *table)
 {
     for (int64_t e = 0; e < n; e++) {
-        const int64_t *a = table + 1;
+        if (table[0] < 0 || table[0] >= RUN_KINDS) /* tables hold the twelve kinds only */
+            return;
+        const int64_t *a = table + 1, *next = a + WIDTH[table[0]];
         switch (table[0]) {
         case RUN_EVAL:
             repro_eval_f32(a[0], ARG(1), ARG(2), ARG(3), ARG(4), ARG(5), ARG(6), ARG(7), ARG(8),
                            ARG(9));
-            table = a + 10;
             break;
         case RUN_COPY:
             repro_copy_f32(a[0], ARG(1), ARG(2), ARG(3), ARG(4));
-            table = a + 5;
             break;
         case RUN_SPMV:
             repro_spmv_f32(a[0], a[1], a[2], ARG(3), ARG(4), ARG(5), ARG(6), ARG(7), ARG(8),
                            ARG(9), ARG(10), ARG(11));
-            table = a + 12;
             break;
         case RUN_SWEEP:
             repro_sweep_f32(a[0], ARG(1), ARG(2), ARG(3), ARG(4), ARG(5), ARG(6), ARG(7), ARG(8),
                             ARG(9));
-            table = a + 10;
             break;
         case RUN_DWEVAL:
             repro_eval_dw(a[0], ARG(1), ARG(2), ARG(3), ARG(4), ARG(5), ARG(6), ARG(7), ARG(8),
                           ARG(9), ARG(10));
-            table = a + 11;
             break;
         case RUN_XSPMV:
             repro_xspmv(a[0], a[1], a[2], ARG(3), ARG(4), ARG(5), ARG(6), ARG(7), ARG(8),
                         ARG(9), ARG(10), ARG(11), ARG(12), ARG(13));
-            table = a + 14;
             break;
         case RUN_FACTOR:
             repro_factor_f32(a[0], a[1], ARG(2), ARG(3), ARG(4), ARG(5), ARG(6), ARG(7));
-            table = a + 8;
             break;
         case RUN_LEVELS:
             repro_levels(a[0], a[1], a[2], ARG(3), ARG(4), ARG(5), ARG(6));
-            table = a + 7;
             break;
-        default: /* tables are built from the eight kinds only */
-            return;
+        case RUN_REPEAT: {
+            int64_t i = 0;
+            for (; i < a[0]; i++)
+                run(a[1], next);
+            count(ARG(2), i);
+            next = skip(a[1], next);
+            e += a[1];
+            break;
         }
+        case RUN_WHILE: {
+            int64_t i = 0;
+            for (;;) {
+                if ((a[3] || i > 0) && condition(ARG(0), ARG(1)) == 0.0)
+                    break;
+                if (i >= a[2])
+                    break;
+                i++;
+                run(a[4], next);
+            }
+            count(ARG(5), i);
+            next = skip(a[4], next);
+            e += a[4];
+            break;
+        }
+        case RUN_IF:
+            if (condition(ARG(0), ARG(1)) != 0.0) {
+                run(a[2], next);
+                count(ARG(4), 1);
+            } else {
+                run(a[3], skip(a[2], next));
+                count(ARG(5), 1);
+            }
+            next = skip(a[2] + a[3], next);
+            e += a[2] + a[3];
+            break;
+        case RUN_LOG: {
+            int64_t *cursor = ARG(2);
+            if (*cursor < a[3])
+                ((float *)ARG(1))[(*cursor)++] = *(const float *)ARG(0);
+            break;
+        }
+        }
+        table = next;
     }
+}
+
+/* Run the n entries of table in order: one call per fused kernel, or per
+ * folded loop. */
+void repro_run(int64_t n, const int64_t *table)
+{
+    run(n, table);
 }

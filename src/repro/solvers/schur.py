@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.graph import Exchange, RegionCopy
 from repro.graph.codelet import Codelet, ComputeSet
@@ -70,6 +69,8 @@ class SchurInterface(Solver):
 
         iface = {"cells": cells, "offsets": offsets, "m": m}
         if m:
+            import scipy.sparse.linalg as spla  # loaded on first use: a heavy module
+
             a_ss = sp.csc_matrix(A.crs.to_scipy()[np.ix_(cells, cells)])
             lu = spla.splu(a_ss)
             lu_nnz = int(lu.L.nnz + lu.U.nnz)

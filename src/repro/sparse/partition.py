@@ -18,7 +18,6 @@ from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from repro.sparse.crs import ModifiedCRS
 
@@ -94,6 +93,8 @@ def partition_grid(dims, parts: int) -> Partition:
 
 def partition_graph(matrix: ModifiedCRS, parts: int) -> Partition:
     """Chunk a reverse-Cuthill-McKee ordering into equal contiguous pieces."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee  # loaded on first use: heavy
+
     adj = sp.csr_matrix(
         (np.ones_like(matrix.values), matrix.col_idx, matrix.row_ptr),
         shape=matrix.shape,

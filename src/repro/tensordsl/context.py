@@ -350,9 +350,11 @@ class TensorContext:
 
     # -- host interaction -------------------------------------------------------------------------
 
-    def callback(self, fn) -> None:
-        """Insert a host callback (progress reporting, host I/O)."""
-        self.append(HostCallback(fn))
+    def callback(self, fn, reads=None) -> None:
+        """Insert a host callback (progress reporting, host I/O); ``reads``
+        declares a callback that only reads device scalars
+        (:class:`repro.graph.program.ScalarReads`)."""
+        self.append(HostCallback(fn, reads=reads))
 
     def print(self, label: str, tensor: Tensor | None = None) -> None:
         """Print a label (and optionally a scalar tensor's value) at runtime."""

@@ -4,6 +4,7 @@ deadlines, retries, quotas, circuit breaking, drain — resolves each
 accepted job's future exactly once with a typed outcome."""
 
 import asyncio
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -129,6 +130,33 @@ class TestRetries:
         assert exc.exit_code == 13
         assert exc.last_result.stats.failure == "max_iterations"
         assert counts["failed"] == 1 and counts["retries"] == 1
+
+    def test_backoff_is_drawn_on_retry_not_at_admission(self):
+        """``submit()`` computes no backoff schedule; a retried job waits
+        exactly ``schedule(seed)[attempt]`` before each next attempt."""
+        retry = RetryPolicy(max_attempts=3, base_delay=0.001,
+                            fallback_config=FALLBACK, fallback_after=2)
+        waits = []
+        requeue_after = SolverService._requeue_after
+
+        async def recorded(svc, job, delay):
+            waits.append((job.attempt - 1, delay))
+            await requeue_after(svc, job, delay)
+
+        async def go():
+            async with SolverService(policy=ServicePolicy(retry=retry), workers=1) as svc:
+                with mock.patch.object(RetryPolicy, "schedule", autospec=True,
+                                       side_effect=RetryPolicy.schedule) as schedule:
+                    job = svc.submit(CRS, B, WEAK, grid_dims=DIMS, backend="fused", seed=11)
+                    admitted = schedule.call_count
+                    with mock.patch.object(SolverService, "_requeue_after", recorded):
+                        res = await job.future
+                return admitted, res
+
+        admitted, res = run(go())
+        assert admitted == 0
+        assert res.attempts == 3
+        assert waits == [(0, retry.schedule(11)[0]), (1, retry.schedule(11)[1])]
 
     def test_backoff_does_not_hold_the_worker(self):
         """A retry waits out its backoff on a timer, not in a worker: with

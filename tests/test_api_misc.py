@@ -96,3 +96,34 @@ class TestBlockwiseOption:
                       blockwise_halo=False)
         np.testing.assert_array_equal(block.x, naive.x)
         assert naive.cycles > block.cycles
+
+
+def test_serving_and_a_grid_solve_load_no_heavy_scipy_module():
+    """``scipy.sparse.linalg`` and ``scipy.sparse.csgraph`` load on first
+    use (a multigrid or Schur factorization, the reference baselines, a
+    graph partition): importing the serving, solver and sparse packages and
+    running a fused CG solve on a grid partition loads neither."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import repro.serve, repro.solvers, repro.sparse\n"
+        "from repro.solvers import solve\n"
+        "from repro.sparse import poisson2d\n"
+        "crs, dims = poisson2d(12)\n"
+        "solve(crs, np.ones(crs.n, np.float32), {'solver': 'cg', 'tol': 1e-6},\n"
+        "      backend='fused', num_tiles=4, grid_dims=dims)\n"
+        "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph')\n"
+        "             if m in sys.modules))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -34,9 +34,11 @@ FLAGS = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all
 
 #: Every test module that runs native code: the kinds against their numpy
 #: or Python forms, the double-word opcodes over the whole float32 range,
-#: and the fused kernels of one shared cache run from several threads at
-#: once.
+#: the fused kernels of one shared cache run from several threads at once,
+#: and loops run as one table over a cache's misses, hits, evictions and
+#: rebuilds.
 TESTS = ("tests/graph/test_native_eval.py", "tests/graph/test_native_tables.py",
+         "tests/graph/test_native_loops.py",
          "tests/graph/test_native_dw.py", "tests/sparse/test_device_spmv.py",
          "tests/solvers/test_sweeps.py", "tests/solvers/test_native_factor.py",
          "tests/solvers/test_mpir.py", "tests/dw/test_special_values.py",
