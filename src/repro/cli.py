@@ -481,7 +481,10 @@ def _cmd_serve(args) -> int:
     ``--overload`` times the service's capacity at once (rejections are
     the expected, graceful output), and a *fault tenant* whose jobs run
     seeded fault injection through the resilience rollback path on the sim
-    backend.  ``--batch-window`` turns on queue-level dynamic batching so
+    backend; each retry replays its identical seeded plan, so a job whose
+    rollback budget runs out fails alike on every attempt and ends
+    ``failed`` after ``max_attempts`` (both do on ``poisson:16``).
+    ``--batch-window`` turns on queue-level dynamic batching so
     compatible jobs coalesce into one multi-RHS solve.  ``--check``
     re-solves every served job directly and fails unless the served
     results are bit-identical (docs/serving.md) — batched dispatches
@@ -812,7 +815,9 @@ def main(argv=None) -> int:
     p_serve.add_argument("--fault-tenant", action="store_true",
                          help="add a tenant whose jobs inject seeded faults and "
                               "recover through the resilience rollback path "
-                              "(sim backend)")
+                              "(sim backend); a retry replays the same seeded "
+                              "plan, so a job whose rollbacks run out fails on "
+                              "every attempt")
     p_serve.add_argument("--check", action="store_true",
                          help="re-solve every served job directly and fail unless "
                               "bit-identical (the serving-is-observational contract)")

@@ -32,6 +32,7 @@ from repro.graph.passes.base import (
     rewrite_bottom_up,
 )
 from repro.graph.passes.coalesce import CoalesceExchanges
+from repro.graph.passes.costs import Cost, lpt_makespan
 from repro.graph.passes.flatten import FlattenSequences
 from repro.graph.passes.fuse import FuseComputeSets
 from repro.graph.passes.kernels import ExchangeOp, FusedKernel, KernelSchedule, build_kernels
@@ -43,7 +44,6 @@ from repro.graph.passes.plans import (
     ExecutionPlans,
     build_plans,
     compute_set_category,
-    lpt_makespan,
 )
 
 __all__ = [
@@ -61,6 +61,7 @@ __all__ = [
     "FuseComputeSets",
     "ComputePlan",
     "CopyOp",
+    "Cost",
     "ExchangePlan",
     "ExecutionPlans",
     "build_plans",

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +65,7 @@ from repro.graph.codelet import (
     SpmvSpec,
     SweepSpec,
 )
-from repro.graph.passes.costs import estimate_exchange, estimate_groups
-from repro.graph.passes.plans import _distinct
+from repro.graph.passes.plans import ComputePlan, _distinct
 from repro.graph.program import (
     Execute,
     Exchange,
@@ -77,12 +77,20 @@ from repro.graph.program import (
     Step,
 )
 
-__all__ = ["ExchangeOp", "FusedKernel", "KernelSchedule", "build_kernels"]
+__all__ = ["ExchangeOp", "FusedKernel", "KernelCost", "KernelSchedule", "build_kernels"]
 
 
 class _Unvectorizable(Exception):
     """Raised by a group lowerer when a vectorization precondition fails;
     the group falls back to batched per-vertex dispatch."""
+
+
+class KernelCost(NamedTuple):
+    """One launch's price: its steps' records folded (``FusedKernel.cost``)."""
+
+    cycles: tuple  # ((profiler key, cycles), ...) in first-charge order
+    est_bytes: int
+    est_flops: int
 
 
 class FusedKernel:
@@ -98,25 +106,20 @@ class FusedKernel:
     keeps its superstep statistics in parity with the interpreted
     backends), ``n_dispatch`` the per-step dispatch calls the kernel
     replaces, and ``fallbacks`` names the codelet of every per-vertex
-    run that could not be vectorized (``n_fallback`` of them).  ``est_bytes``
-    / ``est_flops`` carry the static traffic and arithmetic estimate
-    (:mod:`repro.graph.passes.costs`) one launch represents — the wall-clock
-    profiler divides measured time by these to report per-kernel GB/s and
-    GFLOP/s.
+    run that could not be vectorized (``n_fallback`` of them).
 
-    ``steps`` are the absorbed ``Execute`` / ``Exchange`` steps in schedule
-    order.  ``cycles`` is their ``((profiler category, cycles), ...)``
-    record — what one launch charges on a cycle clock — filled in by the
-    backend on the first clocked launch from the steps' plans, ``None``
-    until then (a ``fused``-only kernel is never priced).
+    ``plans`` are the absorbed steps' plans in schedule order; ``cost``
+    folds their records (:mod:`repro.graph.passes.costs`) on first read into
+    what one launch charges on a cycle clock and the traffic and arithmetic
+    estimate (``est_bytes`` / ``est_flops``) the wall-clock profiler reads.
+    A ``fused`` run no clock or wall tracer observes never reads it.
     """
 
     __slots__ = ("name", "ops", "n_compute", "n_exchange", "n_dispatch", "fallbacks",
-                 "n_fallback", "est_bytes", "est_flops", "steps", "cycles", "_calls")
+                 "n_fallback", "plans", "_cost", "_calls")
 
     def __init__(self, name: str, ops: tuple, n_compute: int, n_exchange: int,
-                 n_dispatch: int, fallbacks: tuple, est_bytes: int = 0,
-                 est_flops: int = 0, steps: tuple = ()):
+                 n_dispatch: int, fallbacks: tuple, plans: tuple = ()):
         self.name = name
         self.ops = ops
         self.n_compute = n_compute
@@ -124,11 +127,28 @@ class FusedKernel:
         self.n_dispatch = n_dispatch
         self.fallbacks = fallbacks
         self.n_fallback = len(fallbacks)
-        self.est_bytes = est_bytes
-        self.est_flops = est_flops
-        self.steps = steps
-        self.cycles = None
+        self.plans = plans
+        self._cost = None
         self._calls = None
+
+    @property
+    def cost(self) -> KernelCost:
+        if self._cost is None:
+            costs = [plan.cost for plan in self.plans]
+            cycles: dict = {}  # per profiler key, in first-charge order
+            for c in costs:
+                cycles[c.key] = cycles.get(c.key, 0) + c.cycles
+            self._cost = KernelCost(tuple(cycles.items()), sum(c.est_bytes for c in costs),
+                                    sum(c.est_flops for c in costs))
+        return self._cost
+
+    @property
+    def est_bytes(self) -> int:
+        return self.cost.est_bytes
+
+    @property
+    def est_flops(self) -> int:
+        return self.cost.est_flops
 
     @property
     def calls(self) -> tuple:
@@ -380,12 +400,6 @@ def _pair(hi, lo=None):
     return hi if lo is None else (hi, lo)
 
 
-def _whole_buffer(var):
-    """Fetcher of a variable's whole flat storage (a ``(hi, lo)`` pair for dw)."""
-    flat = (var.flat_data, var.flat_lo) if var.paired else var.flat_data
-    return lambda: flat
-
-
 def _make_resolver(fetchers: dict):
     cache: dict = {}
 
@@ -417,12 +431,6 @@ def _contiguous_order(var, tiles) -> tuple:
     return rows[:, 0], rows, int(rows[0, 1]), int(rows[-1, 2]), seg
 
 
-def _same_replicas(var, tiles) -> bool:
-    """``var`` is a replicated variable with one replica on each of the
-    (distinct) ``tiles`` and nowhere else."""
-    return var.replicated and np.array_equal(np.sort(var.tiles), np.sort(tiles))
-
-
 # -- group lowerers ----------------------------------------------------------------------
 
 
@@ -435,44 +443,54 @@ def _lower_elementwise_group(spec: ElementwiseSpec, tiles):
     leaf_vars = _leaf_vars(expr)
 
     if out.replicated:
-        # Whole-replica-matrix evaluation: every leaf must be replicated on
-        # the same rows, so the stacked (replicas, size) buffers align and
-        # the pointwise ops compute each row exactly as its tile would.
-        if out.flat_data is None or not _same_replicas(out, tiles):
+        # Row-wise evaluation over the stacked (replicas, size) buffers: every
+        # leaf must be replicated with a replica on each group tile, so the
+        # pointwise ops compute each group tile's row exactly as its vertex
+        # would.  Rows follow ``out``'s storage order; a variable whose rows
+        # for the group are one run is a view (the whole buffer when the
+        # group spans its replicas), else a gather — and ``out``'s rows of
+        # tiles outside the group are left alone.
+        variables = {id(var): var for var in (out, *leaf_vars)}
+        if not all(var.replicated and var.flat_data is not None for var in variables.values()):
             raise _Unvectorizable
-        for var in leaf_vars:
-            if not (
-                var.replicated
-                and var.flat_data is not None
-                and np.array_equal(var.tiles, out.tiles)
-            ):
-                raise _Unvectorizable
-        fetchers = {id(var): _whole_buffer(var) for var in leaf_vars}
-        out_hi, out_lo = out.flat_data, out.flat_lo
-        # The native call sees the stacked buffers as one segment of
-        # vectors when they all share out's shape.
-        stacked = all(part.shape == out_hi.shape and part.flags.c_contiguous
-                      for var in (*leaf_vars, out) for part in (var.flat_data, var.flat_lo)
-                      if part is not None)
-
-        def flat(var) -> tuple:
-            return tuple(None if part is None else part.reshape(-1)
-                         for part in (var.flat_data, var.flat_lo))
-
-        sources = {id(var): (*flat(var), None) for var in leaf_vars} if stacked else {}
-        native_out = flat(out) if stacked else None
-        offsets = np.array([0, out_hi.size])
-    else:
-        if out.flat_data is None or out.flat_data.ndim != _flat_ndim(out):
+        rows = {key: var.rows_of(tiles) for key, var in variables.items()}
+        if any((r < 0).any() for r in rows.values()):
             raise _Unvectorizable
-        order, ref, lo, hi, seg = _contiguous_order(out, tiles)
-        sources = _leaf_sources(leaf_vars, order, ref, lo, hi)
-        fetchers = _fetchers(sources, seg)
-        out_hi = out.flat_data[lo:hi]
-        out_lo = out.flat_lo[lo:hi] if out.paired else None
-        stacked, native_out = True, (out_hi, out_lo)
-        offsets = np.concatenate([[0], np.cumsum(seg)])
+        order = np.argsort(rows[id(out)], kind="stable")
+        index = {key: _run_or_rows(r[order]) for key, r in rows.items()}
+        fetchers = {id(var): _row_fetcher(var, index[id(var)]) for var in leaf_vars}
+        at = index[id(out)]
+        program = assignment_evaluator(expr, out)
 
+        def op():
+            value = program(_make_resolver(fetchers))
+            if out.flat_lo is None:
+                out.flat_data[at] = value
+            else:
+                out.flat_data[at], out.flat_lo[at] = value
+
+        # The native call takes the rows as one segment of vectors when each
+        # variable's are one run shaped like out's (no gather anywhere).
+        if not all(isinstance(i, slice) for i in index.values()):
+            return op
+        views = {key: tuple(None if p is None else p[index[key]]
+                            for p in (var.flat_data, var.flat_lo))
+                 for key, var in variables.items()}
+        shape = views[id(out)][0].shape
+        if not all(p is None or p.shape == shape and p.flags.c_contiguous
+                   for pair in views.values() for p in pair):
+            return op
+        sources = {key: (*(None if p is None else p.reshape(-1) for p in pair), None)
+                   for key, pair in views.items()}
+        hi, lo, _ = sources[id(out)]
+        return _native(program, sources, np.array([0, hi.size]), _pair(hi, lo), None, op)
+    if out.flat_data is None or out.flat_data.ndim != _flat_ndim(out):
+        raise _Unvectorizable
+    order, ref, lo, hi, seg = _contiguous_order(out, tiles)
+    sources = _leaf_sources(leaf_vars, order, ref, lo, hi)
+    fetchers = _fetchers(sources, seg)
+    out_hi = out.flat_data[lo:hi]
+    out_lo = out.flat_lo[lo:hi] if out.paired else None
     program = assignment_evaluator(expr, out)
 
     def op():
@@ -482,10 +500,23 @@ def _lower_elementwise_group(spec: ElementwiseSpec, tiles):
         else:
             out_hi[...], out_lo[...] = value
 
-    # ``reshape(-1)`` of a buffer that is not contiguous would be a copy.
-    if not stacked:
-        return op
-    return _native(program, sources, offsets, _pair(*native_out), None, op)
+    offsets = np.concatenate([[0], np.cumsum(seg)])
+    return _native(program, sources, offsets, _pair(out_hi, out_lo), None, op)
+
+
+def _run_or_rows(rows):
+    """A row index over a stacked replica buffer: a slice when ``rows`` is
+    one ascending run, else the rows themselves (a gather)."""
+    if (np.diff(rows) == 1).all():
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows.astype(np.intp)
+
+
+def _row_fetcher(var, index):
+    """Fetcher of a replicated leaf's rows ``index`` (a view or a gather)."""
+    if var.flat_lo is None:
+        return lambda: var.flat_data[index]
+    return lambda: (var.flat_data[index], var.flat_lo[index])
 
 
 def _equal_segments(seg) -> bool:
@@ -707,7 +738,8 @@ def _lower_batch_reduce_group(spec: BatchReduceSpec, tiles):
         raise _Unvectorizable
     if src.flat_data is None or out.flat_data is None:
         raise _Unvectorizable
-    if not (np.array_equal(src.tiles, out.tiles) and _same_replicas(src, tiles)):
+    if not (np.array_equal(src.tiles, out.tiles)
+            and np.array_equal(np.sort(src.tiles), np.sort(tiles))):
         raise _Unvectorizable
     if src.flat_data.ndim != 3 or out.flat_data.ndim != 2:
         raise _Unvectorizable
@@ -735,7 +767,7 @@ _LOWERERS = {
 def _lower_compute_set(cs) -> tuple:
     """Lower one compute set into kernel ops, one per vertex group.
 
-    Returns ``(ops, n_dispatch, fallbacks, est_bytes, est_flops)`` —
+    Returns ``(ops, n_dispatch, fallbacks)`` —
     ``fallbacks`` the codelet names of the per-vertex runs left: the
     vertices of groups without a spec or that could not vectorize (the only
     groups whose vertices are ever built here).  Vertices within
@@ -743,10 +775,11 @@ def _lower_compute_set(cs) -> tuple:
     FuseComputeSets disjointness invariant), so group order cannot be
     observed.
     """
-    groups = [g for g in cs.groups if not g.cost_only]
     ops: list = []
     unvectorized: list = []
-    for g in groups:
+    for g in cs.groups:
+        if g.cost_only:
+            continue
         lower = _LOWERERS.get(type(g.spec))
         if lower is not None:
             try:
@@ -764,9 +797,7 @@ def _lower_compute_set(cs) -> tuple:
                 r()
 
         ops.append(batched)
-    est_bytes, est_flops = estimate_groups(groups)
-    fallbacks = tuple(v.codelet.name for v in fallback)
-    return ops, len(cs), fallbacks, est_bytes, est_flops
+    return ops, len(cs), tuple(v.codelet.name for v in fallback)
 
 
 def build_kernels(root: Step, plans) -> KernelSchedule:
@@ -784,46 +815,36 @@ def build_kernels(root: Step, plans) -> KernelSchedule:
     def lower_children(children) -> list:
         items: list = []
         ops: list = []
-        absorbed: list = []
+        absorbed: list = []  # the absorbed steps' plans
         fallbacks: list = []
-        counts = [0, 0, 0]  # dispatches replaced, est bytes, est flops
+        dispatches = 0  # the per-step dispatch calls the kernel replaces
 
         def flush():
+            nonlocal dispatches
             if absorbed:
-                n_compute = sum(1 for s in absorbed if isinstance(s, Execute))
-                kernel = FusedKernel(
-                    f"k{len(all_kernels)}",
-                    tuple(ops),
-                    n_compute,
-                    len(absorbed) - n_compute,
-                    counts[0],
-                    tuple(fallbacks),
-                    est_bytes=counts[1],
-                    est_flops=counts[2],
-                    steps=tuple(absorbed),
-                )
+                n_compute = sum(1 for p in absorbed if isinstance(p, ComputePlan))
+                kernel = FusedKernel(f"k{len(all_kernels)}", tuple(ops), n_compute,
+                                     len(absorbed) - n_compute, dispatches,
+                                     tuple(fallbacks), tuple(absorbed))
                 all_kernels.append(kernel)
                 items.append(kernel)
             ops.clear()
             absorbed.clear()
             fallbacks.clear()
-            counts[0] = counts[1] = counts[2] = 0
+            dispatches = 0
 
         for s in children:
             if isinstance(s, Execute):
-                cs_ops, n_dispatch, cs_fallbacks, est_b, est_f = lower_execute(s)
+                cs_ops, n_dispatch, cs_fallbacks = lower_execute(s)
                 ops.extend(cs_ops)
-                absorbed.append(s)
+                absorbed.append(plans.plan_for(s))
                 fallbacks.extend(cs_fallbacks)
-                counts[0] += n_dispatch
-                counts[1] += est_b
-                counts[2] += est_f
+                dispatches += n_dispatch
             elif isinstance(s, Exchange):
                 plan = plans.plan_for(s)
                 ops.append(ExchangeOp(plan.flat))
-                absorbed.append(s)
-                counts[0] += plan.n_ops
-                counts[1] += estimate_exchange(plan)
+                absorbed.append(plan)
+                dispatches += plan.n_ops
             else:
                 flush()
                 if isinstance(s, Sequence):

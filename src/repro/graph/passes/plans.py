@@ -6,17 +6,15 @@ optimized schedule is compiled *once* into an immutable plan that any
 runtime backend (:mod:`repro.graph.runtime`) can execute without
 re-deriving structure on the hot path.
 
-- :class:`ComputePlan` — per-tile LPT worker packings evaluated ahead of
-  time, as an array of makespans read off the compute set's vertex groups.
-  Codelet cycle models are pure over their bindings (the
-  :mod:`repro.graph.codelet` contract), so the packed makespans are
-  identical to evaluating them during execution.  The vertices themselves
-  exist only once a stepped ``sim`` run asks (``ComputePlan.vertices``).
+- :class:`ComputePlan` — the compute set and its profiler category (the
+  one thing about its cost decided at build: a set mixing vertex
+  categories is refused here).  The vertices themselves exist only once a
+  stepped ``sim`` run asks (``ComputePlan.vertices``).
 - :class:`ExchangePlan` — the exchange's copy table lowered to vectorized
   numpy gather/scatter ops (fancy-index arrays, or plain slices for single
-  contiguous regions), plus the on-tile memcpy cost; the fabric's
-  :class:`~repro.machine.fabric.Transfer` list and its price are built on
-  first use (``ExchangePlan.transfers`` / ``.phase``).
+  contiguous regions); the fabric's
+  :class:`~repro.machine.fabric.Transfer` list is built on first use
+  (``ExchangePlan.transfers``).
   When region copies within one exchange overlap (a later copy reads or
   rewrites what an earlier one wrote), the plan falls back to strictly
   ordered per-copy execution so results stay bit-identical.  A hazard-free
@@ -26,6 +24,10 @@ re-deriving structure on the hot path.
   per-shard-pair ``ops`` (thousands on a many-tile halo exchange) are built
   from the same elementary copies when ``sim`` or the injector first asks.
 
+Each plan's price is one :class:`~repro.graph.passes.costs.Cost` record,
+computed on the first read of ``plan.cost``: a cycle clock, a tracer or a
+wall tracer reads it, an unobserved ``fused`` run never does.
+
 Plans hold direct references to the variables' arrays; the graph
 allocates each variable's storage exactly once, so the references stay
 valid across host reads and writes (which mutate the arrays in place).
@@ -34,13 +36,14 @@ valid across host reads and writes (which mutate the arrays in place).
 from __future__ import annotations
 
 import functools
-import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from repro.graph.codelet import ComputeSet
+from repro.graph.passes.coalesce import _reads_written
+from repro.graph.passes.costs import Cost, price_compute, price_exchange
 from repro.graph.program import (
     COPY,
     DST_OFFSET,
@@ -59,7 +62,7 @@ from repro.graph.program import (
     Sequence,
     Step,
 )
-from repro.machine.fabric import ExchangePhase, Transfer
+from repro.machine.fabric import Transfer
 
 __all__ = [
     "ComputePlan",
@@ -68,7 +71,6 @@ __all__ = [
     "ExecutionPlans",
     "build_plans",
     "compute_set_category",
-    "lpt_makespan",
 ]
 
 
@@ -96,37 +98,31 @@ def compute_set_category(cs: ComputeSet) -> str:
     return category or "elementwise"
 
 
-def lpt_makespan(tasks, workers: int) -> int:
-    """Makespan of ``tasks`` on a tile's worker threads (LPT packing)."""
-    if len(tasks) <= workers:
-        return max(tasks, default=0)
-    heap = [0] * workers
-    for t in sorted(tasks, reverse=True):
-        heapq.heappush(heap, heapq.heappop(heap) + t)
-    return max(heap)
-
-
 @dataclass(frozen=True, eq=False)
 class ComputePlan:
     """Frozen execution plan of one ``Execute`` step."""
 
     name: str  # compute-set name (telemetry groups hot sets by this)
     category: str
-    tile_ids: np.ndarray  # the tiles with vertices, in first-seen order
-    makespans: np.ndarray  # per tile: LPT packing of its worker tasks
-    worst_tile: int  # max makespan over tiles (the BSP phase cost)
-    compute_set: ComputeSet | None = field(default=None, repr=False)
+    compute_set: ComputeSet = field(repr=False)
+    model: object = field(repr=False)  # the device's CycleModel: prices ``cost``
+
+    @cached_property
+    def cost(self) -> Cost:
+        """What one run of the step costs, priced on first read."""
+        return price_compute(self)
 
     @cached_property
     def vertices(self) -> tuple:
-        """The vertices to run, grouped by tile in ``tile_ids`` order
+        """The vertices to run, grouped by tile in first-seen order
         (cost-only vertices left out): a stepped ``sim`` calls
         ``v.codelet.run(v.ctx)`` for each.  Built on first use."""
         by_tile: dict = {}
         for v in self.compute_set.vertices:
+            runs = by_tile.setdefault(v.tile_id, [])
             if not v.codelet.cost_only:
-                by_tile.setdefault(v.tile_id, []).append(v)
-        return tuple(v for t in self.tile_ids.tolist() for v in by_tile.get(t, ()))
+                runs.append(v)
+        return tuple(v for runs in by_tile.values() for v in runs)
 
 
 @dataclass(frozen=True)
@@ -265,7 +261,6 @@ class ExchangePlan:
     """Frozen execution plan of one ``Exchange`` step."""
 
     name: str
-    local_cycles: int  # max over tiles of summed on-tile memcpy cost
     vectorized: bool  # False -> hazard detected, ops follow copy order
     #: The copies as CopyOps over ``Variable.flat_data`` / ``flat_lo``, one
     #: per (src buffer, dst buffer) pair — what the fused kernels replay.  A
@@ -273,7 +268,7 @@ class ExchangePlan:
     flat: tuple
     n_ops: int  # len(ops), known without building them
     copies: tuple = field(repr=False)  # _copy_ops' (variables, endpoints, table)
-    fabric: object = field(default=None, repr=False)  # prices ``phase``
+    fabric: object = field(default=None, repr=False)  # prices ``cost``
     exchange: object = field(default=None, repr=False)  # the step: its copy table
 
     @cached_property
@@ -285,8 +280,8 @@ class ExchangePlan:
     @cached_property
     def transfers(self) -> tuple:
         """One fabric :class:`Transfer` per copy with a remote destination,
-        in copy order, to those destinations — what :attr:`phase` prices,
-        built on first use like it."""
+        in copy order, to those destinations — what :attr:`cost` prices
+        and the tracer and injector read, built on first use."""
         step = self.exchange
         rows = step.table[step.table[:, DST_TILE] != step.table[:, SRC_TILE]]
         if not len(rows):
@@ -303,13 +298,11 @@ class ExchangePlan:
         )
 
     @cached_property
-    def phase(self) -> ExchangePhase:
-        """The device fabric's cost breakdown of this exchange, priced on
-        first use: the fabric is stateless and a plan's transfers are fixed,
-        so every superstep replaying the plan costs exactly this (plus
-        ``local_cycles``).  ``sim`` and the tracer read it; ``fused`` never
-        prices."""
-        return self.fabric.run(self.transfers)
+    def cost(self) -> Cost:
+        """What one run of the exchange costs, priced on first read: the
+        fabric is stateless and a plan's transfers are fixed, so every
+        superstep replaying the plan costs exactly this."""
+        return price_exchange(self)
 
 
 class ExecutionPlans:
@@ -341,62 +334,29 @@ def _distinct(values: np.ndarray) -> int:
     return int(np.count_nonzero(ordered[1:] != ordered[:-1])) + bool(len(ordered))
 
 
-def _plan_compute_set(cs: ComputeSet, workers: int) -> ComputePlan:
-    category = compute_set_category(cs)
-    tile_ids = cs.tile_ids
-    packed: dict = {}  # tasks -> makespan: a compute set's tiles share a handful
-
-    def makespan(tasks) -> int:
-        if tasks not in packed:
-            packed[tasks] = lpt_makespan(tasks, workers)
-        return packed[tasks]
-
-    costs = [g.costs() for g in cs.groups]
-    if _distinct(tile_ids) == len(tile_ids):
-        # One vertex per tile (every producer's group): the tile's makespan
-        # packs its vertex's worker tasks, priced once per distinct tasks.
-        parts = [np.array([makespan(t) for t in tasks], dtype=np.int64)[index]
-                 for tasks, index in costs]
-        makespans = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-    else:
-        per_tile: dict = {}
-        for g, (tasks, index) in zip(cs.groups, costs):
-            for t, k in zip(g.tiles.tolist(), index.tolist()):
-                per_tile.setdefault(t, []).extend(tasks[k])
-        tile_ids = np.fromiter(per_tile, dtype=np.int64, count=len(per_tile))
-        makespans = np.array([lpt_makespan(tasks, workers) for tasks in per_tile.values()],
-                             dtype=np.int64)
-    return ComputePlan(
-        name=cs.name,
-        category=category,
-        tile_ids=tile_ids,
-        makespans=makespans,
-        worst_tile=int(makespans.max(initial=0)),
-        compute_set=cs,
-    )
-
-
-def _any_write_overlap(array, start, stop, is_write) -> bool:
-    """True when a written range overlaps any other read or written range
-    of the same array (``array`` holds one integer id per range; ranges of
-    distinct arrays never interact).
-
-    One sort instead of all pairs: ranges ordered by (array, start, stop)
-    overlap an earlier range of their array exactly when they start before
-    the furthest stop seen so far — over every earlier range for a write,
-    over the earlier writes for a read.
-    """
-    if not len(array):
+def _copies_overlap(src, dst, t, n_shards: int) -> bool:
+    """True when the order of an exchange's copies (rows of ``t``, their
+    shards numbered ``src`` / ``dst`` below ``n_shards``) can be observed:
+    a read of a shard the exchange also writes meets a write
+    (:func:`~repro.graph.passes.coalesce._reads_written`; no read does in a
+    halo update), or two writes overlap — the writes sorted once by (shard,
+    start, stop), each shard in a band of its own under one running maximum
+    of their stops, overlap exactly when one starts before that maximum."""
+    if not len(t):
         return False
-    order = np.lexsort((stop, start, array))
-    start, stop, is_write = start[order], stop[order], is_write[order]
-    # Shift every array's ranges into a band of its own so one running
-    # maximum serves them all: an earlier array's stops stay below the band.
-    band = np.cumsum(np.diff(array[order], prepend=array[order[0]]) != 0) * (stop.max() + 1)
-    reach = np.maximum.accumulate(stop + band)
-    write_reach = np.maximum.accumulate(np.where(is_write, stop + band, -1))
-    before = np.where(is_write[1:], reach[:-1], write_reach[:-1])
-    return bool((start[1:] + band[1:] < before).any())
+    size = t[:, SIZE]
+    writes = (dst, t[:, DST_OFFSET], t[:, DST_OFFSET] + size)
+    written = np.zeros(n_shards, dtype=bool)
+    written[dst] = True
+    shared = written[src]
+    reads = (src[shared], t[shared, SRC_OFFSET], t[shared, SRC_OFFSET] + size[shared])
+    if _reads_written(reads, writes):
+        return True
+    order = np.lexsort(writes[::-1])
+    shard, start, stop = (w[order] for w in writes)
+    band = int(stop.max()) + 1
+    reach = np.maximum.accumulate(shard * band + stop)
+    return bool((shard[1:] * band + start[1:] < reach[:-1]).any())
 
 
 def _plan_exchange(step: Exchange, fabric) -> ExchangePlan:
@@ -418,23 +378,7 @@ def _plan_exchange(step: Exchange, fabric) -> ExchangePlan:
     endpoints = np.stack(np.divmod(keys[order], tiles), axis=1)  # (variable, tile) rows
     table = np.stack([src, dst, t[:, SRC_OFFSET], t[:, DST_OFFSET], t[:, SIZE]], axis=1)
 
-    # On-tile memcpy: 8 bytes per cycle through the st64 path; copies
-    # landing on one tile serialize (summed per tile).  unit_bytes folds in
-    # the batch axis: a batched element's RHS columns are contiguous and
-    # move together.
-    unit = np.array([var.unit_bytes() for var in step.variables], dtype=np.int64)
-    local = t[t[:, DST_TILE] == t[:, SRC_TILE]]
-    cost = (local[:, SIZE] * unit[local[:, SRC_VAR]] + 7) // 8
-    local_cycles = int(np.bincount(local[:, DST_TILE], weights=cost).max()) if len(local) else 0
-
-    size = t[:, SIZE]
-    # (A copy's source is read once however many destinations it has;
-    # counting the read per destination changes no overlap.)
-    start = np.concatenate([t[:, SRC_OFFSET], t[:, DST_OFFSET]])
-    vectorized = not _any_write_overlap(
-        np.concatenate([src, dst]), start, start + np.tile(size, 2),
-        np.repeat([False, True], n),
-    )
+    vectorized = not _copies_overlap(src, dst, t, len(keys))
     # Hazard-free: all copies between each pair of buffers fuse into one
     # numpy op (their order cannot be observed) — per whole-device buffer
     # pair here, per shard pair in ``ExchangePlan.ops``.  Overlapping
@@ -442,7 +386,6 @@ def _plan_exchange(step: Exchange, fabric) -> ExchangePlan:
     copies = (step.variables, endpoints, table)
     return ExchangePlan(
         name=step.name,
-        local_cycles=local_cycles,
         vectorized=vectorized,
         flat=_copy_ops(*copies, flat=vectorized, fuse=vectorized),
         n_ops=_distinct(src * len(endpoints) + dst) if vectorized else n,
@@ -539,7 +482,6 @@ def build_plans(root: Step, device) -> ExecutionPlans:
     several ``Execute`` steps) are planned once; unknown step types are
     rejected here, at compile time, instead of mid-execution.
     """
-    workers = device.spec.workers_per_tile
     plans: dict = {}
     cs_cache: dict = {}
     seen: set = set()
@@ -554,7 +496,8 @@ def build_plans(root: Step, device) -> ExecutionPlans:
         elif isinstance(step, Execute):
             key = id(step.compute_set)
             if key not in cs_cache:
-                cs_cache[key] = _plan_compute_set(step.compute_set, workers)
+                cs = step.compute_set
+                cs_cache[key] = ComputePlan(cs.name, compute_set_category(cs), cs, device.model)
             plans[id(step)] = cs_cache[key]
         elif isinstance(step, Exchange):
             plans[id(step)] = _plan_exchange(step, device.fabric)

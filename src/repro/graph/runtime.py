@@ -15,8 +15,9 @@ modeled cycle clock observes the run:
 
 Either way the engine launches the compiled program's fused kernels, so
 the results are the same bits.  Each kernel's cost is a constant of the
-compiled plans (vertex groupings and LPT packing, transfer lists and
-on-tile copy cost, the fabric's price of each exchange plan), so nothing is
+compiled plans: every plan's one cost record (:mod:`repro.graph.passes.costs`
+— LPT packing, the fabric's price of an exchange, the on-tile copies),
+folded per kernel and read on the first clocked launch, so nothing is
 re-derived while running.  A run observed by a
 :class:`~repro.telemetry.Tracer` or a fault injector needs every superstep
 instead: the engine steps each one, its plan runs vertex by vertex and
@@ -31,7 +32,6 @@ from __future__ import annotations
 from contextlib import ExitStack, contextmanager, nullcontext
 
 from repro.errors import BackendCapabilityError
-from repro.graph.program import Execute
 
 __all__ = ["Backend", "check_observers", "CONTROL_CYCLES"]
 
@@ -99,12 +99,10 @@ class Backend:
 
     def bind(self, compiled, device) -> None:
         self.plans = compiled.plans
+        self.kernels = compiled.kernels
         self.device = device
-        self.model = device.model
         if self.name == "sim":
             self.clock = device.profiler
-        # Per-step (name, est_bytes, est_flops) cache for wall-span tagging.
-        self._wall_costs: dict = {}
 
     def attach(self, tracer=None, injector=None, wall_tracer=None) -> None:
         """Attach this run's observers (after :meth:`bind`) — the one
@@ -120,6 +118,8 @@ class Backend:
             injector.bind(self.device, tracer=tracer)
         if wall_tracer is not None:
             wall_tracer.bind(self.device)
+            for kernel in self.kernels.kernels:  # priced here, so no timed span prices
+                kernel.cost
 
     def run_kernel(self, kernel) -> None:
         """Launch one fused kernel (one host dispatch); on the cycle clock,
@@ -135,25 +135,11 @@ class Backend:
             self.charge_kernel(kernel)
 
     def charge_kernel(self, kernel) -> None:
-        """Record one launch's cycles: the kernel's static cost record, the
-        cost of every superstep it absorbed summed per profiler category.
-        Kernels never cross a ``Sequence`` or a host callback, so scope
-        paths and the cycle count a callback reads are the per-superstep
-        ones."""
-        record = kernel.cycles
-        if record is None:
-            # Priced on the first clocked launch: the superstep costs in
-            # schedule order, summed per category (first-charge order).
-            totals: dict = {}
-            for step in kernel.steps:
-                plan = self.plans.plan_for(step)
-                if isinstance(step, Execute):
-                    key, cost = plan.category, self.model.sync() + plan.worst_tile
-                else:
-                    key, cost = plan.name, plan.phase.cycles + plan.local_cycles
-                totals[key] = totals.get(key, 0) + cost
-            record = kernel.cycles = tuple(totals.items())
-        for category, cycles in record:
+        """Record one launch's cycles: the kernel's cost record, the cost of
+        every superstep it absorbed summed per profiler category.  Kernels
+        never cross a ``Sequence`` or a host callback, so scope paths and
+        the cycle count a callback reads are the per-superstep ones."""
+        for category, cycles in kernel.cost.cycles:
             self.clock.record(category, cycles)
 
     def _stepped_plan(self, step):
@@ -166,20 +152,6 @@ class Backend:
             )
         return self.plans.plan_for(step)
 
-    def _wall_cost(self, step, kind: str) -> tuple:
-        """``(name, est_bytes, est_flops)`` of one step, cached by identity."""
-        cached = self._wall_costs.get(id(step))
-        if cached is None:
-            from repro.graph.passes.costs import estimate_compute_set, estimate_exchange
-
-            plan = self.plans.plan_for(step)  # a compute plan carries its set's name
-            if kind == "compute":
-                cached = (plan.name, *estimate_compute_set(step.compute_set))
-            else:
-                cached = (plan.name, estimate_exchange(plan), 0)
-            self._wall_costs[id(step)] = cached
-        return cached
-
     def run_compute_set(self, step) -> None:
         """Execute one ``Execute`` step (one BSP compute phase) vertex by
         vertex and record its cost."""
@@ -188,16 +160,14 @@ class Backend:
         wall_start = wt.now() if wt is not None else 0
         for v in plan.vertices:
             v.codelet.run(v.ctx)
-        sync = self.model.sync()
-        cost = sync + plan.worst_tile
-        self.clock.record(plan.category, cost)
+        cost = plan.cost
+        self.clock.record(cost.key, cost.cycles)
         if self.tracer is not None:
-            self.tracer.compute_phase(plan, self.clock.total_cycles - cost, cost, sync)
+            self.tracer.compute_phase(plan, self.clock.total_cycles - cost.cycles)
         if self.injector is not None:
             self.injector.compute_superstep(plan)
         if wt is not None:
-            name, est_bytes, est_flops = self._wall_cost(step, "compute")
-            wt.dispatch(name, "compute", wall_start, est_bytes, est_flops)
+            wt.dispatch(plan, "compute", wall_start)
 
     def run_exchange(self, step) -> None:
         """Execute one ``Exchange`` step (one BSP exchange phase) copy by
@@ -207,19 +177,18 @@ class Backend:
         wall_start = wt.now() if wt is not None else 0
         for op in plan.ops:
             op.apply()
-        phase = plan.phase
-        cost = phase.cycles + plan.local_cycles
+        cost = plan.cost
+        cycles = cost.cycles
         if self.injector is not None:
             # Injection happens after the copies land (corrupting *received*
             # data) but before the cycles are recorded, so link stalls are
             # priced into this phase's span.
-            cost += self.injector.exchange_superstep(plan, phase)
-        self.clock.record(plan.name, cost)
+            cycles += self.injector.exchange_superstep(plan, cost.phase)
+        self.clock.record(cost.key, cycles)
         if self.tracer is not None:
-            self.tracer.exchange_phase(plan, phase, self.clock.total_cycles - cost, cost)
+            self.tracer.exchange_phase(plan, self.clock.total_cycles - cycles, cycles)
         if wt is not None:
-            name, est_bytes, est_flops = self._wall_cost(step, "exchange")
-            wt.dispatch(name, "exchange", wall_start, est_bytes, est_flops)
+            wt.dispatch(plan, "exchange", wall_start)
 
     def control(self) -> None:
         """Account one loop-iteration / branch decision on the clock."""

@@ -46,7 +46,7 @@ class Transfer:
 class ExchangePhase:
     """Cost breakdown of one exchange superstep.
 
-    Frozen: an exchange plan is priced once (``ExchangePlan.phase``) and
+    Frozen: an exchange plan is priced once (its ``ExchangePlan.cost``) and
     every superstep that replays it — and the tracer and fault injector
     observing those supersteps — reads the same phase."""
 

@@ -101,13 +101,6 @@ class BatchPolicy:
     #: before dispatching.  ``0`` dispatches immediately with whatever is
     #: already queued (still coalescing a backlog, never waiting for one).
     max_wait_ms: float = 2.0
-    #: Pad assembled widths up to the next power of two (capped at
-    #: ``max_batch``) so the compile cache keys ``O(log max_batch)``
-    #: batched program widths per structure instead of one per width —
-    #: :func:`repro.solvers.session.batch_bucket`.  Padding columns are
-    #: zero right-hand sides: they converge in zero iterations and are
-    #: bitwise-inert to the real columns (per-column masking).
-    bucket: bool = True
 
     def __post_init__(self):
         if self.max_batch < 1:

@@ -486,9 +486,10 @@ class SolverService:
         live = list(pending)
         lead, width = live[0], len(live)
         config = self.policy.retry.effective_config(lead.config, lead.attempt)
-        pol = self.policy.batch
-        bucket = (batch_bucket(width, pol.max_batch) if width > 1 and pol.bucket
-                  else width)
+        # Widths pad up to a power of two (``batch_bucket``): O(log max_batch)
+        # cached programs per structure; a padding column is a zero RHS,
+        # inert to the real ones (per-column masking).
+        bucket = batch_bucket(width, self.policy.batch.max_batch) if width > 1 else width
         if width > 1:  # a batch of one runs the classic single-RHS program
             with self._state_lock:
                 self.counts["batches"] += 1

@@ -11,7 +11,7 @@ totals.  Solver convergence (residual vs. cycles, through
 :meth:`convergence`.
 
 Tracing never participates in execution: the hooks only *observe* the
-profiler clock and the frozen plans, so a traced run is bit-identical — in
+profiler clock and the frozen plans' cost records, so a traced run is bit-identical — in
 tensors and in cycles — to an untraced one, and a disabled tracer costs the
 backends a single ``is None`` check per superstep.
 
@@ -106,36 +106,39 @@ class Tracer:
 
     # -- backend hooks (one call per superstep) ------------------------------------
 
-    def compute_phase(self, plan, start: int, cycles: int, sync_cycles: int) -> None:
-        """Record one compute superstep from its frozen :class:`ComputePlan`."""
-        makespans = dict(zip(plan.tile_ids.tolist(), plan.makespans.tolist()))
+    def compute_phase(self, plan, start: int) -> None:
+        """Record one compute superstep from its plan's cost record."""
+        cost = plan.cost
+        makespans = dict(zip(cost.tile_ids.tolist(), cost.makespans.tolist()))
         n = len(makespans)
         mean = sum(makespans.values()) / n if n else 0.0
-        imbalance = plan.worst_tile / mean if mean > 0 else 1.0
+        imbalance = cost.worst_tile / mean if mean > 0 else 1.0
         args = {
-            "category": plan.category,
+            "category": cost.key,
             "tiles": n,
-            "worst_tile_cycles": plan.worst_tile,
+            "worst_tile_cycles": cost.worst_tile,
             "mean_tile_cycles": mean,
             "imbalance": imbalance,
-            "sync_cycles": sync_cycles,
+            "sync_cycles": cost.sync,
         }
         if 0 < n <= TILE_DETAIL_LIMIT:
             args["tile_makespans"] = makespans
         else:
             args["tile_makespans_summary"] = {
                 "min": min(makespans.values(), default=0),
-                "max": plan.worst_tile,
+                "max": cost.worst_tile,
                 "mean": mean,
             }
-        self.span(plan.name, "compute", start, cycles, args)
+        self.span(plan.name, "compute", start, cost.cycles, args)
         self.counter("imbalance", {"worst/mean": imbalance}, ts=start)
         for tile_id, make in makespans.items():
             self._tile_busy[tile_id] = self._tile_busy.get(tile_id, 0) + make
 
-    def exchange_phase(self, plan, phase, start: int, cycles: int) -> None:
-        """Record one exchange superstep from its plan and the fabric's
-        :class:`~repro.machine.fabric.ExchangePhase` cost breakdown."""
+    def exchange_phase(self, plan, start: int, cycles: int) -> None:
+        """Record one exchange superstep from its plan's transfers and cost
+        record (``cycles``: the record's, plus any injected link stall)."""
+        cost = plan.cost
+        phase = cost.phase
         senders = {t.src_tile for t in plan.transfers}
         sent_bytes = sum(t.nbytes for t in plan.transfers)
         congestion = 1.0
@@ -157,7 +160,7 @@ class Tracer:
                 "sync_cycles": phase.sync_cycles,
                 "stream_cycles": phase.stream_cycles,
                 "instr_cycles": phase.instr_cycles,
-                "local_cycles": plan.local_cycles,
+                "local_cycles": cost.local_cycles,
                 "inter_ipu": phase.inter_ipu,
                 "congestion": congestion,
             },

@@ -9,9 +9,10 @@ report and the Chrome / NDJSON exports — is inherited.  Attached through
 ``Backend.attach`` (every backend accepts it), it records one span per
 fused-kernel launch — or, on a ``sim`` run stepped for a cycle tracer or a
 fault injector, per priced step — tagged with a ``kind`` arg, the fused step
-counts and the static byte/FLOP estimate from
-:mod:`repro.graph.passes.costs`, so measured wall time reads directly as
-per-kernel GB/s and GFLOP/s (roofline-style, after the Citadel IPU
+counts and the static byte/FLOP estimate of the kernel's or step's cost
+record (:mod:`repro.graph.passes.costs`; the backend prices every kernel
+when the tracer attaches, so no span times pricing), so measured wall time
+reads directly as per-kernel GB/s and GFLOP/s (roofline-style, after the Citadel IPU
 microbenchmarking methodology).  :meth:`~WallTracer.profile` is one view of
 those spans (:func:`~repro.telemetry.report.kernel_rows`).
 
@@ -66,16 +67,16 @@ class WallTracer(Tracer):
             "n_exchange": kernel.n_exchange,
             "n_dispatch": kernel.n_dispatch,
             "n_fallback": kernel.n_fallback,
-            "est_bytes": kernel.est_bytes,
-            "est_flops": kernel.est_flops,
+            "est_bytes": kernel.cost.est_bytes,
+            "est_flops": kernel.cost.est_flops,
         })
 
-    def dispatch(self, name: str, kind: str, start: int, est_bytes: int = 0,
-                 est_flops: int = 0) -> None:
+    def dispatch(self, plan, kind: str, start: int) -> None:
         """Record one per-step dispatch of a stepped ``sim`` run (``kind`` =
         compute/exchange): one a cycle tracer or a fault injector observes."""
-        self.span(name, kind, start, self.now() - start,
-                  {"kind": kind, "est_bytes": est_bytes, "est_flops": est_flops})
+        cost = plan.cost
+        self.span(plan.name, kind, start, self.now() - start,
+                  {"kind": kind, "est_bytes": cost.est_bytes, "est_flops": cost.est_flops})
 
     # -- views ----------------------------------------------------------------------
 

@@ -20,8 +20,9 @@ each:
   renumbered step shows even where the cycle count would not;
 - what it computes — ``SolveResult.cycles``, iterations, a digest of ``x``;
 - what every kernel is priced at — ``(est_bytes, est_flops, n_assign,
-  fallbacks)`` per kernel, so ``costs.estimate_exchange`` (which reads the
-  flat copies) and the once-per-group compute estimates cannot drift.  A
+  fallbacks)`` per kernel, so the cost records' byte estimate of an
+  exchange (``costs.copy_bytes``, which reads the flat copies) and the
+  once-per-group compute estimates cannot drift.  A
   reduce group's flop count needs the *sum of per-tile maxima* of its leaf
   footprints, not the maximum of per-leaf sums: the two differ as soon as a
   scalar leaf meets a distributed one.

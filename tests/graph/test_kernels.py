@@ -36,7 +36,6 @@ from repro.graph import (
     compile_program,
 )
 from repro.graph.passes import ExchangeOp, FusedKernel
-from repro.graph.passes.costs import estimate_exchange
 from repro.graph.passes.kernels import _equal_segments, _reduce_segments
 from repro.machine import IPUDevice
 from repro.solvers import SolverSession, compile_solve, solve
@@ -366,6 +365,57 @@ def test_headline_inner_loops_have_no_fallback_vertices():
     assert compiled_fallbacks(fig5) == {}
 
 
+@given(out=st.sets(st.integers(0, 7), min_size=1), a=st.sets(st.integers(0, 7), min_size=1),
+       b=st.sets(st.integers(0, 7), min_size=1),
+       dtype=st.sampled_from([Type.FLOAT32, Type.DOUBLEWORD]))
+@settings(max_examples=40, deadline=None)
+def test_a_replicated_assignment_on_some_of_its_replicas_lowers_by_row(out, a, b, dtype):
+    """A replicated ``out`` assigned on the tiles that hold every operand —
+    some of its replicas, in runs or scattered — lowers without a fallback,
+    writes those rows as their vertices do, and leaves its other replicas
+    alone."""
+    if not out & a & b:
+        return
+    results = {}
+    for backend in ("sim", "fused"):
+        ctx = TensorContext(IPUDevice(tiles_per_ipu=8))
+        s = ctx.scalar(0.5, dtype, tile_ids=sorted(out))
+        x = ctx.scalar(1.25, dtype, tile_ids=sorted(a))
+        y = ctx.scalar(1 / 3, Type.FLOAT32, tile_ids=sorted(b))
+        s.assign(s * x + y)
+        engine = ctx.run(**stepped(backend))
+        if backend == "fused":
+            assert compiled_fallbacks(engine.compiled) == {}
+        var = s.var
+        results[backend] = (var.flat_data.copy(),
+                            None if var.flat_lo is None else var.flat_lo.copy())
+    for got, want in zip(results["fused"], results["sim"]):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", ["cg", "mpir(dw)"])
+def test_a_program_on_fewer_tiles_than_its_device_lowers_fully(case):
+    """A program on 8 of the device's 16 tiles: its replicated scalars keep
+    a replica on every device tile while the groups writing them, and
+    their leaves, live on the matrix tiles — each such group lowers by row
+    (no per-vertex fallback) and equals the stepped per-vertex path bit for
+    bit."""
+    if case == "cg":
+        (crs, dims), config = poisson2d(12), CG
+    else:
+        crs, dims = g3_circuit_like(grid=24), None
+        config = MPIR_FIG8
+    b = np.random.default_rng(4).standard_normal(crs.n).astype(np.float32)
+    fused = solve(crs, b, config, num_tiles=8, grid_dims=dims, backend="fused")
+    stepped = solve(crs, b, config, num_tiles=8, grid_dims=dims, backend="sim", trace=True)
+    assert fused.engine.device.num_tiles == 16
+    assert fused.kernel_counters["fallback_vertices"] == 0
+    assert compiled_fallbacks(fused.compiled) == {}
+    np.testing.assert_array_equal(fused.x, stepped.x)
+    assert fused.stats.residuals == stepped.stats.residuals
+    assert fused.iterations == stepped.iterations > 0
+
+
 def compiled_fallbacks(compiled) -> dict:
     """Codelet -> vertices still dispatched one by one, over all kernels."""
     total = Counter()
@@ -419,7 +469,7 @@ def test_cost_only_codelets_are_priced_but_never_dispatched():
     step = Execute(cs)
     compiled = compile_program(g, Sequence([step]), optimize=False)
     plan = compiled.plan_for(step)
-    assert plan.vertices == () and plan.worst_tile == 400
+    assert plan.vertices == () and plan.cost.worst_tile == 400
     (kernel,) = compiled.kernels.kernels
     assert kernel.ops == () and kernel.fallbacks == () and kernel.n_compute == 1
     sim = Engine(compiled, backend="sim")
@@ -631,7 +681,7 @@ def test_flat_exchange_accounts_the_same_bytes_and_dispatches():
     for step in exchanges:
         plan = compiled.plan_for(step)
         assert plan.vectorized and len(plan.flat) <= len(plan.ops) == plan.n_ops
-        assert estimate_exchange(plan) == _copy_bytes(plan.flat) == _copy_bytes(plan.ops) > 0
+        assert plan.cost.est_bytes == _copy_bytes(plan.flat) == _copy_bytes(plan.ops) > 0
     # Every leaf step is absorbed by exactly one kernel of this program.
     assert compiled.kernels.stats()["dispatches_replaced"] == sum(
         len(s.compute_set.vertices) if isinstance(s, Execute)

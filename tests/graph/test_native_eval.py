@@ -333,8 +333,8 @@ def test_the_native_kernels_are_in_use_wherever_a_compiler_is():
     for kernel in compiled.kernels.kernels:
         native_ops += sum(entry.kind == native.EVAL for call in kernel.calls
                           if isinstance(call, native.Table) for entry in call.entries)
-        for step in kernel.steps:
-            for g in getattr(getattr(step, "compute_set", None), "groups", ()):
+        for plan in kernel.plans:
+            for g in getattr(getattr(plan, "compute_set", None), "groups", ()):
                 groups += isinstance(g.spec, (ElementwiseSpec, ReduceSpec)) and not g.cost_only
     assert groups > 20 and native_ops == groups
 

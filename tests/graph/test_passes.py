@@ -455,8 +455,8 @@ def _quadratic_coalesce(steps):
 
 
 def _all_pairs_write_overlap(array, start, stop, is_write):
-    """Oracle of ``plans._any_write_overlap``: every pair of ranges on one
-    array, at least one of them written."""
+    """Oracle of an exchange's copy hazard (``plans._copies_overlap``):
+    every pair of ranges on one array, at least one of them written."""
     n = len(array)
     return any(
         array[i] == array[j] and (is_write[i] or is_write[j])
@@ -530,18 +530,40 @@ class TestIndexedHazardChecks:
             assert compiled.plan_for(step).vectorized == (not hazard)
 
     @given(st.lists(
-        st.tuples(st.integers(0, 2), st.integers(0, 6), st.integers(0, 3), st.booleans()),
+        st.tuples(st.integers(0, 2), st.integers(0, 6), st.integers(0, 2), st.integers(0, 6),
+                  st.integers(0, 3)),
         max_size=12,
     ))
     @settings(max_examples=300, deadline=None)
-    def test_sorted_write_overlap_agrees_with_all_pairs(self, ranges):
-        """Empty, nested, abutting and duplicated ranges included."""
-        from repro.graph.passes.plans import _any_write_overlap
+    def test_sorted_range_overlaps_agree_with_all_pairs(self, copies):
+        """Copies ``(src shard, src start, dst shard, dst start, size)`` over
+        three shards, so reads and writes share arrays: empty, nested,
+        abutting (no overlap) and equal ranges included.  The read-meets-
+        write test and the exchange hazard built on it (that, or two writes
+        overlapping) agree with every pair checked."""
+        from repro.graph.passes.coalesce import _reads_written
+        from repro.graph.passes.plans import _copies_overlap
+        from repro.graph.program import DST_OFFSET, SIZE, SRC_OFFSET
 
-        array, start, size, is_write = (np.array(c) for c in zip(*ranges)) if ranges else (
-            np.zeros(0, dtype=np.int64),) * 4
-        got = _any_write_overlap(array, start, start + size, is_write.astype(bool))
-        assert got == _all_pairs_write_overlap(array, start, start + size, is_write)
+        rows = np.array(copies, dtype=np.int64).reshape(-1, 5)
+        src, src_at, dst, dst_at, size = rows.T
+        t = np.zeros((len(rows), SIZE + 1), dtype=np.int64)
+        t[:, SRC_OFFSET], t[:, DST_OFFSET], t[:, SIZE] = src_at, dst_at, size
+        reads, writes = (src, src_at, src_at + size), (dst, dst_at, dst_at + size)
+
+        def meet(a, i, b, j):
+            return a[0][i] == b[0][j] and a[1][i] < b[2][j] and b[1][j] < a[2][i]
+
+        n = len(rows)
+        read_meets_write = any(meet(reads, i, writes, j) for i in range(n) for j in range(n))
+        writes_meet = any(meet(writes, i, writes, j) for i in range(n) for j in range(i + 1, n))
+        assert _reads_written(reads, writes) == read_meets_write
+        assert _copies_overlap(src, dst, t, 3) == (read_meets_write or writes_meet)
+        # The same decision as the all-pairs oracle over the copies' ranges.
+        is_write = np.repeat([False, True], n)
+        assert _copies_overlap(src, dst, t, 3) == _all_pairs_write_overlap(
+            np.concatenate([src, dst]), np.concatenate([src_at, dst_at]),
+            np.concatenate([src_at + size, dst_at + size]), is_write)
 
     def test_a_hazard_free_run_is_checked_once_as_the_halo_grows(self, monkeypatch):
         """An in-place ring halo: tile ``t`` sends its ``R`` owned regions into

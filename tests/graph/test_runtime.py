@@ -98,7 +98,7 @@ class TestPlanLowering:
         compiled = compile_program(g, Sequence([ex]), optimize=False)
         assert ex in compiled.plans
         plan = compiled.plan_for(ex)
-        assert plan.worst_tile == 12  # 2 elements/tile * 6 cycles
+        assert plan.cost.worst_tile == 12  # 2 elements/tile * 6 cycles
         assert len(plan.vertices) == 4
 
     def test_shared_compute_set_planned_once(self):
@@ -115,7 +115,7 @@ class TestPlanLowering:
         ex = Execute(inc_cs(v))
         compiled = compile_program(g, Repeat(3, ex), optimize=False)
         assert len(compiled.plans) == 1
-        assert compiled.plan_for(ex).worst_tile == 12
+        assert compiled.plan_for(ex).cost.worst_tile == 12
 
     def test_single_region_copy_lowers_to_slices(self):
         g = make_graph()
@@ -195,7 +195,7 @@ class TestPlanLowering:
         assert len(plan.transfers) == 1
         assert plan.transfers[0].dst_tiles == (3,)
         assert plan.transfers[0].nbytes == 8
-        assert plan.local_cycles == 1  # ceil(8 B / 8 B-per-cycle)
+        assert plan.cost.local_cycles == 1  # ceil(8 B / 8 B-per-cycle)
 
 
 class TestFusedBackend:

@@ -21,7 +21,8 @@ import pytest
 
 from repro.cli import main
 from repro.graph.codelet import Vertex
-from repro.graph.passes.plans import CopyOp, lpt_makespan
+from repro.graph.passes.costs import lpt_makespan
+from repro.graph.passes.plans import CopyOp
 from repro.graph.program import Exchange, Execute, RegionCopy
 from repro.machine.fabric import Transfer
 from repro.solvers import solve
@@ -102,10 +103,10 @@ def test_traced_vertices_reproduce_the_plan_makespans():
         tasks: dict = {}
         for v in plan.compute_set.vertices:  # built lazily by the stepped run
             tasks.setdefault(v.tile_id, []).extend(v.worker_cycles())
-        assert list(tasks) == plan.tile_ids.tolist()
+        assert list(tasks) == plan.cost.tile_ids.tolist()
         got = [lpt_makespan(t, workers) for t in tasks.values()]
-        np.testing.assert_array_equal(got, plan.makespans)
-        assert plan.worst_tile == max(got)
+        np.testing.assert_array_equal(got, plan.cost.makespans)
+        assert plan.cost.worst_tile == max(got)
 
 
 @pytest.mark.parametrize("backend", ["sim", "fused"])

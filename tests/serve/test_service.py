@@ -77,6 +77,34 @@ class TestServedBitIdentity:
         assert counts["retries"] == 0
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_retry_replays_the_same_seeded_fault_plan(self):
+        """The serve smoke's fault tenant (``repro serve --fault-tenant``):
+        every attempt replays the identical seeded plan, so a job whose
+        rollback budget runs out fails the same way each time and ends
+        ``failed`` after ``max_attempts`` — its last attempt equal to a
+        direct solve() with that plan at the recorded effective config."""
+        crs, dims = poisson2d(16)
+        b = np.random.default_rng(3).standard_normal(crs.n)
+        kw = dict(grid_dims=dims, backend="sim", resilience="",
+                  inject_faults="seed=7;bitflip:p=0.004,where=exchange")
+        retry = RetryPolicy(base_delay=0.0)
+
+        async def go():
+            async with SolverService(workers=1, policy=ServicePolicy(retry=retry)) as svc:
+                with pytest.raises(DivergenceError) as err:
+                    await svc.solve(crs, b, "cg", tenant="faulty", **kw)
+                return err.value, dict(svc.counts)
+
+        err, counts = run(go())
+        assert counts["failed"] == 1 and counts["retries"] == retry.max_attempts - 1
+        assert f"after {retry.max_attempts} attempt(s)" in str(err)
+        ref = solve(crs, b, retry.effective_config("cg", retry.max_attempts - 1), **kw)
+        assert ref.resilience.outcome == "failed" and ref.stats.failure == "silent_corruption"
+        assert err.last_result.resilience.to_dict() == ref.resilience.to_dict()
+        np.testing.assert_array_equal(err.last_result.x, ref.x)
+
+
 class TestRetries:
     def test_retry_ladder_reaches_fallback_and_stays_reproducible(self):
         retry = RetryPolicy(max_attempts=3, base_delay=0.001,

@@ -6,27 +6,29 @@ the backends emit zero events through code paths identical to the
 pre-telemetry runtime.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.graph.passes.plans import ComputePlan, ExchangePlan
+from repro.graph.passes.costs import Cost
 from repro.machine import IPUDevice
 from repro.machine.fabric import ExchangePhase, Transfer
 from repro.telemetry import CounterEvent, InstantEvent, SpanEvent, Tracer
 from repro.telemetry.tracer import TILE_DETAIL_LIMIT
 
 
-def compute_plan(makespans, name="cs_test", category="spmv"):
-    return ComputePlan(name=name, category=category, tile_ids=np.arange(len(makespans)),
-                       makespans=np.array(makespans, dtype=np.int64),
-                       worst_tile=max(makespans, default=0))
+def compute_plan(makespans, name="cs_test", category="spmv", sync=64):
+    """A plan as the tracer reads it: a name and its cost record."""
+    worst = max(makespans, default=0)
+    return SimpleNamespace(name=name, cost=Cost(
+        category, sync + worst, sync=sync, worst_tile=worst,
+        tile_ids=np.arange(len(makespans)), makespans=np.array(makespans, dtype=np.int64)))
 
 
-def exchange_plan(transfers=(), name="exchange", local=0):
-    plan = ExchangePlan(name=name, local_cycles=local, vectorized=True, flat=(), n_ops=0,
-                        copies=((), ()))
-    vars(plan)["transfers"] = tuple(transfers)  # seeds the lazily built list
-    return plan
+def exchange_plan(transfers=(), name="exchange", phase=ExchangePhase(), local=0):
+    return SimpleNamespace(name=name, transfers=tuple(transfers), cost=Cost(
+        name, phase.cycles + local, phase=phase, local_cycles=local))
 
 
 class TestTracerPrimitives:
@@ -61,7 +63,9 @@ class TestTracerPrimitives:
 class TestComputePhaseHook:
     def test_imbalance_and_per_tile_makespans(self):
         tr = Tracer()
-        tr.compute_phase(compute_plan([100, 50, 50]), start=0, cycles=164, sync_cycles=64)
+        plan = compute_plan([100, 50, 50])
+        assert (plan.cost.cycles, plan.cost.sync) == (164, 64)
+        tr.compute_phase(plan, start=0)
         span = next(e for e in tr.events if isinstance(e, SpanEvent))
         assert span.cat == "compute" and span.name == "cs_test"
         assert span.args["imbalance"] == pytest.approx(100 / (200 / 3))
@@ -71,8 +75,7 @@ class TestComputePhaseHook:
 
     def test_many_tiles_summarized(self):
         tr = Tracer()
-        tr.compute_phase(compute_plan([10] * (TILE_DETAIL_LIMIT + 1)),
-                         start=0, cycles=74, sync_cycles=64)
+        tr.compute_phase(compute_plan([10] * (TILE_DETAIL_LIMIT + 1)), start=0)
         span = tr.events[0]
         assert "tile_makespans" not in span.args
         assert span.args["tile_makespans_summary"]["max"] == 10
@@ -81,8 +84,8 @@ class TestComputePhaseHook:
         dev = IPUDevice(tiles_per_ipu=2)
         tr = Tracer()
         tr.bind(dev)
-        tr.compute_phase(compute_plan([10, 30]), 0, 94, 64)
-        tr.compute_phase(compute_plan([20, 0]), 94, 84, 64)
+        tr.compute_phase(compute_plan([10, 30]), 0)
+        tr.compute_phase(compute_plan([20, 0]), 94)
         tr.finalize()
         busy = next(e for e in tr.events
                     if isinstance(e, InstantEvent) and e.name == "tile_busy")
@@ -97,8 +100,8 @@ class TestExchangePhaseHook:
         # One hot sender streaming 800 B while three others send 0: the
         # fabric hotspot shows up as congestion > 1.
         phase = dev.fabric.run([Transfer(0, (1,), 400), Transfer(0, (2,), 400)])
-        plan = exchange_plan([Transfer(0, (1,), 400), Transfer(0, (2,), 400)])
-        tr.exchange_phase(plan, phase, start=0, cycles=phase.cycles)
+        plan = exchange_plan([Transfer(0, (1,), 400), Transfer(0, (2,), 400)], phase=phase)
+        tr.exchange_phase(plan, start=0, cycles=phase.cycles)
         span = tr.events[0]
         assert span.cat == "exchange"
         assert span.args["sent_bytes"] == 800
@@ -106,13 +109,13 @@ class TestExchangePhaseHook:
         assert span.args["congestion"] == pytest.approx(1.0)
         balanced = dev.fabric.run([Transfer(0, (1,), 400), Transfer(2, (3,), 400)])
         tr.exchange_phase(
-            exchange_plan([Transfer(0, (1,), 400), Transfer(2, (3,), 400)]),
-            balanced, start=phase.cycles, cycles=balanced.cycles)
+            exchange_plan([Transfer(0, (1,), 400), Transfer(2, (3,), 400)], phase=balanced),
+            start=phase.cycles, cycles=balanced.cycles)
         assert tr.events[2].args["congestion"] == pytest.approx(1.0)
 
     def test_empty_exchange(self):
         tr = Tracer()
-        tr.exchange_phase(exchange_plan(), ExchangePhase(), start=5, cycles=0)
+        tr.exchange_phase(exchange_plan(), start=5, cycles=0)
         assert tr.events[0].args["total_bytes"] == 0
         assert tr.events[0].args["congestion"] == 1.0
 
